@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclo import CycloNum
@@ -35,7 +36,7 @@ class ClassFunction:
             if isinstance(v, CycloNum):
                 vals.append(v)
             else:
-                vals.append(CycloNum.from_rational(Fraction(v)))
+                vals.append(CycloNum.from_rational(v))
         self.group = group
         self.values = tuple(vals)
 
@@ -177,7 +178,7 @@ def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
 class CharacterTable:
     """The irreducible characters of a finite group, in a fixed order."""
 
-    __slots__ = ("group", "irreducibles", "degrees", "modulus",
+    __slots__ = ("group", "irreducibles", "degrees", "modulus", "_weighted_conj",
                  "_dual_index", "_fs", "_orbits")
 
     def __init__(self, group: FiniteGroup, irreducibles: Sequence[ClassFunction],
@@ -186,6 +187,11 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         self.degrees = tuple(ch.dim for ch in irreducibles)
         self.modulus = modulus
+        # |c| * conj(psi(c)) for every irreducible psi and class c: the
+        # right-hand factor of every whole-group inner product with psi
+        self._weighted_conj = tuple(
+            tuple(v.conjugate().scale(size) for v, size in zip(psi.values, group.class_sizes))
+            for psi in self.irreducibles)
         self._dual_index = None
         self._fs = None
         self._orbits = None
@@ -193,11 +199,20 @@ class CharacterTable:
     def __len__(self):
         return len(self.irreducibles)
 
+    def _inner_with(self, chi: ClassFunction, i: int) -> Fraction:
+        """<chi, psi_i> over the whole group, from the cached row of psi_i."""
+        total = CycloNum.zero()
+        for a, b in zip(chi.values, self._weighted_conj[i]):
+            total = total + a * b
+        return total.rational_value() / self.group.order
+
     def multiplicities(self, chi: ClassFunction) -> Tuple[int, ...]:
         """Decompose a character; error on negative or fractional parts."""
+        if chi.group is not self.group:
+            raise ValueError("class functions live on different groups")
         out = []
-        for psi in self.irreducibles:
-            m = inner_product(chi, psi)
+        for i in range(len(self.irreducibles)):
+            m = self._inner_with(chi, i)
             if m.denominator != 1 or m < 0:
                 raise NonCharacterError(f"multiplicity {m} is not a nonnegative integer")
             out.append(m.numerator)
@@ -295,8 +310,8 @@ def _charpoly(mat, q):
     coeffs[n] = 1
     N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        M = [[sum(mat[i][t] * N[t][j] for t in range(n)) % q for j in range(n)]
-             for i in range(n)]
+        cols = list(zip(*N))
+        M = [[sum(map(mul, row, col)) % q for col in cols] for row in mat]
         tr = sum(M[i][i] for i in range(n)) % q
         ck = (-tr * pow(k, -1, q)) % q
         coeffs[n - k] = ck
@@ -431,55 +446,57 @@ def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
     """Recover exact character values from the mod-q central characters."""
     r = len(group.classes)
     e = group.exponent
-    sizes = group.class_sizes
     inv_class = group.inverse_class
+    size_inv = [pow(size, -1, q) for size in group.class_sizes]
     w = _primitive_root_of_unity(e, q)
+    # shared by every row: per element order n, the inverse DFT matrix
+    # zeta_n^(-jk) mod q; per class of order n, the classes of g^k, k < n
+    dft_mats = {}
+    class_dfts = []
+    for c in range(r):
+        n = group.element_orders[group.class_reps[c]]
+        if n not in dft_mats:
+            zinv = pow(pow(w, e // n, q), -1, q)
+            dft_mats[n] = [[pow(zinv, j * k, q) for k in range(n)] for j in range(n)]
+        class_dfts.append((n, [group.class_power(c, k) for k in range(n)],
+                           dft_mats[n], pow(n, -1, q)))
     rows = []
     for v in vectors:
-        s = 0
-        for i in range(r):
-            s = (s + v[i] * v[inv_class[i]] * pow(sizes[i], -1, q)) % q
+        s = sum(v[i] * v[inv_class[i]] * size_inv[i] for i in range(r)) % q
         target = group.order * pow(s, -1, q) % q
         deg = next((d for d in range(1, group.order + 1)
                     if d * d % q == target and d * d <= group.order), None)
         if deg is None:
             raise TableComputationError("no admissible degree for an eigenvector")
         # character values mod q
-        x = [deg * v[i] * pow(sizes[i], -1, q) % q for i in range(r)]
+        x = [deg * v[i] * size_inv[i] % q for i in range(r)]
         vals: List[CycloNum] = []
-        for c in range(r):
-            n = group.element_orders[group.class_reps[c]]
-            z = pow(w, e // n, q)
-            zinv = pow(z, -1, q)
-            ninv = pow(n, -1, q)
+        for n, powers, dft, ninv in class_dfts:
+            xs = [x[c] for c in powers]
             mults = []
-            for j in range(n):
-                m = 0
-                for k in range(n):
-                    m = (m + x[group.class_power(c, k)] * pow(zinv, j * k, q)) % q
-                m = m * ninv % q
+            for zrow in dft:
+                m = sum(map(mul, xs, zrow)) * ninv % q
                 if m > deg:
                     raise TableComputationError("eigenvalue multiplicity out of range")
                 mults.append(m)
             if sum(mults) != deg:
                 raise TableComputationError("eigenvalue multiplicities do not sum to the degree")
-            val = CycloNum.zero(1)
-            for j, m in enumerate(mults):
-                if m:
-                    val = val + CycloNum.root_of_unity(n, j).scale(m)
-            vals.append(val)
+            # the value is sum_j mults[j] * zeta_n^j
+            vals.append(CycloNum(n, mults, reduce=True))
         rows.append((deg, tuple(v), vals))
     rows.sort(key=lambda t: (t[0], t[1]))
     return [row[2] for row in rows]
 
 
-def _validate_table(group: FiniteGroup, chars: Sequence[ClassFunction]) -> None:
-    n = sum(ch.dim ** 2 for ch in chars)
+def _validate_table(table: CharacterTable) -> None:
+    group = table.group
+    n = sum(d ** 2 for d in table.degrees)
     if n != group.order:
         raise TableComputationError(f"degree squares sum to {n}, not {group.order}")
+    chars = table.irreducibles
     for i, chi in enumerate(chars):
         for j in range(i, len(chars)):
-            ip = inner_product(chi, chars[j])
+            ip = table._inner_with(chi, j)
             if ip != (1 if i == j else 0):
                 raise TableComputationError(f"orthogonality fails at ({i},{j}): {ip}")
 
@@ -497,8 +514,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             vectors = _joint_eigenvectors(mats, r, q)
             value_rows = _lift_table(group, vectors, q)
             chars = [ClassFunction(group, row) for row in value_rows]
-            _validate_table(group, chars)
             table = CharacterTable(group, chars, q)
+            _validate_table(table)
             group._char_table = table
             return table
         except TableComputationError as err:

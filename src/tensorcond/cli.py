@@ -85,7 +85,12 @@ def _worker_count(args) -> int:
     if args.workers is not None:
         return max(1, args.workers)
     env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise InputError(f"{WORKERS_ENV}={env!r} is not an integer") from None
 
 
 _POOL_STATE = {}
@@ -102,13 +107,15 @@ def _pool_eval(job):
 
 
 def _run_verify(args, machine: bool) -> int:
-    corpus = load_corpus(args.corpus)
     names = list(SUITES) if "all" in args.suite else args.suite
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; choose from "
                              f"{', '.join(sorted(SUITES))} or all")
+    if args.seeds is not None and args.seeds < 0:
+        raise InputError(f"--seeds must be nonnegative, not {args.seeds}")
     workers = _worker_count(args)
+    corpus = load_corpus(args.corpus)
     failures = 0
     for name in names:
         seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS[name]

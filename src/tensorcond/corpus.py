@@ -103,17 +103,24 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     if path is None:
         raw = _builtin_corpus_text()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise CorpusError(f"cannot read corpus file: {err}") from err
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as err:
         raise CorpusError(f"corpus is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise CorpusError("corpus must be a JSON object")
     version = doc.get("version")
     if version != CORPUS_VERSION:
         raise CorpusError(f"unknown corpus version {version!r} (expected {CORPUS_VERSION})")
     entries = []
     for e in doc.get("entries", []):
+        if not isinstance(e, dict):
+            raise CorpusError(f"malformed corpus entry {e!r}: expected an object")
         try:
             group = build_group(e["group"])
             chains = []

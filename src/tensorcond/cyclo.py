@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, with arbitrary-precision rational coefficients.
-No floating point anywhere; equality is coefficient-wise after promotion to
-a common conductor.
+N-th cyclotomic polynomial.  Each coefficient is a plain `int` when it is
+integral and a `Fraction` only when it is not, so character values, which
+lie in Z[zeta_N], never touch `Fraction` arithmetic; only the final division
+of an average does.  No floating point anywhere; equality is coefficient-wise
+after promotion to a common conductor.
 """
 
 from __future__ import annotations
@@ -17,6 +19,25 @@ Rational = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT_ONLY = {int}
+
+
+def _coefficient(c) -> Rational:
+    """The canonical form of one coefficient: an int when integral, else a
+    Fraction.  Floats and other non-rationals are refused."""
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"cyclotomic coefficient must be int or Fraction, "
+                    f"not {type(c).__name__}")
+
+
+def _coefficients(cs: Sequence) -> Sequence[Rational]:
+    """Canonical coefficients; an all-int sequence is returned as it is."""
+    if set(map(type, cs)) <= _INT_ONLY:
+        return cs
+    return [c if type(c) is int else _coefficient(c) for c in cs]
 
 
 @lru_cache(maxsize=None)
@@ -57,17 +78,15 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple:
-    """x^k mod Phi_n for k = 0 ... 2n, as integer coefficient rows."""
+    """x^k mod Phi_n for k = 0 ... 2n, as sparse rows of (index, integer
+    coefficient) pairs."""
     phi = euler_phi(n)
     mod = cyclotomic_coeffs(n)
     rows = []
-    row = [0] * phi
     for k in range(2 * n + 1):
         if k < phi:
-            cur = [0] * phi
-            cur[k] = 1
-            rows.append(tuple(cur))
-            row = list(cur)
+            row = [0] * phi
+            row[k] = 1
         else:
             # multiply previous row by x, reduce the overflow coefficient
             top = row[phi - 1]
@@ -75,22 +94,22 @@ def _reduction_rows(n: int) -> tuple:
             if top:
                 for j in range(phi):
                     row[j] -= top * mod[j]
-            rows.append(tuple(row))
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
     return tuple(rows)
 
 
-def _reduce(n: int, coeffs: Sequence[Fraction]) -> tuple:
+def _reduce(n: int, coeffs: Sequence[Rational]) -> list:
     """Reduce an arbitrary-degree coefficient list mod Phi_n to the basis."""
     phi = euler_phi(n)
     rows = _reduction_rows(n)
-    out = [_ZERO] * phi
-    for k, c in enumerate(coeffs):
+    out = list(coeffs[:phi])
+    out += [0] * (phi - len(out))
+    for k in range(phi, len(coeffs)):
+        c = coeffs[k]
         if c:
-            row = rows[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-    return tuple(out)
+            for j, r in rows[k]:
+                out[j] += c * r
+    return out
 
 
 class CycloNum:
@@ -100,18 +119,16 @@ class CycloNum:
 
     def __init__(self, N: int, coeffs: Sequence[Rational], reduce: bool = False):
         self.N = N
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = _coefficients(coeffs)
         if reduce or len(cs) != euler_phi(N):
-            self.coeffs = _reduce(N, cs)
-        else:
-            self.coeffs = tuple(cs)
+            cs = _coefficients(_reduce(N, cs))
+        self.coeffs = tuple(cs)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def from_rational(q: Rational, N: int = 1) -> "CycloNum":
-        cs = [Fraction(q)] + [_ZERO] * (euler_phi(N) - 1)
-        return CycloNum(N, cs)
+        return CycloNum(N, [q] + [0] * (euler_phi(N) - 1))
 
     @staticmethod
     def zero(N: int = 1) -> "CycloNum":
@@ -125,8 +142,8 @@ class CycloNum:
     def root_of_unity(N: int, k: int = 1) -> "CycloNum":
         """zeta_N^k."""
         k %= N
-        cs = [_ZERO] * (k + 1)
-        cs[k] = _ONE
+        cs = [0] * (k + 1)
+        cs[k] = 1
         return CycloNum(N, cs, reduce=True)
 
     # -- structure -----------------------------------------------------------
@@ -138,7 +155,7 @@ class CycloNum:
         if M % self.N:
             raise ValueError(f"{M} is not a multiple of conductor {self.N}")
         step = M // self.N
-        cs = [_ZERO] * (euler_phi(self.N) * step + 1)
+        cs = [0] * (euler_phi(self.N) * step + 1)
         for i, c in enumerate(self.coeffs):
             if c:
                 cs[i * step] = c
@@ -151,30 +168,32 @@ class CycloNum:
         return self.promote(M), other.promote(M)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
+        """The value as a Fraction, so that dividing it never gives a float."""
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.is_rational() and type(self.coeffs[0]) is int
 
     def integer_value(self) -> int:
-        v = self.rational_value()
-        if v.denominator != 1:
+        if not self.is_integer():
             raise ValueError(f"{self} is not an integer")
-        return v.numerator
+        return self.coeffs[0]
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloNum.from_rational(other)
+        elif not isinstance(other, CycloNum):
+            return NotImplemented
         a, b = self._pair(other)
         return CycloNum(a.N, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
@@ -194,31 +213,32 @@ class CycloNum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, CycloNum):
+            return NotImplemented
         a, b = self._pair(other)
         if a.is_rational():
             return b.scale(a.coeffs[0])
         if b.is_rational():
             return a.scale(b.coeffs[0])
         phi = len(a.coeffs)
-        prod = [_ZERO] * (2 * phi - 1)
+        prod = [0] * (2 * phi - 1)
+        b_terms = [(j, y) for j, y in enumerate(b.coeffs) if y]
         for i, x in enumerate(a.coeffs):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
+                for j, y in b_terms:
+                    prod[i + j] += x * y
         return CycloNum(a.N, prod, reduce=True)
 
     __rmul__ = __mul__
 
     def scale(self, q: Rational) -> "CycloNum":
-        q = Fraction(q)
         return CycloNum(self.N, [c * q for c in self.coeffs])
 
     def galois(self, k: int) -> "CycloNum":
         """Apply zeta -> zeta^k; requires gcd(k, N) = 1."""
         if gcd(k, self.N) != 1:
             raise ValueError(f"k={k} is not coprime to the conductor {self.N}")
-        cs = [_ZERO] * self.N
+        cs = [0] * self.N
         for i, c in enumerate(self.coeffs):
             if c:
                 cs[(i * k) % self.N] += c
@@ -232,9 +252,9 @@ class CycloNum:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
-            return CycloNum.from_rational(1 / self.coeffs[0], self.N)
+            return CycloNum.from_rational(1 / self.rational_value(), self.N)
         mod = [Fraction(c) for c in cyclotomic_coeffs(self.N)]
-        r0, r1 = mod, list(self.coeffs)
+        r0, r1 = mod, [Fraction(c) for c in self.coeffs]
         s0, s1 = [_ZERO], [_ONE]
         while any(c != 0 for c in r1):
             q, rem = _poly_divmod(r0, r1)
@@ -326,23 +346,3 @@ def _poly_divmod(a, b):
         a = _poly_strip([a[i] - (c * b[i - d] if 0 <= i - d < len(b) else 0)
                          for i in range(len(a))])
     return q, a
-
-
-def add(x: CycloNum, y: CycloNum) -> CycloNum:
-    return x + y
-
-
-def mul(x: CycloNum, y: CycloNum) -> CycloNum:
-    return x * y
-
-
-def neg(x: CycloNum) -> CycloNum:
-    return -x
-
-
-def galois_act(x: CycloNum, k: int) -> CycloNum:
-    return x.galois(k)
-
-
-def is_rational(x: CycloNum) -> bool:
-    return x.is_rational()

@@ -26,6 +26,12 @@ def q8_table(q8):
     return character_table(q8)
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    from tensorcond.corpus import load_corpus
+    return load_corpus()
+
+
 def two_dim(q8_table):
     return q8_table.irreducibles[q8_table.degrees.index(2)]
 
@@ -288,3 +294,48 @@ def test_s3_table_against_matrices():
     assert perm.fixed_dim_by_projector(translations) == \
         fixed_dim(perm_char, translations) == 1
     assert perm.fixed_dim_by_projector(whole_group(G)) == 1
+
+
+def test_corpus_table_values_have_int_coefficients(corpus):
+    for entry in corpus.entries:
+        for chi in character_table(entry.group).irreducibles:
+            for v in chi.values:
+                assert all(type(c) is int for c in v.coeffs), (entry.name, v)
+
+
+def test_averages_are_exact_never_float(corpus):
+    for entry in corpus.entries:
+        G = entry.group
+        T = character_table(G)
+        chi = gen_character(G, 0, 6)
+        third = ClassFunction(G, [Fraction(1, 3)] * len(G.classes))
+        for psi in T.irreducibles:
+            assert type(inner_product(chi, psi)) is Fraction
+            assert type(inner_product(third, psi)) is Fraction
+            assert type(frobenius_schur(psi)) is int
+        for H in entry.chains[0].filtration.chain:
+            assert type(inner_product(chi, chi, H)) is Fraction
+            assert type(fixed_dim(chi, H)) is int
+
+
+def test_multiplicities_match_inner_products(corpus):
+    for entry in corpus.entries:
+        T = character_table(entry.group)
+        for seed in range(3):
+            chi = gen_character(entry.group, seed, 8)
+            mults = T.multiplicities(chi)
+            assert all(type(m) is int for m in mults)
+            assert mults == tuple(inner_product(chi, psi) for psi in T.irreducibles)
+
+
+def test_table_validation_checks_every_pair():
+    from tensorcond.chars import CharacterTable, _validate_table
+    from tensorcond.errors import TableComputationError
+    G = cyclic(4)
+    T = character_table(G)
+    _validate_table(T)
+    # unit norms and the right degrees, but two equal rows
+    rows = list(T.irreducibles)
+    rows[-1] = rows[-2]
+    with pytest.raises(TableComputationError, match="orthogonality"):
+        _validate_table(CharacterTable(G, rows, T.modulus))

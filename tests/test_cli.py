@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import tensorcond
 from tensorcond.cli import main
 
 BOUND_DOC = {
@@ -30,6 +33,14 @@ def make_global_doc():
              "B": {"tau": tau_b, "sigma": [0] * len(T)}},
         ],
     }
+
+
+def subprocess_env(**extra):
+    """The environment for a fresh interpreter that imports this checkout's
+    package, also when the tests put `src` on the path themselves."""
+    src = str(Path(tensorcond.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +137,39 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_rejects_non_integer_workers_env(capsys, monkeypatch):
+    monkeypatch.setenv("TENSORCOND_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
+                             "--seeds", "2")
+    assert code == 2
+    assert "TENSORCOND_WORKERS" in err
+    assert out == ""
+
+
+def test_verify_rejects_negative_seeds(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
+                             "--seeds", "-3")
+    assert code == 2
+    assert "--seeds" in err
+    assert out == ""
+
+
+def test_verify_rejects_unreadable_corpus(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
+                             "--seeds", "2", "--corpus", str(missing))
+    assert code == 2
+    assert "nonexistent.json" in err
+    assert out == ""
+    for text in ("[]", '{"version": 1, "entries": [[1]]}'):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
+                                 "--seeds", "2", "--corpus", str(malformed))
+        assert code == 2
+        assert "object" in err
+
+
 def test_verify_custom_corpus_and_version_refusal(tmp_path, capsys):
     from importlib import resources
     good = tmp_path / "corpus.json"
@@ -220,17 +264,16 @@ def test_replay_subcommand(tmp_path, capsys):
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "tensorcond.cli", "sharpness", "--p", "5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert "equal=True" in proc.stdout
 
 
 def test_machine_output_identical_across_processes():
     """Fresh interpreters with different hash seeds must agree byte for byte."""
-    import os
     outs = []
     for hash_seed in ("0", "424242"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = subprocess_env(PYTHONHASHSEED=hash_seed)
         proc = subprocess.run(
             [sys.executable, "-m", "tensorcond.cli", "verify",
              "--suite", "global", "--seeds", "4", "--format", "machine"],

@@ -82,6 +82,41 @@ def test_serialization_roundtrip():
     assert CycloNum.from_json(doc) == x
 
 
+def test_integral_coefficients_are_stored_as_int():
+    halves = CycloNum(5, [Fraction(4, 2), 1, Fraction(-3, 3), Fraction(0, 7)])
+    ints = CycloNum(5, [2, 1, -1, 0])
+    assert halves == ints
+    assert halves.to_json() == ints.to_json()
+    assert all(type(c) is int for c in halves.coeffs)
+    half = CycloNum.from_rational(Fraction(1, 2), 5)
+    assert type(half.coeffs[0]) is Fraction
+    assert all(type(c) is int for c in (half + half).coeffs)
+    assert all(type(c) is int for c in (half * 4).coeffs)
+
+
+def test_rational_value_is_a_fraction():
+    three = CycloNum.from_rational(3, 4)
+    assert type(three.rational_value()) is Fraction
+    assert type(three.rational_value() / 2) is Fraction
+    assert three.inverse() == CycloNum.from_rational(Fraction(1, 3))
+    assert three.integer_value() == 3
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        CycloNum(3, [0.5, 0])
+    with pytest.raises(TypeError):
+        CycloNum(3, [1, 2.0])
+    with pytest.raises(TypeError):
+        CycloNum.from_rational(1.0)
+    with pytest.raises(TypeError):
+        CycloNum.one(3).scale(0.5)
+    with pytest.raises(TypeError):
+        CycloNum.one(3) * 0.5
+    with pytest.raises(TypeError):
+        CycloNum.one(3) + 0.5
+
+
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
