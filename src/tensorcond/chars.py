@@ -587,8 +587,9 @@ def _rng(tag: str, seed) -> random.Random:
     return random.Random(f"{tag}:{seed}")
 
 
-def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
-    """Random nonnegative integer combination of irreducibles, dim <= budget."""
+def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Random nonnegative multiplicity vector over the irreducibles, of
+    dimension <= budget."""
     T = character_table(group)
     rng = _rng("char", seed)
     mults = [0] * len(T)
@@ -600,7 +601,12 @@ def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
         i = rng.choice(cands)
         mults[i] += 1
         dim += T.degrees[i]
-    return T.assemble(mults)
+    return mults
+
+
+def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
+    """Random nonnegative integer combination of irreducibles, dim <= budget."""
+    return character_table(group).assemble(gen_character_mults(group, seed, budget))
 
 
 def symplectic_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
@@ -637,7 +643,7 @@ def rational_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
 
 
 def _combine_atoms(T: CharacterTable, atoms, rng: random.Random,
-                   budget: int, ensure_nonzero: bool) -> ClassFunction:
+                   budget: int, ensure_nonzero: bool) -> List[int]:
     mults = [0] * len(T)
     dim = 0
     for _ in range(rng.randint(0, max(budget, 1))):
@@ -650,24 +656,36 @@ def _combine_atoms(T: CharacterTable, atoms, rng: random.Random,
     if dim == 0 and ensure_nonzero:
         vec, d = min(atoms, key=lambda a: a[1])
         mults = [m + v for m, v in zip(mults, vec)]
-    return T.assemble(mults)
+    return mults
+
+
+def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Multiplicity vector of a seeded random symplectic character of total
+    dimension <= budget."""
+    if budget < 2:
+        raise ValueError("symplectic characters need budget >= 2")
+    T = character_table(group)
+    return _combine_atoms(T, symplectic_atoms(T), _rng("symp", seed), budget, True)
+
+
+def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Multiplicity vector of a seeded random character with rational
+    characteristic polynomials."""
+    if budget < 1:
+        raise ValueError("rational characters need budget >= 1")
+    T = character_table(group)
+    return _combine_atoms(T, rational_atoms(T), _rng("rat", seed), budget, True)
 
 
 def gen_symplectic(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     """Seeded random symplectic character of total dimension <= budget."""
-    if budget < 2:
-        raise ValueError("symplectic characters need budget >= 2")
-    T = character_table(group)
-    chi = _combine_atoms(T, symplectic_atoms(T), _rng("symp", seed), budget, True)
+    chi = character_table(group).assemble(gen_symplectic_mults(group, seed, budget))
     assert is_symplectic(chi)
     return chi
 
 
 def gen_rational(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     """Seeded random character with rational characteristic polynomials."""
-    if budget < 1:
-        raise ValueError("rational characters need budget >= 1")
-    T = character_table(group)
-    chi = _combine_atoms(T, rational_atoms(T), _rng("rat", seed), budget, True)
+    chi = character_table(group).assemble(gen_rational_mults(group, seed, budget))
     assert is_rational_charpoly(chi)
     return chi

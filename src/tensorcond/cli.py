@@ -22,18 +22,14 @@ from .corpus import load_corpus
 from .errors import InputError, TensorCondError
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
                           rankin_selberg_bound)
-from .groups import build_group, filtration_from_generators
+from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import DEFAULT_SEEDS, SUITES, replay, run_suite_range
-from .weildeligne import (AbVarDatum, InertiaModel, conductor_bound,
+from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, generator_lists,
+                     int_field, replay, require, run_suite_range)
+from .weildeligne import (InertiaModel, conductor_bound,
                           degree_correction, tensor, uniform_bound)
 
 WORKERS_ENV = "TENSORCOND_WORKERS"
-
-
-def _emit(doc: dict, machine: bool) -> None:
-    if machine:
-        print(json.dumps(doc, sort_keys=True))
 
 
 def _load_document(path: str) -> dict:
@@ -46,36 +42,15 @@ def _load_document(path: str) -> dict:
         raise InputError(f"cannot read input document: {err}") from err
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise InputError(f"{context}: missing field {key!r}")
-    return doc[key]
-
-
-def _build_model(doc: dict) -> InertiaModel:
-    group = build_group(_require(doc, "group", "model"))
-    chain = _require(doc, "chain", "model")
-    if not isinstance(chain, list):
-        raise InputError("model.chain: expected a list of generator lists")
+def _build_model(doc: dict, where: str) -> InertiaModel:
+    group = build_group(require(doc, "group", where))
+    chain = generator_lists(require(doc, "chain", where), f"{where}chain")
     filt = filtration_from_generators(group, chain)
-    return InertiaModel(group, filt, int(_require(doc, "p", "model")))
-
-
-def _build_abvar(model: InertiaModel, doc: dict, label: str) -> AbVarDatum:
-    T = character_table(model.group)
-    tau = _require(doc, "tau", label)
-    sigma = _require(doc, "sigma", label)
-    for vec in (tau, sigma):
-        if not isinstance(vec, list) or len(vec) != len(T) \
-                or not all(isinstance(x, int) and x >= 0 for x in vec):
-            raise InputError(
-                f"{label}: multiplicity vector must list one nonnegative "
-                f"integer per irreducible ({len(T)} for this group, in the "
-                f"order printed by the table subcommand)")
+    p = int_field(doc, "p", where)
     try:
-        return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
-    except (ValueError, TensorCondError) as err:
-        raise InputError(f"{label}: {err}") from err
+        return InertiaModel(group, filt, p)
+    except TensorCondError as err:
+        raise InputError(f"{where}p: {err}") from err
 
 
 # -- subcommand: verify -----------------------------------------------------------
@@ -153,9 +128,9 @@ def _run_verify(args, machine: bool) -> int:
 
 def _run_bound(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    model = _build_model(_require(doc, "model", "document"))
-    A = _build_abvar(model, _require(doc, "A", "document"), "A")
-    B = _build_abvar(model, _require(doc, "B", "document"), "B")
+    model = _build_model(require(doc, "model"), "model.")
+    A = abvar_datum(model, require(doc, "A"), "A")
+    B = abvar_datum(model, require(doc, "B"), "B")
     lhs, rhs_main, c_p = conductor_bound(A, B)
     _, rhs_uniform, _ = uniform_bound(A, B)
     prod = tensor(A.rho, B.rho)
@@ -183,26 +158,26 @@ def _run_bound(args, machine: bool) -> int:
 
 def _run_global(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    dim_a = int(_require(doc, "dimA", "document"))
-    dim_b = int(_require(doc, "dimB", "document"))
+    dim_a = int_field(doc, "dimA")
+    dim_b = int_field(doc, "dimB")
+    primes = require(doc, "primes")
+    if not isinstance(primes, list):
+        raise InputError("'primes' must be a list of prime records")
     records = []
-    for rec in _require(doc, "primes", "document"):
-        p = int(_require(rec, "p", "prime record"))
-        mode = _require(rec, "mode", "prime record")
+    for j, rec in enumerate(primes):
+        where = f"primes[{j}]."
+        p = int_field(rec, "p", where)
+        mode = require(rec, "mode", where)
         if mode == "summary":
-            records.append(PrimeSummary(
-                p, int(_require(rec, "vA", "summary")),
-                int(_require(rec, "vB", "summary")),
-                int(_require(rec, "degA", "summary")),
-                int(_require(rec, "degB", "summary")),
-                int(_require(rec, "degAB", "summary"))))
+            records.append(PrimeSummary(p, *(int_field(rec, key, where) for key in
+                                              ("vA", "vB", "degA", "degB", "degAB"))))
         elif mode == "full":
-            model = _build_model(_require(rec, "model", "prime record"))
-            A = _build_abvar(model, _require(rec, "A", "prime record"), "A")
-            B = _build_abvar(model, _require(rec, "B", "prime record"), "B")
-            records.append(PrimeLocalPair(p, A, B))
+            model = _build_model(require(rec, "model", where), f"{where}model.")
+            records.append(PrimeLocalPair(p, *(
+                abvar_datum(model, require(rec, key, where), where + key)
+                for key in ("A", "B"))))
         else:
-            raise InputError(f"prime record: unknown mode {mode!r}")
+            raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
     try:
         datum = GlobalDatum(dim_a, dim_b, tuple(records))
         report = rankin_selberg_bound(datum)
@@ -229,8 +204,7 @@ def _run_global(args, machine: bool) -> int:
 
 def _run_sharpness(args, machine: bool) -> int:
     if args.max_p is not None:
-        primes = [p for p in range(3, args.max_p + 1)
-                  if all(p % d for d in range(2, p))]
+        primes = [p for p in range(3, args.max_p + 1) if is_prime(p)]
     else:
         primes = [args.p]
     all_equal = True

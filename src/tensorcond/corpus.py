@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CorpusError
 from .groups import FiniteGroup, Filtration, build_group, filtration_from_generators
@@ -32,6 +32,12 @@ class CorpusChain:
     @property
     def label(self) -> str:
         return f"{self.entry_name}/{self.name}"
+
+    def ref(self) -> dict:
+        """The chain as documents refer to it."""
+        return {"group": self.filtration.parent.spec,
+                "subgroups": [list(g) for g in self.generator_lists],
+                "model_p": self.model_p}
 
     def model(self) -> InertiaModel:
         if self.model_p is None:
@@ -69,6 +75,7 @@ class Corpus:
     def __init__(self, entries: List[CorpusEntry], version: int):
         self.entries = entries
         self.version = version
+        self._by_ref: Optional[Dict[str, CorpusChain]] = None
 
     def all_chains(self) -> List[CorpusChain]:
         return [c for e in self.entries for c in e.chains]
@@ -86,6 +93,13 @@ class Corpus:
 
     def integral_model_chains(self) -> List[CorpusChain]:
         return [c for c in self.model_chains() if c.is_integral_shape()]
+
+    def chain_by_ref(self, ref: dict) -> CorpusChain:
+        """The corpus chain that a document reference names."""
+        if self._by_ref is None:
+            self._by_ref = {json.dumps(c.ref(), sort_keys=True): c
+                            for c in self.all_chains()}
+        return self._by_ref[json.dumps(ref, sort_keys=True)]
 
     def entry(self, name: str) -> CorpusEntry:
         for e in self.entries:

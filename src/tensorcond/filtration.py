@@ -89,11 +89,6 @@ def conductor_exponent(tau: ClassFunction, filt: Filtration) -> Fraction:
     return conductor(tau, filt).total
 
 
-def tensor_excess_total(tau: ClassFunction, sigma: ClassFunction,
-                        filt: Filtration) -> Fraction:
-    return conductor(tau, filt, sigma).excess_total
-
-
 def tensor_level_identity(tau1: ClassFunction, tau2: ClassFunction,
                           filt: Filtration, i: int) -> Tuple[int, int]:
     """Both sides of the per-level tensor identity.

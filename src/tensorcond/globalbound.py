@@ -208,6 +208,12 @@ def rankin_selberg_bound(datum: GlobalDatum) -> GlobalBoundReport:
     if not den.divides(num):
         raise InconsistentInputError("denominator exponents exceed the numerator")
     bound = num.divide_exact(den)
+    return GlobalBoundReport(bound, d, _per_prime_checks(datum, bound))
+
+
+def _per_prime_checks(datum: GlobalDatum, bound: FactoredInteger) -> Tuple[dict, ...]:
+    """The bound exponent at each prime; at full-mode primes also the
+    recomputed tensor exponent and whether it stays within the bound."""
     per_prime = []
     for rec in datum.primes:
         entry = {"p": rec.p, "bound_exp": bound.exponent(rec.p)}
@@ -216,7 +222,7 @@ def rankin_selberg_bound(datum: GlobalDatum) -> GlobalBoundReport:
             entry["a_tensor"] = str(a_tensor)
             entry["ok"] = a_tensor <= bound.exponent(rec.p)
         per_prime.append(entry)
-    return GlobalBoundReport(bound, d, tuple(per_prime))
+    return tuple(per_prime)
 
 
 def self_tensor_bound(dim_a: int, conductor: FactoredInteger) -> FactoredInteger:
@@ -229,12 +235,4 @@ def self_tensor_bound_report(datum: GlobalDatum) -> GlobalBoundReport:
     """Self-tensor bound for the first object of a GlobalDatum built with
     A = B, with per-prime checks in full mode."""
     bound = self_tensor_bound(datum.dim_a, datum.conductor_a())
-    per_prime = []
-    for rec in datum.primes:
-        entry = {"p": rec.p, "bound_exp": bound.exponent(rec.p)}
-        if isinstance(rec, PrimeLocalPair):
-            a_tensor = rec.tensor_exponent()
-            entry["a_tensor"] = str(a_tensor)
-            entry["ok"] = a_tensor <= bound.exponent(rec.p)
-        per_prime.append(entry)
-    return GlobalBoundReport(bound, FactoredInteger.one(), tuple(per_prime))
+    return GlobalBoundReport(bound, FactoredInteger.one(), _per_prime_checks(datum, bound))

@@ -139,9 +139,6 @@ class FiniteGroup:
             n //= p
         return n == 1
 
-    def is_abelian(self) -> bool:
-        return len(self.classes) == self.order
-
     def class_power(self, ci: int, k: int) -> int:
         """Class index of g^k for g any representative of class ci."""
         key = (ci, k % self.exponent)
@@ -352,23 +349,12 @@ class Filtration:
     def __getitem__(self, i: int) -> Subgroup:
         return self.chain[i]
 
-    def shifted_tail(self) -> Sequence[Subgroup]:
-        """The wild part (G_1, G_2, ...) of the chain."""
-        return self.chain[1:]
-
     def __repr__(self):
         return f"Filtration({[s.size for s in self.chain]} on {self.parent.name})"
 
 
 def make_filtration(G: FiniteGroup, chain: Sequence[Subgroup]) -> Filtration:
     return Filtration(G, chain)
-
-
-def filtration_from_element_sets(G: FiniteGroup,
-                                 sets: Sequence[Iterable[int]]) -> Filtration:
-    """Build a filtration from raw element-index collections below G_0."""
-    subs = [whole_group(G)] + [Subgroup(G, s) for s in sets]
-    return Filtration(G, subs)
 
 
 def filtration_from_generators(G: FiniteGroup,
@@ -470,17 +456,6 @@ def heisenberg(p: int) -> FiniteGroup:
         return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
 
     return _table_from_encoding(elems, mul, f"Heis{p}", {"kind": "heisenberg", "p": p})
-
-
-def smallest_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        seen, x = set(), 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    raise GroupConstructionError(f"no primitive root mod {p}")
 
 
 def affine(p: int) -> FiniteGroup:

@@ -1,30 +1,33 @@
 """Seeded property suites over the shipped corpus.
 
-Every suite item is generated deterministically from (suite, base seed,
-index), evaluated exactly, and summarised as an ItemResult.  A failing item
-carries a self-contained counterexample document (group spec, chain
-generators, character multiplicity vectors, both sides) that `replay` can
-re-evaluate to the same verdict.
+Every suite is a pair: `generate` draws the inputs of item (base seed,
+index) as a JSON-ready document (chain references, character multiplicity
+vectors, parameters), and `check` evaluates that document exactly to a
+verdict and its detail.  A failing item carries the document as its
+counterexample; `replay` validates such a document and calls the same
+`check`, so a suite's verdict is defined once.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .chars import (ClassFunction, CharacterTable, character_table, fixed_dim,
-                    gen_character, gen_rational, gen_symplectic)
+from .chars import (CharacterTable, ClassFunction, character_table, fixed_dim,
+                    gen_character_mults, gen_rational_mults,
+                    gen_symplectic_mults, rational_atoms)
 from .corpus import Corpus, CorpusChain
-from .errors import TensorCondError
+from .errors import InputError, TensorCondError
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
                           self_tensor_bound_report)
-from .groups import build_group, filtration_from_generators
-from .jacobians import (disc_valuation, smallest_valid_unit, validate_params,
-                        verify_sharpness)
+from .groups import FiniteGroup, build_group, filtration_from_generators
+from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
+                        validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, conductor_bound,
                           degree_correction, degree_gap, improvement_constant,
                           semistable_equality, swan_bound, tame_identity,
@@ -50,61 +53,145 @@ class ItemResult:
         return doc
 
 
-def _rng(suite: str, base_seed: int, index: int, tag: str = "") -> random.Random:
-    return random.Random(f"{suite}:{base_seed}:{index}:{tag}")
-
-
-def _seed(suite: str, base_seed: int, index: int, tag: str) -> str:
+def _seed(suite: str, base_seed: int, index: int, tag: str = "") -> str:
     return f"{suite}:{base_seed}:{index}:{tag}"
 
 
-def _chain_doc(chain: CorpusChain) -> dict:
-    return {"group": chain.filtration.parent.spec,
-            "subgroups": [list(g) for g in chain.generator_lists],
-            "model_p": chain.model_p}
+# -- document fields ---------------------------------------------------------------
+#
+# Suite documents, and the `bound`/`global` documents of the CLI, are read
+# through these helpers only; a malformed field raises InputError naming it.
 
 
-def _rebuild_chain(doc: dict):
-    group = build_group(doc["group"])
-    filt = filtration_from_generators(group, doc["subgroups"])
-    return group, filt, doc.get("model_p")
+def require(doc, key: str, where: str = ""):
+    """doc[key], or an InputError naming the field."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where.rstrip('.') or 'document'}: expected a JSON object")
+    if key not in doc:
+        raise InputError(f"missing field '{where}{key}'")
+    return doc[key]
 
 
-def _mults(T: CharacterTable, chi: ClassFunction) -> List[int]:
-    return list(T.multiplicities(chi))
+def int_field(doc, key: str, where: str = "") -> int:
+    value = require(doc, key, where)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
+    return value
+
+
+def generator_lists(value, name: str) -> list:
+    if not isinstance(value, list) or not all(
+            isinstance(gens, list) and all(isinstance(g, int) for g in gens)
+            for gens in value):
+        raise InputError(f"'{name}' must be a list of generator lists (lists "
+                         f"of element indices), not {value!r}")
+    return value
+
+
+def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
+    if not isinstance(value, list) or len(value) != len(T) \
+            or not all(isinstance(x, int) and x >= 0 for x in value):
+        raise InputError(
+            f"{name}: multiplicity vector must list one nonnegative integer "
+            f"per irreducible ({len(T)} for this group, in the order printed "
+            f"by the table subcommand)")
+    return value
+
+
+def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
+    """The datum with multiplicity vectors {"tau", "sigma"} over the model."""
+    T = character_table(model.group)
+    tau, sigma = (multiplicity_vector(T, require(mults, part, f"{name}."),
+                                      f"{name}.{part}") for part in ("tau", "sigma"))
+    try:
+        return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
+    except TensorCondError as err:
+        raise InputError(f"{name}: {err}") from err
+
+
+def _rational(value, name: str) -> Fraction:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"'{name}' must be an exact rational such as \"3/2\", "
+                     f"not {value!r}")
+
+
+def _rationals(doc, key: str) -> List[Fraction]:
+    values = require(doc, key)
+    if not isinstance(values, list):
+        raise InputError(f"'{key}' must be a list of exact rationals")
+    return [_rational(x, f"{key}[{j}]") for j, x in enumerate(values)]
+
+
+# -- chain references ------------------------------------------------------------
+
+# A check resolves a document's chain references through the function it is
+# given: run_suite_range looks them up in the corpus that generated them,
+# replay builds them with a _Builder.
+Chains = Callable[[object, str], CorpusChain]
+
+
+class _Builder:
+    """Validates and builds the chain references of one replayed document,
+    building each group spec once so that its chains share one group."""
+
+    def __init__(self):
+        self.groups: Dict[str, FiniteGroup] = {}
+
+    def __call__(self, ref, name: str) -> CorpusChain:
+        if not isinstance(ref, dict):
+            raise InputError(f"'{name}' must be a chain reference object")
+        subgroups = generator_lists(require(ref, "subgroups", f"{name}."),
+                                    f"{name}.subgroups")
+        model_p = ref.get("model_p")
+        if model_p is not None:
+            int_field(ref, "model_p", f"{name}.")
+        spec = require(ref, "group", f"{name}.")
+        key = json.dumps(spec, sort_keys=True)
+        try:
+            if key not in self.groups:
+                self.groups[key] = build_group(spec)
+            filt = filtration_from_generators(self.groups[key], subgroups)
+        except TensorCondError as err:
+            raise InputError(f"{name}: {err}") from err
+        return CorpusChain("document", name, tuple(map(tuple, subgroups)), filt,
+                           model_p)
+
+
+def _chain(chains: Chains, doc, where: str = "") -> CorpusChain:
+    return chains(require(doc, "chain", where), f"{where}chain")
+
+
+def _model(chains: Chains, doc, where: str = "") -> InertiaModel:
+    chain = _chain(chains, doc, where)
+    try:
+        return chain.model()
+    except TensorCondError as err:
+        raise InputError(f"{where}chain.model_p: {err}") from err
+
+
+def _char(T: CharacterTable, doc, key: str) -> ClassFunction:
+    return T.assemble(multiplicity_vector(T, require(doc, key), key))
 
 
 # -- abelian-variety datum generation ------------------------------------------
 
 
 def _symplectic_rational_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
-    """Galois-orbit sums adjusted to be symplectic as well as rational."""
-    atoms = []
-    r = len(T)
-    for orbit in T.galois_orbits:
-        vec = [0] * r
-        mult = 2 if T.fs_indicators[orbit[0]] == 1 else 1
-        for i in orbit:
-            vec[i] = mult
-        atoms.append((tuple(vec), mult * sum(T.degrees[i] for i in orbit)))
-    return atoms
+    """Galois-orbit sums, doubled on orthogonal orbits so that they are
+    symplectic as well as rational."""
+    return [(tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
+            else (vec, d) for vec, d in rational_atoms(T)]
 
 
-def _rational_orbit_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
-    atoms = []
-    r = len(T)
-    for orbit in T.galois_orbits:
-        vec = [0] * r
-        for i in orbit:
-            vec[i] = 1
-        atoms.append((tuple(vec), sum(T.degrees[i] for i in orbit)))
-    return atoms
-
-
-def gen_abvar(model: InertiaModel, seed, tau_budget: int = 8,
-              sigma_budget: int = 4, force_ramified: bool = False,
-              target_dim: Optional[int] = None) -> AbVarDatum:
-    """Seeded random valid abelian-variety datum over the model.
+def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
+                    sigma_budget: int = 4, force_ramified: bool = False,
+                    target_dim: Optional[int] = None) -> dict:
+    """Multiplicity vectors {"tau", "sigma"} of a seeded random valid
+    abelian-variety datum.
 
     tau is a sum of symplectic-and-rational orbit atoms, sigma a sum of
     orbit atoms (self-dual and rational by construction), so the shape
@@ -113,10 +200,9 @@ def gen_abvar(model: InertiaModel, seed, tau_budget: int = 8,
     with ``force_ramified`` tau gets a G_0-nontrivial atom, which makes
     the conductor exponent at least 2.
     """
-    T = character_table(model.group)
     rng = random.Random(f"abvar:{seed}")
     tau_atoms = _symplectic_rational_atoms(T)
-    sig_atoms = _rational_orbit_atoms(T)
+    sig_atoms = rational_atoms(T)
     r = len(T)
     triv = T.index_of_trivial()
     tau_m = [0] * r
@@ -165,388 +251,370 @@ def gen_abvar(model: InertiaModel, seed, tau_budget: int = 8,
                 rem -= 2 * d
         sig_m[triv] += rem // 2
 
-    return AbVarDatum(model, T.assemble(tau_m), T.assemble(sig_m))
+    return {"tau": tau_m, "sigma": sig_m}
 
 
-def gen_semistable(model: InertiaModel, seed, max_m: int = 2,
-                   max_n: int = 3) -> AbVarDatum:
-    """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
+def gen_semistable_mults(T: CharacterTable, seed, max_m: int = 2,
+                         max_n: int = 3) -> dict:
+    """Semistable vectors: tau = 2m copies of trivial, sigma = n copies."""
     rng = random.Random(f"ss:{seed}")
-    m = 2 * rng.randint(0, max_m)
-    n = rng.randint(0, max_n)
-    triv = ClassFunction.trivial(model.group)
-    tau = triv.scale(m) if m else ClassFunction.zero(model.group)
-    sigma = triv.scale(n) if n else ClassFunction.zero(model.group)
-    return AbVarDatum(model, tau, sigma)
+    tau, sigma = [0] * len(T), [0] * len(T)
+    tau[T.index_of_trivial()] = 2 * rng.randint(0, max_m)
+    sigma[T.index_of_trivial()] = rng.randint(0, max_n)
+    return {"tau": tau, "sigma": sigma}
 
 
-def _abvar_doc(T: CharacterTable, datum: AbVarDatum) -> dict:
-    return {"tau": _mults(T, datum.tau), "sigma": _mults(T, datum.sigma)}
-
-
-def _rebuild_abvar(model: InertiaModel, doc: dict) -> AbVarDatum:
+def gen_abvar(model: InertiaModel, seed, *args, **kwargs) -> AbVarDatum:
+    """Seeded random valid abelian-variety datum over the model (see
+    gen_abvar_mults for the options)."""
     T = character_table(model.group)
-    return AbVarDatum(model, T.assemble(doc["tau"]), T.assemble(doc["sigma"]))
+    return abvar_datum(model, gen_abvar_mults(T, seed, *args, **kwargs), "abvar")
+
+
+def gen_semistable(model: InertiaModel, seed, *args, **kwargs) -> AbVarDatum:
+    """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
+    T = character_table(model.group)
+    return abvar_datum(model, gen_semistable_mults(T, seed, *args, **kwargs), "abvar")
 
 
 # -- individual suites -----------------------------------------------------------
+#
+# A generator returns an item's input document and the labels its detail
+# carries; a check reads the document only through the field helpers above.
 
 
-def suite_step_identity(corpus: Corpus, indices: Iterable[int],
-                        base_seed: int) -> List[ItemResult]:
+def _sides(ok: bool, lhs, rhs) -> Tuple[bool, dict]:
+    return ok, {"lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _pick(pool, index: int):
+    return pool[index % len(pool)]
+
+
+def _gen_step_identity(corpus, base_seed, i):
+    chain = _pick(corpus.all_chains(), i)
+    G = chain.filtration.parent
+    return ({"chain": chain.ref(),
+             "tau1": gen_character_mults(G, _seed("step", base_seed, i, "a"), 10),
+             "tau2": gen_character_mults(G, _seed("step", base_seed, i, "b"), 10)},
+            {"chain": chain.label})
+
+
+def _check_step_identity(doc, chains):
     """Per-level tensor identity, both sides by independent averages."""
-    chains = corpus.all_chains()
-    out = []
-    for i in indices:
-        chain = chains[i % len(chains)]
-        G = chain.filtration.parent
-        T = character_table(G)
-        t1 = gen_character(G, _seed("step", base_seed, i, "a"), 10)
-        t2 = gen_character(G, _seed("step", base_seed, i, "b"), 10)
-        sides = [tensor_level_identity(t1, t2, chain.filtration, lvl)
-                 for lvl in range(len(chain.filtration))]
-        bad = next((lvl for lvl, (l, r) in enumerate(sides) if l != r), None)
-        detail = {"chain": chain.label, "sides": [[l, r] for l, r in sides]}
-        ce = None
-        if bad is not None:
-            ce = {"suite": "step-identity", "chain": _chain_doc(chain),
-                  "tau1": _mults(T, t1), "tau2": _mults(T, t2), "level": bad,
-                  "lhs": str(sides[bad][0]), "rhs": str(sides[bad][1])}
-        out.append(ItemResult("step-identity", i, bad is None, detail,
-                              checks=len(sides), counterexample=ce))
-    return out
+    filt = _chain(chains, doc).filtration
+    T = character_table(filt.parent)
+    t1, t2 = _char(T, doc, "tau1"), _char(T, doc, "tau2")
+    sides = [tensor_level_identity(t1, t2, filt, lvl) for lvl in range(len(filt))]
+    return all(l == r for l, r in sides), {"sides": [[l, r] for l, r in sides]}
 
 
-def suite_min_sum(corpus: Corpus, indices: Iterable[int],
-                  base_seed: int) -> List[ItemResult]:
+def _show_level(doc, detail):
+    """The sides at the document's level, else at the first failing one."""
+    sides = detail["sides"]
+    if "level" not in doc:
+        level = next((j for j, (l, r) in enumerate(sides) if l != r), 0)
+    elif not 0 <= int_field(doc, "level") < len(sides):
+        raise InputError(f"'level' must be a level of the chain, 0 to "
+                         f"{len(sides) - 1}, not {doc['level']}")
+    else:
+        level = doc["level"]
+    return {"lhs": str(sides[level][0]), "rhs": str(sides[level][1])}
+
+
+def _gen_min_sum(corpus, base_seed, i):
     """Random gap sequences: weighted product sum dominates M times the min."""
-    out = []
-    for i in indices:
-        rng = _rng("minsum", base_seed, i)
-        M = Fraction(rng.randint(1, 6), rng.randint(1, 3))
-        n = rng.randint(1, 6)
+    rng = random.Random(_seed("minsum", base_seed, i))
+    M = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    n = rng.randint(1, 6)
 
-        def gap_sequence():
-            k = rng.randint(0, n)
-            incs = sorted((Fraction(rng.randint(0, 8), rng.randint(1, 2))
-                           for _ in range(k)), reverse=True)
-            return [M + inc for inc in incs] + [Fraction(0)] * (n - k)
+    def gap_sequence():
+        k = rng.randint(0, n)
+        incs = sorted((Fraction(rng.randint(0, 8), rng.randint(1, 2))
+                       for _ in range(k)), reverse=True)
+        return [str(M + inc) for inc in incs] + ["0"] * (n - k)
 
-        a, b = gap_sequence(), gap_sequence()
-        d = [Fraction(rng.randint(1, 5)) for _ in range(n)]
-        lhs, rhs = min_sum_bound(M, a, b, d)
-        ok = lhs >= rhs
-        detail = {"M": str(M), "lhs": str(lhs), "rhs": str(rhs)}
-        ce = None
-        if not ok:
-            ce = {"suite": "min-sum", "M": str(M), "a": [str(x) for x in a],
-                  "b": [str(x) for x in b], "d": [str(x) for x in d],
-                  "lhs": str(lhs), "rhs": str(rhs)}
-        out.append(ItemResult("min-sum", i, ok, detail, counterexample=ce))
-    return out
+    a, b = gap_sequence(), gap_sequence()
+    d = [str(rng.randint(1, 5)) for _ in range(n)]
+    return {"M": str(M), "a": a, "b": b, "d": d}, {}
 
 
-def _bound_suite(name: str, corpus: Corpus, indices: Iterable[int],
-                 base_seed: int, pgroup_only: bool) -> List[ItemResult]:
-    pool = corpus.pgroup_chains() if pgroup_only \
-        else [(None, c) for c in corpus.all_chains()]
-    out = []
-    for i in indices:
-        p, chain = pool[i % len(pool)]
-        G = chain.filtration.parent
-        T = character_table(G)
-        if pgroup_only:
-            t1 = gen_rational(G, _seed(name, base_seed, i, "a"), 10)
-            t2 = gen_rational(G, _seed(name, base_seed, i, "b"), 10)
-            lhs, rhs = pgroup_tensor_bound(t1, t2, chain.filtration, p)
+def _check_min_sum(doc, chains):
+    M = _rational(require(doc, "M"), "M")
+    lhs, rhs = min_sum_bound(M, *(_rationals(doc, key) for key in ("a", "b", "d")))
+    return lhs >= rhs, {"M": str(M), "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def _gen_bound(name: str, pgroup: bool):
+    def generate(corpus, base_seed, i):
+        if pgroup:
+            p, chain = _pick(corpus.pgroup_chains(), i)
         else:
-            t1 = gen_symplectic(G, _seed(name, base_seed, i, "a"), 10)
-            t2 = gen_symplectic(G, _seed(name, base_seed, i, "b"), 10)
-            lhs, rhs = symplectic_tensor_bound(t1, t2, chain.filtration)
-        ok = lhs <= rhs
-        detail = {"chain": chain.label, "lhs": str(lhs), "rhs": str(rhs)}
-        ce = None
-        if not ok:
-            ce = {"suite": name, "chain": _chain_doc(chain), "p": p,
-                  "tau1": _mults(T, t1), "tau2": _mults(T, t2),
-                  "lhs": str(lhs), "rhs": str(rhs)}
-        out.append(ItemResult(name, i, ok, detail, counterexample=ce))
-    return out
+            chain = _pick(corpus.all_chains(), i)
+        gen = gen_rational_mults if pgroup else gen_symplectic_mults
+        G = chain.filtration.parent
+        doc = {"chain": chain.ref(),
+               "tau1": gen(G, _seed(name, base_seed, i, "a"), 10),
+               "tau2": gen(G, _seed(name, base_seed, i, "b"), 10)}
+        if pgroup:
+            doc["p"] = p
+        return doc, {"chain": chain.label}
+    return generate
 
 
-def suite_symplectic_bound(corpus, indices, base_seed):
-    return _bound_suite("symplectic-bound", corpus, indices, base_seed, False)
+def _bound_inputs(doc, chains):
+    filt = _chain(chains, doc).filtration
+    T = character_table(filt.parent)
+    return _char(T, doc, "tau1"), _char(T, doc, "tau2"), filt
 
 
-def suite_pgroup_bound(corpus, indices, base_seed):
-    return _bound_suite("pgroup-bound", corpus, indices, base_seed, True)
+def _check_symplectic_bound(doc, chains):
+    lhs, rhs = symplectic_tensor_bound(*_bound_inputs(doc, chains))
+    return _sides(lhs <= rhs, lhs, rhs)
 
 
-def _entry_subgroups(entry):
-    """Every distinct subgroup appearing in the entry's chains."""
-    seen = {}
-    for chain in entry.chains:
-        for j, H in enumerate(chain.filtration.chain):
-            seen.setdefault(H.elements, (chain, j, H))
-    return list(seen.values())
+def _check_pgroup_bound(doc, chains):
+    lhs, rhs = pgroup_tensor_bound(*_bound_inputs(doc, chains), int_field(doc, "p"))
+    return _sides(lhs <= rhs, lhs, rhs)
 
 
-def suite_symplectic_parity(corpus: Corpus, indices: Iterable[int],
-                            base_seed: int) -> List[ItemResult]:
+def _gen_gap(tag: str, pgroup: bool):
+    def generate(corpus, base_seed, i):
+        if pgroup:
+            entry = _pick([e for e in corpus.entries if e.pgroup_prime()], i)
+        else:
+            entry = _pick(corpus.entries, i)
+        gen = gen_rational_mults if pgroup else gen_symplectic_mults
+        doc = {"chains": [c.ref() for c in entry.chains],
+               "tau": gen(entry.group, _seed(tag, base_seed, i, "t"), 10)}
+        if pgroup:
+            doc["p"] = entry.pgroup_prime()
+        return doc, {"entry": entry.name}
+    return generate
+
+
+def _gaps(doc, chains) -> List[int]:
+    """Nonfixed dimension of tau on every distinct subgroup of the chains."""
+    refs = require(doc, "chains")
+    if not isinstance(refs, list) or not refs:
+        raise InputError("'chains' must be a nonempty list of chain references")
+    resolved = [chains(ref, f"chains[{j}]") for j, ref in enumerate(refs)]
+    G = resolved[0].filtration.parent
+    if any(c.filtration.parent is not G for c in resolved):
+        raise InputError("'chains' must all lie on one group")
+    tau = _char(character_table(G), doc, "tau")
+    subgroups = {}
+    for chain in resolved:
+        for H in chain.filtration.chain:
+            subgroups.setdefault(H.elements, H)
+    return [tau.dim - fixed_dim(tau, H) for H in subgroups.values()]
+
+
+def _check_symplectic_parity(doc, chains):
     """Symplectic characters have even nonfixed dimension on every subgroup."""
-    out = []
-    for i in indices:
-        entry = corpus.entries[i % len(corpus.entries)]
-        G = entry.group
-        T = character_table(G)
-        tau = gen_symplectic(G, _seed("parity", base_seed, i, "t"), 10)
-        subgroups = _entry_subgroups(entry)
-        bad = next(((chain, j, g) for chain, j, H in subgroups
-                    if (g := tau.dim - fixed_dim(tau, H)) % 2), None)
-        detail = {"entry": entry.name,
-                  "gaps": [tau.dim - fixed_dim(tau, H) for _, _, H in subgroups]}
-        ce = None
-        if bad is not None:
-            chain, j, g = bad
-            ce = {"suite": "symplectic-parity", "chain": _chain_doc(chain),
-                  "tau": _mults(T, tau), "level": j, "gap": g}
-        out.append(ItemResult("symplectic-parity", i, bad is None, detail,
-                              checks=len(subgroups), counterexample=ce))
-    return out
+    gaps = _gaps(doc, chains)
+    return all(g % 2 == 0 for g in gaps), {"gaps": gaps}
 
 
-def suite_pgroup_gap(corpus: Corpus, indices: Iterable[int],
-                     base_seed: int) -> List[ItemResult]:
+def _check_pgroup_gap(doc, chains):
     """On p-groups, rational characters have nonfixed dim 0 or >= p-1."""
-    pool = [(e, e.pgroup_prime()) for e in corpus.entries
-            if e.pgroup_prime() is not None]
-    out = []
-    for i in indices:
-        entry, p = pool[i % len(pool)]
-        G = entry.group
-        T = character_table(G)
-        tau = gen_rational(G, _seed("gap", base_seed, i, "t"), 10)
-        subgroups = _entry_subgroups(entry)
-        bad = next(((chain, j, g) for chain, j, H in subgroups
-                    if (g := tau.dim - fixed_dim(tau, H)) != 0 and g < p - 1),
-                   None)
-        detail = {"entry": entry.name, "p": p,
-                  "gaps": [tau.dim - fixed_dim(tau, H) for _, _, H in subgroups]}
-        ce = None
-        if bad is not None:
-            chain, j, g = bad
-            ce = {"suite": "pgroup-gap", "chain": _chain_doc(chain), "p": p,
-                  "tau": _mults(T, tau), "level": j, "gap": g}
-        out.append(ItemResult("pgroup-gap", i, bad is None, detail,
-                              checks=len(subgroups), counterexample=ce))
-    return out
+    p, gaps = int_field(doc, "p"), _gaps(doc, chains)
+    return all(g == 0 or g >= p - 1 for g in gaps), {"p": p, "gaps": gaps}
 
 
-def _wd_items(name: str, corpus: Corpus, indices: Iterable[int], base_seed: int,
-              evaluate: Callable) -> List[ItemResult]:
-    chains = corpus.model_chains()
-    out = []
-    for i in indices:
-        chain = chains[i % len(chains)]
-        model = chain.model()
-        ok, detail, inputs = evaluate(name, model, base_seed, i)
-        ce = None
-        if not ok:
-            ce = {"suite": name, "chain": _chain_doc(chain), **inputs, **detail}
-        detail["chain"] = chain.label
-        out.append(ItemResult(name, i, ok, detail, counterexample=ce))
-    return out
+def _gen_wd(name: str, **gens):
+    """Generator over the model chains: one datum per keyword, drawn by the
+    given vector generator with the keyword as its seed tag."""
+    def generate(corpus, base_seed, i):
+        chain = _pick(corpus.model_chains(), i)
+        T = character_table(chain.filtration.parent)
+        doc = {"chain": chain.ref()}
+        for key, gen in gens.items():
+            doc[key] = gen(T, _seed(name, base_seed, i, key))
+        return doc, {"chain": chain.label}
+    return generate
 
 
-def suite_semistable(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_semistable(model, _seed(name, base, i, "A"))
-        B = gen_abvar(model, _seed(name, base, i, "B"))
-        lhs, rhs = semistable_equality(A, B)
-        detail = {"lhs": str(lhs), "rhs": str(rhs)}
-        return lhs == rhs, detail, {"A": _abvar_doc(T, A), "B": _abvar_doc(T, B)}
-    return _wd_items("semistable", corpus, indices, base_seed, evaluate)
+def _data(doc, chains, *keys) -> List[AbVarDatum]:
+    model = _model(chains, doc)
+    return [abvar_datum(model, require(doc, key), key) for key in keys]
 
 
-def suite_swan_bound(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_abvar(model, _seed(name, base, i, "A"))
-        B = gen_abvar(model, _seed(name, base, i, "B"))
-        lhs, rhs = swan_bound(A, B)
-        detail = {"lhs": str(lhs), "rhs": str(rhs)}
-        return lhs <= rhs, detail, {"A": _abvar_doc(T, A), "B": _abvar_doc(T, B)}
-    return _wd_items("swan-bound", corpus, indices, base_seed, evaluate)
+def _check_semistable(doc, chains):
+    lhs, rhs = semistable_equality(*_data(doc, chains, "A", "B"))
+    return _sides(lhs == rhs, lhs, rhs)
 
 
-def suite_tame_identity(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_abvar(model, _seed(name, base, i, "A"), force_ramified=True)
-        B = gen_abvar(model, _seed(name, base, i, "B"), force_ramified=True)
-        lhs, rhs = tame_identity(A, B)
-        detail = {"lhs": str(lhs), "rhs": str(rhs)}
-        return lhs == rhs, detail, {"A": _abvar_doc(T, A), "B": _abvar_doc(T, B)}
-    return _wd_items("tame-identity", corpus, indices, base_seed, evaluate)
+def _check_swan_bound(doc, chains):
+    lhs, rhs = swan_bound(*_data(doc, chains, "A", "B"))
+    return _sides(lhs <= rhs, lhs, rhs)
 
 
-def suite_conductor_bound(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_abvar(model, _seed(name, base, i, "A"))
-        B = gen_abvar(model, _seed(name, base, i, "B"))
-        lhs, rhs, C = conductor_bound(A, B)
-        ok = lhs <= rhs
-        # the bound collapses to the semistable closed form when a <= 1
-        aA, aB = A.artin(), B.artin()
-        corr = degree_correction(A, B)
-        if aA <= 1:
-            ok = ok and lhs == A.dim * aB + B.deg() * aA - corr
-        elif aB <= 1:
-            ok = ok and lhs == B.dim * aA + A.deg() * aB - corr
-        detail = {"lhs": str(lhs), "rhs": str(rhs), "C": C}
-        return ok, detail, {"A": _abvar_doc(T, A), "B": _abvar_doc(T, B)}
-    return _wd_items("conductor-bound", corpus, indices, base_seed, evaluate)
+def _check_tame_identity(doc, chains):
+    lhs, rhs = tame_identity(*_data(doc, chains, "A", "B"))
+    return _sides(lhs == rhs, lhs, rhs)
 
 
-def suite_uniform_bound(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_abvar(model, _seed(name, base, i, "A"))
-        B = gen_abvar(model, _seed(name, base, i, "B"))
-        lhs, rhs, corr = uniform_bound(A, B)
-        ok = lhs <= rhs
-        if improvement_constant(A, B) >= 2:
-            # the refined bound is at least as strong in this regime
-            ok = ok and conductor_bound(A, B)[1] <= rhs
-        detail = {"lhs": str(lhs), "rhs": str(rhs), "corr": str(corr)}
-        return ok, detail, {"A": _abvar_doc(T, A), "B": _abvar_doc(T, B)}
-    return _wd_items("uniform-bound", corpus, indices, base_seed, evaluate)
+def _check_conductor_bound(doc, chains):
+    A, B = _data(doc, chains, "A", "B")
+    lhs, rhs, C = conductor_bound(A, B)
+    ok = lhs <= rhs
+    # the bound collapses to the semistable closed form when a <= 1
+    aA, aB = A.artin(), B.artin()
+    corr = degree_correction(A, B)
+    if aA <= 1:
+        ok = ok and lhs == A.dim * aB + B.deg() * aA - corr
+    elif aB <= 1:
+        ok = ok and lhs == B.dim * aA + A.deg() * aB - corr
+    return ok, {"lhs": str(lhs), "rhs": str(rhs), "C": C}
 
 
-def suite_degree_gap(corpus, indices, base_seed):
-    def evaluate(name, model, base, i):
-        T = character_table(model.group)
-        A = gen_abvar(model, _seed(name, base, i, "A"))
-        gap = degree_gap(A)
-        ok = gap >= 0 and (A.artin() == 0 or gap >= 1)
-        detail = {"gap": gap, "artin": str(A.artin())}
-        return ok, detail, {"A": _abvar_doc(T, A)}
-    return _wd_items("degree-gap", corpus, indices, base_seed, evaluate)
+def _check_uniform_bound(doc, chains):
+    A, B = _data(doc, chains, "A", "B")
+    lhs, rhs, corr = uniform_bound(A, B)
+    ok = lhs <= rhs
+    if improvement_constant(A, B) >= 2:
+        # the refined bound is at least as strong in this regime
+        ok = ok and conductor_bound(A, B)[1] <= rhs
+    return ok, {"lhs": str(lhs), "rhs": str(rhs), "corr": str(corr)}
 
 
-def suite_global(corpus: Corpus, indices: Iterable[int],
-                 base_seed: int) -> List[ItemResult]:
-    """Full-mode global data: per-prime divisibility of the factored bounds."""
+def _check_degree_gap(doc, chains):
+    A, = _data(doc, chains, "A")
+    gap = degree_gap(A)
+    ok = gap >= 0 and (A.artin() == 0 or gap >= 1)
+    return ok, {"gap": gap, "artin": str(A.artin())}
+
+
+def _gen_global(corpus, base_seed, i):
     pool = corpus.integral_model_chains()
-    labels = (2, 3, 5, 7, 11)
-    out = []
-    for i in indices:
-        rng = _rng("global", base_seed, i)
-        dim_a = rng.randint(1, 3)
-        dim_b = rng.randint(1, 3)
-        nprimes = rng.randint(1, 3)
-        primes = sorted(rng.sample(labels, nprimes))
-        records = []
-        docs = []
-        for p in primes:
-            chain = pool[rng.randrange(len(pool))]
-            model = chain.model()
-            T = character_table(model.group)
-            A = gen_abvar(model, _seed("global", base_seed, i, f"A{p}"),
-                          target_dim=2 * dim_a)
-            B = gen_abvar(model, _seed("global", base_seed, i, f"B{p}"),
-                          target_dim=2 * dim_b)
-            records.append(PrimeLocalPair(p, A, B))
-            docs.append({"p": p, "chain": _chain_doc(chain),
-                         "A": _abvar_doc(T, A), "B": _abvar_doc(T, B)})
-        try:
-            datum = GlobalDatum(dim_a, dim_b, tuple(records))
-            report = rankin_selberg_bound(datum)
-            self_datum = GlobalDatum(dim_a, dim_a, tuple(
-                PrimeLocalPair(r.p, r.A, r.A) for r in records))
-            self_report = self_tensor_bound_report(self_datum)
-            ok = report.all_checks_pass() and self_report.all_checks_pass()
-            detail = {"bound": report.bound.to_json(),
-                      "d_term": report.d.to_json(),
-                      "per_prime": list(report.per_prime),
-                      "self_bound": self_report.bound.to_json(),
-                      "self_per_prime": list(self_report.per_prime)}
-        except TensorCondError as err:
-            ok = False
-            detail = {"error": str(err)}
-        ce = None
-        if not ok:
-            ce = {"suite": "global", "dim_a": dim_a, "dim_b": dim_b,
-                  "primes": docs, **detail}
-        out.append(ItemResult("global", i, ok, detail, checks=len(primes),
-                              counterexample=ce))
-    return out
+    rng = random.Random(_seed("global", base_seed, i))
+    dim_a = rng.randint(1, 3)
+    dim_b = rng.randint(1, 3)
+    primes = sorted(rng.sample((2, 3, 5, 7, 11), rng.randint(1, 3)))
+    records = []
+    for p in primes:
+        chain = pool[rng.randrange(len(pool))]
+        T = character_table(chain.filtration.parent)
+        records.append({"p": p, "chain": chain.ref(),
+                        "A": gen_abvar_mults(T, _seed("global", base_seed, i, f"A{p}"),
+                                             target_dim=2 * dim_a),
+                        "B": gen_abvar_mults(T, _seed("global", base_seed, i, f"B{p}"),
+                                             target_dim=2 * dim_b)})
+    return {"dim_a": dim_a, "dim_b": dim_b, "primes": records}, {}
 
 
-def suite_sharpness(corpus: Corpus, indices: Iterable[int],
-                    base_seed: int) -> List[ItemResult]:
+def _check_global(doc, chains):
+    """Full-mode global data: per-prime divisibility of the factored bounds,
+    and the self-tensor bound of the first object."""
+    dim_a, dim_b = int_field(doc, "dim_a"), int_field(doc, "dim_b")
+    records = require(doc, "primes")
+    if not isinstance(records, list):
+        raise InputError("'primes' must be a list of prime records")
+    pairs = []
+    for j, rec in enumerate(records):
+        where = f"primes[{j}]."
+        model = _model(chains, rec, where)
+        pairs.append(PrimeLocalPair(
+            int_field(rec, "p", where),
+            *(abvar_datum(model, require(rec, key, where), where + key)
+              for key in ("A", "B"))))
+    try:
+        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, tuple(pairs)))
+        self_report = self_tensor_bound_report(GlobalDatum(dim_a, dim_a, tuple(
+            PrimeLocalPair(r.p, r.A, r.A) for r in pairs)))
+    except TensorCondError as err:
+        return False, {"error": str(err)}
+    return (report.all_checks_pass() and self_report.all_checks_pass(),
+            {"bound": report.bound.to_json(), "d_term": report.d.to_json(),
+             "per_prime": list(report.per_prime),
+             "self_bound": self_report.bound.to_json(),
+             "self_per_prime": list(self_report.per_prime)})
+
+
+def _gen_sharpness(corpus, base_seed, i):
+    p = _pick(SHARPNESS_PRIMES, i)
+    return {"p": p, "a": smallest_valid_unit(p)}, {}
+
+
+def _check_sharpness(doc, chains):
     """Sharpness sweep plus the discriminant-valuation closed form."""
-    out = []
-    for i in indices:
-        p = SHARPNESS_PRIMES[i % len(SHARPNESS_PRIMES)]
-        a = smallest_valid_unit(p)
-        report = verify_sharpness(validate_params(p, a))
-        closed_form_ok = all(
-            disc_valuation(p, alpha) == p + (p - 1) * _vp(p, alpha)
-            for alpha in (a, p, p * p, a * p, a + p))
-        ok = report.equal and closed_form_ok
-        detail = report.to_json()
-        detail["disc_closed_form"] = closed_form_ok
-        ce = None if ok else {"suite": "sharpness", "p": p, "a": a, **detail}
-        out.append(ItemResult("sharpness", i, ok, detail, checks=6,
-                              counterexample=ce))
-    return out
+    p, a = int_field(doc, "p"), int_field(doc, "a")
+    report = verify_sharpness(validate_params(p, a))
+    closed_form_ok = all(
+        disc_valuation(p, alpha) == p + (p - 1) * _p_valuation(p, alpha)
+        for alpha in (a, p, p * p, a * p, a + p))
+    detail = report.to_json()
+    detail["disc_closed_form"] = closed_form_ok
+    return report.equal and closed_form_ok, detail
 
 
-def _vp(p: int, n: int) -> int:
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+# -- the registry ----------------------------------------------------------------
 
 
-SUITES: Dict[str, Callable[[Corpus, Iterable[int], int], List[ItemResult]]] = {
-    "step-identity": suite_step_identity,
-    "min-sum": suite_min_sum,
-    "symplectic-bound": suite_symplectic_bound,
-    "pgroup-bound": suite_pgroup_bound,
-    "symplectic-parity": suite_symplectic_parity,
-    "pgroup-gap": suite_pgroup_gap,
-    "semistable": suite_semistable,
-    "swan-bound": suite_swan_bound,
-    "tame-identity": suite_tame_identity,
-    "conductor-bound": suite_conductor_bound,
-    "uniform-bound": suite_uniform_bound,
-    "degree-gap": suite_degree_gap,
-    "global": suite_global,
-    "sharpness": suite_sharpness,
+@dataclass(frozen=True)
+class Suite:
+    """One suite: ``generate(corpus, base_seed, index)`` returns an item's
+    input document and its detail labels, ``check(doc, chains)`` the
+    verdict and the detail.  ``seeds`` is the default number of items,
+    ``checks`` counts an item's checks and ``show`` picks what replay
+    prints besides the verdict."""
+
+    generate: Callable[[Corpus, int, int], Tuple[dict, dict]]
+    check: Callable[[dict, Chains], Tuple[bool, dict]]
+    seeds: int
+    checks: Callable[[dict, dict], int] = lambda doc, detail: 1
+    show: Callable[[dict, dict], dict] = lambda doc, detail: detail
+
+
+def _show_sides(doc, detail):
+    return {"lhs": detail["lhs"], "rhs": detail["rhs"]}
+
+
+def _count_gaps(doc, detail):
+    return len(detail["gaps"])
+
+
+SUITES: Dict[str, Suite] = {
+    "step-identity": Suite(_gen_step_identity, _check_step_identity, 1000,
+                           checks=lambda doc, detail: len(detail["sides"]),
+                           show=_show_level),
+    "min-sum": Suite(_gen_min_sum, _check_min_sum, 500),
+    "symplectic-bound": Suite(_gen_bound("symplectic-bound", False),
+                              _check_symplectic_bound, 500),
+    "pgroup-bound": Suite(_gen_bound("pgroup-bound", True), _check_pgroup_bound, 500),
+    "symplectic-parity": Suite(_gen_gap("parity", False), _check_symplectic_parity,
+                               300, checks=_count_gaps),
+    "pgroup-gap": Suite(_gen_gap("gap", True), _check_pgroup_gap, 300,
+                        checks=_count_gaps),
+    "semistable": Suite(
+        _gen_wd("semistable", A=gen_semistable_mults, B=gen_abvar_mults),
+        _check_semistable, 200),
+    "swan-bound": Suite(
+        _gen_wd("swan-bound", A=gen_abvar_mults, B=gen_abvar_mults),
+        _check_swan_bound, 500),
+    "tame-identity": Suite(
+        _gen_wd("tame-identity",
+                A=lambda T, seed: gen_abvar_mults(T, seed, force_ramified=True),
+                B=lambda T, seed: gen_abvar_mults(T, seed, force_ramified=True)),
+        _check_tame_identity, 500),
+    "conductor-bound": Suite(
+        _gen_wd("conductor-bound", A=gen_abvar_mults, B=gen_abvar_mults),
+        _check_conductor_bound, 500, show=_show_sides),
+    "uniform-bound": Suite(
+        _gen_wd("uniform-bound", A=gen_abvar_mults, B=gen_abvar_mults),
+        _check_uniform_bound, 500, show=_show_sides),
+    "degree-gap": Suite(
+        _gen_wd("degree-gap", A=gen_abvar_mults), _check_degree_gap, 500,
+        show=lambda doc, detail: {"lhs": str(detail["gap"]),
+                                  "rhs": ">= 1 if ramified"}),
+    "global": Suite(_gen_global, _check_global, 100,
+                    checks=lambda doc, detail: len(doc["primes"])),
+    "sharpness": Suite(_gen_sharpness, _check_sharpness, 5,
+                       checks=lambda doc, detail: 6),
 }
 
-DEFAULT_SEEDS: Dict[str, int] = {
-    "step-identity": 1000,
-    "min-sum": 500,
-    "symplectic-bound": 500,
-    "pgroup-bound": 500,
-    "symplectic-parity": 300,
-    "pgroup-gap": 300,
-    "semistable": 200,
-    "swan-bound": 500,
-    "tame-identity": 500,
-    "conductor-bound": 500,
-    "uniform-bound": 500,
-    "degree-gap": 500,
-    "global": 100,
-    "sharpness": 5,
-}
+DEFAULT_SEEDS: Dict[str, int] = {name: suite.seeds for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, corpus: Corpus, seeds: Optional[int] = None,
@@ -554,14 +622,27 @@ def run_suite(name: str, corpus: Corpus, seeds: Optional[int] = None,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if seeds is None:
-        seeds = DEFAULT_SEEDS[name]
-    return SUITES[name](corpus, range(seeds), base_seed)
+        seeds = SUITES[name].seeds
+    return run_suite_range(name, corpus, 0, seeds, base_seed)
 
 
 def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
                     base_seed: int = 0) -> List[ItemResult]:
-    """Evaluate a contiguous index range; items only depend on their index."""
-    return SUITES[name](corpus, range(start, start + count), base_seed)
+    """Evaluate a contiguous index range; items only depend on their index.
+    A failing item's counterexample is its input document and its detail."""
+    suite = SUITES[name]
+
+    def chains(ref, field):
+        return corpus.chain_by_ref(ref)
+
+    out = []
+    for i in range(start, start + count):
+        doc, labels = suite.generate(corpus, base_seed, i)
+        ok, detail = suite.check(doc, chains)
+        ce = None if ok else {"suite": name, **doc, **detail}
+        out.append(ItemResult(name, i, ok, {**labels, **detail},
+                              suite.checks(doc, detail), ce))
+    return out
 
 
 def serialize_counterexample(result: ItemResult) -> dict:
@@ -571,81 +652,15 @@ def serialize_counterexample(result: ItemResult) -> dict:
     return result.counterexample
 
 
-# -- counterexample replay ------------------------------------------------------
-
-
-def replay(doc: dict) -> dict:
-    """Re-evaluate a counterexample document; returns both sides and verdict."""
-    suite = doc["suite"]
-    if suite == "min-sum":
-        lhs, rhs = min_sum_bound(Fraction(doc["M"]),
-                                 [Fraction(x) for x in doc["a"]],
-                                 [Fraction(x) for x in doc["b"]],
-                                 [Fraction(x) for x in doc["d"]])
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs >= rhs}
-
-    if suite == "sharpness":
-        report = verify_sharpness(validate_params(doc["p"], doc["a"]))
-        return {"lhs": str(report.a_tensor), "rhs": str(report.conductor_rhs),
-                "ok": report.equal}
-
-    if suite == "global":
-        records = []
-        for rec in doc["primes"]:
-            group, filt, model_p = _rebuild_chain(rec["chain"])
-            model = InertiaModel(group, filt, model_p)
-            A = _rebuild_abvar(model, rec["A"])
-            B = _rebuild_abvar(model, rec["B"])
-            records.append(PrimeLocalPair(rec["p"], A, B))
-        datum = GlobalDatum(doc["dim_a"], doc["dim_b"], tuple(records))
-        report = rankin_selberg_bound(datum)
-        return {"bound": report.bound.to_json(), "ok": report.all_checks_pass()}
-
-    group, filt, model_p = _rebuild_chain(doc["chain"])
-    T = character_table(group)
-
-    if suite == "step-identity":
-        t1, t2 = T.assemble(doc["tau1"]), T.assemble(doc["tau2"])
-        lhs, rhs = tensor_level_identity(t1, t2, filt, doc["level"])
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs == rhs}
-    if suite == "symplectic-bound":
-        t1, t2 = T.assemble(doc["tau1"]), T.assemble(doc["tau2"])
-        lhs, rhs = symplectic_tensor_bound(t1, t2, filt)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs <= rhs}
-    if suite == "pgroup-bound":
-        t1, t2 = T.assemble(doc["tau1"]), T.assemble(doc["tau2"])
-        lhs, rhs = pgroup_tensor_bound(t1, t2, filt, doc["p"])
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs <= rhs}
-    if suite == "symplectic-parity":
-        tau = T.assemble(doc["tau"])
-        gap = tau.dim - fixed_dim(tau, filt[doc["level"]])
-        return {"lhs": str(gap), "rhs": "even", "ok": gap % 2 == 0}
-    if suite == "pgroup-gap":
-        tau = T.assemble(doc["tau"])
-        gap = tau.dim - fixed_dim(tau, filt[doc["level"]])
-        ok = gap == 0 or gap >= doc["p"] - 1
-        return {"lhs": str(gap), "rhs": f">= {doc['p'] - 1} or 0", "ok": ok}
-
-    model = InertiaModel(group, filt, model_p)
-    A = _rebuild_abvar(model, doc["A"])
-    if suite == "degree-gap":
-        gap = degree_gap(A)
-        ok = gap >= 0 and (A.artin() == 0 or gap >= 1)
-        return {"lhs": str(gap), "rhs": ">= 1 if ramified", "ok": ok}
-    B = _rebuild_abvar(model, doc["B"])
-    if suite == "semistable":
-        lhs, rhs = semistable_equality(A, B)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs == rhs}
-    if suite == "swan-bound":
-        lhs, rhs = swan_bound(A, B)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs <= rhs}
-    if suite == "tame-identity":
-        lhs, rhs = tame_identity(A, B)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs == rhs}
-    if suite == "conductor-bound":
-        lhs, rhs, _ = conductor_bound(A, B)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs <= rhs}
-    if suite == "uniform-bound":
-        lhs, rhs, _ = uniform_bound(A, B)
-        return {"lhs": str(lhs), "rhs": str(rhs), "ok": lhs <= rhs}
-    raise ValueError(f"cannot replay suite {suite!r}")
+def replay(doc) -> dict:
+    """Re-run a suite document through the suite's own check; returns what
+    the suite shows of the detail, and the verdict."""
+    if not isinstance(doc, dict):
+        raise InputError("a replay document must be a JSON object")
+    name = doc.get("suite")
+    if not isinstance(name, str) or name not in SUITES:
+        raise InputError(f"'suite' must name a suite ({', '.join(SUITES)}), "
+                         f"not {name!r}")
+    suite = SUITES[name]
+    ok, detail = suite.check(doc, _Builder())
+    return {**suite.show(doc, detail), "ok": ok}

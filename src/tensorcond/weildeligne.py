@@ -19,7 +19,8 @@ from typing import List, Sequence, Tuple
 
 from .chars import (ClassFunction, fixed_dim, is_rational_charpoly,
                     is_symplectic)
-from .errors import (ModelMismatchError, NotSemistableError, PreconditionError)
+from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
+                     NotSemistableError, NotSymplecticError, PreconditionError)
 from .filtration import conductor_exponent, nonfixed_dim
 from .groups import FiniteGroup, Filtration, is_prime
 
@@ -39,12 +40,13 @@ class InertiaModel:
 
     def __post_init__(self):
         if self.filtration.parent is not self.group:
-            raise ValueError("filtration does not live on the model group")
+            raise ModelMismatchError("filtration does not live on the model group")
         if not is_prime(self.residue_char):
-            raise ValueError(f"residue characteristic {self.residue_char} is not prime")
+            raise PreconditionError(f"residue characteristic {self.residue_char} is not prime")
         wild = self.filtration[1] if len(self.filtration) > 1 else self.filtration[-1]
         if not wild.is_pgroup(self.residue_char):
-            raise ValueError("wild inertia level G_1 must be a p-group")
+            raise NotPGroupError(f"wild inertia level G_1 must be a "
+                                 f"{self.residue_char}-group")
 
     @property
     def inertia(self):
@@ -163,11 +165,11 @@ class AbVarDatum:
         if self.tau.group is not self.model.group or self.sigma.group is not self.model.group:
             raise ModelMismatchError("characters live on a different group")
         if not is_symplectic(self.tau):
-            raise ValueError("toric-free part tau must be symplectic")
+            raise NotSymplecticError("toric-free part tau must be symplectic")
         if self.sigma.dual() != self.sigma:
-            raise ValueError("sp(2) part sigma must be self-dual")
+            raise PreconditionError("sp(2) part sigma must be self-dual")
         if not is_rational_charpoly(self.tau + self.sigma + self.sigma):
-            raise ValueError("inertia restriction must have rational characteristic polynomials")
+            raise NotRationalError("inertia restriction must have rational characteristic polynomials")
         assert (self.tau.dim + 2 * self.sigma.dim) % 2 == 0
 
     @property

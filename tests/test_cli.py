@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tensorcond
 from tensorcond.cli import main
 
@@ -207,27 +209,27 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
                                                            monkeypatch):
     """Force a failing suite item and check the exit-1 contract: the dump is
     printed and replays to the recorded verdict."""
+    import dataclasses
     from tensorcond import suites as suites_mod
-    from tensorcond.chars import character_table, dsum, ClassFunction
+    from tensorcond.chars import character_table
     from tensorcond.corpus import load_corpus
-    from tensorcond.suites import ItemResult, _chain_doc, _mults, replay
+    from tensorcond.suites import replay
 
     corpus = load_corpus()
-    chain = next(c for c in corpus.all_chains() if c.entry_name == "c9")
-    G = chain.filtration.parent
-    T = character_table(G)
+    entry = corpus.entry("c9")
+    T = character_table(entry.group)
     orbit = next(o for o in T.galois_orbits if len(o) == 2)
-    tau = ClassFunction.zero(G)
-    for i in orbit:
-        tau = dsum(tau, T.irreducibles[i])
-    ce = {"suite": "pgroup-gap", "chain": _chain_doc(chain), "p": 7,
-          "tau": _mults(T, tau), "level": 0}
+    # the order-3 characters have gap 2 on C9, below the p = 7 threshold
+    inputs = {"chains": [c.ref() for c in entry.chains], "p": 7,
+              "tau": [int(i in orbit) for i in range(len(T))]}
+    gaps = [2] + [0] * (len({H.elements for c in entry.chains
+                             for H in c.filtration.chain}) - 1)
+    ce = {"suite": "pgroup-gap", **inputs, "gaps": gaps}
 
-    def broken_suite(corpus, indices, base_seed):
-        return [ItemResult("pgroup-gap", i, False, {"forced": True},
-                           counterexample=ce) for i in indices]
-
-    monkeypatch.setitem(suites_mod.SUITES, "pgroup-gap", broken_suite)
+    broken = dataclasses.replace(
+        suites_mod.SUITES["pgroup-gap"],
+        generate=lambda corpus, base_seed, i: (inputs, {"entry": "c9"}))
+    monkeypatch.setitem(suites_mod.SUITES, "pgroup-gap", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "pgroup-gap",
                            "--seeds", "2")
     assert code == 1
@@ -242,7 +244,6 @@ def test_replay_subcommand(tmp_path, capsys):
     from tensorcond.chars import character_table, gen_character
     from tensorcond.corpus import load_corpus
     from tensorcond.filtration import tensor_level_identity
-    from tensorcond.suites import _chain_doc, _mults
     corpus = load_corpus()
     chain = corpus.all_chains()[2]
     G = chain.filtration.parent
@@ -250,8 +251,9 @@ def test_replay_subcommand(tmp_path, capsys):
     t1 = gen_character(G, "cli:r1", 6)
     t2 = gen_character(G, "cli:r2", 6)
     lhs, rhs = tensor_level_identity(t1, t2, chain.filtration, 0)
-    doc = {"suite": "step-identity", "chain": _chain_doc(chain),
-           "tau1": _mults(T, t1), "tau2": _mults(T, t2), "level": 0,
+    doc = {"suite": "step-identity", "chain": chain.ref(),
+           "tau1": list(T.multiplicities(t1)),
+           "tau2": list(T.multiplicities(t2)), "level": 0,
            "lhs": str(lhs), "rhs": str(rhs)}
     path = tmp_path / "ce.json"
     path.write_text(json.dumps(doc))
@@ -281,3 +283,67 @@ def test_machine_output_identical_across_processes():
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _step_document():
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import SUITES
+    inputs, _ = SUITES["step-identity"].generate(load_corpus(), 0, 0)
+    return {"suite": "step-identity", **inputs}
+
+
+def test_replay_rejects_a_json_array(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, [1, 2]))
+    assert code == 2 and out == ""
+    assert "JSON object" in err
+
+
+def test_replay_rejects_an_unknown_suite(tmp_path, capsys):
+    doc = dict(_step_document(), suite="no-such-suite")
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "'suite'" in err and "no-such-suite" in err
+
+
+def test_replay_rejects_a_level_beyond_the_chain(tmp_path, capsys):
+    doc = dict(_step_document(), level=7)
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "'level'" in err and "7" in err
+
+
+def test_bound_rejects_a_chain_of_integers(tmp_path, capsys):
+    doc = dict(BOUND_DOC, model=dict(BOUND_DOC["model"], chain=[5]))
+    code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "model.chain" in err
+
+
+def test_global_rejects_a_non_integer_summary_field(tmp_path, capsys):
+    doc = make_global_doc()
+    doc["primes"][0]["vA"] = "x"
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "primes[0].vA" in err
+
+
+def test_bound_rejects_a_wild_level_that_is_not_a_p_group(tmp_path, capsys):
+    from tensorcond.errors import TensorCondError
+    from tensorcond.groups import cyclic, filtration_from_generators
+    from tensorcond.weildeligne import InertiaModel
+    G = cyclic(4)
+    with pytest.raises(TensorCondError):
+        InertiaModel(G, filtration_from_generators(G, [[1]]), 3)
+    doc = dict(BOUND_DOC, model={"group": {"kind": "cyclic", "n": 4},
+                                 "chain": [[1]], "p": 3},
+               A={"tau": [0] * 4, "sigma": [0] * 4},
+               B={"tau": [0] * 4, "sigma": [0] * 4})
+    code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "model.p" in err

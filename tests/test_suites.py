@@ -83,15 +83,15 @@ def test_counterexample_replay_roundtrip(corpus):
     # check that replay reproduces the recorded sides
     from tensorcond.chars import character_table, gen_character
     from tensorcond.filtration import tensor_level_identity
-    from tensorcond.suites import _chain_doc, _mults
     chain = corpus.all_chains()[0]
     G = chain.filtration.parent
     T = character_table(G)
     t1 = gen_character(G, "r1", 8)
     t2 = gen_character(G, "r2", 8)
     lhs, rhs = tensor_level_identity(t1, t2, chain.filtration, 1)
-    doc = {"suite": "step-identity", "chain": _chain_doc(chain),
-           "tau1": _mults(T, t1), "tau2": _mults(T, t2), "level": 1,
+    doc = {"suite": "step-identity", "chain": chain.ref(),
+           "tau1": list(T.multiplicities(t1)),
+           "tau2": list(T.multiplicities(t2)), "level": 1,
            "lhs": str(lhs), "rhs": str(rhs)}
     verdict = replay(doc)
     assert verdict["lhs"] == doc["lhs"] and verdict["rhs"] == doc["rhs"]
@@ -103,7 +103,6 @@ def test_counterexample_replay_roundtrip(corpus):
 
 def test_replay_covers_wd_suites(corpus):
     from tensorcond.chars import character_table
-    from tensorcond.suites import _abvar_doc, _chain_doc
     from tensorcond.weildeligne import swan_bound
     chain = corpus.model_chains()[5]
     model = chain.model()
@@ -111,8 +110,10 @@ def test_replay_covers_wd_suites(corpus):
     A = gen_abvar(model, "rp:a")
     B = gen_abvar(model, "rp:b")
     lhs, rhs = swan_bound(A, B)
-    doc = {"suite": "swan-bound", "chain": _chain_doc(chain),
-           "A": _abvar_doc(T, A), "B": _abvar_doc(T, B),
+    doc = {"suite": "swan-bound", "chain": chain.ref(),
+           **{key: {"tau": list(T.multiplicities(D.tau)),
+                    "sigma": list(T.multiplicities(D.sigma))}
+              for key, D in (("A", A), ("B", B))},
            "lhs": str(lhs), "rhs": str(rhs)}
     verdict = replay(json.loads(json.dumps(doc)))
     assert verdict["ok"] and verdict["lhs"] == str(lhs)
@@ -126,8 +127,7 @@ def test_forced_failure_replays_to_failure(corpus):
     """A document recording a genuine violation replays to ok = False: here
     a 3-group gap document deliberately claims the threshold of p = 7."""
     from tensorcond.chars import character_table, dsum, ClassFunction
-    from tensorcond.suites import (ItemResult, _chain_doc, _mults,
-                                   serialize_counterexample)
+    from tensorcond.suites import ItemResult, serialize_counterexample
     chain = next(c for c in corpus.all_chains() if c.entry_name == "c9")
     G = chain.filtration.parent
     T = character_table(G)
@@ -136,13 +136,92 @@ def test_forced_failure_replays_to_failure(corpus):
     tau = ClassFunction.zero(G)
     for i in orbit:
         tau = dsum(tau, T.irreducibles[i])
-    doc = {"suite": "pgroup-gap", "chain": _chain_doc(chain), "p": 7,
-           "tau": _mults(T, tau), "level": 0}
+    doc = {"suite": "pgroup-gap", "chains": [chain.ref()], "p": 7,
+           "tau": list(T.multiplicities(tau))}
     verdict1 = replay(doc)
-    assert verdict1["ok"] is False and verdict1["lhs"] == "2"
+    assert verdict1["ok"] is False and verdict1["gaps"][0] == 2
     verdict2 = replay(json.loads(json.dumps(doc)))
     assert verdict1 == verdict2
     item = ItemResult("pgroup-gap", 0, False, {}, counterexample=doc)
     assert serialize_counterexample(item) == doc
     with pytest.raises(ValueError):
         serialize_counterexample(ItemResult("pgroup-gap", 0, True, {}))
+
+
+def _document(corpus, item):
+    """The item's counterexample, or for a passing item its input document."""
+    from tensorcond.suites import SUITES
+    if item.counterexample is not None:
+        return item.counterexample
+    inputs, _ = SUITES[item.suite].generate(corpus, 0, item.index)
+    return {"suite": item.suite, **inputs}
+
+
+def test_replay_agrees_with_run_on_every_suite(corpus):
+    """Model-chain indices 0-3 only, so that no C25 table is built."""
+    for name in SUITES:
+        for item in run_suite_range(name, corpus, 0, 4, base_seed=0):
+            doc = json.loads(json.dumps(_document(corpus, item)))
+            assert replay(doc)["ok"] == item.ok, (name, item.index)
+
+
+def _forced_failures(corpus, name):
+    """Run items 0-3 of a suite whose compared quantity is patched; every
+    failing item's counterexample must replay as a failure too."""
+    failed = [r for r in run_suite_range(name, corpus, 0, 4, base_seed=0)
+              if not r.ok]
+    assert failed
+    for item in failed:
+        assert replay(json.loads(json.dumps(item.counterexample)))["ok"] is False
+    return failed
+
+
+def test_forced_conductor_collapse_failure_replays(corpus, monkeypatch):
+    from tensorcond import suites
+    real = suites.degree_correction
+    monkeypatch.setattr(suites, "degree_correction", lambda A, B: real(A, B) + 1)
+    failed = _forced_failures(corpus, "conductor-bound")
+    # only the equality collapse at a <= 1 reads the patched correction
+    assert [r.index for r in failed] == [3]
+
+
+def test_forced_refined_above_uniform_failure_replays(corpus, monkeypatch):
+    from tensorcond import suites
+    real = suites.conductor_bound
+
+    def loose(A, B):
+        lhs, rhs, C = real(A, B)
+        return lhs, rhs + 10 ** 6, C
+    monkeypatch.setattr(suites, "conductor_bound", loose)
+    _forced_failures(corpus, "uniform-bound")
+
+
+def test_forced_self_tensor_failure_replays(corpus, monkeypatch):
+    import dataclasses
+    from tensorcond import suites
+    real = suites.self_tensor_bound_report
+    monkeypatch.setattr(suites, "self_tensor_bound_report", lambda datum: dataclasses.replace(
+        real(datum), per_prime=({"p": 0, "bound_exp": 0, "ok": False},)))
+    assert len(_forced_failures(corpus, "global")) == 4
+
+
+def test_forced_sharpness_closed_form_failure_replays(corpus, monkeypatch):
+    from tensorcond import suites
+    real = suites.disc_valuation
+    monkeypatch.setattr(suites, "disc_valuation", lambda p, a: real(p, a) + 1)
+    for item in _forced_failures(corpus, "sharpness"):
+        assert item.detail["equal"] and not item.detail["disc_closed_form"]
+
+
+def test_forced_step_failure_off_the_named_level_replays(corpus, monkeypatch):
+    from tensorcond import suites
+    real = suites.tensor_level_identity
+
+    def broken(t1, t2, filt, level):
+        lhs, rhs = real(t1, t2, filt, level)
+        return lhs, rhs + (level == 1)
+    monkeypatch.setattr(suites, "tensor_level_identity", broken)
+    for item in _forced_failures(corpus, "step-identity"):
+        doc = dict(item.counterexample, level=0)
+        verdict = replay(doc)
+        assert verdict["ok"] is False and verdict["lhs"] == verdict["rhs"]
