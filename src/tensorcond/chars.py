@@ -6,17 +6,26 @@ average.  Tables are found with the class-multiplication-coefficient method:
 simultaneous eigenvectors of the integer class algebra over a finite field
 F_q with q = 1 mod exponent(G), lifted to exact cyclotomic values through a
 fixed root-of-unity correspondence and normalised by orthogonality.
+
+The averages `fixed_dim`, `CharacterTable.multiplicities`, the table's
+orthogonality check and the Frobenius-Schur sum are taken in the exponent
+form of a class function: each value sum_j c_j zeta_N^j is kept as the terms
+c_j x^(j e/N) of Z[x]/(x^e - 1), e the group exponent.  An average then
+sums (or convolves) integer terms into one list and reduces it mod Phi_e
+once (`cyclo.exponent_sum_value`); only the final division by the group
+order is rational.  `inner_product` stays on `CycloNum` arithmetic, as the
+independent oracle for these averages.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, exponent_sum_value
 from .errors import NonCharacterError, TableComputationError
 from .groups import FiniteGroup, Subgroup, is_prime
 
@@ -26,7 +35,7 @@ Rational = Fraction
 class ClassFunction:
     """A function on conjugacy classes with exact cyclotomic values."""
 
-    __slots__ = ("group", "values")
+    __slots__ = ("group", "values", "_exp")
 
     def __init__(self, group: FiniteGroup, values: Sequence):
         if len(values) != len(group.classes):
@@ -39,6 +48,7 @@ class ClassFunction:
                 vals.append(CycloNum.from_rational(v))
         self.group = group
         self.values = tuple(vals)
+        self._exp = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -89,6 +99,19 @@ class ClassFunction:
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
 
+    def _exponent_form(self):
+        """(m, rows): each value sum_j c_j zeta_N^j as its (j m/N, c_j) terms
+        in Z[x]/(x^m - 1), one tuple per class.  m is the group exponent, or
+        its lcm with any value conductor that does not divide it."""
+        if self._exp is None:
+            m = self.group.exponent
+            for v in self.values:
+                m = lcm(m, v.N)
+            self._exp = (m, tuple(
+                tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
+                for v in self.values))
+        return self._exp
+
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
@@ -100,17 +123,13 @@ class ClassFunction:
     def key(self) -> tuple:
         """Deterministic sort key: values promoted to a common conductor."""
         e = self.group.exponent
-        return tuple(v.promote(_lcm(e, v.N)).coeffs for v in self.values)
+        return tuple(v.promote(lcm(e, v.N)).coeffs for v in self.values)
 
     def to_json(self) -> dict:
         return {"values": [v.to_json() for v in self.values]}
 
     def __repr__(self):
         return f"ClassFunction({[str(v) for v in self.values]})"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def dsum(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
@@ -150,13 +169,16 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     G = chi.group
     if subgroup.parent is not G:
         raise ValueError("subgroup of a different group")
-    total = CycloNum.zero()
-    for c, cnt in enumerate(subgroup.class_counts):
+    m, rows = chi._exponent_form()
+    acc = [0] * m
+    for cnt, terms in zip(subgroup.class_counts, rows):
         if cnt:
-            total = total + chi.values[c].scale(cnt)
-    if not total.is_rational():
+            for k, c in terms:
+                acc[k] += cnt * c
+    total = exponent_sum_value(m, acc)
+    if total is None:
         raise NonCharacterError("fixed-space average is not rational")
-    avg = total.rational_value() / subgroup.size
+    avg = total / subgroup.size
     if avg.denominator != 1 or avg < 0:
         raise NonCharacterError(f"fixed-space average {avg} is not a nonnegative integer")
     return avg.numerator
@@ -187,11 +209,17 @@ class CharacterTable:
         self.irreducibles = tuple(irreducibles)
         self.degrees = tuple(ch.dim for ch in irreducibles)
         self.modulus = modulus
-        # |c| * conj(psi(c)) for every irreducible psi and class c: the
-        # right-hand factor of every whole-group inner product with psi
-        self._weighted_conj = tuple(
-            tuple(v.conjugate().scale(size) for v, size in zip(psi.values, group.class_sizes))
-            for psi in self.irreducibles)
+        # |c| * conj(psi(c)) for every irreducible psi and class c, in the
+        # exponent form, where conjugation is k -> -k mod e: the right-hand
+        # factor of every whole-group inner product with psi
+        e = group.exponent
+        weighted = []
+        for psi in self.irreducibles:
+            m, rows = psi._exponent_form()
+            assert m == e, "irreducible values must lie in Q(zeta_e)"
+            weighted.append(tuple(tuple((-k % e, c * size) for k, c in terms)
+                                  for terms, size in zip(rows, group.class_sizes)))
+        self._weighted_conj = tuple(weighted)
         self._dual_index = None
         self._fs = None
         self._orbits = None
@@ -199,12 +227,19 @@ class CharacterTable:
     def __len__(self):
         return len(self.irreducibles)
 
-    def _inner_with(self, chi: ClassFunction, i: int) -> Fraction:
-        """<chi, psi_i> over the whole group, from the cached row of psi_i."""
-        total = CycloNum.zero()
-        for a, b in zip(chi.values, self._weighted_conj[i]):
-            total = total + a * b
-        return total.rational_value() / self.group.order
+    def _inner_with(self, chi: ClassFunction, i: int) -> Optional[Fraction]:
+        """<chi, psi_i> over the whole group, from the cached row of psi_i:
+        one cyclic convolution into one list and one reduction.  None when
+        the average is not rational."""
+        m, rows = chi._exponent_form()
+        step = m // self.group.exponent  # e divides m
+        acc = [0] * (2 * m)
+        for a_terms, b_terms in zip(rows, self._weighted_conj[i]):
+            for k1, c1 in a_terms:
+                for k2, c2 in b_terms:
+                    acc[k1 + k2 * step] += c1 * c2
+        total = exponent_sum_value(m, acc)
+        return None if total is None else total / self.group.order
 
     def multiplicities(self, chi: ClassFunction) -> Tuple[int, ...]:
         """Decompose a character; error on negative or fractional parts."""
@@ -213,6 +248,8 @@ class CharacterTable:
         out = []
         for i in range(len(self.irreducibles)):
             m = self._inner_with(chi, i)
+            if m is None:
+                raise NonCharacterError(f"multiplicity of irreducible {i} is not rational")
             if m.denominator != 1 or m < 0:
                 raise NonCharacterError(f"multiplicity {m} is not a nonnegative integer")
             out.append(m.numerator)
@@ -532,10 +569,15 @@ def frobenius_schur(psi: ClassFunction) -> int:
     G = psi.group
     if inner_product(psi, psi) != 1:
         raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
-    total = CycloNum.zero()
+    m, rows = psi._exponent_form()
+    acc = [0] * m
     for c, size in enumerate(G.class_sizes):
-        total = total + psi.values[G.class_power(c, 2)].scale(size)
-    ind = total.rational_value() / G.order
+        for k, v in rows[G.class_power(c, 2)]:
+            acc[k] += size * v
+    total = exponent_sum_value(m, acc)
+    if total is None:
+        raise NonCharacterError("Frobenius-Schur sum is not rational")
+    ind = total / G.order
     assert ind in (-1, 0, 1)
     return int(ind)
 

@@ -12,6 +12,7 @@ stream; exact rationals are serialized as "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -43,7 +44,10 @@ def _load_document(path: str) -> dict:
 
 
 def _build_model(doc: dict, where: str) -> InertiaModel:
-    group = build_group(require(doc, "group", where))
+    try:
+        group = build_group(require(doc, "group", where))
+    except TensorCondError as err:
+        raise InputError(f"{where}group: {err}") from err
     chain = generator_lists(require(doc, "chain", where), f"{where}chain")
     filt = filtration_from_generators(group, chain)
     p = int_field(doc, "p", where)
@@ -92,34 +96,40 @@ def _run_verify(args, machine: bool) -> int:
     workers = _worker_count(args)
     corpus = load_corpus(args.corpus)
     failures = 0
-    for name in names:
-        seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS[name]
-        if workers == 1 or seeds < 4 * workers:
-            docs = [(r.index, r.to_json())
-                    for r in run_suite_range(name, corpus, 0, seeds, args.seed)]
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            chunk = (seeds + workers - 1) // workers
-            jobs = [(name, lo, min(chunk, seeds - lo), args.seed)
-                    for lo in range(0, seeds, chunk)]
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                     initargs=(args.corpus,)) as pool:
+    # one pool for the whole call, opened at the first suite that uses it, so
+    # that each worker loads the corpus and builds its tables once
+    pool = None
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS[name]
+            if workers == 1 or seeds < 4 * workers:
+                docs = [(r.index, r.to_json())
+                        for r in run_suite_range(name, corpus, 0, seeds, args.seed)]
+            else:
+                if pool is None:
+                    from concurrent.futures import ProcessPoolExecutor
+                    pool = stack.enter_context(ProcessPoolExecutor(
+                        max_workers=workers, initializer=_pool_init,
+                        initargs=(args.corpus,)))
+                chunk = (seeds + workers - 1) // workers
+                jobs = [(name, lo, min(chunk, seeds - lo), args.seed)
+                        for lo in range(0, seeds, chunk)]
                 docs = [item for part in pool.map(_pool_eval, jobs) for item in part]
-        docs.sort(key=lambda t: t[0])
-        bad = [d for _, d in docs if not d["ok"]]
-        checks = sum(d["checks"] for _, d in docs)
-        if machine:
-            for _, d in docs:
-                print(json.dumps(d, sort_keys=True))
-            print(json.dumps({"suite": name, "summary": True, "items": len(docs),
-                              "checks": checks, "failures": len(bad)},
-                             sort_keys=True))
-        else:
-            verdict = "ok" if not bad else f"{len(bad)} FAILURES"
-            print(f"{name}: {len(docs)} items, {checks} checks, {verdict}")
-            for d in bad:
-                print(json.dumps(d["counterexample"], sort_keys=True))
-        failures += len(bad)
+            docs.sort(key=lambda t: t[0])
+            bad = [d for _, d in docs if not d["ok"]]
+            checks = sum(d["checks"] for _, d in docs)
+            if machine:
+                for _, d in docs:
+                    print(json.dumps(d, sort_keys=True))
+                print(json.dumps({"suite": name, "summary": True, "items": len(docs),
+                                  "checks": checks, "failures": len(bad)},
+                                 sort_keys=True))
+            else:
+                verdict = "ok" if not bad else f"{len(bad)} FAILURES"
+                print(f"{name}: {len(docs)} items, {checks} checks, {verdict}")
+                for d in bad:
+                    print(json.dumps(d["counterexample"], sort_keys=True))
+            failures += len(bad)
     return 1 if failures else 0
 
 

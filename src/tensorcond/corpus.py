@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CorpusError
+from .errors import CorpusError, TensorCondError
 from .groups import FiniteGroup, Filtration, build_group, filtration_from_generators
 from .weildeligne import InertiaModel
 
@@ -144,7 +144,7 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
                 chains.append(CorpusChain(e["name"], c["name"], gen_lists, filt,
                                           c.get("model_p")))
             entries.append(CorpusEntry(e["name"], group, chains))
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, TensorCondError) as err:
             raise CorpusError(f"malformed corpus entry {e.get('name')!r}: {err}") from err
     if not entries:
         raise CorpusError("corpus contains no entries")

@@ -6,6 +6,12 @@ integral and a `Fraction` only when it is not, so character values, which
 lie in Z[zeta_N], never touch `Fraction` arithmetic; only the final division
 of an average does.  No floating point anywhere; equality is coefficient-wise
 after promotion to a common conductor.
+
+Averages need no `CycloNum` per term: a sum of terms c * zeta_n^k can be
+collected as an integer list over k in Z[x]/(x^n - 1), because Phi_n divides
+x^n - 1 and so x -> zeta_n is a ring map from there onto Z[zeta_n].
+`exponent_sum_value` reduces such a list mod Phi_n once, at the end, and
+returns its value if it is rational.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -110,6 +116,15 @@ def _reduce(n: int, coeffs: Sequence[Rational]) -> list:
             for j, r in rows[k]:
                 out[j] += c * r
     return out
+
+
+def exponent_sum_value(n: int, coeffs: Sequence[Rational]) -> Optional[Fraction]:
+    """sum_k coeffs[k] * zeta_n^k (k <= 2n) as a Fraction, with one reduction
+    mod Phi_n; None when the sum is not rational."""
+    out = _reduce(n, coeffs)
+    if any(out[1:]):
+        return None
+    return Fraction(out[0])
 
 
 class CycloNum:

@@ -498,32 +498,83 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, name="x".join(f.name for f in factors), spec=spec)
 
 
+def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
+    if key not in spec:
+        raise GroupConstructionError(
+            f"group spec {spec['kind']!r} is missing the integer field '{where}{key}'")
+    value = spec[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GroupConstructionError(f"'{where}{key}' must be an integer, not {value!r}")
+    if value < minimum:
+        raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {value}")
+    return value
+
+
+def _spec_order(spec, max_order: int = DEFAULT_ORDER_CAP, where: str = "") -> int:
+    """The order of the group a descriptor names, from its parameters alone.
+
+    Checks each parameter's presence, type and lower bound (primality is
+    left to the constructors), and refuses an order above max_order before
+    anything is built.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise GroupConstructionError(
+            f"'{where.rstrip('.')}' must be a group spec with a 'kind'" if where
+            else "group spec must be a dict with a 'kind'")
+    kind = spec["kind"]
+    if kind in ("cyclic", "dihedral"):
+        n = _int_param(spec, "n", where, 1)
+        order = n if kind == "cyclic" else 2 * n
+    elif kind == "elementary_abelian":
+        p = _int_param(spec, "p", where, 2)
+        k = _int_param(spec, "k", where, 1)
+        if k >= max_order.bit_length():  # then p^k >= 2^k > max_order
+            raise GroupConstructionError(f"order {p}^{k} exceeds cap {max_order}")
+        order = p ** k
+    elif kind == "quaternion8":
+        order = 8
+    elif kind in ("heisenberg", "affine"):
+        p = _int_param(spec, "p", where, 2)
+        order = p ** 3 if kind == "heisenberg" else p * (p - 1)
+    elif kind == "direct_product":
+        factors = spec.get("factors")
+        if not isinstance(factors, list) or not factors:
+            raise GroupConstructionError(
+                f"'{where}factors' must be a nonempty list of group specs")
+        order = 1
+        for j, f in enumerate(factors):
+            order *= _spec_order(f, max_order, f"{where}factors[{j}].")
+    else:
+        raise GroupConstructionError(f"unknown group kind {kind!r}")
+    if order > max_order:
+        raise GroupConstructionError(f"order {order} exceeds cap {max_order}")
+    return order
+
+
 def build_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Construct a group from a JSON-style descriptor.
 
     Supported kinds: cyclic(n), elementary_abelian(p,k), dihedral(n),
-    quaternion8, heisenberg(p), affine(p), direct_product(factors).
+    quaternion8, heisenberg(p), affine(p), direct_product(factors).  The
+    descriptor is checked, and its order held to max_order, before any
+    multiplication table is built.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise GroupConstructionError("group spec must be a dict with a 'kind'")
+    _spec_order(spec, max_order)
+    return _build(spec)
+
+
+def _build(spec: dict) -> FiniteGroup:
     kind = spec["kind"]
     if kind == "cyclic":
-        G = cyclic(int(spec["n"]))
-    elif kind == "elementary_abelian":
-        G = elementary_abelian(int(spec["p"]), int(spec["k"]))
-    elif kind == "dihedral":
-        G = dihedral(int(spec["n"]))
-    elif kind == "quaternion8":
-        G = quaternion8()
-    elif kind == "heisenberg":
-        G = heisenberg(int(spec["p"]))
-    elif kind == "affine":
-        G = affine(int(spec["p"]))
-    elif kind == "direct_product":
-        factors = [build_group(f, max_order=max_order) for f in spec["factors"]]
-        G = direct_product(*factors)
-    else:
-        raise GroupConstructionError(f"unknown group kind {kind!r}")
-    if G.order > max_order:
-        raise GroupConstructionError(f"order {G.order} exceeds cap {max_order}")
-    return G
+        return cyclic(spec["n"])
+    if kind == "elementary_abelian":
+        return elementary_abelian(spec["p"], spec["k"])
+    if kind == "dihedral":
+        return dihedral(spec["n"])
+    if kind == "quaternion8":
+        return quaternion8()
+    if kind == "heisenberg":
+        return heisenberg(spec["p"])
+    if kind == "affine":
+        return affine(spec["p"])
+    return direct_product(*(_build(f) for f in spec["factors"]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .chars import (ClassFunction, fixed_dim, is_rational_charpoly,
@@ -172,8 +173,9 @@ class AbVarDatum:
             raise NotRationalError("inertia restriction must have rational characteristic polynomials")
         assert (self.tau.dim + 2 * self.sigma.dim) % 2 == 0
 
-    @property
+    @cached_property
     def rho(self) -> WDRep:
+        """The block form, built once per datum (the dataclass is frozen)."""
         blocks = []
         if not self.tau.is_zero():
             blocks.append((self.tau, 1))

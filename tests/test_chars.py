@@ -339,3 +339,60 @@ def test_table_validation_checks_every_pair():
     rows[-1] = rows[-2]
     with pytest.raises(TableComputationError, match="orthogonality"):
         _validate_table(CharacterTable(G, rows, T.modulus))
+
+
+# -- the exponent-form averages against the CycloNum oracle ------------------------
+
+
+def test_fixed_dim_matches_the_inner_product_oracle(corpus):
+    for entry in corpus.entries:
+        G = entry.group
+        triv = ClassFunction.trivial(G)
+        subgroups = {H.elements: H for c in entry.chains for H in c.filtration.chain}
+        for seed in range(3):
+            chi = gen_character(G, f"fixed:{seed}", 8)
+            for H in subgroups.values():
+                assert fixed_dim(chi, H) == inner_product(chi, triv, H), (entry.name, seed)
+
+
+def _frobenius_schur_by_cyclonums(psi):
+    from tensorcond.cyclo import CycloNum
+    G = psi.group
+    total = CycloNum.zero()
+    for c, size in enumerate(G.class_sizes):
+        total = total + psi.values[G.class_power(c, 2)].scale(size)
+    return total.rational_value() / G.order
+
+
+def test_frobenius_schur_matches_a_cyclonum_sum(corpus):
+    for entry in corpus.entries:
+        for psi in character_table(entry.group).irreducibles:
+            assert frobenius_schur(psi) == _frobenius_schur_by_cyclonums(psi), entry.name
+
+
+def test_irrational_averages_are_not_characters():
+    from tensorcond.cyclo import CycloNum
+    G = cyclic(5)
+    T = character_table(G)
+    # zeta_5 on one class, 0 elsewhere: every average is zeta_5 times a rational
+    chi = ClassFunction(G, [0, CycloNum.root_of_unity(5), 0, 0, 0])
+    with pytest.raises(NonCharacterError):
+        fixed_dim(chi, whole_group(G))
+    with pytest.raises(NonCharacterError):
+        T.multiplicities(chi)
+    assert is_symplectic(chi) is False
+    # unit norm, but the indicator sum 5 * zeta_5 is not rational
+    with pytest.raises(NonCharacterError):
+        frobenius_schur(ClassFunction(G, [CycloNum.root_of_unity(5)] * 5))
+
+
+def test_averages_of_values_beyond_the_group_exponent(q8, q8_table):
+    from tensorcond.cyclo import CycloNum
+    # i = zeta_4 written as zeta_8^2: conductor 8 on a group of exponent 4
+    i8 = CycloNum.root_of_unity(8, 2)
+    chi2 = two_dim(q8_table)
+    promoted = ClassFunction(q8, [v + i8 - CycloNum.root_of_unity(4) for v in chi2.values])
+    assert promoted == chi2
+    assert q8_table.multiplicities(promoted) == q8_table.multiplicities(chi2)
+    for H in (whole_group(q8), subgroup_generated(q8, [1]), trivial_subgroup(q8)):
+        assert fixed_dim(promoted, H) == fixed_dim(chi2, H)

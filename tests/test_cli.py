@@ -347,3 +347,71 @@ def test_bound_rejects_a_wild_level_that_is_not_a_p_group(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert "model.p" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"kind": "cyclic"}', "missing the integer field 'n'"),
+    ('{"kind": "cyclic", "n": "x"}', "'n' must be an integer"),
+    ('{"kind": "cyclic", "n": 2100}', "exceeds cap"),
+])
+def test_table_rejects_a_bad_group_parameter(capsys, spec, message):
+    code, out, err = run_cli(capsys, "table", "--group", spec)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_bound_names_a_bad_group_parameter(tmp_path, capsys):
+    doc = dict(BOUND_DOC, model=dict(BOUND_DOC["model"], group={"kind": "cyclic"}))
+    code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "model.group" in err and "'n'" in err
+
+
+def test_replay_names_a_bad_group_parameter_in_a_chain_reference(tmp_path, capsys):
+    doc = _step_document()
+    doc["chain"] = dict(doc["chain"], group={"kind": "cyclic", "n": "x"})
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "chain" in err and "'n'" in err
+
+
+def test_verify_names_the_corpus_entry_with_a_bad_group_parameter(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"version": 1, "entries": [
+        {"name": "bad", "group": {"kind": "cyclic", "n": "x"},
+         "chains": [{"name": "c", "subgroups": [[1]]}]}]}))
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
+                             "--seeds", "2", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert "'bad'" in err and "'n'" in err
+
+
+def test_verify_opens_one_pool_per_call(capsys, monkeypatch):
+    """Every suite that qualifies for the pool reuses the one pool; the pool
+    here runs its jobs in this process, so only the count is tested."""
+    import concurrent.futures
+    from tensorcond import cli
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            opened.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    base = ["verify", "--suite", "pgroup-gap", "--suite", "min-sum",
+            "--suite", "symplectic-parity", "--seeds", "8", "--format", "machine"]
+    _, seq, _ = run_cli(capsys, *base)
+    monkeypatch.setattr(cli, "_POOL_STATE", {})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    _, par, _ = run_cli(capsys, *base, "--workers", "2")
+    assert opened == [2]
+    assert par == seq

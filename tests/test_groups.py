@@ -154,3 +154,45 @@ def test_conjugacy_classes_are_conjugation_orbits():
         for cls in G.classes:
             orbit = {G.conjugate(h, cls[0]) for h in range(G.order)}
             assert orbit == set(cls)
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "cyclic"}, "'n'"),
+    ({"kind": "cyclic", "n": "x"}, "'n'"),
+    ({"kind": "dihedral", "n": 2.0}, "'n'"),
+    ({"kind": "elementary_abelian", "p": 3}, "'k'"),
+    ({"kind": "affine", "p": True}, "'p'"),
+    ({"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2},
+                                            {"kind": "heisenberg"}]}, "'factors[1].p'"),
+    ({"kind": "direct_product", "factors": []}, "'factors'"),
+    ({"kind": "direct_product", "factors": [3]}, "'factors[0]'"),
+])
+def test_build_group_names_a_missing_or_non_integer_field(spec, field):
+    with pytest.raises(GroupConstructionError) as err:
+        build_group(spec)
+    assert field in str(err.value)
+
+
+def test_order_cap_refuses_before_any_construction(monkeypatch):
+    from tensorcond import groups
+
+    def must_not_build(*args):
+        raise AssertionError("a group was built for an oversized spec")
+
+    for name in ("cyclic", "dihedral", "_table_from_encoding", "direct_product"):
+        monkeypatch.setattr(groups, name, must_not_build)
+    oversized = [
+        {"kind": "cyclic", "n": 2100},
+        {"kind": "dihedral", "n": 1025},
+        {"kind": "elementary_abelian", "p": 3, "k": 10 ** 9},
+        {"kind": "heisenberg", "p": 13},
+        {"kind": "affine", "p": 47},
+        # each factor is under the cap, the product is not
+        {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 100},
+                                               {"kind": "dihedral", "n": 50}]},
+    ]
+    for spec in oversized:
+        with pytest.raises(GroupConstructionError, match="exceeds cap"):
+            build_group(spec)
+    with pytest.raises(GroupConstructionError, match="exceeds cap"):
+        build_group({"kind": "quaternion8"}, max_order=7)

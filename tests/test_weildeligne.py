@@ -217,3 +217,11 @@ def test_bounds_over_corpus_models():
         S = gen_semistable(model, f"wd:{idx}:s")
         lhs, rhs = semistable_equality(S, B)
         assert lhs == rhs
+
+
+def test_abvar_rho_is_built_once_per_datum(q8_model):
+    A = gen_abvar(q8_model, "rho-once")
+    assert A.rho is A.rho
+    assert A.rho == WDRep(q8_model, [(A.tau, 1), (A.sigma, 2)])
+    B = AbVarDatum(q8_model, A.tau, A.sigma)
+    assert B == A and B.rho is not A.rho and B.rho == A.rho
