@@ -1,7 +1,7 @@
 """Exact conductor-exponent calculus for group filtrations and
 Weil-Deligne block data, with brute-force character-theoretic oracles."""
 
-from .chars import (ClassFunction, CharacterTable, character_table,
+from .chars import (Character, ClassFunction, CharacterTable, character_table,
                     fixed_dim, frobenius_schur, gen_character, gen_rational,
                     gen_symplectic, inner_product, is_rational_charpoly,
                     is_symplectic, restrict)

@@ -15,6 +15,13 @@ sums (or convolves) integer terms into one list and reduces it mod Phi_e
 once (`cyclo.exponent_sum_value`); only the final division by the group
 order is rational.  `inner_product` stays on `CycloNum` arithmetic, as the
 independent oracle for these averages.
+
+A `Character` is a class function held as its multiplicity vector over a
+table; `CharacterTable.assemble` returns one, and its class values are only
+assembled when something reads them.  The table caches what the integer
+kernel of `weildeligne` needs to work on vectors alone: the fixed dimensions
+of each irreducible on a subgroup, the structure constants of tensor
+products, and the symplectic, self-dual and rational criteria.
 """
 
 from __future__ import annotations
@@ -120,11 +127,6 @@ class ClassFunction:
 
     __hash__ = None
 
-    def key(self) -> tuple:
-        """Deterministic sort key: values promoted to a common conductor."""
-        e = self.group.exponent
-        return tuple(v.promote(lcm(e, v.N)).coeffs for v in self.values)
-
     def to_json(self) -> dict:
         return {"values": [v.to_json() for v in self.values]}
 
@@ -194,6 +196,64 @@ def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
     return ClassFunction(S, vals)
 
 
+class Character(ClassFunction):
+    """A character held as its multiplicity vector over a character table.
+
+    The class values are assembled from the vector the first time `values`
+    is read (by the class-average oracle, by arithmetic or for output);
+    `dim`, `scale`, `is_zero` and equality with another character of the
+    table read the vector only.  The vector may be virtual (negative
+    entries); `CharacterTable.character` refuses such a one.
+    """
+
+    __slots__ = ("table", "mults")
+
+    def __init__(self, table: "CharacterTable", mults: Sequence[int]):
+        self.group = table.group
+        self.table = table
+        self.mults = tuple(mults)
+        self._exp = None
+
+    def __getattr__(self, name):
+        # reached only while the `values` slot is unset: assemble it once,
+        # per class summing the irreducibles' exponent-form terms into one
+        # list over the lcm n of their value conductors, reduced mod Phi_n
+        if name != "values":
+            raise AttributeError(name)
+        used = [(m, psi) for m, psi in zip(self.mults, self.table.irreducibles) if m]
+        vals = []
+        for c in range(len(self.group.classes)):
+            n = 1
+            for _, psi in used:
+                n = lcm(n, psi.values[c].N)
+            acc = [0] * n
+            for m, psi in used:
+                e, rows = psi._exponent_form()
+                step = e // n
+                for k, coef in rows[c]:
+                    acc[k // step] += m * coef
+            vals.append(CycloNum(n, acc, reduce=True))
+        self.values = tuple(vals)
+        return self.values
+
+    @property
+    def dim(self) -> int:
+        return sum(map(mul, self.mults, self.table.degrees))
+
+    def is_zero(self) -> bool:
+        return not any(self.mults)
+
+    def scale(self, n: int) -> "Character":
+        return Character(self.table, [n * m for m in self.mults])
+
+    def __eq__(self, other):
+        if isinstance(other, Character) and other.table is self.table:
+            return self.mults == other.mults
+        return ClassFunction.__eq__(self, other)
+
+    __hash__ = None
+
+
 # -- character table ---------------------------------------------------------
 
 
@@ -201,7 +261,8 @@ class CharacterTable:
     """The irreducible characters of a finite group, in a fixed order."""
 
     __slots__ = ("group", "irreducibles", "degrees", "modulus", "_weighted_conj",
-                 "_dual_index", "_fs", "_orbits")
+                 "_dual_index", "_fs", "_orbits", "_trivial", "_fixed", "_products",
+                 "_mod_q")
 
     def __init__(self, group: FiniteGroup, irreducibles: Sequence[ClassFunction],
                  modulus: int):
@@ -223,6 +284,11 @@ class CharacterTable:
         self._dual_index = None
         self._fs = None
         self._orbits = None
+        self._trivial = None
+        # filled on first use only, so a table build costs nothing more
+        self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
+        self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
+        self._mod_q = None      # the irreducibles' values mod q, and conjugated
 
     def __len__(self):
         return len(self.irreducibles)
@@ -255,14 +321,115 @@ class CharacterTable:
             out.append(m.numerator)
         return tuple(out)
 
-    def assemble(self, mults: Sequence[int]) -> ClassFunction:
+    def assemble(self, mults: Sequence[int]) -> Character:
+        """The class function sum_i mults[i] psi_i, kept as its vector."""
         if len(mults) != len(self.irreducibles):
             raise ValueError("one multiplicity per irreducible required")
-        out = ClassFunction.zero(self.group)
-        for m, psi in zip(mults, self.irreducibles):
-            if m:
-                out = out + psi.scale(m)
+        return Character(self, mults)
+
+    def character(self, chi: ClassFunction) -> Character:
+        """chi as a Character of this table: one built by `assemble` as it
+        is, any other class function decomposed (its values are kept).  A
+        virtual character is refused with NonCharacterError."""
+        if isinstance(chi, Character) and chi.table is self:
+            if any(m < 0 for m in chi.mults):
+                raise NonCharacterError(f"multiplicity vector {list(chi.mults)} "
+                                        f"has a negative entry")
+            return chi
+        out = Character(self, self.multiplicities(chi))
+        out.values = chi.values
         return out
+
+    # -- the integer kernel: caches and criteria on multiplicity vectors ------
+
+    def fixed_dims(self, subgroup: Subgroup) -> Tuple[int, ...]:
+        """f_i(H) = dim psi_i^H for every irreducible, cached per subgroup."""
+        dims = self._fixed.get(subgroup.elements)
+        if dims is None:
+            dims = tuple(fixed_dim(psi, subgroup) for psi in self.irreducibles)
+            self._fixed[subgroup.elements] = dims
+        return dims
+
+    def tensor_mults(self, m1: Sequence[int], m2: Sequence[int]) -> List[int]:
+        """The multiplicity vector of the product of two characters, from
+        the structure constants N_ij^k (`structure_constants`), each pair's
+        taken the first time it is needed."""
+        r = len(self.irreducibles)
+        if self._products is None:
+            self._products = [[None] * r for _ in range(r)]
+        right = [(j, b) for j, b in enumerate(m2) if b]
+        out = [0] * r
+        for i, a in enumerate(m1):
+            if not a:
+                continue
+            row = self._products[i]
+            for j, b in right:
+                terms = row[j]
+                if terms is None:
+                    terms = row[j] = self._products[j][i] = self.structure_constants(i, j)
+                ab = a * b
+                for k, n in terms:
+                    out[k] += ab * n
+        return out
+
+    def structure_constants(self, i: int, j: int) -> Tuple[Tuple[int, int], ...]:
+        """The nonzero N_ij^k = <psi_i psi_j, psi_k>, that is
+        multiplicities(psi_i * psi_j), as (k, N_ij^k) pairs.
+
+        Each N_ij^k is an integer in [0, q): at most deg psi_i deg psi_j <=
+        |G| < q, q the table's prime.  So the average can be taken in F_q
+        (`_values_mod_q`), and its residue is the integer itself.
+        """
+        rows, conj_rows = self._values_mod_q()
+        q = self.modulus
+        G = self.group
+        prod = [size * a * b % q for size, a, b in zip(G.class_sizes, rows[i], rows[j])]
+        inv_order = pow(G.order, -1, q)
+        terms = []
+        for k, conj in enumerate(conj_rows):
+            n = sum(map(mul, prod, conj)) * inv_order % q
+            if n:
+                terms.append((k, n))
+        return tuple(terms)
+
+    def _values_mod_q(self):
+        """Every irreducible's values, and their conjugates psi(g^-1), under
+        the ring map Z[zeta_e] -> F_q, zeta_e -> w, with w a primitive e-th
+        root of unity mod q (e divides q - 1)."""
+        if self._mod_q is None:
+            q, e = self.modulus, self.group.exponent
+            w = _primitive_root_of_unity(e, q)
+            wpow = [pow(w, k, q) for k in range(e)]
+            rows = [[sum(c * wpow[k] for k, c in terms) % q
+                     for terms in psi._exponent_form()[1]] for psi in self.irreducibles]
+            inv = self.group.inverse_class
+            self._mod_q = (rows, [[row[c] for c in inv] for row in rows])
+        return self._mod_q
+
+    def is_symplectic_mults(self, mults: Sequence[int]) -> bool:
+        """Whether the character carries an invariant non-degenerate
+        alternating form: orthogonal-type irreducibles must occur with even
+        multiplicity, complex-type ones with the same multiplicity as their
+        dual; quaternionic-type ones are unconstrained."""
+        fs = self.fs_indicators
+        dual_ix = self.dual_index
+        for i, m in enumerate(mults):
+            if fs[i] == 1 and m % 2:
+                return False
+            if fs[i] == 0 and m != mults[dual_ix[i]]:
+                return False
+        return True
+
+    def is_self_dual_mults(self, mults: Sequence[int]) -> bool:
+        """Whether the character equals its dual: the vector is fixed by the
+        dual permutation of the irreducibles."""
+        return all(m == mults[j] for m, j in zip(mults, self.dual_index))
+
+    def is_rational_mults(self, mults: Sequence[int]) -> bool:
+        """Whether the character's values are rational, equivalently (see
+        `is_rational_charpoly`) its characteristic polynomials: the vector
+        is constant on each Galois orbit of irreducibles."""
+        return all(len({mults[i] for i in orbit}) == 1 for orbit in self.galois_orbits)
 
     @property
     def dual_index(self) -> Tuple[int, ...]:
@@ -306,8 +473,10 @@ class CharacterTable:
         return self._orbits
 
     def index_of_trivial(self) -> int:
-        triv = ClassFunction.trivial(self.group)
-        return next(i for i, ch in enumerate(self.irreducibles) if ch == triv)
+        if self._trivial is None:
+            triv = ClassFunction.trivial(self.group)
+            self._trivial = next(i for i, ch in enumerate(self.irreducibles) if ch == triv)
+        return self._trivial
 
 
 # modular linear algebra helpers, all over F_q for a prime q
@@ -583,25 +752,15 @@ def frobenius_schur(psi: ClassFunction) -> int:
 
 
 def is_symplectic(chi: ClassFunction) -> bool:
-    """Whether chi carries an invariant non-degenerate alternating form.
-
-    Multiplicity criterion: orthogonal-type irreducibles must occur with
-    even multiplicity, complex-type ones with the same multiplicity as
-    their dual; quaternionic-type ones are unconstrained.
-    """
+    """Whether chi carries an invariant non-degenerate alternating form: the
+    multiplicity criterion of `CharacterTable.is_symplectic_mults` on the
+    decomposition of chi's class values (False if chi is no character)."""
     T = character_table(chi.group)
     try:
         mults = T.multiplicities(chi)
     except NonCharacterError:
         return False
-    fs = T.fs_indicators
-    dual_ix = T.dual_index
-    for i, m in enumerate(mults):
-        if fs[i] == 1 and m % 2:
-            return False
-        if fs[i] == 0 and m != mults[dual_ix[i]]:
-            return False
-    return True
+    return T.is_symplectic_mults(mults)
 
 
 def is_rational_charpoly(chi: ClassFunction) -> bool:

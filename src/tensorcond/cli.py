@@ -49,7 +49,10 @@ def _build_model(doc: dict, where: str) -> InertiaModel:
     except TensorCondError as err:
         raise InputError(f"{where}group: {err}") from err
     chain = generator_lists(require(doc, "chain", where), f"{where}chain")
-    filt = filtration_from_generators(group, chain)
+    try:
+        filt = filtration_from_generators(group, chain)
+    except TensorCondError as err:
+        raise InputError(f"{where}chain: {err}") from err
     p = int_field(doc, "p", where)
     try:
         return InertiaModel(group, filt, p)
@@ -212,18 +215,33 @@ def _run_global(args, machine: bool) -> int:
 # -- subcommand: sharpness ---------------------------------------------------------
 
 
-def _run_sharpness(args, machine: bool) -> int:
-    if args.max_p is not None:
-        primes = [p for p in range(3, args.max_p + 1) if is_prime(p)]
+def _sharpness_family(args) -> list:
+    """The validated parameters of every prime asked for, all checked (the
+    order cap included) before any is computed.  A sweep is scanned lazily,
+    so that a huge --max-p stops at the first prime above the cap."""
+    if args.max_p is None:
+        flag, primes = "--p", [args.p]
     else:
-        primes = [args.p]
-    all_equal = True
-    for p in primes:
-        a = args.a if (args.a is not None and len(primes) == 1) else smallest_valid_unit(p)
+        flag, primes = "--max-p", (p for p in range(3, args.max_p + 1) if is_prime(p))
+    try:
+        family = [validate_params(p, smallest_valid_unit(p)) for p in primes]
+    except TensorCondError as err:
+        raise InputError(f"{flag}: {err}") from err
+    if not family:
+        raise InputError(f"--max-p {args.max_p}: there is no odd prime up to {args.max_p}")
+    if args.a is not None and len(family) == 1:
         try:
-            params = validate_params(p, a)
+            family = [validate_params(family[0].p, args.a)]
         except TensorCondError as err:
-            raise InputError(str(err)) from err
+            raise InputError(f"--a: {err}") from err
+    return family
+
+
+def _run_sharpness(args, machine: bool) -> int:
+    family = _sharpness_family(args)
+    all_equal = True
+    for params in family:
+        p, a = params.p, params.a
         report = verify_sharpness(params)
         all_equal = all_equal and report.equal
         if machine:

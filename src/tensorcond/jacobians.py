@@ -11,26 +11,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
 from .chars import ClassFunction, fixed_dim, inner_product
-from .errors import InvalidUnitError, PreconditionError
-from .groups import (FiniteGroup, Filtration, Subgroup, affine, is_prime,
-                     whole_group, trivial_subgroup)
+from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
+from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Filtration, Subgroup, affine,
+                     is_prime, whole_group, trivial_subgroup)
 from .weildeligne import InertiaModel, WDRep
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """An odd prime p and a unit representative a with a^(p-1) != 1 mod p^2."""
+    """An odd prime p and a unit representative a with a^(p-1) != 1 mod p^2;
+    `validate_params` also holds Aff(p), of order p(p-1), to the order cap."""
 
     p: int
     a: int
 
 
-def validate_params(p: int, a: int) -> FamilyParams:
+def _check_prime(p: int) -> None:
     if not is_prime(p) or p == 2:
         raise InvalidUnitError(f"p={p} must be an odd prime")
+
+
+def validate_params(p: int, a: int) -> FamilyParams:
+    _check_prime(p)
+    if p * (p - 1) > DEFAULT_ORDER_CAP:
+        raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
+                                     f"{p * (p - 1)}, above the cap {DEFAULT_ORDER_CAP}")
     if a % p == 0:
         raise InvalidUnitError(f"a={a} is not a unit mod {p}")
     if pow(a, p - 1, p * p) == 1:
@@ -39,15 +48,9 @@ def validate_params(p: int, a: int) -> FamilyParams:
 
 
 def smallest_valid_unit(p: int) -> int:
-    a = 2
-    while True:
-        try:
-            validate_params(p, a)
-            return a
-        except InvalidUnitError:
-            a += 1
-            if a > p * p:
-                raise
+    """The least a >= 2 with a^(p-1) != 1 mod p^2 (1 + p always qualifies)."""
+    _check_prime(p)
+    return next(a for a in range(2, p + 2) if a % p and pow(a, p - 1, p * p) != 1)
 
 
 # -- discriminant route -------------------------------------------------------
@@ -137,7 +140,7 @@ class JacobianLocalData:
     model: InertiaModel
     character: ClassFunction
 
-    @property
+    @cached_property
     def rho(self) -> WDRep:
         return WDRep(self.model, [(self.character, 1)])
 
@@ -158,12 +161,16 @@ def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
 def jacobian_inertia_model(p: int, alpha: int) -> JacobianLocalData:
     """Lower-numbering model: G_0 the affine group of order p(p-1), then
     Sw(J_alpha) copies of the order-p translation subgroup, then 1."""
-    u = swan_jacobian(p, alpha)
     G = affine(p)
+    return _inertia_model(G, p, _standard_character(G, p), swan_jacobian(p, alpha))
+
+
+def _inertia_model(G: FiniteGroup, p: int, chi: ClassFunction,
+                   swan: int) -> JacobianLocalData:
+    """The model over G = Aff(p) whose chain has `swan` translation levels."""
     translations = Subgroup(G, range(p))
-    chain = [whole_group(G)] + [translations] * u + [trivial_subgroup(G)]
-    model = InertiaModel(G, Filtration(G, chain), p)
-    return JacobianLocalData(model, _standard_character(G, p))
+    chain = [whole_group(G)] + [translations] * swan + [trivial_subgroup(G)]
+    return JacobianLocalData(InertiaModel(G, Filtration(G, chain), p), chi)
 
 
 # -- break (Swan slope) route ---------------------------------------------------
@@ -293,7 +300,9 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     Swan exponents are computed twice (discriminant resultant and the
     filtration model) and must agree; the tensor Swan comes from the break
     calculus; the tensor Artin adds the tame part, which is the full
-    dimension because neither inertia level has fixed vectors.
+    dimension because neither inertia level has fixed vectors.  Both models
+    share one affine group, and their one block (chi, 1) is read by the
+    class averages of InertiaModel, so no character table is built.
     """
     p, a = params.p, params.a
     dim = p - 1
@@ -301,16 +310,13 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     sw_a = swan_jacobian(p, a)
     sw_p = swan_jacobian(p, p)
 
-    data_a = jacobian_inertia_model(p, a)
-    data_p = jacobian_inertia_model(p, p)
-    sw_a_filt = data_a.rho.swan_conductor()
-    sw_p_filt = data_p.rho.swan_conductor()
-    artin_a = data_a.rho.artin_conductor()
-    artin_p = data_p.rho.artin_conductor()
-    deg_a = data_a.rho.degree()
-    deg_p = data_p.rho.degree()
-    wild_fixed = [fixed_dim(d.character, d.model.filtration[1])
-                  for d in (data_a, data_p)]
+    G = affine(p)
+    chi = _standard_character(G, p)
+    models = [_inertia_model(G, p, chi, sw).model for sw in (sw_a, sw_p)]
+    sw_a_filt, sw_p_filt = (m.swan(chi) for m in models)
+    artin_a, artin_p = (m.artin(chi) for m in models)
+    deg_a, deg_p = (m.inertia_fixed(chi) for m in models)
+    wild_fixed = [fixed_dim(chi, m.filtration[1]) for m in models]
 
     rep_a, rep_p = joint_break_model(params)
     prod = tensor_break_rep(rep_a, rep_p)

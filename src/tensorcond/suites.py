@@ -72,17 +72,20 @@ def require(doc, key: str, where: str = ""):
     return doc[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def int_field(doc, key: str, where: str = "") -> int:
     value = require(doc, key, where)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
     return value
 
 
 def generator_lists(value, name: str) -> list:
     if not isinstance(value, list) or not all(
-            isinstance(gens, list) and all(isinstance(g, int) for g in gens)
-            for gens in value):
+            isinstance(gens, list) and all(map(_is_int, gens)) for gens in value):
         raise InputError(f"'{name}' must be a list of generator lists (lists "
                          f"of element indices), not {value!r}")
     return value
@@ -90,7 +93,7 @@ def generator_lists(value, name: str) -> list:
 
 def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
     if not isinstance(value, list) or len(value) != len(T) \
-            or not all(isinstance(x, int) and x >= 0 for x in value):
+            or not all(_is_int(x) and x >= 0 for x in value):
         raise InputError(
             f"{name}: multiplicity vector must list one nonnegative integer "
             f"per irreducible ({len(T)} for this group, in the order printed "

@@ -9,6 +9,15 @@ the Swan conductor, and the degree.
 Abelian-variety data is the special shape tau + (sigma x sp(2)) with tau
 symplectic and sigma self-dual on inertia, and rational characteristic
 polynomials on the whole inertia restriction.
+
+Block characters are held as multiplicity vectors (`chars.Character`), and
+`WDRep` computes on those alone: the Artin conductor is additive in the
+character (Serre, Local Fields, ch. VI, section 2), so over a fixed chain it
+is a per-irreducible row dotted with the multiplicities, and tensor products
+multiply vectors through the table's structure constants.  `InertiaModel`'s
+`artin`, `swan` and `inertia_fixed` and the `class_*` functions below
+compute the same quantities from class values instead; they are the oracle
+that the semistable and tame-identity checks compare the kernel with.
 """
 
 from __future__ import annotations
@@ -16,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import List, Sequence, Tuple
 
-from .chars import (ClassFunction, fixed_dim, is_rational_charpoly,
-                    is_symplectic)
+from .chars import CharacterTable, ClassFunction, character_table, fixed_dim
 from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
                      NotSemistableError, NotSymplecticError, PreconditionError)
 from .filtration import conductor_exponent, nonfixed_dim
@@ -63,6 +72,26 @@ class InertiaModel:
     def inertia_fixed(self, sigma: ClassFunction) -> int:
         return fixed_dim(sigma, self.inertia)
 
+    @cached_property
+    def table(self) -> CharacterTable:
+        return character_table(self.group)
+
+    @cached_property
+    def kernel_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Per irreducible psi_i: |G_0| a(psi_i), the sum over the levels of
+        (dim psi_i - f_i(G_l)) |G_l|, and f_i(G_0) = dim psi_i^{G_0}.  A
+        character's conductor and inertia-fixed dimension are these rows
+        dotted with its multiplicities."""
+        T = self.table
+        fixed = [T.fixed_dims(H) for H in self.filtration.chain]
+        artin = tuple(sum((d - f[i]) * H.size for f, H in zip(fixed, self.filtration.chain))
+                      for i, d in enumerate(T.degrees))
+        return artin, fixed[0]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
 
 def clebsch_gordan(n: int, m: int) -> List[int]:
     """Sizes of the special blocks in sp(n) x sp(m): n+m+1-2i, i=1..min(n,m)."""
@@ -72,7 +101,13 @@ def clebsch_gordan(n: int, m: int) -> List[int]:
 
 
 class WDRep:
-    """A multiset of blocks (sigma, n) over a fixed inertia model."""
+    """A multiset of blocks (sigma, n) over a fixed inertia model.
+
+    Each sigma is held as a `Character` of the model's table (a class
+    function that is not one is decomposed, a virtual one refused), and
+    every quantity below is an integer or Fraction dot product of its
+    multiplicities with the model's `kernel_rows`.
+    """
 
     __slots__ = ("model", "blocks")
 
@@ -83,9 +118,10 @@ class WDRep:
                 raise ModelMismatchError("block character lives on a different group")
             if n < 1:
                 raise ValueError("special block size must be >= 1")
+            sigma = model.table.character(sigma)
             if not sigma.is_zero():
                 kept.append((sigma, n))
-        kept.sort(key=lambda b: (b[1], b[0].key()))
+        kept.sort(key=lambda b: (b[1], b[0].mults))
         self.model = model
         self.blocks = tuple(kept)
 
@@ -95,26 +131,32 @@ class WDRep:
 
     def artin_conductor(self) -> Fraction:
         """Sum over blocks of n a(sigma) + (n-1) dim sigma^{G_0}."""
-        total = Fraction(0)
-        for sigma, n in self.blocks:
-            total += n * self.model.artin(sigma) + (n - 1) * self.model.inertia_fixed(sigma)
-        return total
+        arow, frow = self.model.kernel_rows
+        order = self.model.group.order
+        return Fraction(sum(n * _dot(s.mults, arow) + (n - 1) * order * _dot(s.mults, frow)
+                            for s, n in self.blocks), order)
 
     def swan_conductor(self) -> Fraction:
-        """Sum over blocks of n Sw(sigma); the Artin total minus the tame term."""
-        return sum((n * self.model.swan(sigma) for sigma, n in self.blocks), Fraction(0))
+        """Sum over blocks of n Sw(sigma), Sw(sigma) = a(sigma) minus the
+        tame term dim sigma - dim sigma^{G_0}."""
+        arow, frow = self.model.kernel_rows
+        order = self.model.group.order
+        return Fraction(sum(n * (_dot(s.mults, arow) - order * (s.dim - _dot(s.mults, frow)))
+                            for s, n in self.blocks), order)
 
     def degree(self) -> int:
         """L-polynomial degree: one inertia-fixed contribution per block."""
-        return sum(self.model.inertia_fixed(sigma) for sigma, _ in self.blocks)
+        frow = self.model.kernel_rows[1]
+        return sum(_dot(s.mults, frow) for s, _ in self.blocks)
 
     def tensor(self, other: "WDRep") -> "WDRep":
         if self.model is not other.model:
             raise ModelMismatchError("tensor product needs a common inertia model")
+        T = self.model.table
         blocks = []
         for s1, n in self.blocks:
             for s2, m in other.blocks:
-                prod = s1 * s2
+                prod = T.assemble(T.tensor_mults(s1.mults, s2.mults))
                 for k in clebsch_gordan(n, m):
                     blocks.append((prod, k))
         return WDRep(self.model, blocks)
@@ -165,13 +207,19 @@ class AbVarDatum:
     def __post_init__(self):
         if self.tau.group is not self.model.group or self.sigma.group is not self.model.group:
             raise ModelMismatchError("characters live on a different group")
-        if not is_symplectic(self.tau):
+        T = self.model.table
+        # from here on the fields hold the vector forms (NonCharacterError
+        # for a virtual one); the dataclass is frozen, hence object.__setattr__
+        tau, sigma = T.character(self.tau), T.character(self.sigma)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "sigma", sigma)
+        if not T.is_symplectic_mults(tau.mults):
             raise NotSymplecticError("toric-free part tau must be symplectic")
-        if self.sigma.dual() != self.sigma:
+        if not T.is_self_dual_mults(sigma.mults):
             raise PreconditionError("sp(2) part sigma must be self-dual")
-        if not is_rational_charpoly(self.tau + self.sigma + self.sigma):
+        if not T.is_rational_mults([t + 2 * s for t, s in zip(tau.mults, sigma.mults)]):
             raise NotRationalError("inertia restriction must have rational characteristic polynomials")
-        assert (self.tau.dim + 2 * self.sigma.dim) % 2 == 0
+        assert (tau.dim + 2 * sigma.dim) % 2 == 0
 
     @cached_property
     def rho(self) -> WDRep:
@@ -198,12 +246,36 @@ class AbVarDatum:
 
     def is_semistable(self) -> bool:
         """Inertia restriction of shape trivial^m + sp(2)^n."""
-        return _is_trivial_multiple(self.tau) and _is_trivial_multiple(self.sigma)
+        triv = self.model.table.index_of_trivial()
+        return not any(m for chi in (self.tau, self.sigma)
+                       for i, m in enumerate(chi.mults) if i != triv)
 
 
-def _is_trivial_multiple(chi: ClassFunction) -> bool:
-    base = chi.values[0]
-    return all(v == base for v in chi.values)
+# -- the class-average oracle -------------------------------------------------------
+#
+# A tensor product's blocks with their characters multiplied class by class,
+# and its conductor and degree by the filtration averages of InertiaModel.
+# Nothing here reads a multiplicity vector.
+
+
+def class_tensor(rho1: WDRep, rho2: WDRep) -> List[Tuple[ClassFunction, int]]:
+    """The blocks of rho1 x rho2, each product character from class values."""
+    blocks = []
+    for s1, n in rho1.blocks:
+        for s2, m in rho2.blocks:
+            prod = s1 * s2
+            blocks.extend((prod, k) for k in clebsch_gordan(n, m))
+    return blocks
+
+
+def class_artin(model: InertiaModel, blocks) -> Fraction:
+    """Sum over blocks of n a(sigma) + (n-1) dim sigma^{G_0}, by averages."""
+    return sum((n * model.artin(s) + (n - 1) * model.inertia_fixed(s) for s, n in blocks),
+               Fraction(0))
+
+
+def class_degree(model: InertiaModel, blocks) -> int:
+    return sum(model.inertia_fixed(s) for s, _ in blocks)
 
 
 def _common_model(A: AbVarDatum, B: AbVarDatum) -> InertiaModel:
@@ -220,14 +292,14 @@ def degree_correction(A: AbVarDatum, B: AbVarDatum) -> int:
 def semistable_equality(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
     """Exact conductor of the tensor product when A is semistable.
 
-    lhs is the Artin conductor of the expanded tensor product; rhs is the
-    closed form dim(A) a(B) + deg(B) a(A) - (deg(AxB) - deg(A) deg(B)).
-    The two sides are computed along independent paths and must agree.
+    lhs is the Artin conductor of the expanded tensor product, from class
+    averages; rhs is the closed form dim(A) a(B) + deg(B) a(A) - (deg(AxB)
+    - deg(A) deg(B)), from the kernel.  The two must agree.
     """
-    _common_model(A, B)
+    model = _common_model(A, B)
     if not A.is_semistable():
         raise NotSemistableError("first datum must be semistable")
-    lhs = tensor(A.rho, B.rho).artin_conductor()
+    lhs = class_artin(model, class_tensor(A.rho, B.rho))
     rhs = A.dim * B.artin() + B.deg() * A.artin() - degree_correction(A, B)
     return lhs, rhs
 
@@ -245,15 +317,16 @@ def swan_bound(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
 def tame_identity(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
     """Block-level identity for the tame part when both conductors exceed 1.
 
-    lhs = dim(AxB) - deg(AxB); rhs is the four-term expansion in the
-    per-factor tame parts and the degree correction.
+    lhs = dim(AxB) - deg(AxB), from the class-average tensor product; rhs
+    is the four-term expansion in the per-factor tame parts and the degree
+    correction, from the kernel.
     """
-    _common_model(A, B)
+    model = _common_model(A, B)
     aA, aB = A.artin(), B.artin()
     if not (aA > 1 and aB > 1):
         raise PreconditionError("both conductor exponents must exceed 1")
-    prod = tensor(A.rho, B.rho)
-    lhs = Fraction(prod.dim - prod.degree())
+    blocks = class_tensor(A.rho, B.rho)
+    lhs = Fraction(sum(n * s.dim for s, n in blocks) - class_degree(model, blocks))
     tameA = A.dim - A.deg()
     tameB = B.dim - B.deg()
     rhs = Fraction(A.dim * tameB + B.dim * tameA - tameA * tameB

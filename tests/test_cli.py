@@ -415,3 +415,41 @@ def test_verify_opens_one_pool_per_call(capsys, monkeypatch):
     _, par, _ = run_cli(capsys, *base, "--workers", "2")
     assert opened == [2]
     assert par == seq
+
+
+def test_sharpness_refuses_a_prime_above_the_order_cap_before_computing(capsys,
+                                                                        monkeypatch):
+    from tensorcond import jacobians
+
+    def never(*args):
+        raise AssertionError("computed before the order cap was checked")
+    monkeypatch.setattr(jacobians, "affine", never)
+    monkeypatch.setattr(jacobians, "disc_valuation", never)
+    code, out, err = run_cli(capsys, "sharpness", "--p", "1009")
+    assert code == 2 and out == ""
+    assert "--p" in err and "above the cap" in err
+    code, out, err = run_cli(capsys, "sharpness", "--max-p", "1009")
+    assert code == 2 and out == ""
+    assert "--max-p" in err and "Aff(47)" in err
+
+
+def test_sharpness_refuses_a_sweep_without_an_odd_prime(capsys):
+    code, out, err = run_cli(capsys, "sharpness", "--max-p", "2")
+    assert code == 2 and out == ""
+    assert "--max-p" in err and "no odd prime" in err
+
+
+@pytest.mark.parametrize("chain, message", [
+    ([[99]], "generator index 99 out of range"),
+    ([[4], [1]], "chain is not descending"),
+])
+def test_bound_and_global_name_a_malformed_chain(tmp_path, capsys, chain, message):
+    doc = dict(BOUND_DOC, model=dict(BOUND_DOC["model"], chain=chain))
+    code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "model.chain: " + message in err
+    doc = make_global_doc()
+    doc["primes"][1]["model"]["chain"] = [[99]] if chain == [[99]] else [[0], [1]]
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "primes[1].model.chain: " in err

@@ -1,0 +1,113 @@
+"""Malformed `bound`, `global` and `replay` documents exit 2 with a message.
+
+Each example takes a valid document on a small group (order at most 9),
+deletes one field or replaces one value (at any depth, the whole document
+included) with one that no field accepts, and runs the command in process:
+it must return 2, print nothing on stdout and one `input error:` or
+`error:` line on stderr, and raise nothing.
+"""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from tensorcond.cli import main
+from tensorcond.corpus import load_corpus
+from tensorcond.suites import SUITES
+
+from test_cli import BOUND_DOC, make_global_doc
+
+# values no field accepts: not an integer, not a vector, not a chain
+BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3), st.just({}), st.just([[99]]), st.just([-1]),
+    st.just([None]), st.just({"kind": "cyclic"}))
+
+
+def _paths(doc, prefix=()):
+    """Every place in a JSON document: the root, and each key and index."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, delete, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _run(command, doc):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", "-", "--format", "machine"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _replay_documents():
+    corpus = load_corpus()
+    docs = []
+    for name, index in (("conductor-bound", 0), ("semistable", 1), ("global", 0)):
+        inputs, _ = SUITES[name].generate(corpus, 0, index)
+        docs.append({"suite": name, **inputs})
+    return docs
+
+
+BASES = {"bound": [BOUND_DOC], "global": [make_global_doc()],
+         "replay": _replay_documents()}
+
+
+@st.composite
+def malformed(draw, command):
+    doc = draw(st.sampled_from(BASES[command]))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return _mutated(doc, path, draw(st.booleans()), draw(BAD_VALUES))
+
+
+def _assert_refused(command, doc):
+    code, out, err = _run(command, doc)
+    assert code == 2, (doc, out, err)
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("input error: ", "error: ")), err
+
+
+def test_the_base_documents_are_valid():
+    for command, docs in BASES.items():
+        for doc in docs:
+            assert _run(command, doc)[0] == 0, (command, doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed("bound"))
+def test_malformed_bound_documents_exit_2(doc):
+    _assert_refused("bound", doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed("global"))
+def test_malformed_global_documents_exit_2(doc):
+    _assert_refused("global", doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed("replay"))
+def test_malformed_replay_documents_exit_2(doc):
+    _assert_refused("replay", doc)

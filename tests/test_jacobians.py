@@ -117,3 +117,34 @@ def test_verify_sharpness_all_primes():
         assert report.conductor_rhs == report.a_tensor
     assert verify_sharpness(validate_params(3, 2)).a_tensor == 10
     assert verify_sharpness(validate_params(5, 2)).a_tensor == 36
+
+
+def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
+    """One affine group shared by both models, one discriminant per alpha,
+    and no character table: the blocks are read by class averages."""
+    from tensorcond import jacobians
+    groups, discs = [], []
+    real_affine, real_disc = jacobians.affine, jacobians.disc_valuation
+
+    def counting_affine(p):
+        groups.append(real_affine(p))
+        return groups[-1]
+
+    def counting_disc(p, alpha):
+        discs.append(alpha)
+        return real_disc(p, alpha)
+    monkeypatch.setattr(jacobians, "affine", counting_affine)
+    monkeypatch.setattr(jacobians, "disc_valuation", counting_disc)
+    for p in (3, 7):
+        groups.clear(), discs.clear()
+        a = smallest_valid_unit(p)
+        assert verify_sharpness(validate_params(p, a)).equal
+        assert len(groups) == 1 and sorted(discs) == sorted([a, p])
+        assert groups[0]._char_table is None
+
+
+def test_validate_params_refuses_a_group_above_the_order_cap():
+    from tensorcond.errors import GroupConstructionError
+    assert validate_params(43, smallest_valid_unit(43)).p == 43
+    with pytest.raises(GroupConstructionError, match="above the cap"):
+        validate_params(47, 2)

@@ -225,3 +225,13 @@ def test_forced_step_failure_off_the_named_level_replays(corpus, monkeypatch):
         doc = dict(item.counterexample, level=0)
         verdict = replay(doc)
         assert verdict["ok"] is False and verdict["lhs"] == verdict["rhs"]
+
+
+def test_forced_kernel_degree_failure_fails_tame_identity(corpus, monkeypatch):
+    """The tame identity compares the class-average tensor product with the
+    kernel: a kernel degree one too large breaks it, in run and in replay.
+    (Were both sides on the kernel, the shift would cancel.)"""
+    from tensorcond.weildeligne import WDRep
+    real = WDRep.degree
+    monkeypatch.setattr(WDRep, "degree", lambda self: real(self) + 1)
+    assert len(_forced_failures(corpus, "tame-identity")) == 4

@@ -225,3 +225,95 @@ def test_abvar_rho_is_built_once_per_datum(q8_model):
     assert A.rho == WDRep(q8_model, [(A.tau, 1), (A.sigma, 2)])
     B = AbVarDatum(q8_model, A.tau, A.sigma)
     assert B == A and B.rho is not A.rho and B.rho == A.rho
+
+
+def _class_blocks(rho):
+    """rho's blocks with each character as plain class values, no vector."""
+    return [(ClassFunction(s.group, s.values), n) for s, n in rho.blocks]
+
+
+def test_kernel_matches_class_averages_on_every_model_chain():
+    """Artin, Swan, degree and dim of A, B and A x B from multiplicity
+    vectors against the class-average path, on sampled data over every
+    model chain of the corpus (so on every corpus group)."""
+    from tensorcond.weildeligne import class_artin, class_degree, class_tensor
+    corpus = load_corpus()
+    for idx, chain in enumerate(corpus.model_chains()):
+        model = chain.model()
+        for s in range(2):
+            A = gen_abvar(model, f"kernel:{idx}:{s}:a")
+            B = gen_abvar(model, f"kernel:{idx}:{s}:b")
+            for rho, blocks in ((A.rho, _class_blocks(A.rho)),
+                                (B.rho, _class_blocks(B.rho)),
+                                (tensor(A.rho, B.rho), class_tensor(A.rho, B.rho))):
+                assert rho.artin_conductor() == class_artin(model, blocks), chain.label
+                assert rho.swan_conductor() == sum(
+                    (n * model.swan(c) for c, n in blocks), Fraction(0)), chain.label
+                assert rho.degree() == class_degree(model, blocks), chain.label
+                assert rho.dim == sum(n * c.dim for c, n in blocks), chain.label
+            assert A.dim == A.tau.values[0].integer_value() \
+                + 2 * A.sigma.values[0].integer_value()
+
+
+def test_vector_predicates_match_class_function_predicates():
+    """Symplectic, self-dual and rational on vectors against the same
+    predicates on the assembled class values, on every corpus group, for
+    vectors that pass and vectors that fail each of them."""
+    import random
+    from tensorcond.chars import is_rational_charpoly, is_symplectic, rational_atoms
+    corpus = load_corpus()
+    seen = set()
+    for entry in corpus.entries:
+        T = character_table(entry.group)
+        rng = random.Random(f"predicates:{entry.name}")
+        atoms = [vec for vec, _ in rational_atoms(T)]
+        for trial in range(30):
+            if trial % 3:
+                vec = [rng.choice((0, 0, 1, 2)) for _ in range(len(T))]
+            else:  # orbit sums, doubled: all three hold until one entry moves
+                vec = [2 * sum(col) for col in zip(*rng.sample(atoms, min(2, len(atoms))))]
+                if trial % 2:
+                    vec[rng.randrange(len(T))] += 1
+            chi = ClassFunction(entry.group, T.assemble(vec).values)
+            got = (T.is_symplectic_mults(vec), T.is_self_dual_mults(vec),
+                   T.is_rational_mults(vec))
+            want = (is_symplectic(chi), chi.dual() == chi, is_rational_charpoly(chi))
+            assert got == want, (entry.name, vec)
+            seen.update(enumerate(got))
+    assert seen == {(k, v) for k in range(3) for v in (False, True)}
+
+
+def test_a_virtual_tau_or_sigma_is_refused_when_the_datum_is_built(q8_model):
+    from tensorcond.errors import NonCharacterError
+    T = character_table(q8_model.group)
+    triv = T.index_of_trivial()
+    good = [2 if i == triv else 0 for i in range(len(T))]
+    virtual = [-1 if i == triv else 0 for i in range(len(T))]
+    with pytest.raises(NonCharacterError):
+        AbVarDatum(q8_model, T.assemble(good), T.assemble(virtual))
+    with pytest.raises(NonCharacterError):
+        AbVarDatum(q8_model, T.assemble([-m for m in good]), T.assemble(good))
+    with pytest.raises(NonCharacterError):
+        WDRep(q8_model, [(T.assemble(virtual), 2)])
+
+
+def test_structure_constants_are_multiplicities_of_products():
+    for entry in load_corpus().entries:
+        T = character_table(entry.group)
+        for i in range(len(T)):
+            for j in range(i, len(T)):
+                prod = T.multiplicities(T.irreducibles[i] * T.irreducibles[j])
+                assert T.structure_constants(i, j) == tuple(
+                    (k, n) for k, n in enumerate(prod) if n), (entry.name, i, j)
+
+
+def test_assembled_values_match_a_sum_of_scaled_irreducibles(q8_model):
+    T = character_table(q8_model.group)
+    vec = [3, 0, 1, 2, 1]
+    chi = T.assemble(vec)
+    total = ClassFunction.zero(q8_model.group)
+    for m, psi in zip(vec, T.irreducibles):
+        total = total + psi.scale(m)
+    assert [v.key() for v in chi.values] == [v.key() for v in total.values]
+    assert chi.dim == total.dim and chi.scale(2).mults == (6, 0, 2, 4, 2)
+    assert T.character(total).mults == chi.mults
