@@ -2,9 +2,8 @@
 Weil-Deligne block data, with brute-force character-theoretic oracles."""
 
 from .chars import (Character, ClassFunction, CharacterTable, character_table,
-                    fixed_dim, frobenius_schur, gen_character, gen_rational,
-                    gen_symplectic, inner_product, is_rational_charpoly,
-                    is_symplectic, restrict)
+                    fixed_dim, frobenius_schur, gen_character, inner_product,
+                    is_rational_charpoly, is_symplectic, restrict)
 from .cyclo import CycloNum
 from .filtration import (ConductorReport, conductor, conductor_exponent,
                          min_sum_bound, nonfixed_dim, pgroup_tensor_bound,

@@ -19,8 +19,8 @@ independent oracle for these averages.
 A `Character` is a class function held as its multiplicity vector over a
 table; `CharacterTable.assemble` returns one, and its class values are only
 assembled when something reads them.  The table caches what the integer
-kernel of `weildeligne` needs to work on vectors alone: the fixed dimensions
-of each irreducible on a subgroup, the structure constants of tensor
+kernels of `weildeligne` and `filtration` need: the fixed dimensions of
+each irreducible on a subgroup, the structure constants of tensor
 products, and the symplectic, self-dual and rational criteria.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import wraps
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -243,6 +244,10 @@ class Character(ClassFunction):
     def is_zero(self) -> bool:
         return not any(self.mults)
 
+    def fixed(self, subgroup: Subgroup) -> int:
+        """dim chi^H from the vector and the table's `fixed_dims`."""
+        return sum(map(mul, self.mults, self.table.fixed_dims(subgroup)))
+
     def scale(self, n: int) -> "Character":
         return Character(self.table, [n * m for m in self.mults])
 
@@ -262,7 +267,7 @@ class CharacterTable:
 
     __slots__ = ("group", "irreducibles", "degrees", "modulus", "_weighted_conj",
                  "_dual_index", "_fs", "_orbits", "_trivial", "_fixed", "_products",
-                 "_mod_q")
+                 "_mod_q", "_atoms")
 
     def __init__(self, group: FiniteGroup, irreducibles: Sequence[ClassFunction],
                  modulus: int):
@@ -289,6 +294,7 @@ class CharacterTable:
         self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
         self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
         self._mod_q = None      # the irreducibles' values mod q, and conjugated
+        self._atoms = {}        # generator atom lists, by builder (`_per_table`)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -753,11 +759,11 @@ def frobenius_schur(psi: ClassFunction) -> int:
 
 def is_symplectic(chi: ClassFunction) -> bool:
     """Whether chi carries an invariant non-degenerate alternating form: the
-    multiplicity criterion of `CharacterTable.is_symplectic_mults` on the
-    decomposition of chi's class values (False if chi is no character)."""
+    multiplicity criterion of `CharacterTable.is_symplectic_mults` on chi's
+    vector (`CharacterTable.character`; False if chi is no character)."""
     T = character_table(chi.group)
     try:
-        mults = T.multiplicities(chi)
+        mults = T.character(chi).mults
     except NonCharacterError:
         return False
     return T.is_symplectic_mults(mults)
@@ -792,17 +798,7 @@ def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     """Random nonnegative multiplicity vector over the irreducibles, of
     dimension <= budget."""
     T = character_table(group)
-    rng = _rng("char", seed)
-    mults = [0] * len(T)
-    dim = 0
-    for _ in range(rng.randint(0, budget)):
-        cands = [i for i, d in enumerate(T.degrees) if dim + d <= budget]
-        if not cands:
-            break
-        i = rng.choice(cands)
-        mults[i] += 1
-        dim += T.degrees[i]
-    return mults
+    return _combine_atoms(T, irreducible_atoms(T), _rng("char", seed), budget, budget)
 
 
 def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
@@ -810,9 +806,26 @@ def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     return character_table(group).assemble(gen_character_mults(group, seed, budget))
 
 
-def symplectic_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
+def _per_table(build):
+    """Keep an atom-list builder's result, as a tuple, on the table: the
+    seeded generators draw from the same atoms every item."""
+    def cached(T: CharacterTable) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        if build not in T._atoms:
+            T._atoms[build] = tuple(build(T))
+        return T._atoms[build]
+    return wraps(build)(cached)
+
+
+@_per_table
+def irreducible_atoms(T: CharacterTable):
+    """The irreducibles as (multiplicity vector, dim)."""
+    for i, d in enumerate(T.degrees):
+        yield tuple(int(j == i) for j in range(len(T))), d
+
+
+@_per_table
+def symplectic_atoms(T: CharacterTable):
     """Minimal symplectic building blocks as (multiplicity vector, dim)."""
-    atoms = []
     fs = T.fs_indicators
     dual_ix = T.dual_index
     r = len(T)
@@ -820,34 +833,40 @@ def symplectic_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
         vec = [0] * r
         if fs[i] == -1:
             vec[i] = 1
-            atoms.append((tuple(vec), T.degrees[i]))
+            yield tuple(vec), T.degrees[i]
         elif fs[i] == 1:
             vec[i] = 2
-            atoms.append((tuple(vec), 2 * T.degrees[i]))
+            yield tuple(vec), 2 * T.degrees[i]
         elif i <= dual_ix[i]:
             vec[i] += 1
             vec[dual_ix[i]] += 1
-            atoms.append((tuple(vec), 2 * T.degrees[i]))
-    return atoms
+            yield tuple(vec), 2 * T.degrees[i]
 
 
-def rational_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
+@_per_table
+def rational_atoms(T: CharacterTable):
     """Galois-orbit sums: the minimal characters with all-rational values."""
-    atoms = []
     r = len(T)
     for orbit in T.galois_orbits:
-        vec = [0] * r
-        for i in orbit:
-            vec[i] = 1
-        atoms.append((tuple(vec), sum(T.degrees[i] for i in orbit)))
-    return atoms
+        yield (tuple(int(i in orbit) for i in range(r)),
+               sum(T.degrees[i] for i in orbit))
 
 
-def _combine_atoms(T: CharacterTable, atoms, rng: random.Random,
-                   budget: int, ensure_nonzero: bool) -> List[int]:
+@_per_table
+def symplectic_rational_atoms(T: CharacterTable):
+    """Galois-orbit sums, doubled on orthogonal orbits so that they are
+    symplectic as well as rational."""
+    return [(tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
+            else (vec, d) for vec, d in rational_atoms(T)]
+
+
+def _combine_atoms(T: CharacterTable, atoms, rng: random.Random, budget: int,
+                   rounds: int, ensure_nonzero: bool = False) -> List[int]:
+    """Sum of up to ``rounds`` atoms drawn at random, of total dimension <=
+    budget (with ``ensure_nonzero`` the smallest atom if none was drawn)."""
     mults = [0] * len(T)
     dim = 0
-    for _ in range(rng.randint(0, max(budget, 1))):
+    for _ in range(rng.randint(0, rounds)):
         cands = [a for a in atoms if dim + a[1] <= budget]
         if not cands:
             break
@@ -866,7 +885,8 @@ def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     if budget < 2:
         raise ValueError("symplectic characters need budget >= 2")
     T = character_table(group)
-    return _combine_atoms(T, symplectic_atoms(T), _rng("symp", seed), budget, True)
+    return _combine_atoms(T, symplectic_atoms(T), _rng("symp", seed), budget, budget,
+                          ensure_nonzero=True)
 
 
 def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
@@ -875,18 +895,5 @@ def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     if budget < 1:
         raise ValueError("rational characters need budget >= 1")
     T = character_table(group)
-    return _combine_atoms(T, rational_atoms(T), _rng("rat", seed), budget, True)
-
-
-def gen_symplectic(group: FiniteGroup, seed, budget: int) -> ClassFunction:
-    """Seeded random symplectic character of total dimension <= budget."""
-    chi = character_table(group).assemble(gen_symplectic_mults(group, seed, budget))
-    assert is_symplectic(chi)
-    return chi
-
-
-def gen_rational(group: FiniteGroup, seed, budget: int) -> ClassFunction:
-    """Seeded random character with rational characteristic polynomials."""
-    chi = character_table(group).assemble(gen_rational_mults(group, seed, budget))
-    assert is_rational_charpoly(chi)
-    return chi
+    return _combine_atoms(T, rational_atoms(T), _rng("rat", seed), budget, budget,
+                          ensure_nonzero=True)

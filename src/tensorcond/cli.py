@@ -20,13 +20,13 @@ from typing import List, Optional
 
 from .chars import character_table
 from .corpus import load_corpus
-from .errors import InputError, TensorCondError
+from .errors import (InputError, TensorCondError, generator_lists, int_field,
+                     require)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
                           rankin_selberg_bound)
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, generator_lists,
-                     int_field, replay, require, run_suite_range)
+from .suites import DEFAULT_SEEDS, SUITES, abvar_datum, replay, run_suite_range
 from .weildeligne import (InertiaModel, conductor_bound,
                           degree_correction, tensor, uniform_bound)
 

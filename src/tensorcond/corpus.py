@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CorpusError, TensorCondError
-from .groups import FiniteGroup, Filtration, build_group, filtration_from_generators
+from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
+                     int_field, is_int, require)
+from .groups import (FiniteGroup, Filtration, build_group, filtration_from_generators,
+                     pgroup_prime)
 from .weildeligne import InertiaModel
 
 CORPUS_VERSION = 1
@@ -60,16 +62,6 @@ class CorpusEntry:
     group: FiniteGroup
     chains: List[CorpusChain]
 
-    def pgroup_prime(self) -> Optional[int]:
-        """The prime p if the group is a p-group, else None."""
-        n = self.group.order
-        for p in range(2, n + 1):
-            if n % p == 0:
-                while n % p == 0:
-                    n //= p
-                return p if n == 1 else None
-        return None
-
 
 class Corpus:
     def __init__(self, entries: List[CorpusEntry], version: int):
@@ -83,13 +75,12 @@ class Corpus:
     def model_chains(self) -> List[CorpusChain]:
         return [c for c in self.all_chains() if c.model_p is not None]
 
+    def pgroup_entries(self) -> List[Tuple[int, CorpusEntry]]:
+        """(p, entry) for every entry whose group is a p-group."""
+        return [(p, e) for e in self.entries if (p := pgroup_prime(e.group.order))]
+
     def pgroup_chains(self) -> List[Tuple[int, CorpusChain]]:
-        out = []
-        for e in self.entries:
-            p = e.pgroup_prime()
-            if p is not None:
-                out.extend((p, c) for c in e.chains)
-        return out
+        return [(p, c) for p, e in self.pgroup_entries() for c in e.chains]
 
     def integral_model_chains(self) -> List[CorpusChain]:
         return [c for c in self.model_chains() if c.is_integral_shape()]
@@ -112,6 +103,41 @@ def _builtin_corpus_text() -> str:
     return resources.files("tensorcond").joinpath("data/corpus.json").read_text()
 
 
+def _name(doc, where: str) -> str:
+    name = require(doc, "name", where)
+    if not isinstance(name, str):
+        raise InputError(f"'{where}name' must be a string, not {name!r}")
+    return name
+
+
+def read_chain(doc, group: FiniteGroup, entry_name: str, name: str,
+               where: str) -> CorpusChain:
+    """The chain that a corpus chain object, or a document's chain
+    reference, gives on the group: its `subgroups` and optional `model_p`."""
+    gen_lists = generator_lists(require(doc, "subgroups", where), f"{where}subgroups")
+    model_p = None if doc.get("model_p") is None else int_field(doc, "model_p", where)
+    try:
+        filt = filtration_from_generators(group, gen_lists)
+    except TensorCondError as err:
+        raise InputError(f"{where}subgroups: {err}") from err
+    return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
+
+
+def _entry(doc, where: str) -> CorpusEntry:
+    """One corpus entry; an error names the entry and the field."""
+    name = _name(doc, where)
+    try:
+        group = build_group(require(doc, "group", where))
+        chains = require(doc, "chains", where)
+        if not isinstance(chains, list) or not chains:
+            raise InputError(f"'{where}chains' must be a nonempty list of chain objects")
+        return CorpusEntry(name, group, [
+            read_chain(c, group, name, _name(c, f"{where}chains[{k}]."),
+                       f"{where}chains[{k}].") for k, c in enumerate(chains)])
+    except TensorCondError as err:
+        raise InputError(f"entry {name!r}: {err}") from err
+
+
 def load_corpus(path: Optional[str] = None) -> Corpus:
     """Load and validate a corpus file (default: the packaged one)."""
     if path is None:
@@ -129,23 +155,13 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
     if not isinstance(doc, dict):
         raise CorpusError("corpus must be a JSON object")
     version = doc.get("version")
-    if version != CORPUS_VERSION:
+    if not is_int(version) or version != CORPUS_VERSION:
         raise CorpusError(f"unknown corpus version {version!r} (expected {CORPUS_VERSION})")
-    entries = []
-    for e in doc.get("entries", []):
-        if not isinstance(e, dict):
-            raise CorpusError(f"malformed corpus entry {e!r}: expected an object")
-        try:
-            group = build_group(e["group"])
-            chains = []
-            for c in e["chains"]:
-                gen_lists = tuple(tuple(g) for g in c["subgroups"])
-                filt = filtration_from_generators(group, gen_lists)
-                chains.append(CorpusChain(e["name"], c["name"], gen_lists, filt,
-                                          c.get("model_p")))
-            entries.append(CorpusEntry(e["name"], group, chains))
-        except (KeyError, TypeError, TensorCondError) as err:
-            raise CorpusError(f"malformed corpus entry {e.get('name')!r}: {err}") from err
-    if not entries:
-        raise CorpusError("corpus contains no entries")
+    try:
+        entries = require(doc, "entries")
+        if not isinstance(entries, list) or not entries:
+            raise InputError("'entries' must be a nonempty list of entry objects")
+        entries = [_entry(e, f"entries[{j}].") for j, e in enumerate(entries)]
+    except TensorCondError as err:
+        raise CorpusError(f"malformed corpus: {err}") from err
     return Corpus(entries, version)

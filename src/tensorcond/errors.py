@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the document-field readers that raise InputError."""
 
 
 class TensorCondError(Exception):
@@ -63,3 +63,37 @@ class CorpusError(TensorCondError, ValueError):
 
 class InputError(TensorCondError, ValueError):
     """Malformed CLI input document (exit code 2)."""
+
+
+# -- document fields: corpus files, suite documents and the CLI's documents are
+# read through these; ``where`` is the path of the enclosing object, such as
+# "entries[2].chains[1]."
+
+
+def require(doc, key: str, where: str = ""):
+    """doc[key], or an InputError naming the field."""
+    if not isinstance(doc, dict):
+        raise InputError(f"{where.rstrip('.') or 'document'}: expected a JSON object")
+    if key not in doc:
+        raise InputError(f"missing field '{where}{key}'")
+    return doc[key]
+
+
+def is_int(value) -> bool:
+    """An integer that is not a boolean (JSON true and false are not numbers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_field(doc, key: str, where: str = "") -> int:
+    value = require(doc, key, where)
+    if not is_int(value):
+        raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
+    return value
+
+
+def generator_lists(value, name: str) -> list:
+    if not isinstance(value, list) or not all(
+            isinstance(gens, list) and all(map(is_int, gens)) for gens in value):
+        raise InputError(f"'{name}' must be a list of generator lists (lists "
+                         f"of element indices), not {value!r}")
+    return value

@@ -8,15 +8,19 @@ the building blocks are, per level i,
 
 and the conductor exponent is the sum of nonfixed_dim / [G_0 : G_i] over
 all levels.  Everything is an exact rational; denominators divide |G_0|.
+
+`nonfixed_dim`, `tensor_fixed_excess` and `conductor` average class values;
+they are the oracle.  The tensor bounds work on multiplicity vectors, and
+the per-level identity takes one side from each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .chars import ClassFunction, fixed_dim, is_rational_charpoly, is_symplectic
+from .chars import ClassFunction, character_table, fixed_dim, is_symplectic
 from .errors import (NotPGroupError, NotRationalError, NotSymplecticError,
                      PreconditionError)
 from .groups import Filtration
@@ -90,21 +94,28 @@ def conductor_exponent(tau: ClassFunction, filt: Filtration) -> Fraction:
 
 
 def tensor_level_identity(tau1: ClassFunction, tau2: ClassFunction,
-                          filt: Filtration, i: int) -> Tuple[int, int]:
-    """Both sides of the per-level tensor identity.
+                          filt: Filtration) -> List[Tuple[int, int]]:
+    """Both sides of the per-level tensor identity, at every level i:
 
     lhs = |t1| a_i(t2) + |t2| a_i(t1) - a_i(t1 x t2)
     rhs = a_i(t1) a_i(t2) + excess_i(t1, t2)
 
-    The two are equal; returning both lets the test suites compare them
-    through entirely separate character averages.
+    lhs takes the product's vector from the table's structure constants
+    (`CharacterTable.tensor_mults`), rhs the excess from the class-by-class
+    product t1 * t2 (`fixed_dim`), so a wrong structure constant or a wrong
+    class product makes them differ.
     """
-    a1 = nonfixed_dim(tau1, filt, i)
-    a2 = nonfixed_dim(tau2, filt, i)
-    a12 = nonfixed_dim(tau1 * tau2, filt, i)
-    lhs = tau1.dim * a2 + tau2.dim * a1 - a12
-    rhs = a1 * a2 + tensor_fixed_excess(tau1, tau2, filt, i)
-    return lhs, rhs
+    T = character_table(filt.parent)
+    c1, c2 = T.character(tau1), T.character(tau2)
+    c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
+    product = tau1 * tau2
+    sides = []
+    for H in filt.chain:
+        f1, f2 = c1.fixed(H), c2.fixed(H)
+        a1, a2 = c1.dim - f1, c2.dim - f2
+        lhs = c1.dim * a2 + c2.dim * a1 - (c12.dim - c12.fixed(H))
+        sides.append((lhs, a1 * a2 + fixed_dim(product, H) - f1 * f2))
+    return sides
 
 
 def min_sum_bound(M: Fraction, a: Sequence[Fraction], b: Sequence[Fraction],
@@ -142,9 +153,8 @@ def symplectic_tensor_bound(tau1: ClassFunction, tau2: ClassFunction,
     lhs = a(t1 x t2), rhs = |t1| a(t2) + |t2| a(t1) - 2 min(a(t1), a(t2))
     - excess(t1, t2); the contract is lhs <= rhs.
     """
-    for t in (tau1, tau2):
-        if not is_symplectic(t):
-            raise NotSymplecticError("both inputs must be symplectic characters")
+    if not (is_symplectic(tau1) and is_symplectic(tau2)):
+        raise NotSymplecticError("both inputs must be symplectic characters")
     return _tensor_bound(tau1, tau2, filt, Fraction(2))
 
 
@@ -152,18 +162,24 @@ def pgroup_tensor_bound(tau1: ClassFunction, tau2: ClassFunction,
                         filt: Filtration, p: int) -> Tuple[Fraction, Fraction]:
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
-    if not filt.parent.is_pgroup(p):
+    if not filt[0].is_pgroup(p):
         raise NotPGroupError(f"{filt.parent.name} is not a {p}-group")
-    for t in (tau1, tau2):
-        if not is_rational_charpoly(t):
-            raise NotRationalError("both inputs must have rational characteristic polynomials")
+    T = character_table(filt.parent)
+    if not all(T.is_rational_mults(T.character(t).mults) for t in (tau1, tau2)):
+        raise NotRationalError("both inputs must have rational characteristic polynomials")
     return _tensor_bound(tau1, tau2, filt, Fraction(p - 1))
 
 
-def _tensor_bound(tau1, tau2, filt, coeff):
-    rep = conductor(tau1, filt, tau2)
-    a1 = rep.total
-    a2 = conductor_exponent(tau2, filt)
-    lhs = conductor_exponent(tau1 * tau2, filt)
-    rhs = tau1.dim * a2 + tau2.dim * a1 - coeff * min(a1, a2) - rep.excess_total
-    return lhs, rhs
+def _tensor_bound(tau1: ClassFunction, tau2: ClassFunction, filt: Filtration,
+                  coeff: Fraction) -> Tuple[Fraction, Fraction]:
+    """The bound's sides from the vectors of tau1, tau2 and their product
+    (`tensor_mults`); level terms are weighted by 1/[G_0 : G_i] = |G_i|/|G_0|."""
+    T = character_table(filt.parent)
+    c1, c2 = T.character(tau1), T.character(tau2)
+    c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
+    order = filt.parent.order
+    a1, a2, a12 = (Fraction(sum((c.dim - c.fixed(H)) * H.size for H in filt.chain), order)
+                   for c in (c1, c2, c12))
+    excess = Fraction(sum((c12.fixed(H) - c1.fixed(H) * c2.fixed(H)) * H.size
+                          for H in filt.chain), order)
+    return a12, c1.dim * a2 + c2.dim * a1 - coeff * min(a1, a2) - excess

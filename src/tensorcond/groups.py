@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import FiltrationError, GroupConstructionError
+from .errors import FiltrationError, GroupConstructionError, is_int
 
 DEFAULT_ORDER_CAP = 2048
 
@@ -29,6 +29,14 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def pgroup_prime(order: int) -> Optional[int]:
+    """The prime p when order > 1 is a power of p, else None."""
+    p = next((d for d in range(2, order + 1) if order % d == 0), None)
+    while p and order % p == 0:
+        order //= p
+    return p if order == 1 else None
 
 
 class FiniteGroup:
@@ -133,12 +141,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def is_pgroup(self, p: int) -> bool:
-        n = self.order
-        while n % p == 0:
-            n //= p
-        return n == 1
-
     def class_power(self, ci: int, k: int) -> int:
         """Class index of g^k for g any representative of class ci."""
         key = (ci, k % self.exponent)
@@ -242,10 +244,8 @@ class Subgroup:
                    for h in G.elements() for a in self.elements)
 
     def is_pgroup(self, p: int) -> bool:
-        n = self.size
-        while n % p == 0:
-            n //= p
-        return n == 1
+        """Whether the order is a power of p (1 is a power of every p)."""
+        return self.size == 1 or pgroup_prime(self.size) == p
 
     def as_group(self):
         """The subgroup as a standalone FiniteGroup plus the embedding map.
@@ -503,7 +503,7 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
         raise GroupConstructionError(
             f"group spec {spec['kind']!r} is missing the integer field '{where}{key}'")
     value = spec[key]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise GroupConstructionError(f"'{where}{key}' must be an integer, not {value!r}")
     if value < minimum:
         raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {value}")

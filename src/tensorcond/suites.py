@@ -16,16 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chars import (CharacterTable, ClassFunction, character_table, fixed_dim,
-                    gen_character_mults, gen_rational_mults,
-                    gen_symplectic_mults, rational_atoms)
-from .corpus import Corpus, CorpusChain
-from .errors import InputError, TensorCondError
+from .chars import (Character, CharacterTable, _combine_atoms, character_table,
+                    gen_character_mults, gen_rational_mults, gen_symplectic_mults,
+                    rational_atoms, symplectic_rational_atoms)
+from .corpus import Corpus, CorpusChain, read_chain
+from .errors import InputError, TensorCondError, int_field, is_int, require
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
                           self_tensor_bound_report)
-from .groups import FiniteGroup, build_group, filtration_from_generators
+from .groups import FiniteGroup, build_group
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, conductor_bound,
@@ -57,43 +57,12 @@ def _seed(suite: str, base_seed: int, index: int, tag: str = "") -> str:
     return f"{suite}:{base_seed}:{index}:{tag}"
 
 
-# -- document fields ---------------------------------------------------------------
-#
-# Suite documents, and the `bound`/`global` documents of the CLI, are read
-# through these helpers only; a malformed field raises InputError naming it.
-
-
-def require(doc, key: str, where: str = ""):
-    """doc[key], or an InputError naming the field."""
-    if not isinstance(doc, dict):
-        raise InputError(f"{where.rstrip('.') or 'document'}: expected a JSON object")
-    if key not in doc:
-        raise InputError(f"missing field '{where}{key}'")
-    return doc[key]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def int_field(doc, key: str, where: str = "") -> int:
-    value = require(doc, key, where)
-    if not _is_int(value):
-        raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
-    return value
-
-
-def generator_lists(value, name: str) -> list:
-    if not isinstance(value, list) or not all(
-            isinstance(gens, list) and all(map(_is_int, gens)) for gens in value):
-        raise InputError(f"'{name}' must be a list of generator lists (lists "
-                         f"of element indices), not {value!r}")
-    return value
+# -- document fields (besides the readers of `errors`) -------------------------------
 
 
 def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
     if not isinstance(value, list) or len(value) != len(T) \
-            or not all(_is_int(x) and x >= 0 for x in value):
+            or not all(is_int(x) and x >= 0 for x in value):
         raise InputError(
             f"{name}: multiplicity vector must list one nonnegative integer "
             f"per irreducible ({len(T)} for this group, in the order printed "
@@ -147,21 +116,14 @@ class _Builder:
     def __call__(self, ref, name: str) -> CorpusChain:
         if not isinstance(ref, dict):
             raise InputError(f"'{name}' must be a chain reference object")
-        subgroups = generator_lists(require(ref, "subgroups", f"{name}."),
-                                    f"{name}.subgroups")
-        model_p = ref.get("model_p")
-        if model_p is not None:
-            int_field(ref, "model_p", f"{name}.")
         spec = require(ref, "group", f"{name}.")
         key = json.dumps(spec, sort_keys=True)
-        try:
-            if key not in self.groups:
+        if key not in self.groups:
+            try:
                 self.groups[key] = build_group(spec)
-            filt = filtration_from_generators(self.groups[key], subgroups)
-        except TensorCondError as err:
-            raise InputError(f"{name}: {err}") from err
-        return CorpusChain("document", name, tuple(map(tuple, subgroups)), filt,
-                           model_p)
+            except TensorCondError as err:
+                raise InputError(f"{name}.group: {err}") from err
+        return read_chain(ref, self.groups[key], "document", name, f"{name}.")
 
 
 def _chain(chains: Chains, doc, where: str = "") -> CorpusChain:
@@ -176,18 +138,11 @@ def _model(chains: Chains, doc, where: str = "") -> InertiaModel:
         raise InputError(f"{where}chain.model_p: {err}") from err
 
 
-def _char(T: CharacterTable, doc, key: str) -> ClassFunction:
+def _char(T: CharacterTable, doc, key: str) -> Character:
     return T.assemble(multiplicity_vector(T, require(doc, key), key))
 
 
 # -- abelian-variety datum generation ------------------------------------------
-
-
-def _symplectic_rational_atoms(T: CharacterTable) -> List[Tuple[Tuple[int, ...], int]]:
-    """Galois-orbit sums, doubled on orthogonal orbits so that they are
-    symplectic as well as rational."""
-    return [(tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
-            else (vec, d) for vec, d in rational_atoms(T)]
 
 
 def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
@@ -204,41 +159,21 @@ def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
     the conductor exponent at least 2.
     """
     rng = random.Random(f"abvar:{seed}")
-    tau_atoms = _symplectic_rational_atoms(T)
+    tau_atoms = symplectic_rational_atoms(T)
     sig_atoms = rational_atoms(T)
-    r = len(T)
     triv = T.index_of_trivial()
-    tau_m = [0] * r
-    sig_m = [0] * r
-
-    def add(vec, mults):
-        for i, m in enumerate(vec):
-            mults[i] += m
 
     if target_dim is None:
-        dim = 0
-        for _ in range(rng.randint(0, 4)):
-            cands = [a for a in tau_atoms if dim + a[1] <= tau_budget]
-            if not cands:
-                break
-            vec, d = rng.choice(cands)
-            add(vec, tau_m)
-            dim += d
-        dim = 0
-        for _ in range(rng.randint(0, 3)):
-            cands = [a for a in sig_atoms if dim + a[1] <= sigma_budget]
-            if not cands:
-                break
-            vec, d = rng.choice(cands)
-            add(vec, sig_m)
-            dim += d
+        tau_m = _combine_atoms(T, tau_atoms, rng, tau_budget, 4)
+        sig_m = _combine_atoms(T, sig_atoms, rng, sigma_budget, 3)
         if force_ramified and not any(m for i, m in enumerate(tau_m) if i != triv):
             nontrivial = [a for a in tau_atoms
                           if any(m for i, m in enumerate(a[0]) if i != triv)]
             vec, _ = rng.choice(nontrivial)
-            add(vec, tau_m)
+            tau_m = [m + v for m, v in zip(tau_m, vec)]
     else:
         assert target_dim % 2 == 0 and target_dim >= 2
+        tau_m, sig_m = [0] * len(T), [0] * len(T)
         rem = target_dim
         for _ in range(rng.randint(0, 6)):
             cands = [("tau", a) for a in tau_atoms if a[1] <= rem]
@@ -247,10 +182,10 @@ def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
                 break
             kind, (vec, d) = rng.choice(cands)
             if kind == "tau":
-                add(vec, tau_m)
+                tau_m = [m + v for m, v in zip(tau_m, vec)]
                 rem -= d
             else:
-                add(vec, sig_m)
+                sig_m = [m + v for m, v in zip(sig_m, vec)]
                 rem -= 2 * d
         sig_m[triv] += rem // 2
 
@@ -294,21 +229,35 @@ def _pick(pool, index: int):
     return pool[index % len(pool)]
 
 
-def _gen_step_identity(corpus, base_seed, i):
-    chain = _pick(corpus.all_chains(), i)
-    G = chain.filtration.parent
-    return ({"chain": chain.ref(),
-             "tau1": gen_character_mults(G, _seed("step", base_seed, i, "a"), 10),
-             "tau2": gen_character_mults(G, _seed("step", base_seed, i, "b"), 10)},
-            {"chain": chain.label})
+def _gen_pair(tag: str, gen, pgroup: bool = False):
+    """Generator of two vectors drawn by gen, of dimension <= 10, on a
+    corpus chain (with pgroup, on a p-group chain, and p)."""
+    def generate(corpus, base_seed, i):
+        if pgroup:
+            p, chain = _pick(corpus.pgroup_chains(), i)
+        else:
+            chain = _pick(corpus.all_chains(), i)
+        G = chain.filtration.parent
+        doc = {"chain": chain.ref(),
+               "tau1": gen(G, _seed(tag, base_seed, i, "a"), 10),
+               "tau2": gen(G, _seed(tag, base_seed, i, "b"), 10)}
+        if pgroup:
+            doc["p"] = p
+        return doc, {"chain": chain.label}
+    return generate
+
+
+def _pair(doc, chains):
+    filt = _chain(chains, doc).filtration
+    T = character_table(filt.parent)
+    return _char(T, doc, "tau1"), _char(T, doc, "tau2"), filt
 
 
 def _check_step_identity(doc, chains):
-    """Per-level tensor identity, both sides by independent averages."""
-    filt = _chain(chains, doc).filtration
-    T = character_table(filt.parent)
-    t1, t2 = _char(T, doc, "tau1"), _char(T, doc, "tau2")
-    sides = [tensor_level_identity(t1, t2, filt, lvl) for lvl in range(len(filt))]
+    """Per-level tensor identity: the product from the structure constants
+    on one side, from class values on the other."""
+    t1, t2, filt = _pair(doc, chains)
+    sides = tensor_level_identity(t1, t2, filt)
     return all(l == r for l, r in sides), {"sides": [[l, r] for l, r in sides]}
 
 
@@ -348,50 +297,28 @@ def _check_min_sum(doc, chains):
     return lhs >= rhs, {"M": str(M), "lhs": str(lhs), "rhs": str(rhs)}
 
 
-def _gen_bound(name: str, pgroup: bool):
-    def generate(corpus, base_seed, i):
-        if pgroup:
-            p, chain = _pick(corpus.pgroup_chains(), i)
-        else:
-            chain = _pick(corpus.all_chains(), i)
-        gen = gen_rational_mults if pgroup else gen_symplectic_mults
-        G = chain.filtration.parent
-        doc = {"chain": chain.ref(),
-               "tau1": gen(G, _seed(name, base_seed, i, "a"), 10),
-               "tau2": gen(G, _seed(name, base_seed, i, "b"), 10)}
-        if pgroup:
-            doc["p"] = p
-        return doc, {"chain": chain.label}
-    return generate
-
-
-def _bound_inputs(doc, chains):
-    filt = _chain(chains, doc).filtration
-    T = character_table(filt.parent)
-    return _char(T, doc, "tau1"), _char(T, doc, "tau2"), filt
-
-
 def _check_symplectic_bound(doc, chains):
-    lhs, rhs = symplectic_tensor_bound(*_bound_inputs(doc, chains))
+    lhs, rhs = symplectic_tensor_bound(*_pair(doc, chains))
     return _sides(lhs <= rhs, lhs, rhs)
 
 
 def _check_pgroup_bound(doc, chains):
-    lhs, rhs = pgroup_tensor_bound(*_bound_inputs(doc, chains), int_field(doc, "p"))
+    lhs, rhs = pgroup_tensor_bound(*_pair(doc, chains), int_field(doc, "p"))
     return _sides(lhs <= rhs, lhs, rhs)
 
 
-def _gen_gap(tag: str, pgroup: bool):
+def _gen_gap(tag: str, gen, pgroup: bool = False):
+    """Generator of one vector drawn by gen on all the chains of a corpus
+    entry (with pgroup, of a p-group entry, and p)."""
     def generate(corpus, base_seed, i):
         if pgroup:
-            entry = _pick([e for e in corpus.entries if e.pgroup_prime()], i)
+            p, entry = _pick(corpus.pgroup_entries(), i)
         else:
             entry = _pick(corpus.entries, i)
-        gen = gen_rational_mults if pgroup else gen_symplectic_mults
         doc = {"chains": [c.ref() for c in entry.chains],
                "tau": gen(entry.group, _seed(tag, base_seed, i, "t"), 10)}
         if pgroup:
-            doc["p"] = entry.pgroup_prime()
+            doc["p"] = p
         return doc, {"entry": entry.name}
     return generate
 
@@ -410,7 +337,7 @@ def _gaps(doc, chains) -> List[int]:
     for chain in resolved:
         for H in chain.filtration.chain:
             subgroups.setdefault(H.elements, H)
-    return [tau.dim - fixed_dim(tau, H) for H in subgroups.values()]
+    return [tau.dim - tau.fixed(H) for H in subgroups.values()]
 
 
 def _check_symplectic_parity(doc, chains):
@@ -579,17 +506,18 @@ def _count_gaps(doc, detail):
 
 
 SUITES: Dict[str, Suite] = {
-    "step-identity": Suite(_gen_step_identity, _check_step_identity, 1000,
-                           checks=lambda doc, detail: len(detail["sides"]),
+    "step-identity": Suite(_gen_pair("step", gen_character_mults), _check_step_identity,
+                           1000, checks=lambda doc, detail: len(detail["sides"]),
                            show=_show_level),
     "min-sum": Suite(_gen_min_sum, _check_min_sum, 500),
-    "symplectic-bound": Suite(_gen_bound("symplectic-bound", False),
+    "symplectic-bound": Suite(_gen_pair("symplectic-bound", gen_symplectic_mults),
                               _check_symplectic_bound, 500),
-    "pgroup-bound": Suite(_gen_bound("pgroup-bound", True), _check_pgroup_bound, 500),
-    "symplectic-parity": Suite(_gen_gap("parity", False), _check_symplectic_parity,
-                               300, checks=_count_gaps),
-    "pgroup-gap": Suite(_gen_gap("gap", True), _check_pgroup_gap, 300,
-                        checks=_count_gaps),
+    "pgroup-bound": Suite(_gen_pair("pgroup-bound", gen_rational_mults, pgroup=True),
+                          _check_pgroup_bound, 500),
+    "symplectic-parity": Suite(_gen_gap("parity", gen_symplectic_mults),
+                               _check_symplectic_parity, 300, checks=_count_gaps),
+    "pgroup-gap": Suite(_gen_gap("gap", gen_rational_mults, pgroup=True),
+                        _check_pgroup_gap, 300, checks=_count_gaps),
     "semistable": Suite(
         _gen_wd("semistable", A=gen_semistable_mults, B=gen_abvar_mults),
         _check_semistable, 200),

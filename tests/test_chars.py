@@ -4,7 +4,7 @@ import pytest
 
 from tensorcond.chars import (ClassFunction, character_table, dual, dsum,
                               fixed_dim, frobenius_schur, gen_character,
-                              gen_rational, gen_symplectic, inner_product,
+                              gen_rational_mults, gen_symplectic_mults, inner_product,
                               is_rational_charpoly, is_symplectic, restrict,
                               tensor)
 from tensorcond.errors import NonCharacterError
@@ -173,24 +173,29 @@ def test_is_rational_charpoly():
 
 
 def test_generators_satisfy_postconditions():
+    """Checked on class values: the symplectic vectors through a fresh
+    decomposition, the rational ones by the characteristic polynomials."""
     for G in (quaternion8(), heisenberg(3), cyclic(8), affine(5)):
+        T = character_table(G)
         for s in range(12):
-            assert is_symplectic(gen_symplectic(G, s, 8))
-            assert is_rational_charpoly(gen_rational(G, s, 12))
+            symp = T.assemble(gen_symplectic_mults(G, s, 8))
+            assert is_symplectic(ClassFunction(G, symp.values))
+            assert is_rational_charpoly(T.assemble(gen_rational_mults(G, s, 12)))
             chi = gen_character(G, s, 9)
             assert chi.dim <= 9
 
 
 def test_generator_budget_caps():
     for G in (quaternion8(), heisenberg(3)):
+        T = character_table(G)
         for s in range(8):
-            assert gen_symplectic(G, s, 6).dim <= 6
-            assert gen_rational(G, s, 7).dim <= 7
+            assert T.assemble(gen_symplectic_mults(G, s, 6)).dim <= 6
+            assert T.assemble(gen_rational_mults(G, s, 7)).dim <= 7
             assert gen_character(G, s, 5).dim <= 5
     with pytest.raises(ValueError):
-        gen_symplectic(quaternion8(), 0, 1)
+        gen_symplectic_mults(quaternion8(), 0, 1)
     with pytest.raises(ValueError):
-        gen_rational(quaternion8(), 0, 0)
+        gen_rational_mults(quaternion8(), 0, 0)
 
 
 def test_gen_character_sample_space_c2():

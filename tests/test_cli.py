@@ -250,7 +250,7 @@ def test_replay_subcommand(tmp_path, capsys):
     T = character_table(G)
     t1 = gen_character(G, "cli:r1", 6)
     t2 = gen_character(G, "cli:r2", 6)
-    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration, 0)
+    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration)[0]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 0,
@@ -384,6 +384,39 @@ def test_verify_names_the_corpus_entry_with_a_bad_group_parameter(tmp_path, caps
                              "--seeds", "2", "--corpus", str(corpus))
     assert code == 2 and out == ""
     assert "'bad'" in err and "'n'" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("model_p", "2"), ("subgroups", [[True]]), ("name", None)])
+def test_verify_names_the_malformed_corpus_field(tmp_path, capsys, field, value):
+    """A chain field of the wrong type, or a missing chain name (value
+    None), exits 2 naming the field and its entry."""
+    from importlib import resources
+    doc = json.loads(resources.files("tensorcond").joinpath("data/corpus.json").read_text())
+    chain = doc["entries"][0]["chains"][0]
+    if value is None:
+        del chain[field]
+    else:
+        chain[field] = value
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--suite", "step-identity",
+                             "--seeds", "2", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert f"'entries[0].chains[0].{field}'" in err and "'c4'" in err
+
+
+def test_verify_machine_output_digest(capsys):
+    """The machine output of every suite, 30 items each at seed 0, which
+    covers every model chain of the corpus.  The digest was recorded from
+    the class-value filtration suites; a change that alters any verdict,
+    detail or check count changes it."""
+    import hashlib
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "machine",
+                           "--seeds", "30", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ecabfbb3d8792373cb61ed6e4a220b1f88a40550f710bb2d4eda7316df103e9f"
 
 
 def test_verify_opens_one_pool_per_call(capsys, monkeypatch):

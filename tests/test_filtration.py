@@ -83,9 +83,9 @@ def test_excess_not_monotone_counterexample(q8_setup):
 
 def test_tensor_level_identity_worked(q8_setup):
     Q, T, chi2, filt = q8_setup
-    assert tensor_level_identity(chi2, chi2, filt, 1) == (8, 8)
+    assert tensor_level_identity(chi2, chi2, filt)[1] == (8, 8)
     triv = ClassFunction.trivial(Q)
-    assert tensor_level_identity(triv, triv, filt, 0) == (0, 0)
+    assert tensor_level_identity(triv, triv, filt)[0] == (0, 0)
 
 
 def test_tensor_level_identity_random_heisenberg():
@@ -94,8 +94,7 @@ def test_tensor_level_identity_random_heisenberg():
     for s in range(30):
         t1 = gen_character(H, f"h:{s}:a", 12)
         t2 = gen_character(H, f"h:{s}:b", 12)
-        for i in range(len(filt)):
-            lhs, rhs = tensor_level_identity(t1, t2, filt, i)
+        for lhs, rhs in tensor_level_identity(t1, t2, filt):
             assert lhs == rhs
 
 
@@ -186,3 +185,18 @@ def test_monotone_terms_and_denominators_across_corpus():
         # denominators divide the group order
         assert G.order % rep.total.denominator == 0
         assert G.order % rep.excess_total.denominator == 0
+
+
+def test_conductor_level_terms_match_the_kernel_on_every_corpus_chain():
+    """`conductor` averages the assembled class values; Character.fixed
+    dots the vector with the table's fixed dimensions.  They agree for
+    every irreducible and a random character on every corpus chain."""
+    from tensorcond.corpus import load_corpus
+    for idx, chain in enumerate(load_corpus().all_chains()):
+        G = chain.filtration.parent
+        T = character_table(G)
+        chars = [T.assemble([int(j == i) for j in range(len(T))]) for i in range(len(T))]
+        chars.append(gen_character(G, f"kernel:{idx}", 10))
+        for chi in chars:
+            kernel = tuple(chi.dim - chi.fixed(H) for H in chain.filtration.chain)
+            assert conductor(chi, chain.filtration).level_terms == kernel, chain.label

@@ -1,4 +1,5 @@
-"""Malformed `bound`, `global` and `replay` documents exit 2 with a message.
+"""Malformed `bound`, `global` and `replay` documents, and corpus files,
+exit 2 with a message.
 
 Each example takes a valid document on a small group (order at most 9),
 deletes one field or replaces one value (at any depth, the whole document
@@ -10,7 +11,10 @@ it must return 2, print nothing on stdout and one `input error:` or
 import contextlib
 import io
 import json
+import os
 import sys
+import tempfile
+from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
@@ -82,7 +86,10 @@ def malformed(draw, command):
 
 
 def _assert_refused(command, doc):
-    code, out, err = _run(command, doc)
+    _assert_exit_2(*_run(command, doc), doc)
+
+
+def _assert_exit_2(code, out, err, doc):
     assert code == 2, (doc, out, err)
     assert out == ""
     lines = err.splitlines()
@@ -111,3 +118,38 @@ def test_malformed_global_documents_exit_2(doc):
 @given(malformed("replay"))
 def test_malformed_replay_documents_exit_2(doc):
     _assert_refused("replay", doc)
+
+
+def _small_corpus():
+    """The packaged corpus cut to its C4 and C5 entries."""
+    doc = json.loads(resources.files("tensorcond").joinpath("data/corpus.json").read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["name"] in ("c4", "c5")]
+    return doc
+
+
+CORPUS = _small_corpus()
+
+
+def _keeps_the_corpus_valid(path, delete, value):
+    """A chain's model_p is optional, and a name may be any string."""
+    key = path[-1] if path else None
+    return (key == "model_p" and (delete or value is None)) or \
+        (key == "name" and not delete and isinstance(value, str))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(_paths(CORPUS))), st.booleans(), BAD_VALUES)
+def test_malformed_corpus_files_exit_2(path, delete, value):
+    doc = _mutated(CORPUS, path, delete, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "corpus.json")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--suite", "step-identity", "--seeds", "2",
+                         "--corpus", corpus])
+    if _keeps_the_corpus_valid(path, delete, value):
+        assert code == 0, (doc, err.getvalue())
+    else:
+        _assert_exit_2(code, out.getvalue(), err.getvalue(), doc)

@@ -4,7 +4,7 @@ from tensorcond.errors import FiltrationError, GroupConstructionError
 from tensorcond.groups import (affine, build_group, cyclic, dihedral,
                                direct_product, elementary_abelian,
                                filtration_from_generators, heisenberg,
-                               make_filtration, power_map, quaternion8,
+                               make_filtration, pgroup_prime, power_map, quaternion8,
                                subgroup_generated, trivial_subgroup,
                                whole_group, Subgroup)
 
@@ -196,3 +196,11 @@ def test_order_cap_refuses_before_any_construction(monkeypatch):
             build_group(spec)
     with pytest.raises(GroupConstructionError, match="exceeds cap"):
         build_group({"kind": "quaternion8"}, max_order=7)
+
+
+def test_pgroup_prime():
+    assert [pgroup_prime(n) for n in (1, 2, 8, 9, 12, 25, 27, 343, 812)] == \
+        [None, 2, 2, 3, None, 5, 3, 7, None]
+    H = subgroup_generated(cyclic(8), [4])
+    assert H.is_pgroup(2) and not H.is_pgroup(4) and not H.is_pgroup(1)
+    assert subgroup_generated(cyclic(8), []).is_pgroup(3)

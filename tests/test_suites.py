@@ -88,7 +88,7 @@ def test_counterexample_replay_roundtrip(corpus):
     T = character_table(G)
     t1 = gen_character(G, "r1", 8)
     t2 = gen_character(G, "r2", 8)
-    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration, 1)
+    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration)[1]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 1,
@@ -165,10 +165,10 @@ def test_replay_agrees_with_run_on_every_suite(corpus):
             assert replay(doc)["ok"] == item.ok, (name, item.index)
 
 
-def _forced_failures(corpus, name):
-    """Run items 0-3 of a suite whose compared quantity is patched; every
-    failing item's counterexample must replay as a failure too."""
-    failed = [r for r in run_suite_range(name, corpus, 0, 4, base_seed=0)
+def _forced_failures(corpus, name, count=4):
+    """Run items 0 to count-1 of a suite whose compared quantity is patched;
+    every failing item's counterexample must replay as a failure too."""
+    failed = [r for r in run_suite_range(name, corpus, 0, count, base_seed=0)
               if not r.ok]
     assert failed
     for item in failed:
@@ -217,9 +217,9 @@ def test_forced_step_failure_off_the_named_level_replays(corpus, monkeypatch):
     from tensorcond import suites
     real = suites.tensor_level_identity
 
-    def broken(t1, t2, filt, level):
-        lhs, rhs = real(t1, t2, filt, level)
-        return lhs, rhs + (level == 1)
+    def broken(t1, t2, filt):
+        return [(lhs, rhs + (level == 1))
+                for level, (lhs, rhs) in enumerate(real(t1, t2, filt))]
     monkeypatch.setattr(suites, "tensor_level_identity", broken)
     for item in _forced_failures(corpus, "step-identity"):
         doc = dict(item.counterexample, level=0)
@@ -235,3 +235,61 @@ def test_forced_kernel_degree_failure_fails_tame_identity(corpus, monkeypatch):
     real = WDRep.degree
     monkeypatch.setattr(WDRep, "degree", lambda self: real(self) + 1)
     assert len(_forced_failures(corpus, "tame-identity")) == 4
+
+
+def test_forced_class_product_failure_fails_step_identity(corpus, monkeypatch):
+    """A class-by-class product with the right dimension and wrong values,
+    (d1 d2) times the trivial character, breaks the per-level identity in
+    run and in replay: its rhs reads the product's class values, its lhs
+    the structure constants.  (Were both sides on class values, the wrong
+    product would cancel.)"""
+    from tensorcond.chars import ClassFunction
+    monkeypatch.setattr(ClassFunction, "__mul__", lambda self, other: ClassFunction.trivial(
+        self.group).scale(self.dim * other.dim))
+    assert len(_forced_failures(corpus, "step-identity", 30)) >= 20
+
+
+def test_forced_structure_constant_failure_fails_the_filtration_bounds(monkeypatch):
+    """One wrong structure constant, trivial x trivial gaining a nontrivial
+    irreducible, breaks step-identity against the class-value side, and
+    symplectic-bound and pgroup-bound through the product's dimension, in
+    run and in replay.  A fresh corpus, so that no table holds a product
+    from before the patch."""
+    from tensorcond.chars import CharacterTable
+    real = CharacterTable.structure_constants
+
+    def bumped(self, i, j):
+        t = self.index_of_trivial()
+        extra = (((t + 1) % len(self), 1),) if i == j == t else ()
+        return real(self, i, j) + extra
+    monkeypatch.setattr(CharacterTable, "structure_constants", bumped)
+    fresh = load_corpus()
+    for name in ("step-identity", "symplectic-bound", "pgroup-bound"):
+        _forced_failures(fresh, name, 30)
+
+
+def test_no_suite_decomposes_a_vector(corpus, monkeypatch):
+    """Every suite reads its characters as the vectors it generated: none
+    calls CharacterTable.multiplicities."""
+    from tensorcond.chars import CharacterTable
+    calls = []
+    real = CharacterTable.multiplicities
+
+    def counting(self, chi):
+        calls.append(1)
+        return real(self, chi)
+    monkeypatch.setattr(CharacterTable, "multiplicities", counting)
+    for name in SUITES:
+        run_suite_range(name, corpus, 0, 30, base_seed=0)
+        assert not calls, name
+
+
+def test_pgroup_bound_refuses_a_p_that_does_not_match_the_group(corpus):
+    """p = 4 on C4 (not prime), p = 0 and p = 1 (no group is a 1-group)
+    are refused as input, never divided by or looped on."""
+    from tensorcond.errors import NotPGroupError
+    inputs, _ = SUITES["pgroup-bound"].generate(corpus, 0, 0)
+    assert inputs["chain"]["group"] == {"kind": "cyclic", "n": 4}
+    for p in (4, 0, 1):
+        with pytest.raises(NotPGroupError):
+            replay({"suite": "pgroup-bound", **inputs, "p": p})
