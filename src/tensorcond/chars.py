@@ -2,10 +2,11 @@
 
 Representations are modelled by their characters only; every quantity the
 package computes (conductor terms, degrees, fixed spaces) is a character
-average.  Tables are found with the class-multiplication-coefficient method:
-simultaneous eigenvectors of the integer class algebra over a finite field
-F_q with q = 1 mod exponent(G), lifted to exact cyclotomic values through a
-fixed root-of-unity correspondence and normalised by orthogonality.
+average.  Tables are found by the Dixon-Schneider method over F_q, q > |G|
+a prime = 1 mod exponent(G): Krylov projections of the identity class
+vector split it, one class matrix (built on demand) at a time, into the
+central characters, whose values are lifted to exact cyclotomics by one
+inverse DFT per class that is not a power of a class of higher order.
 
 The averages `fixed_dim`, `CharacterTable.multiplicities`, the table's
 orthogonality check and the Frobenius-Schur sum are taken in the exponent
@@ -36,8 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 from .cyclo import CycloNum, exponent_sum_value
 from .errors import NonCharacterError, TableComputationError
 from .groups import FiniteGroup, Subgroup, is_prime
-
-Rational = Fraction
 
 
 class ClassFunction:
@@ -450,7 +449,8 @@ class CharacterTable:
     @property
     def fs_indicators(self) -> Tuple[int, ...]:
         if self._fs is None:
-            self._fs = tuple(frobenius_schur(psi) for psi in self.irreducibles)
+            # the rows were proved irreducible by `_validate_table`
+            self._fs = tuple(_indicator(psi) for psi in self.irreducibles)
         return self._fs
 
     @property
@@ -489,50 +489,12 @@ class CharacterTable:
 
 
 def _mat_vec(m, v, q):
-    return [sum(a * b for a, b in zip(row, v)) % q for row in m]
-
-
-def _rref(rows, q):
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [x * inv % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def _charpoly(mat, q):
-    """Monic characteristic polynomial mod q, ascending coefficients."""
-    n = len(mat)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    N = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*N))
-        M = [[sum(map(mul, row, col)) % q for col in cols] for row in mat]
-        tr = sum(M[i][i] for i in range(n)) % q
-        ck = (-tr * pow(k, -1, q)) % q
-        coeffs[n - k] = ck
-        N = [[(M[i][j] + (ck if i == j else 0)) % q for j in range(n)]
-             for i in range(n)]
-    return coeffs
+    return [sum(map(mul, row, v)) % q for row in m]
 
 
 def _poly_roots_mod(coeffs, q):
+    """The roots in F_q of a polynomial with ascending coefficients, found
+    by trying each residue until as many as its degree are found."""
     roots = []
     for lam in range(q):
         acc = 0
@@ -540,31 +502,15 @@ def _poly_roots_mod(coeffs, q):
             acc = (acc * lam + c) % q
         if acc == 0:
             roots.append(lam)
+            if len(roots) == len(coeffs) - 1:
+                break
     return roots
 
 
-def _kernel(mat, q):
-    """Basis of the kernel of a square matrix mod q."""
-    n = len(mat)
-    rows, pivots = _rref(mat, q)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][fc]) % q
-        basis.append(vec)
-    return basis
-
-
 def _smallest_table_prime(group: FiniteGroup) -> int:
-    q = group.order + 1
     e = group.exponent
-    q += (-(q - 1)) % e  # smallest q > |G| with q = 1 mod e
-    while not is_prime(q):
-        q += e
-    return q
+    q = group.order + 1 + (-group.order) % e  # smallest q > |G| with q = 1 mod e
+    return q if is_prime(q) else _next_table_prime(q, e)
 
 
 def _next_table_prime(q: int, e: int) -> int:
@@ -585,93 +531,121 @@ def _primitive_root_of_unity(e: int, q: int) -> int:
     raise TableComputationError(f"no primitive {e}-th root of unity mod {q}")
 
 
-def _class_matrices(group: FiniteGroup):
-    """Integer class algebra matrices: (M_i)[j][k] counts products landing in class k."""
+def _class_matrix(group: FiniteGroup, i: int):
+    """The class algebra matrix of class i: (M_i)[j][k] = #{x in K_i :
+    x^-1 z_k in K_j}, z_k the representative of class k, that is the number
+    of ways z_k = x y with x in K_i and y in K_j.  |K_i| r products."""
     r = len(group.classes)
-    cnt = [[[0] * r for _ in range(r)] for _ in range(r)]
+    mat = [[0] * r for _ in range(r)]
     cls = group.class_of
-    table = group.table
-    for x in range(group.order):
-        cx = cls[x]
-        row = table[x]
-        for y in range(group.order):
-            cnt[cx][cls[y]][cls[row[y]]] += 1
-    sizes = group.class_sizes
-    mats = []
-    for i in range(r):
-        mat = [[cnt[i][j][k] // sizes[k] for k in range(r)] for j in range(r)]
-        mats.append(mat)
-    return mats
+    inv_rows = [group.table[group.inverses[x]] for x in group.classes[i]]
+    for k, z in enumerate(group.class_reps):
+        for row in inv_rows:
+            mat[cls[row[z]]][k] += 1
+    return mat
 
 
-def _joint_eigenvectors(mats, r, q):
-    """Split F_q^r into the common one-dimensional eigenspaces of the class
-    matrices.  Returns r vectors normalised to have first coordinate 1."""
-    identity = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    spaces = [_rref(identity, q)[0]]
-    for mat in mats[1:]:
-        if all(len(b) == 1 for b in spaces):
+def _split_piece(mat, u, q):
+    """The projections of u onto the eigenspaces of M that it meets.
+
+    The Krylov vectors u, Mu, ... are reduced until one depends on the
+    earlier ones: the dependency is u's minimal polynomial m.  It must have
+    deg m distinct roots in F_q, and (m/(x - lam))(M) u, a combination of
+    the Krylov vectors, is the piece of u for the root lam."""
+    krylov = [u]
+    echelon = []  # (pivot, reduced vector with 1 there, its Krylov combination)
+    while True:
+        w = krylov[-1]
+        combo = [0] * (len(krylov) - 1) + [1]
+        for piv, row, rc in echelon:
+            f = w[piv]
+            if f:
+                w = [(a - f * b) % q for a, b in zip(w, row)]
+                for t, c in enumerate(rc):
+                    combo[t] = (combo[t] - f * c) % q
+        piv = next((j for j, x in enumerate(w) if x), None)
+        if piv is None:
             break
-        next_spaces = []
-        for basis in spaces:
-            if len(basis) == 1:
-                next_spaces.append(basis)
-                continue
-            rows, pivots = _rref(basis, q)
-            k = len(rows)
-            images = [_mat_vec(mat, b, q) for b in rows]
-            # coordinates w.r.t. an RREF basis are read off at the pivots
-            R = [[images[t][pivots[s]] % q for t in range(k)] for s in range(k)]
-            covered = 0
-            for lam in _poly_roots_mod(_charpoly(R, q), q):
-                shifted = [[(R[i][j] - (lam if i == j else 0)) % q for j in range(k)]
-                           for i in range(k)]
-                sub = []
-                for kv in _kernel(shifted, q):
-                    vec = [0] * r
-                    for t, mu in enumerate(kv):
-                        if mu:
-                            for j in range(r):
-                                vec[j] = (vec[j] + mu * rows[t][j]) % q
-                    sub.append(vec)
-                if sub:
-                    covered += len(sub)
-                    next_spaces.append(_rref(sub, q)[0])
-            if covered != k:
-                raise TableComputationError("class matrix is not split semisimple mod q")
-        spaces = next_spaces
+        inv = pow(w[piv], -1, q)
+        echelon.append((piv, [x * inv % q for x in w], [c * inv % q for c in combo]))
+        krylov.append(_mat_vec(mat, krylov[-1], q))
+    # sum_t combo[t] M^t u = 0: combo is u's monic minimal polynomial
+    d = len(combo) - 1
+    if d == 1:
+        return [u]
+    roots = _poly_roots_mod(combo, q)
+    if len(roots) != d:
+        raise TableComputationError("class matrix is not split semisimple mod q")
+    cols = list(zip(*krylov[:d]))
+    pieces = []
+    for lam in roots:
+        quot = [0] * d  # m / (x - lam), by synthetic division from the top
+        quot[-1] = 1
+        for t in range(d - 1, 0, -1):
+            quot[t - 1] = (combo[t] + lam * quot[t]) % q
+        pieces.append([sum(map(mul, quot, col)) % q for col in cols])
+    return pieces
+
+
+def _joint_eigenvectors(group: FiniteGroup, q: int):
+    """The r central characters mod q, normalised to first coordinate 1.
+
+    The identity class vector is sum_chi (chi(1)^2/|G|) omega_chi, each
+    coefficient a unit mod q > |G|, so a piece of the split is held as its
+    projection onto a sum of eigenspaces.  Class matrices, smallest class
+    first and each built when reached, split the pieces until there are r."""
+    r = len(group.classes)
+    pieces = [[1] + [0] * (r - 1)]  # the identity class comes first
+    for i in sorted(range(1, r), key=group.class_sizes.__getitem__):
+        if len(pieces) == r:
+            break
+        mat = _class_matrix(group, i)
+        pieces = [w for u in pieces for w in _split_piece(mat, u, q)]
+    if len(pieces) != r:
+        raise TableComputationError(f"found {len(pieces)} lines, expected {r}")
     vectors = []
-    for basis in spaces:
-        if len(basis) != 1:
-            raise TableComputationError("class algebra did not split into lines")
-        v = basis[0]
-        if v[0] % q == 0:
+    for v in pieces:
+        if v[0] == 0:
             raise TableComputationError("eigenvector with vanishing identity coordinate")
         inv = pow(v[0], -1, q)
         vectors.append([x * inv % q for x in v])
-    if len(vectors) != r:
-        raise TableComputationError(f"found {len(vectors)} lines, expected {r}")
     return vectors
 
 
 def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
-    """Recover exact character values from the mod-q central characters."""
+    """Recover exact character values from the mod-q central characters.
+
+    The eigenvalue multiplicities of rho(g) come from one inverse DFT over
+    the values at g^k, k < n = ord(g); those of rho(g^k) are the same
+    multiplicities moved from zeta_n^j to zeta_n^(jk).  So the classes are
+    taken by decreasing element order, and a DFT is run only for a class
+    that is not a power of one taken before."""
     r = len(group.classes)
     e = group.exponent
     inv_class = group.inverse_class
     size_inv = [pow(size, -1, q) for size in group.class_sizes]
     w = _primitive_root_of_unity(e, q)
-    # shared by every row: per element order n, the inverse DFT matrix
-    # zeta_n^(-jk) mod q; per class of order n, the classes of g^k, k < n
+    orders = [group.element_orders[rep] for rep in group.class_reps]
+    # shared by every row: per DFT class, the classes of g^k, the DFT matrix
+    # zeta_n^(-jk), and per power class the index t of zeta_n^(jk) = zeta_m^t
     dft_mats = {}
-    class_dfts = []
-    for c in range(r):
-        n = group.element_orders[group.class_reps[c]]
+    plan = []
+    reached = [False] * r
+    for c in sorted(range(r), key=lambda c: -orders[c]):
+        if reached[c]:
+            continue
+        n = orders[c]
         if n not in dft_mats:
             zinv = pow(pow(w, e // n, q), -1, q)
             dft_mats[n] = [[pow(zinv, j * k, q) for k in range(n)] for j in range(n)]
-        class_dfts.append((n, [group.class_power(c, k) for k in range(n)],
-                           dft_mats[n], pow(n, -1, q)))
+        powers = [group.class_power(c, k) for k in range(n)]
+        moves = []
+        for k, ck in enumerate(powers):
+            if not reached[ck]:
+                reached[ck] = True
+                step = gcd(n, k)
+                moves.append((ck, n // step, [j * k % n // step for j in range(n)]))
+        plan.append((powers, dft_mats[n], pow(n, -1, q), moves))
     rows = []
     for v in vectors:
         s = sum(v[i] * v[inv_class[i]] * size_inv[i] for i in range(r)) % q
@@ -682,8 +656,8 @@ def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
             raise TableComputationError("no admissible degree for an eigenvector")
         # character values mod q
         x = [deg * v[i] * size_inv[i] % q for i in range(r)]
-        vals: List[CycloNum] = []
-        for n, powers, dft, ninv in class_dfts:
+        vals: List[Optional[CycloNum]] = [None] * r
+        for powers, dft, ninv, moves in plan:
             xs = [x[c] for c in powers]
             mults = []
             for zrow in dft:
@@ -693,8 +667,12 @@ def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
                 mults.append(m)
             if sum(mults) != deg:
                 raise TableComputationError("eigenvalue multiplicities do not sum to the degree")
-            # the value is sum_j mults[j] * zeta_n^j
-            vals.append(CycloNum(n, mults, reduce=True))
+            # the value at g^k is sum_j mults[j] * zeta_n^(jk)
+            for ck, order, index in moves:
+                moved = [0] * order
+                for t, m in zip(index, mults):
+                    moved[t] += m
+                vals[ck] = CycloNum(order, moved, reduce=True)
         rows.append((deg, tuple(v), vals))
     rows.sort(key=lambda t: (t[0], t[1]))
     return [row[2] for row in rows]
@@ -717,13 +695,11 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     """Complete irreducible character table (cached on the group)."""
     if group._char_table is not None:
         return group._char_table
-    r = len(group.classes)
-    mats = _class_matrices(group)
     q = _smallest_table_prime(group)
     last_err = None
     for _ in range(4):
         try:
-            vectors = _joint_eigenvectors(mats, r, q)
+            vectors = _joint_eigenvectors(group, q)
             value_rows = _lift_table(group, vectors, q)
             chars = [ClassFunction(group, row) for row in value_rows]
             table = CharacterTable(group, chars, q)
@@ -741,9 +717,14 @@ def character_table(group: FiniteGroup) -> CharacterTable:
 
 def frobenius_schur(psi: ClassFunction) -> int:
     """Indicator (1/|G|) sum psi(g^2); requires an irreducible input."""
-    G = psi.group
     if inner_product(psi, psi) != 1:
         raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
+    return _indicator(psi)
+
+
+def _indicator(psi: ClassFunction) -> int:
+    """(1/|G|) sum psi(g^2) for a psi known to be irreducible."""
+    G = psi.group
     m, rows = psi._exponent_form()
     acc = [0] * m
     for c, size in enumerate(G.class_sizes):

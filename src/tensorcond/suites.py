@@ -20,12 +20,13 @@ from .chars import (Character, CharacterTable, _combine_atoms, character_table,
                     gen_character_mults, gen_rational_mults, gen_symplectic_mults,
                     rational_atoms, symplectic_rational_atoms)
 from .corpus import Corpus, CorpusChain, read_chain
-from .errors import InputError, TensorCondError, int_field, is_int, require
+from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
+                     int_field, is_int, require)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
                           self_tensor_bound_report)
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, build_group, pgroup_prime
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, conductor_bound,
@@ -225,6 +226,13 @@ def _sides(ok: bool, lhs, rhs) -> Tuple[bool, dict]:
     return ok, {"lhs": str(lhs), "rhs": str(rhs)}
 
 
+def _pool(pool, kind: str):
+    """pool, or a CorpusError naming the kind of chain the corpus lacks."""
+    if not pool:
+        raise CorpusError(f"the corpus has no {kind}")
+    return pool
+
+
 def _pick(pool, index: int):
     return pool[index % len(pool)]
 
@@ -234,9 +242,9 @@ def _gen_pair(tag: str, gen, pgroup: bool = False):
     corpus chain (with pgroup, on a p-group chain, and p)."""
     def generate(corpus, base_seed, i):
         if pgroup:
-            p, chain = _pick(corpus.pgroup_chains(), i)
+            p, chain = _pick(_pool(corpus.pgroup_chains(), "chain on a p-group"), i)
         else:
-            chain = _pick(corpus.all_chains(), i)
+            chain = _pick(_pool(corpus.all_chains(), "chain"), i)
         G = chain.filtration.parent
         doc = {"chain": chain.ref(),
                "tau1": gen(G, _seed(tag, base_seed, i, "a"), 10),
@@ -312,7 +320,7 @@ def _gen_gap(tag: str, gen, pgroup: bool = False):
     entry (with pgroup, of a p-group entry, and p)."""
     def generate(corpus, base_seed, i):
         if pgroup:
-            p, entry = _pick(corpus.pgroup_entries(), i)
+            p, entry = _pick(_pool(corpus.pgroup_entries(), "chain on a p-group"), i)
         else:
             entry = _pick(corpus.entries, i)
         doc = {"chains": [c.ref() for c in entry.chains],
@@ -323,8 +331,9 @@ def _gen_gap(tag: str, gen, pgroup: bool = False):
     return generate
 
 
-def _gaps(doc, chains) -> List[int]:
-    """Nonfixed dimension of tau on every distinct subgroup of the chains."""
+def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
+    """Nonfixed dimension of tau on every distinct subgroup of the chains
+    (with p, chains on a p-group only)."""
     refs = require(doc, "chains")
     if not isinstance(refs, list) or not refs:
         raise InputError("'chains' must be a nonempty list of chain references")
@@ -332,6 +341,8 @@ def _gaps(doc, chains) -> List[int]:
     G = resolved[0].filtration.parent
     if any(c.filtration.parent is not G for c in resolved):
         raise InputError("'chains' must all lie on one group")
+    if p is not None and pgroup_prime(G.order) != p:
+        raise NotPGroupError(f"{G.name} is not a {p}-group")
     tau = _char(character_table(G), doc, "tau")
     subgroups = {}
     for chain in resolved:
@@ -348,7 +359,8 @@ def _check_symplectic_parity(doc, chains):
 
 def _check_pgroup_gap(doc, chains):
     """On p-groups, rational characters have nonfixed dim 0 or >= p-1."""
-    p, gaps = int_field(doc, "p"), _gaps(doc, chains)
+    p = int_field(doc, "p")
+    gaps = _gaps(doc, chains, p)
     return all(g == 0 or g >= p - 1 for g in gaps), {"p": p, "gaps": gaps}
 
 
@@ -356,7 +368,7 @@ def _gen_wd(name: str, **gens):
     """Generator over the model chains: one datum per keyword, drawn by the
     given vector generator with the keyword as its seed tag."""
     def generate(corpus, base_seed, i):
-        chain = _pick(corpus.model_chains(), i)
+        chain = _pick(_pool(corpus.model_chains(), "chain with a model_p"), i)
         T = character_table(chain.filtration.parent)
         doc = {"chain": chain.ref()}
         for key, gen in gens.items():
@@ -417,7 +429,8 @@ def _check_degree_gap(doc, chains):
 
 
 def _gen_global(corpus, base_seed, i):
-    pool = corpus.integral_model_chains()
+    pool = _pool(corpus.integral_model_chains(),
+                 "chain with a model_p whose levels are all trivial or the whole group")
     rng = random.Random(_seed("global", base_seed, i))
     dim_a = rng.randint(1, 3)
     dim_b = rng.randint(1, 3)
@@ -568,7 +581,10 @@ def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
 
     out = []
     for i in range(start, start + count):
-        doc, labels = suite.generate(corpus, base_seed, i)
+        try:
+            doc, labels = suite.generate(corpus, base_seed, i)
+        except CorpusError as err:
+            raise CorpusError(f"suite {name}: {err}") from None
         ok, detail = suite.check(doc, chains)
         ce = None if ok else {"suite": name, **doc, **detail}
         out.append(ItemResult(name, i, ok, {**labels, **detail},

@@ -3,9 +3,10 @@
 Matrix representations with exact cyclotomic entries give a second route to
 character values and fixed-space dimensions (averaging projectors); a
 dict-based root-of-unity expansion gives a second route to cyclotomic
-products.  Nothing here reuses the code paths under test: matrices know
-nothing about class functions, and the expansion oracle never multiplies
-CycloNums.
+products; counting all |G|^2 products gives a second route to the class
+algebra matrices.  Nothing here reuses the code paths under test: matrices
+know nothing about class functions, the expansion oracle never multiplies
+CycloNums, and the product count never looks at class representatives.
 """
 
 from __future__ import annotations
@@ -171,3 +172,21 @@ def dict_to_cyclo(d: Dict[int, Fraction], N: int) -> CycloNum:
     for k, c in sorted(d.items()):
         acc = acc + CycloNum.root_of_unity(N, k).scale(c)
     return acc
+
+
+# -- class algebra oracle ------------------------------------------------------------
+
+
+def class_matrices(group: FiniteGroup) -> List[List[List[int]]]:
+    """Every class algebra matrix from all |G|^2 products: (M_i)[j][k] is
+    the number of (x, y) in K_i x K_j with x y in K_k, divided by |K_k|."""
+    r = len(group.classes)
+    cnt = [[[0] * r for _ in range(r)] for _ in range(r)]
+    cls = group.class_of
+    for x in range(group.order):
+        row = group.table[x]
+        for y in range(group.order):
+            cnt[cls[x]][cls[y]][cls[row[y]]] += 1
+    sizes = group.class_sizes
+    return [[[cnt[i][j][k] // sizes[k] for k in range(r)] for j in range(r)]
+            for i in range(r)]

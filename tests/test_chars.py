@@ -12,8 +12,17 @@ from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
                                quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group)
 
-from oracles import (linear_reps_q8, permutation_rep_affine, sign_rep_affine,
-                     two_dim_rep_q8)
+from oracles import (class_matrices, linear_reps_q8, permutation_rep_affine,
+                     sign_rep_affine, two_dim_rep_q8)
+
+# groups beyond the corpus whose tables are checked byte for byte
+EXTRA_GROUPS = [
+    {"kind": "affine", "p": 7}, {"kind": "heisenberg", "p": 5},
+    {"kind": "direct_product", "factors": [{"kind": "quaternion8"},
+                                           {"kind": "cyclic", "n": 3}]},
+    {"kind": "dihedral", "n": 6}, {"kind": "cyclic", "n": 64},
+    {"kind": "elementary_abelian", "p": 2, "k": 5},
+]
 
 
 @pytest.fixture(scope="module")
@@ -370,9 +379,15 @@ def _frobenius_schur_by_cyclonums(psi):
 
 
 def test_frobenius_schur_matches_a_cyclonum_sum(corpus):
-    for entry in corpus.entries:
-        for psi in character_table(entry.group).irreducibles:
-            assert frobenius_schur(psi) == _frobenius_schur_by_cyclonums(psi), entry.name
+    """The table's indicators (summed over its validated rows) and the
+    guarded `frobenius_schur`, against a CycloNum sum."""
+    from tensorcond.groups import build_group
+    groups = [e.group for e in corpus.entries] + [build_group(s) for s in EXTRA_GROUPS]
+    for G in groups:
+        T = character_table(G)
+        want = tuple(_frobenius_schur_by_cyclonums(psi) for psi in T.irreducibles)
+        assert T.fs_indicators == want, G.name
+        assert tuple(frobenius_schur(psi) for psi in T.irreducibles) == want, G.name
 
 
 def test_irrational_averages_are_not_characters():
@@ -401,3 +416,85 @@ def test_averages_of_values_beyond_the_group_exponent(q8, q8_table):
     assert q8_table.multiplicities(promoted) == q8_table.multiplicities(chi2)
     for H in (whole_group(q8), subgroup_generated(q8, [1]), trivial_subgroup(q8)):
         assert fixed_dim(promoted, H) == fixed_dim(chi2, H)
+
+
+# -- the table build: class matrices on demand, the split, the retry ------------------
+
+# sha256 of `table --format machine`, recorded from the Faddeev-LeVerrier and
+# RREF-kernel split with one DFT per class
+TABLE_DIGESTS = {
+    "c4": "0f034139a76c6b76a07251fb297d529bd5a60b1ba4dfcc82326d77bf64406740",
+    "c8": "4127b4cd8cd4d934e2a1b1959c5b01ec82ede2b511a801722c6364ad2f84373a",
+    "c9": "2a95c6d16bb872d1ea0c2667b63ddff2d1892b8619bb858aab2f359cac320ebc",
+    "c5": "23a1f66df3bf2a54ac37ff62e1f68abeb63572825155b78675ae67611d1e49fc",
+    "c25": "0b0000ba1ee9ddfd4cbbd2b6e23d56b735450f5850872d50e36f58c84a7147f0",
+    "q8": "1bbd051a298e3a71febd2f1d8e63980e68ad7a2493f395b50b5dba4f2a4dd1e7",
+    "d4": "feb31745c7bf0479fa65fe4042a920ce03438622e0ef1cefbdf537ecf3b82ee8",
+    "heis3": "3348cafa7ec4191b74a24971e3d425a01bcbfdc37403adcba8f3b1b5c4a15fe4",
+    "ea9": "315b76e5e1b00ef9ef5562d2c8b7fa27b875a6dc271ea67880b6eae69aa8841d",
+    "aff5": "adeb8da097d92dfe1faa2a8b840c09e10d510b97df5b4e4a85dfc6f0d1df0fb2",
+    "aff7": "13e6b7278d68eb418e6ba78718617e3e535a2603243a43768a4376d9e86d5b1e",
+    "heis5": "9802f2b8f6be2ed21ae6bf82902a0bc96b36ef4e278c6c8618d6d2a96933e13d",
+    "q8xc3": "2ce0d821095816cb90bf77f91669aa0f35b15e9c39d8729ab25a9e11e792186f",
+    "d6": "fe47857e78898c97ea2758af0dad3281e08d579b2bc4e433599e83b76cd55366",
+    "c64": "e3770058d56d199b8da9570d7dabfe1232ca67544c1f09c9083f1e5e420aaa56",
+    "2^5": "32f1b26c8a5c384e0b75a166f63267ed2014b3328071adf305daec6d21a70c04",
+}
+
+
+def _digest_groups(corpus):
+    """(name, spec) of every corpus group and of EXTRA_GROUPS."""
+    extra = ["aff7", "heis5", "q8xc3", "d6", "c64", "2^5"]
+    return [(e.name, e.group.spec) for e in corpus.entries] + list(zip(extra, EXTRA_GROUPS))
+
+
+def test_table_machine_output_digests(corpus, capsys):
+    import hashlib
+    import json
+    from tensorcond.cli import main
+    groups = _digest_groups(corpus)
+    assert sorted(name for name, _ in groups) == sorted(TABLE_DIGESTS)
+    for name, spec in groups:
+        assert main(["table", "--group", json.dumps(spec), "--format", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name], name
+
+
+def test_class_matrices_on_demand_match_the_product_count(corpus):
+    from tensorcond.chars import _class_matrix
+    from tensorcond.groups import build_group
+    for name, spec in _digest_groups(corpus):
+        G = build_group(spec)
+        assert [_class_matrix(G, i) for i in range(len(G.classes))] == \
+            class_matrices(G), name
+
+
+def test_split_refuses_a_prime_that_does_not_split_the_class_algebra():
+    """Mod 5 every class matrix of C5 has the single eigenvalue 1: the
+    Krylov polynomial x^5 - 1 = (x - 1)^5 has one root, not five."""
+    from tensorcond.chars import _joint_eigenvectors
+    from tensorcond.errors import TableComputationError
+    with pytest.raises(TableComputationError, match="not split semisimple"):
+        _joint_eigenvectors(cyclic(5), 5)
+
+
+def test_table_retries_the_next_prime_after_a_failure(monkeypatch):
+    """A split forced to fail at the first prime is retried at the next
+    one; heis3's row order is the same at both primes, so the table is."""
+    from tensorcond import chars
+    from tensorcond.errors import TableComputationError
+    want = character_table(heisenberg(3))
+    real = chars._joint_eigenvectors
+    tried = []
+
+    def failing_once(group, q):
+        tried.append(q)
+        if len(tried) == 1:
+            raise TableComputationError("forced")
+        return real(group, q)
+    monkeypatch.setattr(chars, "_joint_eigenvectors", failing_once)
+    G = heisenberg(3)
+    T = character_table(G)
+    assert tried == [want.modulus, chars._next_table_prime(want.modulus, G.exponent)]
+    assert T.modulus == tried[1]
+    assert [ch.values for ch in T.irreducibles] == [ch.values for ch in want.irreducibles]

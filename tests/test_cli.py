@@ -211,19 +211,21 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
     printed and replays to the recorded verdict."""
     import dataclasses
     from tensorcond import suites as suites_mod
-    from tensorcond.chars import character_table
+    from tensorcond.chars import CharacterTable, character_table
     from tensorcond.corpus import load_corpus
     from tensorcond.suites import replay
 
     corpus = load_corpus()
     entry = corpus.entry("c9")
     T = character_table(entry.group)
-    orbit = next(o for o in T.galois_orbits if len(o) == 2)
-    # the order-3 characters have gap 2 on C9, below the p = 7 threshold
-    inputs = {"chains": [c.ref() for c in entry.chains], "p": 7,
-              "tau": [int(i in orbit) for i in range(len(T))]}
-    gaps = [2] + [0] * (len({H.elements for c in entry.chains
-                             for H in c.filtration.chain}) - 1)
+    # every fixed dimension one too small: the trivial character shows gap
+    # 1 on every subgroup, below the p = 3 threshold of 2
+    real = CharacterTable.fixed_dims
+    monkeypatch.setattr(CharacterTable, "fixed_dims",
+                        lambda self, H: tuple(f - 1 for f in real(self, H)))
+    inputs = {"chains": [c.ref() for c in entry.chains], "p": 3,
+              "tau": [int(i == T.index_of_trivial()) for i in range(len(T))]}
+    gaps = [1] * len({H.elements for c in entry.chains for H in c.filtration.chain})
     ce = {"suite": "pgroup-gap", **inputs, "gaps": gaps}
 
     broken = dataclasses.replace(
@@ -486,3 +488,31 @@ def test_bound_and_global_name_a_malformed_chain(tmp_path, capsys, chain, messag
     code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert "primes[1].model.chain: " in err
+
+
+@pytest.mark.parametrize("suite", ["pgroup-gap", "pgroup-bound", "global"])
+def test_verify_names_the_chain_kind_a_corpus_lacks(tmp_path, capsys, suite):
+    """A corpus of the aff5 entry alone has no chain on a p-group and no
+    model chain of integral shape: the suites that draw from those exit 2
+    naming themselves and the missing kind."""
+    from importlib import resources
+    doc = json.loads(resources.files("tensorcond").joinpath("data/corpus.json").read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["name"] == "aff5"]
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--seeds", "2", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    kind = "model_p" if suite == "global" else "chain on a p-group"
+    assert f"suite {suite}: the corpus has no" in err and kind in err
+
+
+def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_path,
+                                                                         capsys):
+    from tensorcond.corpus import load_corpus
+    entry = load_corpus().entry("c9")
+    doc = {"suite": "pgroup-gap", "chains": [c.ref() for c in entry.chains],
+           "p": 4, "tau": [1] + [0] * 8}
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "not a 4-group" in err

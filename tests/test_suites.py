@@ -123,23 +123,21 @@ def test_default_seed_table_covers_all_suites():
     assert set(DEFAULT_SEEDS) == set(SUITES)
 
 
-def test_forced_failure_replays_to_failure(corpus):
-    """A document recording a genuine violation replays to ok = False: here
-    a 3-group gap document deliberately claims the threshold of p = 7."""
-    from tensorcond.chars import character_table, dsum, ClassFunction
+def test_forced_failure_replays_to_failure(corpus, monkeypatch):
+    """A document recording a violation replays to ok = False, the same
+    twice: here every fixed dimension is patched one too small, so the
+    trivial character of C9 shows gap 1, below the p = 3 threshold of 2."""
+    from tensorcond.chars import CharacterTable, character_table
     from tensorcond.suites import ItemResult, serialize_counterexample
+    real = CharacterTable.fixed_dims
+    monkeypatch.setattr(CharacterTable, "fixed_dims",
+                        lambda self, H: tuple(f - 1 for f in real(self, H)))
     chain = next(c for c in corpus.all_chains() if c.entry_name == "c9")
-    G = chain.filtration.parent
-    T = character_table(G)
-    # the size-2 Galois orbit (the order-3 characters) has gap 2 on G itself
-    orbit = next(o for o in T.galois_orbits if len(o) == 2)
-    tau = ClassFunction.zero(G)
-    for i in orbit:
-        tau = dsum(tau, T.irreducibles[i])
-    doc = {"suite": "pgroup-gap", "chains": [chain.ref()], "p": 7,
-           "tau": list(T.multiplicities(tau))}
+    T = character_table(chain.filtration.parent)
+    doc = {"suite": "pgroup-gap", "chains": [chain.ref()], "p": 3,
+           "tau": [int(i == T.index_of_trivial()) for i in range(len(T))]}
     verdict1 = replay(doc)
-    assert verdict1["ok"] is False and verdict1["gaps"][0] == 2
+    assert verdict1["ok"] is False and verdict1["gaps"][0] == 1
     verdict2 = replay(json.loads(json.dumps(doc)))
     assert verdict1 == verdict2
     item = ItemResult("pgroup-gap", 0, False, {}, counterexample=doc)
@@ -293,3 +291,16 @@ def test_pgroup_bound_refuses_a_p_that_does_not_match_the_group(corpus):
     for p in (4, 0, 1):
         with pytest.raises(NotPGroupError):
             replay({"suite": "pgroup-bound", **inputs, "p": p})
+
+
+def test_pgroup_gap_refuses_a_p_that_does_not_match_the_group(corpus):
+    """The same refusals for pgroup-gap, and p = 7 on C9, whose threshold
+    p - 1 = 6 the order-3 characters would fail."""
+    from tensorcond.errors import NotPGroupError
+    inputs, _ = SUITES["pgroup-gap"].generate(corpus, 0, 0)
+    assert inputs["chains"][0]["group"] == {"kind": "cyclic", "n": 4}
+    c9 = next(c for c in corpus.all_chains() if c.entry_name == "c9")
+    for doc in ({**inputs, "p": 4}, {**inputs, "p": 0}, {**inputs, "p": 1},
+                {"chains": [c9.ref()], "p": 7, "tau": [0] * 9}):
+        with pytest.raises(NotPGroupError):
+            replay({"suite": "pgroup-gap", **doc})
