@@ -22,7 +22,8 @@ table; `CharacterTable.assemble` returns one, and its class values are only
 assembled when something reads them.  The table caches what the integer
 kernels of `weildeligne` and `filtration` need: the fixed dimensions of
 each irreducible on a subgroup, the structure constants of tensor
-products, and the symplectic, self-dual and rational criteria.
+products, and the symplectic, self-dual and rational criteria, all read
+off the lift's residues (the irreducibles' values mod q): see `residues`.
 """
 
 from __future__ import annotations
@@ -264,16 +265,24 @@ class Character(ClassFunction):
 class CharacterTable:
     """The irreducible characters of a finite group, in a fixed order."""
 
-    __slots__ = ("group", "irreducibles", "degrees", "modulus", "_weighted_conj",
-                 "_dual_index", "_fs", "_orbits", "_trivial", "_fixed", "_products",
-                 "_mod_q", "_atoms")
+    __slots__ = ("group", "irreducibles", "degrees", "modulus", "residues", "_row_index",
+                 "_weighted_conj", "_dual_index", "_fs", "_orbits", "_fixed", "_products",
+                 "_atoms")
 
     def __init__(self, group: FiniteGroup, irreducibles: Sequence[ClassFunction],
-                 modulus: int):
+                 modulus: int, residues: Sequence[Sequence[int]]):
         self.group = group
         self.irreducibles = tuple(irreducibles)
         self.degrees = tuple(ch.dim for ch in irreducibles)
         self.modulus = modulus
+        # the irreducibles' values under Z[zeta_e] -> F_q, zeta_e -> w (the
+        # lift's root).  Rows of distinct irreducibles are orthogonal in F_q,
+        # |G| < q, so they differ: the dual, the Galois conjugates and the
+        # trivial character are looked up by their (class-permuted) rows.
+        # Fixed dimensions and structure constants are integers in [0, q),
+        # so their averages are taken in F_q.
+        self.residues = tuple(tuple(row) for row in residues)
+        self._row_index = {row: i for i, row in enumerate(self.residues)}
         # |c| * conj(psi(c)) for every irreducible psi and class c, in the
         # exponent form, where conjugation is k -> -k mod e: the right-hand
         # factor of every whole-group inner product with psi
@@ -288,11 +297,9 @@ class CharacterTable:
         self._dual_index = None
         self._fs = None
         self._orbits = None
-        self._trivial = None
         # filled on first use only, so a table build costs nothing more
         self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
         self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
-        self._mod_q = None      # the irreducibles' values mod q, and conjugated
         self._atoms = {}        # generator atom lists, by builder (`_per_table`)
 
     def __len__(self):
@@ -348,10 +355,16 @@ class CharacterTable:
     # -- the integer kernel: caches and criteria on multiplicity vectors ------
 
     def fixed_dims(self, subgroup: Subgroup) -> Tuple[int, ...]:
-        """f_i(H) = dim psi_i^H for every irreducible, cached per subgroup."""
+        """f_i(H) = dim psi_i^H <= deg psi_i < q for every irreducible, as
+        an average of residues in F_q, cached per subgroup."""
         dims = self._fixed.get(subgroup.elements)
         if dims is None:
-            dims = tuple(fixed_dim(psi, subgroup) for psi in self.irreducibles)
+            if subgroup.parent is not self.group:
+                raise ValueError("subgroup of a different group")
+            q = self.modulus
+            inv_size = pow(subgroup.size, -1, q)
+            counts = subgroup.class_counts
+            dims = tuple(sum(map(mul, counts, row)) * inv_size % q for row in self.residues)
             self._fixed[subgroup.elements] = dims
         return dims
 
@@ -383,33 +396,21 @@ class CharacterTable:
 
         Each N_ij^k is an integer in [0, q): at most deg psi_i deg psi_j <=
         |G| < q, q the table's prime.  So the average can be taken in F_q
-        (`_values_mod_q`), and its residue is the integer itself.
+        from the residues, and its residue is the integer itself.
         """
-        rows, conj_rows = self._values_mod_q()
         q = self.modulus
         G = self.group
+        rows = self.residues
         prod = [size * a * b % q for size, a, b in zip(G.class_sizes, rows[i], rows[j])]
+        # sum_c prod(c) psi_k(c^-1) = sum_c prod(c^-1) psi_k(c)
+        prod = [prod[c] for c in G.inverse_class]
         inv_order = pow(G.order, -1, q)
         terms = []
-        for k, conj in enumerate(conj_rows):
-            n = sum(map(mul, prod, conj)) * inv_order % q
+        for k, row in enumerate(rows):
+            n = sum(map(mul, prod, row)) * inv_order % q
             if n:
                 terms.append((k, n))
         return tuple(terms)
-
-    def _values_mod_q(self):
-        """Every irreducible's values, and their conjugates psi(g^-1), under
-        the ring map Z[zeta_e] -> F_q, zeta_e -> w, with w a primitive e-th
-        root of unity mod q (e divides q - 1)."""
-        if self._mod_q is None:
-            q, e = self.modulus, self.group.exponent
-            w = _primitive_root_of_unity(e, q)
-            wpow = [pow(w, k, q) for k in range(e)]
-            rows = [[sum(c * wpow[k] for k, c in terms) % q
-                     for terms in psi._exponent_form()[1]] for psi in self.irreducibles]
-            inv = self.group.inverse_class
-            self._mod_q = (rows, [[row[c] for c in inv] for row in rows])
-        return self._mod_q
 
     def is_symplectic_mults(self, mults: Sequence[int]) -> bool:
         """Whether the character carries an invariant non-degenerate
@@ -439,11 +440,9 @@ class CharacterTable:
     @property
     def dual_index(self) -> Tuple[int, ...]:
         if self._dual_index is None:
-            idx = []
-            for psi in self.irreducibles:
-                d = psi.dual()
-                idx.append(next(i for i, ch in enumerate(self.irreducibles) if ch == d))
-            self._dual_index = tuple(idx)
+            inv = self.group.inverse_class
+            self._dual_index = tuple(self._row_index[tuple(row[c] for c in inv)]
+                                     for row in self.residues)
         return self._dual_index
 
     @property
@@ -455,34 +454,27 @@ class CharacterTable:
 
     @property
     def galois_orbits(self) -> Tuple[Tuple[int, ...], ...]:
-        """Partition of irreducible indices under value-field conjugation."""
+        """Partition of irreducible indices under value-field conjugation:
+        psi(g^k) = sigma_k(psi(g)) for k prime to e, one class permutation
+        per distinct c -> class_power(c, k) (k = 1 included)."""
         if self._orbits is None:
             G = self.group
             e = G.exponent
+            perms = {tuple(G.class_power(c, k) for c in range(len(G.classes)))
+                     for k in range(1, e + 1) if gcd(k, e) == 1}
             seen = set()
             orbits = []
-            for i in range(len(self.irreducibles)):
-                if i in seen:
-                    continue
-                orbit = {i}
-                for k in range(1, e + 1):
-                    if gcd(k, e) != 1:
-                        continue
-                    vals = [self.irreducibles[i].values[G.class_power(c, k)]
-                            for c in range(len(G.classes))]
-                    twisted = ClassFunction(G, vals)
-                    j = next(t for t, ch in enumerate(self.irreducibles) if ch == twisted)
-                    orbit.add(j)
-                seen |= orbit
-                orbits.append(tuple(sorted(orbit)))
+            for i in range(len(self)):
+                if i not in seen:
+                    row = self.residues[i]
+                    orbit = {self._row_index[tuple(row[c] for c in perm)] for perm in perms}
+                    seen |= orbit
+                    orbits.append(tuple(sorted(orbit)))
             self._orbits = tuple(orbits)
         return self._orbits
 
     def index_of_trivial(self) -> int:
-        if self._trivial is None:
-            triv = ClassFunction.trivial(self.group)
-            self._trivial = next(i for i, ch in enumerate(self.irreducibles) if ch == triv)
-        return self._trivial
+        return self._row_index[(1,) * len(self.group.classes)]
 
 
 # modular linear algebra helpers, all over F_q for a prime q
@@ -612,8 +604,9 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
     return vectors
 
 
-def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
-    """Recover exact character values from the mod-q central characters.
+def _lift_table(group: FiniteGroup, vectors, q):
+    """Recover exact character values from the mod-q central characters:
+    (value rows, residue rows), each residue row the values mod q.
 
     The eigenvalue multiplicities of rho(g) come from one inverse DFT over
     the values at g^k, k < n = ord(g); those of rho(g^k) are the same
@@ -673,9 +666,9 @@ def _lift_table(group: FiniteGroup, vectors, q) -> List[List[CycloNum]]:
                 for t, m in zip(index, mults):
                     moved[t] += m
                 vals[ck] = CycloNum(order, moved, reduce=True)
-        rows.append((deg, tuple(v), vals))
+        rows.append((deg, tuple(v), vals, x))
     rows.sort(key=lambda t: (t[0], t[1]))
-    return [row[2] for row in rows]
+    return [row[2] for row in rows], [row[3] for row in rows]
 
 
 def _validate_table(table: CharacterTable) -> None:
@@ -700,9 +693,9 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     for _ in range(4):
         try:
             vectors = _joint_eigenvectors(group, q)
-            value_rows = _lift_table(group, vectors, q)
+            value_rows, residues = _lift_table(group, vectors, q)
             chars = [ClassFunction(group, row) for row in value_rows]
-            table = CharacterTable(group, chars, q)
+            table = CharacterTable(group, chars, q, residues)
             _validate_table(table)
             group._char_table = table
             return table

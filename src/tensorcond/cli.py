@@ -65,14 +65,18 @@ def _build_model(doc: dict, where: str) -> InertiaModel:
 
 def _worker_count(args) -> int:
     if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise InputError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+        flag, workers = "--workers", args.workers
+    else:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
+        try:
+            flag, workers = WORKERS_ENV, int(env)
+        except ValueError:
+            raise InputError(f"{WORKERS_ENV}={env!r} is not an integer") from None
+    if workers < 1:
+        raise InputError(f"{flag} must be at least 1, not {workers}")
+    return workers
 
 
 _POOL_STATE = {}
@@ -220,7 +224,9 @@ def _sharpness_family(args) -> list:
     order cap included) before any is computed.  A sweep is scanned lazily,
     so that a huge --max-p stops at the first prime above the cap."""
     if args.max_p is None:
-        flag, primes = "--p", [args.p]
+        flag, primes = "--p", [3 if args.p is None else args.p]
+    elif args.p is not None:
+        raise InputError(f"--p {args.p} and --max-p {args.max_p} exclude each other")
     else:
         flag, primes = "--max-p", (p for p in range(3, args.max_p + 1) if is_prime(p))
     try:
@@ -229,7 +235,10 @@ def _sharpness_family(args) -> list:
         raise InputError(f"{flag}: {err}") from err
     if not family:
         raise InputError(f"--max-p {args.max_p}: there is no odd prime up to {args.max_p}")
-    if args.a is not None and len(family) == 1:
+    if args.a is not None:
+        if len(family) > 1:
+            raise InputError(f"--a {args.a} needs a single prime, but --max-p "
+                             f"{args.max_p} sweeps {len(family)}")
         try:
             family = [validate_params(family[0].p, args.a)]
         except TensorCondError as err:
@@ -324,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_global.add_argument("--input", required=True, help="JSON document or - for stdin")
 
     p_sharp = sub.add_parser("sharpness", parents=[common], help="Jacobian family equalities")
-    p_sharp.add_argument("--p", type=int, default=3, help="odd prime")
+    p_sharp.add_argument("--p", type=int, default=None, help="odd prime (default: 3)")
     p_sharp.add_argument("--a", type=int, default=None,
                          help="unit representative (default: smallest valid)")
     p_sharp.add_argument("--max-p", type=int, default=None,

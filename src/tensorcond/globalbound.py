@@ -8,12 +8,13 @@ are exact exponent comparisons; there is no number-field arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 from .errors import (InconsistentInputError, NegativeExponentError)
-from .weildeligne import AbVarDatum, tensor
+from .weildeligne import AbVarDatum, WDRep, tensor
 
 
 class FactoredInteger:
@@ -57,9 +58,6 @@ class FactoredInteger:
 
     def exponent(self, p: int) -> int:
         return self.factors.get(p, 0)
-
-    def primes(self) -> List[int]:
-        return sorted(self.factors)
 
     def __mul__(self, other: "FactoredInteger") -> "FactoredInteger":
         out = dict(self.factors)
@@ -121,16 +119,21 @@ class PrimeLocalPair:
     A: AbVarDatum
     B: AbVarDatum
 
+    @cached_property
+    def product(self) -> WDRep:
+        """A x B, built once per pair (the dataclass is frozen)."""
+        return tensor(self.A.rho, self.B.rho)
+
     def summary(self) -> PrimeSummary:
         aA, aB = self.A.artin(), self.B.artin()
         if aA.denominator != 1 or aB.denominator != 1:
             raise InconsistentInputError(
                 "local conductor exponents must be integers for global data")
         return PrimeSummary(self.p, int(aA), int(aB), self.A.deg(), self.B.deg(),
-                            tensor(self.A.rho, self.B.rho).degree())
+                            self.product.degree())
 
     def tensor_exponent(self) -> Fraction:
-        return tensor(self.A.rho, self.B.rho).artin_conductor()
+        return self.product.artin_conductor()
 
 
 PrimeRecord = Union[PrimeSummary, PrimeLocalPair]
@@ -143,6 +146,7 @@ class GlobalDatum:
     dim_a: int
     dim_b: int
     primes: Tuple[PrimeRecord, ...]
+    _summaries: Tuple[PrimeSummary, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -150,15 +154,19 @@ class GlobalDatum:
             if rec.p in seen:
                 raise InconsistentInputError(f"duplicate prime {rec.p}")
             seen.add(rec.p)
-        for s in self.summaries():
+        summaries = tuple(rec if isinstance(rec, PrimeSummary) else rec.summary()
+                          for rec in self.primes)
+        for s in summaries:
             if not (0 <= s.deg_a <= 2 * self.dim_a and 0 <= s.deg_b <= 2 * self.dim_b):
                 raise InconsistentInputError(f"degree at prime {s.p} out of range")
             if s.v_a < 0 or s.v_b < 0 or s.deg_ab < 0:
                 raise InconsistentInputError(f"negative datum at prime {s.p}")
+        # the dataclass is frozen, hence object.__setattr__
+        object.__setattr__(self, "_summaries", summaries)
 
-    def summaries(self) -> List[PrimeSummary]:
-        return [rec if isinstance(rec, PrimeSummary) else rec.summary()
-                for rec in self.primes]
+    def summaries(self) -> Tuple[PrimeSummary, ...]:
+        """Each record's summary, taken once at construction."""
+        return self._summaries
 
     def conductor_a(self) -> FactoredInteger:
         return FactoredInteger({s.p: s.v_a for s in self.summaries()})

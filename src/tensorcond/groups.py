@@ -116,12 +116,6 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def power(self, g: int, k: int) -> int:
         """g**k by square-and-multiply; k may be negative."""
         if k < 0:

@@ -206,9 +206,6 @@ class BreakRep:
     def swan(self) -> Fraction:
         return sum((brk for _, brk in self.characters), Fraction(0))
 
-    def dim(self) -> int:
-        return len(self.characters)
-
 
 def _line_of(vec: Tuple[int, ...], p: int) -> Tuple[int, ...]:
     """Canonical representative of the F_p-line spanned by vec."""

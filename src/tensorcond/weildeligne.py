@@ -161,11 +161,6 @@ class WDRep:
                     blocks.append((prod, k))
         return WDRep(self.model, blocks)
 
-    def dsum(self, other: "WDRep") -> "WDRep":
-        if self.model is not other.model:
-            raise ModelMismatchError("direct sum needs a common inertia model")
-        return WDRep(self.model, list(self.blocks) + list(other.blocks))
-
     def __eq__(self, other):
         if not isinstance(other, WDRep):
             return NotImplemented

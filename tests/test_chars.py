@@ -351,8 +351,10 @@ def test_table_validation_checks_every_pair():
     # unit norms and the right degrees, but two equal rows
     rows = list(T.irreducibles)
     rows[-1] = rows[-2]
+    residues = list(T.residues)
+    residues[-1] = residues[-2]
     with pytest.raises(TableComputationError, match="orthogonality"):
-        _validate_table(CharacterTable(G, rows, T.modulus))
+        _validate_table(CharacterTable(G, rows, T.modulus, residues))
 
 
 # -- the exponent-form averages against the CycloNum oracle ------------------------
@@ -498,3 +500,80 @@ def test_table_retries_the_next_prime_after_a_failure(monkeypatch):
     assert tried == [want.modulus, chars._next_table_prime(want.modulus, G.exponent)]
     assert T.modulus == tried[1]
     assert [ch.values for ch in T.irreducibles] == [ch.values for ch in want.irreducibles]
+
+
+# -- table facts from the residues against their class-value definitions ---------------
+
+
+def _fact_groups(corpus):
+    """Every group of `_digest_groups`, plus Aff29 (exponent 812)."""
+    from tensorcond.groups import build_group
+    return [build_group(spec) for _, spec in _digest_groups(corpus)] + [affine(29)]
+
+
+def _keys(values):
+    # a class's values all have its element order as conductor, so equal
+    # values have equal keys
+    return tuple(v.key() for v in values)
+
+
+def test_dual_galois_and_trivial_lookups_match_class_values(corpus):
+    from math import gcd
+    for G in _fact_groups(corpus):
+        T = character_table(G)
+        rows = [_keys(psi.values) for psi in T.irreducibles]
+        index = {row: i for i, row in enumerate(rows)}
+        assert len(index) == len(T), G.name
+        assert T.dual_index == tuple(index[_keys(psi.dual().values)]
+                                     for psi in T.irreducibles), G.name
+        assert T.irreducibles[T.index_of_trivial()] == ClassFunction.trivial(G), G.name
+        units = [k for k in range(1, G.exponent + 1) if gcd(k, G.exponent) == 1]
+        orbits = T.galois_orbits
+        assert sorted(i for orbit in orbits for i in orbit) == list(range(len(T))), G.name
+        assert list(orbits) == sorted(orbits) and all(list(o) == sorted(o) for o in orbits)
+        for orbit in orbits:
+            want = {rows[i] for i in orbit}
+            for i in orbit:
+                twists = {tuple(rows[i][G.class_power(c, k)] for c in range(len(G.classes)))
+                          for k in units}
+                assert twists == want, (G.name, orbit, i)
+
+
+def test_fixed_dims_match_fixed_dim_on_every_chain_subgroup(corpus):
+    for entry in corpus.entries:
+        T = character_table(entry.group)
+        for H in {H.elements: H for c in entry.chains
+                  for H in c.filtration.chain}.values():
+            assert T.fixed_dims(H) == tuple(fixed_dim(psi, H) for psi in T.irreducibles), \
+                entry.name
+    G = affine(29)
+    T = character_table(G)
+    for H in (whole_group(G), trivial_subgroup(G), subgroup_generated(G, [1])):
+        assert T.fixed_dims(H) == tuple(fixed_dim(psi, H) for psi in T.irreducibles)
+
+
+def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
+    """`fixed_dims`, the kernel rows and the Weil-Deligne kernel on fresh
+    tables, with the class-average `fixed_dim` made to raise everywhere."""
+    from tensorcond import chars, filtration, weildeligne
+    from tensorcond.groups import filtration_from_generators
+    from tensorcond.weildeligne import AbVarDatum, InertiaModel, WDRep, tensor
+
+    def oracle(*args):
+        raise AssertionError("the integer kernel called fixed_dim")
+    for mod in (chars, filtration, weildeligne):
+        monkeypatch.setattr(mod, "fixed_dim", oracle)
+    for G, gens, p in ((quaternion8(), [[4]], 2), (heisenberg(3), [[1, 9], [9]], 3)):
+        model = InertiaModel(G, filtration_from_generators(G, gens), p)
+        T = model.table
+        dims = [T.fixed_dims(H) for H in model.filtration.chain]
+        assert dims[-1] == T.degrees and dims[0][T.index_of_trivial()] == 1
+        artin, fixed = model.kernel_rows
+        assert fixed == dims[0]
+        tau = T.assemble(chars.gen_symplectic_mults(G, 0, 6))
+        sigma = T.assemble([int(i == T.index_of_trivial()) for i in range(len(T))])
+        A = AbVarDatum(model, tau, sigma)
+        rho = tensor(A.rho, A.rho)
+        assert isinstance(rho, WDRep)
+        assert rho.artin_conductor() >= 0 and rho.swan_conductor() >= 0
+        assert rho.degree() >= 0 and A.deg() >= 0

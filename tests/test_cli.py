@@ -474,6 +474,35 @@ def test_sharpness_refuses_a_sweep_without_an_odd_prime(capsys):
     assert "--max-p" in err and "no odd prime" in err
 
 
+def test_sharpness_refuses_a_unit_for_a_sweep_of_several_primes(capsys):
+    code, out, err = run_cli(capsys, "sharpness", "--max-p", "7", "--a", "10")
+    assert code == 2 and out == ""
+    assert "--a 10" in err and "--max-p 7" in err
+    # a sweep of one prime takes the unit
+    code, out, _ = run_cli(capsys, "sharpness", "--max-p", "3", "--a", "2")
+    assert code == 0
+    assert "p=3 a=2:" in out
+
+
+def test_sharpness_refuses_a_prime_together_with_a_sweep(capsys):
+    code, out, err = run_cli(capsys, "sharpness", "--p", "5", "--max-p", "7")
+    assert code == 2 and out == ""
+    assert "--p 5" in err and "--max-p 7" in err
+
+
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_verify_refuses_a_worker_count_below_one(capsys, monkeypatch, workers):
+    monkeypatch.delenv("TENSORCOND_WORKERS", raising=False)
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "2",
+                             "--workers", workers)
+    assert code == 2 and out == ""
+    assert f"--workers must be at least 1, not {workers}" in err
+    monkeypatch.setenv("TENSORCOND_WORKERS", "-2")
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "2")
+    assert code == 2 and out == ""
+    assert "TENSORCOND_WORKERS must be at least 1, not -2" in err
+
+
 @pytest.mark.parametrize("chain, message", [
     ([[99]], "generator index 99 out of range"),
     ([[4], [1]], "chain is not descending"),

@@ -110,3 +110,25 @@ def test_full_mode_rejects_fractional_exponent():
     assert A_frac.artin().denominator != 1
     with pytest.raises(InconsistentInputError):
         GlobalDatum(1, 1, (PrimeLocalPair(2, A_frac, A_frac),))
+
+
+def test_global_items_build_each_records_tensor_product_once(monkeypatch):
+    """A global item needs A x B per prime record, and A x A for the
+    self-tensor report: at most two `WDRep.tensor` calls per record."""
+    from tensorcond.suites import SUITES
+    from tensorcond.weildeligne import WDRep
+    corpus = load_corpus()
+    suite = SUITES["global"]
+    real = WDRep.tensor
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(WDRep, "tensor", counted)
+    for i in range(10):
+        doc, _ = suite.generate(corpus, 0, i)
+        calls.clear()
+        ok, _ = suite.check(doc, lambda ref, field: corpus.chain_by_ref(ref))
+        assert ok, i
+        assert 0 < len(calls) <= 2 * len(doc["primes"]), (i, len(calls), len(doc["primes"]))
