@@ -14,16 +14,15 @@ from .globalbound import (FactoredInteger, GlobalDatum, PrimeLocalPair,
                           self_tensor_bound)
 from .groups import (FiniteGroup, Filtration, Subgroup, affine, build_group,
                      cyclic, dihedral, direct_product, elementary_abelian,
-                     filtration_from_generators, heisenberg, make_filtration,
-                     power_map, quaternion8, subgroup_generated)
+                     filtration_from_generators, heisenberg, quaternion8,
+                     subgroup_generated)
 from .jacobians import (BreakRep, FamilyParams, disc_valuation,
                         jacobian_inertia_model, joint_break_model,
-                        smallest_valid_unit, swan_break, swan_jacobian,
+                        smallest_valid_unit, swan_jacobian,
                         validate_params, verify_sharpness)
-from .weildeligne import (AbVarDatum, InertiaModel, WDRep, artin_conductor,
-                          clebsch_gordan, conductor_bound, degree,
-                          degree_gap, semistable_equality, swan_bound,
-                          swan_conductor, tame_identity, tensor,
-                          uniform_bound)
+from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, WDRep,
+                          clebsch_gordan, conductor_bound, degree_gap,
+                          semistable_equality, swan_bound, tame_identity,
+                          tensor, uniform_bound)
 
 __version__ = "0.1.0"

@@ -135,18 +135,6 @@ class ClassFunction:
         return f"ClassFunction({[str(v) for v in self.values]})"
 
 
-def dsum(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    return chi + psi
-
-
-def tensor(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    return chi * psi
-
-
-def dual(chi: ClassFunction) -> ClassFunction:
-    return chi.dual()
-
-
 def inner_product(chi: ClassFunction, psi: ClassFunction,
                   subgroup: Optional[Subgroup] = None) -> Fraction:
     """<chi, psi> averaged over a subgroup (default: the whole group)."""

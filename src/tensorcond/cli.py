@@ -27,8 +27,7 @@ from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
 from .suites import DEFAULT_SEEDS, SUITES, abvar_datum, replay, run_suite_range
-from .weildeligne import (InertiaModel, conductor_bound,
-                          degree_correction, tensor, uniform_bound)
+from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
 
 WORKERS_ENV = "TENSORCOND_WORKERS"
 
@@ -146,20 +145,19 @@ def _run_verify(args, machine: bool) -> int:
 def _run_bound(args, machine: bool) -> int:
     doc = _load_document(args.input)
     model = _build_model(require(doc, "model"), "model.")
-    A = abvar_datum(model, require(doc, "A"), "A")
-    B = abvar_datum(model, require(doc, "B"), "B")
-    lhs, rhs_main, c_p = conductor_bound(A, B)
-    _, rhs_uniform, _ = uniform_bound(A, B)
-    prod = tensor(A.rho, B.rho)
+    A, B = (abvar_datum(model, require(doc, key), key) for key in ("A", "B"))
+    pair = LocalPair(A, B)
+    lhs, rhs_main, c_p = conductor_bound(pair)
+    _, rhs_uniform, _ = uniform_bound(pair)
     out = {
-        "a_A": str(A.artin()), "a_B": str(B.artin()),
-        "sw_A": str(A.swan()), "sw_B": str(B.swan()),
+        "a_A": str(A.artin_conductor()), "a_B": str(B.artin_conductor()),
+        "sw_A": str(A.swan_conductor()), "sw_B": str(B.swan_conductor()),
         "dim_A": A.dim, "dim_B": B.dim,
-        "deg_A": A.deg(), "deg_B": B.deg(), "deg_tensor": prod.degree(),
-        "degree_correction": degree_correction(A, B),
+        "deg_A": A.degree(), "deg_B": B.degree(), "deg_tensor": pair.product.degree(),
+        "degree_correction": pair.degree_correction,
         "lhs": str(lhs), "rhs_main": str(rhs_main),
         "rhs_uniform": str(rhs_uniform), "C_p": c_p,
-        "sw_tensor": str(prod.swan_conductor()),
+        "sw_tensor": str(pair.product.swan_conductor()),
         "bound_holds": lhs <= rhs_main,
     }
     if machine:
@@ -201,9 +199,7 @@ def _run_global(args, machine: bool) -> int:
     except TensorCondError as err:
         raise InputError(str(err)) from err
     ok = report.all_checks_pass()
-    out = {"bound": report.bound.to_json(), "d_term": report.d.to_json(),
-           "per_prime_check": "pass" if ok else "fail",
-           "per_prime": list(report.per_prime)}
+    out = {**report.to_json(), "per_prime_check": "pass" if ok else "fail"}
     if machine:
         print(json.dumps(out, sort_keys=True))
     else:

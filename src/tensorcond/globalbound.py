@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
 from .errors import (InconsistentInputError, NegativeExponentError)
-from .weildeligne import AbVarDatum, WDRep, tensor
+from .weildeligne import AbVarDatum, LocalPair
 
 
 class FactoredInteger:
@@ -120,20 +120,19 @@ class PrimeLocalPair:
     B: AbVarDatum
 
     @cached_property
-    def product(self) -> WDRep:
-        """A x B, built once per pair (the dataclass is frozen)."""
-        return tensor(self.A.rho, self.B.rho)
+    def pair(self) -> LocalPair:
+        return LocalPair(self.A, self.B)
 
     def summary(self) -> PrimeSummary:
-        aA, aB = self.A.artin(), self.B.artin()
+        aA, aB = self.A.artin_conductor(), self.B.artin_conductor()
         if aA.denominator != 1 or aB.denominator != 1:
             raise InconsistentInputError(
                 "local conductor exponents must be integers for global data")
-        return PrimeSummary(self.p, int(aA), int(aB), self.A.deg(), self.B.deg(),
-                            self.product.degree())
+        return PrimeSummary(self.p, int(aA), int(aB), self.A.degree(), self.B.degree(),
+                            self.pair.product.degree())
 
     def tensor_exponent(self) -> Fraction:
-        return self.product.artin_conductor()
+        return self.pair.product.artin_conductor()
 
 
 PrimeRecord = Union[PrimeSummary, PrimeLocalPair]

@@ -202,13 +202,15 @@ class Subgroup:
         member = frozenset(elems)
         if parent.identity not in member:
             raise GroupConstructionError("subgroup must contain the identity")
-        for a in elems:
-            if parent.inverses[a] not in member:
-                raise GroupConstructionError(f"subgroup not closed under inverse at {a}")
-            row = parent.table[a]
-            for b in elems:
-                if row[b] not in member:
-                    raise GroupConstructionError(f"subgroup not closed under product at ({a},{b})")
+        # a finite set closed under products is closed under inverses, and
+        # the whole group is closed by construction
+        if elems != list(range(parent.order)):
+            for a in elems:
+                row = parent.table[a]
+                for b in elems:
+                    if row[b] not in member:
+                        raise GroupConstructionError(
+                            f"subgroup not closed under product at ({a},{b})")
         self.parent = parent
         self.elements = tuple(elems)
         self.member = member
@@ -273,31 +275,23 @@ class Subgroup:
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing ``gens`` (closure under products)."""
+    """Smallest subgroup containing ``gens``: the words in the generators,
+    found by right multiplication from the identity.  In a finite group
+    these are already closed under products and inverses (each g^-1 is a
+    power of g)."""
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupConstructionError(f"generator index {g} out of range")
     seen = {G.identity}
     frontier = [G.identity]
-    gens = sorted(set(gens) | {G.identity})
     while frontier:
-        x = frontier.pop()
+        row = G.table[frontier.pop()]
         for g in gens:
-            for y in (G.table[x][g], G.table[g][x]):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    # grow until closed under internal products (gens may not be symmetric)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(seen):
-            for b in list(seen):
-                c = G.table[a][b]
-                if c not in seen:
-                    seen.add(c)
-                    changed = True
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return Subgroup(G, seen)
 
 
@@ -347,19 +341,11 @@ class Filtration:
         return f"Filtration({[s.size for s in self.chain]} on {self.parent.name})"
 
 
-def make_filtration(G: FiniteGroup, chain: Sequence[Subgroup]) -> Filtration:
-    return Filtration(G, chain)
-
-
 def filtration_from_generators(G: FiniteGroup,
                                gen_lists: Sequence[Iterable[int]]) -> Filtration:
     """Chain G > <gens_1> > <gens_2> > ... (trivial tail appended)."""
     subs = [whole_group(G)] + [subgroup_generated(G, gens) for gens in gen_lists]
     return Filtration(G, subs)
-
-
-def power_map(G: FiniteGroup, g: int, k: int) -> int:
-    return G.power(g, k)
 
 
 # -- named constructions ----------------------------------------------------

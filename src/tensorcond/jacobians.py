@@ -250,10 +250,6 @@ def tensor_break_rep(r1: BreakRep, r2: BreakRep) -> BreakRep:
     return BreakRep(p, r1.rank, tuple(chars))
 
 
-def swan_break(rep: BreakRep) -> Fraction:
-    return rep.swan()
-
-
 # -- full sharpness verification -------------------------------------------------
 
 

@@ -29,10 +29,9 @@ from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
 from .groups import FiniteGroup, build_group, pgroup_prime
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
-from .weildeligne import (AbVarDatum, InertiaModel, conductor_bound,
-                          degree_correction, degree_gap, improvement_constant,
-                          semistable_equality, swan_bound, tame_identity,
-                          uniform_bound)
+from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
+                          degree_gap, improvement_constant, semistable_equality,
+                          swan_bound, tame_identity, uniform_bound)
 
 SHARPNESS_PRIMES = (3, 5, 7, 11, 13)
 
@@ -382,50 +381,56 @@ def _data(doc, chains, *keys) -> List[AbVarDatum]:
     return [abvar_datum(model, require(doc, key), key) for key in keys]
 
 
+def _local_pair(doc, chains) -> LocalPair:
+    return LocalPair(*_data(doc, chains, "A", "B"))
+
+
 def _check_semistable(doc, chains):
-    lhs, rhs = semistable_equality(*_data(doc, chains, "A", "B"))
+    lhs, rhs = semistable_equality(_local_pair(doc, chains))
     return _sides(lhs == rhs, lhs, rhs)
 
 
 def _check_swan_bound(doc, chains):
-    lhs, rhs = swan_bound(*_data(doc, chains, "A", "B"))
+    lhs, rhs = swan_bound(_local_pair(doc, chains))
     return _sides(lhs <= rhs, lhs, rhs)
 
 
 def _check_tame_identity(doc, chains):
-    lhs, rhs = tame_identity(*_data(doc, chains, "A", "B"))
+    lhs, rhs = tame_identity(_local_pair(doc, chains))
     return _sides(lhs == rhs, lhs, rhs)
 
 
 def _check_conductor_bound(doc, chains):
-    A, B = _data(doc, chains, "A", "B")
-    lhs, rhs, C = conductor_bound(A, B)
+    pair = _local_pair(doc, chains)
+    A, B = pair.A, pair.B
+    lhs, rhs, C = conductor_bound(pair)
     ok = lhs <= rhs
     # the bound collapses to the semistable closed form when a <= 1
-    aA, aB = A.artin(), B.artin()
-    corr = degree_correction(A, B)
+    aA, aB = A.artin_conductor(), B.artin_conductor()
+    corr = pair.degree_correction
     if aA <= 1:
-        ok = ok and lhs == A.dim * aB + B.deg() * aA - corr
+        ok = ok and lhs == A.dim * aB + B.degree() * aA - corr
     elif aB <= 1:
-        ok = ok and lhs == B.dim * aA + A.deg() * aB - corr
+        ok = ok and lhs == B.dim * aA + A.degree() * aB - corr
     return ok, {"lhs": str(lhs), "rhs": str(rhs), "C": C}
 
 
 def _check_uniform_bound(doc, chains):
-    A, B = _data(doc, chains, "A", "B")
-    lhs, rhs, corr = uniform_bound(A, B)
+    pair = _local_pair(doc, chains)
+    lhs, rhs, corr = uniform_bound(pair)
     ok = lhs <= rhs
-    if improvement_constant(A, B) >= 2:
+    if improvement_constant(pair) >= 2:
         # the refined bound is at least as strong in this regime
-        ok = ok and conductor_bound(A, B)[1] <= rhs
+        ok = ok and conductor_bound(pair)[1] <= rhs
     return ok, {"lhs": str(lhs), "rhs": str(rhs), "corr": str(corr)}
 
 
 def _check_degree_gap(doc, chains):
     A, = _data(doc, chains, "A")
     gap = degree_gap(A)
-    ok = gap >= 0 and (A.artin() == 0 or gap >= 1)
-    return ok, {"gap": gap, "artin": str(A.artin())}
+    artin = A.artin_conductor()
+    ok = gap >= 0 and (artin == 0 or gap >= 1)
+    return ok, {"gap": gap, "artin": str(artin)}
 
 
 def _gen_global(corpus, base_seed, i):
@@ -469,9 +474,7 @@ def _check_global(doc, chains):
     except TensorCondError as err:
         return False, {"error": str(err)}
     return (report.all_checks_pass() and self_report.all_checks_pass(),
-            {"bound": report.bound.to_json(), "d_term": report.d.to_json(),
-             "per_prime": list(report.per_prime),
-             "self_bound": self_report.bound.to_json(),
+            {**report.to_json(), "self_bound": self_report.bound.to_json(),
              "self_per_prime": list(self_report.per_prime)})
 
 

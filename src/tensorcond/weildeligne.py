@@ -18,6 +18,10 @@ multiply vectors through the table's structure constants.  `InertiaModel`'s
 `artin`, `swan` and `inertia_fixed` and the `class_*` functions below
 compute the same quantities from class values instead; they are the oracle
 that the semistable and tame-identity checks compare the kernel with.
+
+The bounds and identities are statements about a pair of data over one
+model and their tensor product; a `LocalPair` holds the two data and builds
+that product once for all of them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import List, Sequence, Tuple
 
-from .chars import CharacterTable, ClassFunction, character_table, fixed_dim
+from .chars import Character, CharacterTable, ClassFunction, character_table, fixed_dim
 from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
                      NotSemistableError, NotSymplecticError, PreconditionError)
 from .filtration import conductor_exponent, nonfixed_dim
@@ -106,24 +110,27 @@ class WDRep:
     Each sigma is held as a `Character` of the model's table (a class
     function that is not one is decomposed, a virtual one refused), and
     every quantity below is an integer or Fraction dot product of its
-    multiplicities with the model's `kernel_rows`.
+    multiplicities with the model's `kernel_rows`.  The blocks are kept one
+    per special size n, sorted by n, with blocks of equal size summed and
+    zero blocks dropped, so equal representations have equal blocks.
     """
 
     __slots__ = ("model", "blocks")
 
     def __init__(self, model: InertiaModel, blocks: Sequence[Tuple[ClassFunction, int]]):
-        kept = []
+        T = model.table
+        by_size = {}
         for sigma, n in blocks:
             if sigma.group is not model.group:
                 raise ModelMismatchError("block character lives on a different group")
             if n < 1:
                 raise ValueError("special block size must be >= 1")
-            sigma = model.table.character(sigma)
-            if not sigma.is_zero():
-                kept.append((sigma, n))
-        kept.sort(key=lambda b: (b[1], b[0].mults))
+            sigma = T.character(sigma)
+            if n in by_size:
+                sigma = T.assemble(list(map(add, by_size[n].mults, sigma.mults)))
+            by_size[n] = sigma
         self.model = model
-        self.blocks = tuple(kept)
+        self.blocks = tuple((s, n) for n, s in sorted(by_size.items()) if not s.is_zero())
 
     @property
     def dim(self) -> int:
@@ -164,10 +171,7 @@ class WDRep:
     def __eq__(self, other):
         if not isinstance(other, WDRep):
             return NotImplemented
-        if self.model is not other.model or len(self.blocks) != len(other.blocks):
-            return False
-        return all(n == m and s1 == s2 for (s1, n), (s2, m)
-                   in zip(self.blocks, other.blocks))
+        return self.model is other.model and self.blocks == other.blocks
 
     __hash__ = None
 
@@ -175,75 +179,51 @@ class WDRep:
         return f"WDRep({[(s.dim, n) for s, n in self.blocks]})"
 
 
-def artin_conductor(rho: WDRep) -> Fraction:
-    return rho.artin_conductor()
-
-
-def swan_conductor(rho: WDRep) -> Fraction:
-    return rho.swan_conductor()
-
-
-def degree(rho: WDRep) -> int:
-    return rho.degree()
-
-
 def tensor(rho1: WDRep, rho2: WDRep) -> WDRep:
     return rho1.tensor(rho2)
 
 
-@dataclass(frozen=True)
-class AbVarDatum:
-    """Inertia data of abelian-variety shape: rho = tau + (sigma x sp(2))."""
+class AbVarDatum(WDRep):
+    """Inertia data of abelian-variety shape: tau + (sigma x sp(2))."""
 
-    model: InertiaModel
-    tau: ClassFunction
-    sigma: ClassFunction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau.group is not self.model.group or self.sigma.group is not self.model.group:
-            raise ModelMismatchError("characters live on a different group")
-        T = self.model.table
-        # from here on the fields hold the vector forms (NonCharacterError
-        # for a virtual one); the dataclass is frozen, hence object.__setattr__
-        tau, sigma = T.character(self.tau), T.character(self.sigma)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "sigma", sigma)
+    def __init__(self, model: InertiaModel, tau: ClassFunction, sigma: ClassFunction):
+        super().__init__(model, [(tau, 1), (sigma, 2)])
+        T = model.table
+        tau, sigma = self.tau, self.sigma
         if not T.is_symplectic_mults(tau.mults):
             raise NotSymplecticError("toric-free part tau must be symplectic")
         if not T.is_self_dual_mults(sigma.mults):
             raise PreconditionError("sp(2) part sigma must be self-dual")
         if not T.is_rational_mults([t + 2 * s for t, s in zip(tau.mults, sigma.mults)]):
             raise NotRationalError("inertia restriction must have rational characteristic polynomials")
-        assert (tau.dim + 2 * sigma.dim) % 2 == 0
+        assert self.dim % 2 == 0
 
-    @cached_property
-    def rho(self) -> WDRep:
-        """The block form, built once per datum (the dataclass is frozen)."""
-        blocks = []
-        if not self.tau.is_zero():
-            blocks.append((self.tau, 1))
-        if not self.sigma.is_zero():
-            blocks.append((self.sigma, 2))
-        return WDRep(self.model, blocks)
+    def _part(self, size: int) -> Character:
+        for s, n in self.blocks:
+            if n == size:
+                return s
+        return self.model.table.assemble([0] * len(self.model.table))
 
     @property
-    def dim(self) -> int:
-        return self.tau.dim + 2 * self.sigma.dim
+    def tau(self) -> Character:
+        return self._part(1)
 
-    def artin(self) -> Fraction:
-        return self.rho.artin_conductor()
+    @property
+    def sigma(self) -> Character:
+        return self._part(2)
 
-    def swan(self) -> Fraction:
-        return self.rho.swan_conductor()
-
-    def deg(self) -> int:
-        return self.rho.degree()
+    @property
+    def rho(self) -> WDRep:
+        """The datum itself, already in block form (the benchmark's layer
+        timings read `A.rho`)."""
+        return self
 
     def is_semistable(self) -> bool:
         """Inertia restriction of shape trivial^m + sp(2)^n."""
         triv = self.model.table.index_of_trivial()
-        return not any(m for chi in (self.tau, self.sigma)
-                       for i, m in enumerate(chi.mults) if i != triv)
+        return not any(m for s, _ in self.blocks for i, m in enumerate(s.mults) if i != triv)
 
 
 # -- the class-average oracle -------------------------------------------------------
@@ -273,94 +253,109 @@ def class_degree(model: InertiaModel, blocks) -> int:
     return sum(model.inertia_fixed(s) for s, _ in blocks)
 
 
-def _common_model(A: AbVarDatum, B: AbVarDatum) -> InertiaModel:
-    if A.model is not B.model:
-        raise ModelMismatchError("data live over different inertia models")
-    return A.model
+@dataclass(frozen=True)
+class LocalPair:
+    """Two data over one inertia model, with their tensor product A x B
+    built once for every bound and identity that reads it."""
 
-def degree_correction(A: AbVarDatum, B: AbVarDatum) -> int:
-    """deg(A x B) - deg(A) deg(B); nonnegative for valid data."""
-    _common_model(A, B)
-    return tensor(A.rho, B.rho).degree() - A.deg() * B.deg()
+    A: AbVarDatum
+    B: AbVarDatum
+
+    def __post_init__(self):
+        if self.A.model is not self.B.model:
+            raise ModelMismatchError("data live over different inertia models")
+
+    @property
+    def model(self) -> InertiaModel:
+        return self.A.model
+
+    @cached_property
+    def product(self) -> WDRep:
+        return self.A.tensor(self.B)
+
+    @cached_property
+    def degree_correction(self) -> int:
+        """deg(A x B) - deg(A) deg(B); nonnegative for valid data."""
+        return self.product.degree() - self.A.degree() * self.B.degree()
 
 
-def semistable_equality(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
+def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """Exact conductor of the tensor product when A is semistable.
 
     lhs is the Artin conductor of the expanded tensor product, from class
     averages; rhs is the closed form dim(A) a(B) + deg(B) a(A) - (deg(AxB)
     - deg(A) deg(B)), from the kernel.  The two must agree.
     """
-    model = _common_model(A, B)
+    A, B = pair.A, pair.B
     if not A.is_semistable():
         raise NotSemistableError("first datum must be semistable")
-    lhs = class_artin(model, class_tensor(A.rho, B.rho))
-    rhs = A.dim * B.artin() + B.deg() * A.artin() - degree_correction(A, B)
+    lhs = class_artin(pair.model, class_tensor(A, B))
+    rhs = (A.dim * B.artin_conductor() + B.degree() * A.artin_conductor()
+           - pair.degree_correction)
     return lhs, rhs
 
 
-def swan_bound(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
+def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """Wild-part bound: lhs = Sw(AxB), rhs with coefficient max(2, p-1)."""
-    model = _common_model(A, B)
-    p = model.residue_char
-    lhs = tensor(A.rho, B.rho).swan_conductor()
-    swA, swB = A.swan(), B.swan()
+    A, B = pair.A, pair.B
+    p = pair.model.residue_char
+    lhs = pair.product.swan_conductor()
+    swA, swB = A.swan_conductor(), B.swan_conductor()
     rhs = A.dim * swB + B.dim * swA - max(2, p - 1) * min(swA, swB)
     return lhs, rhs
 
 
-def tame_identity(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction]:
+def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """Block-level identity for the tame part when both conductors exceed 1.
 
     lhs = dim(AxB) - deg(AxB), from the class-average tensor product; rhs
     is the four-term expansion in the per-factor tame parts and the degree
     correction, from the kernel.
     """
-    model = _common_model(A, B)
-    aA, aB = A.artin(), B.artin()
-    if not (aA > 1 and aB > 1):
+    A, B = pair.A, pair.B
+    if not (A.artin_conductor() > 1 and B.artin_conductor() > 1):
         raise PreconditionError("both conductor exponents must exceed 1")
-    blocks = class_tensor(A.rho, B.rho)
-    lhs = Fraction(sum(n * s.dim for s, n in blocks) - class_degree(model, blocks))
-    tameA = A.dim - A.deg()
-    tameB = B.dim - B.deg()
+    blocks = class_tensor(A, B)
+    lhs = Fraction(sum(n * s.dim for s, n in blocks) - class_degree(pair.model, blocks))
+    tameA = A.dim - A.degree()
+    tameB = B.dim - B.degree()
     rhs = Fraction(A.dim * tameB + B.dim * tameA - tameA * tameB
-                   - degree_correction(A, B))
+                   - pair.degree_correction)
     return lhs, rhs
 
 
-def improvement_constant(A: AbVarDatum, B: AbVarDatum) -> int:
+def improvement_constant(pair: LocalPair) -> int:
     """min of max(2, p-1) and the two tame codimensions."""
-    p = _common_model(A, B).residue_char
-    return min(max(2, p - 1), A.dim - A.deg(), B.dim - B.deg())
+    A, B = pair.A, pair.B
+    return min(max(2, pair.model.residue_char - 1), A.dim - A.degree(), B.dim - B.degree())
 
 
-def conductor_bound(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction, int]:
+def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     """The full tensor-conductor bound with the improvement constant.
 
     Returns (lhs, rhs, C) with lhs = a(AxB) and
     rhs = dim(A) a(B) + dim(B) a(A) - C min(a(A), a(B)) - degree correction.
     Equality is forced whenever a(A) <= 1 or a(B) <= 1.
     """
-    _common_model(A, B)
-    C = improvement_constant(A, B)
-    aA, aB = A.artin(), B.artin()
-    lhs = tensor(A.rho, B.rho).artin_conductor()
-    rhs = A.dim * aB + B.dim * aA - C * min(aA, aB) - degree_correction(A, B)
+    A, B = pair.A, pair.B
+    C = improvement_constant(pair)
+    aA, aB = A.artin_conductor(), B.artin_conductor()
+    lhs = pair.product.artin_conductor()
+    rhs = A.dim * aB + B.dim * aA - C * min(aA, aB) - pair.degree_correction
     return lhs, rhs, C
 
 
-def uniform_bound(A: AbVarDatum, B: AbVarDatum) -> Tuple[Fraction, Fraction, int]:
+def uniform_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     """Weaker bound with constant 2 and the degree correction only kept
     when a(A) a(B) > 1.  Returns (lhs, rhs, correction_used)."""
-    _common_model(A, B)
-    aA, aB = A.artin(), B.artin()
-    corr = degree_correction(A, B) if aA * aB > 1 else 0
-    lhs = tensor(A.rho, B.rho).artin_conductor()
+    A, B = pair.A, pair.B
+    aA, aB = A.artin_conductor(), B.artin_conductor()
+    corr = pair.degree_correction if aA * aB > 1 else 0
+    lhs = pair.product.artin_conductor()
     rhs = A.dim * aB + B.dim * aA - 2 * min(aA, aB) - corr
     return lhs, rhs, corr
 
 
 def degree_gap(A: AbVarDatum) -> int:
     """deg(AxA) - deg(A)^2; at least 1 whenever a(A) > 0."""
-    return tensor(A.rho, A.rho).degree() - A.deg() ** 2
+    return LocalPair(A, A).degree_correction

@@ -4,9 +4,11 @@ Matrix representations with exact cyclotomic entries give a second route to
 character values and fixed-space dimensions (averaging projectors); a
 dict-based root-of-unity expansion gives a second route to cyclotomic
 products; counting all |G|^2 products gives a second route to the class
-algebra matrices.  Nothing here reuses the code paths under test: matrices
-know nothing about class functions, the expansion oracle never multiplies
-CycloNums, and the product count never looks at class representatives.
+algebra matrices; adding products of members until none is new gives a
+second route to generated subgroups.  Nothing here reuses the code paths
+under test: matrices know nothing about class functions, the expansion
+oracle never multiplies CycloNums, the product count never looks at class
+representatives, and the closure never searches words in the generators.
 """
 
 from __future__ import annotations
@@ -190,3 +192,23 @@ def class_matrices(group: FiniteGroup) -> List[List[List[int]]]:
     sizes = group.class_sizes
     return [[[cnt[i][j][k] // sizes[k] for k in range(r)] for j in range(r)]
             for i in range(r)]
+
+
+# -- subgroup oracle -----------------------------------------------------------------
+
+
+def product_closure(group: FiniteGroup, gens) -> tuple:
+    """The smallest set holding the identity and gens that is closed under
+    products, as sorted indices: every product, on either side, of a new
+    member with a member is added until a round finds nothing new."""
+    members = {group.identity, *gens}
+    new = set(members)
+    while new:
+        fresh = set()
+        for a in new:
+            for b in members:
+                fresh.add(group.table[a][b])
+                fresh.add(group.table[b][a])
+        new = fresh - members
+        members |= new
+    return tuple(sorted(members))

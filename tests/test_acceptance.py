@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import (ClassFunction, character_table, dsum,
-                              inner_product)
+from tensorcond.chars import ClassFunction, character_table, inner_product
 from tensorcond.corpus import load_corpus
 from tensorcond.cyclo import CycloNum
 from tensorcond.filtration import (pgroup_tensor_bound,
@@ -22,8 +21,7 @@ from tensorcond.jacobians import (disc_valuation, jacobian_inertia_model,
                                   smallest_valid_unit, swan_jacobian,
                                   validate_params, verify_sharpness)
 from tensorcond.suites import run_suite
-from tensorcond.weildeligne import (WDRep, artin_conductor, clebsch_gordan,
-                                    tensor)
+from tensorcond.weildeligne import WDRep, clebsch_gordan, tensor
 
 from oracles import (linear_reps_q8, permutation_rep_affine, sign_rep_affine,
                      two_dim_rep_q8)
@@ -74,7 +72,7 @@ def test_criterion_03_pgroup_bound(corpus):
     tau = ClassFunction.zero(C3)
     for i in range(3):
         if i != T.index_of_trivial():
-            tau = dsum(tau, T.irreducibles[i])
+            tau = tau + T.irreducibles[i]
     lhs, rhs = pgroup_tensor_bound(tau, tau,
                                    filtration_from_generators(C3, []), 3)
     ok = {2, 3, 5} <= primes_covered and violations == 0 and lhs == rhs == 2
@@ -100,7 +98,7 @@ def test_criterion_05_special_block_forms(corpus):
         model = chain.model()
         for sigma in character_table(model.group).irreducibles:
             sp1_ok = sp1_ok and \
-                artin_conductor(WDRep(model, [(sigma, 1)])) == model.artin(sigma)
+                WDRep(model, [(sigma, 1)]).artin_conductor() == model.artin(sigma)
     # block sizes of sp(n) x sp(m) and the closed conductor form, n, m <= 12
     shapes_ok = True
     for n in range(1, 13):
@@ -118,7 +116,7 @@ def test_criterion_05_special_block_forms(corpus):
         for n in range(1, 13):
             rho = WDRep(model, [(sigma, n)])
             for m in range(1, 13):
-                got = artin_conductor(tensor(rho, WDRep(model, [(triv, m)])))
+                got = tensor(rho, WDRep(model, [(triv, m)])).artin_conductor()
                 closed_ok = closed_ok and \
                     got == n * m * a_sigma + fix * (n * m - min(n, m))
     report(5, "special-block conductor forms", sp1_ok and shapes_ok and closed_ok,
@@ -130,7 +128,7 @@ def test_criterion_06_semistable_equality(corpus):
     violations = sum(not r.ok for r in results)
     # good-reduction degenerate case: a(A x B) = dim(A) a(B) exactly
     from tensorcond.suites import gen_abvar
-    from tensorcond.weildeligne import AbVarDatum, semistable_equality
+    from tensorcond.weildeligne import AbVarDatum, LocalPair, semistable_equality
     chain = next(c for c in corpus.model_chains() if c.label == "q8/center")
     model = chain.model()
     triv = ClassFunction.trivial(model.group)
@@ -138,8 +136,8 @@ def test_criterion_06_semistable_equality(corpus):
     degenerate_ok = True
     for s in range(20):
         B = gen_abvar(model, f"acc6:{s}")
-        lhs, rhs = semistable_equality(good, B)
-        degenerate_ok = degenerate_ok and lhs == rhs == good.dim * B.artin()
+        lhs, rhs = semistable_equality(LocalPair(good, B))
+        degenerate_ok = degenerate_ok and lhs == rhs == good.dim * B.artin_conductor()
     report(6, "semistable twist equality", violations == 0 and degenerate_ok,
            f"200 pairs, {violations} violations, degenerate case exact")
 
@@ -237,7 +235,7 @@ def test_criterion_10_character_tables():
     perm_char = ClassFunction(S3, perm.character_values())
     std = next(ch for ch in T3.irreducibles if ch.dim == 2)
     matrix_ok = matrix_ok and \
-        perm_char == dsum(ClassFunction.trivial(S3), std) and \
+        perm_char == ClassFunction.trivial(S3) + std and \
         any(ch == ClassFunction(S3, sign_rep_affine(S3, 3).character_values())
             for ch in T3.irreducibles)
     from tensorcond.chars import fixed_dim

@@ -1,0 +1,77 @@
+"""The benchmark's entry points, run in-process against its own reference.
+
+`perfbench/` drives the package through `cli.main` on a seeded document
+set, and through the per-layer calls of `perfbench/layertrace.py`.  These
+tests run the seed-0 set and check its input and output digests against
+`perfbench/reference.json`, and make each layer call once, so that a change
+to an API the benchmark uses fails here first.  They only read `perfbench/`.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def docs():
+    """perfbench/docs.py, loaded under a private name without touching
+    sys.path."""
+    spec = importlib.util.spec_from_file_location("_perfbench_docs", PERFBENCH / "docs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_seed0_documents_match_the_reference_digests(docs, monkeypatch):
+    from tensorcond import cli
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["documents"]
+    docset = docs.generate(0)
+    assert docs.digest(docset) == ref["inputs_sha256"]
+    digest, failed = hashlib.sha256(), []
+    for d in docset:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(d["stdin"] or ""))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(d["argv"])
+        text = out.getvalue()
+        digest.update(text.encode())
+        if rc != 0 or not docs.verdict_ok(d["kind"], text):
+            failed.append(d["label"])
+    assert failed == []
+    assert digest.hexdigest() == ref["output_sha256"]
+
+
+def test_layer_calls_run_on_every_corpus_entry(docs):
+    """The Weil-Deligne and global calls that layertrace times, with its
+    data: every rational (and symplectic) orbit atom summed."""
+    from tensorcond import chars, globalbound, weildeligne
+    from tensorcond.corpus import load_corpus
+
+    def all_atoms(T, symplectic):
+        atoms = [vec for vec, _ in docs.orbit_atoms(T, symplectic)]
+        return T.assemble([sum(col) for col in zip(*atoms)])
+
+    corpus = load_corpus()
+    for e in corpus.entries:
+        T = chars.character_table(e.group)
+        model = e.chains[0].model()
+        A = weildeligne.AbVarDatum(model, all_atoms(T, True), all_atoms(T, False))
+        assert weildeligne.tensor(A.rho, A.rho).artin_conductor() >= 0, e.name
+    records = []
+    for label, chain in zip((2, 3, 5), [c for c in corpus.integral_model_chains()
+                                        if c.entry_name in ("c4", "c9", "heis3")]):
+        tau = all_atoms(chars.character_table(chain.filtration.parent), True)
+        A = weildeligne.AbVarDatum(chain.model(), tau, tau.scale(0))
+        records.append(globalbound.PrimeLocalPair(label, A, A))
+    assert len(records) == 3
+    dim = max(r.A.dim for r in records) // 2
+    report = globalbound.rankin_selberg_bound(globalbound.GlobalDatum(dim, dim, tuple(records)))
+    assert report.all_checks_pass()

@@ -98,6 +98,21 @@ def test_bound_roundtrip(tmp_path, capsys):
     assert res["lhs"] == "14"
 
 
+def test_bound_builds_the_tensor_product_once(tmp_path, capsys, monkeypatch):
+    from tensorcond.weildeligne import WDRep
+    real = WDRep.tensor
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(WDRep, "tensor", counted)
+    doc = tmp_path / "bound.json"
+    doc.write_text(json.dumps(BOUND_DOC))
+    code, _, _ = run_cli(capsys, "bound", "--input", str(doc), "--format", "machine")
+    assert code == 0 and len(calls) == 1
+
+
 def test_bound_malformed_vector(tmp_path, capsys):
     bad = dict(BOUND_DOC, A={"tau": [1, 2], "sigma": [0, 0, 0, 0, 0]})
     doc = tmp_path / "bad.json"

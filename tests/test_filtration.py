@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import (ClassFunction, character_table, dsum,
-                              gen_character)
+from tensorcond.chars import ClassFunction, character_table, gen_character
 from tensorcond.errors import (NotPGroupError, NotRationalError,
                                NotSymplecticError, PreconditionError)
 from tensorcond.filtration import (conductor,
@@ -120,7 +119,7 @@ def test_symplectic_bound_tight(q8_setup):
     Q, T, chi2, filt = q8_setup
     lhs, rhs = symplectic_tensor_bound(chi2, chi2, filt)
     assert lhs == rhs == 3
-    triv2 = dsum(ClassFunction.trivial(Q), ClassFunction.trivial(Q))
+    triv2 = ClassFunction.trivial(Q) + ClassFunction.trivial(Q)
     assert symplectic_tensor_bound(triv2, triv2, filt) == (0, 0)
     with pytest.raises(NotSymplecticError):
         symplectic_tensor_bound(ClassFunction.trivial(Q), chi2, filt)
@@ -133,7 +132,7 @@ def test_pgroup_bound_tight_c3():
     tau = ClassFunction.zero(C3)
     for i in range(3):
         if i != triv:
-            tau = dsum(tau, T.irreducibles[i])
+            tau = tau + T.irreducibles[i]
     filt = filtration_from_generators(C3, [])
     lhs, rhs = pgroup_tensor_bound(tau, tau, filt, 3)
     assert lhs == rhs == 2
@@ -169,7 +168,7 @@ def test_conductor_additive(q8_setup):
     for s in range(10):
         a = gen_character(Q, f"sum:{s}", 8)
         b = gen_character(Q, f"sum2:{s}", 8)
-        assert conductor_exponent(dsum(a, b), filt) == \
+        assert conductor_exponent(a + b, filt) == \
             conductor_exponent(a, filt) + conductor_exponent(b, filt)
 
 

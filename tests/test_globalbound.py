@@ -107,7 +107,7 @@ def test_full_mode_rejects_fractional_exponent():
     A_frac = None
     from tensorcond.weildeligne import AbVarDatum
     A_frac = AbVarDatum(model, chi2, ClassFunction.zero(model.group))
-    assert A_frac.artin().denominator != 1
+    assert A_frac.artin_conductor().denominator != 1
     with pytest.raises(InconsistentInputError):
         GlobalDatum(1, 1, (PrimeLocalPair(2, A_frac, A_frac),))
 

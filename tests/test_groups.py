@@ -1,12 +1,13 @@
 import pytest
 
 from tensorcond.errors import FiltrationError, GroupConstructionError
-from tensorcond.groups import (affine, build_group, cyclic, dihedral,
-                               direct_product, elementary_abelian,
+from tensorcond.groups import (Filtration, affine, build_group, cyclic,
+                               dihedral, direct_product, elementary_abelian,
                                filtration_from_generators, heisenberg,
-                               make_filtration, pgroup_prime, power_map, quaternion8,
-                               subgroup_generated, trivial_subgroup,
-                               whole_group, Subgroup)
+                               pgroup_prime, quaternion8, subgroup_generated,
+                               trivial_subgroup, whole_group, Subgroup)
+
+from oracles import product_closure
 
 
 def corpus_like_groups():
@@ -70,38 +71,56 @@ def test_associativity_exhaustive():
 
 
 def test_subgroup_generated_center_of_q8():
+    """The center of Q8 and the edge cases; then every corpus generator
+    list, and random generator sets of one to three elements on larger
+    groups, against the closure under products."""
+    import random
+    from tensorcond.corpus import load_corpus
     G = quaternion8()
     Z = subgroup_generated(G, [4])  # -1
     assert Z.elements == (0, 4)
     assert subgroup_generated(G, []).elements == (0,)
     assert subgroup_generated(G, list(range(8))).size == 8
+    for entry in load_corpus().entries:
+        for chain in entry.chains:
+            for gens in chain.generator_lists:
+                assert subgroup_generated(entry.group, gens).elements == \
+                    product_closure(entry.group, gens), chain.label
+    rng = random.Random("subgroup-closure")
+    for G, count in ((affine(29), 6), (heisenberg(5), 30), (dihedral(12), 30),
+                     (quaternion8(), 20),
+                     (direct_product(quaternion8(), cyclic(3)), 30)):
+        for _ in range(count):
+            gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
+            assert subgroup_generated(G, gens).elements == product_closure(G, gens), \
+                (G.name, gens)
 
 
 def test_power_map():
     C4 = cyclic(4)
-    assert power_map(C4, 1, 2) == 2
-    assert C4.element_orders[power_map(C4, 1, 2)] == 2
+    assert C4.power(1, 2) == 2
+    assert C4.element_orders[C4.power(1, 2)] == 2
     Q = quaternion8()
-    assert power_map(Q, 1, -1) == 5  # i^-1 = -i
+    assert Q.power(1, -1) == 5  # i^-1 = -i
     for G in (C4, Q):
         for k in (-3, 0, 5):
-            assert power_map(G, G.identity, k) == G.identity
+            assert G.power(G.identity, k) == G.identity
 
 
 def test_filtration_validation():
     Q = quaternion8()
     Z = subgroup_generated(Q, [4])
-    filt = make_filtration(Q, [whole_group(Q), Z, trivial_subgroup(Q)])
+    filt = Filtration(Q, [whole_group(Q), Z, trivial_subgroup(Q)])
     assert [s.size for s in filt.chain] == [8, 2, 1]
     # trivial tail appended when absent
-    filt2 = make_filtration(Q, [whole_group(Q), Z])
+    filt2 = Filtration(Q, [whole_group(Q), Z])
     assert filt2.chain[-1].is_trivial()
     with pytest.raises(FiltrationError):
-        make_filtration(Q, [Z, whole_group(Q)])
+        Filtration(Q, [Z, whole_group(Q)])
     with pytest.raises(FiltrationError):
-        make_filtration(Q, [])
+        Filtration(Q, [])
     with pytest.raises(FiltrationError):
-        make_filtration(Q, [Z])  # does not start at the whole group
+        Filtration(Q, [Z])  # does not start at the whole group
 
 
 def test_lagrange_on_filtrations():

@@ -5,7 +5,7 @@ import pytest
 from tensorcond.errors import InvalidUnitError, PreconditionError
 from tensorcond.jacobians import (BreakRep, FamilyParams, disc_valuation,
                                   jacobian_inertia_model, joint_break_model,
-                                  smallest_valid_unit, swan_break,
+                                  smallest_valid_unit,
                                   swan_jacobian, sylvester_resultant,
                                   tensor_break_rep, validate_params,
                                   verify_sharpness)
@@ -81,10 +81,10 @@ def test_break_model_sums():
     for p in (3, 5, 7):
         params = validate_params(p, smallest_valid_unit(p))
         rep_a, rep_p = joint_break_model(params)
-        assert swan_break(rep_a) == 1
-        assert swan_break(rep_p) == p
+        assert rep_a.swan() == 1
+        assert rep_p.swan() == p
         prod = tensor_break_rep(rep_a, rep_p)
-        assert swan_break(prod) == p * (p - 1)
+        assert prod.swan() == p * (p - 1)
         assert len(prod.characters) == (p - 1) ** 2
         assert all(brk == Fraction(p, p - 1) for _, brk in prod.characters)
 
@@ -101,7 +101,7 @@ def test_break_rep_validation():
 
 def test_empty_break_rep():
     rep = BreakRep(3, 2, ())
-    assert swan_break(rep) == 0
+    assert rep.swan() == 0
 
 
 def test_verify_sharpness_all_primes():

@@ -103,13 +103,13 @@ def test_counterexample_replay_roundtrip(corpus):
 
 def test_replay_covers_wd_suites(corpus):
     from tensorcond.chars import character_table
-    from tensorcond.weildeligne import swan_bound
+    from tensorcond.weildeligne import LocalPair, swan_bound
     chain = corpus.model_chains()[5]
     model = chain.model()
     T = character_table(model.group)
     A = gen_abvar(model, "rp:a")
     B = gen_abvar(model, "rp:b")
-    lhs, rhs = swan_bound(A, B)
+    lhs, rhs = swan_bound(LocalPair(A, B))
     doc = {"suite": "swan-bound", "chain": chain.ref(),
            **{key: {"tau": list(T.multiplicities(D.tau)),
                     "sigma": list(T.multiplicities(D.sigma))}
@@ -174,12 +174,32 @@ def _forced_failures(corpus, name, count=4):
     return failed
 
 
+@pytest.mark.parametrize("name", ["conductor-bound", "uniform-bound"])
+def test_bound_items_build_the_tensor_product_once(corpus, monkeypatch, name):
+    """Every side of a bound item reads one A x B, built by its LocalPair."""
+    from tensorcond.weildeligne import WDRep
+    real = WDRep.tensor
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(WDRep, "tensor", counted)
+    suite = SUITES[name]
+    for i in range(50):
+        doc, _ = suite.generate(corpus, 0, i)
+        calls.clear()
+        ok, _ = suite.check(doc, lambda ref, field: corpus.chain_by_ref(ref))
+        assert ok and len(calls) == 1, (i, len(calls))
+
+
 def test_forced_conductor_collapse_failure_replays(corpus, monkeypatch):
-    from tensorcond import suites
-    real = suites.degree_correction
-    monkeypatch.setattr(suites, "degree_correction", lambda A, B: real(A, B) + 1)
+    from tensorcond.weildeligne import LocalPair
+    real = LocalPair.degree_correction.func
+    monkeypatch.setattr(LocalPair, "degree_correction", property(lambda pair: real(pair) + 1))
     failed = _forced_failures(corpus, "conductor-bound")
-    # only the equality collapse at a <= 1 reads the patched correction
+    # the collapse at a <= 1 is an equality, so a shifted correction breaks
+    # it; the bound's rhs only drops by one, which items 0-3 still meet
     assert [r.index for r in failed] == [3]
 
 
@@ -187,8 +207,8 @@ def test_forced_refined_above_uniform_failure_replays(corpus, monkeypatch):
     from tensorcond import suites
     real = suites.conductor_bound
 
-    def loose(A, B):
-        lhs, rhs, C = real(A, B)
+    def loose(pair):
+        lhs, rhs, C = real(pair)
         return lhs, rhs + 10 ** 6, C
     monkeypatch.setattr(suites, "conductor_bound", loose)
     _forced_failures(corpus, "uniform-bound")

@@ -8,12 +8,11 @@ from tensorcond.errors import (ModelMismatchError, NotSemistableError,
                                PreconditionError)
 from tensorcond.groups import filtration_from_generators, quaternion8
 from tensorcond.suites import gen_abvar, gen_semistable
-from tensorcond.weildeligne import (AbVarDatum, InertiaModel, WDRep,
-                                    artin_conductor, clebsch_gordan,
-                                    conductor_bound, degree, degree_gap,
+from tensorcond.weildeligne import (AbVarDatum, InertiaModel, LocalPair, WDRep,
+                                    clebsch_gordan, conductor_bound, degree_gap,
                                     improvement_constant, semistable_equality,
-                                    swan_bound, swan_conductor, tame_identity,
-                                    tensor, uniform_bound)
+                                    swan_bound, tame_identity, tensor,
+                                    uniform_bound)
 
 
 @pytest.fixture(scope="module")
@@ -41,29 +40,29 @@ def test_model_validation():
 def test_artin_conductor_blocks(q8_model, chi2):
     Q = q8_model.group
     triv = ClassFunction.trivial(Q)
-    assert artin_conductor(WDRep(q8_model, [(triv, 2)])) == 1
-    assert artin_conductor(WDRep(q8_model, [(triv, 1)])) == 0
+    assert WDRep(q8_model, [(triv, 2)]).artin_conductor() == 1
+    assert WDRep(q8_model, [(triv, 1)]).artin_conductor() == 0
     deep = InertiaModel(Q, filtration_from_generators(Q, [[1, 2], [4]]), 2)
-    assert artin_conductor(WDRep(deep, [(chi2, 1)])) == Fraction(9, 2)
+    assert WDRep(deep, [(chi2, 1)]).artin_conductor() == Fraction(9, 2)
 
 
 def test_swan_conductor_blocks(q8_model, chi2):
     Q = q8_model.group
     triv = ClassFunction.trivial(Q)
-    assert swan_conductor(WDRep(q8_model, [(triv, 2)])) == 0
+    assert WDRep(q8_model, [(triv, 2)]).swan_conductor() == 0
     rho = WDRep(q8_model, [(chi2, 1)])
-    assert swan_conductor(rho) == Fraction(1, 2)
+    assert rho.swan_conductor() == Fraction(1, 2)
     # Swan = Artin - tame term, blockwise
-    assert artin_conductor(rho) - swan_conductor(rho) == 2
+    assert rho.artin_conductor() - rho.swan_conductor() == 2
 
 
 def test_degree(q8_model, chi2):
     Q = q8_model.group
     triv = ClassFunction.trivial(Q)
-    assert degree(WDRep(q8_model, [(triv, 2)])) == 1
-    assert degree(WDRep(q8_model, [(chi2, 1)])) == 0
+    assert WDRep(q8_model, [(triv, 2)]).degree() == 1
+    assert WDRep(q8_model, [(chi2, 1)]).degree() == 0
     rho = WDRep(q8_model, [(triv, 1), (triv, 2)])
-    assert degree(rho) == 2
+    assert rho.degree() == 2
 
 
 def test_clebsch_gordan():
@@ -83,7 +82,7 @@ def test_tensor_blocks(q8_model, chi2):
     ss = WDRep(q8_model, [(triv, 2)])
     t = tensor(ss, ss)
     assert sorted(n for _, n in t.blocks) == [1, 3]
-    assert artin_conductor(t) == 2
+    assert t.artin_conductor() == 2
     rho = WDRep(q8_model, [(chi2, 1), (triv, 2)])
     unit = WDRep(q8_model, [(triv, 1)])
     assert tensor(rho, unit) == rho
@@ -121,10 +120,34 @@ def test_model_mismatch(q8_model, chi2):
         tensor(a, b)
 
 
+def test_equality_does_not_depend_on_how_the_blocks_are_split(q8_model, chi2):
+    """Blocks of one special size are summed and zero blocks dropped, so a
+    representation compares equal however its blocks were listed."""
+    Q = q8_model.group
+    triv = ClassFunction.trivial(Q)
+    zero = ClassFunction.zero(Q)
+    split = WDRep(q8_model, [(triv, 1), (chi2, 2), (triv, 1), (zero, 3)])
+    whole = WDRep(q8_model, [(chi2, 2), (triv.scale(2), 1)])
+    assert split == whole
+    assert [n for _, n in split.blocks] == [1, 2]
+    assert WDRep(q8_model, [(triv, 1), (triv, 1)]) != WDRep(q8_model, [(triv, 2)])
+    assert WDRep(q8_model, [(zero, 1)]) == WDRep(q8_model, [])
+
+
+def test_local_pair_refuses_data_over_two_models(q8_model, chi2):
+    Q = q8_model.group
+    triv = ClassFunction.trivial(Q)
+    other = InertiaModel(Q, filtration_from_generators(Q, [[4]]), 2)
+    A = AbVarDatum(q8_model, chi2, triv)
+    with pytest.raises(ModelMismatchError):
+        LocalPair(A, AbVarDatum(other, chi2, triv))
+    assert LocalPair(A, A).model is q8_model
+
+
 def test_sp1_twist_keeps_conductor(q8_model):
     T = character_table(q8_model.group)
     for sigma in T.irreducibles:
-        assert artin_conductor(WDRep(q8_model, [(sigma, 1)])) == \
+        assert WDRep(q8_model, [(sigma, 1)]).artin_conductor() == \
             q8_model.artin(sigma)
 
 
@@ -138,7 +161,7 @@ def test_closed_form_for_special_tensor(q8_model):
             left = WDRep(q8_model, [(sigma, n)])
             for m in range(1, 13):
                 right = WDRep(q8_model, [(ClassFunction.trivial(q8_model.group), m)])
-                got = artin_conductor(tensor(left, right))
+                got = tensor(left, right).artin_conductor()
                 want = n * m * a_sigma + fix * (n * m - min(n, m))
                 assert got == want
 
@@ -157,14 +180,14 @@ def test_semistable_equality_and_errors(q8_model, chi2):
     triv = ClassFunction.trivial(Q)
     A = AbVarDatum(q8_model, triv.scale(2), triv)
     B = AbVarDatum(q8_model, chi2, triv)
-    lhs, rhs = semistable_equality(A, B)
+    lhs, rhs = semistable_equality(LocalPair(A, B))
     assert lhs == rhs
     with pytest.raises(NotSemistableError):
-        semistable_equality(B, A)
+        semistable_equality(LocalPair(B, A))
     # good reduction: a(tensor) = dim(A) a(B)
     good = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
-    lhs, rhs = semistable_equality(good, B)
-    assert lhs == rhs == good.dim * B.artin()
+    lhs, rhs = semistable_equality(LocalPair(good, B))
+    assert lhs == rhs == good.dim * B.artin_conductor()
 
 
 def test_tame_identity_preconditions(q8_model, chi2):
@@ -172,11 +195,11 @@ def test_tame_identity_preconditions(q8_model, chi2):
     triv = ClassFunction.trivial(Q)
     A = AbVarDatum(q8_model, chi2, triv)     # a = 7/2 > 1
     B = AbVarDatum(q8_model, chi2.scale(2), ClassFunction.zero(Q))
-    lhs, rhs = tame_identity(A, B)
+    lhs, rhs = tame_identity(LocalPair(A, B))
     assert lhs == rhs
     small = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
     with pytest.raises(PreconditionError):
-        tame_identity(small, B)
+        tame_identity(LocalPair(small, B))
 
 
 def test_degree_gap_examples(q8_model):
@@ -185,7 +208,7 @@ def test_degree_gap_examples(q8_model):
     semi = AbVarDatum(q8_model, ClassFunction.zero(Q), triv)
     assert degree_gap(semi) == 1
     good = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
-    assert good.artin() == 0 and degree_gap(good) == 0
+    assert good.artin_conductor() == 0 and degree_gap(good) == 0
 
 
 def test_artin_minus_swan_is_the_blockwise_tame_term():
@@ -207,15 +230,15 @@ def test_bounds_over_corpus_models():
         model = chain.model()
         A = gen_abvar(model, f"wd:{idx}:a")
         B = gen_abvar(model, f"wd:{idx}:b")
-        lhs, rhs = swan_bound(A, B)
+        lhs, rhs = swan_bound(LocalPair(A, B))
         assert lhs <= rhs
-        lhs, rhs, C = conductor_bound(A, B)
+        lhs, rhs, C = conductor_bound(LocalPair(A, B))
         assert lhs <= rhs
-        assert C == improvement_constant(A, B)
-        lhs, rhs, _ = uniform_bound(A, B)
+        assert C == improvement_constant(LocalPair(A, B))
+        lhs, rhs, _ = uniform_bound(LocalPair(A, B))
         assert lhs <= rhs
         S = gen_semistable(model, f"wd:{idx}:s")
-        lhs, rhs = semistable_equality(S, B)
+        lhs, rhs = semistable_equality(LocalPair(S, B))
         assert lhs == rhs
 
 
