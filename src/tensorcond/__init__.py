@@ -1,9 +1,7 @@
 """Exact conductor-exponent calculus for group filtrations and
 Weil-Deligne block data, with brute-force character-theoretic oracles."""
 
-from .chars import (Character, ClassFunction, CharacterTable, character_table,
-                    fixed_dim, frobenius_schur, gen_character, inner_product,
-                    is_rational_charpoly, is_symplectic, restrict)
+from .chars import Character, ClassFunction, CharacterTable, character_table, fixed_dim
 from .cyclo import CycloNum
 from .filtration import (ConductorReport, conductor, conductor_exponent,
                          min_sum_bound, nonfixed_dim, pgroup_tensor_bound,

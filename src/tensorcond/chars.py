@@ -14,16 +14,18 @@ form of a class function: each value sum_j c_j zeta_N^j is kept as the terms
 c_j x^(j e/N) of Z[x]/(x^e - 1), e the group exponent.  An average then
 sums (or convolves) integer terms into one list and reduces it mod Phi_e
 once (`cyclo.exponent_sum_value`); only the final division by the group
-order is rational.  `inner_product` stays on `CycloNum` arithmetic, as the
-independent oracle for these averages.
+order is rational.
 
 A `Character` is a class function held as its multiplicity vector over a
-table; `CharacterTable.assemble` returns one, and its class values are only
-assembled when something reads them.  The table caches what the integer
-kernels of `weildeligne` and `filtration` need: the fixed dimensions of
-each irreducible on a subgroup, the structure constants of tensor
-products, and the symplectic, self-dual and rational criteria, all read
-off the lift's residues (the irreducibles' values mod q): see `residues`.
+table: the irreducibles are the unit vectors, with the lift's values set,
+and `CharacterTable.assemble` returns any other, whose class values are
+only assembled when something reads them.  The kernels take `Character`s
+and never decompose (`CharacterTable.own`).  The table caches what the
+integer kernels of `weildeligne` and `filtration` need: the fixed
+dimensions of each irreducible on a subgroup, the structure constants of
+tensor products, and the symplectic, self-dual and rational criteria, all
+read off the lift's residues (the irreducibles' values mod q): see
+`residues`.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .cyclo import CycloNum, exponent_sum_value
-from .errors import NonCharacterError, TableComputationError
-from .groups import FiniteGroup, Subgroup, is_prime
+from .errors import ModelMismatchError, NonCharacterError, TableComputationError
+from .groups import FiniteGroup, Subgroup, closure, is_prime
 
 
 class ClassFunction:
@@ -67,12 +69,6 @@ class ClassFunction:
     @staticmethod
     def zero(group: FiniteGroup) -> "ClassFunction":
         return ClassFunction(group, [0] * len(group.classes))
-
-    @staticmethod
-    def regular(group: FiniteGroup) -> "ClassFunction":
-        vals = [0] * len(group.classes)
-        vals[group.class_of[group.identity]] = group.order
-        return ClassFunction(group, vals)
 
     # -- algebra ---------------------------------------------------------------
 
@@ -104,9 +100,6 @@ class ClassFunction:
         v = self.values[self.group.class_of[self.group.identity]]
         return v.integer_value()
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
     def _exponent_form(self):
         """(m, rows): each value sum_j c_j zeta_N^j as its (j m/N, c_j) terms
         in Z[x]/(x^m - 1), one tuple per class.  m is the group exponent, or
@@ -128,31 +121,8 @@ class ClassFunction:
 
     __hash__ = None
 
-    def to_json(self) -> dict:
-        return {"values": [v.to_json() for v in self.values]}
-
     def __repr__(self):
         return f"ClassFunction({[str(v) for v in self.values]})"
-
-
-def inner_product(chi: ClassFunction, psi: ClassFunction,
-                  subgroup: Optional[Subgroup] = None) -> Fraction:
-    """<chi, psi> averaged over a subgroup (default: the whole group)."""
-    chi._same_group(psi)
-    G = chi.group
-    if subgroup is None:
-        counts = G.class_sizes
-        size = G.order
-    else:
-        if subgroup.parent is not G:
-            raise ValueError("subgroup of a different group")
-        counts = subgroup.class_counts
-        size = subgroup.size
-    total = CycloNum.zero()
-    for c, cnt in enumerate(counts):
-        if cnt:
-            total = total + (chi.values[c] * psi.values[c].conjugate()).scale(cnt)
-    return total.rational_value() / size
 
 
 def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
@@ -175,16 +145,6 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     return avg.numerator
 
 
-def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
-    """Restriction, re-indexed to the subgroup's own conjugacy classes."""
-    G = chi.group
-    if subgroup.parent is not G:
-        raise ValueError("subgroup of a different group")
-    S, embed = subgroup.as_group()
-    vals = [chi.values[G.class_of[embed[rep]]] for rep in S.class_reps]
-    return ClassFunction(S, vals)
-
-
 class Character(ClassFunction):
     """A character held as its multiplicity vector over a character table.
 
@@ -192,7 +152,7 @@ class Character(ClassFunction):
     is read (by the class-average oracle, by arithmetic or for output);
     `dim`, `scale`, `is_zero` and equality with another character of the
     table read the vector only.  The vector may be virtual (negative
-    entries); `CharacterTable.character` refuses such a one.
+    entries); `CharacterTable.own` refuses such a one.
     """
 
     __slots__ = ("table", "mults")
@@ -257,11 +217,16 @@ class CharacterTable:
                  "_weighted_conj", "_dual_index", "_fs", "_orbits", "_fixed", "_products",
                  "_atoms")
 
-    def __init__(self, group: FiniteGroup, irreducibles: Sequence[ClassFunction],
+    def __init__(self, group: FiniteGroup, value_rows: Sequence[Sequence[CycloNum]],
                  modulus: int, residues: Sequence[Sequence[int]]):
         self.group = group
-        self.irreducibles = tuple(irreducibles)
-        self.degrees = tuple(ch.dim for ch in irreducibles)
+        r = len(value_rows)
+        self.irreducibles = tuple(Character(self, [int(j == i) for j in range(r)])
+                                  for i in range(r))
+        for psi, row in zip(self.irreducibles, value_rows):
+            psi.values = tuple(row)
+        one = group.class_of[group.identity]
+        self.degrees = tuple(row[one].integer_value() for row in value_rows)
         self.modulus = modulus
         # the irreducibles' values under Z[zeta_e] -> F_q, zeta_e -> w (the
         # lift's root).  Rows of distinct irreducibles are orthogonal in F_q,
@@ -327,18 +292,15 @@ class CharacterTable:
             raise ValueError("one multiplicity per irreducible required")
         return Character(self, mults)
 
-    def character(self, chi: ClassFunction) -> Character:
-        """chi as a Character of this table: one built by `assemble` as it
-        is, any other class function decomposed (its values are kept).  A
-        virtual character is refused with NonCharacterError."""
-        if isinstance(chi, Character) and chi.table is self:
-            if any(m < 0 for m in chi.mults):
-                raise NonCharacterError(f"multiplicity vector {list(chi.mults)} "
-                                        f"has a negative entry")
-            return chi
-        out = Character(self, self.multiplicities(chi))
-        out.values = chi.values
-        return out
+    def own(self, chi: ClassFunction) -> Character:
+        """chi, checked to be a Character of this table, never decomposed:
+        anything else is refused with ModelMismatchError, a virtual vector
+        with NonCharacterError."""
+        if not (isinstance(chi, Character) and chi.table is self):
+            raise ModelMismatchError(f"expected a Character of the table of {self.group.name}")
+        if any(m < 0 for m in chi.mults):
+            raise NonCharacterError(f"multiplicity vector {list(chi.mults)} has a negative entry")
+        return chi
 
     # -- the integer kernel: caches and criteria on multiplicity vectors ------
 
@@ -420,9 +382,9 @@ class CharacterTable:
         return all(m == mults[j] for m, j in zip(mults, self.dual_index))
 
     def is_rational_mults(self, mults: Sequence[int]) -> bool:
-        """Whether the character's values are rational, equivalently (see
-        `is_rational_charpoly`) its characteristic polynomials: the vector
-        is constant on each Galois orbit of irreducibles."""
+        """Whether the character's values are rational, equivalently (by
+        Newton's identities) its characteristic polynomials: the vector is
+        constant on each Galois orbit of irreducibles."""
         return all(len({mults[i] for i in orbit}) == 1 for orbit in self.galois_orbits)
 
     @property
@@ -442,20 +404,28 @@ class CharacterTable:
 
     @property
     def galois_orbits(self) -> Tuple[Tuple[int, ...], ...]:
-        """Partition of irreducible indices under value-field conjugation:
-        psi(g^k) = sigma_k(psi(g)) for k prime to e, one class permutation
-        per distinct c -> class_power(c, k) (k = 1 included)."""
+        """Partition of irreducible indices under value-field conjugation,
+        psi(g^k) = sigma_k(psi(g)) for k prime to e: the closures under the
+        class permutations c -> class_power(c, k) of units k picked greedily
+        to generate the units mod e (at most log2 phi(e) of them)."""
         if self._orbits is None:
             G = self.group
             e = G.exponent
-            perms = {tuple(G.class_power(c, k) for c in range(len(G.classes)))
-                     for k in range(1, e + 1) if gcd(k, e) == 1}
+            r = len(self)
+            units = {1}
+            gens = []
+            for k in range(2, e):
+                if k not in units and gcd(k, e) == 1:
+                    gens.append(k)
+                    units = closure(1, lambda x: (x * g % e for g in gens))
+            perms = [[G.class_power(c, k) for c in range(r)] for k in gens]
+            moves = [[self._row_index[tuple(row[c] for c in perm)] for row in self.residues]
+                     for perm in perms]
             seen = set()
             orbits = []
-            for i in range(len(self)):
+            for i in range(r):
                 if i not in seen:
-                    row = self.residues[i]
-                    orbit = {self._row_index[tuple(row[c] for c in perm)] for perm in perms}
+                    orbit = closure(i, lambda x: (move[x] for move in moves))
                     seen |= orbit
                     orbits.append(tuple(sorted(orbit)))
             self._orbits = tuple(orbits)
@@ -682,8 +652,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         try:
             vectors = _joint_eigenvectors(group, q)
             value_rows, residues = _lift_table(group, vectors, q)
-            chars = [ClassFunction(group, row) for row in value_rows]
-            table = CharacterTable(group, chars, q, residues)
+            table = CharacterTable(group, value_rows, q, residues)
             _validate_table(table)
             group._char_table = table
             return table
@@ -693,14 +662,7 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     raise TableComputationError(f"table computation failed: {last_err}")
 
 
-# -- predicates ----------------------------------------------------------------
-
-
-def frobenius_schur(psi: ClassFunction) -> int:
-    """Indicator (1/|G|) sum psi(g^2); requires an irreducible input."""
-    if inner_product(psi, psi) != 1:
-        raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
-    return _indicator(psi)
+# -- the Frobenius-Schur indicator ---------------------------------------------------
 
 
 def _indicator(psi: ClassFunction) -> int:
@@ -719,36 +681,6 @@ def _indicator(psi: ClassFunction) -> int:
     return int(ind)
 
 
-def is_symplectic(chi: ClassFunction) -> bool:
-    """Whether chi carries an invariant non-degenerate alternating form: the
-    multiplicity criterion of `CharacterTable.is_symplectic_mults` on chi's
-    vector (`CharacterTable.character`; False if chi is no character)."""
-    T = character_table(chi.group)
-    try:
-        mults = T.character(chi).mults
-    except NonCharacterError:
-        return False
-    return T.is_symplectic_mults(mults)
-
-
-def is_rational_charpoly(chi: ClassFunction) -> bool:
-    """True iff chi(g^k) = chi(g) for all g and k coprime to ord(g).
-
-    For characters this says every tau(g) has rational characteristic
-    polynomial: the power sums of the eigenvalue multiset are the values
-    chi(g^j), and Newton's identities in characteristic 0 make all power
-    sums rational exactly when all elementary symmetric functions are.
-    """
-    G = chi.group
-    for c in range(len(G.classes)):
-        n = G.element_orders[G.class_reps[c]]
-        base = chi.values[c]
-        for k in range(2, n):
-            if gcd(k, n) == 1 and chi.values[G.class_power(c, k)] != base:
-                return False
-    return True
-
-
 # -- seeded generators ----------------------------------------------------------
 
 
@@ -761,11 +693,6 @@ def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     dimension <= budget."""
     T = character_table(group)
     return _combine_atoms(T, irreducible_atoms(T), _rng("char", seed), budget, budget)
-
-
-def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
-    """Random nonnegative integer combination of irreducibles, dim <= budget."""
-    return character_table(group).assemble(gen_character_mults(group, seed, budget))
 
 
 def _per_table(build):

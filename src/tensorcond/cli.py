@@ -23,7 +23,7 @@ from .corpus import load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
                      require)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
-                          rankin_selberg_bound)
+                          rankin_selberg_bound, record_prime)
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
 from .suites import DEFAULT_SEEDS, SUITES, abvar_datum, replay, run_suite_range
@@ -181,7 +181,7 @@ def _run_global(args, machine: bool) -> int:
     records = []
     for j, rec in enumerate(primes):
         where = f"primes[{j}]."
-        p = int_field(rec, "p", where)
+        p = record_prime(rec, where)
         mode = require(rec, "mode", where)
         if mode == "summary":
             records.append(PrimeSummary(p, *(int_field(rec, key, where) for key in

@@ -30,7 +30,8 @@ class NotPGroupError(TensorCondError, ValueError):
 
 
 class ModelMismatchError(TensorCondError, ValueError):
-    """Two Weil-Deligne objects live over different inertia models."""
+    """Two objects live over different inertia models, or a class function
+    is not a character of the table it is used with."""
 
 
 class NotSemistableError(TensorCondError, ValueError):

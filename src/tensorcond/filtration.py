@@ -10,8 +10,9 @@ and the conductor exponent is the sum of nonfixed_dim / [G_0 : G_i] over
 all levels.  Everything is an exact rational; denominators divide |G_0|.
 
 `nonfixed_dim`, `tensor_fixed_excess` and `conductor` average class values;
-they are the oracle.  The tensor bounds work on multiplicity vectors, and
-the per-level identity takes one side from each.
+they are the oracle.  The tensor bounds take `Character`s of the group's
+table and work on their multiplicity vectors, and the per-level identity
+takes one side from each.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .chars import ClassFunction, character_table, fixed_dim, is_symplectic
+from .chars import Character, ClassFunction, character_table, fixed_dim
 from .errors import (NotPGroupError, NotRationalError, NotSymplecticError,
                      PreconditionError)
 from .groups import Filtration
@@ -93,7 +94,7 @@ def conductor_exponent(tau: ClassFunction, filt: Filtration) -> Fraction:
     return conductor(tau, filt).total
 
 
-def tensor_level_identity(tau1: ClassFunction, tau2: ClassFunction,
+def tensor_level_identity(tau1: Character, tau2: Character,
                           filt: Filtration) -> List[Tuple[int, int]]:
     """Both sides of the per-level tensor identity, at every level i:
 
@@ -106,7 +107,7 @@ def tensor_level_identity(tau1: ClassFunction, tau2: ClassFunction,
     class product makes them differ.
     """
     T = character_table(filt.parent)
-    c1, c2 = T.character(tau1), T.character(tau2)
+    c1, c2 = T.own(tau1), T.own(tau2)
     c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
     product = tau1 * tau2
     sides = []
@@ -146,36 +147,37 @@ def min_sum_bound(M: Fraction, a: Sequence[Fraction], b: Sequence[Fraction],
     return lhs, rhs
 
 
-def symplectic_tensor_bound(tau1: ClassFunction, tau2: ClassFunction,
+def symplectic_tensor_bound(tau1: Character, tau2: Character,
                             filt: Filtration) -> Tuple[Fraction, Fraction]:
     """Conductor bound for a tensor product of two symplectic characters.
 
     lhs = a(t1 x t2), rhs = |t1| a(t2) + |t2| a(t1) - 2 min(a(t1), a(t2))
     - excess(t1, t2); the contract is lhs <= rhs.
     """
-    if not (is_symplectic(tau1) and is_symplectic(tau2)):
+    T = character_table(filt.parent)
+    if not all(T.is_symplectic_mults(T.own(t).mults) for t in (tau1, tau2)):
         raise NotSymplecticError("both inputs must be symplectic characters")
     return _tensor_bound(tau1, tau2, filt, Fraction(2))
 
 
-def pgroup_tensor_bound(tau1: ClassFunction, tau2: ClassFunction,
+def pgroup_tensor_bound(tau1: Character, tau2: Character,
                         filt: Filtration, p: int) -> Tuple[Fraction, Fraction]:
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
     if not filt[0].is_pgroup(p):
         raise NotPGroupError(f"{filt.parent.name} is not a {p}-group")
     T = character_table(filt.parent)
-    if not all(T.is_rational_mults(T.character(t).mults) for t in (tau1, tau2)):
+    if not all(T.is_rational_mults(T.own(t).mults) for t in (tau1, tau2)):
         raise NotRationalError("both inputs must have rational characteristic polynomials")
     return _tensor_bound(tau1, tau2, filt, Fraction(p - 1))
 
 
-def _tensor_bound(tau1: ClassFunction, tau2: ClassFunction, filt: Filtration,
+def _tensor_bound(c1: Character, c2: Character, filt: Filtration,
                   coeff: Fraction) -> Tuple[Fraction, Fraction]:
-    """The bound's sides from the vectors of tau1, tau2 and their product
-    (`tensor_mults`); level terms are weighted by 1/[G_0 : G_i] = |G_i|/|G_0|."""
-    T = character_table(filt.parent)
-    c1, c2 = T.character(tau1), T.character(tau2)
+    """The bound's sides from the vectors of two checked characters and of
+    their product (`tensor_mults`); level terms are weighted by
+    1/[G_0 : G_i] = |G_i|/|G_0|."""
+    T = c1.table
     c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
     order = filt.parent.order
     a1, a2, a12 = (Fraction(sum((c.dim - c.fixed(H)) * H.size for H in filt.chain), order)

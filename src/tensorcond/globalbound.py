@@ -13,7 +13,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
-from .errors import (InconsistentInputError, NegativeExponentError)
+from .errors import (InconsistentInputError, InputError, NegativeExponentError,
+                     int_field)
+from .groups import is_prime
 from .weildeligne import AbVarDatum, LocalPair
 
 
@@ -136,6 +138,14 @@ class PrimeLocalPair:
 
 
 PrimeRecord = Union[PrimeSummary, PrimeLocalPair]
+
+
+def record_prime(rec, where: str) -> int:
+    """The prime of one document record, the field '{where}p'."""
+    p = int_field(rec, "p", where)
+    if not is_prime(p):
+        raise InputError(f"'{where}p' must be a prime, not {p}")
+    return p
 
 
 @dataclass(frozen=True)

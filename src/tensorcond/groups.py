@@ -164,30 +164,6 @@ class FiniteGroup:
         class_of = [remap[c] for c in class_of]
         return tuple(classes), tuple(class_of)
 
-    def check_associativity(self, exhaustive_limit: int = 256,
-                            samples: int = 20000, seed: int = 0) -> None:
-        """Raise if some triple fails (ab)c = a(bc).
-
-        Exhaustive up to ``exhaustive_limit``; deterministic sampling above.
-        """
-        t = self.table
-        n = self.order
-        if n <= exhaustive_limit:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    if any(tab[c] != ta[tb[c]] for c in range(n)):
-                        raise GroupConstructionError(f"associativity fails at a={a}, b={b}")
-        else:
-            import random
-            rng = random.Random(seed)
-            for _ in range(samples):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupConstructionError(f"associativity fails at ({a},{b},{c})")
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -195,22 +171,28 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup as a sorted element-index set inside a parent group."""
 
-    __slots__ = ("parent", "elements", "member", "size", "class_counts", "_as_group")
+    __slots__ = ("parent", "elements", "member", "size", "class_counts")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         elems = sorted(set(elements))
         member = frozenset(elems)
         if parent.identity not in member:
             raise GroupConstructionError("subgroup must contain the identity")
-        # a finite set closed under products is closed under inverses, and
-        # the whole group is closed by construction
-        if elems != list(range(parent.order)):
-            for a in elems:
-                row = parent.table[a]
-                for b in elems:
-                    if row[b] not in member:
-                        raise GroupConstructionError(
-                            f"subgroup not closed under product at ({a},{b})")
+        # each member that is not yet a word in the generators becomes one
+        # (at most log2 |H| of them, each doubling the words); the words of
+        # a finite group form a subgroup, so the set is one iff none leaves it
+        table = parent.table
+        gens = []
+        words = {parent.identity}
+        for a in elems:
+            if a not in words:
+                gens.append(a)
+                words = closure(parent.identity,
+                                lambda x: map(table[x].__getitem__, gens), member)
+                if words is None:
+                    raise GroupConstructionError(
+                        f"subgroup not closed under products: a word in the "
+                        f"members {gens} lies outside it")
         self.parent = parent
         self.elements = tuple(elems)
         self.member = member
@@ -219,7 +201,6 @@ class Subgroup:
         for a in elems:
             counts[parent.class_of[a]] += 1
         self.class_counts = tuple(counts)
-        self._as_group = None
 
     @property
     def index(self) -> int:
@@ -243,26 +224,6 @@ class Subgroup:
         """Whether the order is a power of p (1 is a power of every p)."""
         return self.size == 1 or pgroup_prime(self.size) == p
 
-    def as_group(self):
-        """The subgroup as a standalone FiniteGroup plus the embedding map.
-
-        Returns (group, embed) where embed[i] is the parent index of the
-        subgroup's element i.  Identity lands at index 0 because the parent
-        identity is the smallest member of any subgroup containing 0 -- all
-        shipped constructors put the identity at 0.
-        """
-        if self._as_group is None:
-            embed = list(self.elements)
-            if embed[0] != self.parent.identity:
-                # keep identity at slot 0 for the standalone table
-                embed.remove(self.parent.identity)
-                embed.insert(0, self.parent.identity)
-            pos = {g: i for i, g in enumerate(embed)}
-            table = [[pos[self.parent.table[a][b]] for b in embed] for a in embed]
-            sub = FiniteGroup(table, name=f"{self.parent.name}|H{self.size}")
-            self._as_group = (sub, tuple(embed))
-        return self._as_group
-
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self.parent is other.parent \
             and self.elements == other.elements
@@ -274,6 +235,23 @@ class Subgroup:
         return f"Subgroup(order={self.size} of {self.parent.name})"
 
 
+def closure(start: int, successors: Callable[[int], Iterable[int]],
+            within: Optional[frozenset] = None) -> Optional[set]:
+    """Every point reached from start by repeated steps to `successors`,
+    searched depth first; with `within`, None as soon as a point outside
+    it is reached."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for y in successors(frontier.pop()):
+            if y not in seen:
+                if within is not None and y not in within:
+                    return None
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``gens``: the words in the generators,
     found by right multiplication from the identity.  In a finite group
@@ -283,16 +261,7 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupConstructionError(f"generator index {g} out of range")
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        row = G.table[frontier.pop()]
-        for g in gens:
-            y = row[g]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return Subgroup(G, seen)
+    return Subgroup(G, closure(G.identity, lambda x: map(G.table[x].__getitem__, gens)))
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:

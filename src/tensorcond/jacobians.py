@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Tuple
 
-from .chars import ClassFunction, fixed_dim, inner_product
+from .chars import ClassFunction, character_table, fixed_dim
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Filtration, Subgroup, affine,
                      is_prime, whole_group, trivial_subgroup)
@@ -133,44 +132,32 @@ def swan_jacobian(p: int, alpha: int) -> int:
 # -- filtration route ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JacobianLocalData:
-    """Inertia model of one J_alpha plus its (p-1)-dimensional character."""
-
-    model: InertiaModel
-    character: ClassFunction
-
-    @cached_property
-    def rho(self) -> WDRep:
-        return WDRep(self.model, [(self.character, 1)])
-
-
 def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
-    """The (p-1)-dimensional irreducible of the affine group: the natural
-    permutation character on F_p minus the trivial one."""
+    """The (p-1)-dimensional irreducible of the affine group, from class
+    values: the natural permutation character on F_p minus the trivial one."""
     vals = []
     for rep in G.class_reps:
         a = rep // p + 1
         fixed_points = p if rep == 0 else (0 if a == 1 else 1)
         vals.append(fixed_points - 1)
-    chi = ClassFunction(G, vals)
-    assert inner_product(chi, chi) == 1
-    return chi
+    return ClassFunction(G, vals)
 
 
-def jacobian_inertia_model(p: int, alpha: int) -> JacobianLocalData:
-    """Lower-numbering model: G_0 the affine group of order p(p-1), then
+def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
+    """J_alpha as one block (chi, 1), chi the unique irreducible of degree
+    p-1 of G_0 = Aff(p), over the lower-numbering model: G_0, then
     Sw(J_alpha) copies of the order-p translation subgroup, then 1."""
     G = affine(p)
-    return _inertia_model(G, p, _standard_character(G, p), swan_jacobian(p, alpha))
+    T = character_table(G)
+    chi = T.assemble([int(d == p - 1) for d in T.degrees])
+    return WDRep(_inertia_model(G, p, swan_jacobian(p, alpha)), [(chi, 1)])
 
 
-def _inertia_model(G: FiniteGroup, p: int, chi: ClassFunction,
-                   swan: int) -> JacobianLocalData:
+def _inertia_model(G: FiniteGroup, p: int, swan: int) -> InertiaModel:
     """The model over G = Aff(p) whose chain has `swan` translation levels."""
     translations = Subgroup(G, range(p))
     chain = [whole_group(G)] + [translations] * swan + [trivial_subgroup(G)]
-    return JacobianLocalData(InertiaModel(G, Filtration(G, chain), p), chi)
+    return InertiaModel(G, Filtration(G, chain), p)
 
 
 # -- break (Swan slope) route ---------------------------------------------------
@@ -305,7 +292,7 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
 
     G = affine(p)
     chi = _standard_character(G, p)
-    models = [_inertia_model(G, p, chi, sw).model for sw in (sw_a, sw_p)]
+    models = [_inertia_model(G, p, sw) for sw in (sw_a, sw_p)]
     sw_a_filt, sw_p_filt = (m.swan(chi) for m in models)
     artin_a, artin_p = (m.artin(chi) for m in models)
     deg_a, deg_p = (m.inertia_fixed(chi) for m in models)

@@ -25,7 +25,7 @@ from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
-                          self_tensor_bound_report)
+                          record_prime, self_tensor_bound_report)
 from .groups import FiniteGroup, build_group, pgroup_prime
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
@@ -464,7 +464,7 @@ def _check_global(doc, chains):
         where = f"primes[{j}]."
         model = _model(chains, rec, where)
         pairs.append(PrimeLocalPair(
-            int_field(rec, "p", where),
+            record_prime(rec, where),
             *(abvar_datum(model, require(rec, key, where), where + key)
               for key in ("A", "B"))))
     try:

@@ -107,25 +107,24 @@ def clebsch_gordan(n: int, m: int) -> List[int]:
 class WDRep:
     """A multiset of blocks (sigma, n) over a fixed inertia model.
 
-    Each sigma is held as a `Character` of the model's table (a class
-    function that is not one is decomposed, a virtual one refused), and
-    every quantity below is an integer or Fraction dot product of its
-    multiplicities with the model's `kernel_rows`.  The blocks are kept one
-    per special size n, sorted by n, with blocks of equal size summed and
-    zero blocks dropped, so equal representations have equal blocks.
+    Each sigma must be a `Character` of the model's table (anything else
+    is refused with ModelMismatchError, a virtual one with
+    NonCharacterError), and every quantity below is an integer or Fraction
+    dot product of its multiplicities with the model's `kernel_rows`.  The
+    blocks are kept one per special size n, sorted by n, with blocks of
+    equal size summed and zero blocks dropped, so equal representations
+    have equal blocks.
     """
 
     __slots__ = ("model", "blocks")
 
-    def __init__(self, model: InertiaModel, blocks: Sequence[Tuple[ClassFunction, int]]):
+    def __init__(self, model: InertiaModel, blocks: Sequence[Tuple[Character, int]]):
         T = model.table
         by_size = {}
         for sigma, n in blocks:
-            if sigma.group is not model.group:
-                raise ModelMismatchError("block character lives on a different group")
+            T.own(sigma)
             if n < 1:
                 raise ValueError("special block size must be >= 1")
-            sigma = T.character(sigma)
             if n in by_size:
                 sigma = T.assemble(list(map(add, by_size[n].mults, sigma.mults)))
             by_size[n] = sigma
@@ -188,7 +187,7 @@ class AbVarDatum(WDRep):
 
     __slots__ = ()
 
-    def __init__(self, model: InertiaModel, tau: ClassFunction, sigma: ClassFunction):
+    def __init__(self, model: InertiaModel, tau: Character, sigma: Character):
         super().__init__(model, [(tau, 1), (sigma, 2)])
         T = model.table
         tau, sigma = self.tau, self.sigma

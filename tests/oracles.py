@@ -5,18 +5,31 @@ character values and fixed-space dimensions (averaging projectors); a
 dict-based root-of-unity expansion gives a second route to cyclotomic
 products; counting all |G|^2 products gives a second route to the class
 algebra matrices; adding products of members until none is new gives a
-second route to generated subgroups.  Nothing here reuses the code paths
+second route to generated subgroups; trying every triple checks that a
+multiplication table is associative.  Nothing here reuses the code paths
 under test: matrices know nothing about class functions, the expansion
 oracle never multiplies CycloNums, the product count never looks at class
 representatives, and the closure never searches words in the generators.
+
+The class-function oracles at the end work on class values with CycloNum
+arithmetic only: inner products, restriction to a subgroup as a group of
+its own, the guarded Frobenius-Schur indicator, the rationality and
+symplectic criteria read from values, and random characters assembled
+from a seeded multiplicity vector.  The package itself computes on
+multiplicity vectors and never decomposes; these are what tests compare
+it with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List
+from math import gcd
+from typing import Dict, List, Optional
 
+from tensorcond.chars import (ClassFunction, _indicator, character_table,
+                              gen_character_mults)
 from tensorcond.cyclo import CycloNum
+from tensorcond.errors import NonCharacterError
 from tensorcond.groups import FiniteGroup, Subgroup
 
 
@@ -194,7 +207,21 @@ def class_matrices(group: FiniteGroup) -> List[List[List[int]]]:
             for i in range(r)]
 
 
-# -- subgroup oracle -----------------------------------------------------------------
+# -- group and subgroup oracles -------------------------------------------------------
+
+
+def check_associativity(group: FiniteGroup) -> None:
+    """Raise if some triple fails (ab)c = a(bc), trying every triple."""
+    t = group.table
+    n = group.order
+    for a in range(n):
+        ta = t[a]
+        for b in range(n):
+            tab = t[ta[b]]
+            tb = t[b]
+            if any(tab[c] != ta[tb[c]] for c in range(n)):
+                raise AssertionError(f"associativity fails at a={a}, b={b}")
+
 
 
 def product_closure(group: FiniteGroup, gens) -> tuple:
@@ -212,3 +239,106 @@ def product_closure(group: FiniteGroup, gens) -> tuple:
         new = fresh - members
         members |= new
     return tuple(sorted(members))
+
+
+# -- class-function oracles ----------------------------------------------------------
+
+
+def regular(group: FiniteGroup) -> ClassFunction:
+    """The regular character: |G| at the identity, 0 elsewhere."""
+    vals = [0] * len(group.classes)
+    vals[group.class_of[group.identity]] = group.order
+    return ClassFunction(group, vals)
+
+
+def inner_product(chi: ClassFunction, psi: ClassFunction,
+                  subgroup: Optional[Subgroup] = None) -> Fraction:
+    """<chi, psi> averaged over a subgroup (default: the whole group)."""
+    chi._same_group(psi)
+    G = chi.group
+    if subgroup is None:
+        counts = G.class_sizes
+        size = G.order
+    else:
+        if subgroup.parent is not G:
+            raise ValueError("subgroup of a different group")
+        counts = subgroup.class_counts
+        size = subgroup.size
+    total = CycloNum.zero()
+    for c, cnt in enumerate(counts):
+        if cnt:
+            total = total + (chi.values[c] * psi.values[c].conjugate()).scale(cnt)
+    return total.rational_value() / size
+
+
+def as_group(subgroup: Subgroup):
+    """The subgroup as a standalone FiniteGroup plus the embedding map.
+
+    Returns (group, embed) where embed[i] is the parent index of the
+    subgroup's element i, with the parent identity at slot 0.
+    """
+    parent = subgroup.parent
+    embed = list(subgroup.elements)
+    embed.remove(parent.identity)
+    embed.insert(0, parent.identity)
+    pos = {g: i for i, g in enumerate(embed)}
+    table = [[pos[parent.table[a][b]] for b in embed] for a in embed]
+    return FiniteGroup(table, name=f"{parent.name}|H{subgroup.size}"), tuple(embed)
+
+
+def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
+    """Restriction, re-indexed to the subgroup's own conjugacy classes."""
+    G = chi.group
+    if subgroup.parent is not G:
+        raise ValueError("subgroup of a different group")
+    S, embed = as_group(subgroup)
+    return ClassFunction(S, [chi.values[G.class_of[embed[rep]]] for rep in S.class_reps])
+
+
+def frobenius_schur(psi: ClassFunction) -> int:
+    """Indicator (1/|G|) sum psi(g^2); requires an irreducible input."""
+    if inner_product(psi, psi) != 1:
+        raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
+    return _indicator(psi)
+
+
+def is_rational_charpoly(chi: ClassFunction) -> bool:
+    """True iff chi(g^k) = chi(g) for all g and k coprime to ord(g): every
+    tau(g) then has a rational characteristic polynomial."""
+    G = chi.group
+    for c in range(len(G.classes)):
+        n = G.element_orders[G.class_reps[c]]
+        base = chi.values[c]
+        for k in range(2, n):
+            if gcd(k, n) == 1 and chi.values[G.class_power(c, k)] != base:
+                return False
+    return True
+
+
+def is_symplectic(chi: ClassFunction) -> bool:
+    """Whether chi carries an invariant non-degenerate alternating form,
+    from class values and no residue: the multiplicities of chi by
+    `multiplicities`, each irreducible's type by `frobenius_schur` and its
+    dual by `ClassFunction.dual`.  Orthogonal-type irreducibles must occur
+    an even number of times, complex-type ones as often as their dual.
+    False when chi is not a character."""
+    T = character_table(chi.group)
+    try:
+        mults = T.multiplicities(chi)
+    except NonCharacterError:
+        return False
+    irr = T.irreducibles
+    for psi, m in zip(irr, mults):
+        kind = frobenius_schur(psi)
+        if kind == 1 and m % 2:
+            return False
+        if kind == 0:
+            dual = psi.dual()
+            if m != next(n for phi, n in zip(irr, mults) if phi == dual):
+                return False
+    return True
+
+
+def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
+    """Random nonnegative integer combination of irreducibles, dim <= budget."""
+    return character_table(group).assemble(gen_character_mults(group, seed, budget))

@@ -75,3 +75,39 @@ def test_layer_calls_run_on_every_corpus_entry(docs):
     dim = max(r.A.dim for r in records) // 2
     report = globalbound.rankin_selberg_bound(globalbound.GlobalDatum(dim, dim, tuple(records)))
     assert report.all_checks_pass()
+
+
+def test_table_group_jacobian_and_suite_calls_run_on_every_corpus_entry():
+    """The other calls that layertrace times: group and chain builds, the
+    decomposition of an assembled character, fixed dimensions, the
+    filtration conductor, cyclotomic promotion of table values, the
+    Jacobian family and one item of each suite."""
+    from fractions import Fraction
+
+    from tensorcond import chars, filtration, groups, jacobians, suites
+    from tensorcond.corpus import load_corpus
+    from tensorcond.cyclo import CycloNum
+
+    corpus = load_corpus()
+    for e in corpus.entries:
+        G = groups.build_group(e.group.spec)
+        for c in e.chains:
+            assert len(groups.filtration_from_generators(G, c.generator_lists)) == \
+                len(c.filtration), e.name
+        T = chars.character_table(e.group)
+        chi = T.assemble([1] * len(T))
+        assert T.multiplicities(chi) == chi.mults, e.name
+        for H in {H.elements: H for c in e.chains for H in c.filtration.chain}.values():
+            assert chars.fixed_dim(chi, H) == chi.fixed(H), e.name
+        report = filtration.conductor(chi, e.chains[0].filtration, chi)
+        assert report.total >= 0 and report.excess_total >= 0, e.name
+        N = e.group.exponent
+        for psi in T.irreducibles:
+            assert [v.promote(N) for v in psi.values] == list(psi.values), e.name
+        assert CycloNum.from_rational(Fraction(1, 3), N).rational_value() == Fraction(1, 3)
+    for p in (3, 5, 7, 11, 13):
+        params = jacobians.validate_params(p, jacobians.smallest_valid_unit(p))
+        assert jacobians.verify_sharpness(params).equal, p
+    for name in suites.SUITES:
+        (result,) = suites.run_suite_range(name, corpus, 0, 1, 0)
+        assert result.ok, name

@@ -3,16 +3,16 @@ from fractions import Fraction
 import pytest
 
 from tensorcond.chars import (ClassFunction, character_table, fixed_dim,
-                              frobenius_schur, gen_character, gen_rational_mults,
-                              gen_symplectic_mults, inner_product,
-                              is_rational_charpoly, is_symplectic, restrict)
+                              gen_rational_mults, gen_symplectic_mults)
 from tensorcond.errors import NonCharacterError
 from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
                                quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group)
 
-from oracles import (class_matrices, linear_reps_q8, permutation_rep_affine,
-                     sign_rep_affine, two_dim_rep_q8)
+from oracles import (class_matrices, frobenius_schur, gen_character, inner_product,
+                     is_rational_charpoly, is_symplectic, linear_reps_q8,
+                     permutation_rep_affine, regular, restrict, sign_rep_affine,
+                     two_dim_rep_q8)
 
 # groups beyond the corpus whose tables are checked byte for byte
 EXTRA_GROUPS = [
@@ -46,7 +46,7 @@ def two_dim(q8_table):
 
 def test_inner_products(q8, q8_table):
     C2 = cyclic(2)
-    reg = ClassFunction.regular(C2)
+    reg = regular(C2)
     assert inner_product(reg, ClassFunction.trivial(C2)) == 1
     chi2 = two_dim(q8_table)
     assert inner_product(chi2, chi2) == 1
@@ -58,7 +58,7 @@ def test_inner_products(q8, q8_table):
 
 def test_fixed_dim(q8, q8_table):
     C2 = cyclic(2)
-    assert fixed_dim(ClassFunction.regular(C2), whole_group(C2)) == 1
+    assert fixed_dim(regular(C2), whole_group(C2)) == 1
     chi2 = two_dim(q8_table)
     center = subgroup_generated(q8, [4])
     assert fixed_dim(chi2, center) == 0
@@ -165,7 +165,7 @@ def test_is_rational_charpoly():
     C3 = cyclic(3)
     T3 = character_table(C3)
     triv_ix = T3.index_of_trivial()
-    assert is_rational_charpoly(ClassFunction.regular(C3))
+    assert is_rational_charpoly(regular(C3))
     nontriv = T3.irreducibles[(triv_ix + 1) % 3]
     assert not is_rational_charpoly(nontriv)
     C9 = cyclic(9)
@@ -348,7 +348,7 @@ def test_table_validation_checks_every_pair():
     T = character_table(G)
     _validate_table(T)
     # unit norms and the right degrees, but two equal rows
-    rows = list(T.irreducibles)
+    rows = [psi.values for psi in T.irreducibles]
     rows[-1] = rows[-2]
     residues = list(T.residues)
     residues[-1] = residues[-2]
@@ -576,3 +576,35 @@ def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
         assert isinstance(rho, WDRep)
         assert rho.artin_conductor() >= 0 and rho.swan_conductor() >= 0
         assert rho.degree() >= 0 and A.degree() >= 0
+
+
+def test_irreducibles_are_the_unit_vectors_of_their_table(corpus):
+    from tensorcond.chars import Character
+    for entry in corpus.entries:
+        T = character_table(entry.group)
+        for i, psi in enumerate(T.irreducibles):
+            assert isinstance(psi, Character) and psi.table is T, entry.name
+            assert psi.mults == tuple(int(j == i) for j in range(len(T))), entry.name
+            assert psi.dim == T.degrees[i], entry.name
+
+
+def test_galois_orbits_permute_classes_by_a_few_unit_generators(monkeypatch):
+    """On Aff29 (exponent 812, phi(812) = 336 units) the orbits need the
+    class permutations of at most floor(log2 336) + 1 units, r calls of
+    `class_power` each; the orbits themselves are checked against every
+    unit in `test_dual_galois_and_trivial_lookups_match_class_values`."""
+    from tensorcond.groups import FiniteGroup
+    G = affine(29)
+    T = character_table(G)
+    real = FiniteGroup.class_power
+    calls = []
+
+    def counted(self, c, k):
+        calls.append(k)
+        return real(self, c, k)
+    monkeypatch.setattr(FiniteGroup, "class_power", counted)
+    orbits = T.galois_orbits
+    r = len(T)
+    assert len(calls) <= (336).bit_length() * r  # bit_length = floor(log2) + 1
+    # the linear characters are those of C28, one orbit per divisor of 28
+    assert sorted(len(o) for o in orbits) == [1, 1, 1, 2, 6, 6, 12]

@@ -258,9 +258,11 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
 
 
 def test_replay_subcommand(tmp_path, capsys):
-    from tensorcond.chars import character_table, gen_character
+    from tensorcond.chars import character_table
     from tensorcond.corpus import load_corpus
     from tensorcond.filtration import tensor_level_identity
+
+    from oracles import gen_character
     corpus = load_corpus()
     chain = corpus.all_chains()[2]
     G = chain.filtration.parent
@@ -560,3 +562,24 @@ def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_pat
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert "not a 4-group" in err
+
+
+@pytest.mark.parametrize("j, p", [(0, 4), (0, 1), (0, 0), (0, -3), (1, 4)])
+def test_global_refuses_a_prime_record_whose_p_is_not_a_prime(tmp_path, capsys, j, p):
+    doc = make_global_doc()
+    doc["primes"][j]["p"] = p
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'primes[{j}].p' must be a prime, not {p}" in err
+
+
+def test_replay_refuses_a_global_record_whose_p_is_not_a_prime(tmp_path, capsys):
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import SUITES
+    doc, _ = SUITES["global"].generate(load_corpus(), 0, 0)
+    doc = {"suite": "global", **doc}
+    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
+    doc["primes"][0]["p"] = 4
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "'primes[0].p' must be a prime, not 4" in err

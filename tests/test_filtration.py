@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import ClassFunction, character_table, gen_character
+from tensorcond.chars import ClassFunction, character_table
 from tensorcond.errors import (NotPGroupError, NotRationalError,
                                NotSymplecticError, PreconditionError)
 from tensorcond.filtration import (conductor,
@@ -12,6 +12,8 @@ from tensorcond.filtration import (conductor,
                                    tensor_fixed_excess, tensor_level_identity)
 from tensorcond.groups import (cyclic, filtration_from_generators, heisenberg,
                                quaternion8)
+
+from oracles import gen_character
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +85,7 @@ def test_excess_not_monotone_counterexample(q8_setup):
 def test_tensor_level_identity_worked(q8_setup):
     Q, T, chi2, filt = q8_setup
     assert tensor_level_identity(chi2, chi2, filt)[1] == (8, 8)
-    triv = ClassFunction.trivial(Q)
+    triv = T.irreducibles[T.index_of_trivial()]
     assert tensor_level_identity(triv, triv, filt)[0] == (0, 0)
 
 
@@ -119,30 +121,29 @@ def test_symplectic_bound_tight(q8_setup):
     Q, T, chi2, filt = q8_setup
     lhs, rhs = symplectic_tensor_bound(chi2, chi2, filt)
     assert lhs == rhs == 3
-    triv2 = ClassFunction.trivial(Q) + ClassFunction.trivial(Q)
+    triv = T.irreducibles[T.index_of_trivial()]
+    triv2 = triv.scale(2)
     assert symplectic_tensor_bound(triv2, triv2, filt) == (0, 0)
     with pytest.raises(NotSymplecticError):
-        symplectic_tensor_bound(ClassFunction.trivial(Q), chi2, filt)
+        symplectic_tensor_bound(triv, chi2, filt)
 
 
 def test_pgroup_bound_tight_c3():
     C3 = cyclic(3)
     T = character_table(C3)
     triv = T.index_of_trivial()
-    tau = ClassFunction.zero(C3)
-    for i in range(3):
-        if i != triv:
-            tau = tau + T.irreducibles[i]
+    tau = T.assemble([int(i != triv) for i in range(3)])
     filt = filtration_from_generators(C3, [])
     lhs, rhs = pgroup_tensor_bound(tau, tau, filt, 3)
     assert lhs == rhs == 2
-    assert pgroup_tensor_bound(ClassFunction.trivial(C3),
-                               ClassFunction.trivial(C3), filt, 3) == (0, 0)
+    assert pgroup_tensor_bound(T.irreducibles[triv],
+                               T.irreducibles[triv], filt, 3) == (0, 0)
 
 
 def test_pgroup_bound_regular_character():
     H = heisenberg(3)
-    reg = ClassFunction.regular(H)
+    T = character_table(H)
+    reg = T.assemble(T.degrees)
     filt = filtration_from_generators(H, [[9]])
     lhs, rhs = pgroup_tensor_bound(reg, reg, filt, 3)
     assert lhs <= rhs
@@ -152,7 +153,7 @@ def test_pgroup_bound_errors():
     Q = quaternion8()
     T = character_table(Q)
     filt = filtration_from_generators(Q, [[4]])
-    reg = ClassFunction.regular(Q)
+    reg = T.assemble(T.degrees)
     with pytest.raises(NotPGroupError):
         pgroup_tensor_bound(reg, reg, filt, 3)
     C3 = cyclic(3)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorcond.chars import ClassFunction, character_table
+from tensorcond.chars import character_table
 from tensorcond.corpus import load_corpus
 from tensorcond.errors import (InconsistentInputError, NegativeExponentError)
 from tensorcond.globalbound import (FactoredInteger, GlobalDatum,
@@ -106,7 +106,7 @@ def test_full_mode_rejects_fractional_exponent():
     chi2 = T.irreducibles[T.degrees.index(2)]
     A_frac = None
     from tensorcond.weildeligne import AbVarDatum
-    A_frac = AbVarDatum(model, chi2, ClassFunction.zero(model.group))
+    A_frac = AbVarDatum(model, chi2, chi2.scale(0))
     assert A_frac.artin_conductor().denominator != 1
     with pytest.raises(InconsistentInputError):
         GlobalDatum(1, 1, (PrimeLocalPair(2, A_frac, A_frac),))

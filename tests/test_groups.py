@@ -7,7 +7,7 @@ from tensorcond.groups import (Filtration, affine, build_group, cyclic,
                                pgroup_prime, quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group, Subgroup)
 
-from oracles import product_closure
+from oracles import as_group, check_associativity, product_closure
 
 
 def corpus_like_groups():
@@ -67,7 +67,7 @@ def test_build_group_descriptors():
 
 def test_associativity_exhaustive():
     for G in corpus_like_groups():
-        G.check_associativity()
+        check_associativity(G)
 
 
 def test_subgroup_generated_center_of_q8():
@@ -94,6 +94,34 @@ def test_subgroup_generated_center_of_q8():
             gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
             assert subgroup_generated(G, gens).elements == product_closure(G, gens), \
                 (G.name, gens)
+
+
+def test_subgroup_accepts_exactly_the_sets_closed_under_products():
+    """Subgroup's closure certificate against the closure under products:
+    on generated subgroups, on those with a member added or removed, and
+    on random subsets holding the identity."""
+    import random
+    rng = random.Random("subgroup-certificate")
+    verdicts = set()
+    for G, count in ((affine(29), 3), (heisenberg(5), 12), (dihedral(12), 12),
+                     (quaternion8(), 12),
+                     (direct_product(quaternion8(), cyclic(3)), 12)):
+        for _ in range(count):
+            H = product_closure(G, [rng.randrange(G.order) for _ in range(rng.randint(1, 2))])
+            others = [g for g in range(G.order) if g not in H]
+            sets = [set(H), set(H) - {H[-1]},
+                    {G.identity, *rng.sample(range(G.order), rng.randint(1, G.order // 4))}]
+            if others:
+                sets.append(set(H) | {rng.choice(others)})
+            for S in sets:
+                closed = product_closure(G, S) == tuple(sorted(S))
+                try:
+                    accepted = Subgroup(G, S).elements == tuple(sorted(S))
+                except GroupConstructionError:
+                    accepted = False
+                assert accepted == closed, (G.name, sorted(S))
+                verdicts.add(closed)
+    assert verdicts == {True, False}
 
 
 def test_power_map():
@@ -162,7 +190,7 @@ def test_subgroup_closure_validation():
 def test_subgroup_as_group():
     Q = quaternion8()
     H = subgroup_generated(Q, [1])  # <i> of order 4
-    S, embed = H.as_group()
+    S, embed = as_group(H)
     assert S.order == 4
     assert sorted(embed) == list(H.elements)
     assert S.exponent == 4

@@ -70,11 +70,11 @@ def test_filtration_model_agrees_with_discriminant_route():
     for p in PRIMES:
         a = smallest_valid_unit(p)
         for alpha in (a, p):
-            data = jacobian_inertia_model(p, alpha)
-            assert data.rho.swan_conductor() == swan_jacobian(p, alpha)
-            assert data.rho.artin_conductor() == (p - 1) + swan_jacobian(p, alpha)
-            assert data.rho.degree() == 0
-            assert data.character.dim == p - 1
+            rho = jacobian_inertia_model(p, alpha)
+            assert rho.swan_conductor() == swan_jacobian(p, alpha)
+            assert rho.artin_conductor() == (p - 1) + swan_jacobian(p, alpha)
+            assert rho.degree() == 0
+            assert rho.dim == p - 1
 
 
 def test_break_model_sums():
@@ -148,3 +148,29 @@ def test_validate_params_refuses_a_group_above_the_order_cap():
     assert validate_params(43, smallest_valid_unit(43)).p == 43
     with pytest.raises(GroupConstructionError, match="above the cap"):
         validate_params(47, 2)
+
+
+def test_jacobian_model_builds_without_decomposing(monkeypatch):
+    from tensorcond.chars import CharacterTable
+
+    def refuse(self, chi):
+        raise AssertionError("the Jacobian model decomposed a class function")
+    monkeypatch.setattr(CharacterTable, "multiplicities", refuse)
+    for p in PRIMES:
+        a = smallest_valid_unit(p)
+        rho = jacobian_inertia_model(p, a)
+        assert rho.swan_conductor() == swan_jacobian(p, a)
+        assert rho.dim == p - 1
+
+
+def test_jacobian_vector_is_the_standard_character():
+    """The degree-(p-1) irreducible's class values against the permutation
+    character minus the trivial one, which is irreducible."""
+    from tensorcond.jacobians import _standard_character
+
+    from oracles import inner_product
+    for p in PRIMES:
+        ((chi, n),) = jacobian_inertia_model(p, smallest_valid_unit(p)).blocks
+        std = _standard_character(chi.group, p)
+        assert n == 1 and list(chi.values) == list(std.values), p
+        assert inner_product(std, std) == 1, p

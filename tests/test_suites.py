@@ -81,8 +81,10 @@ def test_counterexample_replay_roundtrip(corpus):
         assert r.counterexample is None
     # build a synthetic counterexample document from a passing item and
     # check that replay reproduces the recorded sides
-    from tensorcond.chars import character_table, gen_character
+    from tensorcond.chars import character_table
     from tensorcond.filtration import tensor_level_identity
+
+    from oracles import gen_character
     chain = corpus.all_chains()[0]
     G = chain.filtration.parent
     T = character_table(G)

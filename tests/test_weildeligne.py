@@ -39,7 +39,7 @@ def test_model_validation():
 
 def test_artin_conductor_blocks(q8_model, chi2):
     Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     assert WDRep(q8_model, [(triv, 2)]).artin_conductor() == 1
     assert WDRep(q8_model, [(triv, 1)]).artin_conductor() == 0
     deep = InertiaModel(Q, filtration_from_generators(Q, [[1, 2], [4]]), 2)
@@ -47,8 +47,7 @@ def test_artin_conductor_blocks(q8_model, chi2):
 
 
 def test_swan_conductor_blocks(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     assert WDRep(q8_model, [(triv, 2)]).swan_conductor() == 0
     rho = WDRep(q8_model, [(chi2, 1)])
     assert rho.swan_conductor() == Fraction(1, 2)
@@ -57,8 +56,7 @@ def test_swan_conductor_blocks(q8_model, chi2):
 
 
 def test_degree(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     assert WDRep(q8_model, [(triv, 2)]).degree() == 1
     assert WDRep(q8_model, [(chi2, 1)]).degree() == 0
     rho = WDRep(q8_model, [(triv, 1), (triv, 2)])
@@ -77,8 +75,7 @@ def test_clebsch_gordan():
 
 
 def test_tensor_blocks(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     ss = WDRep(q8_model, [(triv, 2)])
     t = tensor(ss, ss)
     assert sorted(n for _, n in t.blocks) == [1, 3]
@@ -123,9 +120,8 @@ def test_model_mismatch(q8_model, chi2):
 def test_equality_does_not_depend_on_how_the_blocks_are_split(q8_model, chi2):
     """Blocks of one special size are summed and zero blocks dropped, so a
     representation compares equal however its blocks were listed."""
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
-    zero = ClassFunction.zero(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
+    zero = triv.scale(0)
     split = WDRep(q8_model, [(triv, 1), (chi2, 2), (triv, 1), (zero, 3)])
     whole = WDRep(q8_model, [(chi2, 2), (triv.scale(2), 1)])
     assert split == whole
@@ -136,7 +132,7 @@ def test_equality_does_not_depend_on_how_the_blocks_are_split(q8_model, chi2):
 
 def test_local_pair_refuses_data_over_two_models(q8_model, chi2):
     Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     other = InertiaModel(Q, filtration_from_generators(Q, [[4]]), 2)
     A = AbVarDatum(q8_model, chi2, triv)
     with pytest.raises(ModelMismatchError):
@@ -160,15 +156,14 @@ def test_closed_form_for_special_tensor(q8_model):
         for n in range(1, 13):
             left = WDRep(q8_model, [(sigma, n)])
             for m in range(1, 13):
-                right = WDRep(q8_model, [(ClassFunction.trivial(q8_model.group), m)])
+                right = WDRep(q8_model, [(T.irreducibles[T.index_of_trivial()], m)])
                 got = tensor(left, right).artin_conductor()
                 want = n * m * a_sigma + fix * (n * m - min(n, m))
                 assert got == want
 
 
 def test_abvar_validation(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     datum = AbVarDatum(q8_model, chi2, triv)
     assert datum.dim == 4
     with pytest.raises(ValueError):
@@ -176,8 +171,7 @@ def test_abvar_validation(q8_model, chi2):
 
 
 def test_semistable_equality_and_errors(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     A = AbVarDatum(q8_model, triv.scale(2), triv)
     B = AbVarDatum(q8_model, chi2, triv)
     lhs, rhs = semistable_equality(LocalPair(A, B))
@@ -185,29 +179,27 @@ def test_semistable_equality_and_errors(q8_model, chi2):
     with pytest.raises(NotSemistableError):
         semistable_equality(LocalPair(B, A))
     # good reduction: a(tensor) = dim(A) a(B)
-    good = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
+    good = AbVarDatum(q8_model, triv.scale(2), triv.scale(0))
     lhs, rhs = semistable_equality(LocalPair(good, B))
     assert lhs == rhs == good.dim * B.artin_conductor()
 
 
 def test_tame_identity_preconditions(q8_model, chi2):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     A = AbVarDatum(q8_model, chi2, triv)     # a = 7/2 > 1
-    B = AbVarDatum(q8_model, chi2.scale(2), ClassFunction.zero(Q))
+    B = AbVarDatum(q8_model, chi2.scale(2), triv.scale(0))
     lhs, rhs = tame_identity(LocalPair(A, B))
     assert lhs == rhs
-    small = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
+    small = AbVarDatum(q8_model, triv.scale(2), triv.scale(0))
     with pytest.raises(PreconditionError):
         tame_identity(LocalPair(small, B))
 
 
 def test_degree_gap_examples(q8_model):
-    Q = q8_model.group
-    triv = ClassFunction.trivial(Q)
-    semi = AbVarDatum(q8_model, ClassFunction.zero(Q), triv)
+    triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
+    semi = AbVarDatum(q8_model, triv.scale(0), triv)
     assert degree_gap(semi) == 1
-    good = AbVarDatum(q8_model, triv.scale(2), ClassFunction.zero(Q))
+    good = AbVarDatum(q8_model, triv.scale(2), triv.scale(0))
     assert good.artin_conductor() == 0 and degree_gap(good) == 0
 
 
@@ -283,7 +275,9 @@ def test_vector_predicates_match_class_function_predicates():
     predicates on the assembled class values, on every corpus group, for
     vectors that pass and vectors that fail each of them."""
     import random
-    from tensorcond.chars import is_rational_charpoly, is_symplectic, rational_atoms
+    from tensorcond.chars import rational_atoms
+
+    from oracles import is_rational_charpoly, is_symplectic
     corpus = load_corpus()
     seen = set()
     for entry in corpus.entries:
@@ -336,7 +330,26 @@ def test_assembled_values_match_a_sum_of_scaled_irreducibles(q8_model):
     chi = T.assemble(vec)
     total = ClassFunction.zero(q8_model.group)
     for m, psi in zip(vec, T.irreducibles):
-        total = total + psi.scale(m)
+        # scaled as class values: an irreducible's own scale() is a vector
+        total = total + ClassFunction(psi.group, psi.values).scale(m)
     assert [v.key() for v in chi.values] == [v.key() for v in total.values]
     assert chi.dim == total.dim and chi.scale(2).mults == (6, 0, 2, 4, 2)
-    assert T.character(total).mults == chi.mults
+    assert T.multiplicities(total) == chi.mults
+
+
+def test_kernel_entry_points_refuse_a_class_function_that_is_no_table_vector(q8_model,
+                                                                             chi2):
+    """A bare class function is never decomposed: WDRep, the per-level
+    identity and the symplectic bound refuse it, even when its values are
+    those of a character of the table."""
+    from tensorcond.filtration import symplectic_tensor_bound, tensor_level_identity
+    Q, filt = q8_model.group, q8_model.filtration
+    bare = ClassFunction.trivial(Q)
+    with pytest.raises(ModelMismatchError):
+        WDRep(q8_model, [(bare, 1)])
+    with pytest.raises(ModelMismatchError):
+        AbVarDatum(q8_model, chi2, bare)
+    with pytest.raises(ModelMismatchError):
+        tensor_level_identity(bare, chi2, filt)
+    with pytest.raises(ModelMismatchError):
+        symplectic_tensor_bound(chi2, bare.scale(2), filt)
