@@ -7,9 +7,8 @@ from .filtration import (ConductorReport, conductor, conductor_exponent,
                          min_sum_bound, nonfixed_dim, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_fixed_excess,
                          tensor_level_identity)
-from .globalbound import (FactoredInteger, GlobalDatum, PrimeLocalPair,
-                          PrimeSummary, d_term, rankin_selberg_bound,
-                          self_tensor_bound)
+from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary, d_term,
+                          rankin_selberg_bound)
 from .groups import (FiniteGroup, Filtration, Subgroup, affine, build_group,
                      cyclic, dihedral, direct_product, elementary_abelian,
                      filtration_from_generators, heisenberg, quaternion8,

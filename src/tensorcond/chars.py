@@ -8,13 +8,13 @@ vector split it, one class matrix (built on demand) at a time, into the
 central characters, whose values are lifted to exact cyclotomics by one
 inverse DFT per class that is not a power of a class of higher order.
 
-The averages `fixed_dim`, `CharacterTable.multiplicities`, the table's
-orthogonality check and the Frobenius-Schur sum are taken in the exponent
-form of a class function: each value sum_j c_j zeta_N^j is kept as the terms
-c_j x^(j e/N) of Z[x]/(x^e - 1), e the group exponent.  An average then
-sums (or convolves) integer terms into one list and reduces it mod Phi_e
-once (`cyclo.exponent_sum_value`); only the final division by the group
-order is rational.
+The averages `fixed_dim`, `CharacterTable.multiplicities` and the table's
+orthogonality check are taken in the exponent form of a class function:
+each value sum_j c_j zeta_N^j is kept as the terms c_j x^(j e/N) of
+Z[x]/(x^e - 1), e the group exponent.  An average then sums (or
+convolves) integer terms into one list and reduces it mod Phi_e once
+(`cyclo.exponent_sum_value`); only the final division by the group order
+is rational.
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, with the lift's values set,
@@ -23,9 +23,9 @@ only assembled when something reads them.  The kernels take `Character`s
 and never decompose (`CharacterTable.own`).  The table caches what the
 integer kernels of `weildeligne` and `filtration` need: the fixed
 dimensions of each irreducible on a subgroup, the structure constants of
-tensor products, and the symplectic, self-dual and rational criteria, all
-read off the lift's residues (the irreducibles' values mod q): see
-`residues`.
+tensor products, the Frobenius-Schur indicators, and the symplectic,
+self-dual and rational criteria, all read off the lift's residues (the
+irreducibles' values mod q): see `residues`.
 """
 
 from __future__ import annotations
@@ -397,9 +397,21 @@ class CharacterTable:
 
     @property
     def fs_indicators(self) -> Tuple[int, ...]:
+        """nu_i = |G|^-1 sum_c |c| psi_i(c^2), taken in F_q from the residues:
+        the rows were proved irreducible by `_validate_table`, so nu_i is
+        -1, 0 or 1, and q > 2 tells them apart (-1 is q - 1)."""
         if self._fs is None:
-            # the rows were proved irreducible by `_validate_table`
-            self._fs = tuple(_indicator(psi) for psi in self.irreducibles)
+            G = self.group
+            q = self.modulus
+            squares = [G.class_power(c, 2) for c in range(len(G.classes))]
+            inv_order = pow(G.order, -1, q)
+            fs = []
+            for row in self.residues:
+                nu = sum(size * row[c] for size, c in zip(G.class_sizes, squares)) \
+                    * inv_order % q
+                assert nu in (0, 1, q - 1)
+                fs.append(-1 if nu == q - 1 else nu)
+            self._fs = tuple(fs)
         return self._fs
 
     @property
@@ -660,25 +672,6 @@ def character_table(group: FiniteGroup) -> CharacterTable:
             last_err = err
             q = _next_table_prime(q, group.exponent)
     raise TableComputationError(f"table computation failed: {last_err}")
-
-
-# -- the Frobenius-Schur indicator ---------------------------------------------------
-
-
-def _indicator(psi: ClassFunction) -> int:
-    """(1/|G|) sum psi(g^2) for a psi known to be irreducible."""
-    G = psi.group
-    m, rows = psi._exponent_form()
-    acc = [0] * m
-    for c, size in enumerate(G.class_sizes):
-        for k, v in rows[G.class_power(c, 2)]:
-            acc[k] += size * v
-    total = exponent_sum_value(m, acc)
-    if total is None:
-        raise NonCharacterError("Frobenius-Schur sum is not rational")
-    ind = total / G.order
-    assert ind in (-1, 0, 1)
-    return int(ind)
 
 
 # -- seeded generators ----------------------------------------------------------

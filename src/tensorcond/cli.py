@@ -22,11 +22,12 @@ from .chars import character_table
 from .corpus import load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
                      require)
-from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
-                          rankin_selberg_bound, record_prime)
+from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary, exponents_str,
+                          rankin_selberg_bound)
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import DEFAULT_SEEDS, SUITES, abvar_datum, replay, run_suite_range
+from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, read_global, replay,
+                     run_suite_range)
 from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
 
 WORKERS_ENV = "TENSORCOND_WORKERS"
@@ -171,30 +172,23 @@ def _run_bound(args, machine: bool) -> int:
 # -- subcommand: global -----------------------------------------------------------
 
 
+def _global_record(rec, where: str, p: int):
+    mode = require(rec, "mode", where)
+    if mode == "summary":
+        return PrimeSummary(p, *(int_field(rec, key, where)
+                                 for key in ("vA", "vB", "degA", "degB", "degAB")))
+    if mode == "full":
+        model = _build_model(require(rec, "model", where), f"{where}model.")
+        return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
+                                   for key in ("A", "B")))
+    raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
+
+
 def _run_global(args, machine: bool) -> int:
-    doc = _load_document(args.input)
-    dim_a = int_field(doc, "dimA")
-    dim_b = int_field(doc, "dimB")
-    primes = require(doc, "primes")
-    if not isinstance(primes, list):
-        raise InputError("'primes' must be a list of prime records")
-    records = []
-    for j, rec in enumerate(primes):
-        where = f"primes[{j}]."
-        p = record_prime(rec, where)
-        mode = require(rec, "mode", where)
-        if mode == "summary":
-            records.append(PrimeSummary(p, *(int_field(rec, key, where) for key in
-                                              ("vA", "vB", "degA", "degB", "degAB"))))
-        elif mode == "full":
-            model = _build_model(require(rec, "model", where), f"{where}model.")
-            records.append(PrimeLocalPair(p, *(
-                abvar_datum(model, require(rec, key, where), where + key)
-                for key in ("A", "B"))))
-        else:
-            raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
+    dim_a, dim_b, records = read_global(_load_document(args.input), ("dimA", "dimB"),
+                                        _global_record)
     try:
-        datum = GlobalDatum(dim_a, dim_b, tuple(records))
+        datum = GlobalDatum(dim_a, dim_b, records)
         report = rankin_selberg_bound(datum)
     except TensorCondError as err:
         raise InputError(str(err)) from err
@@ -203,8 +197,8 @@ def _run_global(args, machine: bool) -> int:
     if machine:
         print(json.dumps(out, sort_keys=True))
     else:
-        print(f"bound: {report.bound}")
-        print(f"d_term: {report.d}")
+        print(f"bound: {exponents_str(report.bound)}")
+        print(f"d_term: {exponents_str(report.d)}")
         print(f"per-prime check: {out['per_prime_check']}")
         for rec in report.per_prime:
             print(f"  p={rec['p']}: bound exponent {rec['bound_exp']}"

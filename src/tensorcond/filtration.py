@@ -147,6 +147,13 @@ def min_sum_bound(M: Fraction, a: Sequence[Fraction], b: Sequence[Fraction],
     return lhs, rhs
 
 
+def tensor_rhs(dim1, dim2, a1, a2, coeff, correction):
+    """The right-hand side of every tensor-conductor bound in the package,
+    dim1 a2 + dim2 a1 - coeff min(a1, a2) - correction, for two objects of
+    dimensions dim1, dim2 and exponents a1, a2 (Artin or Swan)."""
+    return dim1 * a2 + dim2 * a1 - coeff * min(a1, a2) - correction
+
+
 def symplectic_tensor_bound(tau1: Character, tau2: Character,
                             filt: Filtration) -> Tuple[Fraction, Fraction]:
     """Conductor bound for a tensor product of two symplectic characters.
@@ -184,4 +191,4 @@ def _tensor_bound(c1: Character, c2: Character, filt: Filtration,
                    for c in (c1, c2, c12))
     excess = Fraction(sum((c12.fixed(H) - c1.fixed(H) * c2.fixed(H)) * H.size
                           for H in filt.chain), order)
-    return a12, c1.dim * a2 + c2.dim * a1 - coeff * min(a1, a2) - excess
+    return a12, tensor_rhs(c1.dim, c2.dim, a1, a2, coeff, excess)

@@ -17,7 +17,8 @@ from .chars import ClassFunction, character_table, fixed_dim
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Filtration, Subgroup, affine,
                      is_prime, whole_group, trivial_subgroup)
-from .weildeligne import InertiaModel, WDRep
+from .filtration import tensor_rhs
+from .weildeligne import InertiaModel, WDRep, improvement_constant
 
 
 @dataclass(frozen=True)
@@ -301,17 +302,15 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     rep_a, rep_p = joint_break_model(params)
     prod = tensor_break_rep(rep_a, rep_p)
     sw_tensor = prod.swan()
-    swan_rhs = dim * sw_p_filt + dim * sw_a_filt \
-        - max(2, p - 1) * min(sw_a_filt, sw_p_filt)
+    swan_rhs = tensor_rhs(dim, dim, sw_a_filt, sw_p_filt, max(2, p - 1), 0)
 
     # the wild group fixes nothing in the product (every exponent vector is
     # nonzero), so neither does inertia: the tame part is the full dim^2
     wild_invariants = dim * dim - len(prod.characters)
     tensor_deg = wild_invariants  # = 0; inertia-fixed <= wild-fixed
     a_tensor = dim * dim - tensor_deg + sw_tensor
-    c_p = min(max(2, p - 1), dim - deg_a, dim - deg_p)
-    conductor_rhs = dim * artin_p + dim * artin_a \
-        - c_p * min(artin_a, artin_p) - (tensor_deg - deg_a * deg_p)
+    c_p = improvement_constant(p, dim - deg_a, dim - deg_p)
+    conductor_rhs = tensor_rhs(dim, dim, artin_a, artin_p, c_p, tensor_deg - deg_a * deg_p)
 
     equal = (
         sw_a_filt == sw_a and sw_p_filt == sw_p

@@ -24,13 +24,13 @@ from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
                      int_field, is_int, require)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
-from .globalbound import (GlobalDatum, PrimeLocalPair, rankin_selberg_bound,
-                          record_prime, self_tensor_bound_report)
-from .groups import FiniteGroup, build_group, pgroup_prime
+from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
+                          rankin_selberg_bound, self_tensor_bound_report)
+from .groups import FiniteGroup, build_group, is_prime, pgroup_prime
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
-                          degree_gap, improvement_constant, semistable_equality,
+                          degree_gap, semistable_equality, semistable_form,
                           swan_bound, tame_identity, uniform_bound)
 
 SHARPNESS_PRIMES = (3, 5, 7, 11, 13)
@@ -79,6 +79,38 @@ def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
         return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
     except TensorCondError as err:
         raise InputError(f"{name}: {err}") from err
+
+
+def read_global(doc, dim_keys: Tuple[str, str],
+                read_record: Callable[[dict, str, int], PrimeRecord]
+                ) -> Tuple[int, int, Tuple[PrimeRecord, ...]]:
+    """The two dimensions and the prime records of a global document.
+
+    Each dimension must be at least 1, and each record's 'p' a prime that no
+    earlier record has; ``read_record(rec, where, p)`` reads the rest of the
+    record at where = 'primes[j].'.
+    """
+    dims = []
+    for key in dim_keys:
+        dim = int_field(doc, key)
+        if dim < 1:
+            raise InputError(f"'{key}' must be at least 1, not {dim}")
+        dims.append(dim)
+    records = require(doc, "primes")
+    if not isinstance(records, list):
+        raise InputError("'primes' must be a list of prime records")
+    seen = set()
+    out = []
+    for j, rec in enumerate(records):
+        where = f"primes[{j}]."
+        p = int_field(rec, "p", where)
+        if not is_prime(p):
+            raise InputError(f"'{where}p' must be a prime, not {p}")
+        if p in seen:
+            raise InputError(f"'{where}p' repeats the prime {p} of an earlier record")
+        seen.add(p)
+        out.append(read_record(rec, where, p))
+    return dims[0], dims[1], tuple(out)
 
 
 def _rational(value, name: str) -> Fraction:
@@ -145,8 +177,7 @@ def _char(T: CharacterTable, doc, key: str) -> Character:
 # -- abelian-variety datum generation ------------------------------------------
 
 
-def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
-                    sigma_budget: int = 4, force_ramified: bool = False,
+def gen_abvar_mults(T: CharacterTable, seed, force_ramified: bool = False,
                     target_dim: Optional[int] = None) -> dict:
     """Multiplicity vectors {"tau", "sigma"} of a seeded random valid
     abelian-variety datum.
@@ -164,8 +195,8 @@ def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
     triv = T.index_of_trivial()
 
     if target_dim is None:
-        tau_m = _combine_atoms(T, tau_atoms, rng, tau_budget, 4)
-        sig_m = _combine_atoms(T, sig_atoms, rng, sigma_budget, 3)
+        tau_m = _combine_atoms(T, tau_atoms, rng, 8, 4)
+        sig_m = _combine_atoms(T, sig_atoms, rng, 4, 3)
         if force_ramified and not any(m for i, m in enumerate(tau_m) if i != triv):
             nontrivial = [a for a in tau_atoms
                           if any(m for i, m in enumerate(a[0]) if i != triv)]
@@ -192,27 +223,27 @@ def gen_abvar_mults(T: CharacterTable, seed, tau_budget: int = 8,
     return {"tau": tau_m, "sigma": sig_m}
 
 
-def gen_semistable_mults(T: CharacterTable, seed, max_m: int = 2,
-                         max_n: int = 3) -> dict:
-    """Semistable vectors: tau = 2m copies of trivial, sigma = n copies."""
+def gen_semistable_mults(T: CharacterTable, seed) -> dict:
+    """Semistable vectors: tau = 2m copies of trivial, sigma = n copies,
+    m <= 2 and n <= 3."""
     rng = random.Random(f"ss:{seed}")
     tau, sigma = [0] * len(T), [0] * len(T)
-    tau[T.index_of_trivial()] = 2 * rng.randint(0, max_m)
-    sigma[T.index_of_trivial()] = rng.randint(0, max_n)
+    tau[T.index_of_trivial()] = 2 * rng.randint(0, 2)
+    sigma[T.index_of_trivial()] = rng.randint(0, 3)
     return {"tau": tau, "sigma": sigma}
 
 
-def gen_abvar(model: InertiaModel, seed, *args, **kwargs) -> AbVarDatum:
+def gen_abvar(model: InertiaModel, seed, **kwargs) -> AbVarDatum:
     """Seeded random valid abelian-variety datum over the model (see
     gen_abvar_mults for the options)."""
     T = character_table(model.group)
-    return abvar_datum(model, gen_abvar_mults(T, seed, *args, **kwargs), "abvar")
+    return abvar_datum(model, gen_abvar_mults(T, seed, **kwargs), "abvar")
 
 
-def gen_semistable(model: InertiaModel, seed, *args, **kwargs) -> AbVarDatum:
+def gen_semistable(model: InertiaModel, seed) -> AbVarDatum:
     """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
     T = character_table(model.group)
-    return abvar_datum(model, gen_semistable_mults(T, seed, *args, **kwargs), "abvar")
+    return abvar_datum(model, gen_semistable_mults(T, seed), "abvar")
 
 
 # -- individual suites -----------------------------------------------------------
@@ -406,12 +437,10 @@ def _check_conductor_bound(doc, chains):
     lhs, rhs, C = conductor_bound(pair)
     ok = lhs <= rhs
     # the bound collapses to the semistable closed form when a <= 1
-    aA, aB = A.artin_conductor(), B.artin_conductor()
-    corr = pair.degree_correction
-    if aA <= 1:
-        ok = ok and lhs == A.dim * aB + B.degree() * aA - corr
-    elif aB <= 1:
-        ok = ok and lhs == B.dim * aA + A.degree() * aB - corr
+    if A.artin_conductor() <= 1:
+        ok = ok and lhs == semistable_form(A, B, pair.degree_correction)
+    elif B.artin_conductor() <= 1:
+        ok = ok and lhs == semistable_form(B, A, pair.degree_correction)
     return ok, {"lhs": str(lhs), "rhs": str(rhs), "C": C}
 
 
@@ -419,9 +448,10 @@ def _check_uniform_bound(doc, chains):
     pair = _local_pair(doc, chains)
     lhs, rhs, corr = uniform_bound(pair)
     ok = lhs <= rhs
-    if improvement_constant(pair) >= 2:
+    _, refined_rhs, C = conductor_bound(pair)
+    if C >= 2:
         # the refined bound is at least as strong in this regime
-        ok = ok and conductor_bound(pair)[1] <= rhs
+        ok = ok and refined_rhs <= rhs
     return ok, {"lhs": str(lhs), "rhs": str(rhs), "corr": str(corr)}
 
 
@@ -453,28 +483,22 @@ def _gen_global(corpus, base_seed, i):
 
 
 def _check_global(doc, chains):
-    """Full-mode global data: per-prime divisibility of the factored bounds,
-    and the self-tensor bound of the first object."""
-    dim_a, dim_b = int_field(doc, "dim_a"), int_field(doc, "dim_b")
-    records = require(doc, "primes")
-    if not isinstance(records, list):
-        raise InputError("'primes' must be a list of prime records")
-    pairs = []
-    for j, rec in enumerate(records):
-        where = f"primes[{j}]."
+    """Full-mode global data: at each prime the recomputed exponent of A x B
+    against the bound, and that of A x A against the self-tensor bound."""
+    def read_pair(rec, where, p):
         model = _model(chains, rec, where)
-        pairs.append(PrimeLocalPair(
-            record_prime(rec, where),
-            *(abvar_datum(model, require(rec, key, where), where + key)
-              for key in ("A", "B"))))
+        return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
+                                   for key in ("A", "B")))
+
+    dim_a, dim_b, pairs = read_global(doc, ("dim_a", "dim_b"), read_pair)
     try:
-        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, tuple(pairs)))
+        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, pairs))
         self_report = self_tensor_bound_report(GlobalDatum(dim_a, dim_a, tuple(
             PrimeLocalPair(r.p, r.A, r.A) for r in pairs)))
     except TensorCondError as err:
         return False, {"error": str(err)}
     return (report.all_checks_pass() and self_report.all_checks_pass(),
-            {**report.to_json(), "self_bound": self_report.bound.to_json(),
+            {**report.to_json(), "self_bound": exponents_json(self_report.bound),
              "self_per_prime": list(self_report.per_prime)})
 
 
@@ -564,15 +588,6 @@ SUITES: Dict[str, Suite] = {
 DEFAULT_SEEDS: Dict[str, int] = {name: suite.seeds for name, suite in SUITES.items()}
 
 
-def run_suite(name: str, corpus: Corpus, seeds: Optional[int] = None,
-              base_seed: int = 0) -> List[ItemResult]:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if seeds is None:
-        seeds = SUITES[name].seeds
-    return run_suite_range(name, corpus, 0, seeds, base_seed)
-
-
 def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
                     base_seed: int = 0) -> List[ItemResult]:
     """Evaluate a contiguous index range; items only depend on their index.
@@ -593,13 +608,6 @@ def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
         out.append(ItemResult(name, i, ok, {**labels, **detail},
                               suite.checks(doc, detail), ce))
     return out
-
-
-def serialize_counterexample(result: ItemResult) -> dict:
-    """The self-contained document for a failing item, as replay() expects."""
-    if result.counterexample is None:
-        raise ValueError(f"item {result.suite}#{result.index} did not fail")
-    return result.counterexample
 
 
 def replay(doc) -> dict:

@@ -35,7 +35,7 @@ from typing import List, Sequence, Tuple
 from .chars import Character, CharacterTable, ClassFunction, character_table, fixed_dim
 from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
                      NotSemistableError, NotSymplecticError, PreconditionError)
-from .filtration import conductor_exponent, nonfixed_dim
+from .filtration import conductor_exponent, nonfixed_dim, tensor_rhs
 from .groups import FiniteGroup, Filtration, is_prime
 
 
@@ -278,20 +278,25 @@ class LocalPair:
         return self.product.degree() - self.A.degree() * self.B.degree()
 
 
+def semistable_form(A: WDRep, B: WDRep, correction: int) -> Fraction:
+    """dim(A) a(B) + deg(B) a(A) - correction: a(A x B) when A is
+    semistable, and whenever a(A) <= 1, the correction being the pair's
+    degree correction."""
+    return A.dim * B.artin_conductor() + B.degree() * A.artin_conductor() - correction
+
+
 def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """Exact conductor of the tensor product when A is semistable.
 
     lhs is the Artin conductor of the expanded tensor product, from class
-    averages; rhs is the closed form dim(A) a(B) + deg(B) a(A) - (deg(AxB)
-    - deg(A) deg(B)), from the kernel.  The two must agree.
+    averages; rhs is the closed form `semistable_form`, from the kernel.
+    The two must agree.
     """
     A, B = pair.A, pair.B
     if not A.is_semistable():
         raise NotSemistableError("first datum must be semistable")
     lhs = class_artin(pair.model, class_tensor(A, B))
-    rhs = (A.dim * B.artin_conductor() + B.degree() * A.artin_conductor()
-           - pair.degree_correction)
-    return lhs, rhs
+    return lhs, semistable_form(A, B, pair.degree_correction)
 
 
 def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
@@ -299,9 +304,8 @@ def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     A, B = pair.A, pair.B
     p = pair.model.residue_char
     lhs = pair.product.swan_conductor()
-    swA, swB = A.swan_conductor(), B.swan_conductor()
-    rhs = A.dim * swB + B.dim * swA - max(2, p - 1) * min(swA, swB)
-    return lhs, rhs
+    return lhs, tensor_rhs(A.dim, B.dim, A.swan_conductor(), B.swan_conductor(),
+                           max(2, p - 1), 0)
 
 
 def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
@@ -323,10 +327,9 @@ def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def improvement_constant(pair: LocalPair) -> int:
-    """min of max(2, p-1) and the two tame codimensions."""
-    A, B = pair.A, pair.B
-    return min(max(2, pair.model.residue_char - 1), A.dim - A.degree(), B.dim - B.degree())
+def improvement_constant(p: int, tame_a: int, tame_b: int) -> int:
+    """min of max(2, p-1) and the two tame codimensions dim - deg."""
+    return min(max(2, p - 1), tame_a, tame_b)
 
 
 def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
@@ -337,10 +340,10 @@ def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     Equality is forced whenever a(A) <= 1 or a(B) <= 1.
     """
     A, B = pair.A, pair.B
-    C = improvement_constant(pair)
-    aA, aB = A.artin_conductor(), B.artin_conductor()
+    C = improvement_constant(pair.model.residue_char, A.dim - A.degree(), B.dim - B.degree())
     lhs = pair.product.artin_conductor()
-    rhs = A.dim * aB + B.dim * aA - C * min(aA, aB) - pair.degree_correction
+    rhs = tensor_rhs(A.dim, B.dim, A.artin_conductor(), B.artin_conductor(), C,
+                     pair.degree_correction)
     return lhs, rhs, C
 
 
@@ -351,8 +354,7 @@ def uniform_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     aA, aB = A.artin_conductor(), B.artin_conductor()
     corr = pair.degree_correction if aA * aB > 1 else 0
     lhs = pair.product.artin_conductor()
-    rhs = A.dim * aB + B.dim * aA - 2 * min(aA, aB) - corr
-    return lhs, rhs, corr
+    return lhs, tensor_rhs(A.dim, B.dim, aA, aB, 2, corr), corr
 
 
 def degree_gap(A: AbVarDatum) -> int:

@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional
 
-from tensorcond.chars import (ClassFunction, _indicator, character_table,
-                              gen_character_mults)
+from tensorcond.chars import ClassFunction, character_table, gen_character_mults
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import NonCharacterError
 from tensorcond.groups import FiniteGroup, Subgroup
@@ -296,10 +295,19 @@ def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
 
 
 def frobenius_schur(psi: ClassFunction) -> int:
-    """Indicator (1/|G|) sum psi(g^2); requires an irreducible input."""
+    """Indicator (1/|G|) sum psi(g^2), as a CycloNum sum over the classes;
+    requires an irreducible input."""
     if inner_product(psi, psi) != 1:
         raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
-    return _indicator(psi)
+    G = psi.group
+    total = CycloNum.zero()
+    for c, size in enumerate(G.class_sizes):
+        total = total + psi.values[G.class_power(c, 2)].scale(size)
+    if not total.is_rational():
+        raise NonCharacterError("Frobenius-Schur sum is not rational")
+    ind = total.rational_value() / G.order
+    assert ind in (-1, 0, 1)
+    return int(ind)
 
 
 def is_rational_charpoly(chi: ClassFunction) -> bool:

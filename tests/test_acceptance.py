@@ -20,7 +20,7 @@ from tensorcond.groups import (affine, cyclic, dihedral, quaternion8,
 from tensorcond.jacobians import (disc_valuation, jacobian_inertia_model,
                                   smallest_valid_unit, swan_jacobian,
                                   validate_params, verify_sharpness)
-from tensorcond.suites import run_suite
+from tensorcond.suites import run_suite_range
 from tensorcond.weildeligne import WDRep, clebsch_gordan, tensor
 
 from oracles import (inner_product, linear_reps_q8, permutation_rep_affine,
@@ -41,7 +41,7 @@ def report(number: int, name: str, ok: bool, info: str = "") -> None:
 
 def test_criterion_01_step_identity(corpus):
     start = time.time()
-    results = run_suite("step-identity", corpus, seeds=1000, base_seed=0)
+    results = run_suite_range("step-identity", corpus, 0, 1000, 0)
     elapsed = time.time() - start
     tuples = sum(r.checks for r in results)
     violations = sum(not r.ok for r in results)
@@ -51,7 +51,7 @@ def test_criterion_01_step_identity(corpus):
 
 
 def test_criterion_02_symplectic_bound(corpus):
-    results = run_suite("symplectic-bound", corpus, seeds=500, base_seed=0)
+    results = run_suite_range("symplectic-bound", corpus, 0, 500, 0)
     violations = sum(not r.ok for r in results)
     Q = quaternion8()
     T = character_table(Q)
@@ -65,7 +65,7 @@ def test_criterion_02_symplectic_bound(corpus):
 
 def test_criterion_03_pgroup_bound(corpus):
     primes_covered = {p for p, _ in corpus.pgroup_chains()}
-    results = run_suite("pgroup-bound", corpus, seeds=500, base_seed=0)
+    results = run_suite_range("pgroup-bound", corpus, 0, 500, 0)
     violations = sum(not r.ok for r in results)
     C3 = cyclic(3)
     T = character_table(C3)
@@ -79,8 +79,8 @@ def test_criterion_03_pgroup_bound(corpus):
 
 
 def test_criterion_04_parity_and_gap(corpus):
-    parity = run_suite("symplectic-parity", corpus, seeds=300, base_seed=0)
-    gap = run_suite("pgroup-gap", corpus, seeds=300, base_seed=0)
+    parity = run_suite_range("symplectic-parity", corpus, 0, 300, 0)
+    gap = run_suite_range("pgroup-gap", corpus, 0, 300, 0)
     v1 = sum(not r.ok for r in parity)
     v2 = sum(not r.ok for r in gap)
     checks = sum(r.checks for r in parity) + sum(r.checks for r in gap)
@@ -121,7 +121,7 @@ def test_criterion_05_special_block_forms(corpus):
 
 
 def test_criterion_06_semistable_equality(corpus):
-    results = run_suite("semistable", corpus, seeds=200, base_seed=0)
+    results = run_suite_range("semistable", corpus, 0, 200, 0)
     violations = sum(not r.ok for r in results)
     # good-reduction degenerate case: a(A x B) = dim(A) a(B) exactly
     from tensorcond.suites import gen_abvar
@@ -143,7 +143,7 @@ def test_criterion_07_bound_suites(corpus):
     totals = {}
     for name in ("swan-bound", "tame-identity", "conductor-bound",
                  "uniform-bound", "degree-gap"):
-        results = run_suite(name, corpus, seeds=500, base_seed=0)
+        results = run_suite_range(name, corpus, 0, 500, 0)
         totals[name] = sum(not r.ok for r in results)
     ok = all(v == 0 for v in totals.values())
     report(7, "wild/tame/main/uniform bounds and degree gap", ok,
@@ -246,7 +246,7 @@ def test_criterion_10_character_tables():
 
 
 def test_criterion_11_global_bounds(corpus):
-    results = run_suite("global", corpus, seeds=100, base_seed=0)
+    results = run_suite_range("global", corpus, 0, 100, 0)
     violations = sum(not r.ok for r in results)
     primes_checked = sum(r.checks for r in results)
     report(11, "global factored bounds", violations == 0,

@@ -391,6 +391,25 @@ def test_frobenius_schur_matches_a_cyclonum_sum(corpus):
         assert tuple(frobenius_schur(psi) for psi in T.irreducibles) == want, G.name
 
 
+def test_frobenius_schur_indicators_read_no_class_values(monkeypatch):
+    """The table's indicators come from its residues: on freshly built
+    tables they are read with every class function's exponent form
+    switched off, and match the CycloNum sum."""
+    from tensorcond.groups import build_group
+    specs = [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 5},
+             {"kind": "heisenberg", "p": 3}, {"kind": "dihedral", "n": 6}]
+    tables = [character_table(build_group(spec)) for spec in specs]
+    wants = [tuple(_frobenius_schur_by_cyclonums(psi) for psi in T.irreducibles)
+             for T in tables]
+
+    def refuse(self):
+        raise AssertionError("Frobenius-Schur indicators read class values")
+    monkeypatch.setattr(ClassFunction, "_exponent_form", refuse)
+    for T, want in zip(tables, wants):
+        assert T.fs_indicators == want, T.group.name
+    assert sorted(wants[0]) == [-1, 1, 1, 1, 1]
+
+
 def test_irrational_averages_are_not_characters():
     from tensorcond.cyclo import CycloNum
     G = cyclic(5)

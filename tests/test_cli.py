@@ -583,3 +583,89 @@ def test_replay_refuses_a_global_record_whose_p_is_not_a_prime(tmp_path, capsys)
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert "'primes[0].p' must be a prime, not 4" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--suite", "all"],
+     "6c8780a1222593b1904b78c9ca37902bb63a8392a8d8e32ba231744c786ae9ca"),
+    (["verify", "--suite", "all", "--seed", "3", "--seeds", "40"],
+     "105fb16c73a55e0885e5b9996fe8d8dba2887f24b3c9f27c7cdc3de5026882b7"),
+    (["verify", "--suite", "global"],
+     "c0420dfe2a4012c8cac014cea3f8c423548d0717dcb74065f395bf094c86c5bf"),
+    (["sharpness", "--max-p", "13"],
+     "aac6a796ade7f34c207c6eb89d78a90618adf3a3813f4ce1187116a8c6cfcc55"),
+])
+def test_machine_output_digests_at_default_seeds(capsys, argv, digest):
+    """Machine output of the default suite runs and the sharpness sweep;
+    any change to a verdict, a detail, a check count or a seeded input
+    changes a digest."""
+    import hashlib
+    code, out, _ = run_cli(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_global_human_output(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "global", "--input", _write(tmp_path, make_global_doc()))
+    assert code == 0
+    assert out.splitlines() == [
+        "bound: 3^4 * 5^18",
+        "d_term: 1",
+        "per-prime check: pass",
+        "  p=3: bound exponent 4",
+        "  p=5: bound exponent 18, a(tensor) = 16",
+    ]
+
+
+def test_global_human_output_with_good_reduction_everywhere(tmp_path, capsys):
+    doc = {"dimA": 1, "dimB": 2, "primes": [
+        {"p": 7, "mode": "summary", "vA": 0, "vB": 0, "degA": 2, "degB": 4, "degAB": 8}]}
+    code, out, _ = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 0
+    assert out.splitlines() == ["bound: 1", "d_term: 1", "per-prime check: pass",
+                                "  p=7: bound exponent 0"]
+
+
+@pytest.mark.parametrize("key", ["dimA", "dimB"])
+def test_global_refuses_a_dimension_below_one(tmp_path, capsys, key):
+    doc = {"dimA": 1, "dimB": 1, "primes": [
+        {"p": 2, "mode": "summary", "vA": 0, "vB": 0, "degA": 0, "degB": 0, "degAB": 0}]}
+    doc[key] = 0
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'{key}' must be at least 1, not 0" in err
+
+
+def test_global_refuses_a_repeated_prime(tmp_path, capsys):
+    doc = make_global_doc()
+    doc["primes"][1]["p"] = 3
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert "'primes[1].p' repeats the prime 3" in err
+
+
+def _replayable_global_doc():
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import SUITES
+    # item 2 at seed 0 has three prime records
+    doc, _ = SUITES["global"].generate(load_corpus(), 0, 2)
+    assert len(doc["primes"]) >= 2
+    return {"suite": "global", **doc}
+
+
+def test_replay_refuses_a_global_document_that_repeats_a_prime(tmp_path, capsys):
+    doc = _replayable_global_doc()
+    doc["primes"][1]["p"] = doc["primes"][0]["p"]
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'primes[1].p' repeats the prime {doc['primes'][0]['p']}" in err
+
+
+@pytest.mark.parametrize("key", ["dim_a", "dim_b"])
+def test_replay_refuses_a_global_dimension_below_one(tmp_path, capsys, key):
+    doc = _replayable_global_doc()
+    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
+    doc[key] = 0
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'{key}' must be at least 1, not 0" in err

@@ -4,49 +4,60 @@ from hypothesis import given, settings, strategies as st
 from tensorcond.chars import character_table
 from tensorcond.corpus import load_corpus
 from tensorcond.errors import (InconsistentInputError, NegativeExponentError)
-from tensorcond.globalbound import (FactoredInteger, GlobalDatum,
-                                    PrimeLocalPair, PrimeSummary, d_term,
-                                    rankin_selberg_bound, self_tensor_bound,
+from tensorcond.globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
+                                    d_term, rankin_selberg_bound,
                                     self_tensor_bound_report)
 from tensorcond.suites import gen_abvar
 
 
-factored = st.builds(
-    FactoredInteger,
-    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11]),
-                    st.integers(min_value=0, max_value=6), max_size=4))
+summaries = st.lists(
+    st.builds(lambda v_a, v_b, deg_a, deg_b, extra: (v_a, v_b, deg_a, deg_b,
+                                                     deg_a * deg_b + extra),
+              st.integers(0, 6), st.integers(0, 6), st.integers(0, 2),
+              st.integers(0, 2), st.integers(0, 3)),
+    max_size=4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(factored, factored, factored)
-def test_factored_lattice_identities(a, b, c):
-    assert a.gcd(b) == b.gcd(a)
-    assert a.gcd(a) == a
-    assert (a * b).gcd(a * c) == a * b.gcd(c)
-    assert a.divides(a * b)
-    assert (a * b).divides(a) == (b == FactoredInteger.one())
-    assert (a * b).divide_exact(b) == a
+def _value(exponents):
+    n = 1
+    for p, e in exponents.items():
+        assert e > 0
+        n *= p ** e
+    return n
 
 
-def test_factored_int_roundtrip():
-    n = FactoredInteger.from_int(360)
-    assert n.factors == {2: 3, 3: 2, 5: 1}
-    assert n.value() == 360
-    assert repr(FactoredInteger.one()) == "1"
-    with pytest.raises(NegativeExponentError):
-        FactoredInteger({2: -1})
+@settings(max_examples=200, deadline=None)
+@given(summaries, st.integers(1, 3), st.integers(1, 3))
+def test_bound_is_the_integer_quotient(data, dim_a, dim_b):
+    """Pi p^e of the bound is N_A^{2 dim B} N_B^{2 dim A} // (d gcd(N_A, N_B)^2),
+    with Python integers, and the division is exact."""
+    primes = (2, 3, 5, 7)
+    datum = GlobalDatum(dim_a, dim_b, tuple(
+        PrimeSummary(p, *rec) for p, rec in zip(primes, data)))
+    n_a = n_b = g = d = 1
+    for p, (v_a, v_b, deg_a, deg_b, deg_ab) in zip(primes, data):
+        n_a *= p ** v_a
+        n_b *= p ** v_b
+        g *= p ** min(v_a, v_b)
+        if v_a * v_b > 1:
+            d *= p ** (deg_ab - deg_a * deg_b)
+    num, den = n_a ** (2 * dim_b) * n_b ** (2 * dim_a), d * g * g
+    assert num % den == 0
+    report = rankin_selberg_bound(datum)
+    assert _value(report.bound) == num // den
+    assert _value(report.d) == d
 
 
 def test_d_term_examples():
     # all good reduction: empty product
     datum = GlobalDatum(1, 1, (PrimeSummary(7, 0, 0, 2, 2, 4),))
-    assert d_term(datum) == FactoredInteger.one()
+    assert d_term(datum) == {}
     # both valuations 2 with degree data (1,1,2): contributes p^1
     datum = GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 2),))
-    assert d_term(datum) == FactoredInteger({5: 1})
+    assert d_term(datum) == {5: 1}
     # product of valuations equal to 1: excluded
     datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 0, 1, 2),))
-    assert d_term(datum) == FactoredInteger.one()
+    assert d_term(datum) == {}
     with pytest.raises(NegativeExponentError):
         d_term(GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 0),)))
 
@@ -64,21 +75,23 @@ def test_rankin_selberg_squarefree_elliptic():
     primes = tuple(PrimeSummary(p, 1, 1, 1, 1, 1) for p in (2, 3, 11))
     datum = GlobalDatum(1, 1, primes)
     report = rankin_selberg_bound(datum)
-    assert report.bound == FactoredInteger({2: 2, 3: 2, 11: 2})
-    assert report.d == FactoredInteger.one()
+    assert report.bound == {2: 2, 3: 2, 11: 2}
+    assert report.d == {}
 
 
 def test_rankin_selberg_good_reduction_everywhere():
     datum = GlobalDatum(2, 3, ())
-    assert rankin_selberg_bound(datum).bound == FactoredInteger.one()
+    assert rankin_selberg_bound(datum).bound == {}
 
 
 def test_self_tensor_bound_examples():
-    assert self_tensor_bound(1, FactoredInteger({2: 1, 5: 1})) == \
-        FactoredInteger({2: 2, 5: 2})
-    assert self_tensor_bound(1, FactoredInteger.one()) == FactoredInteger.one()
-    assert self_tensor_bound(2, FactoredInteger({3: 2})) == \
-        FactoredInteger({3: 11})  # 2*6 - 1
+    def self_bound(dim, conductor):
+        return self_tensor_bound_report(GlobalDatum(dim, dim, tuple(
+            PrimeSummary(p, v, v, 0, 0, 0) for p, v in conductor.items()))).bound
+    assert self_bound(1, {2: 1, 5: 1}) == {2: 2, 5: 2}
+    assert self_bound(1, {}) == {}
+    assert self_bound(1, {7: 0}) == {}
+    assert self_bound(2, {3: 2}) == {3: 11}  # 2*6 - 1
 
 
 def test_full_mode_per_prime_divisibility():
@@ -132,3 +145,11 @@ def test_global_items_build_each_records_tensor_product_once(monkeypatch):
         ok, _ = suite.check(doc, lambda ref, field: corpus.chain_by_ref(ref))
         assert ok, i
         assert 0 < len(calls) <= 2 * len(doc["primes"]), (i, len(calls), len(doc["primes"]))
+
+
+def test_a_negative_bound_exponent_is_refused():
+    # at p = 2 the exponent is 2*2 + 2*2 - 2*2 - (10 - 2*2) = -2
+    datum = GlobalDatum(1, 1, (PrimeSummary(3, 1, 1, 1, 1, 1),
+                               PrimeSummary(2, 2, 2, 2, 2, 10)))
+    with pytest.raises(InconsistentInputError, match="denominator exponents exceed"):
+        rankin_selberg_bound(datum)

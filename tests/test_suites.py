@@ -4,7 +4,7 @@ import pytest
 
 from tensorcond.corpus import CORPUS_VERSION, CorpusError, load_corpus
 from tensorcond.suites import (DEFAULT_SEEDS, SUITES, gen_abvar, replay,
-                               run_suite, run_suite_range)
+                               run_suite_range)
 
 EXPECTED_ENTRIES = {"c4", "c8", "c9", "c5", "c25", "q8", "d4", "heis3",
                     "ea9", "aff5"}
@@ -44,23 +44,23 @@ def test_corpus_version_check(tmp_path):
 
 def test_every_suite_green_briefly(corpus):
     for name in SUITES:
-        results = run_suite(name, corpus, seeds=6, base_seed=1)
+        results = run_suite_range(name, corpus, 0, 6, 1)
         assert len(results) == 6
         assert all(r.ok for r in results), [r.detail for r in results if not r.ok]
 
 
 def test_suite_range_matches_full_run(corpus):
-    full = run_suite("swan-bound", corpus, seeds=8, base_seed=3)
+    full = run_suite_range("swan-bound", corpus, 0, 8, 3)
     part = run_suite_range("swan-bound", corpus, 4, 4, base_seed=3)
     for a, b in zip(full[4:], part):
         assert a.index == b.index and a.detail == b.detail
 
 
 def test_determinism(corpus):
-    a = run_suite("conductor-bound", corpus, seeds=10, base_seed=7)
-    b = run_suite("conductor-bound", corpus, seeds=10, base_seed=7)
+    a = run_suite_range("conductor-bound", corpus, 0, 10, 7)
+    b = run_suite_range("conductor-bound", corpus, 0, 10, 7)
     assert [r.to_json() for r in a] == [r.to_json() for r in b]
-    c = run_suite("conductor-bound", corpus, seeds=10, base_seed=8)
+    c = run_suite_range("conductor-bound", corpus, 0, 10, 8)
     assert [r.to_json() for r in a] != [r.to_json() for r in c]
 
 
@@ -76,7 +76,7 @@ def test_gen_abvar_target_dim(corpus):
 def test_counterexample_replay_roundtrip(corpus):
     """Force failures by corrupting inputs; the dump must replay to the
     same lhs/rhs values it records."""
-    results = run_suite("step-identity", corpus, seeds=5, base_seed=0)
+    results = run_suite_range("step-identity", corpus, 0, 5, 0)
     for r in results:
         assert r.counterexample is None
     # build a synthetic counterexample document from a passing item and
@@ -130,7 +130,6 @@ def test_forced_failure_replays_to_failure(corpus, monkeypatch):
     twice: here every fixed dimension is patched one too small, so the
     trivial character of C9 shows gap 1, below the p = 3 threshold of 2."""
     from tensorcond.chars import CharacterTable, character_table
-    from tensorcond.suites import ItemResult, serialize_counterexample
     real = CharacterTable.fixed_dims
     monkeypatch.setattr(CharacterTable, "fixed_dims",
                         lambda self, H: tuple(f - 1 for f in real(self, H)))
@@ -142,10 +141,6 @@ def test_forced_failure_replays_to_failure(corpus, monkeypatch):
     assert verdict1["ok"] is False and verdict1["gaps"][0] == 1
     verdict2 = replay(json.loads(json.dumps(doc)))
     assert verdict1 == verdict2
-    item = ItemResult("pgroup-gap", 0, False, {}, counterexample=doc)
-    assert serialize_counterexample(item) == doc
-    with pytest.raises(ValueError):
-        serialize_counterexample(ItemResult("pgroup-gap", 0, True, {}))
 
 
 def _document(corpus, item):

@@ -10,9 +10,8 @@ from tensorcond.groups import filtration_from_generators, quaternion8
 from tensorcond.suites import gen_abvar, gen_semistable
 from tensorcond.weildeligne import (AbVarDatum, InertiaModel, LocalPair, WDRep,
                                     clebsch_gordan, conductor_bound, degree_gap,
-                                    improvement_constant, semistable_equality,
-                                    swan_bound, tame_identity, tensor,
-                                    uniform_bound)
+                                    semistable_equality, swan_bound, tame_identity,
+                                    tensor, uniform_bound)
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +225,8 @@ def test_bounds_over_corpus_models():
         assert lhs <= rhs
         lhs, rhs, C = conductor_bound(LocalPair(A, B))
         assert lhs <= rhs
-        assert C == improvement_constant(LocalPair(A, B))
+        assert C == min(max(2, model.residue_char - 1),
+                        A.dim - A.degree(), B.dim - B.degree())
         lhs, rhs, _ = uniform_bound(LocalPair(A, B))
         assert lhs <= rhs
         S = gen_semistable(model, f"wd:{idx}:s")
