@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -349,9 +350,15 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first `main` call of a process; parsing
+    leaves it as it was, so later calls reuse it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     machine = args.format == "machine"
     try:
         return _RUNNERS[args.command](args, machine)

@@ -2,13 +2,16 @@
 
 Every group is a table on element indices 0..order-1 with identity 0.
 Named constructions (cyclic, dihedral, quaternion, Heisenberg, affine, ...)
-are produced from explicit element encodings and converted to tables, so
-conjugacy classes and all validation can be done by exhaustive enumeration.
+write each row of their table by index arithmetic on the element
+encoding their docstring gives; `FiniteGroup` validates the table a row
+at a time and finds the classes as orbits under a few generators.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import FiltrationError, GroupConstructionError, is_int
@@ -61,55 +64,57 @@ class FiniteGroup:
         if n == 0:
             raise GroupConstructionError("empty multiplication table")
         self.order = n
-        self.table = tuple(tuple(row) for row in table)
-        for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+        self.table = table = tuple(tuple(row) for row in table)
+        if any(len(row) != n for row in table):
+            raise GroupConstructionError("table is not square over 0..n-1")
+        # a row of n entries that holds every index of 0..n-1 is a
+        # permutation of them, so this also puts every entry in range
+        full = frozenset(range(n))
+        bad = next((a for a, row in enumerate(table) if frozenset(row) != full), None)
+        if bad is not None:
+            if not all(0 <= x < n for row in table for x in row):
                 raise GroupConstructionError("table is not square over 0..n-1")
+            raise GroupConstructionError(f"row {bad} is not a permutation")
         self.name = name
         self.spec = spec or {}
 
-        identity = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                identity = e
-                break
+        ident = tuple(range(n))
+        identity = next((e for e, row in enumerate(table)
+                         if row == ident and tuple(r[e] for r in table) == ident), None)
         if identity is None:
             raise GroupConstructionError("no two-sided identity")
         self.identity = identity
 
-        inverses = [None] * n
-        for a in range(n):
-            row = self.table[a]
-            for b in range(n):
-                if row[b] == identity and self.table[b][a] == identity:
-                    inverses[a] = b
-                    break
-            if inverses[a] is None:
+        # in a permutation row the one b with a*b = 1 is found by index
+        self.inverses = tuple(row.index(identity) for row in table)
+        for a, b in enumerate(self.inverses):
+            if table[b][a] != identity:
                 raise GroupConstructionError(f"element {a} has no inverse")
-        self.inverses = tuple(inverses)
-
-        # Latin-square sanity: each row/column is a permutation.
-        full = frozenset(range(n))
-        for a in range(n):
-            if frozenset(self.table[a]) != full:
-                raise GroupConstructionError(f"row {a} is not a permutation")
 
         self.classes, self.class_of = self._conjugacy_classes()
         self.class_reps = tuple(c[0] for c in self.classes)
         self.class_sizes = tuple(len(c) for c in self.classes)
         self.inverse_class = tuple(self.class_of[self.inverses[r]] for r in self.class_reps)
 
-        orders = []
+        # one walk through the powers of g gives every order in <g>:
+        # ord(g^j) = k / gcd(j, k) for k = ord(g)
+        orders = [0] * n
         for g in range(n):
-            k, x = 1, g
+            if orders[g]:
+                continue
+            powers = [g]
+            x = g
             while x != identity:
-                x = self.table[x][g]
-                k += 1
-            orders.append(k)
+                if len(powers) == n:  # only a table that is no group gets here
+                    raise GroupConstructionError(
+                        f"the powers of element {g} never reach the identity")
+                x = table[x][g]
+                powers.append(x)
+            k = len(powers)
+            for j, x in enumerate(powers, 1):
+                orders[x] = k // gcd(j, k)
         self.element_orders = tuple(orders)
-        self.exponent = 1
-        for k in orders:
-            self.exponent = lcm(self.exponent, k)
+        self.exponent = lcm(*set(orders))
 
         self._power_class: dict = {}
         self._char_table = None
@@ -145,23 +150,21 @@ class FiniteGroup:
         return hit
 
     def _conjugacy_classes(self):
-        n = self.order
+        """Orbits under conjugation by a generating set (a finite group is
+        the monoid its generators span), the identity's first, then in
+        the order of their smallest members."""
+        n, table, identity = self.order, self.table, self.identity
+        gens, _ = _generators(table, identity, range(n))
+        # x -> s x s^-1 for each generator s, as a list over x
+        conj = [[table[y][self.inverses[s]] for y in table[s]] for s in gens]
         class_of = [-1] * n
         classes = []
-        for g in range(n):
-            if class_of[g] >= 0:
-                continue
-            orbit = sorted({self.conjugate(h, g) for h in range(n)})
-            ci = len(classes)
-            for x in orbit:
-                class_of[x] = ci
-            classes.append(tuple(orbit))
-        # identity first, then ascending smallest member
-        order_key = sorted(range(len(classes)),
-                           key=lambda i: (self.identity not in classes[i], classes[i][0]))
-        classes = [classes[i] for i in order_key]
-        remap = {old: new for new, old in enumerate(order_key)}
-        class_of = [remap[c] for c in class_of]
+        for g in (identity, *range(n)):
+            if class_of[g] < 0:
+                orbit = closure(g, lambda x: [c[x] for c in conj])
+                for x in orbit:
+                    class_of[x] = len(classes)
+                classes.append(tuple(sorted(orbit)))
         return tuple(classes), tuple(class_of)
 
     def __repr__(self):
@@ -178,21 +181,13 @@ class Subgroup:
         member = frozenset(elems)
         if parent.identity not in member:
             raise GroupConstructionError("subgroup must contain the identity")
-        # each member that is not yet a word in the generators becomes one
-        # (at most log2 |H| of them, each doubling the words); the words of
-        # a finite group form a subgroup, so the set is one iff none leaves it
-        table = parent.table
-        gens = []
-        words = {parent.identity}
-        for a in elems:
-            if a not in words:
-                gens.append(a)
-                words = closure(parent.identity,
-                                lambda x: map(table[x].__getitem__, gens), member)
-                if words is None:
-                    raise GroupConstructionError(
-                        f"subgroup not closed under products: a word in the "
-                        f"members {gens} lies outside it")
+        # the words of a finite group form a subgroup, so the set is one
+        # iff no word in its members leaves it
+        gens, words = _generators(parent.table, parent.identity, elems, member)
+        if words is None:
+            raise GroupConstructionError(
+                f"subgroup not closed under products: a word in the "
+                f"members {gens} lies outside it")
         self.parent = parent
         self.elements = tuple(elems)
         self.member = member
@@ -250,6 +245,23 @@ def closure(start: int, successors: Callable[[int], Iterable[int]],
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def _generators(table, identity: int, elems: Iterable[int],
+                within: Optional[frozenset] = None):
+    """Generators of the words in elems and those words: each member that is
+    not yet a word in the generators becomes one (at most log2 of the words'
+    count, each doubling them).  With `within`, the words are None as soon
+    as one lies outside it."""
+    gens = []
+    words = {identity}
+    for a in elems:
+        if a not in words:
+            gens.append(a)
+            words = closure(identity, lambda x: map(table[x].__getitem__, gens), within)
+            if words is None:
+                break
+    return gens, words
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -318,93 +330,81 @@ def filtration_from_generators(G: FiniteGroup,
 
 
 # -- named constructions ----------------------------------------------------
+#
+# Row g of a table lists g y for y = 0..n-1, so the row of g h is the row of
+# g read at the entries of the row of h: one `itemgetter` call.  Each
+# constructor writes a few rows by index arithmetic and composes the rest.
 
-def _table_from_encoding(elems: list, mul: Callable, name: str, spec: dict) -> FiniteGroup:
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[mul(a, b)] for b in elems] for a in elems]
-    return FiniteGroup(table, name=name, spec=spec)
+def _cyclic_rows(n: int) -> list:
+    """Row a of C_n: (a + b) mod n for b = 0..n-1."""
+    elems = tuple(range(n))
+    return [elems[a:] + elems[:a] for a in range(n)]
 
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("cyclic order must be >= 1")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, name=f"C{n}", spec={"kind": "cyclic", "n": n})
+    return FiniteGroup(_cyclic_rows(n), name=f"C{n}", spec={"kind": "cyclic", "n": n})
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
+    """C_p^k; the digits of x in base p, lowest first, are its coordinates."""
     if not is_prime(p):
         raise GroupConstructionError(f"p={p} is not prime")
     if k < 1:
         raise GroupConstructionError("rank must be >= 1")
-    n = p ** k
-    digits = [tuple((x // p ** i) % p for i in range(k)) for x in range(n)]
-
-    def mul(a, b):
-        return tuple((u + v) % p for u, v in zip(a, b))
-
-    return _table_from_encoding(digits, mul, f"E{p}^{k}",
-                                {"kind": "elementary_abelian", "p": p, "k": k})
+    elems = tuple(range(p ** k))
+    table = _cyclic_rows(p)
+    for m in (p ** j for j in range(1, k)):
+        # x = x' + m t adds x' < m in the table of one rank less and t in
+        # C_p: its row is, for u = 0..p-1, the row of x' plus m ((t + u) mod p)
+        shifted = [[itemgetter(*row)(elems[m * s:m * s + m]) for s in range(p)]
+                   for row in table]
+        table = [tuple(chain.from_iterable(blocks[t:] + blocks[:t]))
+                 for t in range(p) for blocks in shifted]
+    return FiniteGroup(table, f"E{p}^{k}", {"kind": "elementary_abelian", "p": p, "k": k})
 
 
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element a + n*b is rot^a * ref^b."""
     if n < 1:
         raise GroupConstructionError("dihedral parameter must be >= 1")
-    elems = [(a, b) for b in range(2) for a in range(n)]
-
-    def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + (a2 if b1 == 0 else -a2)) % n, (b1 + b2) % 2)
-
-    return _table_from_encoding(elems, mul, f"D{n}", {"kind": "dihedral", "n": n})
-
-
-_Q8_MUL = {}  # (axis, axis) -> (sign, axis) for axes 0=1,1=i,2=j,3=k
+    elems = tuple(range(2 * n))
+    # rot^a rot^b ref^c = rot^(a+b) ref^c
+    rot = [elems[a:n] + elems[:a] + elems[n + a:] + elems[n:n + a] for a in range(n)]
+    # ref rot^b ref^c = rot^-b ref^(1+c), and the row of rot^a ref is the
+    # row of rot^a read at the entries of the row of ref
+    ref = itemgetter(*((-b) % n + n * (1 - c) for c in range(2) for b in range(n)))
+    return FiniteGroup(rot + [ref(r) for r in rot], name=f"D{n}",
+                       spec={"kind": "dihedral", "n": n})
 
 
-def _q8_rules():
-    if _Q8_MUL:
-        return _Q8_MUL
-    rules = {(0, 0): (1, 0)}
-    for u in (1, 2, 3):
-        rules[(0, u)] = (1, u)
-        rules[(u, 0)] = (1, u)
-        rules[(u, u)] = (-1, 0)
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        rules[(a, b)] = (1, c)
-        rules[(b, a)] = (-1, c)
-    _Q8_MUL.update(rules)
-    return rules
+# products of 1, i, j, k: index u + 4 for -u
+_Q8_UNITS = ((0, 1, 2, 3), (1, 4, 3, 6), (2, 7, 4, 1), (3, 2, 5, 4))
 
 
 def quaternion8() -> FiniteGroup:
     """Q8 with indices 0..7 = 1, i, j, k, -1, -i, -j, -k."""
-    rules = _q8_rules()
-    elems = [(s, u) for s in (1, -1) for u in range(4)]
-
-    def mul(x, y):
-        s1, u1 = x
-        s2, u2 = y
-        s3, u3 = rules[(u1, u2)]
-        return (s1 * s2 * s3, u3)
-
-    return _table_from_encoding(elems, mul, "Q8", {"kind": "quaternion8"})
+    table = [[(_Q8_UNITS[x % 4][y % 4] + 4 * (x // 4 + y // 4)) % 8 for y in range(8)]
+             for x in range(8)]
+    return FiniteGroup(table, name="Q8", spec={"kind": "quaternion8"})
 
 
 def heisenberg(p: int) -> FiniteGroup:
-    """Unitriangular 3x3 matrices over F_p; (a,b,c) indexed a + p*b + p^2*c."""
+    """Unitriangular 3x3 matrices over F_p; (a,b,c) indexed a + p*b + p^2*c,
+    with (a,b,c)(d,e,f) = (a+d, b+e, c+f+ae)."""
     if not is_prime(p):
         raise GroupConstructionError(f"p={p} is not prime")
-    elems = [(x % p, (x // p) % p, x // p ** 2) for x in range(p ** 3)]
-
-    def mul(u, v):
-        a, b, c = u
-        d, e, f = v
-        return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
-
-    return _table_from_encoding(elems, mul, f"Heis{p}", {"kind": "heisenberg", "p": p})
+    # (a, b, c) = (0, b, c)(a, 0, 0): its row is that of (0, b, c), which
+    # maps (d, e, f) to (d, b+e, c+f), read at the entries of the row of
+    # (a, 0, 0), which maps it to (a+d, e, f+ae)
+    cells = [(d, e, f) for f in range(p) for e in range(p) for d in range(p)]
+    central = [tuple(d + p * ((b + e) % p) + p * p * ((c + f) % p) for d, e, f in cells)
+               for c in range(p) for b in range(p)]
+    shears = [itemgetter(*((a + d) % p + p * e + p * p * ((f + a * e) % p) for d, e, f in cells))
+              for a in range(p)]
+    return FiniteGroup([shear(row) for row in central for shear in shears],
+                       name=f"Heis{p}", spec={"kind": "heisenberg", "p": p})
 
 
 def affine(p: int) -> FiniteGroup:
@@ -415,14 +415,17 @@ def affine(p: int) -> FiniteGroup:
     """
     if not is_prime(p):
         raise GroupConstructionError(f"p={p} is not prime")
-    elems = [(a, b) for a in range(1, p) for b in range(p)]
-
-    def mul(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 * a2) % p, (a1 * b2 + b1) % p)
-
-    return _table_from_encoding(elems, mul, f"Aff{p}", {"kind": "affine", "p": p})
+    # (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1), so (a, b) = (1, b)(a, 0), and
+    # the row of (a, b) is that of the translation (1, b) read at the
+    # entries of the row of the dilation (a, 0)
+    translations = [tuple((a2 - 1) * p + (b2 + b) % p for a2 in range(1, p) for b2 in range(p))
+                    for b in range(p)]
+    table = []
+    for a in range(1, p):
+        dilation = itemgetter(*((a * a2 % p - 1) * p + a * b2 % p
+                                for a2 in range(1, p) for b2 in range(p)))
+        table.extend(map(dilation, translations))
+    return FiniteGroup(table, name=f"Aff{p}", spec={"kind": "affine", "p": p})
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:

@@ -2,7 +2,8 @@
 
 For a unit a with a^(p-1) != 1 mod p^2 the pair (J_a, J_p) realises every
 tensor-conductor bound in this package with equality.  Swan exponents come
-from an exact integer resultant (no p-adic truncation); the compositum is
+from an exact integer resultant (no p-adic truncation), the determinant of
+the Sylvester matrix by sparse elimination over Q; the compositum is
 handled by per-character Swan slopes with the ultrametric product rule
 instead of an explicit ramification chain.
 """
@@ -11,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .chars import ClassFunction, character_table, fixed_dim
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
 from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Filtration, Subgroup, affine,
                      is_prime, whole_group, trivial_subgroup)
-from .filtration import tensor_rhs
+from .filtration import nonfixed_dim, tensor_rhs
 from .weildeligne import InertiaModel, WDRep, improvement_constant
 
 
@@ -56,24 +57,61 @@ def smallest_valid_unit(p: int) -> int:
 # -- discriminant route -------------------------------------------------------
 
 
-def _bareiss_det(m: List[List[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    m = [row[:] for row in m]
+def sparse_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Gaussian elimination
+    over Q on sparse rows.  Each column's pivot is the lowest-indexed row
+    left with a nonzero entry there, and only the rows with a nonzero
+    entry in the pivot column are touched.  Entries stay Python integers
+    for as long as every multiplier is an integer."""
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    holders = [set() for _ in range(n)]  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    det = 1
+    pivot_row = []
+    for k in range(n):
+        if not holders[k]:
+            return 0
+        i = min(holders[k])
+        pivot_row.append(i)
+        piv = rows[i]
+        for j in piv:
+            holders[j].discard(i)
+        det *= piv[k]
+        for r in list(holders[k]):
+            row = rows[r]
+            factor, rest = divmod(row[k], piv[k])
+            if rest:
+                factor = Fraction(row[k]) / piv[k]
+            for j, x in piv.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    row[j] = y
+                    holders[j].add(r)
+                else:
+                    del row[j]
+                    holders[j].discard(r)
+    # the rows in pivot order are triangular: the sign is the parity of
+    # the permutation column k -> pivot row k
+    if sum(i > j for k, i in enumerate(pivot_row) for j in pivot_row[k + 1:]) % 2:
+        det = -det
+    det = Fraction(det)
+    assert det.denominator == 1
+    return det.numerator
+
+
+def sylvester_matrix(f: List[int], g: List[int]) -> List[List[int]]:
+    """The Sylvester matrix of two integer polynomials (ascending
+    coefficients, nonzero leading ones): deg g shifted rows of f's
+    descending coefficients above deg f shifted rows of g's."""
+    n, m = len(f) - 1, len(g) - 1
+    size = n + m
+    fd = f[::-1]
+    gd = g[::-1]
+    return ([[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
+            + [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)])
 
 
 def sylvester_resultant(f: List[int], g: List[int]) -> int:
@@ -82,20 +120,11 @@ def sylvester_resultant(f: List[int], g: List[int]) -> int:
         f = f[:-1]
     while g and g[-1] == 0:
         g = g[:-1]
-    n, m = len(f) - 1, len(g) - 1
-    if n < 0 or m < 0:
+    if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    size = n + m
-    if size == 0:
+    if len(f) + len(g) == 2:
         return 1
-    fd = f[::-1]
-    gd = g[::-1]
-    rows = []
-    for i in range(m):
-        rows.append([0] * i + fd + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gd + [0] * (size - m - 1 - i))
-    return _bareiss_det(rows)
+    return sparse_det(sylvester_matrix(f, g))
 
 
 def _p_valuation(p: int, n: int) -> int:
@@ -283,7 +312,9 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     calculus; the tensor Artin adds the tame part, which is the full
     dimension because neither inertia level has fixed vectors.  Both models
     share one affine group, and their one block (chi, 1) is read by the
-    class averages of InertiaModel, so no character table is built.
+    class averages of InertiaModel, so no character table is built; each
+    model's conductor is taken once, and its Swan exponent is that minus
+    the tame term.
     """
     p, a = params.p, params.a
     dim = p - 1
@@ -294,8 +325,10 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     G = affine(p)
     chi = _standard_character(G, p)
     models = [_inertia_model(G, p, sw) for sw in (sw_a, sw_p)]
-    sw_a_filt, sw_p_filt = (m.swan(chi) for m in models)
     artin_a, artin_p = (m.artin(chi) for m in models)
+    # Sw = a minus the tame term, the codimension of the G_0-fixed space
+    sw_a_filt, sw_p_filt = (artin - nonfixed_dim(chi, m.filtration, 0)
+                            for artin, m in zip((artin_a, artin_p), models))
     deg_a, deg_p = (m.inertia_fixed(chi) for m in models)
     wild_fixed = [fixed_dim(chi, m.filtration[1]) for m in models]
 

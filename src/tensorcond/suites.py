@@ -88,7 +88,8 @@ def read_global(doc, dim_keys: Tuple[str, str],
 
     Each dimension must be at least 1, and each record's 'p' a prime that no
     earlier record has; ``read_record(rec, where, p)`` reads the rest of the
-    record at where = 'primes[j].'.
+    record at where = 'primes[j].'.  A full record's A and B must have twice
+    the first and the second dimension.
     """
     dims = []
     for key in dim_keys:
@@ -109,7 +110,14 @@ def read_global(doc, dim_keys: Tuple[str, str],
         if p in seen:
             raise InputError(f"'{where}p' repeats the prime {p} of an earlier record")
         seen.add(p)
-        out.append(read_record(rec, where, p))
+        record = read_record(rec, where, p)
+        if isinstance(record, PrimeLocalPair):
+            for part, key, dim in zip("AB", dim_keys, dims):
+                got = getattr(record, part).dim
+                if got != 2 * dim:
+                    raise InputError(f"'{where}{part}' has dimension {got}, "
+                                     f"not 2 * '{key}' = {2 * dim}")
+        out.append(record)
     return dims[0], dims[1], tuple(out)
 
 
@@ -511,9 +519,12 @@ def _check_sharpness(doc, chains):
     """Sharpness sweep plus the discriminant-valuation closed form."""
     p, a = int_field(doc, "p"), int_field(doc, "a")
     report = verify_sharpness(validate_params(p, a))
-    closed_form_ok = all(
-        disc_valuation(p, alpha) == p + (p - 1) * _p_valuation(p, alpha)
-        for alpha in (a, p, p * p, a * p, a + p))
+    # the report's Swan exponents are v(disc) - p + 1 for alpha = a and p
+    disc = {a: report.sw_a + p - 1, p: report.sw_p + p - 1}
+    for alpha in (p * p, a * p, a + p):
+        disc[alpha] = disc_valuation(p, alpha)
+    closed_form_ok = all(v == p + (p - 1) * _p_valuation(p, alpha)
+                         for alpha, v in disc.items())
     detail = report.to_json()
     detail["disc_closed_form"] = closed_form_ok
     return report.equal and closed_form_ok, detail

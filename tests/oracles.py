@@ -11,6 +11,14 @@ under test: matrices know nothing about class functions, the expansion
 oracle never multiplies CycloNums, the product count never looks at class
 representatives, and the closure never searches words in the generators.
 
+The named groups are rebuilt from explicit element encodings (tuples with
+a multiplication rule, one dict lookup per table entry), a second route to
+the constructors' index arithmetic; conjugation orbits of every element and
+element orders by repeated multiplication are a second route to the classes
+and orders that `FiniteGroup` derives; and fraction-free Bareiss
+elimination on the dense matrix is a second route to the sparse
+determinant of the Sylvester resultant.
+
 The class-function oracles at the end work on class values with CycloNum
 arithmetic only: inner products, restriction to a subgroup as a group of
 its own, the guarded Frobenius-Schur indicator, the rationality and
@@ -24,12 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from tensorcond.chars import ClassFunction, character_table, gen_character_mults
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import NonCharacterError
-from tensorcond.groups import FiniteGroup, Subgroup
+from tensorcond.groups import FiniteGroup, Subgroup, is_prime
 
 
 class ExactMatrix:
@@ -238,6 +246,110 @@ def product_closure(group: FiniteGroup, gens) -> tuple:
         new = fresh - members
         members |= new
     return tuple(sorted(members))
+
+
+def table_from_encoding(elems: list, mul: Callable, name: str, spec: dict) -> FiniteGroup:
+    """The group of the encoded elements under mul, indexed in list order."""
+    pos = {e: i for i, e in enumerate(elems)}
+    table = [[pos[mul(a, b)] for b in elems] for a in elems]
+    return FiniteGroup(table, name=name, spec=spec)
+
+
+def encoded_group(spec: dict) -> FiniteGroup:
+    """A named group from its element encoding: the same indexing, name and
+    spec as `tensorcond.groups.build_group` documents for each kind."""
+    kind = spec["kind"]
+    if kind == "cyclic":
+        n = spec["n"]
+        return table_from_encoding(list(range(n)), lambda a, b: (a + b) % n,
+                                   f"C{n}", spec)
+    if kind == "elementary_abelian":
+        p, k = spec["p"], spec["k"]
+        digits = [tuple((x // p ** i) % p for i in range(k)) for x in range(p ** k)]
+        return table_from_encoding(
+            digits, lambda a, b: tuple((u + v) % p for u, v in zip(a, b)), f"E{p}^{k}", spec)
+    if kind == "dihedral":
+        n = spec["n"]
+
+        def mul(x, y):
+            a1, b1 = x
+            a2, b2 = y
+            return ((a1 + (a2 if b1 == 0 else -a2)) % n, (b1 + b2) % 2)
+        return table_from_encoding([(a, b) for b in range(2) for a in range(n)], mul,
+                                   f"D{n}", spec)
+    if kind == "quaternion8":
+        rules = {(0, 0): (1, 0)}  # (axis, axis) -> (sign, axis), axes 0=1, 1=i, 2=j, 3=k
+        for u in (1, 2, 3):
+            rules[(0, u)] = rules[(u, 0)] = (1, u)
+            rules[(u, u)] = (-1, 0)
+        for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            rules[(a, b)], rules[(b, a)] = (1, c), (-1, c)
+
+        def mul(x, y):
+            s3, u3 = rules[(x[1], y[1])]
+            return (x[0] * y[0] * s3, u3)
+        return table_from_encoding([(s, u) for s in (1, -1) for u in range(4)], mul,
+                                   "Q8", spec)
+    p = spec["p"]
+    assert is_prime(p)
+    if kind == "heisenberg":
+        def mul(u, v):
+            a, b, c = u
+            d, e, f = v
+            return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
+        return table_from_encoding(
+            [(x % p, (x // p) % p, x // p ** 2) for x in range(p ** 3)], mul,
+            f"Heis{p}", spec)
+    assert kind == "affine"
+
+    def mul(x, y):
+        a1, b1 = x
+        a2, b2 = y
+        return ((a1 * a2) % p, (a1 * b2 + b1) % p)
+    return table_from_encoding([(a, b) for a in range(1, p) for b in range(p)], mul,
+                               f"Aff{p}", spec)
+
+
+def conjugation_orbits(group: FiniteGroup) -> set:
+    """The orbit {h g h^-1 : h in G} of every element g, each conjugate
+    from the table, with h^-1 found by searching the row of h."""
+    t = group.table
+    e = group.identity
+    inv = [t[h].index(e) for h in range(group.order)]
+    return {frozenset(t[t[h][g]][inv[h]] for h in range(group.order))
+            for g in range(group.order)}
+
+
+def orders_by_powers(group: FiniteGroup) -> List[int]:
+    """The order of every element, multiplying by it until the identity."""
+    out = []
+    for g in range(group.order):
+        k, x = 1, g
+        while x != group.identity:
+            x = group.table[x][g]
+            k += 1
+        out.append(k)
+    return out
+
+
+def bareiss_det(m: List[List[int]]) -> int:
+    """Exact integer determinant by dense fraction-free elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 # -- class-function oracles ----------------------------------------------------------

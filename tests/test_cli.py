@@ -594,6 +594,9 @@ def test_replay_refuses_a_global_record_whose_p_is_not_a_prime(tmp_path, capsys)
      "c0420dfe2a4012c8cac014cea3f8c423548d0717dcb74065f395bf094c86c5bf"),
     (["sharpness", "--max-p", "13"],
      "aac6a796ade7f34c207c6eb89d78a90618adf3a3813f4ce1187116a8c6cfcc55"),
+    # every prime up to the order cap: Aff(43) has order 1806
+    (["sharpness", "--max-p", "43"],
+     "5ddbe4b38239b6092c70ed48d5675963d8b8d533cc5c6a071b9103071cc2d074"),
 ])
 def test_machine_output_digests_at_default_seeds(capsys, argv, digest):
     """Machine output of the default suite runs and the sharpness sweep;
@@ -661,6 +664,36 @@ def test_replay_refuses_a_global_document_that_repeats_a_prime(tmp_path, capsys)
     assert f"'primes[1].p' repeats the prime {doc['primes'][0]['p']}" in err
 
 
+@pytest.mark.parametrize("key, part, dim", [("dimA", "A", 2), ("dimB", "B", 1)])
+def test_global_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, key,
+                                                             part, dim):
+    """The full record's A has dimension 2 and B dimension 4 (dimA 1, dimB 2)."""
+    doc = make_global_doc()
+    doc[key] = dim
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'primes[1].{part}' has dimension {4 // dim}, not 2 * '{key}' = {2 * dim}" \
+        in err
+
+
+@pytest.mark.parametrize("key, part", [("dim_a", "A"), ("dim_b", "B")])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_replay_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, key,
+                                                             part, shift):
+    """At the suite's dimension the document replays to ok; one more or
+    one less is malformed input, not a violation or a looser bound."""
+    doc = _replayable_global_doc()
+    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
+    dim = doc[key]
+    if dim + shift < 1:
+        shift = -shift
+    doc[key] = dim + shift
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'primes[0].{part}' has dimension {2 * dim}, " \
+        f"not 2 * '{key}' = {2 * (dim + shift)}" in err
+
+
 @pytest.mark.parametrize("key", ["dim_a", "dim_b"])
 def test_replay_refuses_a_global_dimension_below_one(tmp_path, capsys, key):
     doc = _replayable_global_doc()
@@ -669,3 +702,35 @@ def test_replay_refuses_a_global_dimension_below_one(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert f"'{key}' must be at least 1, not 0" in err
+
+
+def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch):
+    """Mixed subcommands back to back in one process print and return the
+    same as with a parser built afresh for each call, and build one."""
+    from tensorcond import cli
+    path = _write(tmp_path, make_global_doc())
+    argvs = [
+        ["sharpness", "--p", "5"],
+        ["verify", "--suite", "min-sum", "--suite", "pgroup-gap", "--seeds", "3",
+         "--format", "machine"],
+        ["table", "--group", '{"kind": "dihedral", "n": 3}'],
+        ["global", "--input", path, "--format", "machine"],
+        ["verify", "--suite", "symplectic-parity", "--seeds", "2"],
+        ["table", "--group", "{not json"],
+        ["sharpness", "--max-p", "7", "--format", "machine"],
+        ["global", "--input", path],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in argvs]
+    built = []
+    real = cli.build_parser
+
+    def counting_build():
+        built.append(real())
+        return built[-1]
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 0, 0]

@@ -1,13 +1,17 @@
+import re
+from math import lcm
+
 import pytest
 
 from tensorcond.errors import FiltrationError, GroupConstructionError
-from tensorcond.groups import (Filtration, affine, build_group, cyclic,
+from tensorcond.groups import (FiniteGroup, Filtration, affine, build_group, cyclic,
                                dihedral, direct_product, elementary_abelian,
                                filtration_from_generators, heisenberg,
                                pgroup_prime, quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group, Subgroup)
 
-from oracles import as_group, check_associativity, product_closure
+from oracles import (as_group, check_associativity, conjugation_orbits, encoded_group,
+                     orders_by_powers, product_closure)
 
 
 def corpus_like_groups():
@@ -226,7 +230,8 @@ def test_order_cap_refuses_before_any_construction(monkeypatch):
     def must_not_build(*args):
         raise AssertionError("a group was built for an oversized spec")
 
-    for name in ("cyclic", "dihedral", "_table_from_encoding", "direct_product"):
+    for name in ("FiniteGroup", "cyclic", "elementary_abelian", "dihedral", "quaternion8",
+                 "heisenberg", "affine", "direct_product"):
         monkeypatch.setattr(groups, name, must_not_build)
     oversized = [
         {"kind": "cyclic", "n": 2100},
@@ -251,3 +256,59 @@ def test_pgroup_prime():
     H = subgroup_generated(cyclic(8), [4])
     assert H.is_pgroup(2) and not H.is_pgroup(4) and not H.is_pgroup(1)
     assert subgroup_generated(cyclic(8), []).is_pgroup(3)
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1], [1]], "table is not square over 0..n-1"),
+    ([[0, 1]], "table is not square over 0..n-1"),
+    ([[0, 1], [1, 2]], "table is not square over 0..n-1"),
+    ([[0, 1], [1, -1]], "table is not square over 0..n-1"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation"),
+    # Latin rows, no identity on either side
+    ([[(a - b) % 3 for b in range(3)] for a in range(3)], "no two-sided identity"),
+    # Latin rows, 0 a left identity only
+    ([[(b - a) % 3 for b in range(3)] for a in range(3)], "no two-sided identity"),
+    # a loop: 1 * 2 = 0 but 2 * 1 = 1
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "element 1 has no inverse"),
+])
+def test_finite_group_refuses_a_malformed_table(table, message):
+    with pytest.raises(GroupConstructionError, match=re.escape(message)):
+        FiniteGroup(table)
+
+
+def test_finite_group_refuses_powers_that_never_reach_the_identity():
+    """Latin rows, a two-sided identity and two-sided inverses, but not a
+    group: 2 * 2 = 1 and 1 * 2 = 2, so the powers of 2 cycle."""
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 1, 0], [3, 1, 0, 2]]
+    with pytest.raises(GroupConstructionError,
+                       match="the powers of element 2 never reach the identity"):
+        FiniteGroup(table)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "n": n} for n in (1, 2, 5, 12)
+] + [
+    {"kind": "elementary_abelian", "p": p, "k": k}
+    for p, k in ((2, 1), (2, 3), (3, 2), (5, 2), (2, 6), (3, 4))
+] + [
+    {"kind": "dihedral", "n": n} for n in (1, 2, 3, 4, 7, 12, 30)
+] + [{"kind": "quaternion8"}] + [
+    {"kind": "heisenberg", "p": p} for p in (2, 3, 5, 7)
+] + [
+    {"kind": "affine", "p": p} for p in (2, 3, 5, 7, 11, 13, 17)
+], ids=lambda spec: "-".join(str(v) for v in spec.values()))
+def test_constructors_match_the_encoding_oracle(spec):
+    """Each constructor's table, name and spec against the group built from
+    its element encoding, and the classes, element orders and exponent
+    against conjugation orbits and repeated multiplication."""
+    G, R = build_group(spec), encoded_group(spec)
+    assert (G.table, G.name, G.spec, G.identity) == (R.table, R.name, R.spec, R.identity)
+    assert (G.classes, G.class_of, G.element_orders, G.exponent) == \
+        (R.classes, R.class_of, R.element_orders, R.exponent)
+    assert set(map(frozenset, G.classes)) == conjugation_orbits(G)
+    assert all(G.class_of[x] == i for i, c in enumerate(G.classes) for x in c)
+    assert G.classes[0] == (G.identity,)
+    assert [c[0] for c in G.classes[1:]] == sorted(c[0] for c in G.classes[1:])
+    orders = orders_by_powers(G)
+    assert list(G.element_orders) == orders and G.exponent == lcm(*orders)
+    assert G.inverses == tuple(G.table[g].index(G.identity) for g in range(G.order))

@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from tensorcond.errors import InvalidUnitError, PreconditionError
-from tensorcond.jacobians import (BreakRep, FamilyParams, disc_valuation,
+from tensorcond.groups import is_prime
+from tensorcond.jacobians import (BreakRep, FamilyParams, _p_valuation, disc_valuation,
                                   jacobian_inertia_model, joint_break_model,
-                                  smallest_valid_unit,
-                                  swan_jacobian, sylvester_resultant,
+                                  smallest_valid_unit, sparse_det,
+                                  swan_jacobian, sylvester_matrix, sylvester_resultant,
                                   tensor_break_rep, validate_params,
                                   verify_sharpness)
+
+from oracles import bareiss_det
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -120,27 +124,77 @@ def test_verify_sharpness_all_primes():
 
 
 def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
-    """One affine group shared by both models, one discriminant per alpha,
+    """One affine group shared by both models, one resultant per alpha
+    (the report's two, and the suite item's five, which reuse those two),
     and no character table: the blocks are read by class averages."""
-    from tensorcond import jacobians
-    groups, discs = [], []
-    real_affine, real_disc = jacobians.affine, jacobians.disc_valuation
+    from tensorcond import jacobians, suites
+    groups, alphas = [], []
+    real_affine, real_resultant = jacobians.affine, jacobians.sylvester_resultant
 
     def counting_affine(p):
         groups.append(real_affine(p))
         return groups[-1]
 
-    def counting_disc(p, alpha):
-        discs.append(alpha)
-        return real_disc(p, alpha)
+    def counting_resultant(f, g):
+        alphas.append(-f[0])  # f = x^p - alpha
+        return real_resultant(f, g)
     monkeypatch.setattr(jacobians, "affine", counting_affine)
-    monkeypatch.setattr(jacobians, "disc_valuation", counting_disc)
+    monkeypatch.setattr(jacobians, "sylvester_resultant", counting_resultant)
     for p in (3, 7):
-        groups.clear(), discs.clear()
+        groups.clear(), alphas.clear()
         a = smallest_valid_unit(p)
         assert verify_sharpness(validate_params(p, a)).equal
-        assert len(groups) == 1 and sorted(discs) == sorted([a, p])
+        assert len(groups) == 1 and sorted(alphas) == sorted([a, p])
         assert groups[0]._char_table is None
+        groups.clear(), alphas.clear()
+        ok, detail = suites._check_sharpness({"p": p, "a": a}, None)
+        assert ok and detail["disc_closed_form"]
+        assert len(groups) == 1 and sorted(alphas) == sorted([a, p, p * p, a * p, a + p])
+
+
+def _random_matrices():
+    """Seeded integer matrices: dense and sparse, with zero pivots, with a
+    row a multiple of another (singular), permutation matrices, 1 x 1."""
+    rng = random.Random("sparse-det")
+    out = [[[5]], [[0]], [[-3]], [[2, 3], [3, 4]]]
+    for n in range(1, 9):
+        for density in (0.25, 0.6, 1.0):
+            for _ in range(6):
+                m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                     for _ in range(n)]
+                out.append(m)
+                zero_pivot = [row[:] for row in m]
+                zero_pivot[0][0] = 0
+                out.append(zero_pivot)
+                if n > 1:
+                    singular = [row[:] for row in m]
+                    singular[-1] = [rng.choice((-2, 1, 3)) * x for x in m[0]]
+                    out.append(singular)
+        perm = rng.sample(range(n), n)
+        out.append([[rng.randint(1, 5) if j == perm[i] else 0 for j in range(n)]
+                    for i in range(n)])
+    return out
+
+
+def test_sparse_determinant_matches_bareiss():
+    dets = set()
+    for m in _random_matrices():
+        assert sparse_det(m) == bareiss_det(m), m
+        dets.add(bareiss_det(m) != 0)
+    assert dets == {True, False}
+
+
+def test_disc_valuation_matches_the_dense_determinant_up_to_the_order_cap():
+    """The resultant of x^p - alpha and its derivative against Bareiss on
+    the same Sylvester matrix, for every odd prime the order cap admits."""
+    for p in (q for q in range(3, 44) if is_prime(q)):
+        a = smallest_valid_unit(p)
+        for alpha in (a, p, a * p):
+            f = [-alpha] + [0] * (p - 1) + [1]
+            df = [i * f[i] for i in range(1, p + 1)]
+            res = bareiss_det(sylvester_matrix(f, df))
+            assert sylvester_resultant(f, df) == res, (p, alpha)
+            assert disc_valuation(p, alpha) == _p_valuation(p, res), (p, alpha)
 
 
 def test_validate_params_refuses_a_group_above_the_order_cap():
