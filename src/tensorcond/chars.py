@@ -5,26 +5,43 @@ package computes (conductor terms, degrees, fixed spaces) is a character
 average.  Tables are found by the Dixon-Schneider method over F_q, q > |G|
 a prime = 1 mod exponent(G): Krylov projections of the identity class
 vector split it, one class matrix (built on demand) at a time, into the
-central characters, whose values are lifted to exact cyclotomics by one
-inverse DFT per class that is not a power of a class of higher order.
+central characters.  Their values mod q are lifted by one inverse DFT per
+class that is not a power of a class of higher order, to the table's one
+exact datum: the eigenvalue form of each irreducible psi at each class c,
+the sorted terms (a, m) saying that zeta_e^a, e the group exponent, is an
+eigenvalue of rho(g), g in c, with multiplicity m > 0.  It is the
+irreducible's exponent form (below), and its class values are assembled
+from it the first time they are read.
 
-The averages `fixed_dim`, `CharacterTable.multiplicities` and the table's
-orthogonality check are taken in the exponent form of a class function:
-each value sum_j c_j zeta_N^j is kept as the terms c_j x^(j e/N) of
-Z[x]/(x^e - 1), e the group exponent.  An average then sums (or
-convolves) integer terms into one list and reduces it mod Phi_e once
+The build is accepted only with a certificate that reads the forms alone:
+(a) the degrees' squares sum to |G|; every form at c is deg psi roots of
+unity of order dividing ord(c); (b) psi(g^k) = sigma_k(psi(g)) as
+multisets, for units k generating the units mod e; (c) the forms mod q,
+zeta_e -> w, are the residues the table keeps; (d) the Gram matrix S_ij =
+sum_c |c| psi_i(c) psi_j(c^-1) is |G| I mod q; (e) S_ii = |G| mod q', the
+next table prime.  By (b) and the class permutations c -> c^k, each S_ij
+is a Galois-fixed algebraic integer, so a rational integer, and psi(c^-1)
+is the conjugate of psi(c) (k = -1).  |psi(c)| <= deg psi, so 0 <= S_ii <=
+|G| deg^2 <= |G|^2 and |S_ii - |G|| < q q': (d) and (e) give S_ii = |G|.
+By Cauchy-Schwarz |S_ij| <= |G| < q, so (d) gives S_ij = 0 for i != j:
+the class values are orthonormal, and exact, without any exact sum.
+
+The averages `fixed_dim` and `CharacterTable.multiplicities` are taken in
+the exponent form of a class function: each value sum_j c_j zeta_N^j is
+kept as the terms c_j x^(j e/N) of Z[x]/(x^e - 1).  An average then sums
+(or convolves) integer terms into one list and reduces it mod Phi_e once
 (`cyclo.exponent_sum_value`); only the final division by the group order
 is rational.
 
 A `Character` is a class function held as its multiplicity vector over a
-table: the irreducibles are the unit vectors, with the lift's values set,
-and `CharacterTable.assemble` returns any other, whose class values are
-only assembled when something reads them.  The kernels take `Character`s
-and never decompose (`CharacterTable.own`).  The table caches what the
-integer kernels of `weildeligne` and `filtration` need: the fixed
+table: the irreducibles are the unit vectors, and
+`CharacterTable.assemble` returns any other; the class values of either
+are only assembled when something reads them.  The kernels take
+`Character`s and never decompose (`CharacterTable.own`).  The table caches
+what the integer kernels of `weildeligne` and `filtration` need: the fixed
 dimensions of each irreducible on a subgroup, the structure constants of
 tensor products, the Frobenius-Schur indicators, and the symplectic,
-self-dual and rational criteria, all read off the lift's residues (the
+self-dual and rational criteria, all read off the residues (the
 irreducibles' values mod q): see `residues`.
 """
 
@@ -32,7 +49,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
@@ -59,16 +76,6 @@ class ClassFunction:
         self.group = group
         self.values = tuple(vals)
         self._exp = None
-
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def trivial(group: FiniteGroup) -> "ClassFunction":
-        return ClassFunction(group, [1] * len(group.classes))
-
-    @staticmethod
-    def zero(group: FiniteGroup) -> "ClassFunction":
-        return ClassFunction(group, [0] * len(group.classes))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -165,21 +172,20 @@ class Character(ClassFunction):
 
     def __getattr__(self, name):
         # reached only while the `values` slot is unset: assemble it once,
-        # per class summing the irreducibles' exponent-form terms into one
-        # list over the lcm n of their value conductors, reduced mod Phi_n
+        # per class summing the irreducibles' eigenvalue forms into one list
+        # over n = ord(c), reduced mod Phi_n
         if name != "values":
             raise AttributeError(name)
-        used = [(m, psi) for m, psi in zip(self.mults, self.table.irreducibles) if m]
+        G = self.group
+        e = G.exponent
+        used = [(m, form) for m, form in zip(self.mults, self.table.forms) if m]
         vals = []
-        for c in range(len(self.group.classes)):
-            n = 1
-            for _, psi in used:
-                n = lcm(n, psi.values[c].N)
+        for c, rep in enumerate(G.class_reps):
+            n = G.element_orders[rep] if used else 1
+            step = e // n
             acc = [0] * n
-            for m, psi in used:
-                e, rows = psi._exponent_form()
-                step = e // n
-                for k, coef in rows[c]:
+            for m, form in used:
+                for k, coef in form[c]:
                     acc[k // step] += m * coef
             vals.append(CycloNum(n, acc, reduce=True))
         self.values = tuple(vals)
@@ -213,20 +219,26 @@ class Character(ClassFunction):
 class CharacterTable:
     """The irreducible characters of a finite group, in a fixed order."""
 
-    __slots__ = ("group", "irreducibles", "degrees", "modulus", "residues", "_row_index",
-                 "_weighted_conj", "_dual_index", "_fs", "_orbits", "_fixed", "_products",
-                 "_atoms")
+    __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
+                 "_row_index", "_weighted_conj", "_dual_index", "_fs", "_orbits", "_fixed",
+                 "_products", "_atoms")
 
-    def __init__(self, group: FiniteGroup, value_rows: Sequence[Sequence[CycloNum]],
+    def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
                  modulus: int, residues: Sequence[Sequence[int]]):
         self.group = group
-        r = len(value_rows)
+        # per irreducible and class c, the eigenvalue form of rho(g), g in
+        # c: the sorted (a, m) with m the multiplicity of the eigenvalue
+        # zeta_e^a, e the group exponent; it is each irreducible's exponent
+        # form, and its class values are assembled from it when read
+        self.forms = tuple(tuple(tuple(terms) for terms in form) for form in forms)
+        e = group.exponent
+        r = len(self.forms)
         self.irreducibles = tuple(Character(self, [int(j == i) for j in range(r)])
                                   for i in range(r))
-        for psi, row in zip(self.irreducibles, value_rows):
-            psi.values = tuple(row)
+        for psi, form in zip(self.irreducibles, self.forms):
+            psi._exp = (e, form)
         one = group.class_of[group.identity]
-        self.degrees = tuple(row[one].integer_value() for row in value_rows)
+        self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
         # the irreducibles' values under Z[zeta_e] -> F_q, zeta_e -> w (the
         # lift's root).  Rows of distinct irreducibles are orthogonal in F_q,
@@ -236,17 +248,7 @@ class CharacterTable:
         # so their averages are taken in F_q.
         self.residues = tuple(tuple(row) for row in residues)
         self._row_index = {row: i for i, row in enumerate(self.residues)}
-        # |c| * conj(psi(c)) for every irreducible psi and class c, in the
-        # exponent form, where conjugation is k -> -k mod e: the right-hand
-        # factor of every whole-group inner product with psi
-        e = group.exponent
-        weighted = []
-        for psi in self.irreducibles:
-            m, rows = psi._exponent_form()
-            assert m == e, "irreducible values must lie in Q(zeta_e)"
-            weighted.append(tuple(tuple((-k % e, c * size) for k, c in terms)
-                                  for terms, size in zip(rows, group.class_sizes)))
-        self._weighted_conj = tuple(weighted)
+        self._weighted_conj = None
         self._dual_index = None
         self._fs = None
         self._orbits = None
@@ -259,9 +261,18 @@ class CharacterTable:
         return len(self.irreducibles)
 
     def _inner_with(self, chi: ClassFunction, i: int) -> Optional[Fraction]:
-        """<chi, psi_i> over the whole group, from the cached row of psi_i:
-        one cyclic convolution into one list and one reduction.  None when
-        the average is not rational."""
+        """<chi, psi_i> over the whole group, from the row of psi_i: one
+        cyclic convolution into one list and one reduction.  None when the
+        average is not rational."""
+        if self._weighted_conj is None:
+            # |c| * conj(psi(c)) for every irreducible psi and class c, in
+            # the eigenvalue form, where conjugation is a -> -a mod e
+            e = self.group.exponent
+            sizes = self.group.class_sizes
+            self._weighted_conj = tuple(
+                tuple(tuple((-a % e, m * size) for a, m in terms)
+                      for terms, size in zip(form, sizes))
+                for form in self.forms)
         m, rows = chi._exponent_form()
         step = m // self.group.exponent  # e divides m
         acc = [0] * (2 * m)
@@ -418,24 +429,13 @@ class CharacterTable:
     def galois_orbits(self) -> Tuple[Tuple[int, ...], ...]:
         """Partition of irreducible indices under value-field conjugation,
         psi(g^k) = sigma_k(psi(g)) for k prime to e: the closures under the
-        class permutations c -> class_power(c, k) of units k picked greedily
-        to generate the units mod e (at most log2 phi(e) of them)."""
+        class permutations of `_galois_moves`."""
         if self._orbits is None:
-            G = self.group
-            e = G.exponent
-            r = len(self)
-            units = {1}
-            gens = []
-            for k in range(2, e):
-                if k not in units and gcd(k, e) == 1:
-                    gens.append(k)
-                    units = closure(1, lambda x: (x * g % e for g in gens))
-            perms = [[G.class_power(c, k) for c in range(r)] for k in gens]
             moves = [[self._row_index[tuple(row[c] for c in perm)] for row in self.residues]
-                     for perm in perms]
+                     for _, perm in _galois_moves(self.group)]
             seen = set()
             orbits = []
-            for i in range(r):
+            for i in range(len(self)):
                 if i not in seen:
                     orbit = closure(i, lambda x: (move[x] for move in moves))
                     seen |= orbit
@@ -445,6 +445,31 @@ class CharacterTable:
 
     def index_of_trivial(self) -> int:
         return self._row_index[(1,) * len(self.group.classes)]
+
+
+def _galois_moves(group: FiniteGroup) -> List[Tuple[int, List[int]]]:
+    """(k, perm) for units k mod e picked greedily to generate the units mod
+    e (at most log2 phi(e) of them), perm the class permutation c -> class
+    of g^k: the Galois action on a table is read through these."""
+    e = group.exponent
+    units = {1}
+    gens = []
+    for k in range(2, e):
+        if k not in units and gcd(k, e) == 1:
+            gens.append(k)
+            units = closure(1, lambda x: (x * g % e for g in gens))
+    r = len(group.classes)
+    return [(k, [group.class_power(c, k) for c in range(r)]) for k in gens]
+
+
+def _power_form(terms, k: int, e: int) -> Tuple[Tuple[int, int], ...]:
+    """The eigenvalue form of rho(g^k) from that of rho(g): each eigenvalue
+    zeta_e^a becomes zeta_e^(ak mod e); for a unit k this is sigma_k."""
+    acc = {}
+    for a, m in terms:
+        t = a * k % e
+        acc[t] = acc.get(t, 0) + m
+    return tuple(sorted(acc.items()))
 
 
 # modular linear algebra helpers, all over F_q for a prime q
@@ -482,6 +507,7 @@ def _next_table_prime(q: int, e: int) -> int:
     return q
 
 
+@lru_cache(maxsize=None)
 def _primitive_root_of_unity(e: int, q: int) -> int:
     """Smallest primitive e-th root of unity in F_q (requires e | q-1)."""
     if e == 1:
@@ -491,6 +517,15 @@ def _primitive_root_of_unity(e: int, q: int) -> int:
         if pow(w, e, q) == 1 and all(pow(w, e // p, q) != 1 for p in prime_divs):
             return w
     raise TableComputationError(f"no primitive {e}-th root of unity mod {q}")
+
+
+def _root_powers(e: int, q: int) -> List[int]:
+    """w^a mod q for a < e, w the table's primitive e-th root of unity mod q."""
+    w = _primitive_root_of_unity(e, q)
+    out = [1] * e
+    for a in range(1, e):
+        out[a] = out[a - 1] * w % q
+    return out
 
 
 def _class_matrix(group: FiniteGroup, i: int):
@@ -575,22 +610,24 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
 
 
 def _lift_table(group: FiniteGroup, vectors, q):
-    """Recover exact character values from the mod-q central characters:
-    (value rows, residue rows), each residue row the values mod q.
+    """Recover the irreducibles' eigenvalue forms from the mod-q central
+    characters: (forms, residue rows), each residue row the values mod q.
 
-    The eigenvalue multiplicities of rho(g) come from one inverse DFT over
-    the values at g^k, k < n = ord(g); those of rho(g^k) are the same
-    multiplicities moved from zeta_n^j to zeta_n^(jk).  So the classes are
-    taken by decreasing element order, and a DFT is run only for a class
-    that is not a power of one taken before."""
+    The eigenvalue multiplicities m_j of rho(g) come from an inverse DFT
+    over the values at g^k, k < n = ord(g), stopped once they sum to the
+    degree (`_validate_table` checks that the form gives back every
+    residue); those of rho(g^k) are the same multiplicities moved from
+    zeta_n^j to zeta_n^(jk).  So the classes are taken by decreasing
+    element order, and a DFT is run only for a class that is not a power
+    of one taken before."""
     r = len(group.classes)
     e = group.exponent
     inv_class = group.inverse_class
     size_inv = [pow(size, -1, q) for size in group.class_sizes]
-    w = _primitive_root_of_unity(e, q)
+    wpow = _root_powers(e, q)
     orders = [group.element_orders[rep] for rep in group.class_reps]
     # shared by every row: per DFT class, the classes of g^k, the DFT matrix
-    # zeta_n^(-jk), and per power class the index t of zeta_n^(jk) = zeta_m^t
+    # zeta_n^(-jk), and the power classes it reaches first, with their k
     dft_mats = {}
     plan = []
     reached = [False] * r
@@ -599,16 +636,15 @@ def _lift_table(group: FiniteGroup, vectors, q):
             continue
         n = orders[c]
         if n not in dft_mats:
-            zinv = pow(pow(w, e // n, q), -1, q)
-            dft_mats[n] = [[pow(zinv, j * k, q) for k in range(n)] for j in range(n)]
+            zinv = [wpow[-t * (e // n) % e] for t in range(n)]  # zeta_n^(-t)
+            dft_mats[n] = [[zinv[j * k % n] for k in range(n)] for j in range(n)]
         powers = [group.class_power(c, k) for k in range(n)]
         moves = []
         for k, ck in enumerate(powers):
             if not reached[ck]:
                 reached[ck] = True
-                step = gcd(n, k)
-                moves.append((ck, n // step, [j * k % n // step for j in range(n)]))
-        plan.append((powers, dft_mats[n], pow(n, -1, q), moves))
+                moves.append((ck, k))
+        plan.append((powers, dft_mats[n], e // n, pow(n, -1, q), moves))
     rows = []
     for v in vectors:
         s = sum(v[i] * v[inv_class[i]] * size_inv[i] for i in range(r)) % q
@@ -619,39 +655,82 @@ def _lift_table(group: FiniteGroup, vectors, q):
             raise TableComputationError("no admissible degree for an eigenvector")
         # character values mod q
         x = [deg * v[i] * size_inv[i] % q for i in range(r)]
-        vals: List[Optional[CycloNum]] = [None] * r
-        for powers, dft, ninv, moves in plan:
+        form = [None] * r
+        for powers, dft, step, ninv, moves in plan:
             xs = [x[c] for c in powers]
-            mults = []
-            for zrow in dft:
+            terms = []
+            left = deg
+            for j, zrow in enumerate(dft):
                 m = sum(map(mul, xs, zrow)) * ninv % q
-                if m > deg:
-                    raise TableComputationError("eigenvalue multiplicity out of range")
-                mults.append(m)
-            if sum(mults) != deg:
-                raise TableComputationError("eigenvalue multiplicities do not sum to the degree")
-            # the value at g^k is sum_j mults[j] * zeta_n^(jk)
-            for ck, order, index in moves:
-                moved = [0] * order
-                for t, m in zip(index, mults):
-                    moved[t] += m
-                vals[ck] = CycloNum(order, moved, reduce=True)
-        rows.append((deg, tuple(v), vals, x))
+                if m:
+                    if m > left:
+                        raise TableComputationError(
+                            "eigenvalue multiplicities exceed the degree")
+                    terms.append((j * step, m))
+                    left -= m
+                    if not left:
+                        break
+            for ck, k in moves:
+                form[ck] = _power_form(terms, k, e)
+        rows.append((deg, tuple(v), form, x))
     rows.sort(key=lambda t: (t[0], t[1]))
     return [row[2] for row in rows], [row[3] for row in rows]
 
 
 def _validate_table(table: CharacterTable) -> None:
-    group = table.group
-    n = sum(d ** 2 for d in table.degrees)
-    if n != group.order:
-        raise TableComputationError(f"degree squares sum to {n}, not {group.order}")
-    chars = table.irreducibles
-    for i, chi in enumerate(chars):
-        for j in range(i, len(chars)):
-            ip = table._inner_with(chi, j)
-            if ip != (1 if i == j else 0):
-                raise TableComputationError(f"orthogonality fails at ({i},{j}): {ip}")
+    """Prove that the class values of the table's eigenvalue forms are
+    orthonormal, reading only the forms and checking (a) - (e) of the module
+    docstring; the residues are compared with the forms, not trusted."""
+    G = table.group
+    e, q, order = G.exponent, table.modulus, G.order
+    forms, degrees = table.forms, table.degrees
+    n = sum(d ** 2 for d in degrees)
+    if n != order:  # (a)
+        raise TableComputationError(f"degree squares sum to {n}, not {order}")
+    steps = [e // G.element_orders[rep] for rep in G.class_reps]
+    moves = _galois_moves(G)
+    q2 = _next_table_prime(q, e)
+    wq, wq2 = _root_powers(e, q), _root_powers(e, q2)
+    reduced, reduced2 = [], []
+    for i, (form, deg) in enumerate(zip(forms, degrees)):
+        row, row2 = [], []
+        for c, (terms, step) in enumerate(zip(form, steps)):
+            # deg roots of unity of the class's order, so |psi(c)| <= deg
+            total = v = v2 = 0
+            for a, m in terms:
+                if m <= 0 or a % step or not 0 <= a < e:
+                    total = -1
+                    break
+                total += m
+                v += m * wq[a]
+                v2 += m * wq2[a]
+            if total != deg:
+                raise TableComputationError(
+                    f"irreducible {i} at class {c} is not {deg} roots of unity of its order")
+            # (b) psi(g^k) = sigma_k(psi(g)) on the multisets
+            for k, perm in moves:
+                if form[perm[c]] != _power_form(terms, k, e):
+                    raise TableComputationError(
+                        f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
+            row.append(v % q)
+            row2.append(v2 % q2)
+        if tuple(row) != table.residues[i]:  # (c)
+            raise TableComputationError(f"residues of irreducible {i} disagree with its form")
+        reduced.append(row)
+        reduced2.append(row2)
+    sizes, inv = G.class_sizes, G.inverse_class
+    # (d) S_ij = sum_c |c| psi_i(c) psi_j(c^-1) = |G| delta_ij mod q
+    right = [[size * row[c] for size, c in zip(sizes, inv)] for row in reduced]
+    for i, row in enumerate(reduced):
+        for j in range(i, len(reduced)):
+            s = sum(map(mul, row, right[j])) % q
+            if s != (order % q if i == j else 0):
+                raise TableComputationError(f"orthogonality fails at ({i},{j}): {s} mod {q}")
+    # (e) S_ii = |G| mod the next table prime as well
+    for i, row in enumerate(reduced2):
+        s = sum(size * row[c] * x for size, c, x in zip(sizes, inv, row)) % q2
+        if s != order % q2:
+            raise TableComputationError(f"norm of irreducible {i} is {s} mod {q2}, not |G|")
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
@@ -663,8 +742,8 @@ def character_table(group: FiniteGroup) -> CharacterTable:
     for _ in range(4):
         try:
             vectors = _joint_eigenvectors(group, q)
-            value_rows, residues = _lift_table(group, vectors, q)
-            table = CharacterTable(group, value_rows, q, residues)
+            forms, residues = _lift_table(group, vectors, q)
+            table = CharacterTable(group, forms, q, residues)
             _validate_table(table)
             group._char_table = table
             return table

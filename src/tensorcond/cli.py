@@ -83,8 +83,8 @@ def _worker_count(args) -> int:
 _POOL_STATE = {}
 
 
-def _pool_init(corpus_path):
-    _POOL_STATE["corpus"] = load_corpus(corpus_path)
+def _pool_init(corpus):
+    _POOL_STATE["corpus"] = corpus
 
 
 def _pool_eval(job):
@@ -105,7 +105,9 @@ def _run_verify(args, machine: bool) -> int:
     corpus = load_corpus(args.corpus)
     failures = 0
     # one pool for the whole call, opened at the first suite that uses it, so
-    # that each worker loads the corpus and builds its tables once
+    # that each worker builds its tables once.  The workers get this call's
+    # corpus: forked workers (the default on Linux) inherit it, with every
+    # table built so far, and read no file
     pool = None
     with contextlib.ExitStack() as stack:
         for name in names:
@@ -118,7 +120,7 @@ def _run_verify(args, machine: bool) -> int:
                     from concurrent.futures import ProcessPoolExecutor
                     pool = stack.enter_context(ProcessPoolExecutor(
                         max_workers=workers, initializer=_pool_init,
-                        initargs=(args.corpus,)))
+                        initargs=(corpus,)))
                 chunk = (seeds + workers - 1) // workers
                 jobs = [(name, lo, min(chunk, seeds - lo), args.seed)
                         for lo in range(0, seeds, chunk)]

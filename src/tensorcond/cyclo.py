@@ -153,14 +153,6 @@ class CycloNum:
     def one(N: int = 1) -> "CycloNum":
         return CycloNum.from_rational(1, N)
 
-    @staticmethod
-    def root_of_unity(N: int, k: int = 1) -> "CycloNum":
-        """zeta_N^k."""
-        k %= N
-        cs = [0] * (k + 1)
-        cs[k] = 1
-        return CycloNum(N, cs, reduce=True)
-
     # -- structure -----------------------------------------------------------
 
     def promote(self, M: int) -> "CycloNum":
@@ -299,10 +291,6 @@ class CycloNum:
 
     def to_json(self) -> dict:
         return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(doc: dict) -> "CycloNum":
-        return CycloNum(int(doc["N"]), [Fraction(s) for s in doc["coeffs"]])
 
     def __str__(self):
         if self.is_zero():

@@ -4,7 +4,8 @@ Every group is a table on element indices 0..order-1 with identity 0.
 Named constructions (cyclic, dihedral, quaternion, Heisenberg, affine, ...)
 write each row of their table by index arithmetic on the element
 encoding their docstring gives; `FiniteGroup` validates the table a row
-at a time and finds the classes as orbits under a few generators.
+at a time (associativity by Light's test on a few generators) and finds
+the classes as orbits under the same generators.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ class FiniteGroup:
             if table[b][a] != identity:
                 raise GroupConstructionError(f"element {a} has no inverse")
 
-        self.classes, self.class_of = self._conjugacy_classes()
-        self.class_reps = tuple(c[0] for c in self.classes)
-        self.class_sizes = tuple(len(c) for c in self.classes)
-        self.inverse_class = tuple(self.class_of[self.inverses[r]] for r in self.class_reps)
-
         # one walk through the powers of g gives every order in <g>:
         # ord(g^j) = k / gcd(j, k) for k = ord(g)
         orders = [0] * n
@@ -115,6 +111,25 @@ class FiniteGroup:
                 orders[x] = k // gcd(j, k)
         self.element_orders = tuple(orders)
         self.exponent = lcm(*set(orders))
+
+        # Light's test: (x s) y = x (s y) for each generator s, a row at a
+        # time (the row of x s against the row of x read at the row of s).
+        # The elements passing it are closed under products, and every
+        # element is a left-normed word in the generators, so it suffices.
+        gens, _ = _generators(table, identity, range(n))
+        for s in gens:
+            read_s = itemgetter(*table[s])
+            for x, row in enumerate(table):
+                left, right = table[row[s]], read_s(row)
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise GroupConstructionError(
+                        f"table is not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
+
+        self.classes, self.class_of = self._conjugacy_classes(gens)
+        self.class_reps = tuple(c[0] for c in self.classes)
+        self.class_sizes = tuple(len(c) for c in self.classes)
+        self.inverse_class = tuple(self.class_of[self.inverses[r]] for r in self.class_reps)
 
         self._power_class: dict = {}
         self._char_table = None
@@ -149,12 +164,11 @@ class FiniteGroup:
             self._power_class[key] = hit
         return hit
 
-    def _conjugacy_classes(self):
+    def _conjugacy_classes(self, gens):
         """Orbits under conjugation by a generating set (a finite group is
         the monoid its generators span), the identity's first, then in
         the order of their smallest members."""
         n, table, identity = self.order, self.table, self.identity
-        gens, _ = _generators(table, identity, range(n))
         # x -> s x s^-1 for each generator s, as a list over x
         conj = [[table[y][self.inverses[s]] for y in table[s]] for s in gens]
         class_of = [-1] * n
@@ -209,11 +223,6 @@ class Subgroup:
 
     def is_whole_group(self) -> bool:
         return self.size == self.parent.order
-
-    def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conjugate(h, a) in self.member
-                   for h in G.elements() for a in self.elements)
 
     def is_pgroup(self, p: int) -> bool:
         """Whether the order is a power of p (1 is a power of every p)."""

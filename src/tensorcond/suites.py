@@ -241,19 +241,6 @@ def gen_semistable_mults(T: CharacterTable, seed) -> dict:
     return {"tau": tau, "sigma": sigma}
 
 
-def gen_abvar(model: InertiaModel, seed, **kwargs) -> AbVarDatum:
-    """Seeded random valid abelian-variety datum over the model (see
-    gen_abvar_mults for the options)."""
-    T = character_table(model.group)
-    return abvar_datum(model, gen_abvar_mults(T, seed, **kwargs), "abvar")
-
-
-def gen_semistable(model: InertiaModel, seed) -> AbVarDatum:
-    """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
-    T = character_table(model.group)
-    return abvar_datum(model, gen_semistable_mults(T, seed), "abvar")
-
-
 # -- individual suites -----------------------------------------------------------
 #
 # A generator returns an item's input document and the labels its detail

@@ -25,7 +25,9 @@ its own, the guarded Frobenius-Schur indicator, the rationality and
 symplectic criteria read from values, and random characters assembled
 from a seeded multiplicity vector.  The package itself computes on
 multiplicity vectors and never decomposes; these are what tests compare
-it with.
+it with.  The constructors only tests call live here too: `root_of_unity`,
+`cyclo_from_json`, the trivial and zero class functions, `is_normal`, and
+the seeded `gen_abvar` and `gen_semistable` data.
 """
 
 from __future__ import annotations
@@ -38,6 +40,21 @@ from tensorcond.chars import ClassFunction, character_table, gen_character_mults
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import NonCharacterError
 from tensorcond.groups import FiniteGroup, Subgroup, is_prime
+from tensorcond.suites import abvar_datum, gen_abvar_mults, gen_semistable_mults
+from tensorcond.weildeligne import AbVarDatum, InertiaModel
+
+
+def root_of_unity(N: int, k: int = 1) -> CycloNum:
+    """zeta_N^k."""
+    k %= N
+    cs = [0] * (k + 1)
+    cs[k] = 1
+    return CycloNum(N, cs, reduce=True)
+
+
+def cyclo_from_json(doc: dict) -> CycloNum:
+    """The inverse of `CycloNum.to_json`."""
+    return CycloNum(int(doc["N"]), [Fraction(s) for s in doc["coeffs"]])
 
 
 class ExactMatrix:
@@ -148,7 +165,7 @@ def two_dim_rep_q8(G: FiniteGroup) -> MatrixRep:
 
     Element indices follow the constructor: 0..7 = 1, i, j, k, -1, -i, -j, -k.
     """
-    z4 = CycloNum.root_of_unity(4)
+    z4 = root_of_unity(4)
     zero, one = CycloNum.zero(4), CycloNum.one(4)
     mat_i = ExactMatrix([[z4, zero], [zero, -z4]])
     mat_j = ExactMatrix([[zero, one], [-one, zero]])
@@ -192,7 +209,7 @@ def dict_to_cyclo(d: Dict[int, Fraction], N: int) -> CycloNum:
     """Rebuild a CycloNum using only addition and the root constructor."""
     acc = CycloNum.zero(N)
     for k, c in sorted(d.items()):
-        acc = acc + CycloNum.root_of_unity(N, k).scale(c)
+        acc = acc + root_of_unity(N, k).scale(c)
     return acc
 
 
@@ -310,6 +327,13 @@ def encoded_group(spec: dict) -> FiniteGroup:
                                f"Aff{p}", spec)
 
 
+def is_normal(subgroup: Subgroup) -> bool:
+    """Whether every conjugate of every member is a member."""
+    G = subgroup.parent
+    return all(G.conjugate(h, a) in subgroup.member
+               for h in G.elements() for a in subgroup.elements)
+
+
 def conjugation_orbits(group: FiniteGroup) -> set:
     """The orbit {h g h^-1 : h in G} of every element g, each conjugate
     from the table, with h^-1 found by searching the row of h."""
@@ -353,6 +377,16 @@ def bareiss_det(m: List[List[int]]) -> int:
 
 
 # -- class-function oracles ----------------------------------------------------------
+
+
+def trivial(group: FiniteGroup) -> ClassFunction:
+    """The trivial character: 1 on every class."""
+    return ClassFunction(group, [1] * len(group.classes))
+
+
+def zero(group: FiniteGroup) -> ClassFunction:
+    """The zero class function."""
+    return ClassFunction(group, [0] * len(group.classes))
 
 
 def regular(group: FiniteGroup) -> ClassFunction:
@@ -462,3 +496,16 @@ def is_symplectic(chi: ClassFunction) -> bool:
 def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     """Random nonnegative integer combination of irreducibles, dim <= budget."""
     return character_table(group).assemble(gen_character_mults(group, seed, budget))
+
+
+def gen_abvar(model: InertiaModel, seed, **kwargs) -> AbVarDatum:
+    """Seeded random valid abelian-variety datum over the model (see
+    `suites.gen_abvar_mults` for the options)."""
+    T = character_table(model.group)
+    return abvar_datum(model, gen_abvar_mults(T, seed, **kwargs), "abvar")
+
+
+def gen_semistable(model: InertiaModel, seed) -> AbVarDatum:
+    """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
+    T = character_table(model.group)
+    return abvar_datum(model, gen_semistable_mults(T, seed), "abvar")

@@ -23,8 +23,8 @@ from tensorcond.jacobians import (disc_valuation, jacobian_inertia_model,
 from tensorcond.suites import run_suite_range
 from tensorcond.weildeligne import WDRep, clebsch_gordan, tensor
 
-from oracles import (inner_product, linear_reps_q8, permutation_rep_affine,
-                     sign_rep_affine, two_dim_rep_q8)
+from oracles import (gen_abvar, inner_product, linear_reps_q8, permutation_rep_affine,
+                     sign_rep_affine, trivial, two_dim_rep_q8)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,6 @@ def test_criterion_06_semistable_equality(corpus):
     results = run_suite_range("semistable", corpus, 0, 200, 0)
     violations = sum(not r.ok for r in results)
     # good-reduction degenerate case: a(A x B) = dim(A) a(B) exactly
-    from tensorcond.suites import gen_abvar
     from tensorcond.weildeligne import AbVarDatum, LocalPair, semistable_equality
     chain = next(c for c in corpus.model_chains() if c.label == "q8/center")
     model = chain.model()
@@ -232,7 +231,7 @@ def test_criterion_10_character_tables():
     perm_char = ClassFunction(S3, perm.character_values())
     std = next(ch for ch in T3.irreducibles if ch.dim == 2)
     matrix_ok = matrix_ok and \
-        perm_char == ClassFunction.trivial(S3) + std and \
+        perm_char == trivial(S3) + std and \
         any(ch == ClassFunction(S3, sign_rep_affine(S3, 3).character_values())
             for ch in T3.irreducibles)
     from tensorcond.chars import fixed_dim

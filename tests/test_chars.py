@@ -11,8 +11,8 @@ from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
 
 from oracles import (class_matrices, frobenius_schur, gen_character, inner_product,
                      is_rational_charpoly, is_symplectic, linear_reps_q8,
-                     permutation_rep_affine, regular, restrict, sign_rep_affine,
-                     two_dim_rep_q8)
+                     permutation_rep_affine, regular, restrict, root_of_unity,
+                     sign_rep_affine, trivial, two_dim_rep_q8, zero)
 
 # groups beyond the corpus whose tables are checked byte for byte
 EXTRA_GROUPS = [
@@ -47,12 +47,12 @@ def two_dim(q8_table):
 def test_inner_products(q8, q8_table):
     C2 = cyclic(2)
     reg = regular(C2)
-    assert inner_product(reg, ClassFunction.trivial(C2)) == 1
+    assert inner_product(reg, trivial(C2)) == 1
     chi2 = two_dim(q8_table)
     assert inner_product(chi2, chi2) == 1
     for G in (q8, C2):
         H = subgroup_generated(G, [G.order - 1])
-        triv = ClassFunction.trivial(G)
+        triv = trivial(G)
         assert inner_product(triv, triv, H) == 1
 
 
@@ -74,7 +74,7 @@ def test_fixed_dim_rejects_non_characters(q8):
 
 def test_tensor_dsum_dual(q8, q8_table):
     chi2 = two_dim(q8_table)
-    triv = ClassFunction.trivial(q8)
+    triv = trivial(q8)
     assert chi2 * triv == chi2
     assert chi2.dual().dual() == chi2
     sq = chi2 * chi2
@@ -113,10 +113,10 @@ def test_character_table_c4_linear_values():
     seen = set()
     for chi in T.irreducibles:
         v = chi.values[gen_class]
-        j = next(k for k in range(4) if v == CycloNum.root_of_unity(4, k))
+        j = next(k for k in range(4) if v == root_of_unity(4, k))
         seen.add(j)
         for c in range(4):
-            assert chi.values[C4.class_of[c]] == CycloNum.root_of_unity(4, j * c)
+            assert chi.values[C4.class_of[c]] == root_of_unity(4, j * c)
     assert seen == {0, 1, 2, 3}
 
 
@@ -139,7 +139,7 @@ def test_table_determinism():
 def test_frobenius_schur(q8, q8_table):
     chi2 = two_dim(q8_table)
     assert frobenius_schur(chi2) == -1
-    assert frobenius_schur(ClassFunction.trivial(q8)) == 1
+    assert frobenius_schur(trivial(q8)) == 1
     C4 = cyclic(4)
     T4 = character_table(C4)
     faithful = next(ch for ch in T4.irreducibles
@@ -152,7 +152,7 @@ def test_frobenius_schur(q8, q8_table):
 def test_is_symplectic(q8, q8_table):
     chi2 = two_dim(q8_table)
     assert is_symplectic(chi2)
-    assert not is_symplectic(ClassFunction.trivial(q8))
+    assert not is_symplectic(trivial(q8))
     for psi in q8_table.irreducibles:
         assert is_symplectic(psi + psi.dual())
     C4 = cyclic(4)
@@ -173,7 +173,7 @@ def test_is_rational_charpoly():
     # the six faithful characters form a single Galois orbit; their sum is
     # rational even though no single member is
     orbit = next(o for o in T9.galois_orbits if len(o) == 6)
-    total = ClassFunction.zero(C9)
+    total = zero(C9)
     for i in orbit:
         assert not is_rational_charpoly(T9.irreducibles[i])
         total = total + T9.irreducibles[i]
@@ -300,7 +300,7 @@ def test_s3_table_against_matrices():
     perm_char = ClassFunction(G, perm.character_values())
     # permutation character = trivial + standard
     std = next(ch for ch in T.irreducibles if ch.dim == 2)
-    assert perm_char == ClassFunction.trivial(G) + std
+    assert perm_char == trivial(G) + std
     sign_char = ClassFunction(G, sign.character_values())
     assert any(ch == sign_char for ch in T.irreducibles)
     translations = subgroup_generated(G, [1])
@@ -347,13 +347,100 @@ def test_table_validation_checks_every_pair():
     G = cyclic(4)
     T = character_table(G)
     _validate_table(T)
-    # unit norms and the right degrees, but two equal rows
-    rows = [psi.values for psi in T.irreducibles]
-    rows[-1] = rows[-2]
+    # unit norms, the right degrees and Galois-closed forms, but two equal rows
+    forms = list(T.forms)
+    forms[-1] = forms[-2]
     residues = list(T.residues)
     residues[-1] = residues[-2]
     with pytest.raises(TableComputationError, match="orthogonality"):
-        _validate_table(CharacterTable(G, rows, T.modulus, residues))
+        _validate_table(CharacterTable(G, forms, T.modulus, residues))
+
+
+def _forged(G, edit):
+    """The table of G rebuilt from its forms and residues after `edit`
+    changed the lists of either."""
+    from tensorcond.chars import CharacterTable
+    T = character_table(G)
+    forms = [list(form) for form in T.forms]
+    residues = [list(row) for row in T.residues]
+    edit(forms, residues, T)
+    return CharacterTable(G, forms, T.modulus, residues)
+
+
+def test_table_validation_refuses_a_galois_break_at_one_class():
+    """zeta_5 moved to zeta_5^2 at the class of g alone: the form at g^2 is
+    no longer sigma_2 of the form at g."""
+    from tensorcond.chars import _validate_table
+    from tensorcond.errors import TableComputationError
+    G = cyclic(5)
+
+    def edit(forms, residues, T):
+        i = next(i for i, form in enumerate(forms) if form[1] == ((1, 1),))
+        forms[i][1] = ((2, 1),)
+    with pytest.raises(TableComputationError, match=r"Galois condition fails for "
+                       r"irreducible \d+ at class 1"):
+        _validate_table(_forged(G, edit))
+
+
+def test_table_validation_refuses_residues_that_disagree_with_the_forms():
+    from tensorcond.chars import _validate_table
+    from tensorcond.errors import TableComputationError
+
+    def edit(forms, residues, T):
+        residues[-1][1] = (residues[-1][1] + 1) % T.modulus
+    with pytest.raises(TableComputationError, match="residues of irreducible 4 disagree"):
+        _validate_table(_forged(quaternion8(), edit))
+
+
+def test_table_validation_refuses_forms_that_are_not_roots_of_unity_of_the_class():
+    """An exponent not a multiple of e / ord(c), and a multiplicity sum that
+    is not the degree."""
+    from tensorcond.chars import _validate_table
+    from tensorcond.errors import TableComputationError
+    G = cyclic(4)
+
+    def odd_exponent(forms, residues, T):
+        c = G.class_of[2]  # order 2: exponents must be multiples of 2
+        i = next(i for i, form in enumerate(forms) if form[c] == ((2, 1),))
+        forms[i][c] = ((1, 1),)
+
+    def short_sum(forms, residues, T):
+        forms[0][1] = ()
+    for edit in (odd_exponent, short_sum):
+        with pytest.raises(TableComputationError, match="roots of unity of its order"):
+            _validate_table(_forged(G, edit))
+
+
+def test_cold_tables_take_no_exact_averages(monkeypatch):
+    """The build's certificate works on eigenvalue forms and residues: no
+    inner product through `_inner_with` and no reduction mod Phi_e."""
+    from tensorcond import chars
+    from tensorcond.groups import build_group
+
+    def refuse(*args):
+        raise AssertionError("a cold table took an exact average")
+    monkeypatch.setattr(chars.CharacterTable, "_inner_with", refuse)
+    monkeypatch.setattr(chars, "exponent_sum_value", refuse)
+    for spec in [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 25},
+                 {"kind": "heisenberg", "p": 3}, {"kind": "affine", "p": 7}] + EXTRA_GROUPS:
+        T = character_table(build_group(spec))
+        assert sum(d * d for d in T.degrees) == T.group.order
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "n": 27}, {"kind": "elementary_abelian", "p": 3, "k": 3},
+    {"kind": "heisenberg", "p": 5}, {"kind": "dihedral", "n": 8}, {"kind": "affine", "p": 7},
+    {"kind": "direct_product", "factors": [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 3}]},
+], ids=["c27", "3^3", "heis5", "d8", "aff7", "q8xc3"])
+def test_table_rows_are_orthonormal_by_the_inner_product_oracle(spec):
+    """Every pair of irreducibles, by the CycloNum sum of `inner_product`
+    over class values assembled from the forms."""
+    from tensorcond.groups import build_group
+    T = character_table(build_group(spec))
+    irr = T.irreducibles
+    for i, chi in enumerate(irr):
+        for j, psi in enumerate(irr):
+            assert inner_product(chi, psi) == int(i == j), (i, j)
 
 
 # -- the exponent-form averages against the CycloNum oracle ------------------------
@@ -362,7 +449,7 @@ def test_table_validation_checks_every_pair():
 def test_fixed_dim_matches_the_inner_product_oracle(corpus):
     for entry in corpus.entries:
         G = entry.group
-        triv = ClassFunction.trivial(G)
+        triv = trivial(G)
         subgroups = {H.elements: H for c in entry.chains for H in c.filtration.chain}
         for seed in range(3):
             chi = gen_character(G, f"fixed:{seed}", 8)
@@ -415,7 +502,7 @@ def test_irrational_averages_are_not_characters():
     G = cyclic(5)
     T = character_table(G)
     # zeta_5 on one class, 0 elsewhere: every average is zeta_5 times a rational
-    chi = ClassFunction(G, [0, CycloNum.root_of_unity(5), 0, 0, 0])
+    chi = ClassFunction(G, [0, root_of_unity(5), 0, 0, 0])
     with pytest.raises(NonCharacterError):
         fixed_dim(chi, whole_group(G))
     with pytest.raises(NonCharacterError):
@@ -423,15 +510,15 @@ def test_irrational_averages_are_not_characters():
     assert is_symplectic(chi) is False
     # unit norm, but the indicator sum 5 * zeta_5 is not rational
     with pytest.raises(NonCharacterError):
-        frobenius_schur(ClassFunction(G, [CycloNum.root_of_unity(5)] * 5))
+        frobenius_schur(ClassFunction(G, [root_of_unity(5)] * 5))
 
 
 def test_averages_of_values_beyond_the_group_exponent(q8, q8_table):
     from tensorcond.cyclo import CycloNum
     # i = zeta_4 written as zeta_8^2: conductor 8 on a group of exponent 4
-    i8 = CycloNum.root_of_unity(8, 2)
+    i8 = root_of_unity(8, 2)
     chi2 = two_dim(q8_table)
-    promoted = ClassFunction(q8, [v + i8 - CycloNum.root_of_unity(4) for v in chi2.values])
+    promoted = ClassFunction(q8, [v + i8 - root_of_unity(4) for v in chi2.values])
     assert promoted == chi2
     assert q8_table.multiplicities(promoted) == q8_table.multiplicities(chi2)
     for H in (whole_group(q8), subgroup_generated(q8, [1]), trivial_subgroup(q8)):
@@ -544,7 +631,7 @@ def test_dual_galois_and_trivial_lookups_match_class_values(corpus):
         assert len(index) == len(T), G.name
         assert T.dual_index == tuple(index[_keys(psi.dual().values)]
                                      for psi in T.irreducibles), G.name
-        assert T.irreducibles[T.index_of_trivial()] == ClassFunction.trivial(G), G.name
+        assert T.irreducibles[T.index_of_trivial()] == trivial(G), G.name
         units = [k for k in range(1, G.exponent + 1) if gcd(k, G.exponent) == 1]
         orbits = T.galois_orbits
         assert sorted(i for orbit in orbits for i in orbit) == list(range(len(T))), G.name

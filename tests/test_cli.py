@@ -469,6 +469,43 @@ def test_verify_opens_one_pool_per_call(capsys, monkeypatch):
     assert par == seq
 
 
+def test_pool_workers_take_the_loaded_corpus(capsys, monkeypatch):
+    """The corpus is read once per call: the pool's initializer receives the
+    loaded corpus itself, so a worker reads no file."""
+    import concurrent.futures
+    from tensorcond import cli
+    loads, received = [], []
+    real_load = cli.load_corpus
+
+    def counted_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            received.extend(initargs)
+            initializer(*initargs)
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(cli, "load_corpus", counted_load)
+    monkeypatch.setattr(cli, "_POOL_STATE", {})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "8",
+                         "--workers", "2", "--format", "machine")
+    assert code == 0
+    assert loads == [None]
+    assert len(received) == 1 and received[0] is cli._POOL_STATE["corpus"]
+    assert received[0].entries
+
+
 def test_sharpness_refuses_a_prime_above_the_order_cap_before_computing(capsys,
                                                                         monkeypatch):
     from tensorcond import jacobians

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensorcond.cyclo import CycloNum, cyclotomic_coeffs, euler_phi
 
-from oracles import dict_to_cyclo, expand_product
+from oracles import cyclo_from_json, dict_to_cyclo, expand_product, root_of_unity
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 20]
 
@@ -21,46 +21,46 @@ def test_cyclotomic_polynomials_against_sympy():
 
 
 def test_minimal_polynomial_identities():
-    z3 = CycloNum.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert z3 + z3.galois(2) == -1
-    z4 = CycloNum.root_of_unity(4)
+    z4 = root_of_unity(4)
     assert z4 * z4 == -1
-    z5 = CycloNum.root_of_unity(5)
+    z5 = root_of_unity(5)
     total = CycloNum.zero(5)
     for k in range(1, 5):
-        total = total + CycloNum.root_of_unity(5, k)
+        total = total + root_of_unity(5, k)
     assert total == -1
     assert total.is_rational()
 
 
 def test_product_expansion_example():
-    z5 = CycloNum.root_of_unity(5)
-    lhs = (CycloNum.one() + z5) * (CycloNum.one() + CycloNum.root_of_unity(5, 4))
+    z5 = root_of_unity(5)
+    lhs = (CycloNum.one() + z5) * (CycloNum.one() + root_of_unity(5, 4))
     rhs = dict_to_cyclo({0: Fraction(2), 1: Fraction(1), 4: Fraction(1)}, 5)
     assert lhs == rhs
 
 
 def test_galois_action():
-    z5 = CycloNum.root_of_unity(5)
-    assert z5.galois(2) == CycloNum.root_of_unity(5, 2)
+    z5 = root_of_unity(5)
+    assert z5.galois(2) == root_of_unity(5, 2)
     q = CycloNum.from_rational(Fraction(7, 3), 5)
     assert q.galois(3) == q
-    z3 = CycloNum.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert (z3 + z3.galois(2)).galois(2) == -1
     with pytest.raises(ValueError):
         z5.promote(10).galois(5)
 
 
 def test_is_rational():
-    z3 = CycloNum.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert (z3 + z3 * z3).is_rational()
-    assert not CycloNum.root_of_unity(8).is_rational()
+    assert not root_of_unity(8).is_rational()
     assert CycloNum.from_rational(Fraction(3, 7)).is_rational()
 
 
 def test_trace_of_prime_root_is_minus_one():
     for p in (3, 5, 7, 11):
-        z = CycloNum.root_of_unity(p)
+        z = root_of_unity(p)
         total = CycloNum.zero(p)
         for k in range(1, p):
             if gcd(k, p) == 1:
@@ -69,17 +69,17 @@ def test_trace_of_prime_root_is_minus_one():
 
 
 def test_cross_conductor_equality():
-    z3_at_3 = CycloNum.root_of_unity(3)
-    z3_at_6 = CycloNum.root_of_unity(6, 2)
+    z3_at_3 = root_of_unity(3)
+    z3_at_6 = root_of_unity(6, 2)
     assert z3_at_3 == z3_at_6
     assert z3_at_3.promote(12) == z3_at_6.promote(12)
 
 
 def test_serialization_roundtrip():
-    x = CycloNum.root_of_unity(8, 3).scale(Fraction(2, 3)) + 1
+    x = root_of_unity(8, 3).scale(Fraction(2, 3)) + 1
     doc = x.to_json()
     assert doc["N"] == 8
-    assert CycloNum.from_json(doc) == x
+    assert cyclo_from_json(doc) == x
 
 
 def test_integral_coefficients_are_stored_as_int():
@@ -172,8 +172,8 @@ def test_product_against_expansion_oracle(x):
 
 
 def test_conjugate_is_inverse_root():
-    z8 = CycloNum.root_of_unity(8)
-    assert z8.conjugate() == CycloNum.root_of_unity(8, 7)
+    z8 = root_of_unity(8)
+    assert z8.conjugate() == root_of_unity(8, 7)
     assert (z8 * z8.conjugate()) == 1
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import ClassFunction, character_table
+from tensorcond.chars import character_table
 from tensorcond.errors import (NotPGroupError, NotRationalError,
                                NotSymplecticError, PreconditionError)
 from tensorcond.filtration import (conductor,
@@ -13,7 +13,7 @@ from tensorcond.filtration import (conductor,
 from tensorcond.groups import (cyclic, filtration_from_generators, heisenberg,
                                quaternion8)
 
-from oracles import gen_character
+from oracles import gen_character, trivial
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +27,12 @@ def q8_setup():
 
 def test_nonfixed_dim(q8_setup):
     Q, T, chi2, filt = q8_setup
-    triv = ClassFunction.trivial(Q)
+    triv = trivial(Q)
     assert all(nonfixed_dim(triv, filt, i) == 0 for i in range(len(filt)))
     assert nonfixed_dim(chi2, filt, 1) == 2
     Cp = cyclic(5)
     Tp = character_table(Cp)
-    chi = next(ch for ch in Tp.irreducibles if ch != ClassFunction.trivial(Cp))
+    chi = next(ch for ch in Tp.irreducibles if ch != trivial(Cp))
     fp = filtration_from_generators(Cp, [])
     assert nonfixed_dim(chi, fp, 0) == 1
     with pytest.raises(IndexError):
@@ -43,7 +43,7 @@ def test_tensor_fixed_excess(q8_setup):
     Q, T, chi2, filt = q8_setup
     assert tensor_fixed_excess(chi2, chi2, filt, 1) == 4
     assert tensor_fixed_excess(chi2, chi2, filt, 0) == 1
-    triv = ClassFunction.trivial(Q)
+    triv = trivial(Q)
     for sigma in T.irreducibles:
         for i in range(len(filt)):
             assert tensor_fixed_excess(triv, sigma, filt, i) == 0
@@ -55,10 +55,10 @@ def test_conductor_report(q8_setup):
     assert rep.total == Fraction(5, 2)
     assert rep.level_terms == (2, 2, 0)
     assert rep.excess_total == 2
-    assert conductor_exponent(ClassFunction.trivial(Q), filt) == 0
+    assert conductor_exponent(trivial(Q), filt) == 0
     Cp = cyclic(5)
     Tp = character_table(Cp)
-    chi = next(ch for ch in Tp.irreducibles if ch != ClassFunction.trivial(Cp))
+    chi = next(ch for ch in Tp.irreducibles if ch != trivial(Cp))
     assert conductor_exponent(chi, filtration_from_generators(Cp, [])) == 1
     doc = rep.to_json()
     assert doc["total"] == "5/2"

@@ -7,7 +7,8 @@ from tensorcond.errors import (InconsistentInputError, NegativeExponentError)
 from tensorcond.globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
                                     d_term, rankin_selberg_bound,
                                     self_tensor_bound_report)
-from tensorcond.suites import gen_abvar
+
+from oracles import gen_abvar
 
 
 summaries = st.lists(

@@ -11,7 +11,7 @@ from tensorcond.groups import (FiniteGroup, Filtration, affine, build_group, cyc
                                trivial_subgroup, whole_group, Subgroup)
 
 from oracles import (as_group, check_associativity, conjugation_orbits, encoded_group,
-                     orders_by_powers, product_closure)
+                     is_normal, orders_by_powers, product_closure)
 
 
 def corpus_like_groups():
@@ -171,18 +171,18 @@ def test_affine_unique_normal_p_subgroup():
             if H.size == p:
                 subs_of_order_p.add(H.elements)
         assert subs_of_order_p == {tuple(range(p))}
-        assert Subgroup(G, range(p)).is_normal()
+        assert is_normal(Subgroup(G, range(p)))
 
 
 def test_nonnormal_subgroups_allowed_in_chains():
     D = dihedral(4)
     refl = subgroup_generated(D, [4])
-    assert not refl.is_normal()
+    assert not is_normal(refl)
     filt = filtration_from_generators(D, [[4]])
     assert [s.size for s in filt.chain] == [8, 2, 1]
     G = affine(5)
     torus = subgroup_generated(G, [5])
-    assert torus.size == 4 and not torus.is_normal()
+    assert torus.size == 4 and not is_normal(torus)
 
 
 def test_subgroup_closure_validation():
@@ -282,6 +282,18 @@ def test_finite_group_refuses_powers_that_never_reach_the_identity():
     table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 3, 1, 0], [3, 1, 0, 2]]
     with pytest.raises(GroupConstructionError,
                        match="the powers of element 2 never reach the identity"):
+        FiniteGroup(table)
+
+
+def test_finite_group_refuses_a_table_that_is_not_associative():
+    """Latin rows, a two-sided identity, two-sided inverses and powers that
+    reach the identity, but (2*1)*1 = 0 and 2*(1*1) = 2."""
+    table = [[0, 1, 2, 3], [1, 0, 2, 3], [2, 1, 3, 0], [3, 2, 0, 1]]
+    check = [[table[table[x][s]][y] == table[x][table[s][y]] for y in range(4)]
+             for x in range(4) for s in range(4)]
+    assert not all(map(all, check))
+    with pytest.raises(GroupConstructionError,
+                       match=re.escape("table is not associative: (2*1)*1 != 2*(1*1)")):
         FiniteGroup(table)
 
 

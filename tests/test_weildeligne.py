@@ -7,11 +7,12 @@ from tensorcond.corpus import load_corpus
 from tensorcond.errors import (ModelMismatchError, NotSemistableError,
                                PreconditionError)
 from tensorcond.groups import filtration_from_generators, quaternion8
-from tensorcond.suites import gen_abvar, gen_semistable
 from tensorcond.weildeligne import (AbVarDatum, InertiaModel, LocalPair, WDRep,
                                     clebsch_gordan, conductor_bound, degree_gap,
                                     semistable_equality, swan_bound, tame_identity,
                                     tensor, uniform_bound)
+
+from oracles import gen_abvar, gen_semistable, trivial, zero
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +329,7 @@ def test_assembled_values_match_a_sum_of_scaled_irreducibles(q8_model):
     T = character_table(q8_model.group)
     vec = [3, 0, 1, 2, 1]
     chi = T.assemble(vec)
-    total = ClassFunction.zero(q8_model.group)
+    total = zero(q8_model.group)
     for m, psi in zip(vec, T.irreducibles):
         # scaled as class values: an irreducible's own scale() is a vector
         total = total + ClassFunction(psi.group, psi.values).scale(m)
@@ -344,7 +345,7 @@ def test_kernel_entry_points_refuse_a_class_function_that_is_no_table_vector(q8_
     those of a character of the table."""
     from tensorcond.filtration import symplectic_tensor_bound, tensor_level_identity
     Q, filt = q8_model.group, q8_model.filtration
-    bare = ClassFunction.trivial(Q)
+    bare = trivial(Q)
     with pytest.raises(ModelMismatchError):
         WDRep(q8_model, [(bare, 1)])
     with pytest.raises(ModelMismatchError):
