@@ -20,7 +20,7 @@ import sys
 from typing import List, Optional
 
 from .chars import character_table
-from .corpus import load_corpus
+from .corpus import ChainReader, load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
                      require)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary, exponents_str,
@@ -40,15 +40,12 @@ def _load_document(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise InputError(f"cannot read input document: {err}") from err
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
+        raise InputError(f"cannot read input document: {err}") from None
 
 
-def _build_model(doc: dict, where: str) -> InertiaModel:
-    try:
-        group = build_group(require(doc, "group", where))
-    except TensorCondError as err:
-        raise InputError(f"{where}group: {err}") from err
+def _build_model(doc: dict, where: str, reader: ChainReader) -> InertiaModel:
+    group = reader.group(require(doc, "group", where), f"{where}group")
     chain = generator_lists(require(doc, "chain", where), f"{where}chain")
     try:
         filt = filtration_from_generators(group, chain)
@@ -148,7 +145,7 @@ def _run_verify(args, machine: bool) -> int:
 
 def _run_bound(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    model = _build_model(require(doc, "model"), "model.")
+    model = _build_model(require(doc, "model"), "model.", ChainReader())
     A, B = (abvar_datum(model, require(doc, key), key) for key in ("A", "B"))
     pair = LocalPair(A, B)
     lhs, rhs_main, c_p = conductor_bound(pair)
@@ -175,13 +172,13 @@ def _run_bound(args, machine: bool) -> int:
 # -- subcommand: global -----------------------------------------------------------
 
 
-def _global_record(rec, where: str, p: int):
+def _global_record(reader: ChainReader, rec, where: str, p: int):
     mode = require(rec, "mode", where)
     if mode == "summary":
         return PrimeSummary(p, *(int_field(rec, key, where)
                                  for key in ("vA", "vB", "degA", "degB", "degAB")))
     if mode == "full":
-        model = _build_model(require(rec, "model", where), f"{where}model.")
+        model = _build_model(require(rec, "model", where), f"{where}model.", reader)
         return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
                                    for key in ("A", "B")))
     raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
@@ -189,7 +186,7 @@ def _global_record(rec, where: str, p: int):
 
 def _run_global(args, machine: bool) -> int:
     dim_a, dim_b, records = read_global(_load_document(args.input), ("dimA", "dimB"),
-                                        _global_record)
+                                        functools.partial(_global_record, ChainReader()))
     try:
         datum = GlobalDatum(dim_a, dim_b, records)
         report = rankin_selberg_bound(datum)
@@ -261,8 +258,8 @@ def _run_sharpness(args, machine: bool) -> int:
 def _run_table(args, machine: bool) -> int:
     try:
         spec = json.loads(args.group)
-    except json.JSONDecodeError as err:
-        raise InputError(f"group spec is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise InputError(f"cannot read the group spec as JSON: {err}") from None
     try:
         G = build_group(spec)
     except TensorCondError as err:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, require)
@@ -67,7 +67,8 @@ class Corpus:
     def __init__(self, entries: List[CorpusEntry], version: int):
         self.entries = entries
         self.version = version
-        self._by_ref: Optional[Dict[str, CorpusChain]] = None
+        # suite items resolve their chain references here, as replay does
+        self.reader = ChainReader(self.all_chains())
 
     def all_chains(self) -> List[CorpusChain]:
         return [c for e in self.entries for c in e.chains]
@@ -84,13 +85,6 @@ class Corpus:
 
     def integral_model_chains(self) -> List[CorpusChain]:
         return [c for c in self.model_chains() if c.is_integral_shape()]
-
-    def chain_by_ref(self, ref: dict) -> CorpusChain:
-        """The corpus chain that a document reference names."""
-        if self._by_ref is None:
-            self._by_ref = {json.dumps(c.ref(), sort_keys=True): c
-                            for c in self.all_chains()}
-        return self._by_ref[json.dumps(ref, sort_keys=True)]
 
     def entry(self, name: str) -> CorpusEntry:
         for e in self.entries:
@@ -123,6 +117,45 @@ def read_chain(doc, group: FiniteGroup, entry_name: str, name: str,
     return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
 
 
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+class ChainReader:
+    """Resolves the chain references of documents: it builds each group
+    once per canonical spec and reads each chain once per canonical
+    reference, so that the chains it returns on one group share that group
+    and its character table.  Seeded with a corpus's chains, it returns
+    those for their own references."""
+
+    def __init__(self, chains: Iterable[CorpusChain] = ()):
+        self._groups: Dict[str, FiniteGroup] = {}
+        self._chains: Dict[str, CorpusChain] = {}
+        for c in chains:
+            self._groups.setdefault(_canonical(c.filtration.parent.spec), c.filtration.parent)
+            self._chains[_canonical(c.ref())] = c
+
+    def group(self, spec, name: str) -> FiniteGroup:
+        """The group that the spec in field `name` describes."""
+        key = _canonical(spec)
+        if key not in self._groups:
+            try:
+                self._groups[key] = build_group(spec)
+            except TensorCondError as err:
+                raise InputError(f"{name}: {err}") from err
+        return self._groups[key]
+
+    def __call__(self, ref, name: str) -> CorpusChain:
+        """The chain that the reference in field `name` names."""
+        if not isinstance(ref, dict):
+            raise InputError(f"'{name}' must be a chain reference object")
+        key = _canonical(ref)
+        if key not in self._chains:
+            group = self.group(require(ref, "group", f"{name}."), f"{name}.group")
+            self._chains[key] = read_chain(ref, group, "document", name, f"{name}.")
+        return self._chains[key]
+
+
 def _entry(doc, where: str) -> CorpusEntry:
     """One corpus entry; an error names the entry and the field."""
     name = _name(doc, where)
@@ -150,8 +183,8 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
             raise CorpusError(f"cannot read corpus file: {err}") from err
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise CorpusError(f"corpus is not valid JSON: {err}") from err
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise CorpusError(f"cannot read the corpus as JSON: {err}") from None
     if not isinstance(doc, dict):
         raise CorpusError("corpus must be a JSON object")
     version = doc.get("version")

@@ -23,8 +23,6 @@ from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _INT_ONLY = {int}
 
 
@@ -254,25 +252,6 @@ class CycloNum:
     def conjugate(self) -> "CycloNum":
         return self.galois(self.N - 1 if self.N > 1 else 1)
 
-    def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycloNum.from_rational(1 / self.rational_value(), self.N)
-        mod = [Fraction(c) for c in cyclotomic_coeffs(self.N)]
-        r0, r1 = mod, [Fraction(c) for c in self.coeffs]
-        s0, s1 = [_ZERO], [_ONE]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd
-        r0 = _poly_strip(r0)
-        assert len(r0) == 1, "element shares a factor with the cyclotomic modulus"
-        inv = [c / r0[0] for c in s0]
-        return CycloNum(self.N, inv, reduce=True)
-
     # -- comparison / io -----------------------------------------------------
 
     def __eq__(self, other):
@@ -311,41 +290,3 @@ class CycloNum:
     def __repr__(self):
         return f"CycloNum({self})"
 
-
-def _poly_strip(p):
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _poly_strip([x - y for x, y in zip(a, b)])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_strip(out)
-
-
-def _poly_divmod(a, b):
-    a = _poly_strip(list(a))
-    b = _poly_strip(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        a = _poly_strip([a[i] - (c * b[i - d] if 0 <= i - d < len(b) else 0)
-                         for i in range(len(a))])
-    return q, a

@@ -15,23 +15,41 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import FiltrationError, GroupConstructionError, is_int
+from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int
 
 DEFAULT_ORDER_CAP = 2048
 
 
+# Miller-Rabin on these bases decides every n below PRIME_LIMIT exactly
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Whether n is prime, by deterministic Miller-Rabin; n at or above
+    PRIME_LIMIT is refused."""
+    if n >= PRIME_LIMIT:
+        raise PreconditionError(f"{n} is too large: primality is decided "
+                                f"only below {PRIME_LIMIT}")
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return n > 1
+    d = n - 1
+    s = (d & -d).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d >>= s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -438,25 +456,21 @@ def affine(p: int) -> FiniteGroup:
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
+    """G x R, R the direct product of the later factors, of order m:
+    element a*m + i is (a, i), and R is indexed the same way."""
     if not factors:
         raise GroupConstructionError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    G, rest = factors[0], direct_product(*factors[1:])
-    n, m = G.order, rest.order
-    table = [[0] * (n * m) for _ in range(n * m)]
-    for a in range(n):
-        for i in range(m):
-            row = table[a * m + i]
-            for b in range(n):
-                gb = G.table[a][b]
-                rrow = rest.table[i]
-                base = gb * m
-                for j in range(m):
-                    row[b * m + j] = base + rrow[j]
+    rows = factors[-1].table
+    for G in reversed(factors[:-1]):
+        m = len(rows)
+        # (a, i)(b, j) = (ab, ij), listed over b and then j
+        rows = [tuple(x * m + y for x in g_row for y in r_row)
+                for g_row in G.table for r_row in rows]
     spec = {"kind": "direct_product",
             "factors": [f.spec for f in factors if f.spec]}
-    return FiniteGroup(table, name="x".join(f.name for f in factors), spec=spec)
+    return FiniteGroup(rows, name="x".join(f.name for f in factors), spec=spec)
 
 
 def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
@@ -471,12 +485,12 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     return value
 
 
-def _spec_order(spec, max_order: int = DEFAULT_ORDER_CAP, where: str = "") -> int:
+def _spec_order(spec, where: str = "") -> int:
     """The order of the group a descriptor names, from its parameters alone.
 
     Checks each parameter's presence, type and lower bound (primality is
-    left to the constructors), and refuses an order above max_order before
-    anything is built.
+    left to the constructors), and refuses an order above DEFAULT_ORDER_CAP
+    before anything is built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GroupConstructionError(
@@ -489,8 +503,8 @@ def _spec_order(spec, max_order: int = DEFAULT_ORDER_CAP, where: str = "") -> in
     elif kind == "elementary_abelian":
         p = _int_param(spec, "p", where, 2)
         k = _int_param(spec, "k", where, 1)
-        if k >= max_order.bit_length():  # then p^k >= 2^k > max_order
-            raise GroupConstructionError(f"order {p}^{k} exceeds cap {max_order}")
+        if k >= DEFAULT_ORDER_CAP.bit_length():  # then p^k >= 2^k > the cap
+            raise GroupConstructionError(f"order {p}^{k} exceeds cap {DEFAULT_ORDER_CAP}")
         order = p ** k
     elif kind == "quaternion8":
         order = 8
@@ -504,23 +518,23 @@ def _spec_order(spec, max_order: int = DEFAULT_ORDER_CAP, where: str = "") -> in
                 f"'{where}factors' must be a nonempty list of group specs")
         order = 1
         for j, f in enumerate(factors):
-            order *= _spec_order(f, max_order, f"{where}factors[{j}].")
+            order *= _spec_order(f, f"{where}factors[{j}].")
     else:
         raise GroupConstructionError(f"unknown group kind {kind!r}")
-    if order > max_order:
-        raise GroupConstructionError(f"order {order} exceeds cap {max_order}")
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupConstructionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     return order
 
 
-def build_group(spec: dict, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_group(spec: dict) -> FiniteGroup:
     """Construct a group from a JSON-style descriptor.
 
     Supported kinds: cyclic(n), elementary_abelian(p,k), dihedral(n),
     quaternion8, heisenberg(p), affine(p), direct_product(factors).  The
-    descriptor is checked, and its order held to max_order, before any
-    multiplication table is built.
+    descriptor is checked, and its order held to DEFAULT_ORDER_CAP (read at
+    each call), before any multiplication table is built.
     """
-    _spec_order(spec, max_order)
+    _spec_order(spec)
     return _build(spec)
 
 

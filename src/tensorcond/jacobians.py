@@ -2,10 +2,10 @@
 
 For a unit a with a^(p-1) != 1 mod p^2 the pair (J_a, J_p) realises every
 tensor-conductor bound in this package with equality.  Swan exponents come
-from an exact integer resultant (no p-adic truncation), the determinant of
-the Sylvester matrix by sparse elimination over Q; the compositum is
-handled by per-character Swan slopes with the ultrametric product rule
-instead of an explicit ramification chain.
+from an exact integer resultant (no p-adic truncation), by Euclid's
+algorithm over Q; the compositum is handled by per-character Swan slopes
+with the ultrametric product rule instead of an explicit ramification
+chain.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from typing import List, Sequence, Tuple
 
 from .chars import ClassFunction, character_table, fixed_dim
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
-from .groups import (DEFAULT_ORDER_CAP, FiniteGroup, Filtration, Subgroup, affine,
-                     is_prime, whole_group, trivial_subgroup)
+from . import groups
+from .groups import (FiniteGroup, Filtration, Subgroup, affine, is_prime, whole_group,
+                     trivial_subgroup)
 from .filtration import nonfixed_dim, tensor_rhs
 from .weildeligne import InertiaModel, WDRep, improvement_constant
 
@@ -32,15 +33,18 @@ class FamilyParams:
 
 
 def _check_prime(p: int) -> None:
+    """p is an odd prime whose Aff(p) the order cap holds; the cap is
+    checked first, so that a huge p costs no primality test."""
+    cap = groups.DEFAULT_ORDER_CAP
+    if p > 2 and p * (p - 1) > cap:
+        raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
+                                     f"{p * (p - 1)}, above the cap {cap}")
     if not is_prime(p) or p == 2:
         raise InvalidUnitError(f"p={p} must be an odd prime")
 
 
 def validate_params(p: int, a: int) -> FamilyParams:
     _check_prime(p)
-    if p * (p - 1) > DEFAULT_ORDER_CAP:
-        raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
-                                     f"{p * (p - 1)}, above the cap {DEFAULT_ORDER_CAP}")
     if a % p == 0:
         raise InvalidUnitError(f"a={a} is not a unit mod {p}")
     if pow(a, p - 1, p * p) == 1:
@@ -57,74 +61,47 @@ def smallest_valid_unit(p: int) -> int:
 # -- discriminant route -------------------------------------------------------
 
 
-def sparse_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Gaussian elimination
-    over Q on sparse rows.  Each column's pivot is the lowest-indexed row
-    left with a nonzero entry there, and only the rows with a nonzero
-    entry in the pivot column are touched.  Entries stay Python integers
-    for as long as every multiplier is an integer."""
-    n = len(m)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    holders = [set() for _ in range(n)]  # column -> rows with a nonzero there
-    for i, row in enumerate(rows):
-        for j in row:
-            holders[j].add(i)
-    det = 1
-    pivot_row = []
-    for k in range(n):
-        if not holders[k]:
-            return 0
-        i = min(holders[k])
-        pivot_row.append(i)
-        piv = rows[i]
-        for j in piv:
-            holders[j].discard(i)
-        det *= piv[k]
-        for r in list(holders[k]):
-            row = rows[r]
-            factor, rest = divmod(row[k], piv[k])
-            if rest:
-                factor = Fraction(row[k]) / piv[k]
-            for j, x in piv.items():
-                y = row.get(j, 0) - factor * x
-                if y:
-                    row[j] = y
-                    holders[j].add(r)
-                else:
-                    del row[j]
-                    holders[j].discard(r)
-    # the rows in pivot order are triangular: the sign is the parity of
-    # the permutation column k -> pivot row k
-    if sum(i > j for k, i in enumerate(pivot_row) for j in pivot_row[k + 1:]) % 2:
-        det = -det
-    det = Fraction(det)
-    assert det.denominator == 1
-    return det.numerator
+def _poly_strip(p: list) -> list:
+    """p without its trailing zero coefficients (in place)."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
 
-def sylvester_matrix(f: List[int], g: List[int]) -> List[List[int]]:
-    """The Sylvester matrix of two integer polynomials (ascending
-    coefficients, nonzero leading ones): deg g shifted rows of f's
-    descending coefficients above deg f shifted rows of g's."""
-    n, m = len(f) - 1, len(g) - 1
-    size = n + m
-    fd = f[::-1]
-    gd = g[::-1]
-    return ([[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
-            + [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)])
+def _poly_rem(a: Sequence, b: Sequence) -> list:
+    """The remainder of a by b over Q, both ascending coefficients and b
+    with a nonzero leading one."""
+    a = list(a)
+    m = len(b) - 1
+    while len(a) > m:
+        c = a.pop()
+        if c:
+            c = Fraction(c) / b[-1]
+            d = len(a) - m
+            for j in range(m):
+                a[d + j] -= c * b[j]
+    return _poly_strip(a)
 
 
 def sylvester_resultant(f: List[int], g: List[int]) -> int:
-    """Resultant of two integer polynomials (ascending coefficients)."""
-    while f and f[-1] == 0:
-        f = f[:-1]
-    while g and g[-1] == 0:
-        g = g[:-1]
+    """Resultant of two integer polynomials (ascending coefficients), by
+    Euclid's algorithm over Q: with r = f mod g,
+    res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) res(g, r),
+    down to res(f, c) = c^deg f for a constant c, and 0 when r = 0."""
+    f, g = _poly_strip(list(f)), _poly_strip(list(g))
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    if len(f) + len(g) == 2:
-        return 1
-    return sparse_det(sylvester_matrix(f, g))
+    res = Fraction(1)
+    while len(g) > 1:
+        r = _poly_rem(f, g)
+        if not r:
+            return 0
+        n, m = len(f) - 1, len(g) - 1
+        res *= (-1) ** (n * m) * g[-1] ** (n - len(r) + 1)
+        f, g = g, r
+    res *= g[0] ** (len(f) - 1)
+    assert res.denominator == 1
+    return res.numerator
 
 
 def _p_valuation(p: int, n: int) -> int:

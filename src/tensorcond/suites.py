@@ -10,7 +10,6 @@ counterexample; `replay` validates such a document and calls the same
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,14 +18,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .chars import (Character, CharacterTable, _combine_atoms, character_table,
                     gen_character_mults, gen_rational_mults, gen_symplectic_mults,
                     rational_atoms, symplectic_rational_atoms)
-from .corpus import Corpus, CorpusChain, read_chain
+from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
                      int_field, is_int, require)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
                           rankin_selberg_bound, self_tensor_bound_report)
-from .groups import FiniteGroup, build_group, is_prime, pgroup_prime
+from .groups import is_prime, pgroup_prime
 from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
@@ -105,7 +104,11 @@ def read_global(doc, dim_keys: Tuple[str, str],
     for j, rec in enumerate(records):
         where = f"primes[{j}]."
         p = int_field(rec, "p", where)
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except TensorCondError as err:
+            raise InputError(f"'{where}p': {err}") from err
+        if not prime:
             raise InputError(f"'{where}p' must be a prime, not {p}")
         if p in seen:
             raise InputError(f"'{where}p' repeats the prime {p} of an earlier record")
@@ -140,37 +143,15 @@ def _rationals(doc, key: str) -> List[Fraction]:
 
 # -- chain references ------------------------------------------------------------
 
-# A check resolves a document's chain references through the function it is
-# given: run_suite_range looks them up in the corpus that generated them,
-# replay builds them with a _Builder.
-Chains = Callable[[object, str], CorpusChain]
+# A check resolves a document's chain references through the ChainReader it
+# is given: run_suite_range passes its corpus's, replay a fresh one.
 
 
-class _Builder:
-    """Validates and builds the chain references of one replayed document,
-    building each group spec once so that its chains share one group."""
-
-    def __init__(self):
-        self.groups: Dict[str, FiniteGroup] = {}
-
-    def __call__(self, ref, name: str) -> CorpusChain:
-        if not isinstance(ref, dict):
-            raise InputError(f"'{name}' must be a chain reference object")
-        spec = require(ref, "group", f"{name}.")
-        key = json.dumps(spec, sort_keys=True)
-        if key not in self.groups:
-            try:
-                self.groups[key] = build_group(spec)
-            except TensorCondError as err:
-                raise InputError(f"{name}.group: {err}") from err
-        return read_chain(ref, self.groups[key], "document", name, f"{name}.")
-
-
-def _chain(chains: Chains, doc, where: str = "") -> CorpusChain:
+def _chain(chains: ChainReader, doc, where: str = "") -> CorpusChain:
     return chains(require(doc, "chain", where), f"{where}chain")
 
 
-def _model(chains: Chains, doc, where: str = "") -> InertiaModel:
+def _model(chains: ChainReader, doc, where: str = "") -> InertiaModel:
     chain = _chain(chains, doc, where)
     try:
         return chain.model()
@@ -529,7 +510,7 @@ class Suite:
     prints besides the verdict."""
 
     generate: Callable[[Corpus, int, int], Tuple[dict, dict]]
-    check: Callable[[dict, Chains], Tuple[bool, dict]]
+    check: Callable[[dict, ChainReader], Tuple[bool, dict]]
     seeds: int
     checks: Callable[[dict, dict], int] = lambda doc, detail: 1
     show: Callable[[dict, dict], dict] = lambda doc, detail: detail
@@ -591,17 +572,13 @@ def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
     """Evaluate a contiguous index range; items only depend on their index.
     A failing item's counterexample is its input document and its detail."""
     suite = SUITES[name]
-
-    def chains(ref, field):
-        return corpus.chain_by_ref(ref)
-
     out = []
     for i in range(start, start + count):
         try:
             doc, labels = suite.generate(corpus, base_seed, i)
         except CorpusError as err:
             raise CorpusError(f"suite {name}: {err}") from None
-        ok, detail = suite.check(doc, chains)
+        ok, detail = suite.check(doc, corpus.reader)
         ce = None if ok else {"suite": name, **doc, **detail}
         out.append(ItemResult(name, i, ok, {**labels, **detail},
                               suite.checks(doc, detail), ce))
@@ -618,5 +595,5 @@ def replay(doc) -> dict:
         raise InputError(f"'suite' must name a suite ({', '.join(SUITES)}), "
                          f"not {name!r}")
     suite = SUITES[name]
-    ok, detail = suite.check(doc, _Builder())
+    ok, detail = suite.check(doc, ChainReader())
     return {**suite.show(doc, detail), "ok": ok}

@@ -16,8 +16,8 @@ a multiplication rule, one dict lookup per table entry), a second route to
 the constructors' index arithmetic; conjugation orbits of every element and
 element orders by repeated multiplication are a second route to the classes
 and orders that `FiniteGroup` derives; and fraction-free Bareiss
-elimination on the dense matrix is a second route to the sparse
-determinant of the Sylvester resultant.
+elimination on the dense Sylvester matrix is a second route to the
+resultant that the package computes by Euclid's algorithm.
 
 The class-function oracles at the end work on class values with CycloNum
 arithmetic only: inner products, restriction to a subgroup as a group of
@@ -307,6 +307,15 @@ def encoded_group(spec: dict) -> FiniteGroup:
             return (x[0] * y[0] * s3, u3)
         return table_from_encoding([(s, u) for s in (1, -1) for u in range(4)], mul,
                                    "Q8", spec)
+    if kind == "direct_product":
+        first, *rest = spec["factors"]
+        if not rest:
+            return encoded_group(first)
+        G, R = encoded_group(first), encoded_group({"kind": kind, "factors": rest})
+        return table_from_encoding(
+            [(a, i) for a in range(G.order) for i in range(R.order)],
+            lambda x, y: (G.table[x[0]][y[0]], R.table[x[1]][y[1]]),
+            f"{G.name}x{R.name}", spec)
     p = spec["p"]
     assert is_prime(p)
     if kind == "heisenberg":
@@ -356,10 +365,25 @@ def orders_by_powers(group: FiniteGroup) -> List[int]:
     return out
 
 
+def sylvester_matrix(f: List[int], g: List[int]) -> List[List[int]]:
+    """The Sylvester matrix of two integer polynomials (ascending
+    coefficients, nonzero leading ones): deg g shifted rows of f's
+    descending coefficients above deg f shifted rows of g's."""
+    n, m = len(f) - 1, len(g) - 1
+    size = n + m
+    fd = f[::-1]
+    gd = g[::-1]
+    return ([[0] * i + fd + [0] * (size - n - 1 - i) for i in range(m)]
+            + [[0] * i + gd + [0] * (size - m - 1 - i) for i in range(n)])
+
+
 def bareiss_det(m: List[List[int]]) -> int:
-    """Exact integer determinant by dense fraction-free elimination."""
+    """Exact integer determinant by dense fraction-free elimination (1 for
+    the empty matrix)."""
     m = [row[:] for row in m]
     n = len(m)
+    if n == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):

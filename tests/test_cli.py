@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -771,3 +773,113 @@ def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
     assert len(built) == 1
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 0, 0]
+
+
+class _Expired(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise _Expired inside the block once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise _Expired(f"took over {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _summary_doc(p: int) -> dict:
+    return {"dimA": 1, "dimB": 1, "primes": [
+        {"p": p, "mode": "summary", "vA": 0, "vB": 0, "degA": 0, "degB": 0, "degAB": 0}]}
+
+
+def _tame_bound_doc(p: int) -> dict:
+    """A bound document on C4 with no wild level, so that any prime p fits."""
+    return {"model": {"group": {"kind": "cyclic", "n": 4}, "chain": [], "p": p},
+            "A": {"tau": [0, 0, 0, 0], "sigma": [1, 0, 0, 0]},
+            "B": {"tau": [0, 0, 0, 0], "sigma": [1, 0, 0, 0]}}
+
+
+def test_a_61_bit_prime_field_is_decided_at_once(tmp_path, capsys):
+    p = 2 ** 61 - 1
+    with time_limit(5):
+        assert run_cli(capsys, "global", "--input", _write(tmp_path, _summary_doc(p)))[0] == 0
+        assert run_cli(capsys, "bound", "--input", _write(tmp_path, _tame_bound_doc(p)))[0] == 0
+        code, out, err = run_cli(capsys, "sharpness", "--p", str(p))
+    assert code == 2 and out == "" and "above the cap 2048" in err
+
+
+def test_a_61_bit_composite_field_is_refused_as_not_a_prime(tmp_path, capsys):
+    p = 2 ** 61 + 1  # = 3 * 768614336404564651
+    with time_limit(5):
+        code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, _summary_doc(p)))
+        assert code == 2 and out == ""
+        assert f"'primes[0].p' must be a prime, not {p}" in err
+        code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, _tame_bound_doc(p)))
+        assert code == 2 and out == ""
+        assert f"model.p: residue characteristic {p} is not prime" in err
+
+
+@pytest.mark.parametrize("p", [34 * 10 ** 23 + 1, 3317044064679887385961981])
+def test_a_prime_field_beyond_the_primality_limit_is_refused(tmp_path, capsys, p):
+    with time_limit(5):
+        code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, _summary_doc(p)))
+        assert code == 2 and out == "" and f"'primes[0].p': {p} is too large" in err
+        code, out, err = run_cli(capsys, "bound", "--input", _write(tmp_path, _tame_bound_doc(p)))
+        assert code == 2 and out == "" and f"model.p: {p} is too large" in err
+        # the order cap of Aff(p) is checked before primality
+        code, out, err = run_cli(capsys, "sharpness", "--p", str(p))
+        assert code == 2 and out == "" and "above the cap 2048" in err
+
+
+def _deep_array(tmp_path) -> str:
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["bound", "global", "replay"])
+def test_an_input_document_nested_too_deeply_exits_2(tmp_path, capsys, command):
+    code, out, err = run_cli(capsys, command, "--input", _deep_array(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot read input document: maximum recursion depth" in err
+
+
+def test_a_group_spec_nested_too_deeply_exits_2(capsys):
+    spec = '{"kind": "cyclic", "n": 1}'
+    for _ in range(900):
+        spec = '{"kind": "direct_product", "factors": [' + spec + ']}'
+    code, out, err = run_cli(capsys, "table", "--group", spec)
+    assert code == 2 and out == ""
+    assert "cannot read the group spec as JSON: maximum recursion depth" in err
+
+
+def test_a_corpus_nested_too_deeply_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--corpus",
+                             _deep_array(tmp_path))
+    assert code == 2 and out == ""
+    assert "cannot read the corpus as JSON: maximum recursion depth" in err
+
+
+def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypatch):
+    """Three full records on one model group share one group and so one
+    character table; each record still gets its own answer."""
+    from tensorcond import chars
+    doc = make_global_doc()
+    doc["primes"] = [dict(doc["primes"][1], p=p) for p in (2, 3, 5)]
+    path = _write(tmp_path, doc)
+    builds = []
+    real = chars._lift_table
+
+    def counting_lift(*args):
+        builds.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(chars, "_lift_table", counting_lift)
+    code, out, _ = run_cli(capsys, "global", "--input", path, "--format", "machine")
+    assert code == 0 and len(builds) == 1
+    assert [rec["p"] for rec in json.loads(out)["per_prime"]] == [2, 3, 5]

@@ -98,7 +98,6 @@ def test_rational_value_is_a_fraction():
     three = CycloNum.from_rational(3, 4)
     assert type(three.rational_value()) is Fraction
     assert type(three.rational_value() / 2) is Fraction
-    assert three.inverse() == CycloNum.from_rational(Fraction(1, 3))
     assert three.integer_value() == 3
 
 
@@ -139,13 +138,6 @@ def test_field_axioms(x, y, z):
     assert x + CycloNum.zero() == x
     assert x * CycloNum.one() == x
     assert x + (-x) == CycloNum.zero()
-
-
-@settings(max_examples=40, deadline=None)
-@given(cyclo_numbers())
-def test_multiplicative_inverse(x):
-    if not x.is_zero():
-        assert x * x.inverse() == CycloNum.one()
 
 
 @settings(max_examples=60, deadline=None)

@@ -55,9 +55,11 @@ def test_affine_order_and_prime_rejection():
         heisenberg(6)
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    from tensorcond import groups
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 8)
     with pytest.raises(GroupConstructionError):
-        build_group({"kind": "cyclic", "n": 10}, max_order=8)
+        build_group({"kind": "cyclic", "n": 10})
 
 
 def test_build_group_descriptors():
@@ -246,8 +248,31 @@ def test_order_cap_refuses_before_any_construction(monkeypatch):
     for spec in oversized:
         with pytest.raises(GroupConstructionError, match="exceeds cap"):
             build_group(spec)
-    with pytest.raises(GroupConstructionError, match="exceeds cap"):
-        build_group({"kind": "quaternion8"}, max_order=7)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 7)
+    with pytest.raises(GroupConstructionError, match="exceeds cap 7"):
+        build_group({"kind": "quaternion8"})
+
+
+def test_a_direct_product_of_many_factors_builds_without_recursion():
+    G = build_group({"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 1}] * 2000
+                     + [{"kind": "cyclic", "n": 3}]})
+    assert G.order == 3 and G.name == "C1x" * 2000 + "C3"
+
+
+def test_is_prime_is_exact_below_its_limit():
+    """Trial division up to 20000; the least strong pseudoprimes to the
+    bases 2 to 37 (Jaeschke, Sorenson-Webster), each one base short of
+    the 13 that is_prime takes; Mersenne primes; the limit itself."""
+    from tensorcond.errors import PreconditionError
+    from tensorcond.groups import PRIME_LIMIT, is_prime
+    assert [n for n in range(-3, 20000) if is_prime(n)] == \
+        [n for n in range(2, 20000) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert all(is_prime(2 ** k - 1) for k in (19, 31, 61))
+    with pytest.raises(PreconditionError, match="too large"):
+        is_prime(PRIME_LIMIT)
 
 
 def test_pgroup_prime():
@@ -297,6 +322,12 @@ def test_finite_group_refuses_a_table_that_is_not_associative():
         FiniteGroup(table)
 
 
+def _spec_id(spec: dict) -> str:
+    if spec["kind"] == "direct_product":
+        return "x".join(map(_spec_id, spec["factors"]))
+    return "-".join(str(v) for v in spec.values())
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "cyclic", "n": n} for n in (1, 2, 5, 12)
 ] + [
@@ -308,7 +339,13 @@ def test_finite_group_refuses_a_table_that_is_not_associative():
     {"kind": "heisenberg", "p": p} for p in (2, 3, 5, 7)
 ] + [
     {"kind": "affine", "p": p} for p in (2, 3, 5, 7, 11, 13, 17)
-], ids=lambda spec: "-".join(str(v) for v in spec.values()))
+] + [
+    {"kind": "direct_product", "factors": factors} for factors in (
+        [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}],
+        [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 3}],
+        [{"kind": "dihedral", "n": 4}, {"kind": "cyclic", "n": 2}],
+        [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}, {"kind": "cyclic", "n": 2}])
+], ids=_spec_id)
 def test_constructors_match_the_encoding_oracle(spec):
     """Each constructor's table, name and spec against the group built from
     its element encoding, and the classes, element orders and exponent

@@ -7,12 +7,11 @@ from tensorcond.errors import InvalidUnitError, PreconditionError
 from tensorcond.groups import is_prime
 from tensorcond.jacobians import (BreakRep, FamilyParams, _p_valuation, disc_valuation,
                                   jacobian_inertia_model, joint_break_model,
-                                  smallest_valid_unit, sparse_det,
-                                  swan_jacobian, sylvester_matrix, sylvester_resultant,
+                                  smallest_valid_unit, swan_jacobian, sylvester_resultant,
                                   tensor_break_rep, validate_params,
                                   verify_sharpness)
 
-from oracles import bareiss_det
+from oracles import bareiss_det, sylvester_matrix
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -152,36 +151,42 @@ def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
         assert len(groups) == 1 and sorted(alphas) == sorted([a, p, p * p, a * p, a + p])
 
 
-def _random_matrices():
-    """Seeded integer matrices: dense and sparse, with zero pivots, with a
-    row a multiple of another (singular), permutation matrices, 1 x 1."""
-    rng = random.Random("sparse-det")
-    out = [[[5]], [[0]], [[-3]], [[2, 3], [3, 4]]]
-    for n in range(1, 9):
-        for density in (0.25, 0.6, 1.0):
-            for _ in range(6):
-                m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
-                     for _ in range(n)]
-                out.append(m)
-                zero_pivot = [row[:] for row in m]
-                zero_pivot[0][0] = 0
-                out.append(zero_pivot)
-                if n > 1:
-                    singular = [row[:] for row in m]
-                    singular[-1] = [rng.choice((-2, 1, 3)) * x for x in m[0]]
-                    out.append(singular)
-        perm = rng.sample(range(n), n)
-        out.append([[rng.randint(1, 5) if j == perm[i] else 0 for j in range(n)]
-                    for i in range(n)])
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 
-def test_sparse_determinant_matches_bareiss():
-    dets = set()
-    for m in _random_matrices():
-        assert sparse_det(m) == bareiss_det(m), m
-        dets.add(bareiss_det(m) != 0)
-    assert dets == {True, False}
+def _random_pairs():
+    """Seeded integer polynomial pairs of degrees 0-8 each, with leading
+    coefficients of both signs, and pairs sharing a factor of degree 1 or 2
+    (so a common root, and resultant 0)."""
+    rng = random.Random("euclid-resultant")
+
+    def poly(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 5))]
+    out = []
+    for df in range(9):
+        for dg in range(9):
+            out.append((poly(df), poly(dg)))
+            if df and dg:
+                h = poly(rng.randint(1, min(2, df, dg)))
+                out.append((_times(h, poly(df - len(h) + 1)), _times(h, poly(dg - len(h) + 1))))
+    return out
+
+
+def test_resultant_matches_the_sylvester_determinant():
+    pairs = _random_pairs()
+    zero = set()
+    for f, g in pairs:
+        res = bareiss_det(sylvester_matrix(f, g))
+        assert sylvester_resultant(f, g) == res, (f, g)
+        zero.add(res == 0)
+    assert zero == {True, False}
+    assert any(len(f) < len(g) for f, g in pairs)
+    assert any(f[-1] < 0 and g[-1] < 0 for f, g in pairs)
 
 
 def test_disc_valuation_matches_the_dense_determinant_up_to_the_order_cap():

@@ -28,6 +28,22 @@ def test_corpus_contents(corpus):
         assert c.filtration[1].is_pgroup(c.model_p) if len(c.filtration) > 1 else True
 
 
+def test_a_corpus_reads_its_references_as_its_own_chains(corpus):
+    """Suite items resolve through the corpus's reader, seeded with its
+    chains; a fresh reader, as replay opens, builds each group once and
+    each referenced chain once, with the same generators and model_p."""
+    from tensorcond.corpus import ChainReader
+    fresh = ChainReader()
+    for c in corpus.all_chains():
+        assert corpus.reader(json.loads(json.dumps(c.ref())), "chain") is c
+        mine = fresh(c.ref(), "chain")
+        assert fresh(json.loads(json.dumps(c.ref())), "chain") is mine
+        assert (mine.ref(), mine.generator_lists) == (c.ref(), c.generator_lists)
+    for e in corpus.entries:
+        groups = {fresh(c.ref(), "chain").filtration.parent for c in e.chains}
+        assert groups == {fresh.group(e.group.spec, "group")} != {e.group}
+
+
 def test_corpus_pgroup_coverage(corpus):
     primes = {p for p, _ in corpus.pgroup_chains()}
     assert {2, 3, 5} <= primes
@@ -187,7 +203,7 @@ def test_bound_items_build_the_tensor_product_once(corpus, monkeypatch, name):
     for i in range(50):
         doc, _ = suite.generate(corpus, 0, i)
         calls.clear()
-        ok, _ = suite.check(doc, lambda ref, field: corpus.chain_by_ref(ref))
+        ok, _ = suite.check(doc, corpus.reader)
         assert ok and len(calls) == 1, (i, len(calls))
 
 
