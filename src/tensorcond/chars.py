@@ -9,9 +9,7 @@ central characters.  Their values mod q are lifted by one inverse DFT per
 class that is not a power of a class of higher order, to the table's one
 exact datum: the eigenvalue form of each irreducible psi at each class c,
 the sorted terms (a, m) saying that zeta_e^a, e the group exponent, is an
-eigenvalue of rho(g), g in c, with multiplicity m > 0.  It is the
-irreducible's exponent form (below), and its class values are assembled
-from it the first time they are read.
+eigenvalue of rho(g), g in c, with multiplicity m > 0: its exponent form.
 
 The build is accepted only with a certificate that reads the forms alone:
 (a) the degrees' squares sum to |G|; every form at c is deg psi roots of
@@ -26,56 +24,69 @@ is the conjugate of psi(c) (k = -1).  |psi(c)| <= deg psi, so 0 <= S_ii <=
 By Cauchy-Schwarz |S_ij| <= |G| < q, so (d) gives S_ij = 0 for i != j:
 the class values are orthonormal, and exact, without any exact sum.
 
-The averages `fixed_dim` and `CharacterTable.multiplicities` are taken in
-the exponent form of a class function: each value sum_j c_j zeta_N^j is
-kept as the terms c_j x^(j e/N) of Z[x]/(x^e - 1).  An average then sums
-(or convolves) integer terms into one list and reduces it mod Phi_e once
-(`cyclo.exponent_sum_value`); only the final division by the group order
-is rational.
+A class function is held as its exponent form (m, rows): per class, the
+terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1), e | m.  As x
+-> zeta_m is a ring map from there onto Z[zeta_m], products convolve a
+class's terms mod x^m - 1, the dual permutes the rows, and the averages
+(`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms into one
+list, reduced mod Phi_m once; only the division by the group order is
+rational.  `CycloNum` values are reduced from the form only when read.
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
-`CharacterTable.assemble` returns any other; the class values of either
-are only assembled when something reads them.  The kernels take
-`Character`s and never decompose (`CharacterTable.own`).  The table caches
-what the integer kernels of `weildeligne` and `filtration` need: the fixed
-dimensions of each irreducible on a subgroup, the structure constants of
-tensor products, the Frobenius-Schur indicators, and the symplectic,
-self-dual and rational criteria, all read off the residues (the
-irreducibles' values mod q): see `residues`.
+`CharacterTable.assemble` returns any other; the form of either, the
+vector's sum of the eigenvalue forms, is taken when something reads it.  The
+kernels take `Character`s and never decompose (`CharacterTable.own`).  The
+table caches what the integer kernels of `weildeligne` and `filtration`
+need: the fixed dimensions of each irreducible on a subgroup, the structure
+constants of tensor products, the Frobenius-Schur indicators, and the
+symplectic, self-dual and rational criteria, all read off the residues
+(the irreducibles' values mod q): see `residues`.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .cyclo import CycloNum, exponent_sum_value
+from .cyclo import CycloNum, euler_phi, exponent_sum_value, reduce_mod_phi
 from .errors import ModelMismatchError, NonCharacterError, TableComputationError
 from .groups import FiniteGroup, Subgroup, closure, is_prime
 
 
 class ClassFunction:
-    """A function on conjugacy classes with exact cyclotomic values."""
+    """A function on conjugacy classes, held as its exponent form `form`
+    (module docstring); from values, each sum_j c_j zeta_N^j becomes the terms
+    (j m/N, c_j), m the lcm of e and every N.  `values` are read off `form`."""
 
-    __slots__ = ("group", "values", "_exp")
+    __slots__ = ("group", "form", "values")
 
     def __init__(self, group: FiniteGroup, values: Sequence):
         if len(values) != len(group.classes):
             raise ValueError("one value per conjugacy class required")
-        vals = []
-        for v in values:
-            if isinstance(v, CycloNum):
-                vals.append(v)
-            else:
-                vals.append(CycloNum.from_rational(v))
+        vals = [v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in values]
+        m = lcm(group.exponent, *(v.N for v in vals))
         self.group = group
-        self.values = tuple(vals)
-        self._exp = None
+        self.form = (m, tuple(tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
+                              for v in vals))
+
+    @staticmethod
+    def _of_form(group: FiniteGroup, m: int, rows) -> "ClassFunction":
+        chi = object.__new__(ClassFunction)
+        chi.group, chi.form = group, (m, tuple(rows))
+        return chi
+
+    def __getattr__(self, name):
+        # reached only while the `values` slot is unset
+        if name != "values":
+            raise AttributeError(name)
+        m, rows = self.form
+        self.values = tuple(CycloNum(*_reduced(m, self.group.element_orders[rep], terms))
+                            for rep, terms in zip(self.group.class_reps, rows))
+        return self.values
 
     # -- algebra ---------------------------------------------------------------
 
@@ -83,42 +94,43 @@ class ClassFunction:
         if self.group is not other.group:
             raise ValueError("class functions live on different groups")
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+    def _rows_with(self, other: "ClassFunction"):
+        """The common modulus m and, per class, both term lists over x^m - 1."""
         self._same_group(other)
-        return ClassFunction(self.group,
-                             [a + b for a, b in zip(self.values, other.values)])
+        (m1, rows1), (m2, rows2) = self.form, other.form
+        m = lcm(m1, m2)
+
+        def lift(rows, s):
+            return rows if s == 1 else [tuple((k * s, c) for k, c in t) for t in rows]
+        return m, zip(lift(rows1, m // m1), lift(rows2, m // m2))
+
+    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+        m, pairs = self._rows_with(other)
+        return ClassFunction._of_form(self.group, m, (_collect(a + b) for a, b in pairs))
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(self.group,
-                             [a * b for a, b in zip(self.values, other.values)])
+        """Class by class: the terms' product convolved mod x^m - 1."""
+        m, pairs = self._rows_with(other)
+        return ClassFunction._of_form(self.group, m, (
+            _collect(((k1 + k2) % m, c1 * c2) for k1, c1 in a for k2, c2 in b) if a and b
+            else () for a, b in pairs))
 
     def scale(self, n: int) -> "ClassFunction":
-        return ClassFunction(self.group, [v.scale(n) for v in self.values])
+        m, rows = self.form
+        return ClassFunction._of_form(self.group, m, (
+            tuple((k, n * c) for k, c in terms if n) for terms in rows))
 
     def dual(self) -> "ClassFunction":
         """The contragredient: value at g is the value at g^-1."""
-        G = self.group
-        return ClassFunction(G, [self.values[G.inverse_class[c]]
-                                 for c in range(len(G.classes))])
+        m, rows = self.form
+        return ClassFunction._of_form(self.group, m, (rows[c] for c in self.group.inverse_class))
 
     @property
     def dim(self) -> int:
-        v = self.values[self.group.class_of[self.group.identity]]
-        return v.integer_value()
-
-    def _exponent_form(self):
-        """(m, rows): each value sum_j c_j zeta_N^j as its (j m/N, c_j) terms
-        in Z[x]/(x^m - 1), one tuple per class.  m is the group exponent, or
-        its lcm with any value conductor that does not divide it."""
-        if self._exp is None:
-            m = self.group.exponent
-            for v in self.values:
-                m = lcm(m, v.N)
-            self._exp = (m, tuple(
-                tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
-                for v in self.values))
-        return self._exp
+        """The value at the identity, as the average over the trivial subgroup."""
+        m, rows = self.form
+        one = self.group.class_of[self.group.identity]
+        return _average(m, [(1, rows[one])], 1, "the value at the identity")
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -132,34 +144,58 @@ class ClassFunction:
         return f"ClassFunction({[str(v) for v in self.values]})"
 
 
-def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
-    """Dimension of the subgroup-fixed subspace, <Res chi, 1>."""
-    G = chi.group
-    if subgroup.parent is not G:
-        raise ValueError("subgroup of a different group")
-    m, rows = chi._exponent_form()
+def _reduced(m: int, order: int, terms) -> Tuple[int, list]:
+    """(n, coefficients): the value of the terms over x^m - 1 in the power
+    basis of Q(zeta_n), n = order or the least multiple of it they need."""
+    step = gcd(m // order, *(k for k, _ in terms))
+    acc = [0] * (m // step)
+    for k, c in terms:
+        acc[k // step] += c
+    return m // step, reduce_mod_phi(m // step, acc)
+
+
+def _collect(terms) -> Tuple[Tuple[int, int], ...]:
+    """The terms (k, c) with equal k added up, the zero sums dropped."""
+    acc = {}
+    for k, c in terms:
+        acc[k] = acc.get(k, 0) + c
+    return tuple((k, c) for k, c in acc.items() if c)
+
+
+def _average(m: int, weighted_rows, size: int, what: str) -> int:
+    """The count sum w * value / size over the (w, terms) pairs: the terms
+    collected into one list over x^m - 1 and reduced mod Phi_m once.
+    NonCharacterError unless it is a nonnegative integer."""
     acc = [0] * m
-    for cnt, terms in zip(subgroup.class_counts, rows):
-        if cnt:
+    for w, terms in weighted_rows:
+        if w:
             for k, c in terms:
-                acc[k] += cnt * c
+                acc[k] += w * c
     total = exponent_sum_value(m, acc)
     if total is None:
-        raise NonCharacterError("fixed-space average is not rational")
-    avg = total / subgroup.size
+        raise NonCharacterError(f"{what} is not rational")
+    avg = total / size
     if avg.denominator != 1 or avg < 0:
-        raise NonCharacterError(f"fixed-space average {avg} is not a nonnegative integer")
+        raise NonCharacterError(f"{what} is {avg}, not a nonnegative integer")
     return avg.numerator
+
+
+def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
+    """Dimension of the subgroup-fixed subspace, <Res chi, 1>."""
+    if subgroup.parent is not chi.group:
+        raise ValueError("subgroup of a different group")
+    m, rows = chi.form
+    return _average(m, zip(subgroup.class_counts, rows), subgroup.size, "fixed-space average")
 
 
 class Character(ClassFunction):
     """A character held as its multiplicity vector over a character table.
 
-    The class values are assembled from the vector the first time `values`
-    is read (by the class-average oracle, by arithmetic or for output);
-    `dim`, `scale`, `is_zero` and equality with another character of the
-    table read the vector only.  The vector may be virtual (negative
-    entries); `CharacterTable.own` refuses such a one.
+    The exponent form is the vector's sum of the table's eigenvalue forms,
+    taken the first time `form` is read; `dim`, `scale`, `is_zero` and
+    equality with another character of the table read the vector only.  The
+    vector may be virtual (negative entries); `CharacterTable.own` refuses
+    such a one.
     """
 
     __slots__ = ("table", "mults")
@@ -168,28 +204,23 @@ class Character(ClassFunction):
         self.group = table.group
         self.table = table
         self.mults = tuple(mults)
-        self._exp = None
 
     def __getattr__(self, name):
-        # reached only while the `values` slot is unset: assemble it once,
-        # per class summing the irreducibles' eigenvalue forms into one list
-        # over n = ord(c), reduced mod Phi_n
-        if name != "values":
-            raise AttributeError(name)
-        G = self.group
-        e = G.exponent
-        used = [(m, form) for m, form in zip(self.mults, self.table.forms) if m]
-        vals = []
+        # reached only while a slot is unset: `form` is summed once, and a
+        # class with more terms than phi(ord(c)) is reduced mod Phi_ord(c)
+        if name != "form":
+            return ClassFunction.__getattr__(self, name)
+        G, e = self.group, self.group.exponent
+        used = [(a, form) for a, form in zip(self.mults, self.table.forms) if a]
+        rows = []
         for c, rep in enumerate(G.class_reps):
-            n = G.element_orders[rep] if used else 1
-            step = e // n
-            acc = [0] * n
-            for m, form in used:
-                for k, coef in form[c]:
-                    acc[k // step] += m * coef
-            vals.append(CycloNum(n, acc, reduce=True))
-        self.values = tuple(vals)
-        return self.values
+            n = G.element_orders[rep]
+            terms = _collect((k, a * t) for a, form in used for k, t in form[c])
+            if len(terms) > euler_phi(n):
+                terms = tuple((j * (e // n), x) for j, x in enumerate(_reduced(e, n, terms)[1]) if x)
+            rows.append(terms)
+        self.form = (e, tuple(rows))
+        return self.form
 
     @property
     def dim(self) -> int:
@@ -220,7 +251,7 @@ class CharacterTable:
     """The irreducible characters of a finite group, in a fixed order."""
 
     __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
-                 "_row_index", "_weighted_conj", "_dual_index", "_fs", "_orbits", "_fixed",
+                 "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
                  "_products", "_atoms")
 
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
@@ -228,15 +259,11 @@ class CharacterTable:
         self.group = group
         # per irreducible and class c, the eigenvalue form of rho(g), g in
         # c: the sorted (a, m) with m the multiplicity of the eigenvalue
-        # zeta_e^a, e the group exponent; it is each irreducible's exponent
-        # form, and its class values are assembled from it when read
+        # zeta_e^a, e the group exponent
         self.forms = tuple(tuple(tuple(terms) for terms in form) for form in forms)
-        e = group.exponent
         r = len(self.forms)
         self.irreducibles = tuple(Character(self, [int(j == i) for j in range(r)])
                                   for i in range(r))
-        for psi, form in zip(self.irreducibles, self.forms):
-            psi._exp = (e, form)
         one = group.class_of[group.identity]
         self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
@@ -248,7 +275,6 @@ class CharacterTable:
         # so their averages are taken in F_q.
         self.residues = tuple(tuple(row) for row in residues)
         self._row_index = {row: i for i, row in enumerate(self.residues)}
-        self._weighted_conj = None
         self._dual_index = None
         self._fs = None
         self._orbits = None
@@ -260,42 +286,15 @@ class CharacterTable:
     def __len__(self):
         return len(self.irreducibles)
 
-    def _inner_with(self, chi: ClassFunction, i: int) -> Optional[Fraction]:
-        """<chi, psi_i> over the whole group, from the row of psi_i: one
-        cyclic convolution into one list and one reduction.  None when the
-        average is not rational."""
-        if self._weighted_conj is None:
-            # |c| * conj(psi(c)) for every irreducible psi and class c, in
-            # the eigenvalue form, where conjugation is a -> -a mod e
-            e = self.group.exponent
-            sizes = self.group.class_sizes
-            self._weighted_conj = tuple(
-                tuple(tuple((-a % e, m * size) for a, m in terms)
-                      for terms, size in zip(form, sizes))
-                for form in self.forms)
-        m, rows = chi._exponent_form()
-        step = m // self.group.exponent  # e divides m
-        acc = [0] * (2 * m)
-        for a_terms, b_terms in zip(rows, self._weighted_conj[i]):
-            for k1, c1 in a_terms:
-                for k2, c2 in b_terms:
-                    acc[k1 + k2 * step] += c1 * c2
-        total = exponent_sum_value(m, acc)
-        return None if total is None else total / self.group.order
-
     def multiplicities(self, chi: ClassFunction) -> Tuple[int, ...]:
-        """Decompose a character; error on negative or fractional parts."""
+        """Decompose a character, each multiplicity the average of chi *
+        dual(psi_i) over G; error on negative or fractional parts."""
         if chi.group is not self.group:
             raise ValueError("class functions live on different groups")
-        out = []
-        for i in range(len(self.irreducibles)):
-            m = self._inner_with(chi, i)
-            if m is None:
-                raise NonCharacterError(f"multiplicity of irreducible {i} is not rational")
-            if m.denominator != 1 or m < 0:
-                raise NonCharacterError(f"multiplicity {m} is not a nonnegative integer")
-            out.append(m.numerator)
-        return tuple(out)
+        G = self.group
+        prods = [(chi * psi.dual()).form for psi in self.irreducibles]
+        return tuple(_average(m, zip(G.class_sizes, rows), G.order, f"<chi, psi_{i}>")
+                     for i, (m, rows) in enumerate(prods))
 
     def assemble(self, mults: Sequence[int]) -> Character:
         """The class function sum_i mults[i] psi_i, kept as its vector."""

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -31,8 +30,6 @@ from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, read_global, replay,
                      run_suite_range)
 from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
 
-WORKERS_ENV = "TENSORCOND_WORKERS"
-
 
 def _load_document(path: str) -> dict:
     try:
@@ -40,7 +37,7 @@ def _load_document(path: str) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InputError(f"cannot read input document: {err}") from None
 
 
@@ -62,19 +59,11 @@ def _build_model(doc: dict, where: str, reader: ChainReader) -> InertiaModel:
 
 
 def _worker_count(args) -> int:
-    if args.workers is not None:
-        flag, workers = "--workers", args.workers
-    else:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return 1
-        try:
-            flag, workers = WORKERS_ENV, int(env)
-        except ValueError:
-            raise InputError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-    if workers < 1:
-        raise InputError(f"{flag} must be at least 1, not {workers}")
-    return workers
+    if args.workers is None:
+        return 1
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, not {args.workers}")
+    return args.workers
 
 
 _POOL_STATE = {}
@@ -258,7 +247,7 @@ def _run_sharpness(args, machine: bool) -> int:
 def _run_table(args, machine: bool) -> int:
     try:
         spec = json.loads(args.group)
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:
         raise InputError(f"cannot read the group spec as JSON: {err}") from None
     try:
         G = build_group(spec)
@@ -314,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="base seed")
     p_verify.add_argument("--corpus", default=None, help="corpus JSON path")
     p_verify.add_argument("--workers", type=int, default=None,
-                          help=f"worker processes (or ${WORKERS_ENV})")
+                          help="worker processes")
 
     p_bound = sub.add_parser("bound", parents=[common], help="conductor bounds for one local pair")
     p_bound.add_argument("--input", required=True, help="JSON document or - for stdin")

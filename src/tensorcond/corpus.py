@@ -93,8 +93,8 @@ class Corpus:
         raise CorpusError(f"no corpus entry named {name!r}")
 
 
-def _builtin_corpus_text() -> str:
-    return resources.files("tensorcond").joinpath("data/corpus.json").read_text()
+def _builtin_corpus_bytes() -> bytes:
+    return resources.files("tensorcond").joinpath("data/corpus.json").read_bytes()
 
 
 def _name(doc, where: str) -> str:
@@ -174,16 +174,16 @@ def _entry(doc, where: str) -> CorpusEntry:
 def load_corpus(path: Optional[str] = None) -> Corpus:
     """Load and validate a corpus file (default: the packaged one)."""
     if path is None:
-        raw = _builtin_corpus_text()
+        raw = _builtin_corpus_bytes()
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 raw = fh.read()
-        except (OSError, UnicodeDecodeError) as err:
+        except OSError as err:
             raise CorpusError(f"cannot read corpus file: {err}") from err
     try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as err:
+        doc = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
         raise CorpusError(f"cannot read the corpus as JSON: {err}") from None
     if not isinstance(doc, dict):
         raise CorpusError("corpus must be a JSON object")

@@ -7,11 +7,10 @@ lie in Z[zeta_N], never touch `Fraction` arithmetic; only the final division
 of an average does.  No floating point anywhere; equality is coefficient-wise
 after promotion to a common conductor.
 
-Averages need no `CycloNum` per term: a sum of terms c * zeta_n^k can be
-collected as an integer list over k in Z[x]/(x^n - 1), because Phi_n divides
-x^n - 1 and so x -> zeta_n is a ring map from there onto Z[zeta_n].
-`exponent_sum_value` reduces such a list mod Phi_n once, at the end, and
-returns its value if it is rational.
+`chars` holds class values as terms c * zeta_n^k in Z[x]/(x^n - 1), which
+x -> zeta_n maps onto Z[zeta_n] as Phi_n divides x^n - 1; an average sums
+them into one integer list, which `exponent_sum_value` reduces mod Phi_n
+once.  `CycloNum` serves the edges: values for output, and test oracles.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ def _reduction_rows(n: int) -> tuple:
     return tuple(rows)
 
 
-def _reduce(n: int, coeffs: Sequence[Rational]) -> list:
+def reduce_mod_phi(n: int, coeffs: Sequence[Rational]) -> list:
     """Reduce an arbitrary-degree coefficient list mod Phi_n to the basis."""
     phi = euler_phi(n)
     rows = _reduction_rows(n)
@@ -119,7 +118,7 @@ def _reduce(n: int, coeffs: Sequence[Rational]) -> list:
 def exponent_sum_value(n: int, coeffs: Sequence[Rational]) -> Optional[Fraction]:
     """sum_k coeffs[k] * zeta_n^k (k <= 2n) as a Fraction, with one reduction
     mod Phi_n; None when the sum is not rational."""
-    out = _reduce(n, coeffs)
+    out = reduce_mod_phi(n, coeffs)
     if any(out[1:]):
         return None
     return Fraction(out[0])
@@ -134,7 +133,7 @@ class CycloNum:
         self.N = N
         cs = _coefficients(coeffs)
         if reduce or len(cs) != euler_phi(N):
-            cs = _coefficients(_reduce(N, cs))
+            cs = _coefficients(reduce_mod_phi(N, cs))
         self.coeffs = tuple(cs)
 
     # -- constructors --------------------------------------------------------

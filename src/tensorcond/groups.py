@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int
 
 DEFAULT_ORDER_CAP = 2048
+MAX_SPEC_DEPTH = 32  # direct products nest no deeper: the stack is not exhausted
 
 
 # Miller-Rabin on these bases decides every n below PRIME_LIMIT exactly
@@ -485,12 +486,12 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     return value
 
 
-def _spec_order(spec, where: str = "") -> int:
+def _spec_order(spec, where: str = "", depth: int = 0) -> int:
     """The order of the group a descriptor names, from its parameters alone.
 
     Checks each parameter's presence, type and lower bound (primality is
-    left to the constructors), and refuses an order above DEFAULT_ORDER_CAP
-    before anything is built.
+    left to the constructors) and the nesting depth, and refuses an order
+    above DEFAULT_ORDER_CAP before anything is built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GroupConstructionError(
@@ -516,9 +517,14 @@ def _spec_order(spec, where: str = "") -> int:
         if not isinstance(factors, list) or not factors:
             raise GroupConstructionError(
                 f"'{where}factors' must be a nonempty list of group specs")
+        if depth == MAX_SPEC_DEPTH:
+            raise GroupConstructionError(
+                f"group spec nests direct products more than {MAX_SPEC_DEPTH} deep")
         order = 1
         for j, f in enumerate(factors):
-            order *= _spec_order(f, f"{where}factors[{j}].")
+            order *= _spec_order(f, f"{where}factors[{j}].", depth + 1)
+            if order > DEFAULT_ORDER_CAP:  # refused below, before it grows long
+                break
     else:
         raise GroupConstructionError(f"unknown group kind {kind!r}")
     if order > DEFAULT_ORDER_CAP:

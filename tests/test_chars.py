@@ -332,13 +332,16 @@ def test_averages_are_exact_never_float(corpus):
 
 
 def test_multiplicities_match_inner_products(corpus):
-    for entry in corpus.entries:
-        T = character_table(entry.group)
-        for seed in range(3):
-            chi = gen_character(entry.group, seed, 8)
+    """On seeded characters, their products and a character rebuilt from
+    its values, on every corpus group and EXTRA_GROUPS."""
+    for G in _form_groups(corpus):
+        T = character_table(G)
+        chis = [gen_character(G, seed, 8) for seed in range(3)]
+        chis += [chis[1] * chis[2], ClassFunction(G, chis[0].values)]
+        for chi in chis:
             mults = T.multiplicities(chi)
             assert all(type(m) is int for m in mults)
-            assert mults == tuple(inner_product(chi, psi) for psi in T.irreducibles)
+            assert mults == tuple(inner_product(chi, psi) for psi in T.irreducibles), G.name
 
 
 def test_table_validation_checks_every_pair():
@@ -413,13 +416,13 @@ def test_table_validation_refuses_forms_that_are_not_roots_of_unity_of_the_class
 
 def test_cold_tables_take_no_exact_averages(monkeypatch):
     """The build's certificate works on eigenvalue forms and residues: no
-    inner product through `_inner_with` and no reduction mod Phi_e."""
+    exact average (`_average`) and no reduction mod Phi_e."""
     from tensorcond import chars
     from tensorcond.groups import build_group
 
     def refuse(*args):
         raise AssertionError("a cold table took an exact average")
-    monkeypatch.setattr(chars.CharacterTable, "_inner_with", refuse)
+    monkeypatch.setattr(chars, "_average", refuse)
     monkeypatch.setattr(chars, "exponent_sum_value", refuse)
     for spec in [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 25},
                  {"kind": "heisenberg", "p": 3}, {"kind": "affine", "p": 7}] + EXTRA_GROUPS:
@@ -457,6 +460,63 @@ def test_fixed_dim_matches_the_inner_product_oracle(corpus):
                 assert fixed_dim(chi, H) == inner_product(chi, triv, H), (entry.name, seed)
 
 
+def _form_groups(corpus):
+    from tensorcond.groups import build_group
+    return [e.group for e in corpus.entries] + [build_group(s) for s in EXTRA_GROUPS]
+
+
+def _class_functions(G):
+    """Seeded characters of G and the dual of its last irreducible; on Q8
+    also its 2-dimensional irreducible and zeta_8 times it, both written
+    with zeta_8, beyond the group exponent 4."""
+    T = character_table(G)
+    out = [gen_character(G, f"form:{seed}", 6) for seed in range(2)]
+    out.append(T.irreducibles[-1].dual())
+    if G.spec == {"kind": "quaternion8"}:
+        chi2 = two_dim(T)
+        out += [ClassFunction(G, [v + root_of_unity(8, 2) - root_of_unity(4) for v in chi2.values]),
+                ClassFunction(G, [root_of_unity(8) * v for v in chi2.values])]
+    return out
+
+
+def test_form_arithmetic_matches_the_values(corpus):
+    """Products, sums, scalings and duals taken on exponent forms give the
+    values taken on CycloNum values."""
+    for G in _form_groups(corpus):
+        fs = _class_functions(G)
+        for chi in fs:
+            assert list(chi.dual().values) == [chi.values[c] for c in G.inverse_class]
+            assert list(chi.scale(-3).values) == [v.scale(-3) for v in chi.values]
+            for psi in fs:
+                assert list((chi * psi).values) == [
+                    a * b for a, b in zip(chi.values, psi.values)], G.name
+                assert list((chi + psi).values) == [
+                    a + b for a, b in zip(chi.values, psi.values)], G.name
+
+
+def test_fixed_dim_of_products_matches_restriction(corpus):
+    """fixed_dim of a form product, against the CycloNum average of the
+    values' product restricted to the subgroup: equal, or both refused."""
+    for G in _form_groups(corpus):
+        top = max(G.class_reps, key=G.element_orders.__getitem__)
+        subgroups = [whole_group(G), subgroup_generated(G, [top])]
+        fs = _class_functions(G)
+        for chi in fs:
+            for psi in fs[1:]:
+                values = ClassFunction(G, [a * b for a, b in zip(chi.values, psi.values)])
+                for H in subgroups:
+                    res = restrict(values, H)
+                    try:
+                        want = inner_product(res, trivial(res.group))
+                    except ValueError:  # not rational
+                        want = None
+                    if want is not None and want.denominator == 1 and want >= 0:
+                        assert fixed_dim(chi * psi, H) == want, G.name
+                    else:
+                        with pytest.raises(NonCharacterError):
+                            fixed_dim(chi * psi, H)
+
+
 def _frobenius_schur_by_cyclonums(psi):
     from tensorcond.cyclo import CycloNum
     G = psi.group
@@ -479,20 +539,23 @@ def test_frobenius_schur_matches_a_cyclonum_sum(corpus):
 
 
 def test_frobenius_schur_indicators_read_no_class_values(monkeypatch):
-    """The table's indicators come from its residues: on freshly built
-    tables they are read with every class function's exponent form
-    switched off, and match the CycloNum sum."""
+    """The table's indicators come from its residues: on tables built
+    afresh they are read with the exact average and every character's
+    exponent form and values switched off, and match the CycloNum sum."""
+    from tensorcond import chars
     from tensorcond.groups import build_group
     specs = [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 5},
              {"kind": "heisenberg", "p": 3}, {"kind": "dihedral", "n": 6}]
-    tables = [character_table(build_group(spec)) for spec in specs]
-    wants = [tuple(_frobenius_schur_by_cyclonums(psi) for psi in T.irreducibles)
-             for T in tables]
+    wants = [tuple(_frobenius_schur_by_cyclonums(psi)
+                   for psi in character_table(build_group(spec)).irreducibles)
+             for spec in specs]
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("Frobenius-Schur indicators read class values")
-    monkeypatch.setattr(ClassFunction, "_exponent_form", refuse)
-    for T, want in zip(tables, wants):
+    monkeypatch.setattr(chars, "_average", refuse)
+    monkeypatch.setattr(chars.Character, "__getattr__", refuse)
+    for spec, want in zip(specs, wants):
+        T = character_table(build_group(spec))
         assert T.fs_indicators == want, T.group.name
     assert sorted(wants[0]) == [-1, 1, 1, 1, 1]
 

@@ -156,15 +156,6 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
-def test_verify_rejects_non_integer_workers_env(capsys, monkeypatch):
-    monkeypatch.setenv("TENSORCOND_WORKERS", "abc")
-    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
-                             "--seeds", "2")
-    assert code == 2
-    assert "TENSORCOND_WORKERS" in err
-    assert out == ""
-
-
 def test_verify_rejects_negative_seeds(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "min-sum",
                              "--seeds", "-3")
@@ -547,16 +538,11 @@ def test_sharpness_refuses_a_prime_together_with_a_sweep(capsys):
 
 
 @pytest.mark.parametrize("workers", ["-3", "0"])
-def test_verify_refuses_a_worker_count_below_one(capsys, monkeypatch, workers):
-    monkeypatch.delenv("TENSORCOND_WORKERS", raising=False)
+def test_verify_refuses_a_worker_count_below_one(capsys, workers):
     code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "2",
                              "--workers", workers)
     assert code == 2 and out == ""
     assert f"--workers must be at least 1, not {workers}" in err
-    monkeypatch.setenv("TENSORCOND_WORKERS", "-2")
-    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "2")
-    assert code == 2 and out == ""
-    assert "TENSORCOND_WORKERS must be at least 1, not -2" in err
 
 
 @pytest.mark.parametrize("chain, message", [
@@ -864,6 +850,74 @@ def test_a_corpus_nested_too_deeply_exits_2(tmp_path, capsys):
                              _deep_array(tmp_path))
     assert code == 2 and out == ""
     assert "cannot read the corpus as JSON: maximum recursion depth" in err
+
+
+NOT_UTF8 = b'{"a": "\xff\xfe"}'
+LONG_INTEGER = b'{"a": ' + b"1" * 5000 + b"}"  # past Python's 4300-digit limit
+
+
+@pytest.mark.parametrize("data", [NOT_UTF8, LONG_INTEGER], ids=["not-utf8", "long-int"])
+@pytest.mark.parametrize("command", ["bound", "global", "replay"])
+def test_an_unreadable_input_document_exits_2(tmp_path, capsys, command, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: cannot read input document: ")
+
+
+@pytest.mark.parametrize("data", [NOT_UTF8, LONG_INTEGER], ids=["not-utf8", "long-int"])
+def test_an_unreadable_corpus_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--corpus", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read the corpus as JSON: ")
+
+
+def test_a_group_spec_with_a_long_integer_exits_2(capsys):
+    code, out, err = run_cli(capsys, "table", "--group",
+                             '{"kind": "cyclic", "n": ' + "1" * 5000 + "}")
+    assert code == 2 and out == ""
+    assert "cannot read the group spec as JSON: Exceeds the limit" in err
+
+
+def _nested_c2(levels: int) -> str:
+    """C2 inside one-factor direct products, as JSON text: too deep for
+    `json.dumps` to write under a test runner's stack."""
+    return ('{"kind": "direct_product", "factors": [' * levels + '{"kind": "cyclic", "n": 2}'
+            + "]}" * levels)
+
+
+def test_a_deeply_nested_model_group_exits_2(tmp_path):
+    """In a fresh interpreter, whose stack is shallow enough for `json` to
+    decode 492 levels, as a test runner's is not."""
+    text = json.dumps({**BOUND_DOC, "model": {"group": None, "chain": [[1]], "p": 2}})
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace("null", _nested_c2(492)))
+    proc = subprocess.run([sys.executable, "-m", "tensorcond.cli", "bound", "--input", str(path)],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == \
+        "input error: model.group: group spec nests direct products more than 32 deep\n"
+
+
+def test_group_specs_nest_at_most_32_deep(capsys):
+    code, out, _ = run_cli(capsys, "table", "--group", _nested_c2(32))
+    assert code == 0 and out.startswith("C2: order 2")
+    for levels in (33, 400):
+        code, out, err = run_cli(capsys, "table", "--group", _nested_c2(levels))
+        assert code == 2 and out == ""
+        assert err == "input error: group spec nests direct products more than 32 deep\n"
+
+
+def test_a_product_of_many_factors_is_refused_at_the_cap(capsys):
+    """The running order stops at the first factor past the cap, so it is
+    never printed with more digits than Python converts."""
+    spec = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2000}] * 1500}
+    code, out, err = run_cli(capsys, "table", "--group", json.dumps(spec))
+    assert code == 2 and out == ""
+    assert err == "input error: order 4000000 exceeds cap 2048\n"
 
 
 def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,10 @@ Each example takes a valid document on a small group (order at most 9),
 deletes one field or replaces one value (at any depth, the whole document
 included) with one that no field accepts, and runs the command in process:
 it must return 2, print nothing on stdout and one `input error:` or
-`error:` line on stderr, and raise nothing.
+`error:` line on stderr, and raise nothing.  Documents are passed as text
+on stdin, and as raw bytes in a file given with `--input PATH`: bytes that
+are not UTF-8, integers longer than Python converts, and nesting deeper
+than `json` decodes or a group spec may have.
 """
 
 import contextlib
@@ -65,6 +68,17 @@ def _run(command, doc):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_file(command, data: bytes):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--input", path, "--format", "machine"])
+    return code, out.getvalue(), err.getvalue()
+
+
 def _replay_documents():
     corpus = load_corpus()
     docs = []
@@ -83,6 +97,43 @@ def malformed(draw, command):
     doc = draw(st.sampled_from(BASES[command]))
     path = draw(st.sampled_from(list(_paths(doc))))
     return _mutated(doc, path, draw(st.booleans()), draw(BAD_VALUES))
+
+
+_RAW = "\x00raw"
+
+
+def _with_raw(doc, path, text: str) -> bytes:
+    """The document as UTF-8 JSON, with the value at path written as text."""
+    return json.dumps(_mutated(doc, path, False, _RAW)).replace(json.dumps(_RAW), text).encode()
+
+
+def _nested_groups(levels: int) -> str:
+    return ('{"kind": "direct_product", "factors": [' * levels + '{"kind": "quaternion8"}'
+            + "]}" * levels)
+
+
+@st.composite
+def unreadable(draw, command):
+    """A base document's bytes with a byte that is never UTF-8 inserted, or
+    one value replaced by a run of more than 4300 digits, by arrays nested
+    past `json`'s depth, or by a group spec nested past 32 direct products."""
+    doc = draw(st.sampled_from(BASES[command]))
+    kind = draw(st.sampled_from(["not-utf8", "long-int", "deep-array", "deep-group"]))
+    if kind == "not-utf8":
+        data = json.dumps(doc).encode()
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff" + draw(st.binary(max_size=8)) + data[at:]
+    if kind == "deep-group":
+        path = draw(st.sampled_from([p for p in _paths(doc) if p and p[-1] == "group"]))
+        return _with_raw(doc, path, _nested_groups(draw(st.integers(33, 400))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if kind == "long-int":
+        text = draw(st.sampled_from(["", "-"])) + \
+            draw(st.sampled_from("123456789")) * draw(st.integers(4301, 9000))
+    else:
+        depth = draw(st.integers(1000, 5000))
+        text = "[" * depth + "]" * depth
+    return _with_raw(doc, path, text)
 
 
 def _assert_refused(command, doc):
@@ -118,6 +169,14 @@ def test_malformed_global_documents_exit_2(doc):
 @given(malformed("replay"))
 def test_malformed_replay_documents_exit_2(doc):
     _assert_refused("replay", doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BASES)).flatmap(
+    lambda command: st.tuples(st.just(command), unreadable(command))))
+def test_unreadable_document_files_exit_2(case):
+    command, data = case
+    _assert_exit_2(*_run_file(command, data), data[:200])
 
 
 def _small_corpus():
