@@ -21,13 +21,12 @@ from typing import List, Optional
 from .chars import character_table
 from .corpus import ChainReader, load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
-                     require)
-from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary, exponents_str,
-                          rankin_selberg_bound)
+                     reading, require)
+from .globalbound import GlobalDatum, PrimeSummary, exponents_str, rankin_selberg_bound
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, read_global, replay,
-                     run_suite_range)
+from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, local_pair_record, read_global,
+                     replay, run_suite_range)
 from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
 
 
@@ -44,15 +43,11 @@ def _load_document(path: str) -> dict:
 def _build_model(doc: dict, where: str, reader: ChainReader) -> InertiaModel:
     group = reader.group(require(doc, "group", where), f"{where}group")
     chain = generator_lists(require(doc, "chain", where), f"{where}chain")
-    try:
+    with reading(f"{where}chain"):
         filt = filtration_from_generators(group, chain)
-    except TensorCondError as err:
-        raise InputError(f"{where}chain: {err}") from err
     p = int_field(doc, "p", where)
-    try:
+    with reading(f"{where}p"):
         return InertiaModel(group, filt, p)
-    except TensorCondError as err:
-        raise InputError(f"{where}p: {err}") from err
 
 
 # -- subcommand: verify -----------------------------------------------------------
@@ -76,7 +71,7 @@ def _pool_init(corpus):
 def _pool_eval(job):
     name, start, count, base_seed = job
     results = run_suite_range(name, _POOL_STATE["corpus"], start, count, base_seed)
-    return [(r.index, r.to_json()) for r in results]
+    return [r.to_json() for r in results]
 
 
 def _run_verify(args, machine: bool) -> int:
@@ -99,8 +94,7 @@ def _run_verify(args, machine: bool) -> int:
         for name in names:
             seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS[name]
             if workers == 1 or seeds < 4 * workers:
-                docs = [(r.index, r.to_json())
-                        for r in run_suite_range(name, corpus, 0, seeds, args.seed)]
+                docs = [r.to_json() for r in run_suite_range(name, corpus, 0, seeds, args.seed)]
             else:
                 if pool is None:
                     from concurrent.futures import ProcessPoolExecutor
@@ -110,12 +104,13 @@ def _run_verify(args, machine: bool) -> int:
                 chunk = (seeds + workers - 1) // workers
                 jobs = [(name, lo, min(chunk, seeds - lo), args.seed)
                         for lo in range(0, seeds, chunk)]
-                docs = [item for part in pool.map(_pool_eval, jobs) for item in part]
-            docs.sort(key=lambda t: t[0])
-            bad = [d for _, d in docs if not d["ok"]]
-            checks = sum(d["checks"] for _, d in docs)
+                # pool.map keeps the order of the jobs, and each chunk is in
+                # index order, so the items are too
+                docs = [d for part in pool.map(_pool_eval, jobs) for d in part]
+            bad = [d for d in docs if not d["ok"]]
+            checks = sum(d["checks"] for d in docs)
             if machine:
-                for _, d in docs:
+                for d in docs:
                     print(json.dumps(d, sort_keys=True))
                 print(json.dumps({"suite": name, "summary": True, "items": len(docs),
                                   "checks": checks, "failures": len(bad)},
@@ -168,19 +163,15 @@ def _global_record(reader: ChainReader, rec, where: str, p: int):
                                  for key in ("vA", "vB", "degA", "degB", "degAB")))
     if mode == "full":
         model = _build_model(require(rec, "model", where), f"{where}model.", reader)
-        return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
-                                   for key in ("A", "B")))
+        return local_pair_record(model, rec, where, p)
     raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
 
 
 def _run_global(args, machine: bool) -> int:
     dim_a, dim_b, records = read_global(_load_document(args.input), ("dimA", "dimB"),
                                         functools.partial(_global_record, ChainReader()))
-    try:
-        datum = GlobalDatum(dim_a, dim_b, records)
-        report = rankin_selberg_bound(datum)
-    except TensorCondError as err:
-        raise InputError(str(err)) from err
+    with reading("primes"):
+        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, records))
     ok = report.all_checks_pass()
     out = {**report.to_json(), "per_prime_check": "pass" if ok else "fail"}
     if machine:
@@ -208,20 +199,16 @@ def _sharpness_family(args) -> list:
         raise InputError(f"--p {args.p} and --max-p {args.max_p} exclude each other")
     else:
         flag, primes = "--max-p", (p for p in range(3, args.max_p + 1) if is_prime(p))
-    try:
+    with reading(flag):
         family = [validate_params(p, smallest_valid_unit(p)) for p in primes]
-    except TensorCondError as err:
-        raise InputError(f"{flag}: {err}") from err
     if not family:
         raise InputError(f"--max-p {args.max_p}: there is no odd prime up to {args.max_p}")
     if args.a is not None:
         if len(family) > 1:
             raise InputError(f"--a {args.a} needs a single prime, but --max-p "
                              f"{args.max_p} sweeps {len(family)}")
-        try:
+        with reading("--a"):
             family = [validate_params(family[0].p, args.a)]
-        except TensorCondError as err:
-            raise InputError(f"--a: {err}") from err
     return family
 
 
@@ -249,10 +236,8 @@ def _run_table(args, machine: bool) -> int:
         spec = json.loads(args.group)
     except (ValueError, RecursionError) as err:
         raise InputError(f"cannot read the group spec as JSON: {err}") from None
-    try:
+    with reading("--group"):
         G = build_group(spec)
-    except TensorCondError as err:
-        raise InputError(str(err)) from err
     T = character_table(G)
     if machine:
         doc = {"group": G.spec, "order": G.order, "exponent": G.exponent,
@@ -276,10 +261,10 @@ def _run_table(args, machine: bool) -> int:
 
 def _run_replay(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    try:
+    # a ValueError too: a result too long to print is malformed input until
+    # numbers in documents have a size policy
+    with reading("cannot replay document", (TensorCondError, ValueError)):
         verdict = replay(doc)
-    except (KeyError, ValueError, TensorCondError) as err:
-        raise InputError(f"cannot replay document: {err}") from err
     print(json.dumps(verdict, sort_keys=True))
     return 0 if verdict["ok"] else 1
 

@@ -14,7 +14,7 @@ from importlib import resources
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
-                     int_field, is_int, require)
+                     int_field, is_int, reading, require)
 from .groups import (FiniteGroup, Filtration, build_group, filtration_from_generators,
                      pgroup_prime)
 from .weildeligne import InertiaModel
@@ -110,10 +110,8 @@ def read_chain(doc, group: FiniteGroup, entry_name: str, name: str,
     reference, gives on the group: its `subgroups` and optional `model_p`."""
     gen_lists = generator_lists(require(doc, "subgroups", where), f"{where}subgroups")
     model_p = None if doc.get("model_p") is None else int_field(doc, "model_p", where)
-    try:
+    with reading(f"{where}subgroups"):
         filt = filtration_from_generators(group, gen_lists)
-    except TensorCondError as err:
-        raise InputError(f"{where}subgroups: {err}") from err
     return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
 
 
@@ -139,10 +137,8 @@ class ChainReader:
         """The group that the spec in field `name` describes."""
         key = _canonical(spec)
         if key not in self._groups:
-            try:
+            with reading(name):
                 self._groups[key] = build_group(spec)
-            except TensorCondError as err:
-                raise InputError(f"{name}: {err}") from err
         return self._groups[key]
 
     def __call__(self, ref, name: str) -> CorpusChain:
@@ -159,7 +155,7 @@ class ChainReader:
 def _entry(doc, where: str) -> CorpusEntry:
     """One corpus entry; an error names the entry and the field."""
     name = _name(doc, where)
-    try:
+    with reading(f"entry {name!r}"):
         group = build_group(require(doc, "group", where))
         chains = require(doc, "chains", where)
         if not isinstance(chains, list) or not chains:
@@ -167,8 +163,6 @@ def _entry(doc, where: str) -> CorpusEntry:
         return CorpusEntry(name, group, [
             read_chain(c, group, name, _name(c, f"{where}chains[{k}]."),
                        f"{where}chains[{k}].") for k, c in enumerate(chains)])
-    except TensorCondError as err:
-        raise InputError(f"entry {name!r}: {err}") from err
 
 
 def load_corpus(path: Optional[str] = None) -> Corpus:

@@ -129,10 +129,11 @@ class CycloNum:
 
     __slots__ = ("N", "coeffs")
 
-    def __init__(self, N: int, coeffs: Sequence[Rational], reduce: bool = False):
+    def __init__(self, N: int, coeffs: Sequence[Rational]):
+        # phi(N) coefficients are the reduced form; any other number is reduced
         self.N = N
         cs = _coefficients(coeffs)
-        if reduce or len(cs) != euler_phi(N):
+        if len(cs) != euler_phi(N):
             cs = _coefficients(reduce_mod_phi(N, cs))
         self.coeffs = tuple(cs)
 
@@ -163,7 +164,7 @@ class CycloNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 cs[i * step] = c
-        return CycloNum(M, cs, reduce=True)
+        return CycloNum(M, cs)
 
     def _pair(self, other: "CycloNum"):
         if self.N == other.N:
@@ -231,7 +232,7 @@ class CycloNum:
             if x:
                 for j, y in b_terms:
                     prod[i + j] += x * y
-        return CycloNum(a.N, prod, reduce=True)
+        return CycloNum(a.N, prod)
 
     __rmul__ = __mul__
 
@@ -246,7 +247,7 @@ class CycloNum:
         for i, c in enumerate(self.coeffs):
             if c:
                 cs[(i * k) % self.N] += c
-        return CycloNum(self.N, cs, reduce=True)
+        return CycloNum(self.N, cs)
 
     def conjugate(self) -> "CycloNum":
         return self.galois(self.N - 1 if self.N > 1 else 1)

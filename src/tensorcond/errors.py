@@ -71,6 +71,25 @@ class InputError(TensorCondError, ValueError):
 # "entries[2].chains[1]."
 
 
+class reading:
+    """``with reading(name):`` relabels an error of type `errors` raised in
+    its body as ``InputError(f"{name}: {err}")``, naming the field or flag
+    read (a class: cheaper to enter than a generator context manager)."""
+
+    __slots__ = ("name", "errors")
+
+    def __init__(self, name: str, errors=TensorCondError):
+        self.name = name
+        self.errors = errors
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, self.errors):
+            raise InputError(f"{self.name}: {err}") from err
+
+
 def require(doc, key: str, where: str = ""):
     """doc[key], or an InputError naming the field."""
     if not isinstance(doc, dict):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int
 
@@ -167,13 +167,6 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def conjugate(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return self.table[self.table[h][g]][self.inverses[h]]
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def class_power(self, ci: int, k: int) -> int:
         """Class index of g^k for g any representative of class ci."""
         key = (ci, k % self.exponent)
@@ -214,10 +207,10 @@ class Subgroup:
         member = frozenset(elems)
         if parent.identity not in member:
             raise GroupConstructionError("subgroup must contain the identity")
-        # the words of a finite group form a subgroup, so the set is one
-        # iff no word in its members leaves it
-        gens, words = _generators(parent.table, parent.identity, elems, member)
-        if words is None:
+        # the words of a finite group form a subgroup, and they include the
+        # members, so the set is one iff there are no more words than members
+        gens, words = _generators(parent.table, parent.identity, elems)
+        if len(words) != len(elems):
             raise GroupConstructionError(
                 f"subgroup not closed under products: a word in the "
                 f"members {gens} lies outside it")
@@ -258,37 +251,29 @@ class Subgroup:
         return f"Subgroup(order={self.size} of {self.parent.name})"
 
 
-def closure(start: int, successors: Callable[[int], Iterable[int]],
-            within: Optional[frozenset] = None) -> Optional[set]:
+def closure(start: int, successors: Callable[[int], Iterable[int]]) -> set:
     """Every point reached from start by repeated steps to `successors`,
-    searched depth first; with `within`, None as soon as a point outside
-    it is reached."""
+    searched depth first."""
     seen = {start}
     frontier = [start]
     while frontier:
         for y in successors(frontier.pop()):
             if y not in seen:
-                if within is not None and y not in within:
-                    return None
                 seen.add(y)
                 frontier.append(y)
     return seen
 
 
-def _generators(table, identity: int, elems: Iterable[int],
-                within: Optional[frozenset] = None):
+def _generators(table, identity: int, elems: Iterable[int]):
     """Generators of the words in elems and those words: each member that is
     not yet a word in the generators becomes one (at most log2 of the words'
-    count, each doubling them).  With `within`, the words are None as soon
-    as one lies outside it."""
+    count, each doubling them)."""
     gens = []
     words = {identity}
     for a in elems:
         if a not in words:
             gens.append(a)
-            words = closure(identity, lambda x: map(table[x].__getitem__, gens), within)
-            if words is None:
-                break
+            words = closure(identity, lambda x: map(table[x].__getitem__, gens))
     return gens, words
 
 
@@ -483,35 +468,45 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
         raise GroupConstructionError(f"'{where}{key}' must be an integer, not {value!r}")
     if value < minimum:
         raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {value}")
+    if value > DEFAULT_ORDER_CAP:  # every order is at least each of its parameters
+        raise GroupConstructionError(
+            f"'{where}{key}' exceeds cap {DEFAULT_ORDER_CAP}, and so does the order")
     return value
 
 
-def _spec_order(spec, where: str = "", depth: int = 0) -> int:
-    """The order of the group a descriptor names, from its parameters alone.
+def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[], FiniteGroup]]:
+    """The order of the group a descriptor names, from its parameters alone,
+    and a call that builds the group.
 
-    Checks each parameter's presence, type and lower bound (primality is
-    left to the constructors) and the nesting depth, and refuses an order
-    above DEFAULT_ORDER_CAP before anything is built.
+    Checks each parameter's presence, type and range (primality is left to
+    the constructors) and the nesting depth, and refuses an order above
+    DEFAULT_ORDER_CAP; it builds nothing.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GroupConstructionError(
             f"'{where.rstrip('.')}' must be a group spec with a 'kind'" if where
             else "group spec must be a dict with a 'kind'")
     kind = spec["kind"]
-    if kind in ("cyclic", "dihedral"):
+    if kind == "cyclic":
         n = _int_param(spec, "n", where, 1)
-        order = n if kind == "cyclic" else 2 * n
+        order, build = n, lambda: cyclic(n)
+    elif kind == "dihedral":
+        n = _int_param(spec, "n", where, 1)
+        order, build = 2 * n, lambda: dihedral(n)
     elif kind == "elementary_abelian":
         p = _int_param(spec, "p", where, 2)
         k = _int_param(spec, "k", where, 1)
         if k >= DEFAULT_ORDER_CAP.bit_length():  # then p^k >= 2^k > the cap
             raise GroupConstructionError(f"order {p}^{k} exceeds cap {DEFAULT_ORDER_CAP}")
-        order = p ** k
+        order, build = p ** k, lambda: elementary_abelian(p, k)
     elif kind == "quaternion8":
-        order = 8
-    elif kind in ("heisenberg", "affine"):
+        order, build = 8, quaternion8
+    elif kind == "heisenberg":
         p = _int_param(spec, "p", where, 2)
-        order = p ** 3 if kind == "heisenberg" else p * (p - 1)
+        order, build = p ** 3, lambda: heisenberg(p)
+    elif kind == "affine":
+        p = _int_param(spec, "p", where, 2)
+        order, build = p * (p - 1), lambda: affine(p)
     elif kind == "direct_product":
         factors = spec.get("factors")
         if not isinstance(factors, list) or not factors:
@@ -520,16 +515,18 @@ def _spec_order(spec, where: str = "", depth: int = 0) -> int:
         if depth == MAX_SPEC_DEPTH:
             raise GroupConstructionError(
                 f"group spec nests direct products more than {MAX_SPEC_DEPTH} deep")
-        order = 1
+        order, builds = 1, []
         for j, f in enumerate(factors):
-            order *= _spec_order(f, f"{where}factors[{j}].", depth + 1)
+            builds.append(_read_spec(f, f"{where}factors[{j}].", depth + 1))
+            order *= builds[-1][0]
             if order > DEFAULT_ORDER_CAP:  # refused below, before it grows long
                 break
+        build = lambda: direct_product(*(factor() for _, factor in builds))
     else:
         raise GroupConstructionError(f"unknown group kind {kind!r}")
     if order > DEFAULT_ORDER_CAP:
         raise GroupConstructionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
-    return order
+    return order, build
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -537,25 +534,8 @@ def build_group(spec: dict) -> FiniteGroup:
 
     Supported kinds: cyclic(n), elementary_abelian(p,k), dihedral(n),
     quaternion8, heisenberg(p), affine(p), direct_product(factors).  The
-    descriptor is checked, and its order held to DEFAULT_ORDER_CAP (read at
-    each call), before any multiplication table is built.
+    descriptor is read in one walk, each parameter and then the order held
+    to DEFAULT_ORDER_CAP (read at each call), before any multiplication
+    table is built.
     """
-    _spec_order(spec)
-    return _build(spec)
-
-
-def _build(spec: dict) -> FiniteGroup:
-    kind = spec["kind"]
-    if kind == "cyclic":
-        return cyclic(spec["n"])
-    if kind == "elementary_abelian":
-        return elementary_abelian(spec["p"], spec["k"])
-    if kind == "dihedral":
-        return dihedral(spec["n"])
-    if kind == "quaternion8":
-        return quaternion8()
-    if kind == "heisenberg":
-        return heisenberg(spec["p"])
-    if kind == "affine":
-        return affine(spec["p"])
-    return direct_product(*(_build(f) for f in spec["factors"]))
+    return _read_spec(spec)[1]()

@@ -33,9 +33,11 @@ class FamilyParams:
 
 
 def _check_prime(p: int) -> None:
-    """p is an odd prime whose Aff(p) the order cap holds; the cap is
-    checked first, so that a huge p costs no primality test."""
+    """p is an odd prime whose Aff(p) the order cap holds; p and then the
+    order are held to the cap first, so that a huge p costs no primality test."""
     cap = groups.DEFAULT_ORDER_CAP
+    if p > cap:
+        raise GroupConstructionError(f"p is above the cap {cap}, and so is the order of Aff(p)")
     if p > 2 and p * (p - 1) > cap:
         raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
                                      f"{p * (p - 1)}, above the cap {cap}")

@@ -20,7 +20,7 @@ from .chars import (Character, CharacterTable, _combine_atoms, character_table,
                     rational_atoms, symplectic_rational_atoms)
 from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
-                     int_field, is_int, require)
+                     int_field, is_int, reading, require)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
@@ -74,10 +74,14 @@ def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
     T = character_table(model.group)
     tau, sigma = (multiplicity_vector(T, require(mults, part, f"{name}."),
                                       f"{name}.{part}") for part in ("tau", "sigma"))
-    try:
+    with reading(name):
         return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
-    except TensorCondError as err:
-        raise InputError(f"{name}: {err}") from err
+
+
+def local_pair_record(model: InertiaModel, rec, where: str, p: int) -> PrimeLocalPair:
+    """The local pair at p of a full global record: its A and B over the model."""
+    return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
+                               for key in ("A", "B")))
 
 
 def read_global(doc, dim_keys: Tuple[str, str],
@@ -104,10 +108,8 @@ def read_global(doc, dim_keys: Tuple[str, str],
     for j, rec in enumerate(records):
         where = f"primes[{j}]."
         p = int_field(rec, "p", where)
-        try:
+        with reading(f"'{where}p'"):
             prime = is_prime(p)
-        except TensorCondError as err:
-            raise InputError(f"'{where}p': {err}") from err
         if not prime:
             raise InputError(f"'{where}p' must be a prime, not {p}")
         if p in seen:
@@ -153,10 +155,8 @@ def _chain(chains: ChainReader, doc, where: str = "") -> CorpusChain:
 
 def _model(chains: ChainReader, doc, where: str = "") -> InertiaModel:
     chain = _chain(chains, doc, where)
-    try:
+    with reading(f"{where}chain.model_p"):
         return chain.model()
-    except TensorCondError as err:
-        raise InputError(f"{where}chain.model_p: {err}") from err
 
 
 def _char(T: CharacterTable, doc, key: str) -> Character:
@@ -462,9 +462,7 @@ def _check_global(doc, chains):
     """Full-mode global data: at each prime the recomputed exponent of A x B
     against the bound, and that of A x A against the self-tensor bound."""
     def read_pair(rec, where, p):
-        model = _model(chains, rec, where)
-        return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
-                                   for key in ("A", "B")))
+        return local_pair_record(_model(chains, rec, where), rec, where, p)
 
     dim_a, dim_b, pairs = read_global(doc, ("dim_a", "dim_b"), read_pair)
     try:

@@ -26,8 +26,8 @@ symplectic criteria read from values, and random characters assembled
 from a seeded multiplicity vector.  The package itself computes on
 multiplicity vectors and never decomposes; these are what tests compare
 it with.  The constructors only tests call live here too: `root_of_unity`,
-`cyclo_from_json`, the trivial and zero class functions, `is_normal`, and
-the seeded `gen_abvar` and `gen_semistable` data.
+`cyclo_from_json`, the trivial and zero class functions, `conjugate`,
+`is_normal`, and the seeded `gen_abvar` and `gen_semistable` data.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def root_of_unity(N: int, k: int = 1) -> CycloNum:
     k %= N
     cs = [0] * (k + 1)
     cs[k] = 1
-    return CycloNum(N, cs, reduce=True)
+    return CycloNum(N, cs)
 
 
 def cyclo_from_json(doc: dict) -> CycloNum:
@@ -336,11 +336,16 @@ def encoded_group(spec: dict) -> FiniteGroup:
                                f"Aff{p}", spec)
 
 
+def conjugate(group: FiniteGroup, h: int, g: int) -> int:
+    """h g h^-1."""
+    return group.table[group.table[h][g]][group.inverses[h]]
+
+
 def is_normal(subgroup: Subgroup) -> bool:
     """Whether every conjugate of every member is a member."""
     G = subgroup.parent
-    return all(G.conjugate(h, a) in subgroup.member
-               for h in G.elements() for a in subgroup.elements)
+    return all(conjugate(G, h, a) in subgroup.member
+               for h in range(G.order) for a in subgroup.elements)
 
 
 def conjugation_orbits(group: FiniteGroup) -> set:

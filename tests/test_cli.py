@@ -908,7 +908,7 @@ def test_group_specs_nest_at_most_32_deep(capsys):
     for levels in (33, 400):
         code, out, err = run_cli(capsys, "table", "--group", _nested_c2(levels))
         assert code == 2 and out == ""
-        assert err == "input error: group spec nests direct products more than 32 deep\n"
+        assert err == "input error: --group: group spec nests direct products more than 32 deep\n"
 
 
 def test_a_product_of_many_factors_is_refused_at_the_cap(capsys):
@@ -917,7 +917,7 @@ def test_a_product_of_many_factors_is_refused_at_the_cap(capsys):
     spec = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2000}] * 1500}
     code, out, err = run_cli(capsys, "table", "--group", json.dumps(spec))
     assert code == 2 and out == ""
-    assert err == "input error: order 4000000 exceeds cap 2048\n"
+    assert err == "input error: --group: order 4000000 exceeds cap 2048\n"
 
 
 def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypatch):
@@ -937,3 +937,54 @@ def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypa
     code, out, _ = run_cli(capsys, "global", "--input", path, "--format", "machine")
     assert code == 0 and len(builds) == 1
     assert [rec["p"] for rec in json.loads(out)["per_prime"]] == [2, 3, 5]
+
+
+# parameters far above the order cap, yet short enough for `json` to read:
+# each is refused before an order (or p(p - 1)) is formed from it, and no
+# message repeats it
+HUGE_2000, HUGE_2500 = int("1" * 2000), int("1" * 2500)
+HUGE_HEISENBERG = {"kind": "heisenberg", "p": HUGE_2000}
+
+
+def _refused_naming(code, out, err, name):
+    """Exit 2 with one stderr line that names the field or flag."""
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("input error: ", "error: ")), err
+    assert name in lines[0] and "1" * 50 not in lines[0], err
+
+
+@pytest.mark.parametrize("spec", [
+    HUGE_HEISENBERG,
+    {"kind": "affine", "p": HUGE_2500},
+    {"kind": "elementary_abelian", "p": HUGE_2000, "k": 3},
+], ids=["heisenberg", "affine", "elementary_abelian"])
+def test_table_refuses_a_huge_group_parameter(capsys, spec):
+    _refused_naming(*run_cli(capsys, "table", "--group", json.dumps(spec)), "--group: 'p'")
+
+
+def test_bound_refuses_a_huge_model_group_parameter(tmp_path, capsys):
+    doc = dict(BOUND_DOC, model=dict(BOUND_DOC["model"], group=HUGE_HEISENBERG))
+    _refused_naming(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)),
+                    "model.group: 'p'")
+
+
+def test_verify_refuses_a_corpus_group_with_a_huge_parameter(tmp_path, capsys):
+    from importlib import resources
+    doc = json.loads(resources.files("tensorcond").joinpath("data/corpus.json").read_text())
+    doc["entries"] = [dict(e, group=HUGE_HEISENBERG) for e in doc["entries"]
+                      if e["name"] == "c4"]
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(doc))
+    _refused_naming(*run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "1",
+                             "--corpus", str(path)), "entry 'c4': 'p'")
+
+
+def test_sharpness_refuses_a_huge_p(capsys):
+    _refused_naming(*run_cli(capsys, "sharpness", "--p", str(HUGE_2500)), "--p: p ")
+
+
+def test_replay_refuses_a_sharpness_document_with_a_huge_p(tmp_path, capsys):
+    doc = {"suite": "sharpness", "p": HUGE_2500, "a": 2}
+    _refused_naming(*run_cli(capsys, "replay", "--input", _write(tmp_path, doc)),
+                    "cannot replay document: p ")

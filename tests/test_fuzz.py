@@ -1,5 +1,5 @@
 """Malformed `bound`, `global` and `replay` documents, and corpus files,
-exit 2 with a message.
+exit 2 with a message; a mutated document of any suite replays to 0, 1 or 2.
 
 Each example takes a valid document on a small group (order at most 9),
 deletes one field or replaces one value (at any depth, the whole document
@@ -8,7 +8,8 @@ it must return 2, print nothing on stdout and one `input error:` or
 `error:` line on stderr, and raise nothing.  Documents are passed as text
 on stdin, and as raw bytes in a file given with `--input PATH`: bytes that
 are not UTF-8, integers longer than Python converts, and nesting deeper
-than `json` decodes or a group spec may have.
+than `json` decodes or a group spec may have, and group parameters of
+1000 to 4300 digits.
 """
 
 import contextlib
@@ -91,10 +92,14 @@ def _replay_documents():
 BASES = {"bound": [BOUND_DOC], "global": [make_global_doc()],
          "replay": _replay_documents()}
 
+# the seed-0 item 0 of every suite, as a replay document
+SUITE_DOCUMENTS = [{"suite": name, **suite.generate(load_corpus(), 0, 0)[0]}
+                   for name, suite in SUITES.items()]
+
 
 @st.composite
-def malformed(draw, command):
-    doc = draw(st.sampled_from(BASES[command]))
+def malformed(draw, command, bases=BASES):
+    doc = draw(st.sampled_from(bases[command]))
     path = draw(st.sampled_from(list(_paths(doc))))
     return _mutated(doc, path, draw(st.booleans()), draw(BAD_VALUES))
 
@@ -116,16 +121,23 @@ def _nested_groups(levels: int) -> str:
 def unreadable(draw, command):
     """A base document's bytes with a byte that is never UTF-8 inserted, or
     one value replaced by a run of more than 4300 digits, by arrays nested
-    past `json`'s depth, or by a group spec nested past 32 direct products."""
+    past `json`'s depth, by a group spec nested past 32 direct products, or
+    by a group spec whose p has 1000 to 4300 digits."""
     doc = draw(st.sampled_from(BASES[command]))
-    kind = draw(st.sampled_from(["not-utf8", "long-int", "deep-array", "deep-group"]))
+    kind = draw(st.sampled_from(["not-utf8", "long-int", "deep-array", "deep-group",
+                                 "huge-param"]))
     if kind == "not-utf8":
         data = json.dumps(doc).encode()
         at = draw(st.integers(0, len(data)))
         return data[:at] + b"\xff" + draw(st.binary(max_size=8)) + data[at:]
-    if kind == "deep-group":
+    if kind in ("deep-group", "huge-param"):
         path = draw(st.sampled_from([p for p in _paths(doc) if p and p[-1] == "group"]))
-        return _with_raw(doc, path, _nested_groups(draw(st.integers(33, 400))))
+        if kind == "deep-group":
+            return _with_raw(doc, path, _nested_groups(draw(st.integers(33, 400))))
+        group = draw(st.sampled_from(["heisenberg", "affine", "elementary_abelian"]))
+        p = draw(st.sampled_from("123456789")) * draw(st.integers(1000, 4300))
+        k = ', "k": 3' if group == "elementary_abelian" else ""
+        return _with_raw(doc, path, f'{{"kind": "{group}", "p": {p}{k}}}')
     path = draw(st.sampled_from(list(_paths(doc))))
     if kind == "long-int":
         text = draw(st.sampled_from(["", "-"])) + \
@@ -169,6 +181,17 @@ def test_malformed_global_documents_exit_2(doc):
 @given(malformed("replay"))
 def test_malformed_replay_documents_exit_2(doc):
     _assert_refused("replay", doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed("replay", {"replay": SUITE_DOCUMENTS}))
+def test_mutated_suite_documents_replay_without_raising(doc):
+    """Deleting an optional field (`chain.model_p`, `level`) can leave a
+    valid document, so 0 and 1 are allowed besides 2."""
+    code, out, err = _run("replay", doc)
+    assert code in (0, 1, 2), (doc, out, err)
+    if code == 2:
+        _assert_exit_2(code, out, err, doc)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,8 +10,8 @@ from tensorcond.groups import (FiniteGroup, Filtration, affine, build_group, cyc
                                pgroup_prime, quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group, Subgroup)
 
-from oracles import (as_group, check_associativity, conjugation_orbits, encoded_group,
-                     is_normal, orders_by_powers, product_closure)
+from oracles import (as_group, check_associativity, conjugate, conjugation_orbits,
+                     encoded_group, is_normal, orders_by_powers, product_closure)
 
 
 def corpus_like_groups():
@@ -205,7 +205,7 @@ def test_subgroup_as_group():
 def test_conjugacy_classes_are_conjugation_orbits():
     for G in (quaternion8(), dihedral(4), affine(3)):
         for cls in G.classes:
-            orbit = {G.conjugate(h, cls[0]) for h in range(G.order)}
+            orbit = {conjugate(G, h, cls[0]) for h in range(G.order)}
             assert orbit == set(cls)
 
 
