@@ -12,12 +12,14 @@ stream; exact rationals are serialized as "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
+import os
+import signal
 import sys
 from typing import List, Optional
 
+from . import errors
 from .chars import character_table
 from .corpus import ChainReader, load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
@@ -61,6 +63,25 @@ def _worker_count(args) -> int:
     return args.workers
 
 
+def _process_count(workers: int) -> int:
+    """Processes for `--workers`: at most one per CPU this process may run
+    on, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(workers, cpus)
+
+
+def _shares(seeds: int, processes: int) -> List[tuple]:
+    """A suite's items as contiguous (start, count) shares, one per process;
+    one share when the suite is too small to be worth splitting."""
+    if processes == 1 or seeds < 4 * processes:
+        return [(0, seeds)]
+    chunk = (seeds + processes - 1) // processes
+    return [(lo, min(chunk, seeds - lo)) for lo in range(0, seeds, chunk)]
+
+
 _POOL_STATE = {}
 
 
@@ -74,6 +95,46 @@ def _pool_eval(job):
     return [r.to_json() for r in results]
 
 
+def _share_worker(k: int, plan, corpus, base_seed: int, fd: int):
+    """The body of forked worker k: share k of each suite, in suite order,
+    written to `fd` as one JSON line per share.  An error is written as
+    {"error": class name, "message": text} and ends the worker.  It never
+    returns: it leaves by os._exit, so that nothing inherited from the
+    parent runs (atexit handlers, buffered stdout, a test runner's teardown).
+    `_pool_init` and `_pool_eval` are called through the module globals."""
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
+            try:
+                _pool_init(corpus)
+                for name, shares in plan:
+                    if k < len(shares):
+                        out.write(json.dumps(_pool_eval((name, *shares[k], base_seed))) + "\n")
+                        out.flush()
+            except Exception as err:
+                if not isinstance(err, TensorCondError):
+                    import traceback  # only a fault in the program needs it
+                    traceback.print_exc()
+                out.write(json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n")
+    finally:
+        os._exit(0)
+
+
+def _read_share(reader, k: int, name: str) -> list:
+    """Worker k's share of suite `name`: its item documents, or the worker's
+    error raised again, as the serial run would have raised it."""
+    line = reader.readline()
+    if not line:
+        raise RuntimeError(f"verify worker {k} ended before its share of suite {name}")
+    docs = json.loads(line)
+    if isinstance(docs, dict):
+        kind = getattr(errors, docs["error"], None)
+        if isinstance(kind, type) and issubclass(kind, TensorCondError):
+            raise kind(docs["message"])
+        raise RuntimeError(f"verify worker {k} failed in suite {name}: "
+                           f"{docs['error']}: {docs['message']}")
+    return docs
+
+
 def _run_verify(args, machine: bool) -> int:
     names = list(SUITES) if "all" in args.suite else args.suite
     for name in names:
@@ -82,31 +143,28 @@ def _run_verify(args, machine: bool) -> int:
                              f"{', '.join(sorted(SUITES))} or all")
     if args.seeds is not None and args.seeds < 0:
         raise InputError(f"--seeds must be nonnegative, not {args.seeds}")
-    workers = _worker_count(args)
+    processes = _process_count(_worker_count(args))
     corpus = load_corpus(args.corpus)
+    plan = [(name, _shares(args.seeds if args.seeds is not None else DEFAULT_SEEDS[name],
+                           processes)) for name in names]
     failures = 0
-    # one pool for the whole call, opened at the first suite that uses it, so
-    # that each worker builds its tables once.  The workers get this call's
-    # corpus: forked workers (the default on Linux) inherit it, with every
-    # table built so far, and read no file
-    pool = None
-    with contextlib.ExitStack() as stack:
-        for name in names:
-            seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS[name]
-            if workers == 1 or seeds < 4 * workers:
-                docs = [r.to_json() for r in run_suite_range(name, corpus, 0, seeds, args.seed)]
-            else:
-                if pool is None:
-                    from concurrent.futures import ProcessPoolExecutor
-                    pool = stack.enter_context(ProcessPoolExecutor(
-                        max_workers=workers, initializer=_pool_init,
-                        initargs=(corpus,)))
-                chunk = (seeds + workers - 1) // workers
-                jobs = [(name, lo, min(chunk, seeds - lo), args.seed)
-                        for lo in range(0, seeds, chunk)]
-                # pool.map keeps the order of the jobs, and each chunk is in
-                # index order, so the items are too
-                docs = [d for part in pool.map(_pool_eval, jobs) for d in part]
+    # worker k (k >= 1) computes share k of every suite, forked once with
+    # this call's corpus and every table built so far; this process computes
+    # share 0 and reads the others in order, so the items stay in index order
+    workers = []
+    try:
+        for k in range(1, max(len(shares) for _, shares in plan)):
+            fd, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _share_worker(k, plan, corpus, args.seed, wfd)
+            os.close(wfd)
+            workers.append((pid, os.fdopen(fd, encoding="utf-8")))
+        for name, shares in plan:
+            start, count = shares[0]
+            docs = [r.to_json() for r in run_suite_range(name, corpus, start, count, args.seed)]
+            for k in range(1, len(shares)):
+                docs += _read_share(workers[k - 1][1], k, name)
             bad = [d for d in docs if not d["ok"]]
             checks = sum(d["checks"] for d in docs)
             if machine:
@@ -121,6 +179,13 @@ def _run_verify(args, machine: bool) -> int:
                 for d in bad:
                     print(json.dumps(d["counterexample"], sort_keys=True))
             failures += len(bad)
+    finally:
+        # on success every worker has sent its last share, so the kill only
+        # hurries its exit; on an error it stops work nobody will read
+        for pid, reader in workers:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return 1 if failures else 0
 
 
@@ -288,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="base seed")
     p_verify.add_argument("--corpus", default=None, help="corpus JSON path")
     p_verify.add_argument("--workers", type=int, default=None,
-                          help="worker processes")
+                          help="processes, at most one per usable CPU")
 
     p_bound = sub.add_parser("bound", parents=[common], help="conductor bounds for one local pair")
     p_bound.add_argument("--input", required=True, help="JSON document or - for stdin")

@@ -156,7 +156,9 @@ def _entry(doc, where: str) -> CorpusEntry:
     """One corpus entry; an error names the entry and the field."""
     name = _name(doc, where)
     with reading(f"entry {name!r}"):
-        group = build_group(require(doc, "group", where))
+        spec = require(doc, "group", where)
+        with reading(f"{where}group"):
+            group = build_group(spec)
         chains = require(doc, "chains", where)
         if not isinstance(chains, list) or not chains:
             raise InputError(f"'{where}chains' must be a nonempty list of chain objects")

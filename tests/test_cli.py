@@ -205,12 +205,41 @@ def test_verify_machine_determinism(capsys):
     assert out1 == out2
 
 
-def test_verify_workers_match_sequential(capsys):
-    base = ["verify", "--suite", "pgroup-gap", "--seeds", "12",
-            "--format", "machine"]
-    _, seq, _ = run_cli(capsys, *base, "--workers", "1")
-    _, par, _ = run_cli(capsys, *base, "--workers", "2")
-    assert seq == par
+def _cpus(monkeypatch, n):
+    """Make this process see `n` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _counted_forks(monkeypatch, limit=None):
+    """Wrap os.fork to record each call; past `limit` calls it raises
+    instead of forking, so a broken process count starts no processes."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        if limit is not None and len(forks) >= limit:
+            raise AssertionError(f"fork call {len(forks) + 1}, limit {limit}")
+        forks.append(os.getpid())
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_verify_workers_match_sequential(capsys, monkeypatch):
+    """Every suite, split into uneven shares (13 items: 7 + 6 or 5 + 5 + 3)
+    or left whole (9 items at 3 workers), prints what the serial run does."""
+    _cpus(monkeypatch, 8)
+    forks = _counted_forks(monkeypatch)
+    for seeds in (9, 13):
+        for fmt in ("machine", "human"):
+            base = ["verify", "--suite", "all", "--seeds", str(seeds), "--format", fmt]
+            _, seq, _ = run_cli(capsys, *base, "--workers", "1")
+            for workers in (2, 3):
+                forks.clear()
+                _, par, _ = run_cli(capsys, *base, "--workers", str(workers))
+                assert par == seq
+                assert len(forks) == (workers - 1 if seeds >= 4 * workers else 0)
 
 
 def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
@@ -431,72 +460,138 @@ def test_verify_machine_output_digest(capsys):
         "ecabfbb3d8792373cb61ed6e4a220b1f88a40550f710bb2d4eda7316df103e9f"
 
 
-def test_verify_opens_one_pool_per_call(capsys, monkeypatch):
-    """Every suite that qualifies for the pool reuses the one pool; the pool
-    here runs its jobs in this process, so only the count is tested."""
-    import concurrent.futures
-    from tensorcond import cli
-    opened = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            opened.append(max_workers)
-            initializer(*initargs)
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
+def test_verify_forks_once_per_extra_process(capsys, monkeypatch):
+    """Every split suite reuses the same forked workers: one fork per
+    process beyond the calling one, per call."""
     base = ["verify", "--suite", "pgroup-gap", "--suite", "min-sum",
-            "--suite", "symplectic-parity", "--seeds", "8", "--format", "machine"]
+            "--suite", "symplectic-parity", "--seeds", "16", "--format", "machine"]
     _, seq, _ = run_cli(capsys, *base)
-    monkeypatch.setattr(cli, "_POOL_STATE", {})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    _, par, _ = run_cli(capsys, *base, "--workers", "2")
-    assert opened == [2]
-    assert par == seq
+    _cpus(monkeypatch, 4)
+    forks = _counted_forks(monkeypatch)
+    for workers in (2, 3, 4):
+        forks.clear()
+        code, par, _ = run_cli(capsys, *base, "--workers", str(workers))
+        assert code == 0 and par == seq
+        assert forks == [os.getpid()] * (workers - 1)
 
 
-def test_pool_workers_take_the_loaded_corpus(capsys, monkeypatch):
-    """The corpus is read once per call: the pool's initializer receives the
-    loaded corpus itself, so a worker reads no file."""
-    import concurrent.futures
+def test_verify_workers_take_the_loaded_corpus(capsys, monkeypatch):
+    """The corpus is read once per call, in the calling process; each forked
+    worker receives that same corpus object and reads no file."""
     from tensorcond import cli
-    loads, received = [], []
-    real_load = cli.load_corpus
+    pid, loads = os.getpid(), []
+    real_load, real_init = cli.load_corpus, cli._pool_init
 
     def counted_load(path):
-        loads.append(path)
-        return real_load(path)
+        if os.getpid() != pid:
+            raise AssertionError("a worker loaded the corpus")
+        loads.append(real_load(path))
+        return loads[-1]
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            received.extend(initargs)
-            initializer(*initargs)
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+    def checked_init(corpus):
+        if corpus is not loads[0]:
+            raise AssertionError("a worker received another corpus")
+        real_init(corpus)
 
     monkeypatch.setattr(cli, "load_corpus", counted_load)
-    monkeypatch.setattr(cli, "_POOL_STATE", {})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_pool_init", checked_init)
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "8",
                          "--workers", "2", "--format", "machine")
     assert code == 0
-    assert loads == [None]
-    assert len(received) == 1 and received[0] is cli._POOL_STATE["corpus"]
-    assert received[0].entries
+    assert len(loads) == 1 and loads[0].entries
+    assert len(forks) == 1
+
+
+def test_verify_holds_the_process_count_to_the_cpus(capsys, monkeypatch):
+    """--workers 64 on 2 CPUs runs 2 processes; a third fork would raise
+    here instead of starting a process."""
+    base = ["verify", "--suite", "symplectic-parity", "--seeds", "256",
+            "--format", "machine"]
+    _, seq, _ = run_cli(capsys, *base)
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch, limit=1)
+    code, par, err = run_cli(capsys, *base, "--workers", "64")
+    assert (code, err) == (0, "") and par == seq
+    assert len(forks) == 1
+
+
+def test_verify_runs_one_process_without_fork(capsys, monkeypatch):
+    base = ["verify", "--suite", "min-sum", "--seeds", "12", "--format", "machine"]
+    _, seq, _ = run_cli(capsys, *base)
+    _cpus(monkeypatch, 4)
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, *base, "--workers", "4") == (0, seq, "")
+
+
+def _fail_in_share_one(monkeypatch, failure):
+    """Make min-sum's check call failure() on item 5, which is in share 1 of
+    8 items at two workers."""
+    import dataclasses
+    from tensorcond import suites as suites_mod
+    from tensorcond.corpus import load_corpus
+    suite = suites_mod.SUITES["min-sum"]
+    target, _ = suite.generate(load_corpus(), 0, 5)
+
+    def check(doc, reader):
+        if doc == target:
+            failure()
+        return suite.check(doc, reader)
+    monkeypatch.setitem(suites_mod.SUITES, "min-sum", dataclasses.replace(suite, check=check))
+
+
+def test_verify_worker_error_matches_the_serial_run(capsys, monkeypatch):
+    """A TensorCondError raised in a worker's share ends the call as the
+    serial run does: same exit code, stdout and stderr; no child is left."""
+    from tensorcond.errors import PreconditionError
+
+    def fail():
+        raise PreconditionError("forced failure of item 5")
+    _fail_in_share_one(monkeypatch, fail)
+    base = ["verify", "--suite", "symplectic-parity", "--suite", "min-sum",
+            "--seeds", "8", "--format", "machine"]
+    seq = run_cli(capsys, *base, "--workers", "1")
+    assert seq[0] == 2 and seq[1] and "forced failure of item 5" in seq[2]
+    _cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    assert run_cli(capsys, *base, "--workers", "2") == seq
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure, message", [
+    (lambda: 1 // 0, "verify worker 1 failed in suite min-sum: ZeroDivisionError"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "verify worker 1 ended before its share of suite min-sum"),
+], ids=["exception", "signal"])
+def test_verify_names_a_worker_that_fails_otherwise(capsys, monkeypatch, failure, message):
+    """Any other failure in a worker, an exception or a signal, raises in the
+    calling process naming the worker and the suite; no child is left."""
+    pid = os.getpid()
+    _fail_in_share_one(monkeypatch, lambda: os.getpid() != pid and failure())
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=message):
+        main(["verify", "--suite", "min-sum", "--seeds", "8", "--workers", "2"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_workers_import_no_process_pool():
+    """A --workers 2 run that forks imports neither multiprocessing nor
+    concurrent.futures."""
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from tensorcond.cli import main\n"
+              "code = main(['verify', '--suite', 'min-sum', '--seeds', '8',\n"
+              "             '--workers', '2', '--format', 'machine'])\n"
+              "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+              "                   if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_sharpness_refuses_a_prime_above_the_order_cap_before_computing(capsys,
@@ -977,7 +1072,8 @@ def test_verify_refuses_a_corpus_group_with_a_huge_parameter(tmp_path, capsys):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(doc))
     _refused_naming(*run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "1",
-                             "--corpus", str(path)), "entry 'c4': 'p'")
+                             "--corpus", str(path)),
+                    "entry 'c4': entries[0].group: 'p'")
 
 
 def test_sharpness_refuses_a_huge_p(capsys):
