@@ -5,8 +5,9 @@ pair), global (factored global bounds), sharpness (the Jacobian family),
 table (character table), replay (re-run a counterexample document).
 
 Exit codes: 0 all checks pass, 1 violation (a counterexample document is
-emitted), 2 malformed input.  Machine output is a line-delimited JSON
-stream; exact rationals are serialized as "p/q" strings, never floats.
+emitted), 2 malformed input, 141 stdout closed early (as by `| head`).
+Machine output is a line-delimited JSON stream; exact rationals are
+serialized as "p/q" strings, never floats.
 """
 
 from __future__ import annotations
@@ -279,10 +280,11 @@ def _sharpness_family(args) -> list:
 
 def _run_sharpness(args, machine: bool) -> int:
     family = _sharpness_family(args)
+    reader = ChainReader()
     all_equal = True
     for params in family:
         p, a = params.p, params.a
-        report = verify_sharpness(params)
+        report = verify_sharpness(params, reader)
         all_equal = all_equal and report.equal
         if machine:
             print(json.dumps(report.to_json(), sort_keys=True))
@@ -395,17 +397,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     machine = args.format == "machine"
     try:
-        return _RUNNERS[args.command](args, machine)
+        code = _RUNNERS[args.command](args, machine)
+        sys.stdout.flush()  # a reader that left shows here at the latest
+        return code
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except TensorCondError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: the interpreter's
+        # last flush writes to devnull (verify's workers are reaped already)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

@@ -117,7 +117,9 @@ def reduce_mod_phi(n: int, coeffs: Sequence[Rational]) -> list:
 
 def exponent_sum_value(n: int, coeffs: Sequence[Rational]) -> Optional[Fraction]:
     """sum_k coeffs[k] * zeta_n^k (k <= 2n) as a Fraction, with one reduction
-    mod Phi_n; None when the sum is not rational."""
+    mod Phi_n (none for a constant); None when the sum is not rational."""
+    if not any(coeffs[1:]):
+        return Fraction(coeffs[0] if coeffs else 0)
     out = reduce_mod_phi(n, coeffs)
     if any(out[1:]):
         return None

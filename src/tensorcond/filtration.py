@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .chars import Character, ClassFunction, character_table, fixed_dim
@@ -57,8 +59,9 @@ class ConductorReport:
         assert all(a >= b for a, b in zip(self.level_terms, self.level_terms[1:])), \
             "conductor terms must be weakly decreasing"
         assert all(t >= 0 for t in self.level_terms)
-        assert self.total == sum(Fraction(t, d) for t, d in
-                                 zip(self.level_terms, self.indices))
+        m = lcm(*self.indices)
+        assert self.total == Fraction(
+            sum(t * m // d for t, d in zip(self.level_terms, self.indices)), m)
         if self.excess_terms is not None:
             assert all(t >= 0 for t in self.excess_terms)
 
@@ -72,21 +75,29 @@ class ConductorReport:
         return doc
 
 
+def _fixed_by_size(chi: ClassFunction, filt: Filtration) -> dict:
+    """|G_i| -> fixed_dim(chi, G_i), once per distinct level (in a
+    descending chain, levels of one size are one subgroup)."""
+    return {H.size: fixed_dim(chi, H) for H in {H.size: H for H in filt.chain}.values()}
+
+
 def conductor(tau: ClassFunction, filt: Filtration,
               sigma: Optional[ClassFunction] = None) -> ConductorReport:
     """Exact conductor exponent of tau over the filtration.
 
     With a second character the tensor-excess terms and their weighted
-    total are reported as well.
+    total are reported as well.  A level's weight 1/[G_0 : G_i] is
+    |G_i|/|G_0|, so each total is one fraction over |G_0|.
     """
-    terms = tuple(nonfixed_dim(tau, filt, i) for i in range(len(filt)))
-    total = sum((Fraction(t, d) for t, d in zip(terms, filt.indices)), Fraction(0))
+    sizes, order = [H.size for H in filt.chain], filt.parent.order
+    dim, fixed = tau.dim, _fixed_by_size(tau, filt)
+    terms = tuple(dim - fixed[n] for n in sizes)
+    total = Fraction(sum(map(mul, terms, sizes)), order)
     excess_terms = excess_total = None
     if sigma is not None:
-        excess_terms = tuple(tensor_fixed_excess(tau, sigma, filt, i)
-                             for i in range(len(filt)))
-        excess_total = sum((Fraction(t, d) for t, d in zip(excess_terms, filt.indices)),
-                           Fraction(0))
+        f12, f2 = _fixed_by_size(tau * sigma, filt), _fixed_by_size(sigma, filt)
+        excess_terms = tuple(f12[n] - fixed[n] * f2[n] for n in sizes)
+        excess_total = Fraction(sum(map(mul, excess_terms, sizes)), order)
     return ConductorReport(terms, filt.indices, total, excess_terms, excess_total)
 
 

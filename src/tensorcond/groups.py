@@ -3,9 +3,9 @@
 Every group is a table on element indices 0..order-1 with identity 0.
 Named constructions (cyclic, dihedral, quaternion, Heisenberg, affine, ...)
 write each row of their table by index arithmetic on the element
-encoding their docstring gives; `FiniteGroup` validates the table a row
-at a time (associativity by Light's test on a few generators) and finds
-the classes as orbits under the same generators.
+encoding their docstring gives, a group by construction, so they skip the
+axiom checks `FiniteGroup(table)` makes a row at a time (associativity by
+Light's test on a few generators).  Classes are orbits under those generators.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise GroupConstructionError("empty multiplication table")
-        self.order = n
-        self.table = table = tuple(tuple(row) for row in table)
+        table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in table):
             raise GroupConstructionError("table is not square over 0..n-1")
         # a row of n entries that holds every index of 0..n-1 is a
@@ -95,21 +94,44 @@ class FiniteGroup:
             if not all(0 <= x < n for row in table for x in row):
                 raise GroupConstructionError("table is not square over 0..n-1")
             raise GroupConstructionError(f"row {bad} is not a permutation")
-        self.name = name
-        self.spec = spec or {}
-
         ident = tuple(range(n))
         identity = next((e for e, row in enumerate(table)
                          if row == ident and tuple(r[e] for r in table) == ident), None)
         if identity is None:
             raise GroupConstructionError("no two-sided identity")
-        self.identity = identity
+        for a, row in enumerate(table):
+            if table[row.index(identity)][a] != identity:
+                raise GroupConstructionError(f"element {a} has no inverse")
+        # Light's test: (x s) y = x (s y) for each generator s, a row at a
+        # time (the row of x s against the row of x read at the row of s).
+        # The elements passing it are closed under products, and every
+        # element is a left-normed word in the generators, so it suffices.
+        for s in self._derive(table, identity, name, spec):
+            read_s = itemgetter(*table[s])
+            for x, row in enumerate(table):
+                left, right = table[row[s]], read_s(row)
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise GroupConstructionError(
+                        f"table is not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
 
+    @classmethod
+    def _named(cls, table: Sequence[Sequence[int]], name: str, spec: dict) -> "FiniteGroup":
+        """A table that is a group by construction, with identity 0 (the
+        named constructors'): the derivation alone, no axiom checked."""
+        G = cls.__new__(cls)
+        G._derive(tuple(map(tuple, table)), 0, name, spec)
+        return G
+
+    def _derive(self, table, identity: int, name: str, spec: Optional[dict]) -> list:
+        """Inverses, orders, exponent and classes; returns the generators
+        the classes were found with (the order check only stops a loop)."""
+        n = len(table)
+        self.order, self.table, self.identity = n, table, identity
+        self.name = name
+        self.spec = spec or {}
         # in a permutation row the one b with a*b = 1 is found by index
         self.inverses = tuple(row.index(identity) for row in table)
-        for a, b in enumerate(self.inverses):
-            if table[b][a] != identity:
-                raise GroupConstructionError(f"element {a} has no inverse")
 
         # one walk through the powers of g gives every order in <g>:
         # ord(g^j) = k / gcd(j, k) for k = ord(g)
@@ -131,20 +153,7 @@ class FiniteGroup:
         self.element_orders = tuple(orders)
         self.exponent = lcm(*set(orders))
 
-        # Light's test: (x s) y = x (s y) for each generator s, a row at a
-        # time (the row of x s against the row of x read at the row of s).
-        # The elements passing it are closed under products, and every
-        # element is a left-normed word in the generators, so it suffices.
         gens, _ = _generators(table, identity, range(n))
-        for s in gens:
-            read_s = itemgetter(*table[s])
-            for x, row in enumerate(table):
-                left, right = table[row[s]], read_s(row)
-                if left != right:
-                    y = next(y for y in range(n) if left[y] != right[y])
-                    raise GroupConstructionError(
-                        f"table is not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
-
         self.classes, self.class_of = self._conjugacy_classes(gens)
         self.class_reps = tuple(c[0] for c in self.classes)
         self.class_sizes = tuple(len(c) for c in self.classes)
@@ -152,6 +161,7 @@ class FiniteGroup:
 
         self._power_class: dict = {}
         self._char_table = None
+        return gens
 
     # -- basic operations ---------------------------------------------------
 
@@ -203,23 +213,33 @@ class Subgroup:
     __slots__ = ("parent", "elements", "member", "size", "class_counts")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
-        elems = sorted(set(elements))
-        member = frozenset(elems)
+        member = frozenset(elements)
         if parent.identity not in member:
             raise GroupConstructionError("subgroup must contain the identity")
         # the words of a finite group form a subgroup, and they include the
         # members, so the set is one iff there are no more words than members
-        gens, words = _generators(parent.table, parent.identity, elems)
-        if len(words) != len(elems):
+        gens, words = _generators(parent.table, parent.identity, sorted(member))
+        if len(words) != len(member):
             raise GroupConstructionError(
                 f"subgroup not closed under products: a word in the "
                 f"members {gens} lies outside it")
+        self._fill(parent, member)
+
+    @classmethod
+    def _closed(cls, parent: FiniteGroup, elements: Iterable[int]) -> "Subgroup":
+        """A set closed under products by construction, without the
+        closure certificate."""
+        H = cls.__new__(cls)
+        H._fill(parent, frozenset(elements))
+        return H
+
+    def _fill(self, parent: FiniteGroup, member: frozenset):
         self.parent = parent
-        self.elements = tuple(elems)
+        self.elements = tuple(sorted(member))
         self.member = member
-        self.size = len(elems)
+        self.size = len(member)
         counts = [0] * len(parent.classes)
-        for a in elems:
+        for a in member:
             counts[parent.class_of[a]] += 1
         self.class_counts = tuple(counts)
 
@@ -281,20 +301,21 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``gens``: the words in the generators,
     found by right multiplication from the identity.  In a finite group
     these are already closed under products and inverses (each g^-1 is a
-    power of g)."""
+    power of g), so no closure certificate is searched for again."""
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
             raise GroupConstructionError(f"generator index {g} out of range")
-    return Subgroup(G, closure(G.identity, lambda x: map(G.table[x].__getitem__, gens)))
+    words = closure(G.identity, lambda x: map(G.table[x].__getitem__, gens))
+    return Subgroup._closed(G, words)
 
 
 def whole_group(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, range(G.order))
+    return Subgroup._closed(G, range(G.order))
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, [G.identity])
+    return Subgroup._closed(G, [G.identity])
 
 
 class Filtration:
@@ -357,7 +378,7 @@ def _cyclic_rows(n: int) -> list:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("cyclic order must be >= 1")
-    return FiniteGroup(_cyclic_rows(n), name=f"C{n}", spec={"kind": "cyclic", "n": n})
+    return FiniteGroup._named(_cyclic_rows(n), f"C{n}", {"kind": "cyclic", "n": n})
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -375,7 +396,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
                    for row in table]
         table = [tuple(chain.from_iterable(blocks[t:] + blocks[:t]))
                  for t in range(p) for blocks in shifted]
-    return FiniteGroup(table, f"E{p}^{k}", {"kind": "elementary_abelian", "p": p, "k": k})
+    return FiniteGroup._named(table, f"E{p}^{k}", {"kind": "elementary_abelian", "p": p, "k": k})
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -388,8 +409,8 @@ def dihedral(n: int) -> FiniteGroup:
     # ref rot^b ref^c = rot^-b ref^(1+c), and the row of rot^a ref is the
     # row of rot^a read at the entries of the row of ref
     ref = itemgetter(*((-b) % n + n * (1 - c) for c in range(2) for b in range(n)))
-    return FiniteGroup(rot + [ref(r) for r in rot], name=f"D{n}",
-                       spec={"kind": "dihedral", "n": n})
+    return FiniteGroup._named(rot + [ref(r) for r in rot], f"D{n}",
+                              {"kind": "dihedral", "n": n})
 
 
 # products of 1, i, j, k: index u + 4 for -u
@@ -400,7 +421,7 @@ def quaternion8() -> FiniteGroup:
     """Q8 with indices 0..7 = 1, i, j, k, -1, -i, -j, -k."""
     table = [[(_Q8_UNITS[x % 4][y % 4] + 4 * (x // 4 + y // 4)) % 8 for y in range(8)]
              for x in range(8)]
-    return FiniteGroup(table, name="Q8", spec={"kind": "quaternion8"})
+    return FiniteGroup._named(table, "Q8", {"kind": "quaternion8"})
 
 
 def heisenberg(p: int) -> FiniteGroup:
@@ -416,8 +437,8 @@ def heisenberg(p: int) -> FiniteGroup:
                for c in range(p) for b in range(p)]
     shears = [itemgetter(*((a + d) % p + p * e + p * p * ((f + a * e) % p) for d, e, f in cells))
               for a in range(p)]
-    return FiniteGroup([shear(row) for row in central for shear in shears],
-                       name=f"Heis{p}", spec={"kind": "heisenberg", "p": p})
+    return FiniteGroup._named([shear(row) for row in central for shear in shears],
+                              f"Heis{p}", {"kind": "heisenberg", "p": p})
 
 
 def affine(p: int) -> FiniteGroup:
@@ -438,7 +459,7 @@ def affine(p: int) -> FiniteGroup:
         dilation = itemgetter(*((a * a2 % p - 1) * p + a * b2 % p
                                 for a2 in range(1, p) for b2 in range(p)))
         table.extend(map(dilation, translations))
-    return FiniteGroup(table, name=f"Aff{p}", spec={"kind": "affine", "p": p})
+    return FiniteGroup._named(table, f"Aff{p}", {"kind": "affine", "p": p})
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
@@ -456,7 +477,7 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
                 for g_row in G.table for r_row in rows]
     spec = {"kind": "direct_product",
             "factors": [f.spec for f in factors if f.spec]}
-    return FiniteGroup(rows, name="x".join(f.name for f in factors), spec=spec)
+    return FiniteGroup._named(rows, "x".join(f.name for f in factors), spec)
 
 
 def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:

@@ -3,24 +3,25 @@
 For a unit a with a^(p-1) != 1 mod p^2 the pair (J_a, J_p) realises every
 tensor-conductor bound in this package with equality.  Swan exponents come
 from an exact integer resultant (no p-adic truncation), by Euclid's
-algorithm over Q; the compositum is handled by per-character Swan slopes
-with the ultrametric product rule instead of an explicit ramification
-chain.
+algorithm on integer pseudo-remainders; the compositum is handled by
+per-character Swan slopes with the ultrametric product rule instead of an
+explicit ramification chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Tuple
 
-from .chars import ClassFunction, character_table, fixed_dim
+from .chars import ClassFunction, character_table
+from .corpus import ChainReader, CorpusChain
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
 from . import groups
-from .groups import (FiniteGroup, Filtration, Subgroup, affine, is_prime, whole_group,
-                     trivial_subgroup)
-from .filtration import nonfixed_dim, tensor_rhs
-from .weildeligne import InertiaModel, WDRep, improvement_constant
+from .groups import FiniteGroup, is_prime
+from .filtration import conductor, tensor_rhs
+from .weildeligne import WDRep, improvement_constant
 
 
 @dataclass(frozen=True)
@@ -70,40 +71,35 @@ def _poly_strip(p: list) -> list:
     return p
 
 
-def _poly_rem(a: Sequence, b: Sequence) -> list:
-    """The remainder of a by b over Q, both ascending coefficients and b
-    with a nonzero leading one."""
-    a = list(a)
-    m = len(b) - 1
-    while len(a) > m:
-        c = a.pop()
-        if c:
-            c = Fraction(c) / b[-1]
-            d = len(a) - m
-            for j in range(m):
-                a[d + j] -= c * b[j]
-    return _poly_strip(a)
-
-
 def sylvester_resultant(f: List[int], g: List[int]) -> int:
     """Resultant of two integer polynomials (ascending coefficients), by
-    Euclid's algorithm over Q: with r = f mod g,
+    Euclid's algorithm: with r = f mod g over Q,
     res(f, g) = (-1)^(deg f deg g) lc(g)^(deg f - deg r) res(g, r),
-    down to res(f, c) = c^deg f for a constant c, and 0 when r = 0."""
+    down to res(f, c) = c^deg f for a constant c, and 0 when r = 0.  In
+    integers, lc(g)^k f = q g + c r' with k = max(deg f - deg g + 1, 0) and
+    r' primitive, so res(g, r) = (c / lc(g)^k)^deg g res(g, r')."""
     f, g = _poly_strip(list(f)), _poly_strip(list(g))
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    res = Fraction(1)
+    num = den = 1
     while len(g) > 1:
-        r = _poly_rem(f, g)
-        if not r:
+        n, m, lead = len(f) - 1, len(g) - 1, g[-1]
+        prem = list(f)  # each step scales by lc(g) and cancels the top term
+        while len(prem) > m:
+            c, d = prem.pop(), len(prem) - m
+            prem = [x * lead for x in prem]
+            for j in range(m):
+                prem[d + j] -= c * g[j]
+        if not _poly_strip(prem):
             return 0
-        n, m = len(f) - 1, len(g) - 1
-        res *= (-1) ** (n * m) * g[-1] ** (n - len(r) + 1)
-        f, g = g, r
-    res *= g[0] ** (len(f) - 1)
-    assert res.denominator == 1
-    return res.numerator
+        content = gcd(*prem)
+        num *= (-1) ** (n * m) * lead ** (n - len(prem) + 1) * content ** m
+        den *= lead ** (max(n - m + 1, 0) * m)
+        f, g = g, [x // content for x in prem]
+    num *= g[0] ** (len(f) - 1)
+    res, rest = divmod(num, den)
+    assert rest == 0
+    return res
 
 
 def _p_valuation(p: int, n: int) -> int:
@@ -152,21 +148,21 @@ def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
     return ClassFunction(G, vals)
 
 
+def _jacobian_chain(chains: ChainReader, p: int, swan: int) -> CorpusChain:
+    """The model chain of a J_alpha with Sw(J_alpha) = swan, as a reference:
+    Aff(p), then `swan` copies of the translations (x -> x + 1 is 1), then 1."""
+    return chains({"group": {"kind": "affine", "p": p}, "subgroups": [[1]] * swan,
+                   "model_p": p}, f"the Aff({p}) model")
+
+
 def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
     """J_alpha as one block (chi, 1), chi the unique irreducible of degree
     p-1 of G_0 = Aff(p), over the lower-numbering model: G_0, then
     Sw(J_alpha) copies of the order-p translation subgroup, then 1."""
-    G = affine(p)
-    T = character_table(G)
+    model = _jacobian_chain(ChainReader(), p, swan_jacobian(p, alpha)).model()
+    T = character_table(model.group)
     chi = T.assemble([int(d == p - 1) for d in T.degrees])
-    return WDRep(_inertia_model(G, p, swan_jacobian(p, alpha)), [(chi, 1)])
-
-
-def _inertia_model(G: FiniteGroup, p: int, swan: int) -> InertiaModel:
-    """The model over G = Aff(p) whose chain has `swan` translation levels."""
-    translations = Subgroup(G, range(p))
-    chain = [whole_group(G)] + [translations] * swan + [trivial_subgroup(G)]
-    return InertiaModel(G, Filtration(G, chain), p)
+    return WDRep(model, [(chi, 1)])
 
 
 # -- break (Swan slope) route ---------------------------------------------------
@@ -185,29 +181,35 @@ class BreakRep:
     characters: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        for vec, brk in self.characters:
+        p = self.p
+        _, nums = _numerators(brk for _, brk in self.characters)
+        lines = {}
+        for (vec, _), num in zip(self.characters, nums):
             if len(vec) != self.rank:
                 raise ValueError("exponent vector of the wrong rank")
-            if all(x % self.p == 0 for x in vec):
+            nonzero = [x for x in vec if x % p]
+            if not nonzero:
                 raise ValueError("trivial characters must be omitted")
-            if brk <= 0:
+            if num <= 0:
                 raise ValueError("breaks must be positive")
-        lines = {}
-        for vec, brk in self.characters:
-            lines.setdefault(_line_of(vec, self.p), set()).add(brk)
+            # the F_p-line of vec, by its representative with leading entry 1
+            inv = pow(nonzero[0], -1, p)
+            lines.setdefault(tuple([x * inv % p for x in vec]), set()).add(num)
         for line, brks in lines.items():
             if len(brks) != 1:
                 raise ValueError(f"break not constant on the direction {line}")
 
     def swan(self) -> Fraction:
-        return sum((brk for _, brk in self.characters), Fraction(0))
+        denominator, nums = _numerators(brk for _, brk in self.characters)
+        return Fraction(sum(nums), denominator)
 
 
-def _line_of(vec: Tuple[int, ...], p: int) -> Tuple[int, ...]:
-    """Canonical representative of the F_p-line spanned by vec."""
-    lead = next(x % p for x in vec if x % p)
-    inv = pow(lead, -1, p)
-    return tuple(x * inv % p for x in vec)
+def _numerators(breaks) -> Tuple[int, List[int]]:
+    """The least common denominator of the breaks and each break's numerator
+    over it, so that comparing, taking maxima and summing are on integers."""
+    breaks = list(breaks)
+    denominator = lcm(*{b.denominator for b in breaks})
+    return denominator, [b.numerator * (denominator // b.denominator) for b in breaks]
 
 
 def joint_break_model(params: FamilyParams) -> Tuple[BreakRep, BreakRep]:
@@ -234,15 +236,18 @@ def tensor_break_rep(r1: BreakRep, r2: BreakRep) -> BreakRep:
     if r1.p != r2.p or r1.rank != r2.rank:
         raise PreconditionError("break representations live on different wild groups")
     p = r1.p
+    _, nums = _numerators(brk for _, brk in r1.characters + r2.characters)
+    left = list(zip(r1.characters, nums))
+    right = list(zip(r2.characters, nums[len(left):]))
     chars = []
-    for v1, b1 in r1.characters:
-        for v2, b2 in r2.characters:
-            vec = tuple((x + y) % p for x, y in zip(v1, v2))
-            if all(x == 0 for x in vec):
+    for (v1, b1), n1 in left:
+        for (v2, b2), n2 in right:
+            vec = tuple([(x + y) % p for x, y in zip(v1, v2)])
+            if not any(vec):
                 continue  # trivial: break 0, contributes nothing
-            if b1 == b2:
+            if n1 == n2:
                 raise PreconditionError("equal slopes: product break is not determined")
-            chars.append((vec, max(b1, b2)))
+            chars.append((vec, b1 if n1 > n2 else b2))
     return BreakRep(p, r1.rank, tuple(chars))
 
 
@@ -283,17 +288,19 @@ class SharpnessReport:
         }
 
 
-def verify_sharpness(params: FamilyParams) -> SharpnessReport:
+def verify_sharpness(params: FamilyParams,
+                     chains: Optional[ChainReader] = None) -> SharpnessReport:
     """Check that both tensor-conductor bounds are met with equality.
 
-    Swan exponents are computed twice (discriminant resultant and the
-    filtration model) and must agree; the tensor Swan comes from the break
-    calculus; the tensor Artin adds the tame part, which is the full
-    dimension because neither inertia level has fixed vectors.  Both models
-    share one affine group, and their one block (chi, 1) is read by the
-    class averages of InertiaModel, so no character table is built; each
-    model's conductor is taken once, and its Swan exponent is that minus
-    the tame term.
+    Swan exponents are computed three ways and must agree: by the
+    discriminant resultant, on the filtration model, and by the break
+    calculus, which also gives the tensor Swan; the tensor Artin adds the
+    tame part, which is the full dimension because neither inertia level
+    has fixed vectors.  Both models are chains on one Aff(p), read through
+    `chains` (a fresh ChainReader when none is given), so a run builds each
+    Aff(p) and each model once.  Their one block (chi, 1) is read by class
+    averages, so no character table is built; each model's conductor is
+    taken once, and its Swan exponent is that minus the tame term.
     """
     p, a = params.p, params.a
     dim = p - 1
@@ -301,15 +308,17 @@ def verify_sharpness(params: FamilyParams) -> SharpnessReport:
     sw_a = swan_jacobian(p, a)
     sw_p = swan_jacobian(p, p)
 
-    G = affine(p)
-    chi = _standard_character(G, p)
-    models = [_inertia_model(G, p, sw) for sw in (sw_a, sw_p)]
-    artin_a, artin_p = (m.artin(chi) for m in models)
-    # Sw = a minus the tame term, the codimension of the G_0-fixed space
-    sw_a_filt, sw_p_filt = (artin - nonfixed_dim(chi, m.filtration, 0)
-                            for artin, m in zip((artin_a, artin_p), models))
-    deg_a, deg_p = (m.inertia_fixed(chi) for m in models)
-    wild_fixed = [fixed_dim(chi, m.filtration[1]) for m in models]
+    reader = ChainReader() if chains is None else chains
+    filts = [_jacobian_chain(reader, p, sw).model().filtration for sw in (sw_a, sw_p)]
+    chi = _standard_character(filts[0].parent, p)
+    reports = [conductor(chi, filt) for filt in filts]
+    artin_a, artin_p = (r.total for r in reports)
+    # level terms are codimensions of fixed spaces: the inertia level's is the
+    # tame part of a, and level 1 is the wild group
+    sw_a_filt, sw_p_filt = (r.total - r.level_terms[0] for r in reports)
+    chi_dim = chi.dim
+    deg_a, deg_p = (chi_dim - r.level_terms[0] for r in reports)
+    wild_fixed = [chi_dim - r.level_terms[1] for r in reports]
 
     rep_a, rep_p = joint_break_model(params)
     prod = tensor_break_rep(rep_a, rep_p)

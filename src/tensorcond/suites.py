@@ -484,7 +484,7 @@ def _gen_sharpness(corpus, base_seed, i):
 def _check_sharpness(doc, chains):
     """Sharpness sweep plus the discriminant-valuation closed form."""
     p, a = int_field(doc, "p"), int_field(doc, "a")
-    report = verify_sharpness(validate_params(p, a))
+    report = verify_sharpness(validate_params(p, a), chains)
     # the report's Swan exponents are v(disc) - p + 1 for alpha = a and p
     disc = {a: report.sw_a + p - 1, p: report.sw_p + p - 1}
     for alpha in (p * p, a * p, a + p):

@@ -15,9 +15,11 @@ The named groups are rebuilt from explicit element encodings (tuples with
 a multiplication rule, one dict lookup per table entry), a second route to
 the constructors' index arithmetic; conjugation orbits of every element and
 element orders by repeated multiplication are a second route to the classes
-and orders that `FiniteGroup` derives; and fraction-free Bareiss
+and orders that `FiniteGroup` derives; fraction-free Bareiss
 elimination on the dense Sylvester matrix is a second route to the
-resultant that the package computes by Euclid's algorithm.
+resultant that the package computes by Euclid's algorithm; and the max
+rule summed on Fractions is a second route to the break calculus, which
+the package runs on integer numerators.
 
 The class-function oracles at the end work on class values with CycloNum
 arithmetic only: inner products, restriction to a subgroup as a group of
@@ -38,7 +40,7 @@ from typing import Callable, Dict, List, Optional
 
 from tensorcond.chars import ClassFunction, character_table, gen_character_mults
 from tensorcond.cyclo import CycloNum
-from tensorcond.errors import NonCharacterError
+from tensorcond.errors import NonCharacterError, PreconditionError
 from tensorcond.groups import FiniteGroup, Subgroup, is_prime
 from tensorcond.suites import abvar_datum, gen_abvar_mults, gen_semistable_mults
 from tensorcond.weildeligne import AbVarDatum, InertiaModel
@@ -403,6 +405,48 @@ def bareiss_det(m: List[List[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+# -- break calculus oracle -------------------------------------------------------------
+
+
+def _check_breaks(p: int, rank: int, chars) -> None:
+    """The checks of a BreakRep on Fraction breaks, with its errors: every
+    entry first, then one break per F_p-line, the first clashing line (in
+    the order lines first appear) named."""
+    for vec, brk in chars:
+        if len(vec) != rank:
+            raise ValueError("exponent vector of the wrong rank")
+        if all(x % p == 0 for x in vec):
+            raise ValueError("trivial characters must be omitted")
+        if brk <= 0:
+            raise ValueError("breaks must be positive")
+    lines = {}
+    for vec, brk in chars:
+        lead = next(x % p for x in vec if x % p)
+        inv = pow(lead, -1, p)
+        lines.setdefault(tuple(x * inv % p for x in vec), set()).add(brk)
+    for line, brks in lines.items():
+        if len(brks) != 1:
+            raise ValueError(f"break not constant on the direction {line}")
+
+
+def tensor_break_swan(p: int, rank: int, chars1, chars2) -> Fraction:
+    """The Swan conductor of the product of two break representations given
+    as (vector, break) lists, by the max rule on Fractions, raising what
+    BreakRep and tensor_break_rep raise, in their order."""
+    _check_breaks(p, rank, chars1)
+    _check_breaks(p, rank, chars2)
+    product = []
+    for v1, b1 in chars1:
+        for v2, b2 in chars2:
+            vec = tuple((x + y) % p for x, y in zip(v1, v2))
+            if any(vec):
+                if b1 == b2:
+                    raise PreconditionError("equal slopes: product break is not determined")
+                product.append((vec, max(b1, b2)))
+    _check_breaks(p, rank, product)
+    return sum((brk for _, brk in product), Fraction(0))
 
 
 # -- class-function oracles ----------------------------------------------------------

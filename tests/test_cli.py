@@ -594,13 +594,56 @@ def test_verify_workers_import_no_process_pool():
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+CLOSED_STDOUT_SCRIPT = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, real_fork = [], os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+from tensorcond.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "no child left"
+print(len(forks), left, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_stops_cleanly_when_stdout_is_closed(workers):
+    """A reader that takes one line of a step-identity run (140 KB of
+    machine output, more than a pipe holds) and closes the pipe: the run
+    exits with the documented code, prints no traceback and leaves no
+    worker behind."""
+    from tensorcond.cli import EXIT_CLOSED_STDOUT
+    proc = subprocess.Popen(
+        [sys.executable, "-c", CLOSED_STDOUT_SCRIPT, "verify", "--suite", "step-identity",
+         "--format", "machine", "--workers", str(workers)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=subprocess_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT == 141, err
+    assert json.loads(first)["suite"] == "step-identity"
+    assert "Traceback" not in err
+    assert err.splitlines() == [f"{workers - 1} no child left"]
+
+
 def test_sharpness_refuses_a_prime_above_the_order_cap_before_computing(capsys,
                                                                         monkeypatch):
-    from tensorcond import jacobians
+    from tensorcond import groups, jacobians
 
     def never(*args):
         raise AssertionError("computed before the order cap was checked")
-    monkeypatch.setattr(jacobians, "affine", never)
+    monkeypatch.setattr(groups, "affine", never)
     monkeypatch.setattr(jacobians, "disc_valuation", never)
     code, out, err = run_cli(capsys, "sharpness", "--p", "1009")
     assert code == 2 and out == ""
@@ -608,6 +651,22 @@ def test_sharpness_refuses_a_prime_above_the_order_cap_before_computing(capsys,
     code, out, err = run_cli(capsys, "sharpness", "--max-p", "1009")
     assert code == 2 and out == ""
     assert "--max-p" in err and "Aff(47)" in err
+
+
+def test_verify_sharpness_builds_each_affine_group_once(capsys, monkeypatch):
+    """16 sharpness items cycle p = 3, 5, 7, 11, 13: the corpus brings
+    Aff(5), and the run builds each of the other four once."""
+    from tensorcond import groups
+    built, real_affine = [], groups.affine
+
+    def counting_affine(p):
+        built.append(p)
+        return real_affine(p)
+    monkeypatch.setattr(groups, "affine", counting_affine)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sharpness", "--seeds", "16",
+                           "--format", "machine")
+    assert code == 0 and len(out.splitlines()) == 17
+    assert built == [5, 3, 7, 11, 13]
 
 
 def test_sharpness_refuses_a_sweep_without_an_odd_prime(capsys):

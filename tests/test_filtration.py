@@ -200,3 +200,31 @@ def test_conductor_level_terms_match_the_kernel_on_every_corpus_chain():
         for chi in chars:
             kernel = tuple(chi.dim - chi.fixed(H) for H in chain.filtration.chain)
             assert conductor(chi, chain.filtration).level_terms == kernel, chain.label
+
+
+def test_conductor_on_repeated_levels_matches_the_per_level_sums():
+    """`conductor` takes each distinct level's fixed space once and sums
+    over |G_0|; on chains that repeat a level (aff5/wild-trans, and Aff13
+    with 13 translation levels) its terms and totals equal the level-by-level
+    nonfixed_dim and tensor_fixed_excess, weighted by 1/[G_0 : G_i]."""
+    from tensorcond.corpus import load_corpus
+    from tensorcond.groups import affine
+    wild_trans = next(c for c in load_corpus().all_chains() if c.label == "aff5/wild-trans")
+    for filt in (wild_trans.filtration, filtration_from_generators(affine(13), [[1]] * 13)):
+        assert len({H.size for H in filt.chain}) < len(filt)
+        T = character_table(filt.parent)
+        chars = list(T.irreducibles) + [gen_character(filt.parent, ("repeat", k), 30)
+                                        for k in range(3)]
+        for tau in chars:
+            for sigma in (None, chars[-1], chars[len(chars) // 2]):
+                report = conductor(tau, filt, sigma)
+                levels = range(len(filt))
+                terms = tuple(nonfixed_dim(tau, filt, i) for i in levels)
+                assert report.level_terms == terms
+                assert report.total == sum((Fraction(t, d) for t, d in
+                                            zip(terms, filt.indices)), Fraction(0))
+                if sigma is not None:
+                    excess = tuple(tensor_fixed_excess(tau, sigma, filt, i) for i in levels)
+                    assert report.excess_terms == excess
+                    assert report.excess_total == sum((Fraction(t, d) for t, d in
+                                                       zip(excess, filt.indices)), Fraction(0))

@@ -193,6 +193,19 @@ def test_subgroup_closure_validation():
         Subgroup(Q, [0, 1])  # not closed: i*i = -1 missing
 
 
+def test_subgroup_still_refuses_a_set_that_is_not_closed():
+    """subgroup_generated builds from its closure without the certificate;
+    Subgroup on a given set keeps it, so a generated subgroup with a member
+    added or removed is refused."""
+    for G, gens in ((affine(43), [1]), (dihedral(12), [2]), (heisenberg(5), [1])):
+        H = subgroup_generated(G, gens)
+        assert Subgroup(G, H.elements) == H and 2 < H.size < G.order
+        outside = next(g for g in range(G.order) if g not in H.member)
+        for S in (set(H.elements) | {outside}, set(H.elements) - {H.elements[-1]}):
+            with pytest.raises(GroupConstructionError, match="not closed under products"):
+                Subgroup(G, S)
+
+
 def test_subgroup_as_group():
     Q = quaternion8()
     H = subgroup_generated(Q, [1])  # <i> of order 4
@@ -349,8 +362,15 @@ def _spec_id(spec: dict) -> str:
 def test_constructors_match_the_encoding_oracle(spec):
     """Each constructor's table, name and spec against the group built from
     its element encoding, and the classes, element orders and exponent
-    against conjugation orbits and repeated multiplication."""
+    against conjugation orbits and repeated multiplication.  The named
+    constructors skip the axiom checks, so their table must pass them when
+    handed to FiniteGroup, and every triple is tried up to order 64."""
     G, R = build_group(spec), encoded_group(spec)
+    C = FiniteGroup(G.table, G.name, G.spec)
+    assert (C.classes, C.class_of, C.element_orders, C.inverses) == \
+        (G.classes, G.class_of, G.element_orders, G.inverses)
+    if G.order <= 64:
+        check_associativity(G)
     assert (G.table, G.name, G.spec, G.identity) == (R.table, R.name, R.spec, R.identity)
     assert (G.classes, G.class_of, G.element_orders, G.exponent) == \
         (R.classes, R.class_of, R.element_orders, R.exponent)

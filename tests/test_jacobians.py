@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tensorcond.errors import InvalidUnitError, PreconditionError
 from tensorcond.groups import is_prime
@@ -11,7 +12,7 @@ from tensorcond.jacobians import (BreakRep, FamilyParams, _p_valuation, disc_val
                                   tensor_break_rep, validate_params,
                                   verify_sharpness)
 
-from oracles import bareiss_det, sylvester_matrix
+from oracles import bareiss_det, sylvester_matrix, tensor_break_swan
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -123,32 +124,44 @@ def test_verify_sharpness_all_primes():
 
 
 def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
-    """One affine group shared by both models, one resultant per alpha
-    (the report's two, and the suite item's five, which reuse those two),
-    and no character table: the blocks are read by class averages."""
-    from tensorcond import jacobians, suites
-    groups, alphas = [], []
-    real_affine, real_resultant = jacobians.affine, jacobians.sylvester_resultant
+    """Through one reader, one Aff(p) per distinct p, shared by both models
+    and by every later report on that p; one resultant per alpha (the
+    report's two, and the suite item's five, which reuse those two); and no
+    character table: the blocks are read by class averages.  A call without
+    a reader, and a suite check given none, build their own group."""
+    from tensorcond import corpus, jacobians, suites
+    from tensorcond.corpus import ChainReader
+    built, alphas = [], []
+    real_build, real_resultant = corpus.build_group, jacobians.sylvester_resultant
 
-    def counting_affine(p):
-        groups.append(real_affine(p))
-        return groups[-1]
+    def counting_build(spec):
+        built.append(real_build(spec))
+        return built[-1]
 
     def counting_resultant(f, g):
         alphas.append(-f[0])  # f = x^p - alpha
         return real_resultant(f, g)
-    monkeypatch.setattr(jacobians, "affine", counting_affine)
+    monkeypatch.setattr(corpus, "build_group", counting_build)
     monkeypatch.setattr(jacobians, "sylvester_resultant", counting_resultant)
-    for p in (3, 7):
-        groups.clear(), alphas.clear()
+    reader = ChainReader()
+    for p in (3, 7, 3, 7):
+        alphas.clear()
         a = smallest_valid_unit(p)
+        assert verify_sharpness(validate_params(p, a), reader).equal
+        assert sorted(alphas) == sorted([a, p])
+    assert [G.spec for G in built] == [{"kind": "affine", "p": 3}, {"kind": "affine", "p": 7}]
+    assert all(G._char_table is None for G in built)
+    for p in (3, 7):
+        a = smallest_valid_unit(p)
+        built.clear(), alphas.clear()
         assert verify_sharpness(validate_params(p, a)).equal
-        assert len(groups) == 1 and sorted(alphas) == sorted([a, p])
-        assert groups[0]._char_table is None
-        groups.clear(), alphas.clear()
-        ok, detail = suites._check_sharpness({"p": p, "a": a}, None)
-        assert ok and detail["disc_closed_form"]
-        assert len(groups) == 1 and sorted(alphas) == sorted([a, p, p * p, a * p, a + p])
+        assert len(built) == 1 and built[0]._char_table is None
+        for chains, builds in ((None, 1), (reader, 0)):
+            built.clear(), alphas.clear()
+            ok, detail = suites._check_sharpness({"p": p, "a": a}, chains)
+            assert ok and detail["disc_closed_form"]
+            assert len(built) == builds
+            assert sorted(alphas) == sorted([a, p, p * p, a * p, a + p])
 
 
 def _times(a, b):
@@ -233,3 +246,60 @@ def test_jacobian_vector_is_the_standard_character():
         std = _standard_character(chi.group, p)
         assert n == 1 and list(chi.values) == list(std.values), p
         assert inner_product(std, std) == 1, p
+
+
+BREAKS = st.sampled_from([Fraction(n, d) for d in (1, 2, 3, 4) for n in range(1, 9)])
+
+
+@st.composite
+def break_characters(draw, p: int):
+    """Up to 6 (vector, break) entries of rank 2 mod p, nontrivial; usually
+    one break per line (drawn per line from a small pool, so that breaks
+    often coincide), sometimes any break per entry."""
+    pool = draw(st.lists(BREAKS, min_size=1, max_size=3))
+    per_line = draw(st.booleans())
+    chars = []
+    for _ in range(draw(st.integers(0, 6))):
+        vec = draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(any))
+        lead = next(x for x in vec if x)
+        line = tuple(x * pow(lead, -1, p) % p for x in vec)
+        chars.append((vec, pool[sum(line) % len(pool)] if per_line else draw(st.sampled_from(pool))))
+    return tuple(chars)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (ValueError, PreconditionError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+    lambda p: st.tuples(st.just(p), break_characters(p), break_characters(p))))
+@example((3, (((1, 0), Fraction(1, 2)), ((2, 0), Fraction(1, 2))),
+          (((0, 1), Fraction(3, 2)), ((1, 1), Fraction(5, 2)))))   # the product clashes
+@example((5, (((1, 2), Fraction(1, 4)),), (((1, 2), Fraction(1, 4)),)))  # equal slopes
+@example((7, (((1, 1), Fraction(1)), ((2, 2), Fraction(2))), ()))  # a clash in a factor
+def test_break_calculus_matches_the_fraction_reference(case):
+    """Random pairs of rank-2 break representations: the Swan conductor of
+    their product, and each error, equal the max rule summed on Fractions."""
+    p, chars1, chars2 = case
+
+    def integer_kernel():
+        return tensor_break_rep(BreakRep(p, 2, chars1), BreakRep(p, 2, chars2)).swan()
+    assert _outcome(integer_kernel) == _outcome(lambda: tensor_break_swan(p, 2, chars1, chars2))
+
+
+POLYNOMIALS = st.integers(0, 8).flatmap(lambda deg: st.tuples(
+    st.lists(st.integers(-30, 30), min_size=deg, max_size=deg),
+    st.integers(-30, 30).filter(bool)).map(lambda t: t[0] + [t[1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(POLYNOMIALS, POLYNOMIALS)
+def test_resultant_matches_bareiss_on_random_polynomials(f, g):
+    """Integer polynomials of degree at most 8 with a nonzero leading
+    coefficient: the pseudo-remainder resultant against the determinant of
+    the Sylvester matrix."""
+    assert sylvester_resultant(f, g) == bareiss_det(sylvester_matrix(f, g))
