@@ -2,27 +2,29 @@
 
 Representations are modelled by their characters only; every quantity the
 package computes (conductor terms, degrees, fixed spaces) is a character
-average.  Tables are found by the Dixon-Schneider method over F_q, q > |G|
-a prime = 1 mod exponent(G): Krylov projections of the identity class
-vector split it, one class matrix (built on demand) at a time, into the
-central characters.  Their values mod q are lifted by one inverse DFT per
-class that is not a power of a class of higher order, to the table's one
-exact datum: the eigenvalue form of each irreducible psi at each class c,
-the sorted terms (a, m) saying that zeta_e^a, e the group exponent, is an
-eigenvalue of rho(g), g in c, with multiplicity m > 0: its exponent form.
+average.  Tables are found by the Dixon-Schneider method over F_q, q the
+smallest prime > max(|G|, 2) with q = 1 mod e = exponent(G): Krylov
+projections of the identity class vector split it, one class matrix (built
+on demand) at a time, into the central characters.  Their values mod q are
+lifted by one inverse DFT per class that is not a power of a class of
+higher order, to the table's one datum: the eigenvalue form of each
+irreducible psi at each class c, the sorted terms (a, m) saying that
+zeta_e^a is an eigenvalue of rho(g), g in c, with multiplicity m > 0: its
+exponent form.  One prime is enough: q does not divide |G| and F_q holds
+the e-th roots of unity, so F_q splits the class algebra (`character_table`).
 
-The build is accepted only with a certificate that reads the forms alone:
-(a) the degrees' squares sum to |G|; every form at c is deg psi roots of
-unity of order dividing ord(c); (b) psi(g^k) = sigma_k(psi(g)) as
-multisets, for units k generating the units mod e; (c) the forms mod q,
-zeta_e -> w, are the residues the table keeps; (d) the Gram matrix S_ij =
-sum_c |c| psi_i(c) psi_j(c^-1) is |G| I mod q; (e) S_ii = |G| mod q', the
-next table prime.  By (b) and the class permutations c -> c^k, each S_ij
-is a Galois-fixed algebraic integer, so a rational integer, and psi(c^-1)
-is the conjugate of psi(c) (k = -1).  |psi(c)| <= deg psi, so 0 <= S_ii <=
-|G| deg^2 <= |G|^2 and |S_ii - |G|| < q q': (d) and (e) give S_ii = |G|.
-By Cauchy-Schwarz |S_ij| <= |G| < q, so (d) gives S_ij = 0 for i != j:
-the class values are orthonormal, and exact, without any exact sum.
+`CharacterTable(group, forms, modulus)` certifies its forms, reading them
+alone: (a) there are r forms, their degrees' squares sum to |G|, and each
+form at c is deg psi roots of unity of order dividing ord(c); (b) psi(g^k)
+= sigma_k(psi(g)) as multisets, for units k generating the units mod e;
+(c) the Gram matrix S_ij = sum_c |c| psi_i(c) psi_j(c^-1) is |G| I mod q;
+(d) S_ii = |G| mod q', the next table prime.  By (b) and the class
+permutations c -> c^k, each S_ij is a Galois-fixed algebraic integer, so a
+rational integer, and psi(c^-1) is the conjugate of psi(c) (k = -1).
+|psi(c)| <= deg psi, so 0 <= S_ii <= |G| deg^2 <= |G|^2 and |S_ii - |G||
+< q q': (c) and (d) give S_ii = |G|.  By Cauchy-Schwarz |S_ij| <= |G| < q,
+so (c) gives S_ij = 0 for i != j: the class values are orthonormal, and
+exact, without any exact sum.  The table's residues are the forms mod q.
 
 A class function is held as its exponent form (m, rows): per class, the
 terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1), e | m.  As x
@@ -40,15 +42,15 @@ kernels take `Character`s and never decompose (`CharacterTable.own`).  The
 table caches what the integer kernels of `weildeligne` and `filtration`
 need: the fixed dimensions of each irreducible on a subgroup, the structure
 constants of tensor products, the Frobenius-Schur indicators, and the
-symplectic, self-dual and rational criteria, all read off the residues
-(the irreducibles' values mod q): see `residues`.
+symplectic, self-dual and rational criteria, all read off the residues:
+see `residues`.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache, wraps
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -248,14 +250,14 @@ class Character(ClassFunction):
 
 
 class CharacterTable:
-    """The irreducible characters of a finite group, in a fixed order."""
+    """The irreducible characters of a group, in a fixed order, from certified forms."""
 
     __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
                  "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
                  "_products", "_atoms")
 
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
-                 modulus: int, residues: Sequence[Sequence[int]]):
+                 modulus: int):
         self.group = group
         # per irreducible and class c, the eigenvalue form of rho(g), g in
         # c: the sorted (a, m) with m the multiplicity of the eigenvalue
@@ -267,13 +269,12 @@ class CharacterTable:
         one = group.class_of[group.identity]
         self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
-        # the irreducibles' values under Z[zeta_e] -> F_q, zeta_e -> w (the
-        # lift's root).  Rows of distinct irreducibles are orthogonal in F_q,
-        # |G| < q, so they differ: the dual, the Galois conjugates and the
-        # trivial character are looked up by their (class-permuted) rows.
-        # Fixed dimensions and structure constants are integers in [0, q),
-        # so their averages are taken in F_q.
-        self.residues = tuple(tuple(row) for row in residues)
+        # the forms' values in F_q, zeta_e -> w (`_certified_residues`).  Rows
+        # of distinct irreducibles are orthogonal in F_q, |G| < q, so they
+        # differ: the dual, the Galois conjugates and the trivial character
+        # are looked up by their (class-permuted) rows.  Fixed dimensions and
+        # structure constants are integers in [0, q), averaged in F_q.
+        self.residues = _certified_residues(group, self.forms, self.degrees, modulus)
         self._row_index = {row: i for i, row in enumerate(self.residues)}
         self._dual_index = None
         self._fs = None
@@ -408,7 +409,7 @@ class CharacterTable:
     @property
     def fs_indicators(self) -> Tuple[int, ...]:
         """nu_i = |G|^-1 sum_c |c| psi_i(c^2), taken in F_q from the residues:
-        the rows were proved irreducible by `_validate_table`, so nu_i is
+        the rows were proved irreducible when the table was built, so nu_i is
         -1, 0 or 1, and q > 2 tells them apart (-1 is q - 1)."""
         if self._fs is None:
             G = self.group
@@ -493,14 +494,10 @@ def _poly_roots_mod(coeffs, q):
     return roots
 
 
-def _smallest_table_prime(group: FiniteGroup) -> int:
-    e = group.exponent
-    q = group.order + 1 + (-group.order) % e  # smallest q > |G| with q = 1 mod e
-    return q if is_prime(q) else _next_table_prime(q, e)
-
-
-def _next_table_prime(q: int, e: int) -> int:
-    q += e
+def _table_prime(after: int, e: int) -> int:
+    """The smallest prime q > max(after, 2), q = 1 mod e: 1 and -1 differ mod q."""
+    after = max(after, 2)
+    q = after + 1 + (-after) % e
     while not is_prime(q):
         q += e
     return q
@@ -509,10 +506,8 @@ def _next_table_prime(q: int, e: int) -> int:
 @lru_cache(maxsize=None)
 def _primitive_root_of_unity(e: int, q: int) -> int:
     """Smallest primitive e-th root of unity in F_q (requires e | q-1)."""
-    if e == 1:
-        return 1
     prime_divs = [p for p in range(2, e + 1) if e % p == 0 and is_prime(p)]
-    for w in range(2, q):
+    for w in range(1, q):
         if pow(w, e, q) == 1 and all(pow(w, e // p, q) != 1 for p in prime_divs):
             return w
     raise TableComputationError(f"no primitive {e}-th root of unity mod {q}")
@@ -597,8 +592,6 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
             break
         mat = _class_matrix(group, i)
         pieces = [w for u in pieces for w in _split_piece(mat, u, q)]
-    if len(pieces) != r:
-        raise TableComputationError(f"found {len(pieces)} lines, expected {r}")
     vectors = []
     for v in pieces:
         if v[0] == 0:
@@ -610,17 +603,15 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
 
 def _lift_table(group: FiniteGroup, vectors, q):
     """Recover the irreducibles' eigenvalue forms from the mod-q central
-    characters: (forms, residue rows), each residue row the values mod q.
+    characters, ordered by degree and then by central character.
 
     The eigenvalue multiplicities m_j of rho(g) come from an inverse DFT
     over the values at g^k, k < n = ord(g), stopped once they sum to the
-    degree (`_validate_table` checks that the form gives back every
-    residue); those of rho(g^k) are the same multiplicities moved from
-    zeta_n^j to zeta_n^(jk).  So the classes are taken by decreasing
-    element order, and a DFT is run only for a class that is not a power
-    of one taken before."""
-    r = len(group.classes)
-    e = group.exponent
+    degree (the table's certificate checks the sum); those of rho(g^k) are
+    the same multiplicities moved from zeta_n^j to zeta_n^(jk).  So the
+    classes are taken by decreasing element order, and a DFT is run only
+    for a class that is not a power of one taken before."""
+    r, e = len(group.classes), group.exponent
     inv_class = group.inverse_class
     size_inv = [pow(size, -1, q) for size in group.class_sizes]
     wpow = _root_powers(e, q)
@@ -646,11 +637,11 @@ def _lift_table(group: FiniteGroup, vectors, q):
         plan.append((powers, dft_mats[n], e // n, pow(n, -1, q), moves))
     rows = []
     for v in vectors:
+        # |G|/s = deg^2 mod q, and deg^2 <= |G| < q: the residue is deg^2
         s = sum(v[i] * v[inv_class[i]] * size_inv[i] for i in range(r)) % q
-        target = group.order * pow(s, -1, q) % q
-        deg = next((d for d in range(1, group.order + 1)
-                    if d * d % q == target and d * d <= group.order), None)
-        if deg is None:
+        square = group.order * pow(s, -1, q) % q
+        deg = isqrt(square)
+        if deg * deg != square or square > group.order:
             raise TableComputationError("no admissible degree for an eigenvector")
         # character values mod q
         x = [deg * v[i] * size_inv[i] % q for i in range(r)]
@@ -662,35 +653,32 @@ def _lift_table(group: FiniteGroup, vectors, q):
             for j, zrow in enumerate(dft):
                 m = sum(map(mul, xs, zrow)) * ninv % q
                 if m:
-                    if m > left:
-                        raise TableComputationError(
-                            "eigenvalue multiplicities exceed the degree")
                     terms.append((j * step, m))
                     left -= m
                     if not left:
                         break
             for ck, k in moves:
                 form[ck] = _power_form(terms, k, e)
-        rows.append((deg, tuple(v), form, x))
+        rows.append((deg, tuple(v), form))
     rows.sort(key=lambda t: (t[0], t[1]))
-    return [row[2] for row in rows], [row[3] for row in rows]
+    return [row[2] for row in rows]
 
 
-def _validate_table(table: CharacterTable) -> None:
-    """Prove that the class values of the table's eigenvalue forms are
-    orthonormal, reading only the forms and checking (a) - (e) of the module
-    docstring; the residues are compared with the forms, not trusted."""
-    G = table.group
-    e, q, order = G.exponent, table.modulus, G.order
-    forms, degrees = table.forms, table.degrees
+def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tuple[int, ...], ...]:
+    """The forms' values mod q, zeta_e -> w, once checks (a) - (d) of the
+    module docstring hold; the first that fails raises TableComputationError."""
+    e, order, r = group.exponent, group.order, len(group.classes)
+    if len(forms) != r:  # (a)
+        raise TableComputationError(f"found {len(forms)} irreducibles, expected {r}")
     n = sum(d ** 2 for d in degrees)
-    if n != order:  # (a)
+    if n != order:
         raise TableComputationError(f"degree squares sum to {n}, not {order}")
-    steps = [e // G.element_orders[rep] for rep in G.class_reps]
-    moves = _galois_moves(G)
-    q2 = _next_table_prime(q, e)
+    steps = [e // group.element_orders[rep] for rep in group.class_reps]
+    sizes, inv = group.class_sizes, group.inverse_class
+    moves = _galois_moves(group)
+    q2 = _table_prime(q, e)
     wq, wq2 = _root_powers(e, q), _root_powers(e, q2)
-    reduced, reduced2 = [], []
+    reduced = []
     for i, (form, deg) in enumerate(zip(forms, degrees)):
         row, row2 = [], []
         for c, (terms, step) in enumerate(zip(form, steps)):
@@ -713,43 +701,33 @@ def _validate_table(table: CharacterTable) -> None:
                         f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
             row.append(v % q)
             row2.append(v2 % q2)
-        if tuple(row) != table.residues[i]:  # (c)
-            raise TableComputationError(f"residues of irreducible {i} disagree with its form")
-        reduced.append(row)
-        reduced2.append(row2)
-    sizes, inv = G.class_sizes, G.inverse_class
-    # (d) S_ij = sum_c |c| psi_i(c) psi_j(c^-1) = |G| delta_ij mod q
+        # (d) S_ii = sum_c |c| psi_i(c) psi_i(c^-1) = |G| mod the next table prime
+        s = sum(size * row2[c] * x for size, c, x in zip(sizes, inv, row2)) % q2
+        if s != order % q2:
+            raise TableComputationError(f"norm of irreducible {i} is {s} mod {q2}, not |G|")
+        reduced.append(tuple(row))
+    # (c) S_ij = |G| delta_ij mod q
     right = [[size * row[c] for size, c in zip(sizes, inv)] for row in reduced]
     for i, row in enumerate(reduced):
         for j in range(i, len(reduced)):
             s = sum(map(mul, row, right[j])) % q
             if s != (order % q if i == j else 0):
                 raise TableComputationError(f"orthogonality fails at ({i},{j}): {s} mod {q}")
-    # (e) S_ii = |G| mod the next table prime as well
-    for i, row in enumerate(reduced2):
-        s = sum(size * row[c] * x for size, c, x in zip(sizes, inv, row)) % q2
-        if s != order % q2:
-            raise TableComputationError(f"norm of irreducible {i} is {s} mod {q2}, not |G|")
+    return tuple(reduced)
 
 
 def character_table(group: FiniteGroup) -> CharacterTable:
-    """Complete irreducible character table (cached on the group)."""
-    if group._char_table is not None:
-        return group._char_table
-    q = _smallest_table_prime(group)
-    last_err = None
-    for _ in range(4):
-        try:
-            vectors = _joint_eigenvectors(group, q)
-            forms, residues = _lift_table(group, vectors, q)
-            table = CharacterTable(group, forms, q, residues)
-            _validate_table(table)
-            group._char_table = table
-            return table
-        except TableComputationError as err:
-            last_err = err
-            q = _next_table_prime(q, group.exponent)
-    raise TableComputationError(f"table computation failed: {last_err}")
+    """Complete irreducible character table (cached on the group), built at
+    the smallest table prime q = `_table_prime(|G|, e)`: q > |G| does not
+    divide |G|, and F_q holds the e-th roots of unity, so F_q splits the class
+    algebra into r distinct central characters, and every step of the split,
+    the lift and the certificate succeeds at q.  A TableComputationError
+    there is a defect, which a retry at another prime could only hide."""
+    if group._char_table is None:
+        q = _table_prime(group.order, group.exponent)
+        forms = _lift_table(group, _joint_eigenvectors(group, q), q)
+        group._char_table = CharacterTable(group, forms, q)
+    return group._char_table
 
 
 # -- seeded generators ----------------------------------------------------------

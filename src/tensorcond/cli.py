@@ -24,7 +24,7 @@ from . import errors
 from .chars import character_table
 from .corpus import ChainReader, load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
-                     reading, require)
+                     reading, require, shown)
 from .globalbound import GlobalDatum, PrimeSummary, exponents_str, rankin_selberg_bound
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
@@ -60,7 +60,7 @@ def _worker_count(args) -> int:
     if args.workers is None:
         return 1
     if args.workers < 1:
-        raise InputError(f"--workers must be at least 1, not {args.workers}")
+        raise InputError(f"--workers must be at least 1, not {shown(args.workers)}")
     return args.workers
 
 
@@ -262,17 +262,17 @@ def _sharpness_family(args) -> list:
     if args.max_p is None:
         flag, primes = "--p", [3 if args.p is None else args.p]
     elif args.p is not None:
-        raise InputError(f"--p {args.p} and --max-p {args.max_p} exclude each other")
+        raise InputError(f"--p {shown(args.p)} and --max-p {shown(args.max_p)} exclude each other")
     else:
         flag, primes = "--max-p", (p for p in range(3, args.max_p + 1) if is_prime(p))
     with reading(flag):
         family = [validate_params(p, smallest_valid_unit(p)) for p in primes]
     if not family:
-        raise InputError(f"--max-p {args.max_p}: there is no odd prime up to {args.max_p}")
+        raise InputError(f"--max-p {shown(args.max_p)}: there is no odd prime up to it")
     if args.a is not None:
         if len(family) > 1:
-            raise InputError(f"--a {args.a} needs a single prime, but --max-p "
-                             f"{args.max_p} sweeps {len(family)}")
+            raise InputError(f"--a {shown(args.a)} needs a single prime, but --max-p "
+                             f"{shown(args.max_p)} sweeps {len(family)}")
         with reading("--a"):
             family = [validate_params(family[0].p, args.a)]
     return family

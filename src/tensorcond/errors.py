@@ -55,7 +55,7 @@ class InvalidUnitError(TensorCondError, ValueError):
 
 
 class TableComputationError(TensorCondError, RuntimeError):
-    """Character table lifting failed for every tried modulus."""
+    """A table's build or certificate failed: a defect at the first table prime."""
 
 
 class CorpusError(TensorCondError, ValueError):
@@ -104,11 +104,32 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The size policy: a document integer has at most MAX_INT_BITS bits, far
+# above the 82 bits of PRIME_LIMIT, so any result formed from it prints.
+MAX_INT_BITS = 256
+
+
+def shown(value) -> str:
+    """repr(value), but an integer of d > 20 digits as "<d digits>" (signed)."""
+    text = repr(value)
+    digits = len(text.lstrip("-"))
+    if is_int(value) and digits > 20:
+        return f"{'-' * (value < 0)}<{digits} digits>"
+    return text
+
+
+def sized(value: int, name: str) -> int:
+    """value, or an InputError naming the field if it is over MAX_INT_BITS bits."""
+    if value.bit_length() > MAX_INT_BITS:
+        raise InputError(f"{name} is {shown(value)}, more than {MAX_INT_BITS} bits")
+    return value
+
+
 def int_field(doc, key: str, where: str = "") -> int:
     value = require(doc, key, where)
     if not is_int(value):
         raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
-    return value
+    return sized(value, where + key)
 
 
 def generator_lists(value, name: str) -> list:

@@ -15,7 +15,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int
+from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int, shown
 
 DEFAULT_ORDER_CAP = 2048
 MAX_SPEC_DEPTH = 32  # direct products nest no deeper: the stack is not exhausted
@@ -305,7 +305,7 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
-            raise GroupConstructionError(f"generator index {g} out of range")
+            raise GroupConstructionError(f"generator index {shown(g)} out of range")
     words = closure(G.identity, lambda x: map(G.table[x].__getitem__, gens))
     return Subgroup._closed(G, words)
 
@@ -488,7 +488,7 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     if not is_int(value):
         raise GroupConstructionError(f"'{where}{key}' must be an integer, not {value!r}")
     if value < minimum:
-        raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {value}")
+        raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {shown(value)}")
     if value > DEFAULT_ORDER_CAP:  # every order is at least each of its parameters
         raise GroupConstructionError(
             f"'{where}{key}' exceeds cap {DEFAULT_ORDER_CAP}, and so does the order")

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .chars import ClassFunction, character_table
 from .corpus import ChainReader, CorpusChain
-from .errors import GroupConstructionError, InvalidUnitError, PreconditionError
+from .errors import GroupConstructionError, InvalidUnitError, PreconditionError, shown
 from . import groups
 from .groups import FiniteGroup, is_prime
 from .filtration import conductor, tensor_rhs
@@ -43,15 +43,15 @@ def _check_prime(p: int) -> None:
         raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
                                      f"{p * (p - 1)}, above the cap {cap}")
     if not is_prime(p) or p == 2:
-        raise InvalidUnitError(f"p={p} must be an odd prime")
+        raise InvalidUnitError(f"p={shown(p)} must be an odd prime")
 
 
 def validate_params(p: int, a: int) -> FamilyParams:
     _check_prime(p)
     if a % p == 0:
-        raise InvalidUnitError(f"a={a} is not a unit mod {p}")
+        raise InvalidUnitError(f"a={shown(a)} is not a unit mod {p}")
     if pow(a, p - 1, p * p) == 1:
-        raise InvalidUnitError(f"a={a} satisfies a^(p-1) = 1 mod {p}^2")
+        raise InvalidUnitError(f"a={shown(a)} satisfies a^(p-1) = 1 mod {p}^2")
     return FamilyParams(p, a)
 
 

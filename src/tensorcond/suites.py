@@ -20,7 +20,7 @@ from .chars import (Character, CharacterTable, _combine_atoms, character_table,
                     rational_atoms, symplectic_rational_atoms)
 from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
-                     int_field, is_int, reading, require)
+                     int_field, is_int, reading, require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
@@ -66,7 +66,7 @@ def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
             f"{name}: multiplicity vector must list one nonnegative integer "
             f"per irreducible ({len(T)} for this group, in the order printed "
             f"by the table subcommand)")
-    return value
+    return [sized(x, f"{name}[{j}]") for j, x in enumerate(value)]
 
 
 def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
@@ -98,7 +98,7 @@ def read_global(doc, dim_keys: Tuple[str, str],
     for key in dim_keys:
         dim = int_field(doc, key)
         if dim < 1:
-            raise InputError(f"'{key}' must be at least 1, not {dim}")
+            raise InputError(f"'{key}' must be at least 1, not {shown(dim)}")
         dims.append(dim)
     records = require(doc, "primes")
     if not isinstance(records, list):
@@ -282,7 +282,7 @@ def _show_level(doc, detail):
         level = next((j for j, (l, r) in enumerate(sides) if l != r), 0)
     elif not 0 <= int_field(doc, "level") < len(sides):
         raise InputError(f"'level' must be a level of the chain, 0 to "
-                         f"{len(sides) - 1}, not {doc['level']}")
+                         f"{len(sides) - 1}, not {shown(doc['level'])}")
     else:
         level = doc["level"]
     return {"lhs": str(sides[level][0]), "rhs": str(sides[level][1])}

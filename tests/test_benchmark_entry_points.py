@@ -80,8 +80,10 @@ def test_layer_calls_run_on_every_corpus_entry(docs):
 def test_table_group_jacobian_and_suite_calls_run_on_every_corpus_entry():
     """The other calls that layertrace times: group and chain builds, the
     decomposition of an assembled character, fixed dimensions, the
-    filtration conductor, cyclotomic promotion of table values, the
-    Jacobian family and one item of each suite."""
+    filtration conductor, cyclotomic promotion of table values, their
+    products and sums in Q(zeta_N), N each corpus exponent, and those of
+    rationals in Q(zeta_20), the Jacobian family and one item of each
+    suite."""
     from fractions import Fraction
 
     from tensorcond import chars, filtration, groups, jacobians, suites
@@ -105,6 +107,17 @@ def test_table_group_jacobian_and_suite_calls_run_on_every_corpus_entry():
         for psi in T.irreducibles:
             assert [v.promote(N) for v in psi.values] == list(psi.values), e.name
         assert CycloNum.from_rational(Fraction(1, 3), N).rational_value() == Fraction(1, 3)
+        # class by class, the CycloNum product and sum of two irreducibles'
+        # values are the values of their product and sum as class functions
+        psi, phi = T.irreducibles[-1], T.irreducibles[len(T) // 2]
+        pairs = list(zip((v.promote(N) for v in psi.values), (v.promote(N) for v in phi.values)))
+        assert [a * b for a, b in pairs] == list((psi * phi).values), e.name
+        assert [a + b for a, b in pairs] == list((psi + phi).values), e.name
+    thirds = [CycloNum.from_rational(Fraction(k, 3), 20) for k in range(1, 9)]
+    assert [(a * b).rational_value() for a, b in zip(thirds, thirds[1:])] == \
+        [Fraction(k * (k + 1), 9) for k in range(1, 8)]
+    assert [(a + b).rational_value() for a, b in zip(thirds, thirds[1:])] == \
+        [Fraction(2 * k + 1, 3) for k in range(1, 8)]
     for p in (3, 5, 7, 11, 13):
         params = jacobians.validate_params(p, jacobians.smallest_valid_unit(p))
         assert jacobians.verify_sharpness(params).equal, p

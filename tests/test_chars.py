@@ -345,73 +345,130 @@ def test_multiplicities_match_inner_products(corpus):
 
 
 def test_table_validation_checks_every_pair():
-    from tensorcond.chars import CharacterTable, _validate_table
+    from tensorcond.chars import CharacterTable
     from tensorcond.errors import TableComputationError
     G = cyclic(4)
     T = character_table(G)
-    _validate_table(T)
+    assert CharacterTable(G, T.forms, T.modulus).residues == T.residues
     # unit norms, the right degrees and Galois-closed forms, but two equal rows
     forms = list(T.forms)
     forms[-1] = forms[-2]
-    residues = list(T.residues)
-    residues[-1] = residues[-2]
     with pytest.raises(TableComputationError, match="orthogonality"):
-        _validate_table(CharacterTable(G, forms, T.modulus, residues))
+        CharacterTable(G, forms, T.modulus)
 
 
 def _forged(G, edit):
-    """The table of G rebuilt from its forms and residues after `edit`
-    changed the lists of either."""
+    """Build a table of G from its forms after `edit` changed them."""
     from tensorcond.chars import CharacterTable
     T = character_table(G)
     forms = [list(form) for form in T.forms]
-    residues = [list(row) for row in T.residues]
-    edit(forms, residues, T)
-    return CharacterTable(G, forms, T.modulus, residues)
+    edit(forms)
+    return CharacterTable(G, forms, T.modulus)
 
 
 def test_table_validation_refuses_a_galois_break_at_one_class():
     """zeta_5 moved to zeta_5^2 at the class of g alone: the form at g^2 is
     no longer sigma_2 of the form at g."""
-    from tensorcond.chars import _validate_table
     from tensorcond.errors import TableComputationError
     G = cyclic(5)
 
-    def edit(forms, residues, T):
+    def edit(forms):
         i = next(i for i, form in enumerate(forms) if form[1] == ((1, 1),))
         forms[i][1] = ((2, 1),)
     with pytest.raises(TableComputationError, match=r"Galois condition fails for "
                        r"irreducible \d+ at class 1"):
-        _validate_table(_forged(G, edit))
-
-
-def test_table_validation_refuses_residues_that_disagree_with_the_forms():
-    from tensorcond.chars import _validate_table
-    from tensorcond.errors import TableComputationError
-
-    def edit(forms, residues, T):
-        residues[-1][1] = (residues[-1][1] + 1) % T.modulus
-    with pytest.raises(TableComputationError, match="residues of irreducible 4 disagree"):
-        _validate_table(_forged(quaternion8(), edit))
+        _forged(G, edit)
 
 
 def test_table_validation_refuses_forms_that_are_not_roots_of_unity_of_the_class():
     """An exponent not a multiple of e / ord(c), and a multiplicity sum that
     is not the degree."""
-    from tensorcond.chars import _validate_table
     from tensorcond.errors import TableComputationError
     G = cyclic(4)
 
-    def odd_exponent(forms, residues, T):
+    def odd_exponent(forms):
         c = G.class_of[2]  # order 2: exponents must be multiples of 2
         i = next(i for i, form in enumerate(forms) if form[c] == ((2, 1),))
         forms[i][c] = ((1, 1),)
 
-    def short_sum(forms, residues, T):
+    def short_sum(forms):
         forms[0][1] = ()
     for edit in (odd_exponent, short_sum):
         with pytest.raises(TableComputationError, match="roots of unity of its order"):
-            _validate_table(_forged(G, edit))
+            _forged(G, edit)
+
+
+def test_table_validation_refuses_too_few_forms():
+    """Half the regular character of C4, (2, 0, 0, 0), passes every other
+    check as a one-row table: orthonormal rows are the table only when there
+    are r of them."""
+    from tensorcond.chars import CharacterTable
+    from tensorcond.errors import TableComputationError
+    G = cyclic(4)
+    by_order = {1: ((0, 2),), 2: ((0, 1), (2, 1)), 4: ((1, 1), (3, 1))}
+    form = [by_order[G.element_orders[rep]] for rep in G.class_reps]
+    with pytest.raises(TableComputationError, match="found 1 irreducibles, expected 4"):
+        CharacterTable(G, [form], character_table(G).modulus)
+
+
+def _small_descriptors():
+    """Every descriptor of each kind up to order 64, with direct products
+    of two factors of orders 2 to 8."""
+    from tensorcond.groups import is_prime
+    primes = [p for p in range(2, 65) if is_prime(p)]
+    specs = [{"kind": "cyclic", "n": n} for n in range(1, 65)]
+    specs += [{"kind": "dihedral", "n": n} for n in range(1, 33)]
+    specs += [{"kind": "elementary_abelian", "p": p, "k": k}
+              for p in primes for k in range(1, 7) if p ** k <= 64]
+    specs += [{"kind": "heisenberg", "p": p} for p in (2, 3)]
+    specs += [{"kind": "affine", "p": p} for p in primes if p * (p - 1) <= 64]
+    small = [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 4},
+             {"kind": "dihedral", "n": 3}, {"kind": "quaternion8"}]
+    specs += [{"kind": "quaternion8"}] + [
+        {"kind": "direct_product", "factors": [a, b]} for a in small for b in small]
+    return specs
+
+
+def test_every_small_descriptor_builds_at_the_first_table_prime():
+    """The table is built at `_table_prime(|G|, e)`, and its forms pass the
+    certificate at the next table prime too, where every fact read off the
+    residues (indicators, duals, Galois orbits, fixed dimensions, structure
+    constants) comes out the same, in the same order of irreducibles."""
+    from tensorcond.chars import CharacterTable, _table_prime
+    from tensorcond.groups import build_group
+    for spec in _small_descriptors():
+        G = build_group(spec)
+        T = character_table(G)
+        assert T.modulus == _table_prime(G.order, G.exponent), G.name
+        U = CharacterTable(G, T.forms, _table_prime(T.modulus, G.exponent))
+        assert U.modulus > T.modulus, G.name
+        assert (U.forms, U.degrees) == (T.forms, T.degrees), G.name
+        last = len(T) - 1
+        for table in (T, U):
+            assert table.fs_indicators[table.index_of_trivial()] == 1, G.name
+            assert table.fixed_dims(trivial_subgroup(G)) == T.degrees, G.name
+        assert (U.dual_index, U.fs_indicators, U.galois_orbits, U.index_of_trivial(),
+                U.fixed_dims(whole_group(G)), U.structure_constants(last, last)) == \
+            (T.dual_index, T.fs_indicators, T.galois_orbits, T.index_of_trivial(),
+             T.fixed_dims(whole_group(G)), T.structure_constants(last, last)), G.name
+
+
+def test_the_trivial_group_is_not_symplectic(tmp_path, capsys):
+    """Its table prime is 3, not 2, where the indicator 1 would read as -1:
+    the one-dimensional trivial character is orthogonal, and a `bound`
+    document that calls it symplectic is refused with exit 2."""
+    import json
+
+    from tensorcond.cli import main
+    T = character_table(cyclic(1))
+    assert T.modulus == 3 and T.fs_indicators == (1,)
+    assert not T.is_symplectic_mults([1]) and T.is_symplectic_mults([2])
+    doc = tmp_path / "bound.json"
+    doc.write_text(json.dumps({
+        "model": {"group": {"kind": "cyclic", "n": 1}, "chain": [[]], "p": 2},
+        "A": {"tau": [1], "sigma": [0]}, "B": {"tau": [1], "sigma": [0]}}))
+    assert main(["bound", "--input", str(doc)]) == 2
+    assert capsys.readouterr().err == "input error: A: toric-free part tau must be symplectic\n"
 
 
 def test_cold_tables_take_no_exact_averages(monkeypatch):
@@ -646,28 +703,6 @@ def test_split_refuses_a_prime_that_does_not_split_the_class_algebra():
     from tensorcond.errors import TableComputationError
     with pytest.raises(TableComputationError, match="not split semisimple"):
         _joint_eigenvectors(cyclic(5), 5)
-
-
-def test_table_retries_the_next_prime_after_a_failure(monkeypatch):
-    """A split forced to fail at the first prime is retried at the next
-    one; heis3's row order is the same at both primes, so the table is."""
-    from tensorcond import chars
-    from tensorcond.errors import TableComputationError
-    want = character_table(heisenberg(3))
-    real = chars._joint_eigenvectors
-    tried = []
-
-    def failing_once(group, q):
-        tried.append(q)
-        if len(tried) == 1:
-            raise TableComputationError("forced")
-        return real(group, q)
-    monkeypatch.setattr(chars, "_joint_eigenvectors", failing_once)
-    G = heisenberg(3)
-    T = character_table(G)
-    assert tried == [want.modulus, chars._next_table_prime(want.modulus, G.exponent)]
-    assert T.modulus == tried[1]
-    assert [ch.values for ch in T.irreducibles] == [ch.values for ch in want.irreducibles]
 
 
 # -- table facts from the residues against their class-value definitions ---------------

@@ -1143,3 +1143,41 @@ def test_replay_refuses_a_sharpness_document_with_a_huge_p(tmp_path, capsys):
     doc = {"suite": "sharpness", "p": HUGE_2500, "a": 2}
     _refused_naming(*run_cli(capsys, "replay", "--input", _write(tmp_path, doc)),
                     "cannot replay document: p ")
+
+
+def _one_short_line(code, out, err, name):
+    """Exit 2 with one stderr line of under 200 characters naming the field
+    or flag: no long integer is echoed."""
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200 and name in lines[0], err
+
+
+def test_document_integers_beyond_the_size_policy_are_refused(tmp_path, capsys):
+    """Integers longer than MAX_INT_BITS bits are refused where they are
+    read, before any result too long to print is formed from them."""
+    from tensorcond.errors import MAX_INT_BITS
+    doc = _summary_doc(3)
+    doc["dimA"] = 10 ** 4200
+    doc["primes"][0]["vB"] = 10 ** 200
+    _one_short_line(*run_cli(capsys, "global", "--input", _write(tmp_path, doc)), "dimA")
+    doc = _tame_bound_doc(5)
+    for part in "AB":
+        doc[part]["sigma"] = [2 * 10 ** 2200, 0, 0, 0]
+    _one_short_line(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)), "A.sigma")
+    # the largest integer the policy admits is read as any other
+    doc = _summary_doc(3)
+    doc["primes"][0]["vA"] = doc["primes"][0]["degA"] = 2 ** MAX_INT_BITS - 1
+    assert "bits" not in run_cli(capsys, "global", "--input", _write(tmp_path, doc))[2]
+
+
+def test_a_refused_integer_is_shown_as_its_digit_count(tmp_path, capsys):
+    minus_ones = "-" + "1" * 4000
+    _one_short_line(*run_cli(capsys, "table", "--group",
+                             '{"kind": "cyclic", "n": %s}' % minus_ones), "'n'")
+    _one_short_line(*run_cli(capsys, "sharpness", "--p", "3", "--a", "3" * 4000), "--a")
+    doc = dict(_tame_bound_doc(2), model={"group": {"kind": "cyclic", "n": 4},
+                                          "chain": [[int("7" * 4000)]], "p": 2})
+    _one_short_line(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)),
+                    "model.chain")
+    assert "-<4000 digits>" in run_cli(capsys, "sharpness", "--p", minus_ones)[2]
