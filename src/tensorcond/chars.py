@@ -4,14 +4,23 @@ Representations are modelled by their characters only; every quantity the
 package computes (conductor terms, degrees, fixed spaces) is a character
 average.  Tables are found by the Dixon-Schneider method over F_q, q the
 smallest prime > max(|G|, 2) with q = 1 mod e = exponent(G): Krylov
-projections of the identity class vector split it, one class matrix (built
-on demand) at a time, into the central characters.  Their values mod q are
-lifted by one inverse DFT per class that is not a power of a class of
-higher order, to the table's one datum: the eigenvalue form of each
-irreducible psi at each class c, the sorted terms (a, m) saying that
+projections of the identity class vector split it into the central
+characters (Dixon, Numer. Math. 10, 1967; Schneider, J. Symb. Comput. 9,
+1990).  A class matrix is built when its class is reached, smallest class
+first, and held sparse, as each row's nonzero (column, count) pairs; a
+piece is formed from the nonzero entries of its Krylov vectors, and a
+piece that is already an eigenvector costs one product.  Once the small
+classes stall (`_joint_eigenvectors`), one combination of the classes left,
+with seeded coefficients, separates what they would.  The central
+characters are lifted to the table's one datum: the eigenvalue form of
+each irreducible psi at each class c, the sorted terms (a, m) saying that
 zeta_e^a is an eigenvalue of rho(g), g in c, with multiplicity m > 0: its
-exponent form.  One prime is enough: q does not divide |G| and F_q holds
-the e-th roots of unity, so F_q splits the class algebra (`character_table`).
+exponent form.  A linear character's value mod q is one e-th root of
+unity w^a, its exponent a read from a table of logarithms; any other
+character's forms come from one inverse DFT per class that is not a power
+of a class of higher order.  One prime is enough: q does not divide |G|
+and F_q holds the e-th roots of unity, so F_q splits the class algebra
+(`character_table`).
 
 `CharacterTable(group, forms, modulus)` certifies its forms, reading them
 alone: (a) there are r forms, their degrees' squares sum to |G|, and each
@@ -32,7 +41,8 @@ terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1), e | m.  As x
 class's terms mod x^m - 1, the dual permutes the rows, and the averages
 (`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms into one
 list, reduced mod Phi_m once; only the division by the group order is
-rational.  `CycloNum` values are reduced from the form only when read.
+rational.  `CycloNum` values are reduced from the form only when read, a
+Character's once per distinct (class order, terms) of its table.
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
@@ -209,16 +219,30 @@ class Character(ClassFunction):
 
     def __getattr__(self, name):
         # reached only while a slot is unset: `form` is summed once, and a
-        # class with more terms than phi(ord(c)) is reduced mod Phi_ord(c)
+        # class with more terms than phi(ord(c)) is reduced mod Phi_ord(c);
+        # `values` reads each distinct (order, terms) once per table
+        e, orders = self.group.exponent, self.table.class_orders
+        if name == "values":
+            memo = self.table._values
+            vals = []
+            for key in zip(orders, self.form[1]):
+                v = memo.get(key)
+                if v is None:
+                    v = memo[key] = CycloNum(*_reduced(e, *key))
+                vals.append(v)
+            self.values = tuple(vals)
+            return self.values
         if name != "form":
-            return ClassFunction.__getattr__(self, name)
-        G, e = self.group, self.group.exponent
+            raise AttributeError(name)
         used = [(a, form) for a, form in zip(self.mults, self.table.forms) if a]
+        # an irreducible's terms are its eigenvalue form's, already collected
+        own = used[0][1] if len(used) == 1 and used[0][0] == 1 else None
+        phi = {n: euler_phi(n) for n in set(orders)}
         rows = []
-        for c, rep in enumerate(G.class_reps):
-            n = G.element_orders[rep]
-            terms = _collect((k, a * t) for a, form in used for k, t in form[c])
-            if len(terms) > euler_phi(n):
+        for c, n in enumerate(orders):
+            terms = own[c] if own else \
+                _collect((k, a * t) for a, form in used for k, t in form[c])
+            if len(terms) > phi[n]:
                 terms = tuple((j * (e // n), x) for j, x in enumerate(_reduced(e, n, terms)[1]) if x)
             rows.append(terms)
         self.form = (e, tuple(rows))
@@ -253,8 +277,8 @@ class CharacterTable:
     """The irreducible characters of a group, in a fixed order, from certified forms."""
 
     __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
-                 "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
-                 "_products", "_atoms")
+                 "class_orders", "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
+                 "_products", "_atoms", "_values")
 
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
                  modulus: int):
@@ -262,13 +286,15 @@ class CharacterTable:
         # per irreducible and class c, the eigenvalue form of rho(g), g in
         # c: the sorted (a, m) with m the multiplicity of the eigenvalue
         # zeta_e^a, e the group exponent
-        self.forms = tuple(tuple(tuple(terms) for terms in form) for form in forms)
+        self.forms = tuple(tuple(map(tuple, form)) for form in forms)
         r = len(self.forms)
-        self.irreducibles = tuple(Character(self, [int(j == i) for j in range(r)])
+        zeros = (0,) * r
+        self.irreducibles = tuple(Character(self, zeros[:i] + (1,) + zeros[i + 1:])
                                   for i in range(r))
         one = group.class_of[group.identity]
         self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
+        self.class_orders = tuple(group.element_orders[rep] for rep in group.class_reps)
         # the forms' values in F_q, zeta_e -> w (`_certified_residues`).  Rows
         # of distinct irreducibles are orthogonal in F_q, |G| < q, so they
         # differ: the dual, the Galois conjugates and the trivial character
@@ -283,6 +309,7 @@ class CharacterTable:
         self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
         self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
         self._atoms = {}        # generator atom lists, by builder (`_per_table`)
+        self._values = {}       # (class order, terms) -> CycloNum, as read
 
     def __len__(self):
         return len(self.irreducibles)
@@ -465,6 +492,11 @@ def _galois_moves(group: FiniteGroup) -> List[Tuple[int, List[int]]]:
 def _power_form(terms, k: int, e: int) -> Tuple[Tuple[int, int], ...]:
     """The eigenvalue form of rho(g^k) from that of rho(g): each eigenvalue
     zeta_e^a becomes zeta_e^(ak mod e); for a unit k this is sigma_k."""
+    if len(terms) == 1:
+        (a, m), = terms
+        return ((a * k % e, m),)
+    if gcd(k, e) == 1:  # a -> ak mod e is a bijection: no two terms meet
+        return tuple(sorted((a * k % e, m) for a, m in terms))
     acc = {}
     for a, m in terms:
         t = a * k % e
@@ -472,18 +504,26 @@ def _power_form(terms, k: int, e: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(acc.items()))
 
 
-# modular linear algebra helpers, all over F_q for a prime q
+# modular linear algebra helpers, all over F_q for a prime q; a matrix is
+# held as each row's nonzero (column, entry) pairs
 
 
 def _mat_vec(m, v, q):
-    return [sum(map(mul, row, v)) % q for row in m]
+    out = []
+    for row in m:
+        if len(row) == 1:  # as every row of the matrix of a central class
+            (k, c), = row
+            out.append(c * v[k] % q)
+        else:
+            out.append(sum([c * v[k] for k, c in row]) % q)
+    return out
 
 
-def _poly_roots_mod(coeffs, q):
-    """The roots in F_q of a polynomial with ascending coefficients, found
-    by trying each residue until as many as its degree are found."""
+def _poly_roots_mod(coeffs, q, candidates):
+    """The candidates in F_q that are roots of a polynomial with ascending
+    coefficients, tried until as many as its degree are found."""
     roots = []
-    for lam in range(q):
+    for lam in candidates:
         acc = 0
         for c in reversed(coeffs):
             acc = (acc * lam + c) % q
@@ -522,27 +562,35 @@ def _root_powers(e: int, q: int) -> List[int]:
     return out
 
 
-def _class_matrix(group: FiniteGroup, i: int):
-    """The class algebra matrix of class i: (M_i)[j][k] = #{x in K_i :
-    x^-1 z_k in K_j}, z_k the representative of class k, that is the number
-    of ways z_k = x y with x in K_i and y in K_j.  |K_i| r products."""
-    r = len(group.classes)
-    mat = [[0] * r for _ in range(r)]
+def _class_matrix(group: FiniteGroup, coeffs):
+    """sum_i a_i M_i over the classes i -> a_i of `coeffs`, M_i the class
+    algebra matrix (M_i)[j][k] = #{x in K_i : x^-1 z_k in K_j}, z_k the
+    representative of class k, that is the number of ways z_k = x y with x
+    in K_i and y in K_j.  One product per x and class k."""
     cls = group.class_of
-    inv_rows = [group.table[group.inverses[x]] for x in group.classes[i]]
+    terms = [(group.table[group.inverses[x]], a)
+             for i, a in coeffs.items() for x in group.classes[i]]
+    rows = [{} for _ in group.classes]
     for k, z in enumerate(group.class_reps):
-        for row in inv_rows:
-            mat[cls[row[z]]][k] += 1
-    return mat
+        for row, a in terms:
+            entries = rows[cls[row[z]]]
+            entries[k] = entries.get(k, 0) + a
+    return [tuple(entries.items()) for entries in rows]
 
 
-def _split_piece(mat, u, q):
+def _split_piece(mat, candidates, u, q):
     """The projections of u onto the eigenspaces of M that it meets.
 
     The Krylov vectors u, Mu, ... are reduced until one depends on the
     earlier ones: the dependency is u's minimal polynomial m.  It must have
-    deg m distinct roots in F_q, and (m/(x - lam))(M) u, a combination of
-    the Krylov vectors, is the piece of u for the root lam."""
+    deg m distinct roots in F_q, all among `candidates`, and (m/(x - lam))(M) u
+    / m'(lam), a combination of the nonzero entries of the Krylov vectors,
+    is the projection of u for the root lam."""
+    mu = _mat_vec(mat, u, q)
+    if u[0]:  # as every piece's is: then u is an eigenvector iff Mu = (Mu)[0]/u[0] u
+        lam = mu[0] * pow(u[0], -1, q) % q
+        if mu == [lam * x % q for x in u]:
+            return [u]
     krylov = [u]
     echelon = []  # (pivot, reduced vector with 1 there, its Krylov combination)
     while True:
@@ -554,28 +602,62 @@ def _split_piece(mat, u, q):
                 w = [(a - f * b) % q for a, b in zip(w, row)]
                 for t, c in enumerate(rc):
                     combo[t] = (combo[t] - f * c) % q
-        piv = next((j for j, x in enumerate(w) if x), None)
-        if piv is None:
+        if not any(w):
             break
+        piv = list(map(bool, w)).index(True)
         inv = pow(w[piv], -1, q)
         echelon.append((piv, [x * inv % q for x in w], [c * inv % q for c in combo]))
-        krylov.append(_mat_vec(mat, krylov[-1], q))
+        krylov.append(mu if len(krylov) == 1 else _mat_vec(mat, krylov[-1], q))
     # sum_t combo[t] M^t u = 0: combo is u's monic minimal polynomial
     d = len(combo) - 1
     if d == 1:
         return [u]
-    roots = _poly_roots_mod(combo, q)
+    roots = _poly_roots_mod(combo, q, candidates)
     if len(roots) != d:
         raise TableComputationError("class matrix is not split semisimple mod q")
-    cols = list(zip(*krylov[:d]))
+    support = [[(j, x) for j, x in enumerate(vec) if x] for vec in krylov[:d]]
     pieces = []
     for lam in roots:
         quot = [0] * d  # m / (x - lam), by synthetic division from the top
         quot[-1] = 1
         for t in range(d - 1, 0, -1):
             quot[t - 1] = (combo[t] + lam * quot[t]) % q
-        pieces.append([sum(map(mul, quot, col)) % q for col in cols])
+        # m'(lam) = (m / (x - lam))(lam), by Horner
+        slope = 0
+        for c in reversed(quot):
+            slope = (slope * lam + c) % q
+        piece = [0] * len(u)
+        for c, entries in zip(quot, support):
+            if c:
+                for j, x in entries:
+                    piece[j] += c * x
+        inv = pow(slope, -1, q)
+        pieces.append([x * inv % q for x in piece])
     return pieces
+
+
+def _split_all(mat, candidates, pieces, q: int, order: int):
+    """Every piece split by M (`_split_piece`), the pieces that must hold
+    two or more characters first, stopping once there are r."""
+    def key(u):
+        # u is the projection of the identity class vector onto the
+        # eigenspaces of a set S of characters, so |G| u[0] = sum_S chi(1)^2
+        # < q exactly: S has two or more characters unless it is a square
+        n = order * u[0] % q
+        return isqrt(n) ** 2 == n, -n
+    pieces = sorted(pieces, key=key)
+    r = len(pieces[0])
+    out = []
+    for t, u in enumerate(pieces):
+        if len(out) + len(pieces) - t == r:
+            return out + pieces[t:]
+        out += _split_piece(mat, candidates, u, q)
+    return out
+
+
+# a run of this many class matrices that split no piece is a stall of the
+# split (`_joint_eigenvectors`)
+STALL_RUN = 4
 
 
 def _joint_eigenvectors(group: FiniteGroup, q: int):
@@ -584,14 +666,40 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
     The identity class vector is sum_chi (chi(1)^2/|G|) omega_chi, each
     coefficient a unit mod q > |G|, so a piece of the split is held as its
     projection onto a sum of eigenspaces.  Class matrices, smallest class
-    first and each built when reached, split the pieces until there are r."""
+    first and each built when reached, split the pieces until there are r.
+
+    A stall is STALL_RUN matrices in a row that split nothing, with at
+    least r/2 pieces found, so that every piece left joined is small.
+    After one, the classes left are taken at once: one combination of their
+    matrices with seeded coefficients, dense but applied only until there
+    are r pieces, separates every two characters that differ on them unless
+    the coefficients are a root of one of finitely many linear forms mod q.
+    Then the classes are taken one by one again, so the split ends, with
+    the same vectors, however the coefficients fall."""
     r = len(group.classes)
     pieces = [[1] + [0] * (r - 1)]  # the identity class comes first
-    for i in sorted(range(1, r), key=group.class_sizes.__getitem__):
-        if len(pieces) == r:
-            break
-        mat = _class_matrix(group, i)
-        pieces = [w for u in pieces for w in _split_piece(mat, u, q)]
+    rest = sorted(range(1, r), key=group.class_sizes.__getitem__)
+    unity = {}  # n -> the n-th roots of unity in F_q
+    run = 0
+    while len(pieces) < r and rest:
+        if run >= STALL_RUN and 2 * len(pieces) >= r:
+            rng = _rng("split", q)
+            split = _split_all(_class_matrix(group, {i: rng.randrange(1, q) for i in rest}),
+                               range(q), pieces, q, group.order)
+            run = 0
+        else:
+            i = rest.pop(0)
+            candidates = range(q)
+            if group.class_sizes[i] == 1:
+                # z central of order n: M^n = 1, so M's eigenvalues are
+                # n-th roots of unity
+                n = group.element_orders[group.class_reps[i]]
+                if n not in unity:
+                    unity[n] = [x for x in range(q) if pow(x, n, q) == 1]
+                candidates = unity[n]
+            split = _split_all(_class_matrix(group, {i: 1}), candidates, pieces, q, group.order)
+            run = run + 1 if len(split) == len(pieces) else 0
+        pieces = split
     vectors = []
     for v in pieces:
         if v[0] == 0:
@@ -601,23 +709,13 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
     return vectors
 
 
-def _lift_table(group: FiniteGroup, vectors, q):
-    """Recover the irreducibles' eigenvalue forms from the mod-q central
-    characters, ordered by degree and then by central character.
-
-    The eigenvalue multiplicities m_j of rho(g) come from an inverse DFT
-    over the values at g^k, k < n = ord(g), stopped once they sum to the
-    degree (the table's certificate checks the sum); those of rho(g^k) are
-    the same multiplicities moved from zeta_n^j to zeta_n^(jk).  So the
-    classes are taken by decreasing element order, and a DFT is run only
-    for a class that is not a power of one taken before."""
+def _dft_plan(group: FiniteGroup, q: int):
+    """Per DFT class of `_lift_table`, taken by decreasing element order:
+    the classes of g^k, the DFT matrix zeta_n^(-jk), n = ord(g), e/n, 1/n
+    mod q, and the power classes it reaches first, with their k."""
     r, e = len(group.classes), group.exponent
-    inv_class = group.inverse_class
-    size_inv = [pow(size, -1, q) for size in group.class_sizes]
     wpow = _root_powers(e, q)
     orders = [group.element_orders[rep] for rep in group.class_reps]
-    # shared by every row: per DFT class, the classes of g^k, the DFT matrix
-    # zeta_n^(-jk), and the power classes it reaches first, with their k
     dft_mats = {}
     plan = []
     reached = [False] * r
@@ -635,17 +733,43 @@ def _lift_table(group: FiniteGroup, vectors, q):
                 reached[ck] = True
                 moves.append((ck, k))
         plan.append((powers, dft_mats[n], e // n, pow(n, -1, q), moves))
+    return plan
+
+
+def _lift_table(group: FiniteGroup, vectors, q):
+    """Recover the irreducibles' eigenvalue forms from the mod-q central
+    characters, ordered by degree and then by central character.
+
+    The eigenvalue multiplicities m_j of rho(g) come from an inverse DFT
+    over the values at g^k, k < n = ord(g), stopped once they sum to the
+    degree (the table's certificate checks the sum); those of rho(g^k) are
+    the same multiplicities moved from zeta_n^j to zeta_n^(jk).  So the
+    classes are taken by decreasing element order, and a DFT is run only
+    for a class that is not a power of one taken before (`_dft_plan`, made
+    for the first character of degree above 1).  A linear character's
+    value is itself one root of unity w^a, its exponent read from a table
+    of logarithms (e, which the certificate refuses, where there is none)."""
+    e = group.exponent
+    inv_class = group.inverse_class
+    size_inv = [pow(size, -1, q) for size in group.class_sizes]
+    log = {w: a for a, w in enumerate(_root_powers(e, q))}
+    plan = None
     rows = []
     for v in vectors:
         # |G|/s = deg^2 mod q, and deg^2 <= |G| < q: the residue is deg^2
-        s = sum(v[i] * v[inv_class[i]] * size_inv[i] for i in range(r)) % q
+        s = sum(map(mul, map(mul, v, map(v.__getitem__, inv_class)), size_inv)) % q
         square = group.order * pow(s, -1, q) % q
         deg = isqrt(square)
         if deg * deg != square or square > group.order:
             raise TableComputationError("no admissible degree for an eigenvector")
         # character values mod q
-        x = [deg * v[i] * size_inv[i] % q for i in range(r)]
-        form = [None] * r
+        x = [deg * a * b % q for a, b in zip(v, size_inv)]
+        if deg == 1:
+            rows.append((deg, v, [((log.get(xc, e), 1),) for xc in x]))
+            continue
+        if plan is None:
+            plan = _dft_plan(group, q)
+        form = [None] * len(x)
         for powers, dft, step, ninv, moves in plan:
             xs = [x[c] for c in powers]
             terms = []
@@ -659,9 +783,19 @@ def _lift_table(group: FiniteGroup, vectors, q):
                         break
             for ck, k in moves:
                 form[ck] = _power_form(terms, k, e)
-        rows.append((deg, tuple(v), form))
+        rows.append((deg, v, form))
     rows.sort(key=lambda t: (t[0], t[1]))
     return [row[2] for row in rows]
+
+
+def _not_roots(i: int, c: int, deg: int) -> TableComputationError:
+    return TableComputationError(
+        f"irreducible {i} at class {c} is not {deg} roots of unity of its order")
+
+
+def _not_galois(i: int, c: int, k: int) -> TableComputationError:
+    return TableComputationError(
+        f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
 
 
 def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tuple[int, ...], ...]:
@@ -676,43 +810,54 @@ def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tup
     steps = [e // group.element_orders[rep] for rep in group.class_reps]
     sizes, inv = group.class_sizes, group.inverse_class
     moves = _galois_moves(group)
+    # per class c, the (k, class of g^k) of each unit k of `moves`
+    images = [[(k, perm[c]) for k, perm in moves] for c in range(r)]
     q2 = _table_prime(q, e)
     wq, wq2 = _root_powers(e, q), _root_powers(e, q2)
     reduced = []
     for i, (form, deg) in enumerate(zip(forms, degrees)):
         row, row2 = [], []
-        for c, (terms, step) in enumerate(zip(form, steps)):
+        for c, (terms, step, units) in enumerate(zip(form, steps, images)):
             # deg roots of unity of the class's order, so |psi(c)| <= deg
+            if len(terms) == 1:  # one eigenvalue, deg times
+                (a, m), = terms
+                if m != deg or m <= 0 or a % step or not 0 <= a < e:
+                    raise _not_roots(i, c, deg)
+                row.append(m * wq[a] % q)
+                row2.append(m * wq2[a] % q2)
+                # (b) as below: sigma_k moves the one eigenvalue alone
+                for k, ck in units:
+                    if form[ck] != ((a * k % e, m),):
+                        raise _not_galois(i, c, k)
+                continue
             total = v = v2 = 0
             for a, m in terms:
                 if m <= 0 or a % step or not 0 <= a < e:
-                    total = -1
-                    break
+                    raise _not_roots(i, c, deg)
                 total += m
                 v += m * wq[a]
                 v2 += m * wq2[a]
             if total != deg:
-                raise TableComputationError(
-                    f"irreducible {i} at class {c} is not {deg} roots of unity of its order")
-            # (b) psi(g^k) = sigma_k(psi(g)) on the multisets
-            for k, perm in moves:
-                if form[perm[c]] != _power_form(terms, k, e):
-                    raise TableComputationError(
-                        f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
+                raise _not_roots(i, c, deg)
             row.append(v % q)
             row2.append(v2 % q2)
+            # (b) psi(g^k) = sigma_k(psi(g)) on the multisets
+            for k, ck in units:
+                if form[ck] != _power_form(terms, k, e):
+                    raise _not_galois(i, c, k)
         # (d) S_ii = sum_c |c| psi_i(c) psi_i(c^-1) = |G| mod the next table prime
-        s = sum(size * row2[c] * x for size, c, x in zip(sizes, inv, row2)) % q2
+        s = sum(map(mul, map(mul, sizes, map(row2.__getitem__, inv)), row2)) % q2
         if s != order % q2:
             raise TableComputationError(f"norm of irreducible {i} is {s} mod {q2}, not |G|")
         reduced.append(tuple(row))
     # (c) S_ij = |G| delta_ij mod q
     right = [[size * row[c] for size, c in zip(sizes, inv)] for row in reduced]
     for i, row in enumerate(reduced):
-        for j in range(i, len(reduced)):
-            s = sum(map(mul, row, right[j])) % q
-            if s != (order % q if i == j else 0):
-                raise TableComputationError(f"orthogonality fails at ({i},{j}): {s} mod {q}")
+        gram = [sum(map(mul, row, col)) % q for col in right[i:]]  # S_ii, S_i,i+1, ...
+        want = [order % q] + [0] * (len(gram) - 1)
+        if gram != want:
+            j = next(j for j, (s, t) in enumerate(zip(gram, want)) if s != t)
+            raise TableComputationError(f"orthogonality fails at ({i},{i + j}): {gram[j]} mod {q}")
     return tuple(reduced)
 
 

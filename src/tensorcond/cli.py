@@ -306,20 +306,30 @@ def _run_table(args, machine: bool) -> int:
     with reading("--group"):
         G = build_group(spec)
     T = character_table(G)
+    # the table reads each distinct value once, as one CycloNum kept on it
+    # (`Character.values`), so a value's text is kept by the object's id
+    texts = {}
+
+    def text(v) -> str:
+        if id(v) not in texts:
+            texts[id(v)] = json.dumps(v.to_json(), sort_keys=True) if machine else str(v)
+        return texts[id(v)]
     if machine:
-        doc = {"group": G.spec, "order": G.order, "exponent": G.exponent,
-               "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
-                           for s, r in zip(G.class_sizes, G.class_reps)],
-               "irreducibles": [{"degree": ch.dim,
-                                 "values": [v.to_json() for v in ch.values]}
-                                for ch in T.irreducibles]}
-        print(json.dumps(doc, sort_keys=True))
+        head = {"group": G.spec, "exponent": G.exponent,
+                "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
+                            for s, r in zip(G.class_sizes, G.class_reps)]}
+        rows = ", ".join(f'{{"degree": {ch.dim}, "values": [{", ".join(map(text, ch.values))}]}}'
+                         for ch in T.irreducibles)
+        # json.dumps of the whole document with sorted keys: "irreducibles"
+        # and "order" come after the keys of `head`
+        print(json.dumps(head, sort_keys=True)[:-1]
+              + f', "irreducibles": [{rows}], "order": {G.order}}}')
     else:
         print(f"{G.name}: order {G.order}, {len(G.classes)} classes, "
               f"exponent {G.exponent}")
         print("class sizes: " + " ".join(str(s) for s in G.class_sizes))
         for i, ch in enumerate(T.irreducibles):
-            print(f"chi_{i} (dim {ch.dim}): " + "  ".join(str(v) for v in ch.values))
+            print(f"chi_{i} (dim {ch.dim}): " + "  ".join(map(text, ch.values)))
     return 0
 
 
@@ -328,19 +338,34 @@ def _run_table(args, machine: bool) -> int:
 
 def _run_replay(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    # a ValueError too: a result too long to print is malformed input until
-    # numbers in documents have a size policy
-    with reading("cannot replay document", (TensorCondError, ValueError)):
+    with reading("cannot replay document"):
         verdict = replay(doc)
     print(json.dumps(verdict, sort_keys=True))
     return 0 if verdict["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are InputErrors: one line on
+    stderr and exit 2, as for a malformed document."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag; int() refuses more than 4300 digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer of at most 4300 digits: {shown(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("human", "machine"), default="human",
                         help="machine prints line-delimited JSON")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensorcond",
         description="Exact conductor exponents for group filtrations and "
                     "Weil-Deligne block data, with verification suites.")
@@ -350,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run property suites over the corpus")
     p_verify.add_argument("--suite", action="append", required=True,
                           help="suite name or 'all' (repeatable)")
-    p_verify.add_argument("--seeds", type=int, default=None,
+    p_verify.add_argument("--seeds", type=_int_flag, default=None,
                           help="items per suite (default: per-suite)")
-    p_verify.add_argument("--seed", type=int, default=0, help="base seed")
+    p_verify.add_argument("--seed", type=_int_flag, default=0, help="base seed")
     p_verify.add_argument("--corpus", default=None, help="corpus JSON path")
-    p_verify.add_argument("--workers", type=int, default=None,
+    p_verify.add_argument("--workers", type=_int_flag, default=None,
                           help="processes, at most one per usable CPU")
 
     p_bound = sub.add_parser("bound", parents=[common], help="conductor bounds for one local pair")
@@ -364,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_global.add_argument("--input", required=True, help="JSON document or - for stdin")
 
     p_sharp = sub.add_parser("sharpness", parents=[common], help="Jacobian family equalities")
-    p_sharp.add_argument("--p", type=int, default=None, help="odd prime (default: 3)")
-    p_sharp.add_argument("--a", type=int, default=None,
+    p_sharp.add_argument("--p", type=_int_flag, default=None, help="odd prime (default: 3)")
+    p_sharp.add_argument("--a", type=_int_flag, default=None,
                          help="unit representative (default: smallest valid)")
-    p_sharp.add_argument("--max-p", type=int, default=None,
+    p_sharp.add_argument("--max-p", type=_int_flag, default=None,
                          help="sweep every odd prime up to this bound")
 
     p_table = sub.add_parser("table", parents=[common], help="print a character table")
@@ -401,10 +426,9 @@ EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a killed wri
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
-    machine = args.format == "machine"
     try:
-        code = _RUNNERS[args.command](args, machine)
+        args = _parser().parse_args(argv)
+        code = _RUNNERS[args.command](args, args.format == "machine")
         sys.stdout.flush()  # a reader that left shows here at the latest
         return code
     except InputError as err:

@@ -110,7 +110,10 @@ MAX_INT_BITS = 256
 
 
 def shown(value) -> str:
-    """repr(value), but an integer of d > 20 digits as "<d digits>" (signed)."""
+    """repr(value), but an integer of d > 20 digits as "<d digits>" (signed),
+    and a string of n > 40 characters as "<string of n characters>"."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"<string of {len(value)} characters>"
     text = repr(value)
     digits = len(text.lstrip("-"))
     if is_int(value) and digits > 20:

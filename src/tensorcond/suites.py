@@ -11,6 +11,7 @@ counterexample; `replay` validates such a document and calls the same
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -19,8 +20,8 @@ from .chars import (Character, CharacterTable, _combine_atoms, character_table,
                     gen_character_mults, gen_rational_mults, gen_symplectic_mults,
                     rational_atoms, symplectic_rational_atoms)
 from .corpus import ChainReader, Corpus, CorpusChain
-from .errors import (CorpusError, InputError, NotPGroupError, TensorCondError,
-                     int_field, is_int, reading, require, shown, sized)
+from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError,
+                     TensorCondError, int_field, is_int, reading, require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
@@ -126,14 +127,27 @@ def read_global(doc, dim_keys: Tuple[str, str],
     return dims[0], dims[1], tuple(out)
 
 
+# a document rational: a JSON integer, or a string "p" or "p/q", as the
+# suites write them; a part of more digits than 2^MAX_INT_BITS has is
+# refused before it is read
+_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+_MAX_DIGITS = len(str(2 ** MAX_INT_BITS))
+
+
 def _rational(value, name: str) -> Fraction:
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"'{name}' must be an exact rational such as \"3/2\", "
-                     f"not {value!r}")
+    """A document rational whose numerator and denominator have at most
+    MAX_INT_BITS bits, or an InputError naming the field."""
+    if is_int(value):
+        return Fraction(sized(value, f"'{name}'"))
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None or match[3] is not None and not match[3].strip("0"):
+        raise InputError(f"'{name}' must be an exact rational such as \"3/2\", "
+                         f"not {shown(value)}")
+    sign, num, den = match[1], match[2].lstrip("0") or "0", (match[3] or "1").lstrip("0")
+    x = None if max(len(num), len(den)) > _MAX_DIGITS else Fraction(int(sign + num), int(den))
+    if x is None or max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_INT_BITS:
+        raise InputError(f"'{name}' is {shown(value)}, more than {MAX_INT_BITS} bits")
+    return x
 
 
 def _rationals(doc, key: str) -> List[Fraction]:

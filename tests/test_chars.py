@@ -411,6 +411,54 @@ def test_table_validation_refuses_too_few_forms():
         CharacterTable(G, [form], character_table(G).modulus)
 
 
+def test_table_validation_refuses_forged_multi_term_entries():
+    """Heis3's degree-3 characters are 1 + w + w^2 at the classes outside
+    the centre, an entry of three terms: each forgery of one such entry
+    is refused by the check it breaks."""
+    from tensorcond.errors import TableComputationError
+    G = heisenberg(3)
+    T = character_table(G)
+    i = T.degrees.index(3)
+    c = next(c for c, terms in enumerate(T.forms[i]) if len(terms) == 3)
+    c2 = G.class_power(c, 2)
+    assert c2 != c and T.forms[i][c] == T.forms[i][c2] == ((0, 1), (1, 1), (2, 1))
+
+    def moved(forms):  # one multiplicity moved from w to 1, at c alone
+        forms[i][c] = ((0, 2), (2, 1))
+
+    def moved_with_its_image(forms):  # Galois-closed, but 2 + w^2 has the wrong norm
+        forms[i][c] = ((0, 2), (2, 1))
+        forms[i][c2] = ((0, 2), (1, 1))
+
+    def short_sum(forms):
+        forms[i][c] = ((0, 1), (1, 1))
+
+    def negative(forms):  # sums to the degree with a multiplicity -1
+        forms[i][c] = ((0, 2), (1, 2), (2, -1))
+    for edit, match in (
+            (moved, rf"Galois condition fails for irreducible {i} at class {min(c, c2)}, unit 2"),
+            (moved_with_its_image, rf"norm of irreducible {i} is"),
+            (short_sum, rf"irreducible {i} at class {c} is not 3 roots of unity"),
+            (negative, rf"irreducible {i} at class {c} is not 3 roots of unity")):
+        with pytest.raises(TableComputationError, match=match):
+            _forged(G, edit)
+
+
+def test_table_validation_refuses_a_negative_degree():
+    """The trivial character of C2 forged as 1 - 2 zeta^0 at the identity
+    and 1 - 2 zeta^1 at the other class: values 1, 1 were never summed from
+    the bad term, and its degree -1 squares to 1, so only the sign of the
+    multiplicity -2 tells it from the trivial row."""
+    from tensorcond.errors import TableComputationError
+    G = cyclic(2)
+    i = character_table(G).index_of_trivial()
+
+    def edit(forms):
+        forms[i] = [((0, 1), (0, -2)), ((0, 1), (1, -2))]
+    with pytest.raises(TableComputationError, match="is not -1 roots of unity"):
+        _forged(G, edit)
+
+
 def _small_descriptors():
     """Every descriptor of each kind up to order 64, with direct products
     of two factors of orders 2 to 8."""
@@ -687,13 +735,30 @@ def test_table_machine_output_digests(corpus, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name], name
 
 
+def _dense(sparse_rows, r):
+    """A matrix held as each row's nonzero (column, entry) pairs, written out."""
+    out = [[0] * r for _ in sparse_rows]
+    for row, entries in zip(out, sparse_rows):
+        for k, c in entries:
+            assert c and row[k] == 0  # one pair per nonzero entry
+            row[k] = c
+    return out
+
+
 def test_class_matrices_on_demand_match_the_product_count(corpus):
+    """Each sparse row, written out dense, against the |G|^2 product count;
+    a combination of classes against the same combination of the counts."""
     from tensorcond.chars import _class_matrix
     from tensorcond.groups import build_group
     for name, spec in _digest_groups(corpus):
         G = build_group(spec)
-        assert [_class_matrix(G, i) for i in range(len(G.classes))] == \
-            class_matrices(G), name
+        r = len(G.classes)
+        want = class_matrices(G)
+        assert [_dense(_class_matrix(G, {i: 1}), r) for i in range(r)] == want, name
+        coeffs = {i: 2 * i + 3 for i in range(1, r, 2)}
+        assert _dense(_class_matrix(G, coeffs), r) == [
+            [sum(a * want[i][j][k] for i, a in coeffs.items()) for k in range(r)]
+            for j in range(r)], name
 
 
 def test_split_refuses_a_prime_that_does_not_split_the_class_algebra():
@@ -703,6 +768,61 @@ def test_split_refuses_a_prime_that_does_not_split_the_class_algebra():
     from tensorcond.errors import TableComputationError
     with pytest.raises(TableComputationError, match="not split semisimple"):
         _joint_eigenvectors(cyclic(5), 5)
+
+
+def _count_split_work(monkeypatch):
+    """Counters of the class matrices (or combinations) built and of the
+    `_split_piece` calls made, from here on."""
+    from tensorcond import chars
+    counts = {"matrices": 0, "splits": 0}
+    build, split = chars._class_matrix, chars._split_piece
+
+    def counted_build(*args):
+        counts["matrices"] += 1
+        return build(*args)
+
+    def counted_split(*args):
+        counts["splits"] += 1
+        return split(*args)
+    monkeypatch.setattr(chars, "_class_matrix", counted_build)
+    monkeypatch.setattr(chars, "_split_piece", counted_split)
+    return counts
+
+
+@pytest.mark.parametrize("spec, matrices, splits", [
+    # one pass per class matrix took 64 matrices and 2731 calls
+    ({"kind": "elementary_abelian", "p": 2, "k": 7}, 40, 1100),
+    # and on D256 130 matrices and 16,386 calls
+    ({"kind": "dihedral", "n": 256}, 8, 600)])
+def test_the_split_stops_at_a_stall(monkeypatch, spec, matrices, splits):
+    """2^7 stalls after each new generator, and D256's rotation classes
+    leave two pairs of linear characters joined until its reflections: a
+    combination of the classes left ends both splits (measured: 37
+    matrices and 1003 calls on 2^7, 7 and 521 on D256)."""
+    from tensorcond.groups import build_group
+    G = build_group(spec)
+    counts = _count_split_work(monkeypatch)
+    T = character_table(G)
+    assert len(T) == len(G.classes)
+    assert counts["matrices"] <= matrices and counts["splits"] <= splits, counts
+
+
+def test_a_combination_that_splits_nothing_leaves_the_split_to_the_classes(monkeypatch):
+    """With every coefficient 0 the combination is the zero matrix: the
+    split goes on one class at a time, to the same table, and ends."""
+    from tensorcond import chars
+    from tensorcond.groups import build_group
+
+    class Zeros:
+        def randrange(self, *args):
+            return 0
+    spec = {"kind": "dihedral", "n": 32}
+    want = character_table(build_group(spec)).forms
+    monkeypatch.setattr(chars, "_rng", lambda tag, seed: Zeros())
+    counts = _count_split_work(monkeypatch)
+    G = build_group(spec)
+    assert character_table(G).forms == want
+    assert counts["matrices"] > len(G.classes) - 1  # some combination was built
 
 
 # -- table facts from the residues against their class-value definitions ---------------

@@ -1171,6 +1171,28 @@ def test_document_integers_beyond_the_size_policy_are_refused(tmp_path, capsys):
     assert "bits" not in run_cli(capsys, "global", "--input", _write(tmp_path, doc))[2]
 
 
+def test_min_sum_rationals_beyond_the_size_policy_are_refused(tmp_path, capsys):
+    """A min-sum rational, as a JSON integer or as a "p" or "p/q" string,
+    has a numerator and a denominator of at most MAX_INT_BITS bits; a longer
+    one is refused with its length, not echoed, and nothing else is read as
+    a rational."""
+    from tensorcond.errors import MAX_INT_BITS
+    doc = {"suite": "min-sum", "M": "2", "a": ["2", "0"], "b": ["4", "2"], "d": ["1", "2"]}
+    for a0 in ["1" * 5000, "9" * 4000 + "/7", "1/" + "3" * 100, 10 ** 2200, 2 ** MAX_INT_BITS]:
+        bad = dict(doc, a=[a0, "0"])
+        _one_short_line(*run_cli(capsys, "replay", "--input", _write(tmp_path, bad)), "a[0]")
+    for a0 in ["1e5", "1.5", "3/0", "x" * 5000]:
+        bad = dict(doc, a=[a0, "0"])
+        code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, bad))
+        _one_short_line(code, out, err, "a[0]")
+        assert "exact rational" in err
+    # the largest numerator and denominator the policy admits, and leading zeros
+    top = str(2 ** MAX_INT_BITS - 1)
+    for a0 in [top, f"{top}/{top}", "0" * 5000 + "4", " -0/0001 "]:
+        code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, dict(doc, a=[a0, "0"])))
+        assert "bits" not in err and "exact rational" not in err, err
+
+
 def test_a_refused_integer_is_shown_as_its_digit_count(tmp_path, capsys):
     minus_ones = "-" + "1" * 4000
     _one_short_line(*run_cli(capsys, "table", "--group",

@@ -9,13 +9,16 @@ it must return 2, print nothing on stdout and one `input error:` or
 on stdin, and as raw bytes in a file given with `--input PATH`: bytes that
 are not UTF-8, integers longer than Python converts, and nesting deeper
 than `json` decodes or a group spec may have, and group parameters of
-1000 to 4300 digits.
+1000 to 4300 digits.  A last property gives every subcommand a valid input
+with one numeric field or flag replaced by an integer of up to 5000 digits:
+it must exit 0, 1 or 2 with at most one line on stderr and no traceback.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from importlib import resources
@@ -24,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensorcond.cli import main
 from tensorcond.corpus import load_corpus
+from tensorcond.errors import is_int
 from tensorcond.suites import SUITES
 
 from test_cli import BOUND_DOC, make_global_doc
@@ -235,3 +239,102 @@ def test_malformed_corpus_files_exit_2(path, delete, value):
         assert code == 0, (doc, err.getvalue())
     else:
         _assert_exit_2(code, out.getvalue(), err.getvalue(), doc)
+
+
+# -- every subcommand: integers up to 10^5000 in any numeric field or flag --------
+
+# Decimal texts (an int of over 4300 digits has no repr): small values, and
+# values of 20 to 5000 digits, past every cap and past the size policy's 256
+# bits, and its edges.  Values in between are left out: a --seeds of 10^6,
+# or a group order just under the cap, is valid input that asks for much
+# work, and the property is about exits, not about work.
+INTS = st.one_of(
+    st.integers(-3, 16).map(str),
+    st.builds(lambda sign, digit, n: sign + digit * n,
+              st.sampled_from(["", "-"]), st.sampled_from("123456789"), st.integers(20, 5000)),
+    st.sampled_from([str(2 ** 256 - 1), str(2 ** 256), str(-2 ** 256), "1" + "0" * 5000]))
+
+# a --seeds as large as the other flags asks for that many items: only
+# the refused ones are drawn, negative or too long to read
+SEEDS = st.one_of(
+    st.integers(-3, 16).map(str),
+    st.builds(lambda digit, n: "-" + digit * n, st.sampled_from("123456789"),
+              st.integers(20, 5000)),
+    st.builds(lambda digit, n: digit * n, st.sampled_from("123456789"),
+              st.integers(4301, 5000)))
+
+TABLE_SPECS = [{"kind": "cyclic", "n": 6}, {"kind": "dihedral", "n": 4},
+               {"kind": "elementary_abelian", "p": 3, "k": 2}, {"kind": "heisenberg", "p": 3},
+               {"kind": "affine", "p": 5},
+               {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2},
+                                                      {"kind": "quaternion8"}]}]
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _numeric_paths(doc):
+    """The places of a document holding an integer (not a boolean) or a
+    rational written as a string, such as min-sum's "3/2"."""
+    return [path for path in _paths(doc) if path and (
+        is_int(_at(doc, path)) or isinstance(_at(doc, path), str)
+        and _RATIONAL_TEXT.fullmatch(_at(doc, path)))]
+
+
+@st.composite
+def huge_numbers(draw):
+    """(argv, stdin text or None): one subcommand's valid input with one
+    numeric field or flag replaced by a drawn integer, written as a JSON
+    number, or (in a rational's string) as a JSON string."""
+    command = draw(st.sampled_from(["verify", "bound", "global", "sharpness", "table",
+                                    "replay"]))
+    if command in ("bound", "global", "replay", "table"):
+        docs = TABLE_SPECS if command == "table" else \
+            BASES[command] + (SUITE_DOCUMENTS if command == "replay" else [])
+        doc = draw(st.sampled_from(docs))
+        path = draw(st.sampled_from(_numeric_paths(doc)))
+        text = draw(INTS)
+        if isinstance(_at(doc, path), str) and draw(st.booleans()):
+            text = json.dumps(text)
+        data = _with_raw(doc, path, text).decode()
+        if command == "table":
+            return ["table", "--group", data], None
+        return [command, "--input", "-"], data
+    if command == "sharpness":
+        flags = draw(st.sampled_from([["--p"], ["--a"], ["--max-p"], ["--p", "--a"]]))
+        argv = ["sharpness"]
+        for flag in flags:
+            argv += [flag, draw(INTS)]
+        return argv, None
+    flag = draw(st.sampled_from(["--seed", "--workers", "--seeds"]))
+    argv = ["verify", "--suite", draw(st.sampled_from(sorted(SUITES))), flag,
+            draw(SEEDS if flag == "--seeds" else INTS)]
+    return argv + (["--seeds", "2"] if flag != "--seeds" else []), None
+
+
+def _run_argv(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", "machine"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None)
+@given(huge_numbers())
+def test_huge_integers_in_every_subcommand_exit_0_1_or_2(case):
+    """Exit 0, 1 or 2, at most one line on stderr, and no traceback."""
+    argv, text = case
+    code, out, err = _run_argv(argv, text)
+    shown = ([a[:80] for a in argv], (text or "")[:300], err[:300])
+    assert code in (0, 1, 2), shown
+    assert len(err.splitlines()) <= 1, shown
+    assert "Traceback" not in out + err, shown
