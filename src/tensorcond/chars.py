@@ -24,7 +24,8 @@ and F_q holds the e-th roots of unity, so F_q splits the class algebra
 
 `CharacterTable(group, forms, modulus)` certifies its forms, reading them
 alone: (a) there are r forms, their degrees' squares sum to |G|, and each
-form at c is deg psi roots of unity of order dividing ord(c); (b) psi(g^k)
+form at c is deg psi roots of unity of order dividing ord(c), its
+exponents strictly increasing, so no two terms name one root; (b) psi(g^k)
 = sigma_k(psi(g)) as multisets, for units k generating the units mod e;
 (c) the Gram matrix S_ij = sum_c |c| psi_i(c) psi_j(c^-1) is |G| I mod q;
 (d) S_ii = |G| mod q', the next table prime.  By (b) and the class
@@ -495,8 +496,6 @@ def _power_form(terms, k: int, e: int) -> Tuple[Tuple[int, int], ...]:
     if len(terms) == 1:
         (a, m), = terms
         return ((a * k % e, m),)
-    if gcd(k, e) == 1:  # a -> ak mod e is a bijection: no two terms meet
-        return tuple(sorted((a * k % e, m) for a, m in terms))
     acc = {}
     for a, m in terms:
         t = a * k % e
@@ -788,16 +787,6 @@ def _lift_table(group: FiniteGroup, vectors, q):
     return [row[2] for row in rows]
 
 
-def _not_roots(i: int, c: int, deg: int) -> TableComputationError:
-    return TableComputationError(
-        f"irreducible {i} at class {c} is not {deg} roots of unity of its order")
-
-
-def _not_galois(i: int, c: int, k: int) -> TableComputationError:
-    return TableComputationError(
-        f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
-
-
 def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tuple[int, ...], ...]:
     """The forms' values mod q, zeta_e -> w, once checks (a) - (d) of the
     module docstring hold; the first that fails raises TableComputationError."""
@@ -819,32 +808,26 @@ def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tup
         row, row2 = [], []
         for c, (terms, step, units) in enumerate(zip(form, steps, images)):
             # deg roots of unity of the class's order, so |psi(c)| <= deg
-            if len(terms) == 1:  # one eigenvalue, deg times
-                (a, m), = terms
-                if m != deg or m <= 0 or a % step or not 0 <= a < e:
-                    raise _not_roots(i, c, deg)
-                row.append(m * wq[a] % q)
-                row2.append(m * wq2[a] % q2)
-                # (b) as below: sigma_k moves the one eigenvalue alone
-                for k, ck in units:
-                    if form[ck] != ((a * k % e, m),):
-                        raise _not_galois(i, c, k)
-                continue
             total = v = v2 = 0
+            prev = -1  # the exponents increase strictly: the form is collected
             for a, m in terms:
-                if m <= 0 or a % step or not 0 <= a < e:
-                    raise _not_roots(i, c, deg)
+                if m <= 0 or a % step or not prev < a < e:
+                    total = None  # no degree, not even a negative one
+                    break
+                prev = a
                 total += m
                 v += m * wq[a]
                 v2 += m * wq2[a]
             if total != deg:
-                raise _not_roots(i, c, deg)
-            row.append(v % q)
-            row2.append(v2 % q2)
+                raise TableComputationError(
+                    f"irreducible {i} at class {c} is not {deg} roots of unity of its order")
             # (b) psi(g^k) = sigma_k(psi(g)) on the multisets
             for k, ck in units:
                 if form[ck] != _power_form(terms, k, e):
-                    raise _not_galois(i, c, k)
+                    raise TableComputationError(
+                        f"Galois condition fails for irreducible {i} at class {c}, unit {k}")
+            row.append(v % q)
+            row2.append(v2 % q2)
         # (d) S_ii = sum_c |c| psi_i(c) psi_i(c^-1) = |G| mod the next table prime
         s = sum(map(mul, map(mul, sizes, map(row2.__getitem__, inv)), row2)) % q2
         if s != order % q2:

@@ -306,30 +306,29 @@ def _run_table(args, machine: bool) -> int:
     with reading("--group"):
         G = build_group(spec)
     T = character_table(G)
-    # the table reads each distinct value once, as one CycloNum kept on it
-    # (`Character.values`), so a value's text is kept by the object's id
-    texts = {}
-
-    def text(v) -> str:
-        if id(v) not in texts:
-            texts[id(v)] = json.dumps(v.to_json(), sort_keys=True) if machine else str(v)
-        return texts[id(v)]
     if machine:
-        head = {"group": G.spec, "exponent": G.exponent,
-                "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
-                            for s, r in zip(G.class_sizes, G.class_reps)]}
-        rows = ", ".join(f'{{"degree": {ch.dim}, "values": [{", ".join(map(text, ch.values))}]}}'
-                         for ch in T.irreducibles)
-        # json.dumps of the whole document with sorted keys: "irreducibles"
-        # and "order" come after the keys of `head`
-        print(json.dumps(head, sort_keys=True)[:-1]
-              + f', "irreducibles": [{rows}], "order": {G.order}}}')
+        # a table's values repeat, each distinct one the same CycloNum
+        # (`Character.values`): its JSON object is made once
+        objs = {}
+
+        def to_json(v) -> dict:
+            obj = objs.get(id(v))
+            if obj is None:
+                obj = objs[id(v)] = v.to_json()
+            return obj
+        doc = {"group": G.spec, "order": G.order, "exponent": G.exponent,
+               "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
+                           for s, r in zip(G.class_sizes, G.class_reps)],
+               "irreducibles": [{"degree": ch.dim,
+                                 "values": [to_json(v) for v in ch.values]}
+                                for ch in T.irreducibles]}
+        print(json.dumps(doc, sort_keys=True))
     else:
         print(f"{G.name}: order {G.order}, {len(G.classes)} classes, "
               f"exponent {G.exponent}")
         print("class sizes: " + " ".join(str(s) for s in G.class_sizes))
         for i, ch in enumerate(T.irreducibles):
-            print(f"chi_{i} (dim {ch.dim}): " + "  ".join(map(text, ch.values)))
+            print(f"chi_{i} (dim {ch.dim}): " + "  ".join(str(v) for v in ch.values))
     return 0
 
 

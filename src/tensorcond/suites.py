@@ -319,9 +319,19 @@ def _gen_min_sum(corpus, base_seed, i):
     return {"M": str(M), "a": a, "b": b, "d": d}, {}
 
 
+# a sum of rationals has at most as many bits as its terms' parts together
+# (its denominator divides the product of theirs), so min-sum's sequences
+# are held to this many bits together: every side prints, and is quick
+MAX_SUM_BITS = 32 * MAX_INT_BITS
+
+
 def _check_min_sum(doc, chains):
     M = _rational(require(doc, "M"), "M")
-    lhs, rhs = min_sum_bound(M, *(_rationals(doc, key) for key in ("a", "b", "d")))
+    a, b, d = (_rationals(doc, key) for key in ("a", "b", "d"))
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length() for x in a + b + d)
+    if bits > MAX_SUM_BITS:
+        raise InputError(f"'a', 'b' and 'd' hold {bits} bits together, more than {MAX_SUM_BITS}")
+    lhs, rhs = min_sum_bound(M, a, b, d)
     return lhs >= rhs, {"M": str(M), "lhs": str(lhs), "rhs": str(rhs)}
 
 

@@ -414,7 +414,8 @@ def test_table_validation_refuses_too_few_forms():
 def test_table_validation_refuses_forged_multi_term_entries():
     """Heis3's degree-3 characters are 1 + w + w^2 at the classes outside
     the centre, an entry of three terms: each forgery of one such entry
-    is refused by the check it breaks."""
+    is refused by the check it breaks, and so is a central entry written as
+    two terms of one root."""
     from tensorcond.errors import TableComputationError
     G = heisenberg(3)
     T = character_table(G)
@@ -435,11 +436,21 @@ def test_table_validation_refuses_forged_multi_term_entries():
 
     def negative(forms):  # sums to the degree with a multiplicity -1
         forms[i][c] = ((0, 2), (1, 2), (2, -1))
+
+    # at a central z != 1 the entry is one root three times, (a, 3)
+    z = next(z for z, terms in enumerate(T.forms[i]) if len(terms) == 1 and terms[0][0])
+    z2 = G.class_power(z, 2)
+
+    def repeated(forms):  # (a, 1), (a, 2) at z and its image: same values, not collected
+        for y in (z, z2):
+            (a, m), = forms[i][y]
+            forms[i][y] = ((a, 1), (a, m - 1))
     for edit, match in (
             (moved, rf"Galois condition fails for irreducible {i} at class {min(c, c2)}, unit 2"),
             (moved_with_its_image, rf"norm of irreducible {i} is"),
             (short_sum, rf"irreducible {i} at class {c} is not 3 roots of unity"),
-            (negative, rf"irreducible {i} at class {c} is not 3 roots of unity")):
+            (negative, rf"irreducible {i} at class {c} is not 3 roots of unity"),
+            (repeated, rf"irreducible {i} at class {min(z, z2)} is not 3 roots of unity")):
         with pytest.raises(TableComputationError, match=match):
             _forged(G, edit)
 

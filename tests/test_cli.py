@@ -1175,8 +1175,10 @@ def test_min_sum_rationals_beyond_the_size_policy_are_refused(tmp_path, capsys):
     """A min-sum rational, as a JSON integer or as a "p" or "p/q" string,
     has a numerator and a denominator of at most MAX_INT_BITS bits; a longer
     one is refused with its length, not echoed, and nothing else is read as
-    a rational."""
+    a rational.  The sequences are held to MAX_SUM_BITS bits together, as
+    a sum's denominator is up to the lcm of its terms'."""
     from tensorcond.errors import MAX_INT_BITS
+    from tensorcond.suites import MAX_SUM_BITS
     doc = {"suite": "min-sum", "M": "2", "a": ["2", "0"], "b": ["4", "2"], "d": ["1", "2"]}
     for a0 in ["1" * 5000, "9" * 4000 + "/7", "1/" + "3" * 100, 10 ** 2200, 2 ** MAX_INT_BITS]:
         bad = dict(doc, a=[a0, "0"])
@@ -1191,6 +1193,17 @@ def test_min_sum_rationals_beyond_the_size_policy_are_refused(tmp_path, capsys):
     for a0 in [top, f"{top}/{top}", "0" * 5000 + "4", " -0/0001 "]:
         code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, dict(doc, a=[a0, "0"])))
         assert "bits" not in err and "exact rational" not in err, err
+    # 80 distinct weights of 256 bits: lhs would have about 6000 digits
+    n = 80
+    long_d = dict(doc, M="2", a=["2"] * n, b=["2"] * n, d=[str(2 ** 255 + i) for i in range(n)])
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, long_d))
+    _one_short_line(code, out, err, "'d'")
+    assert f"more than {MAX_SUM_BITS}" in err
+    # 16 of them fit: both sides print
+    fit = MAX_SUM_BITS // (2 * MAX_INT_BITS)
+    code, out, err = run_cli(capsys, "replay", "--input", _write(
+        tmp_path, dict(long_d, a=["2"] * fit, b=["2"] * fit, d=long_d["d"][:fit])))
+    assert code == 0 and err == "" and json.loads(out)["ok"], err
 
 
 def test_a_refused_integer_is_shown_as_its_digit_count(tmp_path, capsys):
