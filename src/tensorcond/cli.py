@@ -24,7 +24,7 @@ from . import errors
 from .chars import character_table
 from .corpus import ChainReader, load_corpus
 from .errors import (InputError, TensorCondError, generator_lists, int_field,
-                     reading, require, shown)
+                     reading, require, shown, sized)
 from .globalbound import GlobalDatum, PrimeSummary, exponents_str, rankin_selberg_bound
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
@@ -273,8 +273,9 @@ def _sharpness_family(args) -> list:
         if len(family) > 1:
             raise InputError(f"--a {shown(args.a)} needs a single prime, but --max-p "
                              f"{shown(args.max_p)} sweeps {len(family)}")
+        a = sized(args.a, "--a")
         with reading("--a"):
-            family = [validate_params(family[0].p, args.a)]
+            family = [validate_params(family[0].p, a)]
     return family
 
 

@@ -9,7 +9,6 @@ non-normal step on purpose: nothing in the calculus may assume normality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -22,14 +21,18 @@ from .weildeligne import InertiaModel
 CORPUS_VERSION = 1
 
 
-@dataclass
 class CorpusChain:
-    entry_name: str
-    name: str
-    generator_lists: Tuple[Tuple[int, ...], ...]
-    filtration: Filtration
-    model_p: Optional[int]
-    _model: Optional[InertiaModel] = None
+    __slots__ = ("entry_name", "name", "generator_lists", "filtration", "model_p", "_model")
+
+    def __init__(self, entry_name: str, name: str,
+                 generator_lists: Tuple[Tuple[int, ...], ...], filtration: Filtration,
+                 model_p: Optional[int], _model: Optional[InertiaModel] = None):
+        self.entry_name = entry_name
+        self.name = name
+        self.generator_lists = generator_lists
+        self.filtration = filtration
+        self.model_p = model_p
+        self._model = _model
 
     @property
     def label(self) -> str:
@@ -56,11 +59,13 @@ class CorpusChain:
         return all(s.size in (1, G.order) for s in self.filtration.chain)
 
 
-@dataclass
 class CorpusEntry:
-    name: str
-    group: FiniteGroup
-    chains: List[CorpusChain]
+    __slots__ = ("name", "group", "chains")
+
+    def __init__(self, name: str, group: FiniteGroup, chains: List[CorpusChain]):
+        self.name = name
+        self.group = group
+        self.chains = chains
 
 
 class Corpus:

@@ -17,7 +17,6 @@ takes one side from each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -45,25 +44,26 @@ def tensor_fixed_excess(tau: ClassFunction, sigma: ClassFunction,
     return fixed_dim(tau * sigma, H) - fixed_dim(tau, H) * fixed_dim(sigma, H)
 
 
-@dataclass(frozen=True)
 class ConductorReport:
     """Per-level terms and the exact total for one (or a pair of) characters."""
 
-    level_terms: Tuple[int, ...]
-    indices: Tuple[int, ...]
-    total: Fraction
-    excess_terms: Optional[Tuple[int, ...]] = None
-    excess_total: Optional[Fraction] = None
+    __slots__ = ("level_terms", "indices", "total", "excess_terms", "excess_total")
 
-    def __post_init__(self):
-        assert all(a >= b for a, b in zip(self.level_terms, self.level_terms[1:])), \
+    def __init__(self, level_terms: Tuple[int, ...], indices: Tuple[int, ...],
+                 total: Fraction, excess_terms: Optional[Tuple[int, ...]] = None,
+                 excess_total: Optional[Fraction] = None):
+        self.level_terms = level_terms
+        self.indices = indices
+        self.total = total
+        self.excess_terms = excess_terms
+        self.excess_total = excess_total
+        assert all(a >= b for a, b in zip(level_terms, level_terms[1:])), \
             "conductor terms must be weakly decreasing"
-        assert all(t >= 0 for t in self.level_terms)
-        m = lcm(*self.indices)
-        assert self.total == Fraction(
-            sum(t * m // d for t, d in zip(self.level_terms, self.indices)), m)
-        if self.excess_terms is not None:
-            assert all(t >= 0 for t in self.excess_terms)
+        assert all(t >= 0 for t in level_terms)
+        m = lcm(*indices)
+        assert total == Fraction(sum(t * m // d for t, d in zip(level_terms, indices)), m)
+        if excess_terms is not None:
+            assert all(t >= 0 for t in excess_terms)
 
     def to_json(self) -> dict:
         doc = {"level_terms": list(self.level_terms),

@@ -13,7 +13,6 @@ residue characteristic of the record's inertia model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Tuple, Union
@@ -35,25 +34,27 @@ def exponents_str(n: Exponents) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(n.items())) or "1"
 
 
-@dataclass(frozen=True)
 class PrimeSummary:
     """Published local exponents and degrees at one prime."""
 
-    p: int
-    v_a: int
-    v_b: int
-    deg_a: int
-    deg_b: int
-    deg_ab: int
+    __slots__ = ("p", "v_a", "v_b", "deg_a", "deg_b", "deg_ab")
+
+    def __init__(self, p: int, v_a: int, v_b: int, deg_a: int, deg_b: int, deg_ab: int):
+        self.p = p
+        self.v_a = v_a
+        self.v_b = v_b
+        self.deg_a = deg_a
+        self.deg_b = deg_b
+        self.deg_ab = deg_ab
 
 
-@dataclass(frozen=True)
 class PrimeLocalPair:
     """Full local data at one prime: two inertia-model data sharing a model."""
 
-    p: int
-    A: AbVarDatum
-    B: AbVarDatum
+    def __init__(self, p: int, A: AbVarDatum, B: AbVarDatum):
+        self.p = p
+        self.A = A
+        self.B = B
 
     @cached_property
     def pair(self) -> LocalPair:
@@ -74,30 +75,28 @@ class PrimeLocalPair:
 PrimeRecord = Union[PrimeSummary, PrimeLocalPair]
 
 
-@dataclass(frozen=True)
 class GlobalDatum:
     """Two global objects seen through their local data at finitely many primes."""
 
-    dim_a: int
-    dim_b: int
-    primes: Tuple[PrimeRecord, ...]
-    _summaries: Tuple[PrimeSummary, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim_a", "dim_b", "primes", "_summaries")
 
-    def __post_init__(self):
+    def __init__(self, dim_a: int, dim_b: int, primes: Tuple[PrimeRecord, ...]):
+        self.dim_a = dim_a
+        self.dim_b = dim_b
+        self.primes = primes
         seen = set()
-        for rec in self.primes:
+        for rec in primes:
             if rec.p in seen:
                 raise InconsistentInputError(f"duplicate prime {rec.p}")
             seen.add(rec.p)
         summaries = tuple(rec if isinstance(rec, PrimeSummary) else rec.summary()
-                          for rec in self.primes)
+                          for rec in primes)
         for s in summaries:
-            if not (0 <= s.deg_a <= 2 * self.dim_a and 0 <= s.deg_b <= 2 * self.dim_b):
+            if not (0 <= s.deg_a <= 2 * dim_a and 0 <= s.deg_b <= 2 * dim_b):
                 raise InconsistentInputError(f"degree at prime {s.p} out of range")
             if s.v_a < 0 or s.v_b < 0 or s.deg_ab < 0:
                 raise InconsistentInputError(f"negative datum at prime {s.p}")
-        # the dataclass is frozen, hence object.__setattr__
-        object.__setattr__(self, "_summaries", summaries)
+        self._summaries = summaries
 
     def summaries(self) -> Tuple[PrimeSummary, ...]:
         """Each record's summary, taken once at construction."""
@@ -119,11 +118,13 @@ def d_term(datum: GlobalDatum) -> Exponents:
     return out
 
 
-@dataclass(frozen=True)
 class GlobalBoundReport:
-    bound: Exponents
-    d: Exponents
-    per_prime: Tuple[dict, ...]
+    __slots__ = ("bound", "d", "per_prime")
+
+    def __init__(self, bound: Exponents, d: Exponents, per_prime: Tuple[dict, ...]):
+        self.bound = bound
+        self.d = d
+        self.per_prime = per_prime
 
     def all_checks_pass(self) -> bool:
         return all(rec.get("ok", True) for rec in self.per_prime)

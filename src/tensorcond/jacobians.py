@@ -10,7 +10,6 @@ explicit ramification chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Optional, Tuple
@@ -24,13 +23,24 @@ from .filtration import conductor, tensor_rhs
 from .weildeligne import WDRep, improvement_constant
 
 
-@dataclass(frozen=True)
 class FamilyParams:
     """An odd prime p and a unit representative a with a^(p-1) != 1 mod p^2;
-    `validate_params` also holds Aff(p), of order p(p-1), to the order cap."""
+    `validate_params` also holds Aff(p), of order p(p-1), to the order cap.
+    Two are equal when their p and a are."""
 
-    p: int
-    a: int
+    __slots__ = ("p", "a")
+
+    def __init__(self, p: int, a: int):
+        self.p = p
+        self.a = a
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.a) == (other.p, other.a)
+
+    def __hash__(self):
+        return hash((self.p, self.a))
 
 
 def _check_prime(p: int) -> None:
@@ -168,7 +178,6 @@ def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
 # -- break (Swan slope) route ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BreakRep:
     """Characters of an elementary abelian wild group with Swan slopes.
 
@@ -176,16 +185,17 @@ class BreakRep:
     break 0 and are omitted; the Swan conductor is the sum of the breaks.
     """
 
-    p: int
-    rank: int
-    characters: Tuple[Tuple[Tuple[int, ...], Fraction], ...]
+    __slots__ = ("p", "rank", "characters")
 
-    def __post_init__(self):
-        p = self.p
-        _, nums = _numerators(brk for _, brk in self.characters)
+    def __init__(self, p: int, rank: int,
+                 characters: Tuple[Tuple[Tuple[int, ...], Fraction], ...]):
+        self.p = p
+        self.rank = rank
+        self.characters = characters
+        _, nums = _numerators(brk for _, brk in characters)
         lines = {}
-        for (vec, _), num in zip(self.characters, nums):
-            if len(vec) != self.rank:
+        for (vec, _), num in zip(characters, nums):
+            if len(vec) != rank:
                 raise ValueError("exponent vector of the wrong rank")
             nonzero = [x for x in vec if x % p]
             if not nonzero:
@@ -254,24 +264,32 @@ def tensor_break_rep(r1: BreakRep, r2: BreakRep) -> BreakRep:
 # -- full sharpness verification -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SharpnessReport:
-    p: int
-    a: int
-    sw_a: int
-    sw_p: int
-    sw_a_filtration: Fraction
-    sw_p_filtration: Fraction
-    artin_a: Fraction
-    artin_p: Fraction
-    deg_a: int
-    deg_p: int
-    sw_tensor: Fraction
-    swan_rhs: Fraction
-    a_tensor: Fraction
-    conductor_rhs: Fraction
-    improvement_constant: int
-    equal: bool
+    __slots__ = ("p", "a", "sw_a", "sw_p", "sw_a_filtration", "sw_p_filtration",
+                 "artin_a", "artin_p", "deg_a", "deg_p", "sw_tensor", "swan_rhs",
+                 "a_tensor", "conductor_rhs", "improvement_constant", "equal")
+
+    def __init__(self, p: int, a: int, sw_a: int, sw_p: int,
+                 sw_a_filtration: Fraction, sw_p_filtration: Fraction,
+                 artin_a: Fraction, artin_p: Fraction, deg_a: int, deg_p: int,
+                 sw_tensor: Fraction, swan_rhs: Fraction, a_tensor: Fraction,
+                 conductor_rhs: Fraction, improvement_constant: int, equal: bool):
+        self.p = p
+        self.a = a
+        self.sw_a = sw_a
+        self.sw_p = sw_p
+        self.sw_a_filtration = sw_a_filtration
+        self.sw_p_filtration = sw_p_filtration
+        self.artin_a = artin_a
+        self.artin_p = artin_p
+        self.deg_a = deg_a
+        self.deg_p = deg_p
+        self.sw_tensor = sw_tensor
+        self.swan_rhs = swan_rhs
+        self.a_tensor = a_tensor
+        self.conductor_rhs = conductor_rhs
+        self.improvement_constant = improvement_constant
+        self.equal = equal
 
     def to_json(self) -> dict:
         return {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -36,14 +35,17 @@ from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
 SHARPNESS_PRIMES = (3, 5, 7, 11, 13)
 
 
-@dataclass
 class ItemResult:
-    suite: str
-    index: int
-    ok: bool
-    detail: dict
-    checks: int = 1
-    counterexample: Optional[dict] = None
+    __slots__ = ("suite", "index", "ok", "detail", "checks", "counterexample")
+
+    def __init__(self, suite: str, index: int, ok: bool, detail: dict, checks: int = 1,
+                 counterexample: Optional[dict] = None):
+        self.suite = suite
+        self.index = index
+        self.ok = ok
+        self.detail = detail
+        self.checks = checks
+        self.counterexample = counterexample
 
     def to_json(self) -> dict:
         doc = {"suite": self.suite, "index": self.index, "ok": self.ok,
@@ -523,7 +525,6 @@ def _check_sharpness(doc, chains):
 # -- the registry ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Suite:
     """One suite: ``generate(corpus, base_seed, index)`` returns an item's
     input document and its detail labels, ``check(doc, chains)`` the
@@ -531,11 +532,17 @@ class Suite:
     ``checks`` counts an item's checks and ``show`` picks what replay
     prints besides the verdict."""
 
-    generate: Callable[[Corpus, int, int], Tuple[dict, dict]]
-    check: Callable[[dict, ChainReader], Tuple[bool, dict]]
-    seeds: int
-    checks: Callable[[dict, dict], int] = lambda doc, detail: 1
-    show: Callable[[dict, dict], dict] = lambda doc, detail: detail
+    __slots__ = ("generate", "check", "seeds", "checks", "show")
+
+    def __init__(self, generate: Callable[[Corpus, int, int], Tuple[dict, dict]],
+                 check: Callable[[dict, ChainReader], Tuple[bool, dict]], seeds: int,
+                 checks: Callable[[dict, dict], int] = lambda doc, detail: 1,
+                 show: Callable[[dict, dict], dict] = lambda doc, detail: detail):
+        self.generate = generate
+        self.check = check
+        self.seeds = seeds
+        self.checks = checks
+        self.show = show
 
 
 def _show_sides(doc, detail):

@@ -26,7 +26,6 @@ that product once for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul
@@ -39,7 +38,6 @@ from .filtration import conductor_exponent, nonfixed_dim, tensor_rhs
 from .groups import FiniteGroup, Filtration, is_prime
 
 
-@dataclass(frozen=True)
 class InertiaModel:
     """A finite quotient of inertia: group, ramification chain, residue char.
 
@@ -48,19 +46,18 @@ class InertiaModel:
     actual local field; all consumers assert formulas and inequalities only.
     """
 
-    group: FiniteGroup
-    filtration: Filtration
-    residue_char: int
-
-    def __post_init__(self):
-        if self.filtration.parent is not self.group:
+    def __init__(self, group: FiniteGroup, filtration: Filtration, residue_char: int):
+        self.group = group
+        self.filtration = filtration
+        self.residue_char = residue_char
+        if filtration.parent is not group:
             raise ModelMismatchError("filtration does not live on the model group")
-        if not is_prime(self.residue_char):
-            raise PreconditionError(f"residue characteristic {self.residue_char} is not prime")
-        wild = self.filtration[1] if len(self.filtration) > 1 else self.filtration[-1]
-        if not wild.is_pgroup(self.residue_char):
+        if not is_prime(residue_char):
+            raise PreconditionError(f"residue characteristic {residue_char} is not prime")
+        wild = filtration[1] if len(filtration) > 1 else filtration[-1]
+        if not wild.is_pgroup(residue_char):
             raise NotPGroupError(f"wild inertia level G_1 must be a "
-                                 f"{self.residue_char}-group")
+                                 f"{residue_char}-group")
 
     @property
     def inertia(self):
@@ -252,16 +249,14 @@ def class_degree(model: InertiaModel, blocks) -> int:
     return sum(model.inertia_fixed(s) for s, _ in blocks)
 
 
-@dataclass(frozen=True)
 class LocalPair:
     """Two data over one inertia model, with their tensor product A x B
     built once for every bound and identity that reads it."""
 
-    A: AbVarDatum
-    B: AbVarDatum
-
-    def __post_init__(self):
-        if self.A.model is not self.B.model:
+    def __init__(self, A: AbVarDatum, B: AbVarDatum):
+        self.A = A
+        self.B = B
+        if A.model is not B.model:
             raise ModelMismatchError("data live over different inertia models")
 
     @property

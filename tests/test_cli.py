@@ -246,7 +246,6 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
                                                            monkeypatch):
     """Force a failing suite item and check the exit-1 contract: the dump is
     printed and replays to the recorded verdict."""
-    import dataclasses
     from tensorcond import suites as suites_mod
     from tensorcond.chars import CharacterTable, character_table
     from tensorcond.corpus import load_corpus
@@ -265,9 +264,10 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
     gaps = [1] * len({H.elements for c in entry.chains for H in c.filtration.chain})
     ce = {"suite": "pgroup-gap", **inputs, "gaps": gaps}
 
-    broken = dataclasses.replace(
-        suites_mod.SUITES["pgroup-gap"],
-        generate=lambda corpus, base_seed, i: (inputs, {"entry": "c9"}))
+    real_suite = suites_mod.SUITES["pgroup-gap"]
+    broken = suites_mod.Suite(lambda corpus, base_seed, i: (inputs, {"entry": "c9"}),
+                              real_suite.check, real_suite.seeds,
+                              real_suite.checks, real_suite.show)
     monkeypatch.setitem(suites_mod.SUITES, "pgroup-gap", broken)
     code, out, _ = run_cli(capsys, "verify", "--suite", "pgroup-gap",
                            "--seeds", "2")
@@ -528,7 +528,6 @@ def test_verify_runs_one_process_without_fork(capsys, monkeypatch):
 def _fail_in_share_one(monkeypatch, failure):
     """Make min-sum's check call failure() on item 5, which is in share 1 of
     8 items at two workers."""
-    import dataclasses
     from tensorcond import suites as suites_mod
     from tensorcond.corpus import load_corpus
     suite = suites_mod.SUITES["min-sum"]
@@ -538,7 +537,8 @@ def _fail_in_share_one(monkeypatch, failure):
         if doc == target:
             failure()
         return suite.check(doc, reader)
-    monkeypatch.setitem(suites_mod.SUITES, "min-sum", dataclasses.replace(suite, check=check))
+    monkeypatch.setitem(suites_mod.SUITES, "min-sum", suites_mod.Suite(
+        suite.generate, check, suite.seeds, suite.checks, suite.show))
 
 
 def test_verify_worker_error_matches_the_serial_run(capsys, monkeypatch):
@@ -580,13 +580,16 @@ def test_verify_names_a_worker_that_fails_otherwise(capsys, monkeypatch, failure
 
 def test_verify_workers_import_no_process_pool():
     """A --workers 2 run that forks imports neither multiprocessing nor
-    concurrent.futures."""
+    concurrent.futures, and the records are plain classes, so neither
+    dataclasses nor inspect (with the ast, dis and tokenize it pulls in) is
+    imported either: each would add to every process's start-up."""
     script = ("import os, sys\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from tensorcond.cli import main\n"
               "code = main(['verify', '--suite', 'min-sum', '--seeds', '8',\n"
               "             '--workers', '2', '--format', 'machine'])\n"
-              "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures')\n"
+              "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures',\n"
+              "                               'dataclasses', 'inspect')\n"
               "                   if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=subprocess_env())
@@ -1211,6 +1214,9 @@ def test_a_refused_integer_is_shown_as_its_digit_count(tmp_path, capsys):
     _one_short_line(*run_cli(capsys, "table", "--group",
                              '{"kind": "cyclic", "n": %s}' % minus_ones), "'n'")
     _one_short_line(*run_cli(capsys, "sharpness", "--p", "3", "--a", "3" * 4000), "--a")
+    # a valid unit mod 13 is refused by its size alone, before it is validated
+    _one_short_line(*run_cli(capsys, "sharpness", "--p", "13", "--a", "1" + "0" * 4000),
+                    "--a")
     doc = dict(_tame_bound_doc(2), model={"group": {"kind": "cyclic", "n": 4},
                                           "chain": [[int("7" * 4000)]], "p": 2})
     _one_short_line(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)),

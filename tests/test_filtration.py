@@ -5,7 +5,7 @@ import pytest
 from tensorcond.chars import character_table
 from tensorcond.errors import (NotPGroupError, NotRationalError,
                                NotSymplecticError, PreconditionError)
-from tensorcond.filtration import (conductor,
+from tensorcond.filtration import (ConductorReport, conductor,
                                    conductor_exponent, min_sum_bound,
                                    nonfixed_dim, pgroup_tensor_bound,
                                    symplectic_tensor_bound,
@@ -62,6 +62,16 @@ def test_conductor_report(q8_setup):
     assert conductor_exponent(chi, filtration_from_generators(Cp, [])) == 1
     doc = rep.to_json()
     assert doc["total"] == "5/2"
+    # terms (2, 1) over indices (1, 2) total 5/2 and pass; each case after
+    # them breaks exactly one of the report's invariants
+    ConductorReport((2, 1), (1, 2), Fraction(5, 2), (0,), Fraction(0))
+    with pytest.raises(AssertionError, match="weakly decreasing"):
+        ConductorReport((1, 2), (1, 2), Fraction(2))
+    for args in [((2, -1), (1, 2), Fraction(3, 2)),
+                 ((2, 1), (1, 2), Fraction(3)),
+                 ((2, 1), (1, 2), Fraction(5, 2), (-1,), Fraction(-1))]:
+        with pytest.raises(AssertionError):
+            ConductorReport(*args)
 
 
 def test_level_terms_weakly_decreasing(q8_setup):

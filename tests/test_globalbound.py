@@ -69,6 +69,9 @@ def test_degree_range_validation():
     with pytest.raises(InconsistentInputError):
         GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 0, 0, 0),
                            PrimeSummary(5, 1, 1, 0, 0, 0)))
+    for rec in [(5, -1, 1, 0, 0, 0), (5, 1, -1, 0, 0, 0), (5, 1, 1, 0, 0, -1)]:
+        with pytest.raises(InconsistentInputError, match="negative datum"):
+            GlobalDatum(1, 1, (PrimeSummary(*rec),))
 
 
 def test_rankin_selberg_squarefree_elliptic():

@@ -98,6 +98,10 @@ def test_break_rep_validation():
         BreakRep(3, 1, (((0,), Fraction(1, 2)),))   # trivial listed
     with pytest.raises(ValueError):
         BreakRep(3, 1, (((1,), Fraction(1, 2)), ((2,), Fraction(3, 2))))
+    with pytest.raises(ValueError, match="wrong rank"):
+        BreakRep(3, 2, (((1,), Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="positive"):
+        BreakRep(3, 1, (((1,), Fraction(0)),))
     rep = BreakRep(3, 1, (((1,), Fraction(1, 2)), ((2,), Fraction(1, 2))))
     with pytest.raises(PreconditionError):
         tensor_break_rep(rep, rep)   # equal slopes are ambiguous

@@ -229,11 +229,15 @@ def test_forced_refined_above_uniform_failure_replays(corpus, monkeypatch):
 
 
 def test_forced_self_tensor_failure_replays(corpus, monkeypatch):
-    import dataclasses
     from tensorcond import suites
+    from tensorcond.globalbound import GlobalBoundReport
     real = suites.self_tensor_bound_report
-    monkeypatch.setattr(suites, "self_tensor_bound_report", lambda datum: dataclasses.replace(
-        real(datum), per_prime=({"p": 0, "bound_exp": 0, "ok": False},)))
+
+    def broken(datum):
+        report = real(datum)
+        return GlobalBoundReport(report.bound, report.d,
+                                 ({"p": 0, "bound_exp": 0, "ok": False},))
+    monkeypatch.setattr(suites, "self_tensor_bound_report", broken)
     assert len(_forced_failures(corpus, "global")) == 4
 
 

@@ -35,6 +35,8 @@ def test_model_validation():
         InertiaModel(Q, filt, 3)  # G_1 is the center: not a 3-group
     with pytest.raises(ValueError):
         InertiaModel(Q, filt, 4)  # not prime
+    with pytest.raises(ModelMismatchError):
+        InertiaModel(quaternion8(), filt, 2)  # an equal group, but not filt's
 
 
 def test_artin_conductor_blocks(q8_model, chi2):
