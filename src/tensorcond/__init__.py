@@ -4,9 +4,8 @@ Weil-Deligne block data, with brute-force character-theoretic oracles."""
 from .chars import Character, ClassFunction, CharacterTable, character_table, fixed_dim
 from .cyclo import CycloNum
 from .filtration import (ConductorReport, conductor, conductor_exponent,
-                         min_sum_bound, nonfixed_dim, pgroup_tensor_bound,
-                         symplectic_tensor_bound, tensor_fixed_excess,
-                         tensor_level_identity)
+                         min_sum_bound, pgroup_tensor_bound,
+                         symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary, d_term,
                           rankin_selberg_bound)
 from .groups import (FiniteGroup, Filtration, Subgroup, affine, build_group,

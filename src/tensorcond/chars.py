@@ -36,14 +36,16 @@ rational integer, and psi(c^-1) is the conjugate of psi(c) (k = -1).
 so (c) gives S_ij = 0 for i != j: the class values are orthonormal, and
 exact, without any exact sum.  The table's residues are the forms mod q.
 
-A class function is held as its exponent form (m, rows): per class, the
-terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1), e | m.  As x
--> zeta_m is a ring map from there onto Z[zeta_m], products convolve a
-class's terms mod x^m - 1, the dual permutes the rows, and the averages
-(`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms into one
-list, reduced mod Phi_m once; only the division by the group order is
-rational.  `CycloNum` values are reduced from the form only when read, a
-Character's once per distinct (class order, terms) of its table.
+A class function is held, and built, as its exponent form (m, rows): per
+class, the terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1),
+e | m.  As x -> zeta_m is a ring map from there onto Z[zeta_m], products
+convolve a class's terms mod x^m - 1, a dual permutes the rows, and the
+averages (`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms
+into one list, reduced mod Phi_m once; only the division by the group
+order is rational.  `CycloNum` values are reduced from the form only when
+read, a Character's once per distinct (class order, terms) of its table.
+Sums, scalings, duals and class functions built from values are the test
+oracles' (`tests/oracles.py`).
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
@@ -71,26 +73,16 @@ from .groups import FiniteGroup, Subgroup, closure, is_prime
 
 
 class ClassFunction:
-    """A function on conjugacy classes, held as its exponent form `form`
-    (module docstring); from values, each sum_j c_j zeta_N^j becomes the terms
-    (j m/N, c_j), m the lcm of e and every N.  `values` are read off `form`."""
+    """A function on conjugacy classes, held as its exponent form `form` =
+    (m, rows) (module docstring): m a multiple of the group exponent, and
+    per class the terms (k, c) of its value over x^m - 1.  `values` are
+    read off `form`."""
 
     __slots__ = ("group", "form", "values")
 
-    def __init__(self, group: FiniteGroup, values: Sequence):
-        if len(values) != len(group.classes):
-            raise ValueError("one value per conjugacy class required")
-        vals = [v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in values]
-        m = lcm(group.exponent, *(v.N for v in vals))
+    def __init__(self, group: FiniteGroup, m: int, rows):
         self.group = group
-        self.form = (m, tuple(tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
-                              for v in vals))
-
-    @staticmethod
-    def _of_form(group: FiniteGroup, m: int, rows) -> "ClassFunction":
-        chi = object.__new__(ClassFunction)
-        chi.group, chi.form = group, (m, tuple(rows))
-        return chi
+        self.form = (m, tuple(rows))
 
     def __getattr__(self, name):
         # reached only while the `values` slot is unset
@@ -103,13 +95,10 @@ class ClassFunction:
 
     # -- algebra ---------------------------------------------------------------
 
-    def _same_group(self, other: "ClassFunction"):
-        if self.group is not other.group:
-            raise ValueError("class functions live on different groups")
-
     def _rows_with(self, other: "ClassFunction"):
         """The common modulus m and, per class, both term lists over x^m - 1."""
-        self._same_group(other)
+        if self.group is not other.group:
+            raise ValueError("class functions live on different groups")
         (m1, rows1), (m2, rows2) = self.form, other.form
         m = lcm(m1, m2)
 
@@ -117,26 +106,12 @@ class ClassFunction:
             return rows if s == 1 else [tuple((k * s, c) for k, c in t) for t in rows]
         return m, zip(lift(rows1, m // m1), lift(rows2, m // m2))
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        m, pairs = self._rows_with(other)
-        return ClassFunction._of_form(self.group, m, (_collect(a + b) for a, b in pairs))
-
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         """Class by class: the terms' product convolved mod x^m - 1."""
         m, pairs = self._rows_with(other)
-        return ClassFunction._of_form(self.group, m, (
+        return ClassFunction(self.group, m, (
             _collect(((k1 + k2) % m, c1 * c2) for k1, c1 in a for k2, c2 in b) if a and b
             else () for a, b in pairs))
-
-    def scale(self, n: int) -> "ClassFunction":
-        m, rows = self.form
-        return ClassFunction._of_form(self.group, m, (
-            tuple((k, n * c) for k, c in terms if n) for terms in rows))
-
-    def dual(self) -> "ClassFunction":
-        """The contragredient: value at g is the value at g^-1."""
-        m, rows = self.form
-        return ClassFunction._of_form(self.group, m, (rows[c] for c in self.group.inverse_class))
 
     @property
     def dim(self) -> int:
@@ -317,11 +292,14 @@ class CharacterTable:
 
     def multiplicities(self, chi: ClassFunction) -> Tuple[int, ...]:
         """Decompose a character, each multiplicity the average of chi *
-        dual(psi_i) over G; error on negative or fractional parts."""
+        dual(psi_i) over G, the dual's rows psi_i's at the inverse classes;
+        error on negative or fractional parts."""
         if chi.group is not self.group:
             raise ValueError("class functions live on different groups")
         G = self.group
-        prods = [(chi * psi.dual()).form for psi in self.irreducibles]
+        inv = G.inverse_class
+        prods = [(chi * ClassFunction(G, m, [rows[c] for c in inv])).form
+                 for m, rows in (psi.form for psi in self.irreducibles)]
         return tuple(_average(m, zip(G.class_sizes, rows), G.order, f"<chi, psi_{i}>")
                      for i, (m, rows) in enumerate(prods))
 

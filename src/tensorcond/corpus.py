@@ -91,12 +91,6 @@ class Corpus:
     def integral_model_chains(self) -> List[CorpusChain]:
         return [c for c in self.model_chains() if c.is_integral_shape()]
 
-    def entry(self, name: str) -> CorpusEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise CorpusError(f"no corpus entry named {name!r}")
-
 
 def _builtin_corpus_bytes() -> bytes:
     return resources.files("tensorcond").joinpath("data/corpus.json").read_bytes()

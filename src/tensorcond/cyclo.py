@@ -10,14 +10,16 @@ after promotion to a common conductor.
 `chars` holds class values as terms c * zeta_n^k in Z[x]/(x^n - 1), which
 x -> zeta_n maps onto Z[zeta_n] as Phi_n divides x^n - 1; an average sums
 them into one integer list, which `exponent_sum_value` reduces mod Phi_n
-once.  `CycloNum` serves the edges: values for output, and test oracles.
+once.  `CycloNum` serves the edges: class values for `table` output and
+for the test oracles, which hold its Galois action, negation and rational
+readings themselves (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -145,14 +147,6 @@ class CycloNum:
     def from_rational(q: Rational, N: int = 1) -> "CycloNum":
         return CycloNum(N, [q] + [0] * (euler_phi(N) - 1))
 
-    @staticmethod
-    def zero(N: int = 1) -> "CycloNum":
-        return CycloNum.from_rational(0, N)
-
-    @staticmethod
-    def one(N: int = 1) -> "CycloNum":
-        return CycloNum.from_rational(1, N)
-
     # -- structure -----------------------------------------------------------
 
     def promote(self, M: int) -> "CycloNum":
@@ -180,20 +174,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        """The value as a Fraction, so that dividing it never gives a float."""
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.coeffs[0])
-
-    def is_integer(self) -> bool:
-        return self.is_rational() and type(self.coeffs[0]) is int
-
-    def integer_value(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self} is not an integer")
-        return self.coeffs[0]
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -205,17 +185,6 @@ class CycloNum:
         return CycloNum(a.N, [x + y for x, y in zip(a.coeffs, b.coeffs)])
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNum(self.N, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -241,19 +210,6 @@ class CycloNum:
     def scale(self, q: Rational) -> "CycloNum":
         return CycloNum(self.N, [c * q for c in self.coeffs])
 
-    def galois(self, k: int) -> "CycloNum":
-        """Apply zeta -> zeta^k; requires gcd(k, N) = 1."""
-        if gcd(k, self.N) != 1:
-            raise ValueError(f"k={k} is not coprime to the conductor {self.N}")
-        cs = [0] * self.N
-        for i, c in enumerate(self.coeffs):
-            if c:
-                cs[(i * k) % self.N] += c
-        return CycloNum(self.N, cs)
-
-    def conjugate(self) -> "CycloNum":
-        return self.galois(self.N - 1 if self.N > 1 else 1)
-
     # -- comparison / io -----------------------------------------------------
 
     def __eq__(self, other):
@@ -265,10 +221,6 @@ class CycloNum:
         return a.coeffs == b.coeffs
 
     __hash__ = None  # promote-aware equality; do not use as dict key
-
-    def key(self) -> tuple:
-        """Sortable canonical key (conductor, coefficient tuple)."""
-        return (self.N, self.coeffs)
 
     def to_json(self) -> dict:
         return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}

@@ -9,8 +9,10 @@ the building blocks are, per level i,
 and the conductor exponent is the sum of nonfixed_dim / [G_0 : G_i] over
 all levels.  Everything is an exact rational; denominators divide |G_0|.
 
-`nonfixed_dim`, `tensor_fixed_excess` and `conductor` average class values;
-they are the oracle.  The tensor bounds take `Character`s of the group's
+`conductor` averages class values, one average per distinct level, for
+all levels at once: it is the oracle.  The per-level `nonfixed_dim` and
+`tensor_fixed_excess`, which tests compare it with, live in
+`tests/oracles.py`.  The tensor bounds take `Character`s of the group's
 table and work on their multiplicity vectors, and the per-level identity
 takes one side from each.
 """
@@ -26,22 +28,6 @@ from .chars import Character, ClassFunction, character_table, fixed_dim
 from .errors import (NotPGroupError, NotRationalError, NotSymplecticError,
                      PreconditionError)
 from .groups import Filtration
-
-
-def nonfixed_dim(tau: ClassFunction, filt: Filtration, i: int) -> int:
-    """Codimension of the G_i-fixed subspace in tau."""
-    if not 0 <= i < len(filt):
-        raise IndexError(f"filtration level {i} out of range")
-    return tau.dim - fixed_dim(tau, filt[i])
-
-
-def tensor_fixed_excess(tau: ClassFunction, sigma: ClassFunction,
-                        filt: Filtration, i: int) -> int:
-    """Growth of the fixed space under tensor product at level i."""
-    if not 0 <= i < len(filt):
-        raise IndexError(f"filtration level {i} out of range")
-    H = filt[i]
-    return fixed_dim(tau * sigma, H) - fixed_dim(tau, H) * fixed_dim(sigma, H)
 
 
 class ConductorReport:
@@ -64,15 +50,6 @@ class ConductorReport:
         assert total == Fraction(sum(t * m // d for t, d in zip(level_terms, indices)), m)
         if excess_terms is not None:
             assert all(t >= 0 for t in excess_terms)
-
-    def to_json(self) -> dict:
-        doc = {"level_terms": list(self.level_terms),
-               "indices": list(self.indices),
-               "total": str(self.total)}
-        if self.excess_terms is not None:
-            doc["excess_terms"] = list(self.excess_terms)
-            doc["excess_total"] = str(self.excess_total)
-        return doc
 
 
 def _fixed_by_size(chi: ClassFunction, filt: Filtration) -> dict:

@@ -149,13 +149,16 @@ def swan_jacobian(p: int, alpha: int) -> int:
 
 def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
     """The (p-1)-dimensional irreducible of the affine group, from class
-    values: the natural permutation character on F_p minus the trivial one."""
-    vals = []
+    values: the natural permutation character on F_p minus the trivial one.
+    Its value v at a class is the integer v zeta_e^0, the one term (0, v)
+    over the group exponent e, and no term when v = 0."""
+    rows = []
     for rep in G.class_reps:
         a = rep // p + 1
         fixed_points = p if rep == 0 else (0 if a == 1 else 1)
-        vals.append(fixed_points - 1)
-    return ClassFunction(G, vals)
+        v = fixed_points - 1
+        rows.append(((0, v),) if v else ())
+    return ClassFunction(G, G.exponent, rows)
 
 
 def _jacobian_chain(chains: ChainReader, p: int, swan: int) -> CorpusChain:

@@ -15,9 +15,9 @@ Block characters are held as multiplicity vectors (`chars.Character`), and
 character (Serre, Local Fields, ch. VI, section 2), so over a fixed chain it
 is a per-irreducible row dotted with the multiplicities, and tensor products
 multiply vectors through the table's structure constants.  `InertiaModel`'s
-`artin`, `swan` and `inertia_fixed` and the `class_*` functions below
-compute the same quantities from class values instead; they are the oracle
-that the semistable and tame-identity checks compare the kernel with.
+`artin` and `inertia_fixed` and the `class_*` functions below compute the
+same quantities from class values instead; they are the oracle that the
+semistable and tame-identity checks compare the kernel with.
 
 The bounds and identities are statements about a pair of data over one
 model and their tensor product; a `LocalPair` holds the two data and builds
@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple
 from .chars import Character, CharacterTable, ClassFunction, character_table, fixed_dim
 from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
                      NotSemistableError, NotSymplecticError, PreconditionError)
-from .filtration import conductor_exponent, nonfixed_dim, tensor_rhs
+from .filtration import conductor_exponent, tensor_rhs
 from .groups import FiniteGroup, Filtration, is_prime
 
 
@@ -65,10 +65,6 @@ class InertiaModel:
 
     def artin(self, sigma: ClassFunction) -> Fraction:
         return conductor_exponent(sigma, self.filtration)
-
-    def swan(self, sigma: ClassFunction) -> Fraction:
-        """Conductor over the shifted chain (G_1, G_2, ...): the wild part."""
-        return self.artin(sigma) - nonfixed_dim(sigma, self.filtration, 0)
 
     def inertia_fixed(self, sigma: ClassFunction) -> int:
         return fixed_dim(sigma, self.inertia)

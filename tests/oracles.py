@@ -30,20 +30,90 @@ multiplicity vectors and never decomposes; these are what tests compare
 it with.  The constructors only tests call live here too: `root_of_unity`,
 `cyclo_from_json`, the trivial and zero class functions, `conjugate`,
 `is_normal`, and the seeded `gen_abvar` and `gen_semistable` data.
+
+What no command runs lives here as plain functions rather than in the
+package: the CycloNum readings (`rational_value`, `integer_value`), its
+negation, subtraction, Galois action and conjugate; a class function built
+from values (`from_values`), the sum, scaling and dual of class functions;
+the per-level `nonfixed_dim` and `tensor_fixed_excess`, the wild part
+`swan` of an inertia model, a conductor report as JSON (`report_json`) and
+a corpus entry by name (`corpus_entry`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
-from tensorcond.chars import ClassFunction, character_table, gen_character_mults
+from tensorcond.chars import (ClassFunction, _collect, character_table, fixed_dim,
+                              gen_character_mults)
+from tensorcond.corpus import Corpus, CorpusEntry
 from tensorcond.cyclo import CycloNum
-from tensorcond.errors import NonCharacterError, PreconditionError
-from tensorcond.groups import FiniteGroup, Subgroup, is_prime
+from tensorcond.errors import CorpusError, NonCharacterError, PreconditionError
+from tensorcond.filtration import ConductorReport
+from tensorcond.groups import Filtration, FiniteGroup, Subgroup, is_prime
 from tensorcond.suites import abvar_datum, gen_abvar_mults, gen_semistable_mults
 from tensorcond.weildeligne import AbVarDatum, InertiaModel
+
+
+# -- CycloNum readings, negation and Galois action ---------------------------------
+
+
+def cyclo_zero(N: int = 1) -> CycloNum:
+    return CycloNum.from_rational(0, N)
+
+
+def cyclo_one(N: int = 1) -> CycloNum:
+    return CycloNum.from_rational(1, N)
+
+
+def rational_value(x: CycloNum) -> Fraction:
+    """The value as a Fraction, so that dividing it never gives a float."""
+    if not x.is_rational():
+        raise ValueError(f"{x} is not rational")
+    return Fraction(x.coeffs[0])
+
+
+def is_integer(x: CycloNum) -> bool:
+    return x.is_rational() and type(x.coeffs[0]) is int
+
+
+def integer_value(x: CycloNum) -> int:
+    if not is_integer(x):
+        raise ValueError(f"{x} is not an integer")
+    return x.coeffs[0]
+
+
+def neg(x: CycloNum) -> CycloNum:
+    return CycloNum(x.N, [-c for c in x.coeffs])
+
+
+def sub(x, y) -> CycloNum:
+    """x - y, for a CycloNum and a CycloNum or a rational on either side."""
+    if isinstance(y, (int, Fraction)):
+        y = CycloNum.from_rational(y)
+    return neg(y) + x
+
+
+def galois(x: CycloNum, k: int) -> CycloNum:
+    """Apply zeta -> zeta^k; requires gcd(k, N) = 1."""
+    if gcd(k, x.N) != 1:
+        raise ValueError(f"k={k} is not coprime to the conductor {x.N}")
+    cs = [0] * x.N
+    for i, c in enumerate(x.coeffs):
+        if c:
+            cs[(i * k) % x.N] += c
+    return CycloNum(x.N, cs)
+
+
+def cyclo_conjugate(x: CycloNum) -> CycloNum:
+    return galois(x, x.N - 1 if x.N > 1 else 1)
+
+
+def key(x: CycloNum) -> tuple:
+    """Sortable canonical key (conductor, coefficient tuple)."""
+    return (x.N, x.coeffs)
 
 
 def root_of_unity(N: int, k: int = 1) -> CycloNum:
@@ -76,7 +146,7 @@ class ExactMatrix:
         for i in range(n):
             row = []
             for j in range(n):
-                acc = CycloNum.zero()
+                acc = cyclo_zero()
                 for k in range(n):
                     acc = acc + self.rows[i][k] * other.rows[k][j]
                 row.append(acc)
@@ -91,7 +161,7 @@ class ExactMatrix:
         return ExactMatrix([[v.scale(q) for v in row] for row in self.rows])
 
     def trace(self) -> CycloNum:
-        acc = CycloNum.zero()
+        acc = cyclo_zero()
         for i in range(self.n):
             acc = acc + self.rows[i][i]
         return acc
@@ -126,11 +196,11 @@ class MatrixRep:
     def fixed_dim_by_projector(self, subgroup: Subgroup) -> Fraction:
         """Trace of the averaging projector over the subgroup."""
         n = self.matrices[0].n
-        acc = ExactMatrix([[CycloNum.zero()] * n for _ in range(n)])
+        acc = ExactMatrix([[cyclo_zero()] * n for _ in range(n)])
         for h in subgroup.elements:
             acc = acc + self.matrices[h]
         tr = acc.scale(Fraction(1, subgroup.size)).trace()
-        return tr.rational_value()
+        return rational_value(tr)
 
 
 def permutation_rep_affine(G: FiniteGroup, p: int) -> MatrixRep:
@@ -168,9 +238,9 @@ def two_dim_rep_q8(G: FiniteGroup) -> MatrixRep:
     Element indices follow the constructor: 0..7 = 1, i, j, k, -1, -i, -j, -k.
     """
     z4 = root_of_unity(4)
-    zero, one = CycloNum.zero(4), CycloNum.one(4)
-    mat_i = ExactMatrix([[z4, zero], [zero, -z4]])
-    mat_j = ExactMatrix([[zero, one], [-one, zero]])
+    zero, one = cyclo_zero(4), cyclo_one(4)
+    mat_i = ExactMatrix([[z4, zero], [zero, neg(z4)]])
+    mat_j = ExactMatrix([[zero, one], [neg(one), zero]])
     base = [ExactMatrix.identity(2), mat_i, mat_j, mat_i @ mat_j]
     mats = []
     for idx in range(8):
@@ -209,7 +279,7 @@ def expand_product(a: Dict[int, Fraction], b: Dict[int, Fraction],
 
 def dict_to_cyclo(d: Dict[int, Fraction], N: int) -> CycloNum:
     """Rebuild a CycloNum using only addition and the root constructor."""
-    acc = CycloNum.zero(N)
+    acc = cyclo_zero(N)
     for k, c in sorted(d.items()):
         acc = acc + root_of_unity(N, k).scale(c)
     return acc
@@ -452,27 +522,57 @@ def tensor_break_swan(p: int, rank: int, chars1, chars2) -> Fraction:
 # -- class-function oracles ----------------------------------------------------------
 
 
+def from_values(group: FiniteGroup, values) -> ClassFunction:
+    """The class function with one value per class, each a CycloNum or a
+    rational: each sum_j c_j zeta_N^j becomes the terms (j m/N, c_j) of its
+    exponent form, m the lcm of e and every N."""
+    if len(values) != len(group.classes):
+        raise ValueError("one value per conjugacy class required")
+    vals = [v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in values]
+    m = lcm(group.exponent, *(v.N for v in vals))
+    return ClassFunction(group, m, (tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
+                                    for v in vals))
+
+
+def add(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
+    m, pairs = chi._rows_with(psi)
+    return ClassFunction(chi.group, m, (_collect(a + b) for a, b in pairs))
+
+
+def scale(chi: ClassFunction, n: int) -> ClassFunction:
+    m, rows = chi.form
+    return ClassFunction(chi.group, m, (
+        tuple((k, n * c) for k, c in terms if n) for terms in rows))
+
+
+def dual(chi: ClassFunction) -> ClassFunction:
+    """The contragredient: value at g is the value at g^-1."""
+    m, rows = chi.form
+    return ClassFunction(chi.group, m, (rows[c] for c in chi.group.inverse_class))
+
+
 def trivial(group: FiniteGroup) -> ClassFunction:
     """The trivial character: 1 on every class."""
-    return ClassFunction(group, [1] * len(group.classes))
+    return from_values(group, [1] * len(group.classes))
 
 
 def zero(group: FiniteGroup) -> ClassFunction:
     """The zero class function."""
-    return ClassFunction(group, [0] * len(group.classes))
+    return from_values(group, [0] * len(group.classes))
 
 
 def regular(group: FiniteGroup) -> ClassFunction:
     """The regular character: |G| at the identity, 0 elsewhere."""
     vals = [0] * len(group.classes)
     vals[group.class_of[group.identity]] = group.order
-    return ClassFunction(group, vals)
+    return from_values(group, vals)
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction,
                   subgroup: Optional[Subgroup] = None) -> Fraction:
     """<chi, psi> averaged over a subgroup (default: the whole group)."""
-    chi._same_group(psi)
+    if chi.group is not psi.group:
+        raise ValueError("class functions live on different groups")
     G = chi.group
     if subgroup is None:
         counts = G.class_sizes
@@ -482,11 +582,11 @@ def inner_product(chi: ClassFunction, psi: ClassFunction,
             raise ValueError("subgroup of a different group")
         counts = subgroup.class_counts
         size = subgroup.size
-    total = CycloNum.zero()
+    total = cyclo_zero()
     for c, cnt in enumerate(counts):
         if cnt:
-            total = total + (chi.values[c] * psi.values[c].conjugate()).scale(cnt)
-    return total.rational_value() / size
+            total = total + (chi.values[c] * cyclo_conjugate(psi.values[c])).scale(cnt)
+    return rational_value(total) / size
 
 
 def as_group(subgroup: Subgroup):
@@ -510,7 +610,7 @@ def restrict(chi: ClassFunction, subgroup: Subgroup) -> ClassFunction:
     if subgroup.parent is not G:
         raise ValueError("subgroup of a different group")
     S, embed = as_group(subgroup)
-    return ClassFunction(S, [chi.values[G.class_of[embed[rep]]] for rep in S.class_reps])
+    return from_values(S, [chi.values[G.class_of[embed[rep]]] for rep in S.class_reps])
 
 
 def frobenius_schur(psi: ClassFunction) -> int:
@@ -519,12 +619,12 @@ def frobenius_schur(psi: ClassFunction) -> int:
     if inner_product(psi, psi) != 1:
         raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
     G = psi.group
-    total = CycloNum.zero()
+    total = cyclo_zero()
     for c, size in enumerate(G.class_sizes):
         total = total + psi.values[G.class_power(c, 2)].scale(size)
     if not total.is_rational():
         raise NonCharacterError("Frobenius-Schur sum is not rational")
-    ind = total.rational_value() / G.order
+    ind = rational_value(total) / G.order
     assert ind in (-1, 0, 1)
     return int(ind)
 
@@ -546,7 +646,7 @@ def is_symplectic(chi: ClassFunction) -> bool:
     """Whether chi carries an invariant non-degenerate alternating form,
     from class values and no residue: the multiplicities of chi by
     `multiplicities`, each irreducible's type by `frobenius_schur` and its
-    dual by `ClassFunction.dual`.  Orthogonal-type irreducibles must occur
+    dual by `dual`.  Orthogonal-type irreducibles must occur
     an even number of times, complex-type ones as often as their dual.
     False when chi is not a character."""
     T = character_table(chi.group)
@@ -560,10 +660,51 @@ def is_symplectic(chi: ClassFunction) -> bool:
         if kind == 1 and m % 2:
             return False
         if kind == 0:
-            dual = psi.dual()
-            if m != next(n for phi, n in zip(irr, mults) if phi == dual):
+            psi_dual = dual(psi)
+            if m != next(n for phi, n in zip(irr, mults) if phi == psi_dual):
                 return False
     return True
+
+
+# -- conductor terms by level, the wild part, and other test-only readings -----------
+
+
+def nonfixed_dim(tau: ClassFunction, filt: Filtration, i: int) -> int:
+    """Codimension of the G_i-fixed subspace in tau."""
+    if not 0 <= i < len(filt):
+        raise IndexError(f"filtration level {i} out of range")
+    return tau.dim - fixed_dim(tau, filt[i])
+
+
+def tensor_fixed_excess(tau: ClassFunction, sigma: ClassFunction,
+                        filt: Filtration, i: int) -> int:
+    """Growth of the fixed space under tensor product at level i."""
+    if not 0 <= i < len(filt):
+        raise IndexError(f"filtration level {i} out of range")
+    H = filt[i]
+    return fixed_dim(tau * sigma, H) - fixed_dim(tau, H) * fixed_dim(sigma, H)
+
+
+def swan(model: InertiaModel, sigma: ClassFunction) -> Fraction:
+    """Conductor over the shifted chain (G_1, G_2, ...): the wild part."""
+    return model.artin(sigma) - nonfixed_dim(sigma, model.filtration, 0)
+
+
+def report_json(report: ConductorReport) -> dict:
+    doc = {"level_terms": list(report.level_terms),
+           "indices": list(report.indices),
+           "total": str(report.total)}
+    if report.excess_terms is not None:
+        doc["excess_terms"] = list(report.excess_terms)
+        doc["excess_total"] = str(report.excess_total)
+    return doc
+
+
+def corpus_entry(corpus: Corpus, name: str) -> CorpusEntry:
+    for e in corpus.entries:
+        if e.name == name:
+            return e
+    raise CorpusError(f"no corpus entry named {name!r}")
 
 
 def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:

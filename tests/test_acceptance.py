@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import ClassFunction, character_table
+from tensorcond.chars import character_table
 from tensorcond.corpus import load_corpus
 from tensorcond.cyclo import CycloNum
 from tensorcond.filtration import (pgroup_tensor_bound,
@@ -23,8 +23,9 @@ from tensorcond.jacobians import (disc_valuation, jacobian_inertia_model,
 from tensorcond.suites import run_suite_range
 from tensorcond.weildeligne import WDRep, clebsch_gordan, tensor
 
-from oracles import (gen_abvar, inner_product, linear_reps_q8, permutation_rep_affine,
-                     sign_rep_affine, trivial, two_dim_rep_q8)
+from oracles import (add, cyclo_conjugate, cyclo_zero, from_values, gen_abvar, inner_product,
+                     linear_reps_q8, permutation_rep_affine, rational_value, sign_rep_affine,
+                     trivial, two_dim_rep_q8)
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +209,9 @@ def test_criterion_10_character_tables():
         # column orthogonality: sum over chi of chi(c) conj(chi(c'))
         for c in range(r):
             for cp in range(r):
-                total = CycloNum.zero()
+                total = cyclo_zero()
                 for chi in T.irreducibles:
-                    total = total + chi.values[c] * chi.values[cp].conjugate()
+                    total = total + chi.values[c] * cyclo_conjugate(chi.values[cp])
                 want = Fraction(G.order, G.class_sizes[c]) if c == cp else 0
                 ortho_ok = ortho_ok and total == CycloNum.from_rational(want)
 
@@ -220,19 +221,19 @@ def test_criterion_10_character_tables():
     rep2 = two_dim_rep_q8(Q)
     chi2 = TQ.irreducibles[TQ.degrees.index(2)]
     matrix_ok = list(chi2.values) == rep2.character_values()
-    lin_keys = {tuple(v.rational_value() for v in ch.values)
+    lin_keys = {tuple(rational_value(v) for v in ch.values)
                 for ch in TQ.irreducibles if ch.dim == 1}
     matrix_ok = matrix_ok and lin_keys == {
-        tuple(v.rational_value() for v in rep.character_values())
+        tuple(rational_value(v) for v in rep.character_values())
         for rep in linear_reps_q8(Q)}
     S3 = affine(3)
     T3 = character_table(S3)
     perm = permutation_rep_affine(S3, 3)
-    perm_char = ClassFunction(S3, perm.character_values())
+    perm_char = from_values(S3, perm.character_values())
     std = next(ch for ch in T3.irreducibles if ch.dim == 2)
     matrix_ok = matrix_ok and \
-        perm_char == trivial(S3) + std and \
-        any(ch == ClassFunction(S3, sign_rep_affine(S3, 3).character_values())
+        perm_char == add(trivial(S3), std) and \
+        any(ch == from_values(S3, sign_rep_affine(S3, 3).character_values())
             for ch in T3.irreducibles)
     from tensorcond.chars import fixed_dim
     from tensorcond.groups import subgroup_generated

@@ -251,8 +251,10 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
     from tensorcond.corpus import load_corpus
     from tensorcond.suites import replay
 
+    from oracles import corpus_entry
+
     corpus = load_corpus()
-    entry = corpus.entry("c9")
+    entry = corpus_entry(corpus, "c9")
     T = character_table(entry.group)
     # every fixed dimension one too small: the trivial character shows gap
     # 1 on every subgroup, below the p = 3 threshold of 2
@@ -738,7 +740,9 @@ def test_verify_names_the_chain_kind_a_corpus_lacks(tmp_path, capsys, suite):
 def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_path,
                                                                          capsys):
     from tensorcond.corpus import load_corpus
-    entry = load_corpus().entry("c9")
+
+    from oracles import corpus_entry
+    entry = corpus_entry(load_corpus(), "c9")
     doc = {"suite": "pgroup-gap", "chains": [c.ref() for c in entry.chains],
            "p": 4, "tau": [1] + [0] * 8}
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))

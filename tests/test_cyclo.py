@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from tensorcond.cyclo import CycloNum, cyclotomic_coeffs, euler_phi
 
-from oracles import cyclo_from_json, dict_to_cyclo, expand_product, root_of_unity
+from oracles import (cyclo_conjugate, cyclo_from_json, cyclo_one, cyclo_zero, dict_to_cyclo,
+                     expand_product, galois, integer_value, neg, rational_value,
+                     root_of_unity, sub)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 20]
 
@@ -22,11 +24,11 @@ def test_cyclotomic_polynomials_against_sympy():
 
 def test_minimal_polynomial_identities():
     z3 = root_of_unity(3)
-    assert z3 + z3.galois(2) == -1
+    assert z3 + galois(z3, 2) == -1
     z4 = root_of_unity(4)
     assert z4 * z4 == -1
     z5 = root_of_unity(5)
-    total = CycloNum.zero(5)
+    total = cyclo_zero(5)
     for k in range(1, 5):
         total = total + root_of_unity(5, k)
     assert total == -1
@@ -35,20 +37,20 @@ def test_minimal_polynomial_identities():
 
 def test_product_expansion_example():
     z5 = root_of_unity(5)
-    lhs = (CycloNum.one() + z5) * (CycloNum.one() + root_of_unity(5, 4))
+    lhs = (cyclo_one() + z5) * (cyclo_one() + root_of_unity(5, 4))
     rhs = dict_to_cyclo({0: Fraction(2), 1: Fraction(1), 4: Fraction(1)}, 5)
     assert lhs == rhs
 
 
 def test_galois_action():
     z5 = root_of_unity(5)
-    assert z5.galois(2) == root_of_unity(5, 2)
+    assert galois(z5, 2) == root_of_unity(5, 2)
     q = CycloNum.from_rational(Fraction(7, 3), 5)
-    assert q.galois(3) == q
+    assert galois(q, 3) == q
     z3 = root_of_unity(3)
-    assert (z3 + z3.galois(2)).galois(2) == -1
+    assert galois(z3 + galois(z3, 2), 2) == -1
     with pytest.raises(ValueError):
-        z5.promote(10).galois(5)
+        galois(z5.promote(10), 5)
 
 
 def test_is_rational():
@@ -61,10 +63,10 @@ def test_is_rational():
 def test_trace_of_prime_root_is_minus_one():
     for p in (3, 5, 7, 11):
         z = root_of_unity(p)
-        total = CycloNum.zero(p)
+        total = cyclo_zero(p)
         for k in range(1, p):
             if gcd(k, p) == 1:
-                total = total + z.galois(k)
+                total = total + galois(z, k)
         assert total == -1
 
 
@@ -96,9 +98,9 @@ def test_integral_coefficients_are_stored_as_int():
 
 def test_rational_value_is_a_fraction():
     three = CycloNum.from_rational(3, 4)
-    assert type(three.rational_value()) is Fraction
-    assert type(three.rational_value() / 2) is Fraction
-    assert three.integer_value() == 3
+    assert type(rational_value(three)) is Fraction
+    assert type(rational_value(three) / 2) is Fraction
+    assert integer_value(three) == 3
 
 
 def test_float_coefficients_are_refused():
@@ -109,11 +111,11 @@ def test_float_coefficients_are_refused():
     with pytest.raises(TypeError):
         CycloNum.from_rational(1.0)
     with pytest.raises(TypeError):
-        CycloNum.one(3).scale(0.5)
+        cyclo_one(3).scale(0.5)
     with pytest.raises(TypeError):
-        CycloNum.one(3) * 0.5
+        cyclo_one(3) * 0.5
     with pytest.raises(TypeError):
-        CycloNum.one(3) + 0.5
+        cyclo_one(3) + 0.5
 
 
 small_rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -135,9 +137,11 @@ def test_field_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
-    assert x + CycloNum.zero() == x
-    assert x * CycloNum.one() == x
-    assert x + (-x) == CycloNum.zero()
+    assert x + cyclo_zero() == x
+    assert x * cyclo_one() == x
+    assert x + neg(x) == cyclo_zero()
+    assert sub(x, y) == x + neg(y)
+    assert sub(x, 1) == x + (-1) and sub(1, x) == neg(x) + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,8 +150,8 @@ def test_galois_is_an_automorphism(x, y, k):
     xp, yp = x._pair(y)
     if gcd(k, xp.N) != 1:
         k = 1
-    assert (xp + yp).galois(k) == xp.galois(k) + yp.galois(k)
-    assert (xp * yp).galois(k) == xp.galois(k) * yp.galois(k)
+    assert galois(xp + yp, k) == galois(xp, k) + galois(yp, k)
+    assert galois(xp * yp, k) == galois(xp, k) * galois(yp, k)
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,8 +169,8 @@ def test_product_against_expansion_oracle(x):
 
 def test_conjugate_is_inverse_root():
     z8 = root_of_unity(8)
-    assert z8.conjugate() == root_of_unity(8, 7)
-    assert (z8 * z8.conjugate()) == 1
+    assert cyclo_conjugate(z8) == root_of_unity(8, 7)
+    assert (z8 * cyclo_conjugate(z8)) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,7 +181,7 @@ def test_galois_composition(x, j, k):
         j = 1
     if gcd(k, x.N) != 1:
         k = 1
-    assert x.galois(j).galois(k) == x.galois(j * k % x.N if x.N > 1 else 1)
+    assert galois(galois(x, j), k) == galois(x, j * k % x.N if x.N > 1 else 1)
 
 
 def test_exponent_sum_value_reduces_once():

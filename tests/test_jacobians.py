@@ -252,7 +252,38 @@ def test_jacobian_vector_is_the_standard_character():
         assert inner_product(std, std) == 1, p
 
 
-BREAKS = st.sampled_from([Fraction(n, d) for d in (1, 2, 3, 4) for n in range(1, 9)])
+def test_standard_character_form_matches_a_build_from_values():
+    """`_standard_character` writes its exponent form directly, a value v as
+    the one term (0, v).  Against the class function built from values, the
+    fixed points of x -> a x + b on F_p counted one by one, minus 1: equal
+    values at every class, and the same conductor report on both sharpness
+    chains (Sw(J_a) and Sw(J_p) translation levels)."""
+    from tensorcond.corpus import ChainReader
+    from tensorcond.filtration import conductor
+    from tensorcond.jacobians import _jacobian_chain, _standard_character
+    from tensorcond.suites import SHARPNESS_PRIMES
+
+    from oracles import from_values, report_json
+    for p in SHARPNESS_PRIMES:
+        reader = ChainReader()
+        filts = [_jacobian_chain(reader, p, swan_jacobian(p, alpha)).model().filtration
+                 for alpha in (smallest_valid_unit(p), p)]
+        G = filts[0].parent
+        direct = _standard_character(G, p)
+        values = []
+        for rep in G.class_reps:
+            a, b = rep // p + 1, rep % p
+            values.append(sum((a * x + b) % p == x for x in range(p)) - 1)
+        built = from_values(G, values)
+        assert direct.form[0] == built.form[0] == G.exponent, p
+        assert len(direct.values) == len(G.classes), p
+        for c, (u, v) in enumerate(zip(direct.values, built.values)):
+            assert u == v, (p, c)
+        for filt in filts:
+            assert report_json(conductor(direct, filt)) == report_json(conductor(built, filt)), p
+
+
+BREAKS =st.sampled_from([Fraction(n, d) for d in (1, 2, 3, 4) for n in range(1, 9)])
 
 
 @st.composite

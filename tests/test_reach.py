@@ -1,0 +1,172 @@
+"""Every function in `src/tensorcond` is reached by some command, or is on
+a short allow-list with its reason.
+
+The calls below run in process under `sys.setprofile`, which records the
+code object of every Python call.  Each `def` that `ast` finds in the
+package's modules is matched, by module and qualified name, against the
+code objects reached.  The unreached set must *equal* the allow-list: a
+function that no command runs fails the test until it is deleted, moved to
+`tests/oracles.py` or listed here with its reason, and an entry that a
+command comes to reach, or whose function is deleted, must leave the list.
+"""
+
+import ast
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+import tensorcond
+from tensorcond.cli import main
+from tensorcond.corpus import load_corpus
+from tensorcond.suites import SUITES
+
+from test_cli import BOUND_DOC, make_global_doc
+
+SRC = Path(tensorcond.__file__).resolve().parent
+
+Q8_BY_C3 = json.dumps({"kind": "direct_product",
+                       "factors": [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 3}]})
+
+ALLOWED = {
+    # run while the package is imported, before any command
+    "chars._per_table": "decorates the atom builders at import",
+    "suites._gen_pair": "builds suite generators for SUITES at import",
+    "suites._gen_gap": "builds suite generators for SUITES at import",
+    "suites._gen_wd": "builds suite generators for SUITES at import",
+    "suites.Suite.__init__": "builds the SUITES registry at import",
+    # run only in a forked `verify --workers` process, which the profile
+    # of this one does not see
+    "cli._share_worker": "the forked worker's body",
+    "cli._pool_init": "called by the forked worker; perfbench/layertrace.py wraps it in a span",
+    "cli._pool_eval": "called by the forked worker; perfbench/layertrace.py wraps it in a span",
+    "cyclo._coefficient": "canonical Fraction coefficients; no command makes a non-int one",
+    # timed by perfbench/layertrace.py until its layer metrics are restated
+    "cyclo.CycloNum.from_rational": "_cyclo_us: the rational operands",
+    "cyclo.CycloNum.promote": "_cyclo_us: v.promote(N) on table values",
+    "cyclo.CycloNum._pair": "_cyclo_us: the common conductor of a timed add or mul",
+    "cyclo.CycloNum.is_rational": "_cyclo_us: the rational shortcut of a timed mul",
+    "cyclo.CycloNum.scale": "_cyclo_us: a timed mul by a rational",
+    "cyclo.CycloNum.__add__": "_cyclo_us: the timed add (__radd__ is the same function)",
+    "cyclo.CycloNum.__mul__": "_cyclo_us: the timed mul (__rmul__ is the same function)",
+    "chars.Character.scale": "layers(): tau.scale(0)",
+    "chars.CharacterTable.multiplicities": "layers(): T.multiplicities(chi)",
+    "weildeligne.tensor": "layers(): tensor(A.rho, A.rho)",
+    "weildeligne.AbVarDatum.rho": "layers(): tensor(A.rho, A.rho)",
+    # value equality: without it == is identity, and a test comparing two
+    # equal values would pass or fail for the wrong reason
+    "cyclo.CycloNum.__eq__": "value equality",
+    "chars.ClassFunction.__eq__": "value equality",
+    "chars.Character.__eq__": "value equality",
+    "chars.ClassFunction.__getattr__": "reads `values`, which __eq__ and __repr__ compare",
+    "weildeligne.WDRep.__eq__": "value equality",
+    "groups.Subgroup.__eq__": "value equality",
+    "groups.Subgroup.__hash__": "hash consistent with __eq__",
+    "jacobians.FamilyParams.__eq__": "value equality",
+    "jacobians.FamilyParams.__hash__": "hash consistent with __eq__",
+    # what an assertion that fails prints
+    "cyclo.CycloNum.__repr__": "what a failing assertion prints",
+    "chars.ClassFunction.__repr__": "what a failing assertion prints",
+    "weildeligne.WDRep.__repr__": "what a failing assertion prints",
+    "groups.FiniteGroup.__repr__": "what a failing assertion prints",
+    "groups.Subgroup.__repr__": "what a failing assertion prints",
+    "groups.Filtration.__repr__": "what a failing assertion prints",
+    # public checked constructors, and the Jacobian model that realisable
+    # chains are to use
+    "groups.FiniteGroup.__init__": "a group from a hand-written table, checked",
+    "groups.Subgroup.__init__": "a subgroup from a given set, certified closed",
+    "jacobians.jacobian_inertia_model": "J_alpha as a one-block WDRep, for realisable models",
+}
+
+
+def _defined() -> set:
+    """(module, qualified name) of every def in the package."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = prefix + child.name
+                    out.add((module, name))
+                    visit(child, name + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, prefix + child.name + ".")
+                else:
+                    visit(child, prefix)
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def _calls(tmp_path) -> list:
+    """The command lines to trace, with the exit code each must give."""
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+    # the global document has one full and one summary record
+    bound, glob = write("bound.json", BOUND_DOC), write("global.json", make_global_doc())
+    calls = []
+    for fmt in ("human", "machine"):
+        calls += [(argv + ["--format", fmt], 0) for argv in (
+            ["verify", "--suite", "all", "--seeds", "29"],
+            ["table", "--group", Q8_BY_C3],
+            ["bound", "--input", bound],
+            ["global", "--input", glob],
+            ["sharpness", "--max-p", "7"])]
+    calls.append((["verify", "--suite", "semistable", "--seeds", "9", "--workers", "2"], 0))
+    # a passing item's output carries no input document, so each suite's
+    # replay document is its generator's item 0, as a counterexample holds it
+    corpus = load_corpus()
+    for name, suite in SUITES.items():
+        doc, _ = suite.generate(corpus, 0, 0)
+        calls.append((["replay", "--input", write(f"replay-{name}.json",
+                                                  {"suite": name, **doc})], 0))
+    calls += [
+        (["verify", "--suite", "all", "--bogus"], 2),           # _Parser.error
+        (["verify", "--suite", "min-sum", "--workers", "0"], 2),  # errors.shown
+    ]
+    return calls
+
+
+def _clear_caches():
+    """Empty the package's function caches (`lru_cache`, `functools.cache`),
+    so that a body whose cache an earlier test filled runs again."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tensorcond."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def _reached(calls, capsys) -> set:
+    _clear_caches()
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+    sys.setprofile(hook)
+    try:
+        for argv, want in calls:
+            code = main(argv)
+            capsys.readouterr()
+            assert code == want, argv
+    finally:
+        sys.setprofile(None)
+    return {(path.stem, c.co_qualname) for c in codes
+            if (path := Path(c.co_filename).resolve()).parent == SRC}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+def test_every_function_is_reached_or_allowed(tmp_path, capsys, monkeypatch):
+    # two usable CPUs, so that `--workers 2` forks on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reached = _reached(_calls(tmp_path), capsys)
+    unreached = {f"{m}.{q}" for m, q in _defined() - reached}
+    assert unreached == set(ALLOWED), {
+        "reached by no command and not allowed": sorted(unreached - set(ALLOWED)),
+        "allowed but reached, or no longer defined": sorted(set(ALLOWED) - unreached)}

@@ -280,8 +280,10 @@ def test_forced_class_product_failure_fails_step_identity(corpus, monkeypatch):
     the structure constants.  (Were both sides on class values, the wrong
     product would cancel.)"""
     from tensorcond.chars import ClassFunction
-    monkeypatch.setattr(ClassFunction, "__mul__", lambda self, other: trivial(
-        self.group).scale(self.dim * other.dim))
+
+    from oracles import scale
+    monkeypatch.setattr(ClassFunction, "__mul__", lambda self, other: scale(
+        trivial(self.group), self.dim * other.dim))
     assert len(_forced_failures(corpus, "step-identity", 30)) >= 20
 
 
