@@ -62,7 +62,7 @@ see `residues`.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
@@ -254,7 +254,7 @@ class CharacterTable:
 
     __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
                  "class_orders", "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
-                 "_products", "_atoms", "_values")
+                 "_products", "_values")
 
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
                  modulus: int):
@@ -284,7 +284,6 @@ class CharacterTable:
         # filled on first use only, so a table build costs nothing more
         self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
         self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
-        self._atoms = {}        # generator atom lists, by builder (`_per_table`)
         self._values = {}       # (class order, terms) -> CycloNum, as read
 
     def __len__(self):
@@ -637,6 +636,10 @@ def _split_all(mat, candidates, pieces, q: int, order: int):
 STALL_RUN = 4
 
 
+def _rng(tag: str, seed) -> random.Random:
+    return random.Random(f"{tag}:{seed}")
+
+
 def _joint_eigenvectors(group: FiniteGroup, q: int):
     """The r central characters mod q, normalised to first coordinate 1.
 
@@ -835,109 +838,3 @@ def character_table(group: FiniteGroup) -> CharacterTable:
         group._char_table = CharacterTable(group, forms, q)
     return group._char_table
 
-
-# -- seeded generators ----------------------------------------------------------
-
-
-def _rng(tag: str, seed) -> random.Random:
-    return random.Random(f"{tag}:{seed}")
-
-
-def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
-    """Random nonnegative multiplicity vector over the irreducibles, of
-    dimension <= budget."""
-    T = character_table(group)
-    return _combine_atoms(T, irreducible_atoms(T), _rng("char", seed), budget, budget)
-
-
-def _per_table(build):
-    """Keep an atom-list builder's result, as a tuple, on the table: the
-    seeded generators draw from the same atoms every item."""
-    def cached(T: CharacterTable) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-        if build not in T._atoms:
-            T._atoms[build] = tuple(build(T))
-        return T._atoms[build]
-    return wraps(build)(cached)
-
-
-@_per_table
-def irreducible_atoms(T: CharacterTable):
-    """The irreducibles as (multiplicity vector, dim)."""
-    for i, d in enumerate(T.degrees):
-        yield tuple(int(j == i) for j in range(len(T))), d
-
-
-@_per_table
-def symplectic_atoms(T: CharacterTable):
-    """Minimal symplectic building blocks as (multiplicity vector, dim)."""
-    fs = T.fs_indicators
-    dual_ix = T.dual_index
-    r = len(T)
-    for i in range(r):
-        vec = [0] * r
-        if fs[i] == -1:
-            vec[i] = 1
-            yield tuple(vec), T.degrees[i]
-        elif fs[i] == 1:
-            vec[i] = 2
-            yield tuple(vec), 2 * T.degrees[i]
-        elif i <= dual_ix[i]:
-            vec[i] += 1
-            vec[dual_ix[i]] += 1
-            yield tuple(vec), 2 * T.degrees[i]
-
-
-@_per_table
-def rational_atoms(T: CharacterTable):
-    """Galois-orbit sums: the minimal characters with all-rational values."""
-    r = len(T)
-    for orbit in T.galois_orbits:
-        yield (tuple(int(i in orbit) for i in range(r)),
-               sum(T.degrees[i] for i in orbit))
-
-
-@_per_table
-def symplectic_rational_atoms(T: CharacterTable):
-    """Galois-orbit sums, doubled on orthogonal orbits so that they are
-    symplectic as well as rational."""
-    return [(tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
-            else (vec, d) for vec, d in rational_atoms(T)]
-
-
-def _combine_atoms(T: CharacterTable, atoms, rng: random.Random, budget: int,
-                   rounds: int, ensure_nonzero: bool = False) -> List[int]:
-    """Sum of up to ``rounds`` atoms drawn at random, of total dimension <=
-    budget (with ``ensure_nonzero`` the smallest atom if none was drawn)."""
-    mults = [0] * len(T)
-    dim = 0
-    for _ in range(rng.randint(0, rounds)):
-        cands = [a for a in atoms if dim + a[1] <= budget]
-        if not cands:
-            break
-        vec, d = rng.choice(cands)
-        mults = [m + v for m, v in zip(mults, vec)]
-        dim += d
-    if dim == 0 and ensure_nonzero:
-        vec, d = min(atoms, key=lambda a: a[1])
-        mults = [m + v for m, v in zip(mults, vec)]
-    return mults
-
-
-def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
-    """Multiplicity vector of a seeded random symplectic character of total
-    dimension <= budget."""
-    if budget < 2:
-        raise ValueError("symplectic characters need budget >= 2")
-    T = character_table(group)
-    return _combine_atoms(T, symplectic_atoms(T), _rng("symp", seed), budget, budget,
-                          ensure_nonzero=True)
-
-
-def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
-    """Multiplicity vector of a seeded random character with rational
-    characteristic polynomials."""
-    if budget < 1:
-        raise ValueError("rational characters need budget >= 1")
-    T = character_table(group)
-    return _combine_atoms(T, rational_atoms(T), _rng("rat", seed), budget, budget,
-                          ensure_nonzero=True)

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, reading, require)
 from .groups import (FiniteGroup, Filtration, build_group, filtration_from_generators,
                      pgroup_prime)
-from .weildeligne import InertiaModel
+
+if TYPE_CHECKING:
+    from .weildeligne import InertiaModel
 
 CORPUS_VERSION = 1
 
@@ -26,13 +28,13 @@ class CorpusChain:
 
     def __init__(self, entry_name: str, name: str,
                  generator_lists: Tuple[Tuple[int, ...], ...], filtration: Filtration,
-                 model_p: Optional[int], _model: Optional[InertiaModel] = None):
+                 model_p: Optional[int]):
         self.entry_name = entry_name
         self.name = name
         self.generator_lists = generator_lists
         self.filtration = filtration
         self.model_p = model_p
-        self._model = _model
+        self._model = None
 
     @property
     def label(self) -> str:
@@ -45,9 +47,12 @@ class CorpusChain:
                 "model_p": self.model_p}
 
     def model(self) -> InertiaModel:
+        """The chain's inertia model, built on first use: loading a corpus
+        imports no Weil-Deligne code."""
         if self.model_p is None:
             raise CorpusError(f"chain {self.label} carries no residue characteristic")
         if self._model is None:
+            from .weildeligne import InertiaModel
             self._model = InertiaModel(self.filtration.parent, self.filtration,
                                        self.model_p)
         return self._model

@@ -112,7 +112,8 @@ def sylvester_resultant(f: List[int], g: List[int]) -> int:
     return res
 
 
-def _p_valuation(p: int, n: int) -> int:
+def p_valuation(p: int, n: int) -> int:
+    """v_p(n), the exponent of p in the integer n != 0."""
     if n == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -130,7 +131,7 @@ def disc_valuation(p: int, alpha: int) -> int:
     f = [-alpha] + [0] * (p - 1) + [1]
     df = [i * f[i] for i in range(1, p + 1)]
     res = sylvester_resultant(f, df)
-    return _p_valuation(p, res)
+    return p_valuation(p, res)
 
 
 def swan_jacobian(p: int, alpha: int) -> int:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chars import (Character, CharacterTable, _combine_atoms, character_table,
-                    gen_character_mults, gen_rational_mults, gen_symplectic_mults,
-                    rational_atoms, symplectic_rational_atoms)
+from .chars import Character, CharacterTable, character_table
 from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError,
                      TensorCondError, int_field, is_int, reading, require, shown, sized)
@@ -25,8 +24,8 @@ from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
                           rankin_selberg_bound, self_tensor_bound_report)
-from .groups import is_prime, pgroup_prime
-from .jacobians import (_p_valuation, disc_valuation, smallest_valid_unit,
+from .groups import FiniteGroup, is_prime, pgroup_prime
+from .jacobians import (disc_valuation, p_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
                           degree_gap, semistable_equality, semistable_form,
@@ -177,6 +176,108 @@ def _model(chains: ChainReader, doc, where: str = "") -> InertiaModel:
 
 def _char(T: CharacterTable, doc, key: str) -> Character:
     return T.assemble(multiplicity_vector(T, require(doc, key), key))
+
+
+# -- seeded multiplicity vectors ---------------------------------------------------
+#
+# Each sampler sums atoms, (multiplicity vector, dim) pairs of one table,
+# drawn by a Random seeded from its tag and the item's seed.  The atom lists
+# of the last ATOM_TABLES tables drawn from are kept, so that a run draws
+# from the same atoms every item; the bound keeps a process that loads one
+# corpus per run from holding the tables of every earlier run.
+
+ATOM_TABLES = 32
+
+
+@lru_cache(maxsize=ATOM_TABLES)
+def irreducible_atoms(T: CharacterTable) -> tuple:
+    """The irreducibles as (multiplicity vector, dim)."""
+    return tuple((psi.mults, d) for psi, d in zip(T.irreducibles, T.degrees))
+
+
+@lru_cache(maxsize=ATOM_TABLES)
+def symplectic_atoms(T: CharacterTable) -> tuple:
+    """Minimal symplectic building blocks as (multiplicity vector, dim)."""
+    fs = T.fs_indicators
+    dual_ix = T.dual_index
+    r = len(T)
+    atoms = []
+    for i in range(r):
+        vec = [0] * r
+        if fs[i] == -1:
+            vec[i] = 1
+            atoms.append((tuple(vec), T.degrees[i]))
+        elif fs[i] == 1:
+            vec[i] = 2
+            atoms.append((tuple(vec), 2 * T.degrees[i]))
+        elif i <= dual_ix[i]:
+            vec[i] += 1
+            vec[dual_ix[i]] += 1
+            atoms.append((tuple(vec), 2 * T.degrees[i]))
+    return tuple(atoms)
+
+
+@lru_cache(maxsize=ATOM_TABLES)
+def rational_atoms(T: CharacterTable) -> tuple:
+    """Galois-orbit sums: the minimal characters with all-rational values."""
+    r = len(T)
+    return tuple((tuple(int(i in orbit) for i in range(r)), sum(T.degrees[i] for i in orbit))
+                 for orbit in T.galois_orbits)
+
+
+@lru_cache(maxsize=ATOM_TABLES)
+def symplectic_rational_atoms(T: CharacterTable) -> tuple:
+    """Galois-orbit sums, doubled on orthogonal orbits so that they are
+    symplectic as well as rational."""
+    return tuple((tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
+                 else (vec, d) for vec, d in rational_atoms(T))
+
+
+def _combine_atoms(T: CharacterTable, atoms, rng: random.Random, budget: int,
+                   rounds: int, ensure_nonzero: bool = False) -> List[int]:
+    """Sum of up to ``rounds`` atoms drawn at random, of total dimension <=
+    budget (with ``ensure_nonzero`` the smallest atom if none was drawn)."""
+    mults = [0] * len(T)
+    dim = 0
+    for _ in range(rng.randint(0, rounds)):
+        cands = [a for a in atoms if dim + a[1] <= budget]
+        if not cands:
+            break
+        vec, d = rng.choice(cands)
+        mults = [m + v for m, v in zip(mults, vec)]
+        dim += d
+    if dim == 0 and ensure_nonzero:
+        vec, d = min(atoms, key=lambda a: a[1])
+        mults = [m + v for m, v in zip(mults, vec)]
+    return mults
+
+
+def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Random nonnegative multiplicity vector over the irreducibles, of
+    dimension <= budget."""
+    T = character_table(group)
+    return _combine_atoms(T, irreducible_atoms(T), random.Random(f"char:{seed}"),
+                          budget, budget)
+
+
+def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Multiplicity vector of a seeded random symplectic character of total
+    dimension <= budget."""
+    if budget < 2:
+        raise ValueError("symplectic characters need budget >= 2")
+    T = character_table(group)
+    return _combine_atoms(T, symplectic_atoms(T), random.Random(f"symp:{seed}"),
+                          budget, budget, ensure_nonzero=True)
+
+
+def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+    """Multiplicity vector of a seeded random character with rational
+    characteristic polynomials."""
+    if budget < 1:
+        raise ValueError("rational characters need budget >= 1")
+    T = character_table(group)
+    return _combine_atoms(T, rational_atoms(T), random.Random(f"rat:{seed}"),
+                          budget, budget, ensure_nonzero=True)
 
 
 # -- abelian-variety datum generation ------------------------------------------
@@ -515,7 +616,7 @@ def _check_sharpness(doc, chains):
     disc = {a: report.sw_a + p - 1, p: report.sw_p + p - 1}
     for alpha in (p * p, a * p, a + p):
         disc[alpha] = disc_valuation(p, alpha)
-    closed_form_ok = all(v == p + (p - 1) * _p_valuation(p, alpha)
+    closed_form_ok = all(v == p + (p - 1) * p_valuation(p, alpha)
                          for alpha, v in disc.items())
     detail = report.to_json()
     detail["disc_closed_form"] = closed_form_ok

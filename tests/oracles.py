@@ -46,14 +46,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
-from tensorcond.chars import (ClassFunction, _collect, character_table, fixed_dim,
-                              gen_character_mults)
+from tensorcond.chars import ClassFunction, _collect, character_table, fixed_dim
 from tensorcond.corpus import Corpus, CorpusEntry
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import CorpusError, NonCharacterError, PreconditionError
 from tensorcond.filtration import ConductorReport
 from tensorcond.groups import Filtration, FiniteGroup, Subgroup, is_prime
-from tensorcond.suites import abvar_datum, gen_abvar_mults, gen_semistable_mults
+from tensorcond.suites import (abvar_datum, gen_abvar_mults, gen_character_mults,
+                               gen_semistable_mults)
 from tensorcond.weildeligne import AbVarDatum, InertiaModel
 
 

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import (character_table, fixed_dim, gen_rational_mults,
-                              gen_symplectic_mults)
+from tensorcond.chars import character_table, fixed_dim
 from tensorcond.errors import NonCharacterError
 from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
                                quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group)
+from tensorcond.suites import gen_rational_mults, gen_symplectic_mults
 
 from oracles import (add, class_matrices, cyclo_zero, dual, frobenius_schur, from_values,
                      gen_character, inner_product, is_rational_charpoly, is_symplectic, key,
@@ -903,7 +903,7 @@ def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
         assert dims[-1] == T.degrees and dims[0][T.index_of_trivial()] == 1
         artin, fixed = model.kernel_rows
         assert fixed == dims[0]
-        tau = T.assemble(chars.gen_symplectic_mults(G, 0, 6))
+        tau = T.assemble(gen_symplectic_mults(G, 0, 6))
         sigma = T.assemble([int(i == T.index_of_trivial()) for i in range(len(T))])
         A = AbVarDatum(model, tau, sigma)
         rho = tensor(A.rho, A.rho)

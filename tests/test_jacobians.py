@@ -6,8 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tensorcond.errors import InvalidUnitError, PreconditionError
 from tensorcond.groups import is_prime
-from tensorcond.jacobians import (BreakRep, FamilyParams, _p_valuation, disc_valuation,
-                                  jacobian_inertia_model, joint_break_model,
+from tensorcond.jacobians import (BreakRep, FamilyParams, disc_valuation,
+                                  jacobian_inertia_model, joint_break_model, p_valuation,
                                   smallest_valid_unit, swan_jacobian, sylvester_resultant,
                                   tensor_break_rep, validate_params,
                                   verify_sharpness)
@@ -216,7 +216,7 @@ def test_disc_valuation_matches_the_dense_determinant_up_to_the_order_cap():
             df = [i * f[i] for i in range(1, p + 1)]
             res = bareiss_det(sylvester_matrix(f, df))
             assert sylvester_resultant(f, df) == res, (p, alpha)
-            assert disc_valuation(p, alpha) == _p_valuation(p, res), (p, alpha)
+            assert disc_valuation(p, alpha) == p_valuation(p, res), (p, alpha)
 
 
 def test_validate_params_refuses_a_group_above_the_order_cap():

@@ -8,11 +8,16 @@ code objects reached.  The unreached set must *equal* the allow-list: a
 function that no command runs fails the test until it is deleted, moved to
 `tests/oracles.py` or listed here with its reason, and an entry that a
 command comes to reach, or whose function is deleted, must leave the list.
+
+The imports are held the same way: no module imports another module's
+private name, and a fresh interpreter that imports one module, or loads
+the corpus and its tables, compiles only the modules named here.
 """
 
 import ast
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,7 +28,7 @@ from tensorcond.cli import main
 from tensorcond.corpus import load_corpus
 from tensorcond.suites import SUITES
 
-from test_cli import BOUND_DOC, make_global_doc
+from test_cli import BOUND_DOC, make_global_doc, subprocess_env
 
 SRC = Path(tensorcond.__file__).resolve().parent
 
@@ -32,7 +37,6 @@ Q8_BY_C3 = json.dumps({"kind": "direct_product",
 
 ALLOWED = {
     # run while the package is imported, before any command
-    "chars._per_table": "decorates the atom builders at import",
     "suites._gen_pair": "builds suite generators for SUITES at import",
     "suites._gen_gap": "builds suite generators for SUITES at import",
     "suites._gen_wd": "builds suite generators for SUITES at import",
@@ -43,6 +47,7 @@ ALLOWED = {
     "cli._pool_init": "called by the forked worker; perfbench/layertrace.py wraps it in a span",
     "cli._pool_eval": "called by the forked worker; perfbench/layertrace.py wraps it in a span",
     "cyclo._coefficient": "canonical Fraction coefficients; no command makes a non-int one",
+    "chars._rng": "seeds the stall switch's combination, which no corpus table reaches",
     # timed by perfbench/layertrace.py until its layer metrics are restated
     "cyclo.CycloNum.from_rational": "_cyclo_us: the rational operands",
     "cyclo.CycloNum.promote": "_cyclo_us: v.promote(N) on table values",
@@ -170,3 +175,38 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys, monkeypatch):
     assert unreached == set(ALLOWED), {
         "reached by no command and not allowed": sorted(unreached - set(ALLOWED)),
         "allowed but reached, or no longer defined": sorted(set(ALLOWED) - unreached)}
+
+
+# -- imports -----------------------------------------------------------------------
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.stem}: from {'.' * node.level}{node.module or ''} "
+                            f"import {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+SET_UP = ("import tensorcond.chars, tensorcond.corpus\n"
+          "for e in tensorcond.corpus.load_corpus().entries:\n"
+          "    tensorcond.chars.character_table(e.group)\n")
+
+
+@pytest.mark.parametrize("script, modules", [
+    ("import tensorcond", []),
+    ("import tensorcond.groups", ["errors", "groups"]),
+    # the benchmark's set-up loads no Weil-Deligne code
+    (SET_UP, ["chars", "corpus", "cyclo", "errors", "groups"]),
+], ids=["root", "groups", "set-up"])
+def test_a_fresh_interpreter_loads_only_the_modules_it_imports(script, modules):
+    script += ("\nimport json, sys\n"
+               "print(json.dumps(sorted(m.partition('.')[2] for m in sys.modules\n"
+               "                        if m.startswith('tensorcond.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == modules

@@ -279,7 +279,7 @@ def test_vector_predicates_match_class_function_predicates():
     predicates on the assembled class values, on every corpus group, for
     vectors that pass and vectors that fail each of them."""
     import random
-    from tensorcond.chars import rational_atoms
+    from tensorcond.suites import rational_atoms
 
     from oracles import is_rational_charpoly, is_symplectic
     corpus = load_corpus()
