@@ -584,10 +584,8 @@ def _split_piece(mat, candidates, u, q):
         inv = pow(w[piv], -1, q)
         echelon.append((piv, [x * inv % q for x in w], [c * inv % q for c in combo]))
         krylov.append(mu if len(krylov) == 1 else _mat_vec(mat, krylov[-1], q))
-    # sum_t combo[t] M^t u = 0: combo is u's monic minimal polynomial
+    # sum_t combo[t] M^t u = 0: combo is u's monic minimal polynomial, of degree >= 2
     d = len(combo) - 1
-    if d == 1:
-        return [u]
     roots = _poly_roots_mod(combo, q, candidates)
     if len(roots) != d:
         raise TableComputationError("class matrix is not split semisimple mod q")

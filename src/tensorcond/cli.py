@@ -28,8 +28,8 @@ from .errors import (InputError, TensorCondError, generator_lists, int_field,
 from .globalbound import GlobalDatum, PrimeSummary, exponents_str, rankin_selberg_bound
 from .groups import build_group, filtration_from_generators, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import (DEFAULT_SEEDS, SUITES, abvar_datum, local_pair_record, read_global,
-                     replay, run_suite_range)
+from .suites import (SUITES, abvar_datum, local_pair_record, read_global, replay,
+                     run_suite_range)
 from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
 
 
@@ -54,14 +54,6 @@ def _build_model(doc: dict, where: str, reader: ChainReader) -> InertiaModel:
 
 
 # -- subcommand: verify -----------------------------------------------------------
-
-
-def _worker_count(args) -> int:
-    if args.workers is None:
-        return 1
-    if args.workers < 1:
-        raise InputError(f"--workers must be at least 1, not {shown(args.workers)}")
-    return args.workers
 
 
 def _process_count(workers: int) -> int:
@@ -92,8 +84,7 @@ def _pool_init(corpus):
 
 def _pool_eval(job):
     name, start, count, base_seed = job
-    results = run_suite_range(name, _POOL_STATE["corpus"], start, count, base_seed)
-    return [r.to_json() for r in results]
+    return run_suite_range(name, _POOL_STATE["corpus"], start, count, base_seed)
 
 
 def _share_worker(k: int, plan, corpus, base_seed: int, fd: int):
@@ -144,9 +135,11 @@ def _run_verify(args, machine: bool) -> int:
                              f"{', '.join(sorted(SUITES))} or all")
     if args.seeds is not None and args.seeds < 0:
         raise InputError(f"--seeds must be nonnegative, not {args.seeds}")
-    processes = _process_count(_worker_count(args))
+    if args.workers < 1:
+        raise InputError(f"--workers must be at least 1, not {shown(args.workers)}")
+    processes = _process_count(args.workers)
     corpus = load_corpus(args.corpus)
-    plan = [(name, _shares(args.seeds if args.seeds is not None else DEFAULT_SEEDS[name],
+    plan = [(name, _shares(args.seeds if args.seeds is not None else SUITES[name].seeds,
                            processes)) for name in names]
     failures = 0
     # worker k (k >= 1) computes share k of every suite, forked once with
@@ -163,7 +156,7 @@ def _run_verify(args, machine: bool) -> int:
             workers.append((pid, os.fdopen(fd, encoding="utf-8")))
         for name, shares in plan:
             start, count = shares[0]
-            docs = [r.to_json() for r in run_suite_range(name, corpus, start, count, args.seed)]
+            docs = run_suite_range(name, corpus, start, count, args.seed)
             for k in range(1, len(shares)):
                 docs += _read_share(workers[k - 1][1], k, name)
             bad = [d for d in docs if not d["ok"]]
@@ -379,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="items per suite (default: per-suite)")
     p_verify.add_argument("--seed", type=_int_flag, default=0, help="base seed")
     p_verify.add_argument("--corpus", default=None, help="corpus JSON path")
-    p_verify.add_argument("--workers", type=_int_flag, default=None,
+    p_verify.add_argument("--workers", type=_int_flag, default=1,
                           help="processes, at most one per usable CPU")
 
     p_bound = sub.add_parser("bound", parents=[common], help="conductor bounds for one local pair")

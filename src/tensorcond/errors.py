@@ -72,21 +72,20 @@ class InputError(TensorCondError, ValueError):
 
 
 class reading:
-    """``with reading(name):`` relabels an error of type `errors` raised in
-    its body as ``InputError(f"{name}: {err}")``, naming the field or flag
-    read (a class: cheaper to enter than a generator context manager)."""
+    """``with reading(name):`` relabels a TensorCondError raised in its body
+    as ``InputError(f"{name}: {err}")``, naming the field or flag read (a
+    class: cheaper to enter than a generator context manager)."""
 
-    __slots__ = ("name", "errors")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, errors=TensorCondError):
+    def __init__(self, name: str):
         self.name = name
-        self.errors = errors
 
     def __enter__(self):
         return self
 
     def __exit__(self, kind, err, tb):
-        if isinstance(err, self.errors):
+        if isinstance(err, TensorCondError):
             raise InputError(f"{self.name}: {err}") from err
 
 

@@ -119,16 +119,16 @@ def min_sum_bound(M: Fraction, a: Sequence[Fraction], b: Sequence[Fraction],
     b = [Fraction(x) for x in b]
     d = [Fraction(x) for x in d]
     if not (len(a) == len(b) == len(d)):
-        raise PreconditionError("sequences must share one length")
+        raise PreconditionError("'a', 'b' and 'd' must share one length")
     if M <= 0:
-        raise PreconditionError("threshold M must be positive")
+        raise PreconditionError("threshold 'M' must be positive")
     if any(x <= 0 for x in d):
-        raise PreconditionError("weights must be positive")
-    for seq in (a, b):
+        raise PreconditionError("weights 'd' must be positive")
+    for name, seq in (("a", a), ("b", b)):
         if any(x > y for x, y in zip(seq[1:], seq)):
-            raise PreconditionError("sequences must be weakly decreasing")
+            raise PreconditionError(f"'{name}' must be weakly decreasing")
         if any(0 < x < M for x in seq):
-            raise PreconditionError(f"sequence values must be 0 or >= {M}")
+            raise PreconditionError(f"'{name}' values must be 0 or >= {M}")
     lhs = sum((x * y / w for x, y, w in zip(a, b, d)), Fraction(0))
     rhs = M * min(sum((x / w for x, w in zip(a, d)), Fraction(0)),
                   sum((y / w for y, w in zip(b, d)), Fraction(0)))
@@ -150,8 +150,9 @@ def symplectic_tensor_bound(tau1: Character, tau2: Character,
     - excess(t1, t2); the contract is lhs <= rhs.
     """
     T = character_table(filt.parent)
-    if not all(T.is_symplectic_mults(T.own(t).mults) for t in (tau1, tau2)):
-        raise NotSymplecticError("both inputs must be symplectic characters")
+    for name, t in (("tau1", tau1), ("tau2", tau2)):
+        if not T.is_symplectic_mults(T.own(t).mults):
+            raise NotSymplecticError(f"'{name}' must be a symplectic character")
     return _tensor_bound(tau1, tau2, filt, Fraction(2))
 
 
@@ -160,10 +161,11 @@ def pgroup_tensor_bound(tau1: Character, tau2: Character,
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
     if not filt[0].is_pgroup(p):
-        raise NotPGroupError(f"{filt.parent.name} is not a {p}-group")
+        raise NotPGroupError(f"'p' is {p}, but {filt.parent.name} is not a {p}-group")
     T = character_table(filt.parent)
-    if not all(T.is_rational_mults(T.own(t).mults) for t in (tau1, tau2)):
-        raise NotRationalError("both inputs must have rational characteristic polynomials")
+    for name, t in (("tau1", tau1), ("tau2", tau2)):
+        if not T.is_rational_mults(T.own(t).mults):
+            raise NotRationalError(f"'{name}' must have rational characteristic polynomials")
     return _tensor_bound(tau1, tau2, filt, Fraction(p - 1))
 
 

@@ -13,8 +13,6 @@ residue characteristic of the record's inertia model.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Dict, Tuple, Union
 
 from .errors import InconsistentInputError, NegativeExponentError
@@ -48,17 +46,12 @@ class PrimeSummary:
         self.deg_ab = deg_ab
 
 
-class PrimeLocalPair:
-    """Full local data at one prime: two inertia-model data sharing a model."""
+class PrimeLocalPair(LocalPair):
+    """Full local data at one prime: the local pair of A and B, labelled p."""
 
     def __init__(self, p: int, A: AbVarDatum, B: AbVarDatum):
+        super().__init__(A, B)
         self.p = p
-        self.A = A
-        self.B = B
-
-    @cached_property
-    def pair(self) -> LocalPair:
-        return LocalPair(self.A, self.B)
 
     def summary(self) -> PrimeSummary:
         aA, aB = self.A.artin_conductor(), self.B.artin_conductor()
@@ -66,10 +59,7 @@ class PrimeLocalPair:
             raise InconsistentInputError(
                 "local conductor exponents must be integers for global data")
         return PrimeSummary(self.p, int(aA), int(aB), self.A.degree(), self.B.degree(),
-                            self.pair.product.degree())
-
-    def tensor_exponent(self) -> Fraction:
-        return self.pair.product.artin_conductor()
+                            self.product.degree())
 
 
 PrimeRecord = Union[PrimeSummary, PrimeLocalPair]
@@ -78,7 +68,7 @@ PrimeRecord = Union[PrimeSummary, PrimeLocalPair]
 class GlobalDatum:
     """Two global objects seen through their local data at finitely many primes."""
 
-    __slots__ = ("dim_a", "dim_b", "primes", "_summaries")
+    __slots__ = ("dim_a", "dim_b", "primes", "summaries")
 
     def __init__(self, dim_a: int, dim_b: int, primes: Tuple[PrimeRecord, ...]):
         self.dim_a = dim_a
@@ -89,25 +79,21 @@ class GlobalDatum:
             if rec.p in seen:
                 raise InconsistentInputError(f"duplicate prime {rec.p}")
             seen.add(rec.p)
-        summaries = tuple(rec if isinstance(rec, PrimeSummary) else rec.summary()
-                          for rec in primes)
-        for s in summaries:
+        # each record's summary, taken once
+        self.summaries = tuple(rec if isinstance(rec, PrimeSummary) else rec.summary()
+                               for rec in primes)
+        for s in self.summaries:
             if not (0 <= s.deg_a <= 2 * dim_a and 0 <= s.deg_b <= 2 * dim_b):
                 raise InconsistentInputError(f"degree at prime {s.p} out of range")
             if s.v_a < 0 or s.v_b < 0 or s.deg_ab < 0:
                 raise InconsistentInputError(f"negative datum at prime {s.p}")
-        self._summaries = summaries
-
-    def summaries(self) -> Tuple[PrimeSummary, ...]:
-        """Each record's summary, taken once at construction."""
-        return self._summaries
 
 
 def d_term(datum: GlobalDatum) -> Exponents:
     """Per prime with v(A) v(B) > 1, the degree correction
     deg(AxB) - deg(A) deg(B): the exponents of the d-term."""
     out = {}
-    for s in datum.summaries():
+    for s in datum.summaries:
         if s.v_a * s.v_b > 1:
             e = s.deg_ab - s.deg_a * s.deg_b
             if e < 0:
@@ -140,7 +126,7 @@ def _report(datum: GlobalDatum, d: Exponents,
     also the recomputed tensor exponent and whether it stays within."""
     bound = {}
     per_prime = []
-    for rec, s in zip(datum.primes, datum.summaries()):
+    for rec, s in zip(datum.primes, datum.summaries):
         e = exponent(s)
         if e < 0:
             raise InconsistentInputError("denominator exponents exceed the numerator")
@@ -148,7 +134,7 @@ def _report(datum: GlobalDatum, d: Exponents,
             bound[s.p] = e
         entry = {"p": s.p, "bound_exp": e}
         if isinstance(rec, PrimeLocalPair):
-            a_tensor = rec.tensor_exponent()
+            a_tensor = rec.product.artin_conductor()
             entry["a_tensor"] = str(a_tensor)
             entry["ok"] = a_tensor <= e
         per_prime.append(entry)

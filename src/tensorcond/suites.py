@@ -18,8 +18,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .chars import Character, CharacterTable, character_table
 from .corpus import ChainReader, Corpus, CorpusChain
-from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError,
-                     TensorCondError, int_field, is_int, reading, require, shown, sized)
+from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError, NotRationalError,
+                     NotSymplecticError, TensorCondError, int_field, is_int, reading,
+                     require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
@@ -32,26 +33,6 @@ from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
                           swan_bound, tame_identity, uniform_bound)
 
 SHARPNESS_PRIMES = (3, 5, 7, 11, 13)
-
-
-class ItemResult:
-    __slots__ = ("suite", "index", "ok", "detail", "checks", "counterexample")
-
-    def __init__(self, suite: str, index: int, ok: bool, detail: dict, checks: int = 1,
-                 counterexample: Optional[dict] = None):
-        self.suite = suite
-        self.index = index
-        self.ok = ok
-        self.detail = detail
-        self.checks = checks
-        self.counterexample = counterexample
-
-    def to_json(self) -> dict:
-        doc = {"suite": self.suite, "index": self.index, "ok": self.ok,
-               "checks": self.checks, "detail": self.detail}
-        if self.counterexample is not None:
-            doc["counterexample"] = self.counterexample
-        return doc
 
 
 def _seed(suite: str, base_seed: int, index: int, tag: str = "") -> str:
@@ -233,11 +214,11 @@ def symplectic_rational_atoms(T: CharacterTable) -> tuple:
                  else (vec, d) for vec, d in rational_atoms(T))
 
 
-def _combine_atoms(T: CharacterTable, atoms, rng: random.Random, budget: int,
-                   rounds: int, ensure_nonzero: bool = False) -> List[int]:
+def _combine_atoms(atoms, rng: random.Random, budget: int, rounds: int,
+                   ensure_nonzero: bool = False) -> List[int]:
     """Sum of up to ``rounds`` atoms drawn at random, of total dimension <=
     budget (with ``ensure_nonzero`` the smallest atom if none was drawn)."""
-    mults = [0] * len(T)
+    mults = [0] * len(atoms[0][0])
     dim = 0
     for _ in range(rng.randint(0, rounds)):
         cands = [a for a in atoms if dim + a[1] <= budget]
@@ -256,7 +237,7 @@ def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     """Random nonnegative multiplicity vector over the irreducibles, of
     dimension <= budget."""
     T = character_table(group)
-    return _combine_atoms(T, irreducible_atoms(T), random.Random(f"char:{seed}"),
+    return _combine_atoms(irreducible_atoms(T), random.Random(f"char:{seed}"),
                           budget, budget)
 
 
@@ -266,7 +247,7 @@ def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     if budget < 2:
         raise ValueError("symplectic characters need budget >= 2")
     T = character_table(group)
-    return _combine_atoms(T, symplectic_atoms(T), random.Random(f"symp:{seed}"),
+    return _combine_atoms(symplectic_atoms(T), random.Random(f"symp:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
 
@@ -276,7 +257,7 @@ def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
     if budget < 1:
         raise ValueError("rational characters need budget >= 1")
     T = character_table(group)
-    return _combine_atoms(T, rational_atoms(T), random.Random(f"rat:{seed}"),
+    return _combine_atoms(rational_atoms(T), random.Random(f"rat:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
 
@@ -301,8 +282,8 @@ def gen_abvar_mults(T: CharacterTable, seed, force_ramified: bool = False,
     triv = T.index_of_trivial()
 
     if target_dim is None:
-        tau_m = _combine_atoms(T, tau_atoms, rng, 8, 4)
-        sig_m = _combine_atoms(T, sig_atoms, rng, 4, 3)
+        tau_m = _combine_atoms(tau_atoms, rng, 8, 4)
+        sig_m = _combine_atoms(sig_atoms, rng, 4, 3)
         if force_ramified and not any(m for i, m in enumerate(tau_m) if i != triv):
             nontrivial = [a for a in tau_atoms
                           if any(m for i, m in enumerate(a[0]) if i != triv)]
@@ -310,21 +291,15 @@ def gen_abvar_mults(T: CharacterTable, seed, force_ramified: bool = False,
             tau_m = [m + v for m, v in zip(tau_m, vec)]
     else:
         assert target_dim % 2 == 0 and target_dim >= 2
-        tau_m, sig_m = [0] * len(T), [0] * len(T)
-        rem = target_dim
-        for _ in range(rng.randint(0, 6)):
-            cands = [("tau", a) for a in tau_atoms if a[1] <= rem]
-            cands += [("sig", a) for a in sig_atoms if 2 * a[1] <= rem]
-            if not cands:
-                break
-            kind, (vec, d) = rng.choice(cands)
-            if kind == "tau":
-                tau_m = [m + v for m, v in zip(tau_m, vec)]
-                rem -= d
-            else:
-                sig_m = [m + v for m, v in zip(sig_m, vec)]
-                rem -= 2 * d
-        sig_m[triv] += rem // 2
+        # one draw over both kinds: a tau atom costs its dimension, a sigma
+        # atom twice its dimension
+        r, zeros = len(T), (0,) * len(T)
+        mults = _combine_atoms([(vec + zeros, d) for vec, d in tau_atoms]
+                               + [(zeros + vec, 2 * d) for vec, d in sig_atoms],
+                               rng, target_dim, 6)
+        tau_m, sig_m = mults[:r], mults[r:]
+        dim = sum(d * (t + 2 * s) for d, t, s in zip(T.degrees, tau_m, sig_m))
+        sig_m[triv] += (target_dim - dim) // 2
 
     return {"tau": tau_m, "sigma": sig_m}
 
@@ -465,8 +440,8 @@ def _gen_gap(tag: str, gen, pgroup: bool = False):
 
 
 def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
-    """Nonfixed dimension of tau on every distinct subgroup of the chains
-    (with p, chains on a p-group only)."""
+    """Nonfixed dimension of tau on every distinct subgroup of the chains;
+    tau must be symplectic, or with p rational on chains on a p-group."""
     refs = require(doc, "chains")
     if not isinstance(refs, list) or not refs:
         raise InputError("'chains' must be a nonempty list of chain references")
@@ -475,8 +450,13 @@ def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
     if any(c.filtration.parent is not G for c in resolved):
         raise InputError("'chains' must all lie on one group")
     if p is not None and pgroup_prime(G.order) != p:
-        raise NotPGroupError(f"{G.name} is not a {p}-group")
-    tau = _char(character_table(G), doc, "tau")
+        raise NotPGroupError(f"'p' is {p}, but {G.name} is not a {p}-group")
+    T = character_table(G)
+    tau = _char(T, doc, "tau")
+    if p is None and not T.is_symplectic_mults(tau.mults):
+        raise NotSymplecticError("'tau' must be a symplectic character")
+    if p is not None and not T.is_rational_mults(tau.mults):
+        raise NotRationalError("'tau' must have rational characteristic polynomials")
     subgroups = {}
     for chain in resolved:
         for H in chain.filtration.chain:
@@ -694,13 +674,13 @@ SUITES: Dict[str, Suite] = {
                        checks=lambda doc, detail: 6),
 }
 
-DEFAULT_SEEDS: Dict[str, int] = {name: suite.seeds for name, suite in SUITES.items()}
-
 
 def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
-                    base_seed: int = 0) -> List[ItemResult]:
+                    base_seed: int = 0) -> List[dict]:
     """Evaluate a contiguous index range; items only depend on their index.
-    A failing item's counterexample is its input document and its detail."""
+    An item is the document verify prints: suite, index, ok, checks and
+    detail, and on a failing item its counterexample, the input document
+    with its detail."""
     suite = SUITES[name]
     out = []
     for i in range(start, start + count):
@@ -709,9 +689,11 @@ def run_suite_range(name: str, corpus: Corpus, start: int, count: int,
         except CorpusError as err:
             raise CorpusError(f"suite {name}: {err}") from None
         ok, detail = suite.check(doc, corpus.reader)
-        ce = None if ok else {"suite": name, **doc, **detail}
-        out.append(ItemResult(name, i, ok, {**labels, **detail},
-                              suite.checks(doc, detail), ce))
+        item = {"suite": name, "index": i, "ok": ok,
+                "checks": suite.checks(doc, detail), "detail": {**labels, **detail}}
+        if not ok:
+            item["counterexample"] = {"suite": name, **doc, **detail}
+        out.append(item)
     return out
 
 

@@ -285,7 +285,7 @@ def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """
     A, B = pair.A, pair.B
     if not A.is_semistable():
-        raise NotSemistableError("first datum must be semistable")
+        raise NotSemistableError("the first datum 'A' must be semistable")
     lhs = class_artin(pair.model, class_tensor(A, B))
     return lhs, semistable_form(A, B, pair.degree_correction)
 
@@ -307,8 +307,9 @@ def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     correction, from the kernel.
     """
     A, B = pair.A, pair.B
-    if not (A.artin_conductor() > 1 and B.artin_conductor() > 1):
-        raise PreconditionError("both conductor exponents must exceed 1")
+    for name, X in (("A", A), ("B", B)):
+        if X.artin_conductor() <= 1:
+            raise PreconditionError(f"'{name}' must have conductor exponent above 1")
     blocks = class_tensor(A, B)
     lhs = Fraction(sum(n * s.dim for s, n in blocks) - class_degree(pair.model, blocks))
     tameA = A.dim - A.degree()

@@ -44,8 +44,8 @@ def test_criterion_01_step_identity(corpus):
     start = time.time()
     results = run_suite_range("step-identity", corpus, 0, 1000, 0)
     elapsed = time.time() - start
-    tuples = sum(r.checks for r in results)
-    violations = sum(not r.ok for r in results)
+    tuples = sum(r["checks"] for r in results)
+    violations = sum(not r["ok"] for r in results)
     ok = tuples >= 1000 and violations == 0 and elapsed <= 60
     report(1, "per-level tensor identity", ok,
            f"{tuples} tuples, {violations} violations, {elapsed:.1f}s")
@@ -53,7 +53,7 @@ def test_criterion_01_step_identity(corpus):
 
 def test_criterion_02_symplectic_bound(corpus):
     results = run_suite_range("symplectic-bound", corpus, 0, 500, 0)
-    violations = sum(not r.ok for r in results)
+    violations = sum(not r["ok"] for r in results)
     Q = quaternion8()
     T = character_table(Q)
     chi2 = T.irreducibles[T.degrees.index(2)]
@@ -67,7 +67,7 @@ def test_criterion_02_symplectic_bound(corpus):
 def test_criterion_03_pgroup_bound(corpus):
     primes_covered = {p for p, _ in corpus.pgroup_chains()}
     results = run_suite_range("pgroup-bound", corpus, 0, 500, 0)
-    violations = sum(not r.ok for r in results)
+    violations = sum(not r["ok"] for r in results)
     C3 = cyclic(3)
     T = character_table(C3)
     tau = T.assemble([int(i != T.index_of_trivial()) for i in range(3)])
@@ -82,9 +82,9 @@ def test_criterion_03_pgroup_bound(corpus):
 def test_criterion_04_parity_and_gap(corpus):
     parity = run_suite_range("symplectic-parity", corpus, 0, 300, 0)
     gap = run_suite_range("pgroup-gap", corpus, 0, 300, 0)
-    v1 = sum(not r.ok for r in parity)
-    v2 = sum(not r.ok for r in gap)
-    checks = sum(r.checks for r in parity) + sum(r.checks for r in gap)
+    v1 = sum(not r["ok"] for r in parity)
+    v2 = sum(not r["ok"] for r in gap)
+    checks = sum(r["checks"] for r in parity) + sum(r["checks"] for r in gap)
     report(4, "parity and p-group gap", v1 == 0 and v2 == 0,
            f"{checks} subgroup checks, {v1 + v2} violations")
 
@@ -123,7 +123,7 @@ def test_criterion_05_special_block_forms(corpus):
 
 def test_criterion_06_semistable_equality(corpus):
     results = run_suite_range("semistable", corpus, 0, 200, 0)
-    violations = sum(not r.ok for r in results)
+    violations = sum(not r["ok"] for r in results)
     # good-reduction degenerate case: a(A x B) = dim(A) a(B) exactly
     from tensorcond.weildeligne import AbVarDatum, LocalPair, semistable_equality
     chain = next(c for c in corpus.model_chains() if c.label == "q8/center")
@@ -144,7 +144,7 @@ def test_criterion_07_bound_suites(corpus):
     for name in ("swan-bound", "tame-identity", "conductor-bound",
                  "uniform-bound", "degree-gap"):
         results = run_suite_range(name, corpus, 0, 500, 0)
-        totals[name] = sum(not r.ok for r in results)
+        totals[name] = sum(not r["ok"] for r in results)
     ok = all(v == 0 for v in totals.values())
     report(7, "wild/tame/main/uniform bounds and degree gap", ok,
            f"500 data each, violations {totals}")
@@ -247,8 +247,8 @@ def test_criterion_10_character_tables():
 
 def test_criterion_11_global_bounds(corpus):
     results = run_suite_range("global", corpus, 0, 100, 0)
-    violations = sum(not r.ok for r in results)
-    primes_checked = sum(r.checks for r in results)
+    violations = sum(not r["ok"] for r in results)
+    primes_checked = sum(r["checks"] for r in results)
     report(11, "global factored bounds", violations == 0,
            f"100 data sets, {primes_checked} per-prime checks, "
            f"{violations} violations")

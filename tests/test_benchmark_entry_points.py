@@ -125,4 +125,4 @@ def test_table_group_jacobian_and_suite_calls_run_on_every_corpus_entry():
         assert jacobians.verify_sharpness(params).equal, p
     for name in suites.SUITES:
         (result,) = suites.run_suite_range(name, corpus, 0, 1, 0)
-        assert result.ok, name
+        assert result["ok"], name

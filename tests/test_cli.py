@@ -750,6 +750,50 @@ def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_pat
     assert "not a 4-group" in err
 
 
+@pytest.mark.parametrize("suite, field", [
+    ("min-sum", "d"), ("min-sum", "a"), ("min-sum", "b"),
+    ("symplectic-bound", "tau1"), ("symplectic-bound", "tau2"), ("pgroup-bound", "p"),
+    ("semistable", "A"), ("tame-identity", "A"), ("tame-identity", "B"),
+    ("symplectic-parity", "tau"), ("pgroup-gap", "tau"),
+])
+def test_replay_names_the_field_outside_the_suite_hypotheses(tmp_path, capsys, suite, field):
+    """A suite's item 0, changed so that `field` breaks a hypothesis of the
+    suite, is malformed input and not a violation: exit 2, and one line on
+    stderr that names the field."""
+    from tensorcond.chars import character_table
+    from tensorcond.corpus import load_corpus
+    from tensorcond.groups import cyclic
+    from tensorcond.suites import SUITES
+
+    from oracles import corpus_entry
+    corpus = load_corpus()
+    doc, _ = SUITES[suite].generate(corpus, 0, 0)  # on C4, but for min-sum
+    doc["suite"] = suite
+    T = character_table(cyclic(4))
+    triv = T.index_of_trivial()
+    # a faithful linear character of C4: neither symplectic nor rational
+    linear = [int(i == T.fs_indicators.index(0)) for i in range(len(T))]
+    if suite == "min-sum":
+        doc.update(M="2", a=["2", "0"], b=["4", "2"], d=["1", "1"])
+        doc[field] = ["1", "0"] if field == "d" else ["0", "2"]
+    elif suite == "pgroup-bound":
+        doc["p"] = 3
+    elif suite == "semistable":
+        doc["A"] = SUITES["tame-identity"].generate(corpus, 0, 0)[0]["A"]
+    elif suite == "tame-identity":  # good reduction: conductor exponent 0
+        doc[field] = {"tau": [2 * (i == triv) for i in range(len(T))], "sigma": [0] * len(T)}
+    elif suite == "pgroup-gap":
+        T9 = character_table(cyclic(9))
+        faithful = max(T9.galois_orbits, key=len)[0]
+        doc.update(chains=[c.ref() for c in corpus_entry(corpus, "c9").chains], p=3,
+                   tau=[int(i == faithful) for i in range(len(T9))])
+    else:
+        doc[field] = linear
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and f"'{field}'" in err, err
+
+
 @pytest.mark.parametrize("j, p", [(0, 4), (0, 1), (0, 0), (0, -3), (1, 4)])
 def test_global_refuses_a_prime_record_whose_p_is_not_a_prime(tmp_path, capsys, j, p):
     doc = make_global_doc()
