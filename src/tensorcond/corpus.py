@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, reading, require)
-from .groups import (FiniteGroup, Filtration, build_group, filtration_from_generators,
-                     pgroup_prime)
+from .groups import (FiniteGroup, Filtration, build_group, check_model_prime,
+                     filtration_from_generators, pgroup_prime)
 
 if TYPE_CHECKING:
     from .weildeligne import InertiaModel
@@ -64,13 +64,10 @@ class CorpusChain:
         return all(s.size in (1, G.order) for s in self.filtration.chain)
 
 
-class CorpusEntry:
-    __slots__ = ("name", "group", "chains")
-
-    def __init__(self, name: str, group: FiniteGroup, chains: List[CorpusChain]):
-        self.name = name
-        self.group = group
-        self.chains = chains
+class CorpusEntry(NamedTuple):
+    name: str
+    group: FiniteGroup
+    chains: List[CorpusChain]
 
 
 class Corpus:
@@ -111,11 +108,15 @@ def _name(doc, where: str) -> str:
 def read_chain(doc, group: FiniteGroup, entry_name: str, name: str,
                where: str) -> CorpusChain:
     """The chain that a corpus chain object, or a document's chain
-    reference, gives on the group: its `subgroups` and optional `model_p`."""
+    reference, gives on the group: its `subgroups` and optional `model_p`,
+    which must be a residue characteristic for the chain."""
     gen_lists = generator_lists(require(doc, "subgroups", where), f"{where}subgroups")
     model_p = None if doc.get("model_p") is None else int_field(doc, "model_p", where)
     with reading(f"{where}subgroups"):
         filt = filtration_from_generators(group, gen_lists)
+    if model_p is not None:
+        with reading(f"{where}model_p"):
+            check_model_prime(filt, model_p)
     return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
 
 
@@ -135,14 +136,17 @@ class ChainReader:
         self._chains: Dict[str, CorpusChain] = {}
         for c in chains:
             self._groups.setdefault(_canonical(c.filtration.parent.spec), c.filtration.parent)
-            self._chains[_canonical(c.ref())] = c
+            self._chains.setdefault(_canonical(c.ref()), c)
 
     def group(self, spec, name: str) -> FiniteGroup:
-        """The group that the spec in field `name` describes."""
+        """The group that the spec in field `name` describes; a spec that
+        builds a group equal to one already built (keys that the kind does
+        not read differ) returns that group."""
         key = _canonical(spec)
         if key not in self._groups:
             with reading(name):
-                self._groups[key] = build_group(spec)
+                G = build_group(spec)
+            self._groups[key] = self._groups.setdefault(_canonical(G.spec), G)
         return self._groups[key]
 
     def __call__(self, ref, name: str) -> CorpusChain:
@@ -156,13 +160,12 @@ class ChainReader:
         return self._chains[key]
 
 
-def _entry(doc, where: str) -> CorpusEntry:
-    """One corpus entry; an error names the entry and the field."""
+def _entry(doc, where: str, reader: ChainReader) -> CorpusEntry:
+    """One corpus entry, its group built by `reader`, so that entries with
+    one spec share the group; an error names the entry and the field."""
     name = _name(doc, where)
     with reading(f"entry {name!r}"):
-        spec = require(doc, "group", where)
-        with reading(f"{where}group"):
-            group = build_group(spec)
+        group = reader.group(require(doc, "group", where), f"{where}group")
         chains = require(doc, "chains", where)
         if not isinstance(chains, list) or not chains:
             raise InputError(f"'{where}chains' must be a nonempty list of chain objects")
@@ -194,7 +197,8 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
         entries = require(doc, "entries")
         if not isinstance(entries, list) or not entries:
             raise InputError("'entries' must be a nonempty list of entry objects")
-        entries = [_entry(e, f"entries[{j}].") for j, e in enumerate(entries)]
+        reader = ChainReader()
+        entries = [_entry(e, f"entries[{j}].", reader) for j, e in enumerate(entries)]
     except TensorCondError as err:
         raise CorpusError(f"malformed corpus: {err}") from err
     return Corpus(entries, version)

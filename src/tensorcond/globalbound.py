@@ -13,7 +13,7 @@ residue characteristic of the record's inertia model.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 from .errors import InconsistentInputError, NegativeExponentError
 from .filtration import tensor_rhs
@@ -32,18 +32,15 @@ def exponents_str(n: Exponents) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(n.items())) or "1"
 
 
-class PrimeSummary:
+class PrimeSummary(NamedTuple):
     """Published local exponents and degrees at one prime."""
 
-    __slots__ = ("p", "v_a", "v_b", "deg_a", "deg_b", "deg_ab")
-
-    def __init__(self, p: int, v_a: int, v_b: int, deg_a: int, deg_b: int, deg_ab: int):
-        self.p = p
-        self.v_a = v_a
-        self.v_b = v_b
-        self.deg_a = deg_a
-        self.deg_b = deg_b
-        self.deg_ab = deg_ab
+    p: int
+    v_a: int
+    v_b: int
+    deg_a: int
+    deg_b: int
+    deg_ab: int
 
 
 class PrimeLocalPair(LocalPair):
@@ -104,13 +101,10 @@ def d_term(datum: GlobalDatum) -> Exponents:
     return out
 
 
-class GlobalBoundReport:
-    __slots__ = ("bound", "d", "per_prime")
-
-    def __init__(self, bound: Exponents, d: Exponents, per_prime: Tuple[dict, ...]):
-        self.bound = bound
-        self.d = d
-        self.per_prime = per_prime
+class GlobalBoundReport(NamedTuple):
+    bound: Exponents
+    d: Exponents
+    per_prime: Tuple[dict, ...]
 
     def all_checks_pass(self) -> bool:
         return all(rec.get("ok", True) for rec in self.per_prime)

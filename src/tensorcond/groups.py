@@ -15,7 +15,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .errors import FiltrationError, GroupConstructionError, PreconditionError, is_int, shown
+from .errors import (FiltrationError, GroupConstructionError, NotPGroupError, PreconditionError,
+                     is_int, shown)
 
 DEFAULT_ORDER_CAP = 2048
 MAX_SPEC_DEPTH = 32  # direct products nest no deeper: the stack is not exhausted
@@ -361,6 +362,15 @@ def filtration_from_generators(G: FiniteGroup,
     """Chain G > <gens_1> > <gens_2> > ... (trivial tail appended)."""
     subs = [whole_group(G)] + [subgroup_generated(G, gens) for gens in gen_lists]
     return Filtration(G, subs)
+
+
+def check_model_prime(filt: Filtration, p: int) -> None:
+    """That p can be the residue characteristic of an inertia model on the
+    chain: p is a prime, and the wild level G_1 a p-group."""
+    if not is_prime(p):
+        raise PreconditionError(f"residue characteristic {p} is not prime")
+    if not filt[min(1, len(filt) - 1)].is_pgroup(p):
+        raise NotPGroupError(f"wild inertia level G_1 must be a {p}-group")
 
 
 # -- named constructions ----------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .chars import ClassFunction, character_table
 from .corpus import ChainReader, CorpusChain
@@ -23,24 +23,12 @@ from .filtration import conductor, tensor_rhs
 from .weildeligne import WDRep, improvement_constant
 
 
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """An odd prime p and a unit representative a with a^(p-1) != 1 mod p^2;
-    `validate_params` also holds Aff(p), of order p(p-1), to the order cap.
-    Two are equal when their p and a are."""
+    `validate_params` also holds Aff(p), of order p(p-1), to the order cap."""
 
-    __slots__ = ("p", "a")
-
-    def __init__(self, p: int, a: int):
-        self.p = p
-        self.a = a
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.a) == (other.p, other.a)
-
-    def __hash__(self):
-        return hash((self.p, self.a))
+    p: int
+    a: int
 
 
 def _check_prime(p: int) -> None:
@@ -268,46 +256,28 @@ def tensor_break_rep(r1: BreakRep, r2: BreakRep) -> BreakRep:
 # -- full sharpness verification -------------------------------------------------
 
 
-class SharpnessReport:
-    __slots__ = ("p", "a", "sw_a", "sw_p", "sw_a_filtration", "sw_p_filtration",
-                 "artin_a", "artin_p", "deg_a", "deg_p", "sw_tensor", "swan_rhs",
-                 "a_tensor", "conductor_rhs", "improvement_constant", "equal")
-
-    def __init__(self, p: int, a: int, sw_a: int, sw_p: int,
-                 sw_a_filtration: Fraction, sw_p_filtration: Fraction,
-                 artin_a: Fraction, artin_p: Fraction, deg_a: int, deg_p: int,
-                 sw_tensor: Fraction, swan_rhs: Fraction, a_tensor: Fraction,
-                 conductor_rhs: Fraction, improvement_constant: int, equal: bool):
-        self.p = p
-        self.a = a
-        self.sw_a = sw_a
-        self.sw_p = sw_p
-        self.sw_a_filtration = sw_a_filtration
-        self.sw_p_filtration = sw_p_filtration
-        self.artin_a = artin_a
-        self.artin_p = artin_p
-        self.deg_a = deg_a
-        self.deg_p = deg_p
-        self.sw_tensor = sw_tensor
-        self.swan_rhs = swan_rhs
-        self.a_tensor = a_tensor
-        self.conductor_rhs = conductor_rhs
-        self.improvement_constant = improvement_constant
-        self.equal = equal
+class SharpnessReport(NamedTuple):
+    p: int
+    a: int
+    sw_a: int
+    sw_p: int
+    sw_a_filtration: Fraction
+    sw_p_filtration: Fraction
+    artin_a: Fraction
+    artin_p: Fraction
+    deg_a: int
+    deg_p: int
+    sw_tensor: Fraction
+    swan_rhs: Fraction
+    a_tensor: Fraction
+    conductor_rhs: Fraction
+    c_p: int
+    equal: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p, "a": self.a,
-            "sw_a": self.sw_a, "sw_p": self.sw_p,
-            "sw_a_filtration": str(self.sw_a_filtration),
-            "sw_p_filtration": str(self.sw_p_filtration),
-            "artin_a": str(self.artin_a), "artin_p": str(self.artin_p),
-            "deg_a": self.deg_a, "deg_p": self.deg_p,
-            "sw_tensor": str(self.sw_tensor), "swan_rhs": str(self.swan_rhs),
-            "a_tensor": str(self.a_tensor), "conductor_rhs": str(self.conductor_rhs),
-            "c_p": self.improvement_constant,
-            "equal": self.equal,
-        }
+        """The fields by name, each Fraction as its string."""
+        return {k: str(v) if isinstance(v, Fraction) else v
+                for k, v in zip(self._fields, self)}
 
 
 def verify_sharpness(params: FamilyParams,

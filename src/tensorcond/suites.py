@@ -14,7 +14,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chars import Character, CharacterTable, character_table
 from .corpus import ChainReader, Corpus, CorpusChain
@@ -75,7 +75,7 @@ def read_global(doc, dim_keys: Tuple[str, str],
     Each dimension must be at least 1, and each record's 'p' a prime that no
     earlier record has; ``read_record(rec, where, p)`` reads the rest of the
     record at where = 'primes[j].'.  A full record's A and B must have twice
-    the first and the second dimension.
+    the first and the second dimension, and integer conductor exponents.
     """
     dims = []
     for key in dim_keys:
@@ -101,10 +101,14 @@ def read_global(doc, dim_keys: Tuple[str, str],
         record = read_record(rec, where, p)
         if isinstance(record, PrimeLocalPair):
             for part, key, dim in zip("AB", dim_keys, dims):
-                got = getattr(record, part).dim
-                if got != 2 * dim:
-                    raise InputError(f"'{where}{part}' has dimension {got}, "
+                datum = getattr(record, part)
+                if datum.dim != 2 * dim:
+                    raise InputError(f"'{where}{part}' has dimension {datum.dim}, "
                                      f"not 2 * '{key}' = {2 * dim}")
+                a = datum.artin_conductor()
+                if a.denominator != 1:
+                    raise InputError(f"'{where}{part}' has conductor exponent {a}, "
+                                     f"not an integer")
         out.append(record)
     return dims[0], dims[1], tuple(out)
 
@@ -606,24 +610,18 @@ def _check_sharpness(doc, chains):
 # -- the registry ----------------------------------------------------------------
 
 
-class Suite:
+class Suite(NamedTuple):
     """One suite: ``generate(corpus, base_seed, index)`` returns an item's
     input document and its detail labels, ``check(doc, chains)`` the
     verdict and the detail.  ``seeds`` is the default number of items,
     ``checks`` counts an item's checks and ``show`` picks what replay
     prints besides the verdict."""
 
-    __slots__ = ("generate", "check", "seeds", "checks", "show")
-
-    def __init__(self, generate: Callable[[Corpus, int, int], Tuple[dict, dict]],
-                 check: Callable[[dict, ChainReader], Tuple[bool, dict]], seeds: int,
-                 checks: Callable[[dict, dict], int] = lambda doc, detail: 1,
-                 show: Callable[[dict, dict], dict] = lambda doc, detail: detail):
-        self.generate = generate
-        self.check = check
-        self.seeds = seeds
-        self.checks = checks
-        self.show = show
+    generate: Callable[[Corpus, int, int], Tuple[dict, dict]]
+    check: Callable[[dict, ChainReader], Tuple[bool, dict]]
+    seeds: int
+    checks: Callable[[dict, dict], int] = lambda doc, detail: 1
+    show: Callable[[dict, dict], dict] = lambda doc, detail: detail
 
 
 def _show_sides(doc, detail):

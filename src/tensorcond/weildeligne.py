@@ -32,10 +32,10 @@ from operator import add, mul
 from typing import List, Sequence, Tuple
 
 from .chars import Character, CharacterTable, ClassFunction, character_table, fixed_dim
-from .errors import (ModelMismatchError, NotPGroupError, NotRationalError,
-                     NotSemistableError, NotSymplecticError, PreconditionError)
+from .errors import (ModelMismatchError, NotRationalError, NotSemistableError,
+                     NotSymplecticError, PreconditionError)
 from .filtration import conductor_exponent, tensor_rhs
-from .groups import FiniteGroup, Filtration, is_prime
+from .groups import FiniteGroup, Filtration, check_model_prime
 
 
 class InertiaModel:
@@ -52,12 +52,7 @@ class InertiaModel:
         self.residue_char = residue_char
         if filtration.parent is not group:
             raise ModelMismatchError("filtration does not live on the model group")
-        if not is_prime(residue_char):
-            raise PreconditionError(f"residue characteristic {residue_char} is not prime")
-        wild = filtration[1] if len(filtration) > 1 else filtration[-1]
-        if not wild.is_pgroup(residue_char):
-            raise NotPGroupError(f"wild inertia level G_1 must be a "
-                                 f"{residue_char}-group")
+        check_model_prime(filtration, residue_char)
 
     @property
     def inertia(self):

@@ -3,8 +3,10 @@
 `perfbench/` drives the package through `cli.main` on a seeded document
 set, and through the per-layer calls of `perfbench/layertrace.py`.  These
 tests run the seed-0 set and check its input and output digests against
-`perfbench/reference.json`, and make each layer call once, so that a change
-to an API the benchmark uses fails here first.  They only read `perfbench/`.
+`perfbench/reference.json`, run each verify workload at that seed against
+its digest there, and make each layer call once, so that a change to an API
+or an output the benchmark uses fails here first.  They only read
+`perfbench/`.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +31,35 @@ def docs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def run():
+    """perfbench/run.py, loaded under a private name; it puts its own
+    directory on sys.path at import, so sys.path is restored after."""
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("_perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.mark.parametrize("workload", ["verify-wd", "verify-filtration", "verify-pool"])
+def test_seed0_verify_workloads_match_the_reference_digests(run, workload, capsys,
+                                                           monkeypatch):
+    """Each verify workload's call at the default seed, in process, prints
+    what `reference.json` holds; verify-pool sees two CPUs, so that its
+    --workers 2 forks a second process as it does in the benchmark."""
+    from tensorcond import cli
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    assert cli.main(run.verify_argv(workload, ref["default_seed"])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ref[workload]
 
 
 def test_seed0_documents_match_the_reference_digests(docs, monkeypatch):

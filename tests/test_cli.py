@@ -582,9 +582,10 @@ def test_verify_names_a_worker_that_fails_otherwise(capsys, monkeypatch, failure
 
 def test_verify_workers_import_no_process_pool():
     """A --workers 2 run that forks imports neither multiprocessing nor
-    concurrent.futures, and the records are plain classes, so neither
-    dataclasses nor inspect (with the ast, dis and tokenize it pulls in) is
-    imported either: each would add to every process's start-up."""
+    concurrent.futures, and the records are NamedTuples or plain classes,
+    so neither dataclasses nor inspect (with the ast, dis and tokenize it
+    pulls in) is imported either: each would add to every process's
+    start-up."""
     script = ("import os, sys\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from tensorcond.cli import main\n"
@@ -932,6 +933,71 @@ def test_replay_refuses_a_global_dimension_below_one(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert f"'{key}' must be at least 1, not 0" in err
+
+
+# on D4 with G_1 = <4> of order 2, this A has Artin conductor 11/2
+FRACTIONAL_RECORD = {"p": 3, "A": {"tau": [0, 0, 0, 0, 0], "sigma": [1, 0, 1, 1, 0]},
+                     "B": {"tau": [0, 0, 0, 0, 0], "sigma": [1, 0, 1, 0, 0]}}
+
+
+def test_a_full_record_with_a_fractional_conductor_is_malformed_input(tmp_path, capsys):
+    """Global data need integer conductor exponents: replay and global both
+    exit 2 naming the record's field, not 1 as a violation of the bound."""
+    group = {"kind": "dihedral", "n": 4}
+    replayed = {"suite": "global", "dim_a": 3, "dim_b": 2, "primes": [
+        {**FRACTIONAL_RECORD, "chain": {"group": group, "subgroups": [[4]], "model_p": 2}}]}
+    given = {"dimA": 3, "dimB": 2, "primes": [
+        {**FRACTIONAL_RECORD, "mode": "full",
+         "model": {"group": group, "chain": [[4]], "p": 2}}]}
+    for command, doc in (("replay", replayed), ("global", given)):
+        code, out, err = run_cli(capsys, command, "--input", _write(tmp_path, doc))
+        assert code == 2 and out == "", command
+        assert "'primes[0].A' has conductor exponent 11/2, not an integer" in err, command
+
+
+# two entries on one group spec, whose chain "x" has the same reference
+SHARED_SPEC_CORPUS = {"version": 1, "entries": [
+    {"name": "a", "group": {"kind": "cyclic", "n": 4}, "chains": [
+        {"name": "x", "subgroups": [[2]], "model_p": 2},
+        {"name": "y", "subgroups": [[1], [2]], "model_p": 2}]},
+    {"name": "b", "group": {"kind": "cyclic", "n": 4}, "chains": [
+        {"name": "x", "subgroups": [[2]], "model_p": 2},
+        {"name": "tame", "subgroups": [], "model_p": 2}]}]}
+
+
+@pytest.mark.parametrize("extra", [{}, {"note": "a key that cyclic does not read"}])
+def test_entries_with_one_group_spec_share_the_group(tmp_path, capsys, extra):
+    """Every suite runs on a corpus whose entries repeat a group spec (up to
+    keys the kind does not read) and a chain: the entries share one group,
+    so a reference resolves to a chain on the group of every other chain
+    it is listed with."""
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import SUITES
+    doc = json.loads(json.dumps(SHARED_SPEC_CORPUS))
+    doc["entries"][1]["group"].update(extra)
+    path = _write(tmp_path, doc)
+    a, b = load_corpus(path).entries
+    assert a.group is b.group
+    for suite in SUITES:
+        code, _, err = run_cli(capsys, "verify", "--suite", suite, "--seeds", "3",
+                               "--corpus", path)
+        assert code == 0, (suite, err)
+
+
+@pytest.mark.parametrize("model_p, message", [
+    (3, "wild inertia level G_1 must be a 3-group"),
+    (4, "residue characteristic 4 is not prime")])
+def test_a_corpus_chain_with_a_bad_model_p_is_refused_at_load(tmp_path, capsys, model_p,
+                                                              message):
+    """model_p is checked when the corpus loads, so a suite that builds no
+    model refuses the corpus too, naming the entry and the field."""
+    corpus = {"version": 1, "entries": [{"name": "c4", "group": {"kind": "cyclic", "n": 4},
+                                         "chains": [{"name": "std", "subgroups": [[2]],
+                                                     "model_p": model_p}]}]}
+    code, out, err = run_cli(capsys, "verify", "--suite", "min-sum", "--seeds", "2",
+                             "--corpus", _write(tmp_path, corpus))
+    assert code == 2 and out == ""
+    assert f"malformed corpus: entry 'c4': entries[0].chains[0].model_p: {message}" in err
 
 
 def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch):

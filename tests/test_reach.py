@@ -40,7 +40,6 @@ ALLOWED = {
     "suites._gen_pair": "builds suite generators for SUITES at import",
     "suites._gen_gap": "builds suite generators for SUITES at import",
     "suites._gen_wd": "builds suite generators for SUITES at import",
-    "suites.Suite.__init__": "builds the SUITES registry at import",
     # run only in a forked `verify --workers` process, which the profile
     # of this one does not see
     "cli._share_worker": "the forked worker's body",
@@ -69,8 +68,6 @@ ALLOWED = {
     "weildeligne.WDRep.__eq__": "value equality",
     "groups.Subgroup.__eq__": "value equality",
     "groups.Subgroup.__hash__": "hash consistent with __eq__",
-    "jacobians.FamilyParams.__eq__": "value equality",
-    "jacobians.FamilyParams.__hash__": "hash consistent with __eq__",
     # what an assertion that fails prints
     "cyclo.CycloNum.__repr__": "what a failing assertion prints",
     "chars.ClassFunction.__repr__": "what a failing assertion prints",
