@@ -41,11 +41,11 @@ class, the terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1),
 e | m.  As x -> zeta_m is a ring map from there onto Z[zeta_m], products
 convolve a class's terms mod x^m - 1, a dual permutes the rows, and the
 averages (`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms
-into one list, reduced mod Phi_m once; only the division by the group
-order is rational.  `CycloNum` values are reduced from the form only when
-read, a Character's once per distinct (class order, terms) of its table.
-Sums, scalings, duals and class functions built from values are the test
-oracles' (`tests/oracles.py`).
+into one integer list, reduced mod Phi_m if a non-constant term is left,
+and divide by the group order in integers.  `CycloNum` values are reduced
+from the form only when read, a Character's once per distinct (class
+order, terms) of its table.  Sums, scalings, duals and class functions
+built from values are the test oracles' (`tests/oracles.py`).
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
@@ -62,12 +62,13 @@ see `residues`.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .cyclo import CycloNum, euler_phi, exponent_sum_value, reduce_mod_phi
+from .cyclo import CycloNum, euler_phi, reduce_mod_phi
 from .errors import ModelMismatchError, NonCharacterError, TableComputationError
 from .groups import FiniteGroup, Subgroup, closure, is_prime
 
@@ -110,8 +111,7 @@ class ClassFunction:
         """Class by class: the terms' product convolved mod x^m - 1."""
         m, pairs = self._rows_with(other)
         return ClassFunction(self.group, m, (
-            _collect(((k1 + k2) % m, c1 * c2) for k1, c1 in a for k2, c2 in b) if a and b
-            else () for a, b in pairs))
+            _combine(((k, c, b) for k, c in a), m) for a, b in pairs))
 
     @property
     def dim(self) -> int:
@@ -142,30 +142,34 @@ def _reduced(m: int, order: int, terms) -> Tuple[int, list]:
     return m // step, reduce_mod_phi(m // step, acc)
 
 
-def _collect(terms) -> Tuple[Tuple[int, int], ...]:
-    """The terms (k, c) with equal k added up, the zero sums dropped."""
+def _combine(parts, m: int) -> Tuple[Tuple[int, int], ...]:
+    """The terms of sum w * x^s * terms mod x^m - 1 over the (s, w, terms)
+    parts: equal exponents added up, the zero sums dropped."""
     acc = {}
-    for k, c in terms:
-        acc[k] = acc.get(k, 0) + c
+    for s, w, terms in parts:
+        for k, c in terms:
+            k = (k + s) % m
+            acc[k] = acc.get(k, 0) + w * c
     return tuple((k, c) for k, c in acc.items() if c)
 
 
 def _average(m: int, weighted_rows, size: int, what: str) -> int:
-    """The count sum w * value / size over the (w, terms) pairs: the terms
-    collected into one list over x^m - 1 and reduced mod Phi_m once.
-    NonCharacterError unless it is a nonnegative integer."""
+    """The count sum w * value / size over the (w, terms) pairs, summed into
+    one integer list over x^m - 1, reduced mod Phi_m if a non-constant term
+    is left.  NonCharacterError unless it is a nonnegative integer."""
     acc = [0] * m
     for w, terms in weighted_rows:
         if w:
             for k, c in terms:
                 acc[k] += w * c
-    total = exponent_sum_value(m, acc)
-    if total is None:
-        raise NonCharacterError(f"{what} is not rational")
-    avg = total / size
-    if avg.denominator != 1 or avg < 0:
-        raise NonCharacterError(f"{what} is {avg}, not a nonnegative integer")
-    return avg.numerator
+    if any(acc[1:]):
+        acc = reduce_mod_phi(m, acc)
+        if any(acc[1:]):
+            raise NonCharacterError(f"{what} is not rational")
+    avg, rem = divmod(acc[0], size)
+    if rem or avg < 0:
+        raise NonCharacterError(f"{what} is {Fraction(acc[0], size)}, not a nonnegative integer")
+    return avg
 
 
 def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
@@ -216,8 +220,7 @@ class Character(ClassFunction):
         phi = {n: euler_phi(n) for n in set(orders)}
         rows = []
         for c, n in enumerate(orders):
-            terms = own[c] if own else \
-                _collect((k, a * t) for a, form in used for k, t in form[c])
+            terms = own[c] if own else _combine(((0, a, form[c]) for a, form in used), e)
             if len(terms) > phi[n]:
                 terms = tuple((j * (e // n), x) for j, x in enumerate(_reduced(e, n, terms)[1]) if x)
             rows.append(terms)

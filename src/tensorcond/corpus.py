@@ -98,10 +98,15 @@ def _builtin_corpus_bytes() -> bytes:
     return resources.files("tensorcond").joinpath("data/corpus.json").read_bytes()
 
 
-def _name(doc, where: str) -> str:
+def _name(doc, where: str, seen: set) -> str:
+    """A nonempty name without '/', not in `seen` (the names before it on
+    its level), so that a chain's label entry/chain names one chain."""
     name = require(doc, "name", where)
-    if not isinstance(name, str):
-        raise InputError(f"'{where}name' must be a string, not {name!r}")
+    if not isinstance(name, str) or not name or "/" in name:
+        raise InputError(f"'{where}name' must be a nonempty string without '/', not {name!r}")
+    if name in seen:
+        raise InputError(f"'{where}name' repeats {name!r}")
+    seen.add(name)
     return name
 
 
@@ -160,17 +165,18 @@ class ChainReader:
         return self._chains[key]
 
 
-def _entry(doc, where: str, reader: ChainReader) -> CorpusEntry:
+def _entry(doc, where: str, reader: ChainReader, names: set) -> CorpusEntry:
     """One corpus entry, its group built by `reader`, so that entries with
     one spec share the group; an error names the entry and the field."""
-    name = _name(doc, where)
+    name = _name(doc, where, names)
     with reading(f"entry {name!r}"):
         group = reader.group(require(doc, "group", where), f"{where}group")
         chains = require(doc, "chains", where)
         if not isinstance(chains, list) or not chains:
             raise InputError(f"'{where}chains' must be a nonempty list of chain objects")
+        seen = set()
         return CorpusEntry(name, group, [
-            read_chain(c, group, name, _name(c, f"{where}chains[{k}]."),
+            read_chain(c, group, name, _name(c, f"{where}chains[{k}].", seen),
                        f"{where}chains[{k}].") for k, c in enumerate(chains)])
 
 
@@ -197,8 +203,8 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
         entries = require(doc, "entries")
         if not isinstance(entries, list) or not entries:
             raise InputError("'entries' must be a nonempty list of entry objects")
-        reader = ChainReader()
-        entries = [_entry(e, f"entries[{j}].", reader) for j, e in enumerate(entries)]
+        reader, names = ChainReader(), set()
+        entries = [_entry(e, f"entries[{j}].", reader, names) for j, e in enumerate(entries)]
     except TensorCondError as err:
         raise CorpusError(f"malformed corpus: {err}") from err
     return Corpus(entries, version)

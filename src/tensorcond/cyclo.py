@@ -3,16 +3,16 @@
 Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
 N-th cyclotomic polynomial.  Each coefficient is a plain `int` when it is
 integral and a `Fraction` only when it is not, so character values, which
-lie in Z[zeta_N], never touch `Fraction` arithmetic; only the final division
-of an average does.  No floating point anywhere; equality is coefficient-wise
-after promotion to a common conductor.
+lie in Z[zeta_N], never touch `Fraction` arithmetic.  No floating point
+anywhere; equality is coefficient-wise after promotion to a common
+conductor.
 
 `chars` holds class values as terms c * zeta_n^k in Z[x]/(x^n - 1), which
 x -> zeta_n maps onto Z[zeta_n] as Phi_n divides x^n - 1; an average sums
-them into one integer list, which `exponent_sum_value` reduces mod Phi_n
-once.  `CycloNum` serves the edges: class values for `table` output and
-for the test oracles, which hold its Galois action, negation and rational
-readings themselves (`tests/oracles.py`).
+them into one integer list, reduced mod Phi_n (`reduce_mod_phi`) only when
+a non-constant coefficient is left.  `CycloNum` serves the edges: class
+values for `table` output and for the test oracles, which hold its Galois
+action, negation and rational readings themselves (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -115,17 +115,6 @@ def reduce_mod_phi(n: int, coeffs: Sequence[Rational]) -> list:
             for j, r in rows[k]:
                 out[j] += c * r
     return out
-
-
-def exponent_sum_value(n: int, coeffs: Sequence[Rational]) -> Optional[Fraction]:
-    """sum_k coeffs[k] * zeta_n^k (k <= 2n) as a Fraction, with one reduction
-    mod Phi_n (none for a constant); None when the sum is not rational."""
-    if not any(coeffs[1:]):
-        return Fraction(coeffs[0] if coeffs else 0)
-    out = reduce_mod_phi(n, coeffs)
-    if any(out[1:]):
-        return None
-    return Fraction(out[0])
 
 
 class CycloNum:

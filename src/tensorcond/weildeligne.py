@@ -131,12 +131,9 @@ class WDRep:
                             for s, n in self.blocks), order)
 
     def swan_conductor(self) -> Fraction:
-        """Sum over blocks of n Sw(sigma), Sw(sigma) = a(sigma) minus the
-        tame term dim sigma - dim sigma^{G_0}."""
-        arow, frow = self.model.kernel_rows
-        order = self.model.group.order
-        return Fraction(sum(n * (_dot(s.mults, arow) - order * (s.dim - _dot(s.mults, frow)))
-                            for s, n in self.blocks), order)
+        """The Artin conductor less the tame part dim - deg: over blocks
+        (sigma, n), a - Sw = sum (n-1) dim sigma^{G_0} + n (dim sigma - dim sigma^{G_0})."""
+        return self.artin_conductor() - (self.dim - self.degree())
 
     def degree(self) -> int:
         """L-polynomial degree: one inertia-fixed contribution per block."""

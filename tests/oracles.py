@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
-from tensorcond.chars import ClassFunction, _collect, character_table, fixed_dim
+from tensorcond.chars import ClassFunction, _combine, character_table, fixed_dim
 from tensorcond.corpus import Corpus, CorpusEntry
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import CorpusError, NonCharacterError, PreconditionError
@@ -536,7 +536,7 @@ def from_values(group: FiniteGroup, values) -> ClassFunction:
 
 def add(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
     m, pairs = chi._rows_with(psi)
-    return ClassFunction(chi.group, m, (_collect(a + b) for a, b in pairs))
+    return ClassFunction(chi.group, m, (_combine(((0, 1, a), (0, 1, b)), m) for a, b in pairs))
 
 
 def scale(chi: ClassFunction, n: int) -> ClassFunction:

@@ -71,6 +71,9 @@ def test_fixed_dim_rejects_non_characters(q8):
     not_char = from_values(q8, [Fraction(1, 3), 0, 0, 0, 0])
     with pytest.raises(NonCharacterError):
         fixed_dim(not_char, whole_group(q8))
+    # an integer average below zero: minus the trivial character
+    with pytest.raises(NonCharacterError, match="is -1, not a nonnegative integer"):
+        fixed_dim(scale(trivial(q8), -1), whole_group(q8))
 
 
 def test_tensor_dsum_dual(q8, q8_table):
@@ -83,6 +86,9 @@ def test_tensor_dsum_dual(q8, q8_table):
     assert sq.values[0] == 4 and sq.values[-1] == 4
     assert all(v == 0 for v in sq.values[1:4])
     assert add(chi2, triv).dim == 3
+    # a product with the zero class function has no terms at any class
+    for prod in (chi2 * zero(q8), zero(q8) * chi2):
+        assert prod.form[1] == ((),) * len(q8.classes) and prod == zero(q8)
 
 
 def test_restrict(q8, q8_table):
@@ -533,14 +539,14 @@ def test_the_trivial_group_is_not_symplectic(tmp_path, capsys):
 
 def test_cold_tables_take_no_exact_averages(monkeypatch):
     """The build's certificate works on eigenvalue forms and residues: no
-    exact average (`_average`) and no reduction mod Phi_e."""
+    exact average (`_average`) and no reduction mod Phi_e (`reduce_mod_phi`)."""
     from tensorcond import chars
     from tensorcond.groups import build_group
 
     def refuse(*args):
         raise AssertionError("a cold table took an exact average")
     monkeypatch.setattr(chars, "_average", refuse)
-    monkeypatch.setattr(chars, "exponent_sum_value", refuse)
+    monkeypatch.setattr(chars, "reduce_mod_phi", refuse)
     for spec in [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 25},
                  {"kind": "heisenberg", "p": 3}, {"kind": "affine", "p": 7}] + EXTRA_GROUPS:
         T = character_table(build_group(spec))

@@ -1000,6 +1000,31 @@ def test_a_corpus_chain_with_a_bad_model_p_is_refused_at_load(tmp_path, capsys, 
     assert f"malformed corpus: entry 'c4': entries[0].chains[0].model_p: {message}" in err
 
 
+@pytest.mark.parametrize("names, field", [
+    ([("a", ["std"]), ("a", ["std"])], "entries[1].name"),
+    ([("a", ["x", "x"])], "entries[0].chains[1].name"),
+    ([("", ["std"])], "entries[0].name"),
+    ([("a", [""])], "entries[0].chains[0].name"),
+    ([("a/b", ["std"])], "entries[0].name"),
+    ([("a", ["x/y"])], "entries[0].chains[0].name"),
+], ids=["entry-twice", "chain-twice", "empty-entry", "empty-chain", "slash-entry",
+        "slash-chain"])
+def test_a_corpus_label_naming_no_single_chain_is_refused_at_load(tmp_path, capsys, names,
+                                                                  field):
+    """Entry names are unique, chain names unique within their entry, and
+    none is empty or holds '/', so that a label entry/chain names one chain;
+    each (entry, chain names) list here reuses the builtin entries' groups
+    and first chains."""
+    from importlib import resources
+    builtin = json.loads(resources.files("tensorcond").joinpath("data/corpus.json").read_text())
+    entries = [dict(e, name=name, chains=[dict(e["chains"][0], name=c) for c in chains])
+               for e, (name, chains) in zip(builtin["entries"], names)]
+    code, out, err = run_cli(capsys, "verify", "--suite", "semistable", "--corpus",
+                             _write(tmp_path, {"version": 1, "entries": entries}))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed corpus: ") and f"'{field}'" in err
+
+
 def test_main_builds_its_parser_once_and_reuses_it(tmp_path, capsys, monkeypatch):
     """Mixed subcommands back to back in one process print and return the
     same as with a parser built afresh for each call, and build one."""

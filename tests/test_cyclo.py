@@ -182,17 +182,3 @@ def test_galois_composition(x, j, k):
     if gcd(k, x.N) != 1:
         k = 1
     assert galois(galois(x, j), k) == galois(x, j * k % x.N if x.N > 1 else 1)
-
-
-def test_exponent_sum_value_reduces_once():
-    from tensorcond.cyclo import exponent_sum_value
-    # 1 + x + ... + x^(n-1) is 0 at zeta_n for n > 1, and x^n is 1
-    for n in (2, 5, 12, 25):
-        assert exponent_sum_value(n, [1] * n) == 0
-        assert exponent_sum_value(n, [0] * n + [3]) == 3
-    assert exponent_sum_value(2, [0, 1]) == -1
-    for n in (5, 12, 25):
-        assert exponent_sum_value(n, [0, 1]) is None
-    # zeta_4 + zeta_4^3 = 0 and zeta_4^2 = -1, up to degree 2n
-    assert exponent_sum_value(4, [Fraction(1, 2), 1, 0, 1, 0, 0, 7]) == Fraction(-13, 2)
-    assert type(exponent_sum_value(3, [2])) is Fraction

@@ -217,10 +217,16 @@ CORPUS = _small_corpus()
 
 
 def _keeps_the_corpus_valid(path, delete, value):
-    """A chain's model_p is optional, and a name may be any string."""
+    """A chain's model_p is optional, and a name may be any nonempty string
+    without '/' that no other entry, or other chain of its entry, has."""
     key = path[-1] if path else None
-    return (key == "model_p" and (delete or value is None)) or \
-        (key == "name" and not delete and isinstance(value, str))
+    if key == "name" and not delete and isinstance(value, str):
+        level = CORPUS
+        for k in path[:-2]:
+            level = level[k]
+        return value != "" and "/" not in value and all(
+            other["name"] != value for i, other in enumerate(level) if i != path[-2])
+    return key == "model_p" and (delete or value is None)
 
 
 @settings(max_examples=150, deadline=None)
