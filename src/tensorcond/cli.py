@@ -23,14 +23,12 @@ from typing import List, Optional
 from . import errors
 from .chars import character_table
 from .corpus import ChainReader, load_corpus
-from .errors import (InputError, TensorCondError, generator_lists, int_field,
-                     reading, require, shown, sized)
-from .globalbound import GlobalDatum, PrimeSummary, exponents_str, rankin_selberg_bound
-from .groups import build_group, filtration_from_generators, is_prime
+from .errors import InputError, TensorCondError, reading, require, shown, sized
+from .globalbound import GlobalDatum, exponents_str, rankin_selberg_bound
+from .groups import build_group, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
-from .suites import (SUITES, abvar_datum, local_pair_record, read_global, replay,
-                     run_suite_range)
-from .weildeligne import InertiaModel, LocalPair, conductor_bound, uniform_bound
+from .suites import SUITES, abvar_datum, read_global, replay, run_suite_range
+from .weildeligne import LocalPair, conductor_bound, uniform_bound
 
 
 def _load_document(path: str) -> dict:
@@ -41,16 +39,6 @@ def _load_document(path: str) -> dict:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as err:
         raise InputError(f"cannot read input document: {err}") from None
-
-
-def _build_model(doc: dict, where: str, reader: ChainReader) -> InertiaModel:
-    group = reader.group(require(doc, "group", where), f"{where}group")
-    chain = generator_lists(require(doc, "chain", where), f"{where}chain")
-    with reading(f"{where}chain"):
-        filt = filtration_from_generators(group, chain)
-    p = int_field(doc, "p", where)
-    with reading(f"{where}p"):
-        return InertiaModel(group, filt, p)
 
 
 # -- subcommand: verify -----------------------------------------------------------
@@ -131,10 +119,10 @@ def _run_verify(args, machine: bool) -> int:
     names = list(SUITES) if "all" in args.suite else args.suite
     for name in names:
         if name not in SUITES:
-            raise InputError(f"unknown suite {name!r}; choose from "
+            raise InputError(f"unknown suite {shown(name)}; choose from "
                              f"{', '.join(sorted(SUITES))} or all")
     if args.seeds is not None and args.seeds < 0:
-        raise InputError(f"--seeds must be nonnegative, not {args.seeds}")
+        raise InputError(f"--seeds must be nonnegative, not {shown(args.seeds)}")
     if args.workers < 1:
         raise InputError(f"--workers must be at least 1, not {shown(args.workers)}")
     processes = _process_count(args.workers)
@@ -188,7 +176,7 @@ def _run_verify(args, machine: bool) -> int:
 
 def _run_bound(args, machine: bool) -> int:
     doc = _load_document(args.input)
-    model = _build_model(require(doc, "model"), "model.", ChainReader())
+    model = ChainReader().model(require(doc, "model"), "model.")
     A, B = (abvar_datum(model, require(doc, key), key) for key in ("A", "B"))
     pair = LocalPair(A, B)
     lhs, rhs_main, c_p = conductor_bound(pair)
@@ -215,20 +203,8 @@ def _run_bound(args, machine: bool) -> int:
 # -- subcommand: global -----------------------------------------------------------
 
 
-def _global_record(reader: ChainReader, rec, where: str, p: int):
-    mode = require(rec, "mode", where)
-    if mode == "summary":
-        return PrimeSummary(p, *(int_field(rec, key, where)
-                                 for key in ("vA", "vB", "degA", "degB", "degAB")))
-    if mode == "full":
-        model = _build_model(require(rec, "model", where), f"{where}model.", reader)
-        return local_pair_record(model, rec, where, p)
-    raise InputError(f"'{where}mode' must be summary or full, not {mode!r}")
-
-
 def _run_global(args, machine: bool) -> int:
-    dim_a, dim_b, records = read_global(_load_document(args.input), ("dimA", "dimB"),
-                                        functools.partial(_global_record, ChainReader()))
+    dim_a, dim_b, records = read_global(_load_document(args.input), ChainReader())
     with reading("primes"):
         report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, records))
     ok = report.all_checks_pass()

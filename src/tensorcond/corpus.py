@@ -13,7 +13,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
-                     int_field, is_int, reading, require)
+                     int_field, is_int, reading, require, shown)
 from .groups import (FiniteGroup, Filtration, build_group, check_model_prime,
                      filtration_from_generators, pgroup_prime)
 
@@ -103,9 +103,9 @@ def _name(doc, where: str, seen: set) -> str:
     its level), so that a chain's label entry/chain names one chain."""
     name = require(doc, "name", where)
     if not isinstance(name, str) or not name or "/" in name:
-        raise InputError(f"'{where}name' must be a nonempty string without '/', not {name!r}")
+        raise InputError(f"'{where}name' must be a nonempty string without '/', not {shown(name)}")
     if name in seen:
-        raise InputError(f"'{where}name' repeats {name!r}")
+        raise InputError(f"'{where}name' repeats {shown(name)}")
     seen.add(name)
     return name
 
@@ -130,11 +130,11 @@ def _canonical(doc) -> str:
 
 
 class ChainReader:
-    """Resolves the chain references of documents: it builds each group
-    once per canonical spec and reads each chain once per canonical
-    reference, so that the chains it returns on one group share that group
-    and its character table.  Seeded with a corpus's chains, it returns
-    those for their own references."""
+    """Resolves the chain references and model objects of documents: it
+    builds each group once per canonical spec and reads each chain once per
+    canonical reference, so that the chains it returns on one group share
+    that group and its character table, and each chain builds one model.
+    Seeded with a corpus's chains, it returns those for their own references."""
 
     def __init__(self, chains: Iterable[CorpusChain] = ()):
         self._groups: Dict[str, FiniteGroup] = {}
@@ -164,12 +164,29 @@ class ChainReader:
             self._chains[key] = read_chain(ref, group, "document", name, f"{name}.")
         return self._chains[key]
 
+    def model(self, doc, where: str) -> InertiaModel:
+        """The inertia model of the model object at `where` (such as
+        "model."): the model of the chain it names, read once per reference."""
+        ref = {"group": require(doc, "group", where), "subgroups": require(doc, "chain", where),
+               "model_p": int_field(doc, "p", where)}
+        key = _canonical(ref)
+        if key not in self._chains:
+            group = self.group(ref["group"], f"{where}group")
+            gen_lists = generator_lists(ref["subgroups"], f"{where}chain")
+            with reading(f"{where}chain"):
+                filt = filtration_from_generators(group, gen_lists)
+            chain = CorpusChain("document", where, tuple(map(tuple, gen_lists)), filt, ref["model_p"])
+            with reading(f"{where}p"):
+                chain.model()
+            self._chains[key] = chain
+        return self._chains[key].model()
+
 
 def _entry(doc, where: str, reader: ChainReader, names: set) -> CorpusEntry:
     """One corpus entry, its group built by `reader`, so that entries with
     one spec share the group; an error names the entry and the field."""
     name = _name(doc, where, names)
-    with reading(f"entry {name!r}"):
+    with reading(f"entry {shown(name)}"):
         group = reader.group(require(doc, "group", where), f"{where}group")
         chains = require(doc, "chains", where)
         if not isinstance(chains, list) or not chains:
@@ -198,7 +215,7 @@ def load_corpus(path: Optional[str] = None) -> Corpus:
         raise CorpusError("corpus must be a JSON object")
     version = doc.get("version")
     if not is_int(version) or version != CORPUS_VERSION:
-        raise CorpusError(f"unknown corpus version {version!r} (expected {CORPUS_VERSION})")
+        raise CorpusError(f"unknown corpus version {shown(version)} (expected {CORPUS_VERSION})")
     try:
         entries = require(doc, "entries")
         if not isinstance(entries, list) or not entries:

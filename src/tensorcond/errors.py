@@ -110,14 +110,16 @@ MAX_INT_BITS = 256
 
 def shown(value) -> str:
     """repr(value), but an integer of d > 20 digits as "<d digits>" (signed),
-    and a string of n > 40 characters as "<string of n characters>"."""
+    a string of n > 40 characters as "<string of n characters>", and any
+    other value (a JSON list or object) whose repr is longer than 40
+    characters as its type and length, such as "<list of 3000 items>"."""
     if isinstance(value, str) and len(value) > 40:
         return f"<string of {len(value)} characters>"
     text = repr(value)
     digits = len(text.lstrip("-"))
     if is_int(value) and digits > 20:
         return f"{'-' * (value < 0)}<{digits} digits>"
-    return text
+    return f"<{type(value).__name__} of {len(value)} items>" if len(text) > 40 else text
 
 
 def sized(value: int, name: str) -> int:
@@ -130,7 +132,7 @@ def sized(value: int, name: str) -> int:
 def int_field(doc, key: str, where: str = "") -> int:
     value = require(doc, key, where)
     if not is_int(value):
-        raise InputError(f"'{where}{key}' must be an integer, not {value!r}")
+        raise InputError(f"'{where}{key}' must be an integer, not {shown(value)}")
     return sized(value, where + key)
 
 
@@ -138,5 +140,5 @@ def generator_lists(value, name: str) -> list:
     if not isinstance(value, list) or not all(
             isinstance(gens, list) and all(map(is_int, gens)) for gens in value):
         raise InputError(f"'{name}' must be a list of generator lists (lists "
-                         f"of element indices), not {value!r}")
+                         f"of element indices), not {shown(value)}")
     return value

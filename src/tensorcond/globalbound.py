@@ -3,12 +3,12 @@
 Global fields are abstracted to a finite set of primes carrying local data,
 either full inertia-model pairs or published summary exponents.  A global
 conductor is a prime -> exponent map with zero exponents dropped, and every
-bound is a local bound evaluated prime by prime, so divisibility statements
-are exact exponent comparisons; there is no number-field arithmetic.
+bound is a local bound evaluated prime by prime, with no number-field arithmetic.
 
-A record's `p` labels its prime.  The per-prime bound reads only the
-record's exponents and degrees, so in full mode it need not equal the
-residue characteristic of the record's inertia model.
+A record's `p` labels its prime; in full mode it need not be the residue
+characteristic of the model.  `suites.read_global` checks each field of a
+document.  Here only a pair's `summary` (a fractional conductor) and the
+bounds (a negative degree correction or bound exponent) refuse.
 """
 
 from __future__ import annotations
@@ -71,19 +71,9 @@ class GlobalDatum:
         self.dim_a = dim_a
         self.dim_b = dim_b
         self.primes = primes
-        seen = set()
-        for rec in primes:
-            if rec.p in seen:
-                raise InconsistentInputError(f"duplicate prime {rec.p}")
-            seen.add(rec.p)
         # each record's summary, taken once
         self.summaries = tuple(rec if isinstance(rec, PrimeSummary) else rec.summary()
                                for rec in primes)
-        for s in self.summaries:
-            if not (0 <= s.deg_a <= 2 * dim_a and 0 <= s.deg_b <= 2 * dim_b):
-                raise InconsistentInputError(f"degree at prime {s.p} out of range")
-            if s.v_a < 0 or s.v_b < 0 or s.deg_ab < 0:
-                raise InconsistentInputError(f"negative datum at prime {s.p}")
 
 
 def d_term(datum: GlobalDatum) -> Exponents:

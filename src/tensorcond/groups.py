@@ -493,10 +493,10 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
 def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     if key not in spec:
         raise GroupConstructionError(
-            f"group spec {spec['kind']!r} is missing the integer field '{where}{key}'")
+            f"group spec {shown(spec['kind'])} is missing the integer field '{where}{key}'")
     value = spec[key]
     if not is_int(value):
-        raise GroupConstructionError(f"'{where}{key}' must be an integer, not {value!r}")
+        raise GroupConstructionError(f"'{where}{key}' must be an integer, not {shown(value)}")
     if value < minimum:
         raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {shown(value)}")
     if value > DEFAULT_ORDER_CAP:  # every order is at least each of its parameters
@@ -554,7 +554,7 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
                 break
         build = lambda: direct_product(*(factor() for _, factor in builds))
     else:
-        raise GroupConstructionError(f"unknown group kind {kind!r}")
+        raise GroupConstructionError(f"unknown group kind {shown(kind)}")
     if order > DEFAULT_ORDER_CAP:
         raise GroupConstructionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     return order, build

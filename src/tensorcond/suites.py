@@ -23,8 +23,8 @@ from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError, NotR
                      require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
-from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, exponents_json,
-                          rankin_selberg_bound, self_tensor_bound_report)
+from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary,
+                          exponents_json, rankin_selberg_bound, self_tensor_bound_report)
 from .groups import FiniteGroup, is_prime, pgroup_prime
 from .jacobians import (disc_valuation, p_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
@@ -61,28 +61,19 @@ def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
         return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
 
 
-def local_pair_record(model: InertiaModel, rec, where: str, p: int) -> PrimeLocalPair:
-    """The local pair at p of a full global record: its A and B over the model."""
-    return PrimeLocalPair(p, *(abvar_datum(model, require(rec, key, where), where + key)
-                               for key in ("A", "B")))
-
-
-def read_global(doc, dim_keys: Tuple[str, str],
-                read_record: Callable[[dict, str, int], PrimeRecord]
-                ) -> Tuple[int, int, Tuple[PrimeRecord, ...]]:
+def read_global(doc, chains: ChainReader) -> Tuple[int, int, Tuple[PrimeRecord, ...]]:
     """The two dimensions and the prime records of a global document.
 
-    Each dimension must be at least 1, and each record's 'p' a prime that no
-    earlier record has; ``read_record(rec, where, p)`` reads the rest of the
-    record at where = 'primes[j].'.  A full record's A and B must have twice
-    the first and the second dimension, and integer conductor exponents.
+    'dimA' and 'dimB' must be at least 1, each record's 'p' a prime that no
+    earlier record has, a summary's fields at least 0 ('degA' and 'degB' at
+    most twice 'dimA' and 'dimB'), and a full record's A and B, over the model
+    that ``chains.model`` reads, of twice those dimensions, with integer conductors.
     """
-    dims = []
-    for key in dim_keys:
-        dim = int_field(doc, key)
-        if dim < 1:
-            raise InputError(f"'{key}' must be at least 1, not {shown(dim)}")
-        dims.append(dim)
+    dims = {}
+    for part in "AB":
+        dims[part] = int_field(doc, f"dim{part}")
+        if dims[part] < 1:
+            raise InputError(f"'dim{part}' must be at least 1, not {shown(dims[part])}")
     records = require(doc, "primes")
     if not isinstance(records, list):
         raise InputError("'primes' must be a list of prime records")
@@ -98,19 +89,36 @@ def read_global(doc, dim_keys: Tuple[str, str],
         if p in seen:
             raise InputError(f"'{where}p' repeats the prime {p} of an earlier record")
         seen.add(p)
-        record = read_record(rec, where, p)
-        if isinstance(record, PrimeLocalPair):
-            for part, key, dim in zip("AB", dim_keys, dims):
-                datum = getattr(record, part)
-                if datum.dim != 2 * dim:
-                    raise InputError(f"'{where}{part}' has dimension {datum.dim}, "
-                                     f"not 2 * '{key}' = {2 * dim}")
-                a = datum.artin_conductor()
-                if a.denominator != 1:
-                    raise InputError(f"'{where}{part}' has conductor exponent {a}, "
-                                     f"not an integer")
-        out.append(record)
-    return dims[0], dims[1], tuple(out)
+        mode = require(rec, "mode", where)
+        if mode == "summary":
+            out.append(PrimeSummary(p, *(_summary_field(rec, where, key, dims)
+                                         for key in ("vA", "vB", "degA", "degB", "degAB"))))
+            continue
+        if mode != "full":
+            raise InputError(f"'{where}mode' must be summary or full, not {shown(mode)}")
+        model = chains.model(require(rec, "model", where), f"{where}model.")
+        data = [abvar_datum(model, require(rec, part, where), where + part) for part in "AB"]
+        for part, datum in zip("AB", data):
+            if datum.dim != 2 * dims[part]:
+                raise InputError(f"'{where}{part}' has dimension {datum.dim}, "
+                                 f"not 2 * 'dim{part}' = {2 * dims[part]}")
+            a = datum.artin_conductor()
+            if a.denominator != 1:
+                raise InputError(f"'{where}{part}' has conductor exponent {a}, "
+                                 f"not an integer")
+        out.append(PrimeLocalPair(p, *data))
+    return dims["A"], dims["B"], tuple(out)
+
+
+def _summary_field(rec, where: str, key: str, dims: dict) -> int:
+    """A summary exponent or degree, at least 0; the degree of A or of B is
+    at most its dimension, twice 'dimA' or 'dimB'."""
+    value = int_field(rec, key, where)
+    part = key[3:] if key in ("degA", "degB") else None
+    if value < 0 or part and value > 2 * dims[part]:
+        top = f" and at most 2 * 'dim{part}' = {2 * dims[part]}" if part else ""
+        raise InputError(f"'{where}{key}' must be at least 0{top}, not {shown(value)}")
+    return value
 
 
 # a document rational: a JSON integer, or a string "p" or "p/q", as the
@@ -149,13 +157,13 @@ def _rationals(doc, key: str) -> List[Fraction]:
 # is given: run_suite_range passes its corpus's, replay a fresh one.
 
 
-def _chain(chains: ChainReader, doc, where: str = "") -> CorpusChain:
-    return chains(require(doc, "chain", where), f"{where}chain")
+def _chain(chains: ChainReader, doc) -> CorpusChain:
+    return chains(require(doc, "chain"), "chain")
 
 
-def _model(chains: ChainReader, doc, where: str = "") -> InertiaModel:
-    chain = _chain(chains, doc, where)
-    with reading(f"{where}chain.model_p"):
+def _model(chains: ChainReader, doc) -> InertiaModel:
+    chain = _chain(chains, doc)
+    with reading("chain.model_p"):
         return chain.model()
 
 
@@ -561,21 +569,23 @@ def _gen_global(corpus, base_seed, i):
     for p in primes:
         chain = pool[rng.randrange(len(pool))]
         T = character_table(chain.filtration.parent)
-        records.append({"p": p, "chain": chain.ref(),
+        model = {"group": chain.filtration.parent.spec,
+                 "chain": [list(g) for g in chain.generator_lists], "p": chain.model_p}
+        records.append({"p": p, "mode": "full", "model": model,
                         "A": gen_abvar_mults(T, _seed("global", base_seed, i, f"A{p}"),
                                              target_dim=2 * dim_a),
                         "B": gen_abvar_mults(T, _seed("global", base_seed, i, f"B{p}"),
                                              target_dim=2 * dim_b)})
-    return {"dim_a": dim_a, "dim_b": dim_b, "primes": records}, {}
+    return {"dimA": dim_a, "dimB": dim_b, "primes": records}, {}
 
 
 def _check_global(doc, chains):
     """Full-mode global data: at each prime the recomputed exponent of A x B
     against the bound, and that of A x A against the self-tensor bound."""
-    def read_pair(rec, where, p):
-        return local_pair_record(_model(chains, rec, where), rec, where, p)
-
-    dim_a, dim_b, pairs = read_global(doc, ("dim_a", "dim_b"), read_pair)
+    dim_a, dim_b, pairs = read_global(doc, chains)
+    summary = next((j for j, rec in enumerate(pairs) if isinstance(rec, PrimeSummary)), None)
+    if summary is not None:
+        raise InputError(f"'primes[{summary}].mode' must be full: the self-tensor check needs A")
     try:
         report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, pairs))
         self_report = self_tensor_bound_report(GlobalDatum(dim_a, dim_a, tuple(
@@ -703,7 +713,7 @@ def replay(doc) -> dict:
     name = doc.get("suite")
     if not isinstance(name, str) or name not in SUITES:
         raise InputError(f"'suite' must name a suite ({', '.join(SUITES)}), "
-                         f"not {name!r}")
+                         f"not {shown(name)}")
     suite = SUITES[name]
     ok, detail = suite.check(doc, ChainReader())
     return {**suite.show(doc, detail), "ok": ok}

@@ -795,25 +795,35 @@ def test_replay_names_the_field_outside_the_suite_hypotheses(tmp_path, capsys, s
     assert err.count("\n") == 1 and f"'{field}'" in err, err
 
 
-@pytest.mark.parametrize("j, p", [(0, 4), (0, 1), (0, 0), (0, -3), (1, 4)])
-def test_global_refuses_a_prime_record_whose_p_is_not_a_prime(tmp_path, capsys, j, p):
-    doc = make_global_doc()
-    doc["primes"][j]["p"] = p
-    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'primes[{j}].p' must be a prime, not {p}" in err
-
-
-def test_replay_refuses_a_global_record_whose_p_is_not_a_prime(tmp_path, capsys):
+def _global_suite_doc():
+    """Item 5 of the global suite at seed 0: a `global` document with three
+    full prime records, dimA 1 and dimB 2, that `replay` reads too."""
     from tensorcond.corpus import load_corpus
     from tensorcond.suites import SUITES
-    doc, _ = SUITES["global"].generate(load_corpus(), 0, 0)
-    doc = {"suite": "global", **doc}
-    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
-    doc["primes"][0]["p"] = 4
-    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert "'primes[0].p' must be a prime, not 4" in err
+    doc, _ = SUITES["global"].generate(load_corpus(), 0, 5)
+    assert len(doc["primes"]) == 3 and (doc["dimA"], doc["dimB"]) == (1, 2)
+    return {"suite": "global", **doc}
+
+
+def _global_and_replay(names: str, cases: list):
+    """Parametrize `command` and `names` over the cases, each sent to
+    `global` under its plain id and to `replay` under 'replay-' and that id."""
+    params = []
+    for case in cases:
+        case_id = "-".join(map(str, case))
+        params += [pytest.param("global", *case, id=case_id),
+                   pytest.param("replay", *case, id=f"replay-{case_id}")]
+    return pytest.mark.parametrize(f"command, {names}", params)
+
+
+@_global_and_replay("j, p", [(0, 4), (0, 1), (0, 0), (0, -3), (1, 4)])
+def test_global_refuses_a_prime_record_whose_p_is_not_a_prime(tmp_path, capsys, command,
+                                                              j, p):
+    doc = _global_suite_doc()
+    assert run_cli(capsys, command, "--input", _write(tmp_path, doc))[0] == 0
+    doc["primes"][j]["p"] = p
+    _refused_naming(*run_cli(capsys, command, "--input", _write(tmp_path, doc)),
+                    f"'primes[{j}].p' must be a prime, not {p}")
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -860,79 +870,44 @@ def test_global_human_output_with_good_reduction_everywhere(tmp_path, capsys):
                                 "  p=7: bound exponent 0"]
 
 
-@pytest.mark.parametrize("key", ["dimA", "dimB"])
-def test_global_refuses_a_dimension_below_one(tmp_path, capsys, key):
-    doc = {"dimA": 1, "dimB": 1, "primes": [
-        {"p": 2, "mode": "summary", "vA": 0, "vB": 0, "degA": 0, "degB": 0, "degAB": 0}]}
+@_global_and_replay("key", [("dimA",), ("dimB",)])
+def test_global_refuses_a_dimension_below_one(tmp_path, capsys, command, key):
+    doc = _global_suite_doc()
+    assert run_cli(capsys, command, "--input", _write(tmp_path, doc))[0] == 0
     doc[key] = 0
-    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'{key}' must be at least 1, not 0" in err
+    _refused_naming(*run_cli(capsys, command, "--input", _write(tmp_path, doc)),
+                    f"'{key}' must be at least 1, not 0")
 
 
-def test_global_refuses_a_repeated_prime(tmp_path, capsys):
-    doc = make_global_doc()
-    doc["primes"][1]["p"] = 3
-    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert "'primes[1].p' repeats the prime 3" in err
-
-
-def _replayable_global_doc():
-    from tensorcond.corpus import load_corpus
-    from tensorcond.suites import SUITES
-    # item 2 at seed 0 has three prime records
-    doc, _ = SUITES["global"].generate(load_corpus(), 0, 2)
-    assert len(doc["primes"]) >= 2
-    return {"suite": "global", **doc}
-
-
-def test_replay_refuses_a_global_document_that_repeats_a_prime(tmp_path, capsys):
-    doc = _replayable_global_doc()
+@pytest.mark.parametrize("command", ["global", "replay"])
+def test_global_refuses_a_repeated_prime(tmp_path, capsys, command):
+    doc = _global_suite_doc()
     doc["primes"][1]["p"] = doc["primes"][0]["p"]
-    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'primes[1].p' repeats the prime {doc['primes'][0]['p']}" in err
+    _refused_naming(*run_cli(capsys, command, "--input", _write(tmp_path, doc)),
+                    f"'primes[1].p' repeats the prime {doc['primes'][0]['p']}")
 
 
-@pytest.mark.parametrize("key, part, dim", [("dimA", "A", 2), ("dimB", "B", 1)])
-def test_global_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, key,
+@_global_and_replay("key, part, dim", [("dimA", "A", 2), ("dimB", "B", 1), ("dimB", "B", 3)])
+def test_global_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, command, key,
                                                              part, dim):
-    """The full record's A has dimension 2 and B dimension 4 (dimA 1, dimB 2)."""
-    doc = make_global_doc()
-    doc[key] = dim
-    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'primes[1].{part}' has dimension {4 // dim}, not 2 * '{key}' = {2 * dim}" \
-        in err
+    """At the suite's dimensions the document reads; one more or one less
+    is malformed input, not a violation or a looser bound."""
+    doc = _global_suite_doc()
+    assert run_cli(capsys, command, "--input", _write(tmp_path, doc))[0] == 0
+    old, doc[key] = doc[key], dim
+    _refused_naming(*run_cli(capsys, command, "--input", _write(tmp_path, doc)),
+                    f"'primes[0].{part}' has dimension {2 * old}, not 2 * '{key}' = {2 * dim}")
 
 
-@pytest.mark.parametrize("key, part", [("dim_a", "A"), ("dim_b", "B")])
-@pytest.mark.parametrize("shift", [-1, 1])
-def test_replay_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, key,
-                                                             part, shift):
-    """At the suite's dimension the document replays to ok; one more or
-    one less is malformed input, not a violation or a looser bound."""
-    doc = _replayable_global_doc()
-    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
-    dim = doc[key]
-    if dim + shift < 1:
-        shift = -shift
-    doc[key] = dim + shift
-    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'primes[0].{part}' has dimension {2 * dim}, " \
-        f"not 2 * '{key}' = {2 * (dim + shift)}" in err
-
-
-@pytest.mark.parametrize("key", ["dim_a", "dim_b"])
-def test_replay_refuses_a_global_dimension_below_one(tmp_path, capsys, key):
-    doc = _replayable_global_doc()
-    assert run_cli(capsys, "replay", "--input", _write(tmp_path, doc))[0] == 0
-    doc[key] = 0
-    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
-    assert code == 2 and out == ""
-    assert f"'{key}' must be at least 1, not 0" in err
+def test_global_suite_documents_refuse_a_summary_record(tmp_path, capsys):
+    """The suite's self-tensor check needs A itself, so `replay` refuses a
+    summary record by its mode, where `global` reads the same document."""
+    doc = _global_suite_doc()
+    doc["primes"][0] = {"p": doc["primes"][0]["p"], "mode": "summary",
+                        "vA": 1, "vB": 1, "degA": 1, "degB": 1, "degAB": 1}
+    assert run_cli(capsys, "global", "--input", _write(tmp_path, doc))[0] == 0
+    _refused_naming(*run_cli(capsys, "replay", "--input", _write(tmp_path, doc)),
+                    "'primes[0].mode' must be full")
 
 
 # on D4 with G_1 = <4> of order 2, this A has Artin conductor 11/2
@@ -943,13 +918,10 @@ FRACTIONAL_RECORD = {"p": 3, "A": {"tau": [0, 0, 0, 0, 0], "sigma": [1, 0, 1, 1,
 def test_a_full_record_with_a_fractional_conductor_is_malformed_input(tmp_path, capsys):
     """Global data need integer conductor exponents: replay and global both
     exit 2 naming the record's field, not 1 as a violation of the bound."""
-    group = {"kind": "dihedral", "n": 4}
-    replayed = {"suite": "global", "dim_a": 3, "dim_b": 2, "primes": [
-        {**FRACTIONAL_RECORD, "chain": {"group": group, "subgroups": [[4]], "model_p": 2}}]}
-    given = {"dimA": 3, "dimB": 2, "primes": [
+    doc = {"suite": "global", "dimA": 3, "dimB": 2, "primes": [
         {**FRACTIONAL_RECORD, "mode": "full",
-         "model": {"group": group, "chain": [[4]], "p": 2}}]}
-    for command, doc in (("replay", replayed), ("global", given)):
+         "model": {"group": {"kind": "dihedral", "n": 4}, "chain": [[4]], "p": 2}}]}
+    for command in ("replay", "global"):
         code, out, err = run_cli(capsys, command, "--input", _write(tmp_path, doc))
         assert code == 2 and out == "", command
         assert "'primes[0].A' has conductor exponent 11/2, not an integer" in err, command
@@ -1235,6 +1207,36 @@ def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypa
     assert [rec["p"] for rec in json.loads(out)["per_prime"]] == [2, 3, 5]
 
 
+def test_a_global_document_builds_one_model_per_model_object(tmp_path, capsys, monkeypatch):
+    """A reader builds one model per model object: two records that name
+    one model share it, and the global suite's items, 208 full records in
+    all, share the model of each integral model chain of the corpus."""
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import run_suite_range
+    from tensorcond.weildeligne import InertiaModel
+    built = []
+    real = InertiaModel.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        real(self, *args)
+    monkeypatch.setattr(InertiaModel, "__init__", counting_init)
+    doc = make_global_doc()
+    doc["primes"] = [dict(doc["primes"][1], p=p) for p in (2, 5)]
+    assert run_cli(capsys, "global", "--input", _write(tmp_path, doc))[0] == 0
+    assert len(built) == 1
+    built.clear()
+    assert run_cli(capsys, "verify", "--suite", "global")[0] == 0
+    assert 0 < len(built) <= len(load_corpus().integral_model_chains())
+    # a model object names a corpus chain, whose model the other suites use
+    corpus = load_corpus()
+    for chain in corpus.integral_model_chains():
+        chain.model()
+    built.clear()
+    assert all(item["ok"] for item in run_suite_range("global", corpus, 0, 100))
+    assert built == []
+
+
 # parameters far above the order cap, yet short enough for `json` to read:
 # each is refused before an order (or p(p - 1)) is formed from it, and no
 # message repeats it
@@ -1287,12 +1289,70 @@ def test_replay_refuses_a_sharpness_document_with_a_huge_p(tmp_path, capsys):
                     "cannot replay document: p ")
 
 
-def _one_short_line(code, out, err, name):
-    """Exit 2 with one stderr line of under 200 characters naming the field
-    or flag: no long integer is echoed."""
+def _one_short_line(code, out, err, name, limit=200):
+    """Exit 2 with one stderr line of under `limit` characters naming the
+    field or flag: no long value is echoed."""
     assert code == 2 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and len(lines[0]) < 200 and name in lines[0], err
+    assert len(lines) == 1 and len(lines[0]) < limit and name in lines[0], err
+
+
+LONG_TEXT, LONG_LIST = "x" * 5000, list(range(3000))
+
+
+def _with_long_value(tmp_path, case) -> list:
+    """The argv of a run that refuses a long value, for each case of
+    `test_a_refused_value_is_shown_at_bounded_length`."""
+    glob, corpus = make_global_doc(), {"version": 1, "entries": [
+        {"name": "c4", "group": {"kind": "cyclic", "n": 4}, "chains": [
+            {"name": "std", "subgroups": [[2]], "model_p": 2}]}]}
+    if case == "table-kind":
+        return ["table", "--group", json.dumps({"kind": LONG_TEXT})]
+    if case == "table-param":
+        return ["table", "--group", json.dumps({"kind": "cyclic", "n": LONG_TEXT})]
+    if case == "verify-suite":
+        return ["verify", "--suite", LONG_TEXT]
+    if case == "verify-seeds":
+        return ["verify", "--suite", "min-sum", "--seeds", "-" + "9" * 4000]
+    if case == "replay-suite":
+        return ["replay", "--input", _write(tmp_path, {"suite": LONG_TEXT})]
+    if case.startswith("corpus-"):
+        if case == "corpus-version":
+            corpus["version"] = LONG_TEXT
+        else:
+            corpus["entries"][0]["name"] = LONG_LIST
+        return ["verify", "--suite", "min-sum", "--corpus", _write(tmp_path, corpus)]
+    if case == "global-dimA-list":
+        glob["dimA"] = LONG_LIST
+    elif case == "global-dimA-text":
+        glob["dimA"] = LONG_TEXT
+    elif case == "global-mode":
+        glob["primes"][0]["mode"] = LONG_TEXT
+    else:
+        glob["primes"][1]["model"]["chain"] = LONG_LIST
+    return ["global", "--input", _write(tmp_path, glob)]
+
+
+LONG_VALUE_CASES = [
+    ("global-dimA-list", "'dimA' must be an integer, not <list of 3000 items>"),
+    ("global-dimA-text", "'dimA' must be an integer, not <string of 5000 characters>"),
+    ("global-mode", "'primes[0].mode'"),
+    ("global-chain", "'primes[1].model.chain'"),
+    ("table-kind", "--group: unknown group kind <string of 5000 characters>"),
+    ("table-param", "--group: 'n'"),
+    ("verify-suite", "unknown suite <string of 5000 characters>"),
+    ("verify-seeds", "--seeds must be nonnegative, not -<4000 digits>"),
+    ("replay-suite", "'suite'"),
+    ("corpus-version", "unknown corpus version <string of 5000 characters>"),
+    ("corpus-name", "'entries[0].name'"),
+]
+
+
+@pytest.mark.parametrize("case, name", LONG_VALUE_CASES, ids=[c for c, _ in LONG_VALUE_CASES])
+def test_a_refused_value_is_shown_at_bounded_length(tmp_path, capsys, case, name):
+    """A document or flag value of any size is shown through
+    `errors.shown`: one stderr line under 400 characters names the field."""
+    _one_short_line(*run_cli(capsys, *_with_long_value(tmp_path, case)), name, limit=400)
 
 
 def test_document_integers_beyond_the_size_policy_are_refused(tmp_path, capsys):

@@ -64,14 +64,24 @@ def test_d_term_examples():
 
 
 def test_degree_range_validation():
-    with pytest.raises(InconsistentInputError):
-        GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 3, 0, 0),))
-    with pytest.raises(InconsistentInputError):
-        GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 0, 0, 0),
-                           PrimeSummary(5, 1, 1, 0, 0, 0)))
-    for rec in [(5, -1, 1, 0, 0, 0), (5, 1, -1, 0, 0, 0), (5, 1, 1, 0, 0, -1)]:
-        with pytest.raises(InconsistentInputError, match="negative datum"):
-            GlobalDatum(1, 1, (PrimeSummary(*rec),))
+    """The reader of global documents refuses a summary degree outside
+    0..2 dim and a negative exponent or degree, naming the field; a
+    repeated prime is `test_global_refuses_a_repeated_prime`'s case."""
+    from tensorcond.corpus import ChainReader
+    from tensorcond.errors import InputError
+    from tensorcond.suites import read_global
+    record = {"p": 5, "mode": "summary", "vA": 1, "vB": 1, "degA": 0, "degB": 0, "degAB": 0}
+    assert read_global({"dimA": 1, "dimB": 1, "primes": [record]}, ChainReader())
+    for key, value, message in [
+            ("degA", 3, "degA' must be at least 0 and at most 2 * 'dimA' = 2, not 3"),
+            ("degB", -1, "degB' must be at least 0 and at most 2 * 'dimB' = 2, not -1"),
+            ("vA", -1, "vA' must be at least 0, not -1"),
+            ("vB", -1, "vB' must be at least 0, not -1"),
+            ("degAB", -1, "degAB' must be at least 0, not -1")]:
+        doc = {"dimA": 1, "dimB": 1, "primes": [dict(record, **{key: value})]}
+        with pytest.raises(InputError) as err:
+            read_global(doc, ChainReader())
+        assert str(err.value) == "'primes[0]." + message, (key, str(err.value))
 
 
 def test_rankin_selberg_squarefree_elliptic():

@@ -229,7 +229,8 @@ def test_forced_refined_above_uniform_failure_replays(corpus, monkeypatch):
     _forced_failures(corpus, "uniform-bound")
 
 
-def test_forced_self_tensor_failure_replays(corpus, monkeypatch):
+def _forced_self_tensor_failures(corpus, monkeypatch):
+    """Global items 0-3 with a self-tensor report that always fails."""
     from tensorcond import suites
     from tensorcond.globalbound import GlobalBoundReport
     real = suites.self_tensor_bound_report
@@ -239,7 +240,26 @@ def test_forced_self_tensor_failure_replays(corpus, monkeypatch):
         return GlobalBoundReport(report.bound, report.d,
                                  ({"p": 0, "bound_exp": 0, "ok": False},))
     monkeypatch.setattr(suites, "self_tensor_bound_report", broken)
-    assert len(_forced_failures(corpus, "global")) == 4
+    return _forced_failures(corpus, "global")
+
+
+def test_forced_self_tensor_failure_replays(corpus, monkeypatch):
+    assert len(_forced_self_tensor_failures(corpus, monkeypatch)) == 4
+
+
+def test_a_global_counterexample_is_a_global_document(corpus, monkeypatch, tmp_path, capsys):
+    """A failing global item's counterexample is read by the `global`
+    command, which prints the bound, d-term and per-prime records that the
+    item's detail holds."""
+    from tensorcond.cli import main
+    for item in _forced_self_tensor_failures(corpus, monkeypatch):
+        ce = item["counterexample"]
+        path = tmp_path / "ce.json"
+        path.write_text(json.dumps(ce))
+        assert main(["global", "--input", str(path), "--format", "machine"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [out[k] for k in ("bound", "d_term", "per_prime")] == \
+            [ce[k] for k in ("bound", "d_term", "per_prime")]
 
 
 def test_forced_sharpness_closed_form_failure_replays(corpus, monkeypatch):
