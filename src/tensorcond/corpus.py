@@ -4,27 +4,31 @@ The corpus is a versioned JSON data file; loading refuses unknown versions.
 Chains are given as generator lists for each level below G_0 (the trivial
 tail is appended automatically).  One chain (aff5/stabiliser) has a
 non-normal step on purpose: nothing in the calculus may assume normality.
+A chain with a residue characteristic is an inertia model (`weildeligne`).
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from importlib import resources
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from .chars import CharacterTable, character_table
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, reading, require, shown)
 from .groups import (FiniteGroup, Filtration, build_group, check_model_prime,
                      filtration_from_generators, pgroup_prime)
 
-if TYPE_CHECKING:
-    from .weildeligne import InertiaModel
-
 CORPUS_VERSION = 1
 
 
 class CorpusChain:
-    __slots__ = ("entry_name", "name", "generator_lists", "filtration", "model_p", "_model")
+    """A ramification chain in the lower numbering, G_0 the whole group
+    `filtration.parent`.  With a residue characteristic `model_p`, a prime
+    with G_1 (the wild part) a `model_p`-group, it is an inertia model.
+    Models need not be realisable by an actual local field; all consumers
+    assert formulas and inequalities only."""
 
     def __init__(self, entry_name: str, name: str,
                  generator_lists: Tuple[Tuple[int, ...], ...], filtration: Filtration,
@@ -34,7 +38,8 @@ class CorpusChain:
         self.generator_lists = generator_lists
         self.filtration = filtration
         self.model_p = model_p
-        self._model = None
+        if model_p is not None:
+            check_model_prime(filtration, model_p)
 
     @property
     def label(self) -> str:
@@ -46,16 +51,28 @@ class CorpusChain:
                 "subgroups": [list(g) for g in self.generator_lists],
                 "model_p": self.model_p}
 
-    def model(self) -> InertiaModel:
-        """The chain's inertia model, built on first use: loading a corpus
-        imports no Weil-Deligne code."""
+    def model(self) -> CorpusChain:
+        """The chain as an inertia model: itself, if it carries a residue
+        characteristic."""
         if self.model_p is None:
             raise CorpusError(f"chain {self.label} carries no residue characteristic")
-        if self._model is None:
-            from .weildeligne import InertiaModel
-            self._model = InertiaModel(self.filtration.parent, self.filtration,
-                                       self.model_p)
-        return self._model
+        return self
+
+    @cached_property
+    def table(self) -> CharacterTable:
+        return character_table(self.filtration.parent)
+
+    @cached_property
+    def kernel_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Per irreducible psi_i: |G_0| a(psi_i), the sum over the levels of
+        (dim psi_i - f_i(G_l)) |G_l|, and f_i(G_0) = dim psi_i^{G_0}.  A
+        character's conductor and inertia-fixed dimension are these rows
+        dotted with its multiplicities."""
+        T = self.table
+        fixed = [T.fixed_dims(H) for H in self.filtration.chain]
+        artin = tuple(sum((d - f[i]) * H.size for f, H in zip(fixed, self.filtration.chain))
+                      for i, d in enumerate(T.degrees))
+        return artin, fixed[0]
 
     def is_integral_shape(self) -> bool:
         """Whether every character gets an integer conductor on this chain
@@ -110,19 +127,19 @@ def _name(doc, where: str, seen: set) -> str:
     return name
 
 
-def read_chain(doc, group: FiniteGroup, entry_name: str, name: str,
-               where: str) -> CorpusChain:
+def read_chain(doc, group: FiniteGroup, entry_name: str, name: str, where: str,
+               keys: Tuple[str, str] = ("subgroups", "model_p")) -> CorpusChain:
     """The chain that a corpus chain object, or a document's chain
-    reference, gives on the group: its `subgroups` and optional `model_p`,
-    which must be a residue characteristic for the chain."""
-    gen_lists = generator_lists(require(doc, "subgroups", where), f"{where}subgroups")
-    model_p = None if doc.get("model_p") is None else int_field(doc, "model_p", where)
-    with reading(f"{where}subgroups"):
+    reference or model object, gives on the group: its generator lists and
+    optional residue characteristic, under `keys` ("chain" and "p" in a
+    model object)."""
+    gens_key, p_key = keys
+    gen_lists = generator_lists(require(doc, gens_key, where), where + gens_key)
+    model_p = None if doc.get(p_key) is None else int_field(doc, p_key, where)
+    with reading(where + gens_key):
         filt = filtration_from_generators(group, gen_lists)
-    if model_p is not None:
-        with reading(f"{where}model_p"):
-            check_model_prime(filt, model_p)
-    return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
+    with reading(where + p_key):
+        return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
 
 
 def _canonical(doc) -> str:
@@ -133,8 +150,9 @@ class ChainReader:
     """Resolves the chain references and model objects of documents: it
     builds each group once per canonical spec and reads each chain once per
     canonical reference, so that the chains it returns on one group share
-    that group and its character table, and each chain builds one model.
-    Seeded with a corpus's chains, it returns those for their own references."""
+    that group and its character table, and each model keeps one set of
+    kernel rows.  Seeded with a corpus's chains, it returns those for their
+    own references."""
 
     def __init__(self, chains: Iterable[CorpusChain] = ()):
         self._groups: Dict[str, FiniteGroup] = {}
@@ -164,21 +182,15 @@ class ChainReader:
             self._chains[key] = read_chain(ref, group, "document", name, f"{name}.")
         return self._chains[key]
 
-    def model(self, doc, where: str) -> InertiaModel:
+    def model(self, doc, where: str) -> CorpusChain:
         """The inertia model of the model object at `where` (such as
-        "model."): the model of the chain it names, read once per reference."""
-        ref = {"group": require(doc, "group", where), "subgroups": require(doc, "chain", where),
-               "model_p": int_field(doc, "p", where)}
-        key = _canonical(ref)
+        "model."): the chain it names, read once per reference."""
+        key = _canonical({"group": require(doc, "group", where),
+                          "subgroups": require(doc, "chain", where),
+                          "model_p": int_field(doc, "p", where)})
         if key not in self._chains:
-            group = self.group(ref["group"], f"{where}group")
-            gen_lists = generator_lists(ref["subgroups"], f"{where}chain")
-            with reading(f"{where}chain"):
-                filt = filtration_from_generators(group, gen_lists)
-            chain = CorpusChain("document", where, tuple(map(tuple, gen_lists)), filt, ref["model_p"])
-            with reading(f"{where}p"):
-                chain.model()
-            self._chains[key] = chain
+            group = self.group(doc["group"], f"{where}group")
+            self._chains[key] = read_chain(doc, group, "document", where, where, ("chain", "p"))
         return self._chains[key].model()
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, NamedTuple, Optional, Tuple
 
-from .chars import ClassFunction, character_table
+from .chars import ClassFunction
 from .corpus import ChainReader, CorpusChain
 from .errors import GroupConstructionError, InvalidUnitError, PreconditionError, shown
 from . import groups
@@ -161,8 +161,8 @@ def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
     """J_alpha as one block (chi, 1), chi the unique irreducible of degree
     p-1 of G_0 = Aff(p), over the lower-numbering model: G_0, then
     Sw(J_alpha) copies of the order-p translation subgroup, then 1."""
-    model = _jacobian_chain(ChainReader(), p, swan_jacobian(p, alpha)).model()
-    T = character_table(model.group)
+    model = _jacobian_chain(ChainReader(), p, swan_jacobian(p, alpha))
+    T = model.table
     chi = T.assemble([int(d == p - 1) for d in T.degrees])
     return WDRep(model, [(chi, 1)])
 
@@ -301,7 +301,7 @@ def verify_sharpness(params: FamilyParams,
     sw_p = swan_jacobian(p, p)
 
     reader = ChainReader() if chains is None else chains
-    filts = [_jacobian_chain(reader, p, sw).model().filtration for sw in (sw_a, sw_p)]
+    filts = [_jacobian_chain(reader, p, sw).filtration for sw in (sw_a, sw_p)]
     chi = _standard_character(filts[0].parent, p)
     reports = [conductor(chi, filt) for filt in filts]
     artin_a, artin_p = (r.total for r in reports)

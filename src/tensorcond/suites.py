@@ -28,7 +28,7 @@ from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary
 from .groups import FiniteGroup, is_prime, pgroup_prime
 from .jacobians import (disc_valuation, p_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
-from .weildeligne import (AbVarDatum, InertiaModel, LocalPair, conductor_bound,
+from .weildeligne import (AbVarDatum, LocalPair, conductor_bound,
                           degree_gap, semistable_equality, semistable_form,
                           swan_bound, tame_identity, uniform_bound)
 
@@ -52,9 +52,9 @@ def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
     return [sized(x, f"{name}[{j}]") for j, x in enumerate(value)]
 
 
-def abvar_datum(model: InertiaModel, mults, name: str) -> AbVarDatum:
+def abvar_datum(model: CorpusChain, mults, name: str) -> AbVarDatum:
     """The datum with multiplicity vectors {"tau", "sigma"} over the model."""
-    T = character_table(model.group)
+    T = model.table
     tau, sigma = (multiplicity_vector(T, require(mults, part, f"{name}."),
                                       f"{name}.{part}") for part in ("tau", "sigma"))
     with reading(name):
@@ -161,10 +161,11 @@ def _chain(chains: ChainReader, doc) -> CorpusChain:
     return chains(require(doc, "chain"), "chain")
 
 
-def _model(chains: ChainReader, doc) -> InertiaModel:
+def _model(chains: ChainReader, doc) -> CorpusChain:
     chain = _chain(chains, doc)
-    with reading("chain.model_p"):
-        return chain.model()
+    if chain.model_p is None:
+        raise InputError("missing field 'chain.model_p'")
+    return chain
 
 
 def _char(T: CharacterTable, doc, key: str) -> Character:
@@ -494,7 +495,7 @@ def _gen_wd(name: str, **gens):
     given vector generator with the keyword as its seed tag."""
     def generate(corpus, base_seed, i):
         chain = _pick(_pool(corpus.model_chains(), "chain with a model_p"), i)
-        T = character_table(chain.filtration.parent)
+        T = chain.table
         doc = {"chain": chain.ref()}
         for key, gen in gens.items():
             doc[key] = gen(T, _seed(name, base_seed, i, key))

@@ -1,4 +1,5 @@
-"""Weil-Deligne block data over a finite inertia model.
+"""Weil-Deligne block data over a finite inertia model: a `corpus.CorpusChain`
+with a residue characteristic, its lower-numbering chain on a finite group.
 
 A representation is a finite multiset of blocks (sigma, n), standing for the
 direct sum of sigma tensored with the n-dimensional special representation.
@@ -14,10 +15,10 @@ Block characters are held as multiplicity vectors (`chars.Character`), and
 `WDRep` computes on those alone: the Artin conductor is additive in the
 character (Serre, Local Fields, ch. VI, section 2), so over a fixed chain it
 is a per-irreducible row dotted with the multiplicities, and tensor products
-multiply vectors through the table's structure constants.  `InertiaModel`'s
-`artin` and `inertia_fixed` and the `class_*` functions below compute the
-same quantities from class values instead; they are the oracle that the
-semistable and tame-identity checks compare the kernel with.
+multiply vectors through the table's structure constants.  The `class_*`
+functions below compute the same quantities from class values instead, by
+`conductor_exponent` and `fixed_dim` on the chain; they are the oracle that
+the semistable and tame-identity checks compare the kernel with.
 
 The bounds and identities are statements about a pair of data over one
 model and their tensor product; a `LocalPair` holds the two data and builds
@@ -31,54 +32,11 @@ from functools import cached_property
 from operator import add, mul
 from typing import List, Sequence, Tuple
 
-from .chars import Character, CharacterTable, ClassFunction, character_table, fixed_dim
+from .chars import Character, ClassFunction, fixed_dim
+from .corpus import CorpusChain
 from .errors import (ModelMismatchError, NotRationalError, NotSemistableError,
                      NotSymplecticError, PreconditionError)
 from .filtration import conductor_exponent, tensor_rhs
-from .groups import FiniteGroup, Filtration, check_model_prime
-
-
-class InertiaModel:
-    """A finite quotient of inertia: group, ramification chain, residue char.
-
-    The chain is in the lower numbering with G_0 the whole group; G_1 (the
-    wild part) must be a p-group.  Models need not be realisable by an
-    actual local field; all consumers assert formulas and inequalities only.
-    """
-
-    def __init__(self, group: FiniteGroup, filtration: Filtration, residue_char: int):
-        self.group = group
-        self.filtration = filtration
-        self.residue_char = residue_char
-        if filtration.parent is not group:
-            raise ModelMismatchError("filtration does not live on the model group")
-        check_model_prime(filtration, residue_char)
-
-    @property
-    def inertia(self):
-        return self.filtration[0]
-
-    def artin(self, sigma: ClassFunction) -> Fraction:
-        return conductor_exponent(sigma, self.filtration)
-
-    def inertia_fixed(self, sigma: ClassFunction) -> int:
-        return fixed_dim(sigma, self.inertia)
-
-    @cached_property
-    def table(self) -> CharacterTable:
-        return character_table(self.group)
-
-    @cached_property
-    def kernel_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """Per irreducible psi_i: |G_0| a(psi_i), the sum over the levels of
-        (dim psi_i - f_i(G_l)) |G_l|, and f_i(G_0) = dim psi_i^{G_0}.  A
-        character's conductor and inertia-fixed dimension are these rows
-        dotted with its multiplicities."""
-        T = self.table
-        fixed = [T.fixed_dims(H) for H in self.filtration.chain]
-        artin = tuple(sum((d - f[i]) * H.size for f, H in zip(fixed, self.filtration.chain))
-                      for i, d in enumerate(T.degrees))
-        return artin, fixed[0]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -106,7 +64,7 @@ class WDRep:
 
     __slots__ = ("model", "blocks")
 
-    def __init__(self, model: InertiaModel, blocks: Sequence[Tuple[Character, int]]):
+    def __init__(self, model: CorpusChain, blocks: Sequence[Tuple[Character, int]]):
         T = model.table
         by_size = {}
         for sigma, n in blocks:
@@ -126,7 +84,7 @@ class WDRep:
     def artin_conductor(self) -> Fraction:
         """Sum over blocks of n a(sigma) + (n-1) dim sigma^{G_0}."""
         arow, frow = self.model.kernel_rows
-        order = self.model.group.order
+        order = self.model.filtration.parent.order
         return Fraction(sum(n * _dot(s.mults, arow) + (n - 1) * order * _dot(s.mults, frow)
                             for s, n in self.blocks), order)
 
@@ -172,7 +130,7 @@ class AbVarDatum(WDRep):
 
     __slots__ = ()
 
-    def __init__(self, model: InertiaModel, tau: Character, sigma: Character):
+    def __init__(self, model: CorpusChain, tau: Character, sigma: Character):
         super().__init__(model, [(tau, 1), (sigma, 2)])
         T = model.table
         tau, sigma = self.tau, self.sigma
@@ -213,7 +171,7 @@ class AbVarDatum(WDRep):
 # -- the class-average oracle -------------------------------------------------------
 #
 # A tensor product's blocks with their characters multiplied class by class,
-# and its conductor and degree by the filtration averages of InertiaModel.
+# and its conductor and degree by averages over the model's chain.
 # Nothing here reads a multiplicity vector.
 
 
@@ -227,14 +185,14 @@ def class_tensor(rho1: WDRep, rho2: WDRep) -> List[Tuple[ClassFunction, int]]:
     return blocks
 
 
-def class_artin(model: InertiaModel, blocks) -> Fraction:
+def class_artin(model: CorpusChain, blocks) -> Fraction:
     """Sum over blocks of n a(sigma) + (n-1) dim sigma^{G_0}, by averages."""
-    return sum((n * model.artin(s) + (n - 1) * model.inertia_fixed(s) for s, n in blocks),
-               Fraction(0))
+    return sum((n * conductor_exponent(s, model.filtration)
+                + (n - 1) * fixed_dim(s, model.filtration[0]) for s, n in blocks), Fraction(0))
 
 
-def class_degree(model: InertiaModel, blocks) -> int:
-    return sum(model.inertia_fixed(s) for s, _ in blocks)
+def class_degree(model: CorpusChain, blocks) -> int:
+    return sum(fixed_dim(s, model.filtration[0]) for s, _ in blocks)
 
 
 class LocalPair:
@@ -248,7 +206,7 @@ class LocalPair:
             raise ModelMismatchError("data live over different inertia models")
 
     @property
-    def model(self) -> InertiaModel:
+    def model(self) -> CorpusChain:
         return self.A.model
 
     @cached_property
@@ -285,7 +243,7 @@ def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
 def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """Wild-part bound: lhs = Sw(AxB), rhs with coefficient max(2, p-1)."""
     A, B = pair.A, pair.B
-    p = pair.model.residue_char
+    p = pair.model.model_p
     lhs = pair.product.swan_conductor()
     return lhs, tensor_rhs(A.dim, B.dim, A.swan_conductor(), B.swan_conductor(),
                            max(2, p - 1), 0)
@@ -324,7 +282,7 @@ def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     Equality is forced whenever a(A) <= 1 or a(B) <= 1.
     """
     A, B = pair.A, pair.B
-    C = improvement_constant(pair.model.residue_char, A.dim - A.degree(), B.dim - B.degree())
+    C = improvement_constant(pair.model.model_p, A.dim - A.degree(), B.dim - B.degree())
     lhs = pair.product.artin_conductor()
     rhs = tensor_rhs(A.dim, B.dim, A.artin_conductor(), B.artin_conductor(), C,
                      pair.degree_correction)

@@ -29,7 +29,8 @@ from a seeded multiplicity vector.  The package itself computes on
 multiplicity vectors and never decomposes; these are what tests compare
 it with.  The constructors only tests call live here too: `root_of_unity`,
 `cyclo_from_json`, the trivial and zero class functions, `conjugate`,
-`is_normal`, and the seeded `gen_abvar` and `gen_semistable` data.
+`is_normal`, an inertia model on a chain (`inertia_model`), and the seeded
+`gen_abvar` and `gen_semistable` data.
 
 What no command runs lives here as plain functions rather than in the
 package: the CycloNum readings (`rational_value`, `integer_value`), its
@@ -47,14 +48,15 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Optional
 
 from tensorcond.chars import ClassFunction, _combine, character_table, fixed_dim
-from tensorcond.corpus import Corpus, CorpusEntry
+from tensorcond.corpus import Corpus, CorpusChain, CorpusEntry
 from tensorcond.cyclo import CycloNum
 from tensorcond.errors import CorpusError, NonCharacterError, PreconditionError
-from tensorcond.filtration import ConductorReport
-from tensorcond.groups import Filtration, FiniteGroup, Subgroup, is_prime
+from tensorcond.filtration import ConductorReport, conductor_exponent
+from tensorcond.groups import (Filtration, FiniteGroup, Subgroup, filtration_from_generators,
+                               is_prime)
 from tensorcond.suites import (abvar_datum, gen_abvar_mults, gen_character_mults,
                                gen_semistable_mults)
-from tensorcond.weildeligne import AbVarDatum, InertiaModel
+from tensorcond.weildeligne import AbVarDatum
 
 
 # -- CycloNum readings, negation and Galois action ---------------------------------
@@ -685,9 +687,9 @@ def tensor_fixed_excess(tau: ClassFunction, sigma: ClassFunction,
     return fixed_dim(tau * sigma, H) - fixed_dim(tau, H) * fixed_dim(sigma, H)
 
 
-def swan(model: InertiaModel, sigma: ClassFunction) -> Fraction:
+def swan(model: CorpusChain, sigma: ClassFunction) -> Fraction:
     """Conductor over the shifted chain (G_1, G_2, ...): the wild part."""
-    return model.artin(sigma) - nonfixed_dim(sigma, model.filtration, 0)
+    return conductor_exponent(sigma, model.filtration) - nonfixed_dim(sigma, model.filtration, 0)
 
 
 def report_json(report: ConductorReport) -> dict:
@@ -712,14 +714,19 @@ def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     return character_table(group).assemble(gen_character_mults(group, seed, budget))
 
 
-def gen_abvar(model: InertiaModel, seed, **kwargs) -> AbVarDatum:
+def inertia_model(G: FiniteGroup, gens, p: int) -> CorpusChain:
+    """The inertia model on the chain of G that the generator lists give,
+    with residue characteristic p (checked as a document's would be)."""
+    gens = tuple(map(tuple, gens))
+    return CorpusChain("test", "model", gens, filtration_from_generators(G, gens), p)
+
+
+def gen_abvar(model: CorpusChain, seed, **kwargs) -> AbVarDatum:
     """Seeded random valid abelian-variety datum over the model (see
     `suites.gen_abvar_mults` for the options)."""
-    T = character_table(model.group)
-    return abvar_datum(model, gen_abvar_mults(T, seed, **kwargs), "abvar")
+    return abvar_datum(model, gen_abvar_mults(model.table, seed, **kwargs), "abvar")
 
 
-def gen_semistable(model: InertiaModel, seed) -> AbVarDatum:
+def gen_semistable(model: CorpusChain, seed) -> AbVarDatum:
     """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
-    T = character_table(model.group)
-    return abvar_datum(model, gen_semistable_mults(T, seed), "abvar")
+    return abvar_datum(model, gen_semistable_mults(model.table, seed), "abvar")

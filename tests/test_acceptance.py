@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import character_table
+from tensorcond.chars import character_table, fixed_dim
 from tensorcond.corpus import load_corpus
 from tensorcond.cyclo import CycloNum
-from tensorcond.filtration import (pgroup_tensor_bound,
+from tensorcond.filtration import (conductor_exponent, pgroup_tensor_bound,
                                    symplectic_tensor_bound)
 from tensorcond.groups import (affine, cyclic, dihedral, quaternion8,
                                filtration_from_generators)
@@ -94,9 +94,9 @@ def test_criterion_05_special_block_forms(corpus):
     sp1_ok = True
     for chain in corpus.model_chains():
         model = chain.model()
-        for sigma in character_table(model.group).irreducibles:
-            sp1_ok = sp1_ok and \
-                WDRep(model, [(sigma, 1)]).artin_conductor() == model.artin(sigma)
+        for sigma in model.table.irreducibles:
+            sp1_ok = sp1_ok and WDRep(model, [(sigma, 1)]).artin_conductor() == \
+                conductor_exponent(sigma, model.filtration)
     # block sizes of sp(n) x sp(m) and the closed conductor form, n, m <= 12
     shapes_ok = True
     for n in range(1, 13):
@@ -108,9 +108,9 @@ def test_criterion_05_special_block_forms(corpus):
     model = chain.model()
     triv = model.table.irreducibles[model.table.index_of_trivial()]
     closed_ok = True
-    for sigma in character_table(model.group).irreducibles:
-        a_sigma = model.artin(sigma)
-        fix = model.inertia_fixed(sigma)
+    for sigma in model.table.irreducibles:
+        a_sigma = conductor_exponent(sigma, model.filtration)
+        fix = fixed_dim(sigma, model.filtration[0])
         for n in range(1, 13):
             rho = WDRep(model, [(sigma, n)])
             for m in range(1, 13):

@@ -895,15 +895,15 @@ def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
     """`fixed_dims`, the kernel rows and the Weil-Deligne kernel on fresh
     tables, with the class-average `fixed_dim` made to raise everywhere."""
     from tensorcond import chars, filtration, weildeligne
-    from tensorcond.groups import filtration_from_generators
-    from tensorcond.weildeligne import AbVarDatum, InertiaModel, WDRep, tensor
+    from tensorcond.weildeligne import AbVarDatum, WDRep, tensor
+    from oracles import inertia_model
 
     def oracle(*args):
         raise AssertionError("the integer kernel called fixed_dim")
     for mod in (chars, filtration, weildeligne):
         monkeypatch.setattr(mod, "fixed_dim", oracle)
     for G, gens, p in ((quaternion8(), [[4]], 2), (heisenberg(3), [[1, 9], [9]], 3)):
-        model = InertiaModel(G, filtration_from_generators(G, gens), p)
+        model = inertia_model(G, gens, p)
         T = model.table
         dims = [T.fixed_dims(H) for H in model.filtration.chain]
         assert dims[-1] == T.degrees and dims[0][T.index_of_trivial()] == 1

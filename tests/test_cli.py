@@ -378,11 +378,10 @@ def test_global_rejects_a_non_integer_summary_field(tmp_path, capsys):
 
 def test_bound_rejects_a_wild_level_that_is_not_a_p_group(tmp_path, capsys):
     from tensorcond.errors import TensorCondError
-    from tensorcond.groups import cyclic, filtration_from_generators
-    from tensorcond.weildeligne import InertiaModel
-    G = cyclic(4)
+    from tensorcond.groups import cyclic
+    from oracles import inertia_model
     with pytest.raises(TensorCondError):
-        InertiaModel(G, filtration_from_generators(G, [[1]]), 3)
+        inertia_model(cyclic(4), [[1]], 3)
     doc = dict(BOUND_DOC, model={"group": {"kind": "cyclic", "n": 4},
                                  "chain": [[1]], "p": 3},
                A={"tau": [0] * 4, "sigma": [0] * 4},
@@ -793,6 +792,26 @@ def test_replay_names_the_field_outside_the_suite_hypotheses(tmp_path, capsys, s
     code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and f"'{field}'" in err, err
+
+
+@pytest.mark.parametrize("spelling", ["absent", "null"])
+@pytest.mark.parametrize("suite", ["semistable", "swan-bound", "tame-identity",
+                                   "conductor-bound", "uniform-bound", "degree-gap"])
+def test_replay_names_a_missing_model_p_in_a_chain_reference(tmp_path, capsys, suite,
+                                                             spelling):
+    """A Weil-Deligne suite's item 0 whose chain reference carries no
+    residue characteristic: exit 2, and one stderr line that names the field
+    `chain.model_p` and no label of the reader's own."""
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import SUITES
+    doc, _ = SUITES[suite].generate(load_corpus(), 0, 0)
+    doc["suite"] = suite
+    doc["chain"] = {k: v for k, v in doc["chain"].items() if k != "model_p"}
+    if spelling == "null":
+        doc["chain"]["model_p"] = None
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    _refused_naming(code, out, err, "'chain.model_p'")
+    assert "document/" not in err, err
 
 
 def _global_suite_doc():
@@ -1208,30 +1227,28 @@ def test_a_global_document_builds_one_table_per_group(tmp_path, capsys, monkeypa
 
 
 def test_a_global_document_builds_one_model_per_model_object(tmp_path, capsys, monkeypatch):
-    """A reader builds one model per model object: two records that name
-    one model share it, and the global suite's items, 208 full records in
-    all, share the model of each integral model chain of the corpus."""
-    from tensorcond.corpus import load_corpus
+    """A reader builds one model, a chain, per model object: two records
+    that name one model share it, and the global suite's items, 208 full
+    records in all, use the corpus's own chains and build none."""
+    from tensorcond.corpus import CorpusChain, load_corpus
     from tensorcond.suites import run_suite_range
-    from tensorcond.weildeligne import InertiaModel
     built = []
-    real = InertiaModel.__init__
+    real = CorpusChain.__init__
 
     def counting_init(self, *args):
         built.append(args)
         real(self, *args)
-    monkeypatch.setattr(InertiaModel, "__init__", counting_init)
+    monkeypatch.setattr(CorpusChain, "__init__", counting_init)
     doc = make_global_doc()
     doc["primes"] = [dict(doc["primes"][1], p=p) for p in (2, 5)]
     assert run_cli(capsys, "global", "--input", _write(tmp_path, doc))[0] == 0
     assert len(built) == 1
+    corpus = load_corpus()
     built.clear()
     assert run_cli(capsys, "verify", "--suite", "global")[0] == 0
-    assert 0 < len(built) <= len(load_corpus().integral_model_chains())
-    # a model object names a corpus chain, whose model the other suites use
-    corpus = load_corpus()
-    for chain in corpus.integral_model_chains():
-        chain.model()
+    # the corpus's chains, built as it loads, and no other
+    assert len(built) == len(corpus.all_chains())
+    # a model object names a corpus chain, which the other suites use
     built.clear()
     assert all(item["ok"] for item in run_suite_range("global", corpus, 0, 100))
     assert built == []

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorcond.chars import character_table
 from tensorcond.corpus import load_corpus
 from tensorcond.errors import (InconsistentInputError, NegativeExponentError)
 from tensorcond.globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
@@ -129,7 +128,7 @@ def test_full_mode_rejects_fractional_exponent():
     chain = next(c for c in corpus.model_chains()
                  if c.label == "q8/center")
     model = chain.model()
-    T = character_table(model.group)
+    T = model.table
     chi2 = T.irreducibles[T.degrees.index(2)]
     A_frac = None
     from tensorcond.weildeligne import AbVarDatum

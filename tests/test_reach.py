@@ -196,9 +196,11 @@ SET_UP = ("import tensorcond.chars, tensorcond.corpus\n"
 @pytest.mark.parametrize("script, modules", [
     ("import tensorcond", []),
     ("import tensorcond.groups", ["errors", "groups"]),
+    # a corpus chain holds its table, but no filtration or Weil-Deligne code
+    ("import tensorcond.corpus", ["chars", "corpus", "cyclo", "errors", "groups"]),
     # the benchmark's set-up loads no Weil-Deligne code
     (SET_UP, ["chars", "corpus", "cyclo", "errors", "groups"]),
-], ids=["root", "groups", "set-up"])
+], ids=["root", "groups", "corpus", "set-up"])
 def test_a_fresh_interpreter_loads_only_the_modules_it_imports(script, modules):
     script += ("\nimport json, sys\n"
                "print(json.dumps(sorted(m.partition('.')[2] for m in sys.modules\n"

@@ -120,12 +120,42 @@ def test_counterexample_replay_roundtrip(corpus):
     assert verdict2 == verdict
 
 
+@pytest.mark.parametrize("suite", ["semistable", "swan-bound", "tame-identity",
+                                   "conductor-bound", "uniform-bound", "degree-gap"])
+def test_every_wd_datum_lives_over_the_corpus_chain_its_reference_names(corpus, monkeypatch,
+                                                                        suite):
+    """Items 0-19: the model of each datum is, by identity, the corpus chain
+    that the item's chain reference names, and the items build no chain."""
+    from tensorcond.corpus import CorpusChain
+    from tensorcond.weildeligne import AbVarDatum
+    models, built = [], []
+    datum_init, chain_init = AbVarDatum.__init__, CorpusChain.__init__
+
+    def recording_datum(self, model, tau, sigma):
+        models.append(model)
+        datum_init(self, model, tau, sigma)
+
+    def counting_chain(self, *args):
+        built.append(args)
+        chain_init(self, *args)
+    monkeypatch.setattr(AbVarDatum, "__init__", recording_datum)
+    monkeypatch.setattr(CorpusChain, "__init__", counting_chain)
+    by_ref = {json.dumps(c.ref(), sort_keys=True): c for c in corpus.model_chains()}
+    for i in range(20):
+        models.clear()
+        item, = run_suite_range(suite, corpus, i, 1)
+        assert item["ok"], item
+        chain = by_ref[json.dumps(SUITES[suite].generate(corpus, 0, i)[0]["chain"],
+                                  sort_keys=True)]
+        assert models and all(m is chain for m in models), (suite, i)
+    assert built == []
+
+
 def test_replay_covers_wd_suites(corpus):
-    from tensorcond.chars import character_table
     from tensorcond.weildeligne import LocalPair, swan_bound
     chain = corpus.model_chains()[5]
     model = chain.model()
-    T = character_table(model.group)
+    T = model.table
     A = gen_abvar(model, "rp:a")
     B = gen_abvar(model, "rp:b")
     lhs, rhs = swan_bound(LocalPair(A, B))

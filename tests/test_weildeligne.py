@@ -2,50 +2,45 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import character_table
+from tensorcond.chars import character_table, fixed_dim
 from tensorcond.corpus import load_corpus
 from tensorcond.errors import (ModelMismatchError, NotSemistableError,
                                PreconditionError)
-from tensorcond.groups import filtration_from_generators, quaternion8
-from tensorcond.weildeligne import (AbVarDatum, InertiaModel, LocalPair, WDRep,
+from tensorcond.filtration import conductor_exponent
+from tensorcond.groups import quaternion8
+from tensorcond.weildeligne import (AbVarDatum, LocalPair, WDRep,
                                     clebsch_gordan, conductor_bound, degree_gap,
                                     semistable_equality, swan_bound, tame_identity,
                                     tensor, uniform_bound)
 
-from oracles import (add, dual, from_values, gen_abvar, gen_semistable, integer_value, key, scale,
-                     swan, trivial, zero)
+from oracles import (add, dual, from_values, gen_abvar, gen_semistable, inertia_model,
+                     integer_value, key, scale, swan, trivial, zero)
 
 
 @pytest.fixture(scope="module")
 def q8_model():
-    Q = quaternion8()
-    filt = filtration_from_generators(Q, [[4]])
-    return InertiaModel(Q, filt, 2)
+    return inertia_model(quaternion8(), [[4]], 2)
 
 
 @pytest.fixture(scope="module")
 def chi2(q8_model):
-    T = character_table(q8_model.group)
+    T = q8_model.table
     return T.irreducibles[T.degrees.index(2)]
 
 
 def test_model_validation():
     Q = quaternion8()
-    filt = filtration_from_generators(Q, [[4]])
     with pytest.raises(ValueError):
-        InertiaModel(Q, filt, 3)  # G_1 is the center: not a 3-group
+        inertia_model(Q, [[4]], 3)  # G_1 is the center: not a 3-group
     with pytest.raises(ValueError):
-        InertiaModel(Q, filt, 4)  # not prime
-    with pytest.raises(ModelMismatchError):
-        InertiaModel(quaternion8(), filt, 2)  # an equal group, but not filt's
+        inertia_model(Q, [[4]], 4)  # not prime
 
 
 def test_artin_conductor_blocks(q8_model, chi2):
-    Q = q8_model.group
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     assert WDRep(q8_model, [(triv, 2)]).artin_conductor() == 1
     assert WDRep(q8_model, [(triv, 1)]).artin_conductor() == 0
-    deep = InertiaModel(Q, filtration_from_generators(Q, [[1, 2], [4]]), 2)
+    deep = inertia_model(q8_model.filtration.parent, [[1, 2], [4]], 2)
     assert WDRep(deep, [(chi2, 1)]).artin_conductor() == Fraction(9, 2)
 
 
@@ -112,8 +107,7 @@ def test_tensor_commutative_and_associative(q8_model):
 
 
 def test_model_mismatch(q8_model, chi2):
-    Q = q8_model.group
-    other = InertiaModel(Q, filtration_from_generators(Q, [[4]]), 2)
+    other = inertia_model(q8_model.filtration.parent, [[4]], 2)
     a = WDRep(q8_model, [(chi2, 1)])
     b = WDRep(other, [(chi2, 1)])
     with pytest.raises(ModelMismatchError):
@@ -134,9 +128,8 @@ def test_equality_does_not_depend_on_how_the_blocks_are_split(q8_model, chi2):
 
 
 def test_local_pair_refuses_data_over_two_models(q8_model, chi2):
-    Q = q8_model.group
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
-    other = InertiaModel(Q, filtration_from_generators(Q, [[4]]), 2)
+    other = inertia_model(q8_model.filtration.parent, [[4]], 2)
     A = AbVarDatum(q8_model, chi2, triv)
     with pytest.raises(ModelMismatchError):
         LocalPair(A, AbVarDatum(other, chi2, triv))
@@ -144,18 +137,18 @@ def test_local_pair_refuses_data_over_two_models(q8_model, chi2):
 
 
 def test_sp1_twist_keeps_conductor(q8_model):
-    T = character_table(q8_model.group)
+    T = q8_model.table
     for sigma in T.irreducibles:
         assert WDRep(q8_model, [(sigma, 1)]).artin_conductor() == \
-            q8_model.artin(sigma)
+            conductor_exponent(sigma, q8_model.filtration)
 
 
 def test_closed_form_for_special_tensor(q8_model):
     """a(sigma x sp(n) x sp(m)) = nm a(sigma) + fix (nm - min(n,m))."""
-    T = character_table(q8_model.group)
+    T = q8_model.table
     for sigma in T.irreducibles:
-        a_sigma = q8_model.artin(sigma)
-        fix = q8_model.inertia_fixed(sigma)
+        a_sigma = conductor_exponent(sigma, q8_model.filtration)
+        fix = fixed_dim(sigma, q8_model.filtration[0])
         for n in range(1, 13):
             left = WDRep(q8_model, [(sigma, n)])
             for m in range(1, 13):
@@ -212,8 +205,8 @@ def test_artin_minus_swan_is_the_blockwise_tame_term():
         model = chain.model()
         rho = gen_abvar(model, f"tame:{idx}").rho
         tame = sum(
-            n * (sigma.dim - model.inertia_fixed(sigma))
-            + (n - 1) * model.inertia_fixed(sigma)
+            n * (sigma.dim - fixed_dim(sigma, model.filtration[0]))
+            + (n - 1) * fixed_dim(sigma, model.filtration[0])
             for sigma, n in rho.blocks)
         assert rho.artin_conductor() - rho.swan_conductor() == tame
         assert tame == rho.dim - rho.degree()
@@ -229,7 +222,7 @@ def test_bounds_over_corpus_models():
         assert lhs <= rhs
         lhs, rhs, C = conductor_bound(LocalPair(A, B))
         assert lhs <= rhs
-        assert C == min(max(2, model.residue_char - 1),
+        assert C == min(max(2, model.model_p - 1),
                         A.dim - A.degree(), B.dim - B.degree())
         lhs, rhs, _ = uniform_bound(LocalPair(A, B))
         assert lhs <= rhs
@@ -306,7 +299,7 @@ def test_vector_predicates_match_class_function_predicates():
 
 def test_a_virtual_tau_or_sigma_is_refused_when_the_datum_is_built(q8_model):
     from tensorcond.errors import NonCharacterError
-    T = character_table(q8_model.group)
+    T = q8_model.table
     triv = T.index_of_trivial()
     good = [2 if i == triv else 0 for i in range(len(T))]
     virtual = [-1 if i == triv else 0 for i in range(len(T))]
@@ -329,10 +322,10 @@ def test_structure_constants_are_multiplicities_of_products():
 
 
 def test_assembled_values_match_a_sum_of_scaled_irreducibles(q8_model):
-    T = character_table(q8_model.group)
+    T = q8_model.table
     vec = [3, 0, 1, 2, 1]
     chi = T.assemble(vec)
-    total = zero(q8_model.group)
+    total = zero(q8_model.filtration.parent)
     for m, psi in zip(vec, T.irreducibles):
         # scaled as class values: an irreducible's own scale() is a vector
         total = add(total, scale(from_values(psi.group, psi.values), m))
@@ -347,7 +340,8 @@ def test_kernel_entry_points_refuse_a_class_function_that_is_no_table_vector(q8_
     identity and the symplectic bound refuse it, even when its values are
     those of a character of the table."""
     from tensorcond.filtration import symplectic_tensor_bound, tensor_level_identity
-    Q, filt = q8_model.group, q8_model.filtration
+    filt = q8_model.filtration
+    Q = filt.parent
     bare = trivial(Q)
     with pytest.raises(ModelMismatchError):
         WDRep(q8_model, [(bare, 1)])
