@@ -42,10 +42,12 @@ e | m.  As x -> zeta_m is a ring map from there onto Z[zeta_m], products
 convolve a class's terms mod x^m - 1, a dual permutes the rows, and the
 averages (`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms
 into one integer list, reduced mod Phi_m if a non-constant term is left,
-and divide by the group order in integers.  `CycloNum` values are reduced
-from the form only when read, a Character's once per distinct (class
-order, terms) of its table.  Sums, scalings, duals and class functions
-built from values are the test oracles' (`tests/oracles.py`).
+and divide by the group order in integers.  A value's power-basis
+coefficients are reduced from its terms only when read (`power_basis`):
+`table` reads each distinct (class order, terms) of a table once, and
+`values` (the `CycloNum`s that equality compares) every class.  Sums,
+scalings, duals and class functions built from values are the test
+oracles' (`tests/oracles.py`).
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
@@ -90,7 +92,7 @@ class ClassFunction:
         if name != "values":
             raise AttributeError(name)
         m, rows = self.form
-        self.values = tuple(CycloNum(*_reduced(m, self.group.element_orders[rep], terms))
+        self.values = tuple(CycloNum(*power_basis(m, self.group.element_orders[rep], terms))
                             for rep, terms in zip(self.group.class_reps, rows))
         return self.values
 
@@ -132,7 +134,7 @@ class ClassFunction:
         return f"ClassFunction({[str(v) for v in self.values]})"
 
 
-def _reduced(m: int, order: int, terms) -> Tuple[int, list]:
+def power_basis(m: int, order: int, terms) -> Tuple[int, list]:
     """(n, coefficients): the value of the terms over x^m - 1 in the power
     basis of Q(zeta_n), n = order or the least multiple of it they need."""
     step = gcd(m // order, *(k for k, _ in terms))
@@ -200,20 +202,10 @@ class Character(ClassFunction):
     def __getattr__(self, name):
         # reached only while a slot is unset: `form` is summed once, and a
         # class with more terms than phi(ord(c)) is reduced mod Phi_ord(c);
-        # `values` reads each distinct (order, terms) once per table
-        e, orders = self.group.exponent, self.table.class_orders
-        if name == "values":
-            memo = self.table._values
-            vals = []
-            for key in zip(orders, self.form[1]):
-                v = memo.get(key)
-                if v is None:
-                    v = memo[key] = CycloNum(*_reduced(e, *key))
-                vals.append(v)
-            self.values = tuple(vals)
-            return self.values
+        # `values` is read off it as for any class function
         if name != "form":
-            raise AttributeError(name)
+            return ClassFunction.__getattr__(self, name)
+        e, orders = self.group.exponent, self.table.class_orders
         used = [(a, form) for a, form in zip(self.mults, self.table.forms) if a]
         # an irreducible's terms are its eigenvalue form's, already collected
         own = used[0][1] if len(used) == 1 and used[0][0] == 1 else None
@@ -222,7 +214,7 @@ class Character(ClassFunction):
         for c, n in enumerate(orders):
             terms = own[c] if own else _combine(((0, a, form[c]) for a, form in used), e)
             if len(terms) > phi[n]:
-                terms = tuple((j * (e // n), x) for j, x in enumerate(_reduced(e, n, terms)[1]) if x)
+                terms = tuple((j * (e // n), x) for j, x in enumerate(power_basis(e, n, terms)[1]) if x)
             rows.append(terms)
         self.form = (e, tuple(rows))
         return self.form
@@ -257,7 +249,7 @@ class CharacterTable:
 
     __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
                  "class_orders", "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
-                 "_products", "_values")
+                 "_products")
 
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
                  modulus: int):
@@ -287,7 +279,6 @@ class CharacterTable:
         # filled on first use only, so a table build costs nothing more
         self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
         self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
-        self._values = {}       # (class order, terms) -> CycloNum, as read
 
     def __len__(self):
         return len(self.irreducibles)

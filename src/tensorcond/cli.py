@@ -21,8 +21,9 @@ import sys
 from typing import List, Optional
 
 from . import errors
-from .chars import character_table
+from .chars import character_table, power_basis
 from .corpus import ChainReader, load_corpus
+from .cyclo import CycloNum
 from .errors import InputError, TensorCondError, reading, require, shown, sized
 from .globalbound import GlobalDatum, exponents_str, rankin_selberg_bound
 from .groups import build_group, is_prime
@@ -276,29 +277,27 @@ def _run_table(args, machine: bool) -> int:
     with reading("--group"):
         G = build_group(spec)
     T = character_table(G)
+    # each distinct (class order, terms) of the eigenvalue forms is read once,
+    # as its power-basis coefficients over Q(zeta_N)
+    text = {}
+    for key in {key for form in T.forms for key in zip(T.class_orders, form)}:
+        n, coeffs = power_basis(G.exponent, *key)
+        text[key] = ({"N": n, "coeffs": [str(c) for c in coeffs]} if machine
+                     else str(CycloNum(n, coeffs)))
+    rows = [[text[key] for key in zip(T.class_orders, form)] for form in T.forms]
     if machine:
-        # a table's values repeat, each distinct one the same CycloNum
-        # (`Character.values`): its JSON object is made once
-        objs = {}
-
-        def to_json(v) -> dict:
-            obj = objs.get(id(v))
-            if obj is None:
-                obj = objs[id(v)] = v.to_json()
-            return obj
         doc = {"group": G.spec, "order": G.order, "exponent": G.exponent,
                "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
                            for s, r in zip(G.class_sizes, G.class_reps)],
-               "irreducibles": [{"degree": ch.dim,
-                                 "values": [to_json(v) for v in ch.values]}
-                                for ch in T.irreducibles]}
+               "irreducibles": [{"degree": d, "values": row}
+                                for d, row in zip(T.degrees, rows)]}
         print(json.dumps(doc, sort_keys=True))
     else:
         print(f"{G.name}: order {G.order}, {len(G.classes)} classes, "
               f"exponent {G.exponent}")
         print("class sizes: " + " ".join(str(s) for s in G.class_sizes))
-        for i, ch in enumerate(T.irreducibles):
-            print(f"chi_{i} (dim {ch.dim}): " + "  ".join(str(v) for v in ch.values))
+        for i, (d, row) in enumerate(zip(T.degrees, rows)):
+            print(f"chi_{i} (dim {d}): " + "  ".join(row))
     return 0
 
 

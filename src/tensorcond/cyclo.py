@@ -10,9 +10,10 @@ conductor.
 `chars` holds class values as terms c * zeta_n^k in Z[x]/(x^n - 1), which
 x -> zeta_n maps onto Z[zeta_n] as Phi_n divides x^n - 1; an average sums
 them into one integer list, reduced mod Phi_n (`reduce_mod_phi`) only when
-a non-constant coefficient is left.  `CycloNum` serves the edges: class
-values for `table` output and for the test oracles, which hold its Galois
-action, negation and rational readings themselves (`tests/oracles.py`).
+a non-constant coefficient is left.  `CycloNum` serves the edges: the
+human `table` text, and `ClassFunction.values` for equality and the test
+oracles, which hold its Galois action, negation and rational readings
+themselves (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -210,9 +211,6 @@ class CycloNum:
         return a.coeffs == b.coeffs
 
     __hash__ = None  # promote-aware equality; do not use as dict key
-
-    def to_json(self) -> dict:
-        return {"N": self.N, "coeffs": [str(c) for c in self.coeffs]}
 
     def __str__(self):
         if self.is_zero():

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from .chars import Character, ClassFunction, character_table, fixed_dim
 from .errors import (NotPGroupError, NotRationalError, NotSymplecticError,
                      PreconditionError)
-from .groups import Filtration
+from .groups import Filtration, pgroup_prime
 
 
 class ConductorReport:
@@ -160,7 +160,7 @@ def pgroup_tensor_bound(tau1: Character, tau2: Character,
                         filt: Filtration, p: int) -> Tuple[Fraction, Fraction]:
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
-    if not filt[0].is_pgroup(p):
+    if pgroup_prime(filt.parent.order) != p:  # as the suites' p-group pool is drawn
         raise NotPGroupError(f"'p' is {p}, but {filt.parent.name} is not a {p}-group")
     T = character_table(filt.parent)
     for name, t in (("tau1", tau1), ("tau2", tau2)):

@@ -28,9 +28,9 @@ symplectic criteria read from values, and random characters assembled
 from a seeded multiplicity vector.  The package itself computes on
 multiplicity vectors and never decomposes; these are what tests compare
 it with.  The constructors only tests call live here too: `root_of_unity`,
-`cyclo_from_json`, the trivial and zero class functions, `conjugate`,
-`is_normal`, an inertia model on a chain (`inertia_model`), and the seeded
-`gen_abvar` and `gen_semistable` data.
+`cyclo_from_json` and its inverse `cyclo_to_json`, the trivial and zero
+class functions, `conjugate`, `is_normal`, an inertia model on a chain
+(`inertia_model`), and the seeded `gen_abvar` and `gen_semistable` data.
 
 What no command runs lives here as plain functions rather than in the
 package: the CycloNum readings (`rational_value`, `integer_value`), its
@@ -126,8 +126,14 @@ def root_of_unity(N: int, k: int = 1) -> CycloNum:
     return CycloNum(N, cs)
 
 
+def cyclo_to_json(x: CycloNum) -> dict:
+    """A value as `table --format machine` writes it: the conductor and the
+    power-basis coefficients as strings."""
+    return {"N": x.N, "coeffs": [str(c) for c in x.coeffs]}
+
+
 def cyclo_from_json(doc: dict) -> CycloNum:
-    """The inverse of `CycloNum.to_json`."""
+    """The inverse of `cyclo_to_json`."""
     return CycloNum(int(doc["N"]), [Fraction(s) for s in doc["coeffs"]])
 
 

@@ -739,16 +739,99 @@ def _digest_groups(corpus):
     return [(e.name, e.group.spec) for e in corpus.entries] + list(zip(extra, EXTRA_GROUPS))
 
 
-def test_table_machine_output_digests(corpus, capsys):
+# sha256 of `table --format human`, recorded while each value was printed
+# from a memoised CycloNum of its character
+HUMAN_TABLE_DIGESTS = {
+    "c4": "69804560262af99cd7e04fdfae03425c3a4a1d987938846f2fa2e3cdb2e38517",
+    "c8": "4e4c9a3444a4bede0299664f4c6686fb7d9e830bc80fd8578b69cd076309874d",
+    "c9": "33b5ad3bcff7e063d94ec36e62150280652d98d379ba2cb4f3f9ba66d6b7a919",
+    "c5": "740b1fab4e9fbe37345cfef0d440307d825a5d03f37dceda8b5845d9016caa4e",
+    "c25": "9c13cacdf1ad3243279b9c6b3daf6d512203eb68c6e2d78e1c4cad354e7b828c",
+    "q8": "831c15825867667bdd4596cf8e5e45b6e946cacdc9d5e92ed6b7b75a3d3e31e7",
+    "d4": "fc606f0090d956508e4e2d38b7ef9361d6be77f6f2d1b3836133075e878d6def",
+    "heis3": "42e1c3df490158981e3d2932c3b701f6ba8181c81a75900061810231e96bd69d",
+    "ea9": "e525cdf0b5d09086a5253cc501b0f5cb7eaa001d9d6071ac3c52179d3b25c29c",
+    "aff5": "d5e27fe091abb147cf29e12797db19a105a39c9dfa95b555789b17eae852a7dd",
+    "aff7": "382bc62da713f75b1f7a85165453f72b4a1ba7ff22e06a647bd0c6cd4a0b4994",
+    "heis5": "bd70e4e115b0d851d0b2b8d36e4acefcfd169eb35238e9fb37853bce56964b15",
+    "q8xc3": "48bdd1b8fa5ae82cd35f0b6b74fefd0ecd5842582c35354ace18fb3a34269b9e",
+    "d6": "039f4c4f1191529cee2f5872281e01eb95eec760bf077836cad57a42964a03e6",
+    "c64": "7ff64ae2c96ca2a351c8805fa0795325d3951e9b86ad1a4d3e08fe85c6ebcf9d",
+    "2^5": "4851996feec814d8b2740e658391a53a2b7ab97c601230631ad178618509a768",
+}
+
+
+def _check_table_digests(corpus, capsys, fmt, digests):
     import hashlib
     import json
     from tensorcond.cli import main
     groups = _digest_groups(corpus)
-    assert sorted(name for name, _ in groups) == sorted(TABLE_DIGESTS)
+    assert sorted(name for name, _ in groups) == sorted(digests)
     for name, spec in groups:
-        assert main(["table", "--group", json.dumps(spec), "--format", "machine"]) == 0
+        assert main(["table", "--group", json.dumps(spec), "--format", fmt]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[name], name
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[name], name
+
+
+def test_table_machine_output_digests(corpus, capsys):
+    _check_table_digests(corpus, capsys, "machine", TABLE_DIGESTS)
+
+
+def test_table_human_output_digests(corpus, capsys):
+    _check_table_digests(corpus, capsys, "human", HUMAN_TABLE_DIGESTS)
+
+
+def test_the_machine_table_builds_no_cyclonum(capsys, monkeypatch):
+    """`table --format machine` writes each value's coefficients straight
+    from its eigenvalue form (`chars.power_basis`), with no CycloNum."""
+    import hashlib
+    import json
+    from tensorcond.cli import main
+    from tensorcond.cyclo import CycloNum
+
+    def refuse(self, *args):
+        raise AssertionError("the machine table built a CycloNum")
+    monkeypatch.setattr(CycloNum, "__init__", refuse)
+    assert main(["table", "--group", json.dumps(EXTRA_GROUPS[2]), "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS["q8xc3"]
+
+
+def test_table_values_are_the_root_of_unity_sums_of_their_forms(capsys):
+    """On every small descriptor up to order 32, each distinct value `table`
+    writes is sum m zeta_e^a over the terms (a, m) of its eigenvalue form:
+    the machine object decodes to it (`cyclo_from_json`), and the human
+    token in the same place is its text."""
+    import json
+    from tensorcond.cli import main
+    from tensorcond.groups import build_group
+
+    from oracles import cyclo_from_json
+    for spec in _small_descriptors():
+        G = build_group(spec)
+        if G.order > 32:
+            continue
+        T = character_table(G)
+        outs = []
+        for fmt in ("machine", "human"):
+            assert main(["table", "--group", json.dumps(spec), "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        doc, lines = json.loads(outs[0]), outs[1].splitlines()[2:]
+        assert len(doc["irreducibles"]) == len(lines) == len(T.forms), G.name
+        checked = set()
+        for form, irr, line in zip(T.forms, doc["irreducibles"], lines):
+            tokens = line.split(": ", 1)[1].split("  ")
+            assert len(tokens) == len(irr["values"]) == len(form), G.name
+            for terms, obj, token in zip(form, irr["values"], tokens):
+                seen = (terms, obj["N"], tuple(obj["coeffs"]), token)
+                if seen in checked:
+                    continue
+                checked.add(seen)
+                value = cyclo_from_json(obj)
+                want = sum((root_of_unity(G.exponent, a).scale(m) for a, m in terms),
+                           cyclo_zero(G.exponent))
+                assert value == want, (G.name, terms)
+                assert token == str(value), (G.name, terms)
 
 
 def _dense(sparse_rows, r):

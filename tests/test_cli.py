@@ -750,6 +750,19 @@ def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_pat
     assert "not a 4-group" in err
 
 
+@pytest.mark.parametrize("p", [4, -7])
+def test_replay_refuses_a_pgroup_bound_prime_on_the_trivial_group(tmp_path, capsys, p):
+    """pgroup-bound checks `p` as pgroup-gap does, and as the suites' pool
+    is drawn: the trivial group is a p-group for no p, so neither a
+    composite p nor a negative one (coefficient p - 1 < 0) replays."""
+    doc = {"suite": "pgroup-bound",
+           "chain": {"group": {"kind": "cyclic", "n": 1}, "subgroups": []},
+           "tau1": [1], "tau2": [1], "p": p}
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, doc))
+    assert code == 2 and out == ""
+    assert f"'p' is {p}, but C1 is not a {p}-group" in err
+
+
 @pytest.mark.parametrize("suite, field", [
     ("min-sum", "d"), ("min-sum", "a"), ("min-sum", "b"),
     ("symplectic-bound", "tau1"), ("symplectic-bound", "tau2"), ("pgroup-bound", "p"),
