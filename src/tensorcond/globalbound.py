@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 from .errors import InconsistentInputError, NegativeExponentError
-from .filtration import tensor_rhs
-from .weildeligne import AbVarDatum, LocalPair
+from .weildeligne import AbVarDatum, LocalPair, uniform_rhs
 
 # a positive integer as its prime -> exponent map, zero exponents dropped
 Exponents = Dict[int, int]
@@ -77,17 +76,16 @@ class GlobalDatum:
 
 
 def d_term(datum: GlobalDatum) -> Exponents:
-    """Per prime with v(A) v(B) > 1, the degree correction
-    deg(AxB) - deg(A) deg(B): the exponents of the d-term."""
+    """Per prime, the degree correction the uniform bound keeps: the d-term's exponents."""
     out = {}
     for s in datum.summaries:
-        if s.v_a * s.v_b > 1:
-            e = s.deg_ab - s.deg_a * s.deg_b
-            if e < 0:
-                raise NegativeExponentError(
-                    f"degree correction {e} < 0 at prime {s.p}: inconsistent input")
-            if e:
-                out[s.p] = e
+        _, e = uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b, s.v_a, s.v_b,
+                           s.deg_ab - s.deg_a * s.deg_b)
+        if e < 0:
+            raise NegativeExponentError(
+                f"degree correction {e} < 0 at prime {s.p}: inconsistent input")
+        if e:
+            out[s.p] = e
     return out
 
 
@@ -133,8 +131,8 @@ def rankin_selberg_bound(datum: GlobalDatum) -> GlobalBoundReport:
     each prime and checked against the bound exponent.
     """
     d = d_term(datum)
-    return _report(datum, d, lambda s: tensor_rhs(2 * datum.dim_a, 2 * datum.dim_b,
-                                                  s.v_a, s.v_b, 2, d.get(s.p, 0)))
+    return _report(datum, d, lambda s: uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b,
+                                                   s.v_a, s.v_b, d.get(s.p, 0))[0])
 
 
 def self_tensor_bound_report(datum: GlobalDatum) -> GlobalBoundReport:

@@ -315,7 +315,7 @@ def verify_sharpness(params: FamilyParams,
     rep_a, rep_p = joint_break_model(params)
     prod = tensor_break_rep(rep_a, rep_p)
     sw_tensor = prod.swan()
-    swan_rhs = tensor_rhs(dim, dim, sw_a_filt, sw_p_filt, max(2, p - 1), 0)
+    swan_rhs = tensor_rhs(dim, dim, sw_a_filt, sw_p_filt, improvement_constant(p), 0)
 
     # the wild group fixes nothing in the product (every exponent vector is
     # nonzero), so neither does inertia: the tame part is the full dim^2

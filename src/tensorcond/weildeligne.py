@@ -240,13 +240,17 @@ def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     return lhs, semistable_form(A, B, pair.degree_correction)
 
 
+def improvement_constant(p: int, *tame_codims: int) -> int:
+    """The Swan coefficient max(2, p-1), capped by any tame codimensions dim - deg."""
+    return min((max(2, p - 1), *tame_codims))
+
+
 def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
-    """Wild-part bound: lhs = Sw(AxB), rhs with coefficient max(2, p-1)."""
+    """Wild-part bound: lhs = Sw(AxB), rhs with the Swan coefficient."""
     A, B = pair.A, pair.B
-    p = pair.model.model_p
     lhs = pair.product.swan_conductor()
     return lhs, tensor_rhs(A.dim, B.dim, A.swan_conductor(), B.swan_conductor(),
-                           max(2, p - 1), 0)
+                           improvement_constant(pair.model.model_p), 0)
 
 
 def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
@@ -269,34 +273,32 @@ def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
-def improvement_constant(p: int, tame_a: int, tame_b: int) -> int:
-    """min of max(2, p-1) and the two tame codimensions dim - deg."""
-    return min(max(2, p - 1), tame_a, tame_b)
-
-
 def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
     """The full tensor-conductor bound with the improvement constant.
 
     Returns (lhs, rhs, C) with lhs = a(AxB) and
     rhs = dim(A) a(B) + dim(B) a(A) - C min(a(A), a(B)) - degree correction.
-    Equality is forced whenever a(A) <= 1 or a(B) <= 1.
+    When a(A) <= 1 or a(B) <= 1, lhs equals `semistable_form`, not rhs.
     """
     A, B = pair.A, pair.B
     C = improvement_constant(pair.model.model_p, A.dim - A.degree(), B.dim - B.degree())
-    lhs = pair.product.artin_conductor()
     rhs = tensor_rhs(A.dim, B.dim, A.artin_conductor(), B.artin_conductor(), C,
                      pair.degree_correction)
-    return lhs, rhs, C
+    return pair.product.artin_conductor(), rhs, C
+
+
+def uniform_rhs(dim_a, dim_b, a_a, a_b, correction):
+    """(rhs, kept): constant 2, and the correction kept only when a_a a_b > 1."""
+    kept = correction if a_a * a_b > 1 else 0
+    return tensor_rhs(dim_a, dim_b, a_a, a_b, 2, kept), kept
 
 
 def uniform_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:
-    """Weaker bound with constant 2 and the degree correction only kept
-    when a(A) a(B) > 1.  Returns (lhs, rhs, correction_used)."""
+    """The uniform bound, `uniform_rhs` for the pair.  Returns (lhs, rhs, correction_used)."""
     A, B = pair.A, pair.B
-    aA, aB = A.artin_conductor(), B.artin_conductor()
-    corr = pair.degree_correction if aA * aB > 1 else 0
-    lhs = pair.product.artin_conductor()
-    return lhs, tensor_rhs(A.dim, B.dim, aA, aB, 2, corr), corr
+    rhs, corr = uniform_rhs(A.dim, B.dim, A.artin_conductor(), B.artin_conductor(),
+                            pair.degree_correction)
+    return pair.product.artin_conductor(), rhs, corr
 
 
 def degree_gap(A: AbVarDatum) -> int:

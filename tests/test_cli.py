@@ -100,6 +100,27 @@ def test_bound_roundtrip(tmp_path, capsys):
     assert res["lhs"] == "14"
 
 
+def test_bound_at_conductor_one_meets_the_semistable_form_not_rhs_main(tmp_path, capsys):
+    """a(A) = 1 forces lhs = `semistable_form`, which the main bound's rhs
+    may exceed: here lhs 4 against rhs_main 5."""
+    from tensorcond.corpus import ChainReader
+    from tensorcond.suites import abvar_datum
+    from tensorcond.weildeligne import semistable_form
+    doc = {"model": {"group": {"kind": "cyclic", "n": 3}, "chain": [], "p": 5},
+           "A": {"tau": [0, 0, 0], "sigma": [1, 0, 0]},
+           "B": {"tau": [0, 1, 1], "sigma": [0, 0, 0]}}
+    code, out, _ = run_cli(capsys, "bound", "--input", _write(tmp_path, doc),
+                           "--format", "machine")
+    assert code == 0
+    res = json.loads(out)
+    assert [res[k] for k in ("a_A", "lhs", "rhs_main", "rhs_uniform", "C_p")] == \
+        ["1", "4", "5", "4", 1]
+    model = ChainReader().model(doc["model"], "model.")
+    A, B = (abvar_datum(model, doc[key], key) for key in ("A", "B"))
+    assert res["degree_correction"] == 0
+    assert res["lhs"] == str(semistable_form(A, B, 0))
+
+
 def test_bound_builds_the_tensor_product_once(tmp_path, capsys, monkeypatch):
     from tensorcond.weildeligne import WDRep
     real = WDRep.tensor

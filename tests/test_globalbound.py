@@ -58,6 +58,9 @@ def test_d_term_examples():
     # product of valuations equal to 1: excluded
     datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 0, 1, 2),))
     assert d_term(datum) == {}
+    # ... even when that correction is negative: the sign is not checked
+    datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 1, 1, 0),))
+    assert d_term(datum) == {}
     with pytest.raises(NegativeExponentError):
         d_term(GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 0),)))
 

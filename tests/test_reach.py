@@ -144,8 +144,8 @@ def _clear_caches():
                     obj.cache_clear()
 
 
-def _reached(calls, capsys) -> set:
-    _clear_caches()
+def _profiled(run) -> set:
+    """(module, qualified name) of every package function that `run()` calls."""
     codes = set()
 
     def hook(frame, event, arg):
@@ -153,14 +153,22 @@ def _reached(calls, capsys) -> set:
             codes.add(frame.f_code)
     sys.setprofile(hook)
     try:
-        for argv, want in calls:
-            code = main(argv)
-            capsys.readouterr()
-            assert code == want, argv
+        run()
     finally:
         sys.setprofile(None)
     return {(path.stem, c.co_qualname) for c in codes
             if (path := Path(c.co_filename).resolve()).parent == SRC}
+
+
+def _reached(calls, capsys) -> set:
+    _clear_caches()
+
+    def run():
+        for argv, want in calls:
+            code = main(argv)
+            capsys.readouterr()
+            assert code == want, argv
+    return _profiled(run)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
@@ -172,6 +180,120 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys, monkeypatch):
     assert unreached == set(ALLOWED), {
         "reached by no command and not allowed": sorted(unreached - set(ALLOWED)),
         "allowed but reached, or no longer defined": sorted(set(ALLOWED) - unreached)}
+
+
+# -- the two sides of each identity suite -----------------------------------------
+#
+# An identity suite compares two computations of one quantity, and a function
+# that both reach could make the identity true by construction.  For items
+# 0-19 each side runs under the profile, with its inputs (the document, the
+# chain, the table and the data) built before, and with both sides run once
+# before, so that table construction and the caches it fills are shared
+# inputs, not shared paths.  A chain's `kernel_rows` and a pair's product
+# are dropped before each side, so that the side that reads them reaches
+# them.  Code nested in a function counts as that function.  The
+# step-identity suite's two sides are both inside
+# `filtration.tensor_level_identity`, and are not covered here.
+
+CLEBSCH_GORDAN = ("the blocks of sp(n) x sp(m), which both tensor products expand: "
+                  "a fact of sp, not of either side")
+
+SHARED = {
+    "semistable": {"weildeligne.clebsch_gordan": CLEBSCH_GORDAN},
+    "tame-identity": {"weildeligne.clebsch_gordan": CLEBSCH_GORDAN},
+    "sharpness": {},
+}
+
+
+def _side(run) -> set:
+    """The package functions `run()` calls, nested code named by its function."""
+    return {f"{m}.{q.split('.<locals>.')[0]}" for m, q in _profiled(run)}
+
+
+def _pair_sides(corpus, name):
+    """Per item: the (class-value, kernel) sides of a semistable or
+    tame-identity pair, each a function of no arguments."""
+    from tensorcond import weildeligne as wd
+    from tensorcond.suites import abvar_datum
+
+    def tame_class(pair):
+        blocks = wd.class_tensor(pair.A, pair.B)
+        return sum(n * s.dim for s, n in blocks) - wd.class_degree(pair.model, blocks)
+
+    def tame_kernel(pair):
+        A, B = pair.A, pair.B
+        tame_a, tame_b = A.dim - A.degree(), B.dim - B.degree()
+        return A.dim * tame_b + B.dim * tame_a - tame_a * tame_b - pair.degree_correction
+    left, right = {
+        "semistable": (lambda pair: wd.class_artin(pair.model, wd.class_tensor(pair.A, pair.B)),
+                       lambda pair: wd.semistable_form(pair.A, pair.B, pair.degree_correction)),
+        "tame-identity": (tame_class, tame_kernel)}[name]
+    for i in range(20):
+        doc, _ = SUITES[name].generate(corpus, 0, i)
+        model = corpus.reader(doc["chain"], "chain").model()
+        pair = wd.LocalPair(*(abvar_datum(model, doc[key], key) for key in ("A", "B")))
+
+        def fresh(side):
+            def run():
+                model.__dict__.pop("kernel_rows", None)
+                pair.__dict__.pop("product", None)
+                pair.__dict__.pop("degree_correction", None)
+                return side(pair)
+            return run
+        yield fresh(left), fresh(right)
+
+
+def _sharpness_sides(corpus):
+    """Per item and per Jacobian J_a, J_p: the Swan exponent by the
+    discriminant against the Swan exponent on the Aff(p) chain."""
+    from tensorcond.corpus import ChainReader
+    from tensorcond.filtration import conductor
+    from tensorcond.jacobians import _jacobian_chain, _standard_character, swan_jacobian
+    for i in range(20):
+        doc, _ = SUITES["sharpness"].generate(corpus, 0, i)
+        p, reader = doc["p"], ChainReader()
+        for alpha in (doc["a"], p):
+            filt = _jacobian_chain(reader, p, swan_jacobian(p, alpha)).filtration
+            chi = _standard_character(filt.parent, p)
+
+            def by_chain(chi=chi, filt=filt):
+                report = conductor(chi, filt)
+                return report.total - report.level_terms[0]
+            yield (lambda p=p, alpha=alpha: swan_jacobian(p, alpha)), by_chain
+
+
+def _shared(name) -> set:
+    """The package functions that both sides of some item reach."""
+    corpus = load_corpus()
+    sides = _sharpness_sides(corpus) if name == "sharpness" else _pair_sides(corpus, name)
+    shared = set()
+    for left, right in sides:
+        assert left() == right()
+        shared |= _side(left) & _side(right)
+    return shared
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_the_sides_of_an_identity_share_only_what_is_allowed(name):
+    assert _shared(name) == set(SHARED[name])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+def test_a_class_side_routed_through_the_kernel_is_seen(monkeypatch):
+    """`class_artin` computed by `WDRep.artin_conductor` after decomposing
+    each block: the semistable suite still passes, since both sides are then
+    one computation, and only the profile of the sides shows it."""
+    from tensorcond import weildeligne as wd
+    from tensorcond.suites import run_suite_range
+
+    def through_kernel(model, blocks):
+        T = model.table
+        return wd.WDRep(model, [(T.assemble(T.multiplicities(s)), n)
+                                for s, n in blocks]).artin_conductor()
+    monkeypatch.setattr(wd, "class_artin", through_kernel)
+    assert all(item["ok"] for item in run_suite_range("semistable", load_corpus(), 0, 20))
+    assert "weildeligne.WDRep.artin_conductor" in _shared("semistable") - set(SHARED["semistable"])
 
 
 # -- imports -----------------------------------------------------------------------

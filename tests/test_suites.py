@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -298,6 +299,50 @@ def test_forced_sharpness_closed_form_failure_replays(corpus, monkeypatch):
     monkeypatch.setattr(suites, "disc_valuation", lambda p, a: real(p, a) + 1)
     for item in _forced_failures(corpus, "sharpness"):
         assert item["detail"]["equal"] and not item["detail"]["disc_closed_form"]
+
+
+def _patch_statement(monkeypatch, name, mutant):
+    """Patch a bound's statement side in `weildeligne` and in every package
+    module that imports it by name; a patch of `weildeligne` alone would
+    leave the importers calling the original."""
+    from tensorcond import weildeligne
+    real = getattr(weildeligne, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("tensorcond") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, mutant)
+
+
+def _killed_and_replayed(capsys, tmp_path, suite):
+    """`verify` of the suite at its default seeds exits 1, and `replay` of
+    its first counterexample exits 1 too."""
+    from tensorcond.cli import main
+    assert main(["verify", "--suite", suite, "--format", "machine"]) == 1
+    items = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    first = next(item for item in items if item.get("ok") is False)
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(first["counterexample"]))
+    assert main(["replay", "--input", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_the_sharpness_suite_kills_a_wrong_swan_coefficient(monkeypatch, capsys, tmp_path):
+    """The Swan coefficient max(2, p) in place of max(2, p - 1): the
+    sharpness family meets the Swan bound with equality, so it fails."""
+    _patch_statement(monkeypatch, "improvement_constant",
+                     lambda p, *tame_codims: min((max(2, p), *tame_codims)))
+    _killed_and_replayed(capsys, tmp_path, "sharpness")
+
+
+def test_the_global_suite_kills_a_uniform_rule_that_keeps_too_much(monkeypatch, capsys,
+                                                                   tmp_path):
+    """The uniform bound keeping its degree correction when a(A) a(B) = 1."""
+    from tensorcond.filtration import tensor_rhs
+
+    def mutant(dim_a, dim_b, a_a, a_b, correction):
+        kept = correction if a_a * a_b >= 1 else 0
+        return tensor_rhs(dim_a, dim_b, a_a, a_b, 2, kept), kept
+    _patch_statement(monkeypatch, "uniform_rhs", mutant)
+    _killed_and_replayed(capsys, tmp_path, "global")
 
 
 def test_forced_step_failure_off_the_named_level_replays(corpus, monkeypatch):
