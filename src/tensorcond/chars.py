@@ -71,7 +71,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from .cyclo import CycloNum, euler_phi, reduce_mod_phi
-from .errors import ModelMismatchError, NonCharacterError, TableComputationError
+from .errors import PreconditionError, TableComputationError
 from .groups import FiniteGroup, Subgroup, closure, is_prime
 
 
@@ -158,7 +158,7 @@ def _combine(parts, m: int) -> Tuple[Tuple[int, int], ...]:
 def _average(m: int, weighted_rows, size: int, what: str) -> int:
     """The count sum w * value / size over the (w, terms) pairs, summed into
     one integer list over x^m - 1, reduced mod Phi_m if a non-constant term
-    is left.  NonCharacterError unless it is a nonnegative integer."""
+    is left.  PreconditionError unless it is a nonnegative integer."""
     acc = [0] * m
     for w, terms in weighted_rows:
         if w:
@@ -167,10 +167,10 @@ def _average(m: int, weighted_rows, size: int, what: str) -> int:
     if any(acc[1:]):
         acc = reduce_mod_phi(m, acc)
         if any(acc[1:]):
-            raise NonCharacterError(f"{what} is not rational")
+            raise PreconditionError(f"{what} is not rational")
     avg, rem = divmod(acc[0], size)
     if rem or avg < 0:
-        raise NonCharacterError(f"{what} is {Fraction(acc[0], size)}, not a nonnegative integer")
+        raise PreconditionError(f"{what} is {Fraction(acc[0], size)}, not a nonnegative integer")
     return avg
 
 
@@ -304,12 +304,11 @@ class CharacterTable:
 
     def own(self, chi: ClassFunction) -> Character:
         """chi, checked to be a Character of this table, never decomposed:
-        anything else is refused with ModelMismatchError, a virtual vector
-        with NonCharacterError."""
+        anything else, or a virtual vector, is refused with PreconditionError."""
         if not (isinstance(chi, Character) and chi.table is self):
-            raise ModelMismatchError(f"expected a Character of the table of {self.group.name}")
+            raise PreconditionError(f"expected a Character of the table of {self.group.name}")
         if any(m < 0 for m in chi.mults):
-            raise NonCharacterError(f"multiplicity vector {list(chi.mults)} has a negative entry")
+            raise PreconditionError(f"multiplicity vector {list(chi.mults)} has a negative entry")
         return chi
 
     # -- the integer kernel: caches and criteria on multiplicity vectors ------

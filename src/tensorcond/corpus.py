@@ -2,8 +2,9 @@
 
 The corpus is a versioned JSON data file; loading refuses unknown versions.
 Chains are given as generator lists for each level below G_0 (the trivial
-tail is appended automatically).  One chain (aff5/stabiliser) has a
-non-normal step on purpose: nothing in the calculus may assume normality.
+tail is appended automatically).  Two chains, d4/reflection and
+aff5/stabiliser, have a level G_1 that is not normal in G_0, on purpose:
+nothing in the calculus may assume normality.
 A chain with a residue characteristic is an inertia model (`weildeligne`).
 """
 

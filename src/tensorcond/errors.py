@@ -5,53 +5,11 @@ class TensorCondError(Exception):
     """Base class for all package errors."""
 
 
-class GroupConstructionError(TensorCondError, ValueError):
-    """Invalid group descriptor, non-prime parameter, or order above the cap."""
-
-
-class FiltrationError(TensorCondError, ValueError):
-    """Chain is not descending, does not start at the parent, or is empty."""
-
-
-class NonCharacterError(TensorCondError, ValueError):
-    """A class function fed to a character-only operation is not a character."""
-
-
-class NotSymplecticError(TensorCondError, ValueError):
-    """Input character admits no invariant non-degenerate alternating form."""
-
-
-class NotRationalError(TensorCondError, ValueError):
-    """Input character has an irrational characteristic polynomial somewhere."""
-
-
-class NotPGroupError(TensorCondError, ValueError):
-    """Filtration head is not a p-group for the requested prime."""
-
-
-class ModelMismatchError(TensorCondError, ValueError):
-    """Two objects live over different inertia models, or a class function
-    is not a character of the table it is used with."""
-
-
-class NotSemistableError(TensorCondError, ValueError):
-    """Datum is not of the shape trivial^m + sp(2)^n on inertia."""
-
-
 class PreconditionError(TensorCondError, ValueError):
-    """An operation's stated precondition does not hold for the input."""
-
-
-class NegativeExponentError(TensorCondError, ValueError):
-    """Supplied degree data would give a global correction term exponent < 0."""
-
-
-class InconsistentInputError(TensorCondError, ValueError):
-    """Summary-mode global data contradicts the local bounds."""
-
-
-class InvalidUnitError(TensorCondError, ValueError):
-    """Family parameter a is not a unit, or fails the mod-p^2 condition."""
+    """A call's stated condition does not hold: an invalid group or chain, a
+    non-character, a character that is not symplectic or rational, a model
+    that is not a p-group or not shared, inconsistent global data, a family
+    parameter that is not a valid unit.  The message names the condition."""
 
 
 class TableComputationError(TensorCondError, RuntimeError):
@@ -63,7 +21,7 @@ class CorpusError(TensorCondError, ValueError):
 
 
 class InputError(TensorCondError, ValueError):
-    """Malformed CLI input document (exit code 2)."""
+    """Malformed CLI input document or flag (exit code 2)."""
 
 
 # -- document fields: corpus files, suite documents and the CLI's documents are

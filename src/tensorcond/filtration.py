@@ -25,8 +25,7 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .chars import Character, ClassFunction, character_table, fixed_dim
-from .errors import (NotPGroupError, NotRationalError, NotSymplecticError,
-                     PreconditionError)
+from .errors import PreconditionError
 from .groups import Filtration, pgroup_prime
 
 
@@ -152,7 +151,7 @@ def symplectic_tensor_bound(tau1: Character, tau2: Character,
     T = character_table(filt.parent)
     for name, t in (("tau1", tau1), ("tau2", tau2)):
         if not T.is_symplectic_mults(T.own(t).mults):
-            raise NotSymplecticError(f"'{name}' must be a symplectic character")
+            raise PreconditionError(f"'{name}' must be a symplectic character")
     return _tensor_bound(tau1, tau2, filt, Fraction(2))
 
 
@@ -161,11 +160,11 @@ def pgroup_tensor_bound(tau1: Character, tau2: Character,
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
     if pgroup_prime(filt.parent.order) != p:  # as the suites' p-group pool is drawn
-        raise NotPGroupError(f"'p' is {p}, but {filt.parent.name} is not a {p}-group")
+        raise PreconditionError(f"'p' is {p}, but {filt.parent.name} is not a {p}-group")
     T = character_table(filt.parent)
     for name, t in (("tau1", tau1), ("tau2", tau2)):
         if not T.is_rational_mults(T.own(t).mults):
-            raise NotRationalError(f"'{name}' must have rational characteristic polynomials")
+            raise PreconditionError(f"'{name}' must have rational characteristic polynomials")
     return _tensor_bound(tau1, tau2, filt, Fraction(p - 1))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Tuple, Union
 
-from .errors import InconsistentInputError, NegativeExponentError
+from .errors import PreconditionError
 from .weildeligne import AbVarDatum, LocalPair, uniform_rhs
 
 # a positive integer as its prime -> exponent map, zero exponents dropped
@@ -52,7 +52,7 @@ class PrimeLocalPair(LocalPair):
     def summary(self) -> PrimeSummary:
         aA, aB = self.A.artin_conductor(), self.B.artin_conductor()
         if aA.denominator != 1 or aB.denominator != 1:
-            raise InconsistentInputError(
+            raise PreconditionError(
                 "local conductor exponents must be integers for global data")
         return PrimeSummary(self.p, int(aA), int(aB), self.A.degree(), self.B.degree(),
                             self.product.degree())
@@ -82,7 +82,7 @@ def d_term(datum: GlobalDatum) -> Exponents:
         _, e = uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b, s.v_a, s.v_b,
                            s.deg_ab - s.deg_a * s.deg_b)
         if e < 0:
-            raise NegativeExponentError(
+            raise PreconditionError(
                 f"degree correction {e} < 0 at prime {s.p}: inconsistent input")
         if e:
             out[s.p] = e
@@ -111,7 +111,7 @@ def _report(datum: GlobalDatum, d: Exponents,
     for rec, s in zip(datum.primes, datum.summaries):
         e = exponent(s)
         if e < 0:
-            raise InconsistentInputError("denominator exponents exceed the numerator")
+            raise PreconditionError("denominator exponents exceed the numerator")
         if e:
             bound[s.p] = e
         entry = {"p": s.p, "bound_exp": e}

@@ -15,8 +15,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .errors import (FiltrationError, GroupConstructionError, NotPGroupError, PreconditionError,
-                     is_int, shown)
+from .errors import PreconditionError, is_int, shown
 
 DEFAULT_ORDER_CAP = 2048
 MAX_SPEC_DEPTH = 32  # direct products nest no deeper: the stack is not exhausted
@@ -83,26 +82,26 @@ class FiniteGroup:
                  spec: Optional[dict] = None):
         n = len(table)
         if n == 0:
-            raise GroupConstructionError("empty multiplication table")
+            raise PreconditionError("empty multiplication table")
         table = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in table):
-            raise GroupConstructionError("table is not square over 0..n-1")
+            raise PreconditionError("table is not square over 0..n-1")
         # a row of n entries that holds every index of 0..n-1 is a
         # permutation of them, so this also puts every entry in range
         full = frozenset(range(n))
         bad = next((a for a, row in enumerate(table) if frozenset(row) != full), None)
         if bad is not None:
             if not all(0 <= x < n for row in table for x in row):
-                raise GroupConstructionError("table is not square over 0..n-1")
-            raise GroupConstructionError(f"row {bad} is not a permutation")
+                raise PreconditionError("table is not square over 0..n-1")
+            raise PreconditionError(f"row {bad} is not a permutation")
         ident = tuple(range(n))
         identity = next((e for e, row in enumerate(table)
                          if row == ident and tuple(r[e] for r in table) == ident), None)
         if identity is None:
-            raise GroupConstructionError("no two-sided identity")
+            raise PreconditionError("no two-sided identity")
         for a, row in enumerate(table):
             if table[row.index(identity)][a] != identity:
-                raise GroupConstructionError(f"element {a} has no inverse")
+                raise PreconditionError(f"element {a} has no inverse")
         # Light's test: (x s) y = x (s y) for each generator s, a row at a
         # time (the row of x s against the row of x read at the row of s).
         # The elements passing it are closed under products, and every
@@ -113,7 +112,7 @@ class FiniteGroup:
                 left, right = table[row[s]], read_s(row)
                 if left != right:
                     y = next(y for y in range(n) if left[y] != right[y])
-                    raise GroupConstructionError(
+                    raise PreconditionError(
                         f"table is not associative: ({x}*{s})*{y} != {x}*({s}*{y})")
 
     @classmethod
@@ -144,7 +143,7 @@ class FiniteGroup:
             x = g
             while x != identity:
                 if len(powers) == n:  # only a table that is no group gets here
-                    raise GroupConstructionError(
+                    raise PreconditionError(
                         f"the powers of element {g} never reach the identity")
                 x = table[x][g]
                 powers.append(x)
@@ -216,12 +215,12 @@ class Subgroup:
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
         member = frozenset(elements)
         if parent.identity not in member:
-            raise GroupConstructionError("subgroup must contain the identity")
+            raise PreconditionError("subgroup must contain the identity")
         # the words of a finite group form a subgroup, and they include the
         # members, so the set is one iff there are no more words than members
         gens, words = _generators(parent.table, parent.identity, sorted(member))
         if len(words) != len(member):
-            raise GroupConstructionError(
+            raise PreconditionError(
                 f"subgroup not closed under products: a word in the "
                 f"members {gens} lies outside it")
         self._fill(parent, member)
@@ -306,7 +305,7 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
-            raise GroupConstructionError(f"generator index {shown(g)} out of range")
+            raise PreconditionError(f"generator index {shown(g)} out of range")
     words = closure(G.identity, lambda x: map(G.table[x].__getitem__, gens))
     return Subgroup._closed(G, words)
 
@@ -330,14 +329,14 @@ class Filtration:
 
     def __init__(self, parent: FiniteGroup, chain: Sequence[Subgroup]):
         if not chain:
-            raise FiltrationError("empty chain")
+            raise PreconditionError("empty chain")
         if any(s.parent is not parent for s in chain):
-            raise FiltrationError("chain subgroup has a different parent group")
+            raise PreconditionError("chain subgroup has a different parent group")
         if not chain[0].is_whole_group():
-            raise FiltrationError("chain must start at the whole group")
+            raise PreconditionError("chain must start at the whole group")
         for i in range(len(chain) - 1):
             if not chain[i].contains(chain[i + 1]):
-                raise FiltrationError(f"chain is not descending at step {i} -> {i + 1}")
+                raise PreconditionError(f"chain is not descending at step {i} -> {i + 1}")
         chain = list(chain)
         if not chain[-1].is_trivial():
             chain.append(trivial_subgroup(parent))
@@ -370,7 +369,7 @@ def check_model_prime(filt: Filtration, p: int) -> None:
     if not is_prime(p):
         raise PreconditionError(f"residue characteristic {p} is not prime")
     if not filt[min(1, len(filt) - 1)].is_pgroup(p):
-        raise NotPGroupError(f"wild inertia level G_1 must be a {p}-group")
+        raise PreconditionError(f"wild inertia level G_1 must be a {p}-group")
 
 
 # -- named constructions ----------------------------------------------------
@@ -387,16 +386,16 @@ def _cyclic_rows(n: int) -> list:
 
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
-        raise GroupConstructionError("cyclic order must be >= 1")
+        raise PreconditionError("cyclic order must be >= 1")
     return FiniteGroup._named(_cyclic_rows(n), f"C{n}", {"kind": "cyclic", "n": n})
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """C_p^k; the digits of x in base p, lowest first, are its coordinates."""
     if not is_prime(p):
-        raise GroupConstructionError(f"p={p} is not prime")
+        raise PreconditionError(f"p={p} is not prime")
     if k < 1:
-        raise GroupConstructionError("rank must be >= 1")
+        raise PreconditionError("rank must be >= 1")
     elems = tuple(range(p ** k))
     table = _cyclic_rows(p)
     for m in (p ** j for j in range(1, k)):
@@ -412,7 +411,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element a + n*b is rot^a * ref^b."""
     if n < 1:
-        raise GroupConstructionError("dihedral parameter must be >= 1")
+        raise PreconditionError("dihedral parameter must be >= 1")
     elems = tuple(range(2 * n))
     # rot^a rot^b ref^c = rot^(a+b) ref^c
     rot = [elems[a:n] + elems[:a] + elems[n + a:] + elems[n:n + a] for a in range(n)]
@@ -438,7 +437,7 @@ def heisenberg(p: int) -> FiniteGroup:
     """Unitriangular 3x3 matrices over F_p; (a,b,c) indexed a + p*b + p^2*c,
     with (a,b,c)(d,e,f) = (a+d, b+e, c+f+ae)."""
     if not is_prime(p):
-        raise GroupConstructionError(f"p={p} is not prime")
+        raise PreconditionError(f"p={p} is not prime")
     # (a, b, c) = (0, b, c)(a, 0, 0): its row is that of (0, b, c), which
     # maps (d, e, f) to (d, b+e, c+f), read at the entries of the row of
     # (a, 0, 0), which maps it to (a+d, e, f+ae)
@@ -458,7 +457,7 @@ def affine(p: int) -> FiniteGroup:
     subgroup of order p; the point stabiliser {b=0} is a non-normal C_{p-1}.
     """
     if not is_prime(p):
-        raise GroupConstructionError(f"p={p} is not prime")
+        raise PreconditionError(f"p={p} is not prime")
     # (a1, b1)(a2, b2) = (a1 a2, a1 b2 + b1), so (a, b) = (1, b)(a, 0), and
     # the row of (a, b) is that of the translation (1, b) read at the
     # entries of the row of the dilation (a, 0)
@@ -476,7 +475,7 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     """G x R, R the direct product of the later factors, of order m:
     element a*m + i is (a, i), and R is indexed the same way."""
     if not factors:
-        raise GroupConstructionError("direct product needs at least one factor")
+        raise PreconditionError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
     rows = factors[-1].table
@@ -492,15 +491,15 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
 
 def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     if key not in spec:
-        raise GroupConstructionError(
+        raise PreconditionError(
             f"group spec {shown(spec['kind'])} is missing the integer field '{where}{key}'")
     value = spec[key]
     if not is_int(value):
-        raise GroupConstructionError(f"'{where}{key}' must be an integer, not {shown(value)}")
+        raise PreconditionError(f"'{where}{key}' must be an integer, not {shown(value)}")
     if value < minimum:
-        raise GroupConstructionError(f"'{where}{key}' must be >= {minimum}, not {shown(value)}")
+        raise PreconditionError(f"'{where}{key}' must be >= {minimum}, not {shown(value)}")
     if value > DEFAULT_ORDER_CAP:  # every order is at least each of its parameters
-        raise GroupConstructionError(
+        raise PreconditionError(
             f"'{where}{key}' exceeds cap {DEFAULT_ORDER_CAP}, and so does the order")
     return value
 
@@ -514,7 +513,7 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
     DEFAULT_ORDER_CAP; it builds nothing.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise GroupConstructionError(
+        raise PreconditionError(
             f"'{where.rstrip('.')}' must be a group spec with a 'kind'" if where
             else "group spec must be a dict with a 'kind'")
     kind = spec["kind"]
@@ -528,7 +527,7 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
         p = _int_param(spec, "p", where, 2)
         k = _int_param(spec, "k", where, 1)
         if k >= DEFAULT_ORDER_CAP.bit_length():  # then p^k >= 2^k > the cap
-            raise GroupConstructionError(f"order {p}^{k} exceeds cap {DEFAULT_ORDER_CAP}")
+            raise PreconditionError(f"order {p}^{k} exceeds cap {DEFAULT_ORDER_CAP}")
         order, build = p ** k, lambda: elementary_abelian(p, k)
     elif kind == "quaternion8":
         order, build = 8, quaternion8
@@ -541,10 +540,10 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
     elif kind == "direct_product":
         factors = spec.get("factors")
         if not isinstance(factors, list) or not factors:
-            raise GroupConstructionError(
+            raise PreconditionError(
                 f"'{where}factors' must be a nonempty list of group specs")
         if depth == MAX_SPEC_DEPTH:
-            raise GroupConstructionError(
+            raise PreconditionError(
                 f"group spec nests direct products more than {MAX_SPEC_DEPTH} deep")
         order, builds = 1, []
         for j, f in enumerate(factors):
@@ -554,9 +553,9 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
                 break
         build = lambda: direct_product(*(factor() for _, factor in builds))
     else:
-        raise GroupConstructionError(f"unknown group kind {shown(kind)}")
+        raise PreconditionError(f"unknown group kind {shown(kind)}")
     if order > DEFAULT_ORDER_CAP:
-        raise GroupConstructionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
+        raise PreconditionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
     return order, build
 
 

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .chars import ClassFunction
 from .corpus import ChainReader, CorpusChain
-from .errors import GroupConstructionError, InvalidUnitError, PreconditionError, shown
+from .errors import PreconditionError, shown
 from . import groups
 from .groups import FiniteGroup, is_prime
 from .filtration import conductor, tensor_rhs
@@ -36,20 +36,20 @@ def _check_prime(p: int) -> None:
     order are held to the cap first, so that a huge p costs no primality test."""
     cap = groups.DEFAULT_ORDER_CAP
     if p > cap:
-        raise GroupConstructionError(f"p is above the cap {cap}, and so is the order of Aff(p)")
+        raise PreconditionError(f"p is above the cap {cap}, and so is the order of Aff(p)")
     if p > 2 and p * (p - 1) > cap:
-        raise GroupConstructionError(f"p={p}: the inertia group Aff({p}) has order "
-                                     f"{p * (p - 1)}, above the cap {cap}")
+        raise PreconditionError(f"p={p}: the inertia group Aff({p}) has order "
+                                f"{p * (p - 1)}, above the cap {cap}")
     if not is_prime(p) or p == 2:
-        raise InvalidUnitError(f"p={shown(p)} must be an odd prime")
+        raise PreconditionError(f"p={shown(p)} must be an odd prime")
 
 
 def validate_params(p: int, a: int) -> FamilyParams:
     _check_prime(p)
     if a % p == 0:
-        raise InvalidUnitError(f"a={shown(a)} is not a unit mod {p}")
+        raise PreconditionError(f"a={shown(a)} is not a unit mod {p}")
     if pow(a, p - 1, p * p) == 1:
-        raise InvalidUnitError(f"a={shown(a)} satisfies a^(p-1) = 1 mod {p}^2")
+        raise PreconditionError(f"a={shown(a)} satisfies a^(p-1) = 1 mod {p}^2")
     return FamilyParams(p, a)
 
 

@@ -18,9 +18,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chars import Character, CharacterTable, character_table
 from .corpus import ChainReader, Corpus, CorpusChain
-from .errors import (MAX_INT_BITS, CorpusError, InputError, NotPGroupError, NotRationalError,
-                     NotSymplecticError, TensorCondError, int_field, is_int, reading,
-                     require, shown, sized)
+from .errors import (MAX_INT_BITS, CorpusError, InputError, PreconditionError,
+                     TensorCondError, int_field, is_int, reading, require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary,
@@ -463,13 +462,13 @@ def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
     if any(c.filtration.parent is not G for c in resolved):
         raise InputError("'chains' must all lie on one group")
     if p is not None and pgroup_prime(G.order) != p:
-        raise NotPGroupError(f"'p' is {p}, but {G.name} is not a {p}-group")
+        raise PreconditionError(f"'p' is {p}, but {G.name} is not a {p}-group")
     T = character_table(G)
     tau = _char(T, doc, "tau")
     if p is None and not T.is_symplectic_mults(tau.mults):
-        raise NotSymplecticError("'tau' must be a symplectic character")
+        raise PreconditionError("'tau' must be a symplectic character")
     if p is not None and not T.is_rational_mults(tau.mults):
-        raise NotRationalError("'tau' must have rational characteristic polynomials")
+        raise PreconditionError("'tau' must have rational characteristic polynomials")
     subgroups = {}
     for chain in resolved:
         for H in chain.filtration.chain:

@@ -34,8 +34,7 @@ from typing import List, Sequence, Tuple
 
 from .chars import Character, ClassFunction, fixed_dim
 from .corpus import CorpusChain
-from .errors import (ModelMismatchError, NotRationalError, NotSemistableError,
-                     NotSymplecticError, PreconditionError)
+from .errors import PreconditionError
 from .filtration import conductor_exponent, tensor_rhs
 
 
@@ -53,9 +52,8 @@ def clebsch_gordan(n: int, m: int) -> List[int]:
 class WDRep:
     """A multiset of blocks (sigma, n) over a fixed inertia model.
 
-    Each sigma must be a `Character` of the model's table (anything else
-    is refused with ModelMismatchError, a virtual one with
-    NonCharacterError), and every quantity below is an integer or Fraction
+    Each sigma must be a nonnegative `Character` of the model's table (see
+    `CharacterTable.own`), and every quantity below is an integer or Fraction
     dot product of its multiplicities with the model's `kernel_rows`.  The
     blocks are kept one per special size n, sorted by n, with blocks of
     equal size summed and zero blocks dropped, so equal representations
@@ -100,7 +98,7 @@ class WDRep:
 
     def tensor(self, other: "WDRep") -> "WDRep":
         if self.model is not other.model:
-            raise ModelMismatchError("tensor product needs a common inertia model")
+            raise PreconditionError("tensor product needs a common inertia model")
         T = self.model.table
         blocks = []
         for s1, n in self.blocks:
@@ -135,11 +133,11 @@ class AbVarDatum(WDRep):
         T = model.table
         tau, sigma = self.tau, self.sigma
         if not T.is_symplectic_mults(tau.mults):
-            raise NotSymplecticError("toric-free part tau must be symplectic")
+            raise PreconditionError("toric-free part tau must be symplectic")
         if not T.is_self_dual_mults(sigma.mults):
             raise PreconditionError("sp(2) part sigma must be self-dual")
         if not T.is_rational_mults([t + 2 * s for t, s in zip(tau.mults, sigma.mults)]):
-            raise NotRationalError("inertia restriction must have rational characteristic polynomials")
+            raise PreconditionError("inertia restriction must have rational characteristic polynomials")
         assert self.dim % 2 == 0
 
     def _part(self, size: int) -> Character:
@@ -203,7 +201,7 @@ class LocalPair:
         self.A = A
         self.B = B
         if A.model is not B.model:
-            raise ModelMismatchError("data live over different inertia models")
+            raise PreconditionError("data live over different inertia models")
 
     @property
     def model(self) -> CorpusChain:
@@ -235,7 +233,7 @@ def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
     """
     A, B = pair.A, pair.B
     if not A.is_semistable():
-        raise NotSemistableError("the first datum 'A' must be semistable")
+        raise PreconditionError("the first datum 'A' must be semistable")
     lhs = class_artin(pair.model, class_tensor(A, B))
     return lhs, semistable_form(A, B, pair.degree_correction)
 

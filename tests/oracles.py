@@ -50,7 +50,7 @@ from typing import Callable, Dict, List, Optional
 from tensorcond.chars import ClassFunction, _combine, character_table, fixed_dim
 from tensorcond.corpus import Corpus, CorpusChain, CorpusEntry
 from tensorcond.cyclo import CycloNum
-from tensorcond.errors import CorpusError, NonCharacterError, PreconditionError
+from tensorcond.errors import CorpusError, PreconditionError
 from tensorcond.filtration import ConductorReport, conductor_exponent
 from tensorcond.groups import (Filtration, FiniteGroup, Subgroup, filtration_from_generators,
                                is_prime)
@@ -625,13 +625,13 @@ def frobenius_schur(psi: ClassFunction) -> int:
     """Indicator (1/|G|) sum psi(g^2), as a CycloNum sum over the classes;
     requires an irreducible input."""
     if inner_product(psi, psi) != 1:
-        raise NonCharacterError("Frobenius-Schur indicator needs an irreducible character")
+        raise PreconditionError("Frobenius-Schur indicator needs an irreducible character")
     G = psi.group
     total = cyclo_zero()
     for c, size in enumerate(G.class_sizes):
         total = total + psi.values[G.class_power(c, 2)].scale(size)
     if not total.is_rational():
-        raise NonCharacterError("Frobenius-Schur sum is not rational")
+        raise PreconditionError("Frobenius-Schur sum is not rational")
     ind = rational_value(total) / G.order
     assert ind in (-1, 0, 1)
     return int(ind)
@@ -660,7 +660,7 @@ def is_symplectic(chi: ClassFunction) -> bool:
     T = character_table(chi.group)
     try:
         mults = T.multiplicities(chi)
-    except NonCharacterError:
+    except PreconditionError:
         return False
     irr = T.irreducibles
     for psi, m in zip(irr, mults):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tensorcond.chars import character_table, fixed_dim
-from tensorcond.errors import NonCharacterError
+from tensorcond.errors import PreconditionError
 from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
                                quaternion8, subgroup_generated,
                                trivial_subgroup, whole_group)
@@ -69,10 +69,11 @@ def test_fixed_dim(q8, q8_table):
 
 def test_fixed_dim_rejects_non_characters(q8):
     not_char = from_values(q8, [Fraction(1, 3), 0, 0, 0, 0])
-    with pytest.raises(NonCharacterError):
+    with pytest.raises(PreconditionError,
+                       match="fixed-space average is 1/24, not a nonnegative integer"):
         fixed_dim(not_char, whole_group(q8))
     # an integer average below zero: minus the trivial character
-    with pytest.raises(NonCharacterError, match="is -1, not a nonnegative integer"):
+    with pytest.raises(PreconditionError, match="is -1, not a nonnegative integer"):
         fixed_dim(scale(trivial(q8), -1), whole_group(q8))
 
 
@@ -152,7 +153,7 @@ def test_frobenius_schur(q8, q8_table):
     faithful = next(ch for ch in T4.irreducibles
                     if not ch.values[C4.class_of[1]].is_rational())
     assert frobenius_schur(faithful) == 0
-    with pytest.raises(NonCharacterError):
+    with pytest.raises(PreconditionError, match="needs an irreducible character"):
         frobenius_schur(add(chi2, chi2))
 
 
@@ -637,7 +638,8 @@ def test_fixed_dim_of_products_matches_restriction(corpus):
                     if want is not None and want.denominator == 1 and want >= 0:
                         assert fixed_dim(chi * psi, H) == want, G.name
                     else:
-                        with pytest.raises(NonCharacterError):
+                        with pytest.raises(PreconditionError, match="fixed-space average "
+                                           "is (not rational|.*, not a nonnegative integer)"):
                             fixed_dim(chi * psi, H)
 
 
@@ -688,13 +690,13 @@ def test_irrational_averages_are_not_characters():
     T = character_table(G)
     # zeta_5 on one class, 0 elsewhere: every average is zeta_5 times a rational
     chi = from_values(G, [0, root_of_unity(5), 0, 0, 0])
-    with pytest.raises(NonCharacterError):
+    with pytest.raises(PreconditionError, match="fixed-space average is not rational"):
         fixed_dim(chi, whole_group(G))
-    with pytest.raises(NonCharacterError):
+    with pytest.raises(PreconditionError, match=r"<chi, psi_\d+> is not rational"):
         T.multiplicities(chi)
     assert is_symplectic(chi) is False
     # unit norm, but the indicator sum 5 * zeta_5 is not rational
-    with pytest.raises(NonCharacterError):
+    with pytest.raises(PreconditionError, match="Frobenius-Schur sum is not rational"):
         frobenius_schur(from_values(G, [root_of_unity(5)] * 5))
 
 

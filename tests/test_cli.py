@@ -563,13 +563,17 @@ def _fail_in_share_one(monkeypatch, failure):
         suite.generate, check, suite.seeds, suite.checks, suite.show))
 
 
-def test_verify_worker_error_matches_the_serial_run(capsys, monkeypatch):
-    """A TensorCondError raised in a worker's share ends the call as the
-    serial run does: same exit code, stdout and stderr; no child is left."""
-    from tensorcond.errors import PreconditionError
+@pytest.mark.parametrize("kind", ["InputError", "PreconditionError", "CorpusError",
+                                  "TableComputationError"])
+def test_verify_worker_error_matches_the_serial_run(capsys, monkeypatch, kind):
+    """A TensorCondError of each kind that `errors` defines, raised in a
+    worker's share, ends the call as the serial run does: same exit code,
+    stdout and stderr; no child is left.  The parent rebuilds the error from
+    its class name, so a name it cannot find would end in a RuntimeError."""
+    from tensorcond import errors
 
     def fail():
-        raise PreconditionError("forced failure of item 5")
+        raise getattr(errors, kind)("forced failure of item 5")
     _fail_in_share_one(monkeypatch, fail)
     base = ["verify", "--suite", "symplectic-parity", "--suite", "min-sum",
             "--seeds", "8", "--format", "machine"]

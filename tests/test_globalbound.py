@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorcond.corpus import load_corpus
-from tensorcond.errors import (InconsistentInputError, NegativeExponentError)
+from tensorcond.errors import PreconditionError
 from tensorcond.globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
                                     d_term, rankin_selberg_bound,
                                     self_tensor_bound_report)
@@ -61,7 +61,7 @@ def test_d_term_examples():
     # ... even when that correction is negative: the sign is not checked
     datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 1, 1, 0),))
     assert d_term(datum) == {}
-    with pytest.raises(NegativeExponentError):
+    with pytest.raises(PreconditionError, match=r"degree correction -\d+ < 0 at prime 5"):
         d_term(GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 0),)))
 
 
@@ -137,7 +137,8 @@ def test_full_mode_rejects_fractional_exponent():
     from tensorcond.weildeligne import AbVarDatum
     A_frac = AbVarDatum(model, chi2, chi2.scale(0))
     assert A_frac.artin_conductor().denominator != 1
-    with pytest.raises(InconsistentInputError):
+    with pytest.raises(PreconditionError,
+                       match="local conductor exponents must be integers"):
         GlobalDatum(1, 1, (PrimeLocalPair(2, A_frac, A_frac),))
 
 
@@ -167,5 +168,5 @@ def test_a_negative_bound_exponent_is_refused():
     # at p = 2 the exponent is 2*2 + 2*2 - 2*2 - (10 - 2*2) = -2
     datum = GlobalDatum(1, 1, (PrimeSummary(3, 1, 1, 1, 1, 1),
                                PrimeSummary(2, 2, 2, 2, 2, 10)))
-    with pytest.raises(InconsistentInputError, match="denominator exponents exceed"):
+    with pytest.raises(PreconditionError, match="denominator exponents exceed"):
         rankin_selberg_bound(datum)

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tensorcond.errors import InvalidUnitError, PreconditionError
+from tensorcond.errors import PreconditionError
 from tensorcond.groups import is_prime
 from tensorcond.jacobians import (BreakRep, FamilyParams, disc_valuation,
                                   jacobian_inertia_model, joint_break_model, p_valuation,
@@ -19,13 +20,13 @@ PRIMES = (3, 5, 7, 11, 13)
 
 def test_validate_params():
     assert validate_params(3, 2) == FamilyParams(3, 2)
-    with pytest.raises(InvalidUnitError):
+    with pytest.raises(PreconditionError, match=re.escape("a=7 satisfies a^(p-1) = 1 mod 5^2")):
         validate_params(5, 7)       # 7^4 = 2401 = 1 mod 25
-    with pytest.raises(InvalidUnitError):
+    with pytest.raises(PreconditionError, match="a=3 is not a unit mod 3"):
         validate_params(3, 3)       # not a unit
-    with pytest.raises(InvalidUnitError):
+    with pytest.raises(PreconditionError, match=re.escape("a=8 satisfies a^(p-1) = 1 mod 3^2")):
         validate_params(3, 8)       # 8^2 = 64 = 1 mod 9
-    with pytest.raises(InvalidUnitError):
+    with pytest.raises(PreconditionError, match="p=2 must be an odd prime"):
         validate_params(2, 3)       # p must be odd
     for p in PRIMES:
         a = smallest_valid_unit(p)
@@ -103,7 +104,7 @@ def test_break_rep_validation():
     with pytest.raises(ValueError, match="positive"):
         BreakRep(3, 1, (((1,), Fraction(0)),))
     rep = BreakRep(3, 1, (((1,), Fraction(1, 2)), ((2,), Fraction(1, 2))))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="equal slopes"):
         tensor_break_rep(rep, rep)   # equal slopes are ambiguous
 
 
@@ -220,9 +221,8 @@ def test_disc_valuation_matches_the_dense_determinant_up_to_the_order_cap():
 
 
 def test_validate_params_refuses_a_group_above_the_order_cap():
-    from tensorcond.errors import GroupConstructionError
     assert validate_params(43, smallest_valid_unit(43)).p == 43
-    with pytest.raises(GroupConstructionError, match="above the cap"):
+    with pytest.raises(PreconditionError, match="above the cap"):
         validate_params(47, 2)
 
 

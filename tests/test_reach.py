@@ -11,10 +11,13 @@ command comes to reach, or whose function is deleted, must leave the list.
 
 The imports are held the same way: no module imports another module's
 private name, and a fresh interpreter that imports one module, or loads
-the corpus and its tables, compiles only the modules named here.
+the corpus and its tables, compiles only the modules named here.  So are
+the exception types: only `errors` defines one, and it defines five.
 """
 
 import ast
+import builtins
+import importlib
 import json
 import os
 import subprocess
@@ -308,6 +311,34 @@ def test_no_module_imports_a_private_name_of_another():
                             f"import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _resolve(node, namespace):
+    """The object a class base names (`Name` or dotted `Attribute`), or None."""
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id, getattr(builtins, node.id, None))
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def test_only_errors_defines_exception_classes():
+    """A refusal's kind is told by its message, never by its class, so the
+    package keeps one exception type per way a caller handles it: the base,
+    malformed input, a broken precondition, a bad corpus file and a table
+    defect.  A class is an exception type if one of its bases is."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "tensorcond" if path.stem == "__init__" else f"tensorcond.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, type) and issubclass(base, BaseException)
+                    for base in (_resolve(b, vars(module)) for b in node.bases)):
+                found.add((path.stem, node.name))
+    assert found == {("errors", name) for name in (
+        "TensorCondError", "InputError", "PreconditionError", "CorpusError",
+        "TableComputationError")}
 
 
 SET_UP = ("import tensorcond.chars, tensorcond.corpus\n"

@@ -421,22 +421,22 @@ def test_no_suite_decomposes_a_vector(corpus, monkeypatch):
 def test_pgroup_bound_refuses_a_p_that_does_not_match_the_group(corpus):
     """p = 4 on C4 (not prime), p = 0 and p = 1 (no group is a 1-group)
     are refused as input, never divided by or looped on."""
-    from tensorcond.errors import NotPGroupError
+    from tensorcond.errors import PreconditionError
     inputs, _ = SUITES["pgroup-bound"].generate(corpus, 0, 0)
     assert inputs["chain"]["group"] == {"kind": "cyclic", "n": 4}
     for p in (4, 0, 1):
-        with pytest.raises(NotPGroupError):
+        with pytest.raises(PreconditionError, match=f"'p' is {p}, but C4 is not a {p}-group"):
             replay({"suite": "pgroup-bound", **inputs, "p": p})
 
 
 def test_pgroup_gap_refuses_a_p_that_does_not_match_the_group(corpus):
     """The same refusals for pgroup-gap, and p = 7 on C9, whose threshold
     p - 1 = 6 the order-3 characters would fail."""
-    from tensorcond.errors import NotPGroupError
+    from tensorcond.errors import PreconditionError
     inputs, _ = SUITES["pgroup-gap"].generate(corpus, 0, 0)
     assert inputs["chains"][0]["group"] == {"kind": "cyclic", "n": 4}
     c9 = next(c for c in corpus.all_chains() if c.entry_name == "c9")
     for doc in ({**inputs, "p": 4}, {**inputs, "p": 0}, {**inputs, "p": 1},
                 {"chains": [c9.ref()], "p": 7, "tau": [0] * 9}):
-        with pytest.raises(NotPGroupError):
+        with pytest.raises(PreconditionError, match=f"is not a {doc['p']}-group"):
             replay({"suite": "pgroup-gap", **doc})
