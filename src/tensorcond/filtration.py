@@ -12,9 +12,9 @@ all levels.  Everything is an exact rational; denominators divide |G_0|.
 `conductor` averages class values, one average per distinct level, for
 all levels at once: it is the oracle.  The per-level `nonfixed_dim` and
 `tensor_fixed_excess`, which tests compare it with, live in
-`tests/oracles.py`.  The tensor bounds take `Character`s of the group's
-table and work on their multiplicity vectors, and the per-level identity
-takes one side from each.
+`tests/oracles.py`.  The tensor bounds take a `CorpusChain` and
+`Character`s of its table, and dot their vectors with its `kernel_rows`;
+the per-level identity takes one side from vectors, one from class values.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .chars import Character, ClassFunction, character_table, fixed_dim
+from .chars import Character, ClassFunction, fixed_dim
+from .corpus import CorpusChain
 from .errors import PreconditionError
 from .groups import Filtration, pgroup_prime
 
@@ -82,7 +83,7 @@ def conductor_exponent(tau: ClassFunction, filt: Filtration) -> Fraction:
 
 
 def tensor_level_identity(tau1: Character, tau2: Character,
-                          filt: Filtration) -> List[Tuple[int, int]]:
+                          chain: CorpusChain) -> List[Tuple[int, int]]:
     """Both sides of the per-level tensor identity, at every level i:
 
     lhs = |t1| a_i(t2) + |t2| a_i(t1) - a_i(t1 x t2)
@@ -93,12 +94,12 @@ def tensor_level_identity(tau1: Character, tau2: Character,
     product t1 * t2 (`fixed_dim`), so a wrong structure constant or a wrong
     class product makes them differ.
     """
-    T = character_table(filt.parent)
+    T = chain.table
     c1, c2 = T.own(tau1), T.own(tau2)
     c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
     product = tau1 * tau2
     sides = []
-    for H in filt.chain:
+    for H in chain.filtration.chain:
         f1, f2 = c1.fixed(H), c2.fixed(H)
         a1, a2 = c1.dim - f1, c2.dim - f2
         lhs = c1.dim * a2 + c2.dim * a1 - (c12.dim - c12.fixed(H))
@@ -142,42 +143,40 @@ def tensor_rhs(dim1, dim2, a1, a2, coeff, correction):
 
 
 def symplectic_tensor_bound(tau1: Character, tau2: Character,
-                            filt: Filtration) -> Tuple[Fraction, Fraction]:
+                            chain: CorpusChain) -> Tuple[Fraction, Fraction]:
     """Conductor bound for a tensor product of two symplectic characters.
 
     lhs = a(t1 x t2), rhs = |t1| a(t2) + |t2| a(t1) - 2 min(a(t1), a(t2))
     - excess(t1, t2); the contract is lhs <= rhs.
     """
-    T = character_table(filt.parent)
-    for name, t in (("tau1", tau1), ("tau2", tau2)):
-        if not T.is_symplectic_mults(T.own(t).mults):
-            raise PreconditionError(f"'{name}' must be a symplectic character")
-    return _tensor_bound(tau1, tau2, filt, Fraction(2))
+    return _tensor_bound(tau1, tau2, chain, Fraction(2), chain.table.is_symplectic_mults,
+                         "must be a symplectic character")
 
 
 def pgroup_tensor_bound(tau1: Character, tau2: Character,
-                        filt: Filtration, p: int) -> Tuple[Fraction, Fraction]:
+                        chain: CorpusChain, p: int) -> Tuple[Fraction, Fraction]:
     """Conductor bound when G_0 is a p-group and both characters have
     rational characteristic polynomials; the min coefficient becomes p-1."""
-    if pgroup_prime(filt.parent.order) != p:  # as the suites' p-group pool is drawn
-        raise PreconditionError(f"'p' is {p}, but {filt.parent.name} is not a {p}-group")
-    T = character_table(filt.parent)
+    G = chain.filtration.parent
+    if pgroup_prime(G.order) != p:  # as the suites' p-group pool is drawn
+        raise PreconditionError(f"'p' is {p}, but {G.name} is not a {p}-group")
+    return _tensor_bound(tau1, tau2, chain, Fraction(p - 1), chain.table.is_rational_mults,
+                         "must have rational characteristic polynomials")
+
+
+def _tensor_bound(tau1: Character, tau2: Character, chain: CorpusChain, coeff: Fraction,
+                  valid: Callable[[Sequence[int]], bool], must: str) -> Tuple[Fraction, Fraction]:
+    """The bound's sides for two characters of the chain's table whose
+    vectors pass `valid`.  The conductors are the vectors of both and of
+    their product (`tensor_mults`) dotted with the chain's `kernel_rows`;
+    the excess is weighted per level by 1/[G_0 : G_i] = |G_i|/|G_0|."""
+    T = chain.table
     for name, t in (("tau1", tau1), ("tau2", tau2)):
-        if not T.is_rational_mults(T.own(t).mults):
-            raise PreconditionError(f"'{name}' must have rational characteristic polynomials")
-    return _tensor_bound(tau1, tau2, filt, Fraction(p - 1))
-
-
-def _tensor_bound(c1: Character, c2: Character, filt: Filtration,
-                  coeff: Fraction) -> Tuple[Fraction, Fraction]:
-    """The bound's sides from the vectors of two checked characters and of
-    their product (`tensor_mults`); level terms are weighted by
-    1/[G_0 : G_i] = |G_i|/|G_0|."""
-    T = c1.table
-    c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
-    order = filt.parent.order
-    a1, a2, a12 = (Fraction(sum((c.dim - c.fixed(H)) * H.size for H in filt.chain), order)
-                   for c in (c1, c2, c12))
-    excess = Fraction(sum((c12.fixed(H) - c1.fixed(H) * c2.fixed(H)) * H.size
-                          for H in filt.chain), order)
-    return a12, tensor_rhs(c1.dim, c2.dim, a1, a2, coeff, excess)
+        if not valid(T.own(t).mults):
+            raise PreconditionError(f"'{name}' {must}")
+    c12 = T.assemble(T.tensor_mults(tau1.mults, tau2.mults))
+    artin, order = chain.kernel_rows[0], chain.filtration.parent.order
+    a1, a2, a12 = (Fraction(sum(map(mul, artin, c.mults)), order) for c in (tau1, tau2, c12))
+    excess = Fraction(sum((c12.fixed(H) - tau1.fixed(H) * tau2.fixed(H)) * H.size
+                          for H in chain.filtration.chain), order)
+    return a12, tensor_rhs(tau1.dim, tau2.dim, a1, a2, coeff, excess)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .chars import Character, CharacterTable, character_table
+from .chars import Character, CharacterTable
 from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (MAX_INT_BITS, CorpusError, InputError, PreconditionError,
                      TensorCondError, int_field, is_int, reading, require, shown, sized)
@@ -24,7 +24,7 @@ from .filtration import (min_sum_bound, pgroup_tensor_bound,
                          symplectic_tensor_bound, tensor_level_identity)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary,
                           exponents_json, rankin_selberg_bound, self_tensor_bound_report)
-from .groups import FiniteGroup, is_prime, pgroup_prime
+from .groups import is_prime, pgroup_prime
 from .jacobians import (disc_valuation, p_valuation, smallest_valid_unit,
                         validate_params, verify_sharpness)
 from .weildeligne import (AbVarDatum, LocalPair, conductor_bound,
@@ -245,30 +245,27 @@ def _combine_atoms(atoms, rng: random.Random, budget: int, rounds: int,
     return mults
 
 
-def gen_character_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+def gen_character_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     """Random nonnegative multiplicity vector over the irreducibles, of
     dimension <= budget."""
-    T = character_table(group)
     return _combine_atoms(irreducible_atoms(T), random.Random(f"char:{seed}"),
                           budget, budget)
 
 
-def gen_symplectic_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+def gen_symplectic_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     """Multiplicity vector of a seeded random symplectic character of total
     dimension <= budget."""
     if budget < 2:
         raise ValueError("symplectic characters need budget >= 2")
-    T = character_table(group)
     return _combine_atoms(symplectic_atoms(T), random.Random(f"symp:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
 
-def gen_rational_mults(group: FiniteGroup, seed, budget: int) -> List[int]:
+def gen_rational_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     """Multiplicity vector of a seeded random character with rational
     characteristic polynomials."""
     if budget < 1:
         raise ValueError("rational characters need budget >= 1")
-    T = character_table(group)
     return _combine_atoms(rational_atoms(T), random.Random(f"rat:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
@@ -355,10 +352,9 @@ def _gen_pair(tag: str, gen, pgroup: bool = False):
             p, chain = _pick(_pool(corpus.pgroup_chains(), "chain on a p-group"), i)
         else:
             chain = _pick(_pool(corpus.all_chains(), "chain"), i)
-        G = chain.filtration.parent
         doc = {"chain": chain.ref(),
-               "tau1": gen(G, _seed(tag, base_seed, i, "a"), 10),
-               "tau2": gen(G, _seed(tag, base_seed, i, "b"), 10)}
+               "tau1": gen(chain.table, _seed(tag, base_seed, i, "a"), 10),
+               "tau2": gen(chain.table, _seed(tag, base_seed, i, "b"), 10)}
         if pgroup:
             doc["p"] = p
         return doc, {"chain": chain.label}
@@ -366,16 +362,14 @@ def _gen_pair(tag: str, gen, pgroup: bool = False):
 
 
 def _pair(doc, chains):
-    filt = _chain(chains, doc).filtration
-    T = character_table(filt.parent)
-    return _char(T, doc, "tau1"), _char(T, doc, "tau2"), filt
+    chain = _chain(chains, doc)
+    return _char(chain.table, doc, "tau1"), _char(chain.table, doc, "tau2"), chain
 
 
 def _check_step_identity(doc, chains):
     """Per-level tensor identity: the product from the structure constants
     on one side, from class values on the other."""
-    t1, t2, filt = _pair(doc, chains)
-    sides = tensor_level_identity(t1, t2, filt)
+    sides = tensor_level_identity(*_pair(doc, chains))
     return all(l == r for l, r in sides), {"sides": [[l, r] for l, r in sides]}
 
 
@@ -444,7 +438,7 @@ def _gen_gap(tag: str, gen, pgroup: bool = False):
         else:
             entry = _pick(corpus.entries, i)
         doc = {"chains": [c.ref() for c in entry.chains],
-               "tau": gen(entry.group, _seed(tag, base_seed, i, "t"), 10)}
+               "tau": gen(entry.chains[0].table, _seed(tag, base_seed, i, "t"), 10)}
         if pgroup:
             doc["p"] = p
         return doc, {"entry": entry.name}
@@ -463,7 +457,7 @@ def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
         raise InputError("'chains' must all lie on one group")
     if p is not None and pgroup_prime(G.order) != p:
         raise PreconditionError(f"'p' is {p}, but {G.name} is not a {p}-group")
-    T = character_table(G)
+    T = resolved[0].table
     tau = _char(T, doc, "tau")
     if p is None and not T.is_symplectic_mults(tau.mults):
         raise PreconditionError("'tau' must be a symplectic character")
@@ -568,7 +562,7 @@ def _gen_global(corpus, base_seed, i):
     records = []
     for p in primes:
         chain = pool[rng.randrange(len(pool))]
-        T = character_table(chain.filtration.parent)
+        T = chain.table
         model = {"group": chain.filtration.parent.spec,
                  "chain": [list(g) for g in chain.generator_lists], "p": chain.model_p}
         records.append({"p": p, "mode": "full", "model": model,

@@ -29,8 +29,9 @@ from a seeded multiplicity vector.  The package itself computes on
 multiplicity vectors and never decomposes; these are what tests compare
 it with.  The constructors only tests call live here too: `root_of_unity`,
 `cyclo_from_json` and its inverse `cyclo_to_json`, the trivial and zero
-class functions, `conjugate`, `is_normal`, an inertia model on a chain
-(`inertia_model`), and the seeded `gen_abvar` and `gen_semistable` data.
+class functions, `conjugate`, `is_normal`, a chain or an inertia model
+from generator lists (`chain_on`), and the seeded `gen_abvar` and
+`gen_semistable` data.
 
 What no command runs lives here as plain functions rather than in the
 package: the CycloNum readings (`rational_value`, `integer_value`), its
@@ -717,12 +718,13 @@ def corpus_entry(corpus: Corpus, name: str) -> CorpusEntry:
 
 def gen_character(group: FiniteGroup, seed, budget: int) -> ClassFunction:
     """Random nonnegative integer combination of irreducibles, dim <= budget."""
-    return character_table(group).assemble(gen_character_mults(group, seed, budget))
+    T = character_table(group)
+    return T.assemble(gen_character_mults(T, seed, budget))
 
 
-def inertia_model(G: FiniteGroup, gens, p: int) -> CorpusChain:
-    """The inertia model on the chain of G that the generator lists give,
-    with residue characteristic p (checked as a document's would be)."""
+def chain_on(G: FiniteGroup, gens, p: Optional[int] = None) -> CorpusChain:
+    """The chain of G that the generator lists give; with a residue
+    characteristic p, an inertia model (checked as a document's would be)."""
     gens = tuple(map(tuple, gens))
     return CorpusChain("test", "model", gens, filtration_from_generators(G, gens), p)
 

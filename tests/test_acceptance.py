@@ -15,17 +15,16 @@ from tensorcond.corpus import load_corpus
 from tensorcond.cyclo import CycloNum
 from tensorcond.filtration import (conductor_exponent, pgroup_tensor_bound,
                                    symplectic_tensor_bound)
-from tensorcond.groups import (affine, cyclic, dihedral, quaternion8,
-                               filtration_from_generators)
+from tensorcond.groups import affine, cyclic, dihedral, quaternion8
 from tensorcond.jacobians import (disc_valuation, jacobian_inertia_model,
                                   smallest_valid_unit, swan_jacobian,
                                   validate_params, verify_sharpness)
 from tensorcond.suites import run_suite_range
 from tensorcond.weildeligne import WDRep, clebsch_gordan, tensor
 
-from oracles import (add, cyclo_conjugate, cyclo_zero, from_values, gen_abvar, inner_product,
-                     linear_reps_q8, permutation_rep_affine, rational_value, sign_rep_affine,
-                     trivial, two_dim_rep_q8)
+from oracles import (add, chain_on, cyclo_conjugate, cyclo_zero, from_values, gen_abvar,
+                     inner_product, linear_reps_q8, permutation_rep_affine, rational_value,
+                     sign_rep_affine, trivial, two_dim_rep_q8)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +56,7 @@ def test_criterion_02_symplectic_bound(corpus):
     Q = quaternion8()
     T = character_table(Q)
     chi2 = T.irreducibles[T.degrees.index(2)]
-    filt = filtration_from_generators(Q, [[4]])
-    lhs, rhs = symplectic_tensor_bound(chi2, chi2, filt)
+    lhs, rhs = symplectic_tensor_bound(chi2, chi2, chain_on(Q, [[4]]))
     ok = violations == 0 and lhs == rhs == 3
     report(2, "symplectic tensor bound", ok,
            f"500 pairs, {violations} violations, tight instance {lhs}={rhs}")
@@ -71,8 +69,7 @@ def test_criterion_03_pgroup_bound(corpus):
     C3 = cyclic(3)
     T = character_table(C3)
     tau = T.assemble([int(i != T.index_of_trivial()) for i in range(3)])
-    lhs, rhs = pgroup_tensor_bound(tau, tau,
-                                   filtration_from_generators(C3, []), 3)
+    lhs, rhs = pgroup_tensor_bound(tau, tau, chain_on(C3, []), 3)
     ok = {2, 3, 5} <= primes_covered and violations == 0 and lhs == rhs == 2
     report(3, "p-group tensor bound", ok,
            f"500 pairs over p in {sorted(primes_covered)}, "

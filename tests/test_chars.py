@@ -194,9 +194,9 @@ def test_generators_satisfy_postconditions():
     for G in (quaternion8(), heisenberg(3), cyclic(8), affine(5)):
         T = character_table(G)
         for s in range(12):
-            symp = T.assemble(gen_symplectic_mults(G, s, 8))
+            symp = T.assemble(gen_symplectic_mults(T, s, 8))
             assert is_symplectic(from_values(G, symp.values))
-            assert is_rational_charpoly(T.assemble(gen_rational_mults(G, s, 12)))
+            assert is_rational_charpoly(T.assemble(gen_rational_mults(T, s, 12)))
             chi = gen_character(G, s, 9)
             assert chi.dim <= 9
 
@@ -205,13 +205,13 @@ def test_generator_budget_caps():
     for G in (quaternion8(), heisenberg(3)):
         T = character_table(G)
         for s in range(8):
-            assert T.assemble(gen_symplectic_mults(G, s, 6)).dim <= 6
-            assert T.assemble(gen_rational_mults(G, s, 7)).dim <= 7
+            assert T.assemble(gen_symplectic_mults(T, s, 6)).dim <= 6
+            assert T.assemble(gen_rational_mults(T, s, 7)).dim <= 7
             assert gen_character(G, s, 5).dim <= 5
     with pytest.raises(ValueError):
-        gen_symplectic_mults(quaternion8(), 0, 1)
+        gen_symplectic_mults(character_table(quaternion8()), 0, 1)
     with pytest.raises(ValueError):
-        gen_rational_mults(quaternion8(), 0, 0)
+        gen_rational_mults(character_table(quaternion8()), 0, 0)
 
 
 def test_gen_character_sample_space_c2():
@@ -981,20 +981,20 @@ def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
     tables, with the class-average `fixed_dim` made to raise everywhere."""
     from tensorcond import chars, filtration, weildeligne
     from tensorcond.weildeligne import AbVarDatum, WDRep, tensor
-    from oracles import inertia_model
+    from oracles import chain_on
 
     def oracle(*args):
         raise AssertionError("the integer kernel called fixed_dim")
     for mod in (chars, filtration, weildeligne):
         monkeypatch.setattr(mod, "fixed_dim", oracle)
     for G, gens, p in ((quaternion8(), [[4]], 2), (heisenberg(3), [[1, 9], [9]], 3)):
-        model = inertia_model(G, gens, p)
+        model = chain_on(G, gens, p)
         T = model.table
         dims = [T.fixed_dims(H) for H in model.filtration.chain]
         assert dims[-1] == T.degrees and dims[0][T.index_of_trivial()] == 1
         artin, fixed = model.kernel_rows
         assert fixed == dims[0]
-        tau = T.assemble(gen_symplectic_mults(G, 0, 6))
+        tau = T.assemble(gen_symplectic_mults(T, 0, 6))
         sigma = T.assemble([int(i == T.index_of_trivial()) for i in range(len(T))])
         A = AbVarDatum(model, tau, sigma)
         rho = tensor(A.rho, A.rho)

@@ -314,7 +314,7 @@ def test_replay_subcommand(tmp_path, capsys):
     T = character_table(G)
     t1 = gen_character(G, "cli:r1", 6)
     t2 = gen_character(G, "cli:r2", 6)
-    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration)[0]
+    lhs, rhs = tensor_level_identity(t1, t2, chain)[0]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 0,
@@ -400,9 +400,9 @@ def test_global_rejects_a_non_integer_summary_field(tmp_path, capsys):
 def test_bound_rejects_a_wild_level_that_is_not_a_p_group(tmp_path, capsys):
     from tensorcond.errors import TensorCondError
     from tensorcond.groups import cyclic
-    from oracles import inertia_model
+    from oracles import chain_on
     with pytest.raises(TensorCondError):
-        inertia_model(cyclic(4), [[1]], 3)
+        chain_on(cyclic(4), [[1]], 3)
     doc = dict(BOUND_DOC, model={"group": {"kind": "cyclic", "n": 4},
                                  "chain": [[1]], "p": 3},
                A={"tau": [0] * 4, "sigma": [0] * 4},

@@ -11,8 +11,8 @@ from tensorcond.filtration import (ConductorReport, conductor,
 from tensorcond.groups import (cyclic, filtration_from_generators, heisenberg,
                                quaternion8)
 
-from oracles import (add, gen_character, nonfixed_dim, report_json, tensor_fixed_excess,
-                     trivial)
+from oracles import (add, chain_on, gen_character, nonfixed_dim, report_json,
+                     tensor_fixed_excess, trivial)
 
 
 @pytest.fixture(scope="module")
@@ -93,18 +93,19 @@ def test_excess_not_monotone_counterexample(q8_setup):
 
 def test_tensor_level_identity_worked(q8_setup):
     Q, T, chi2, filt = q8_setup
-    assert tensor_level_identity(chi2, chi2, filt)[1] == (8, 8)
+    chain = chain_on(Q, [[4]])
+    assert tensor_level_identity(chi2, chi2, chain)[1] == (8, 8)
     triv = T.irreducibles[T.index_of_trivial()]
-    assert tensor_level_identity(triv, triv, filt)[0] == (0, 0)
+    assert tensor_level_identity(triv, triv, chain)[0] == (0, 0)
 
 
 def test_tensor_level_identity_random_heisenberg():
     H = heisenberg(3)
-    filt = filtration_from_generators(H, [[9]])
+    chain = chain_on(H, [[9]])
     for s in range(30):
         t1 = gen_character(H, f"h:{s}:a", 12)
         t2 = gen_character(H, f"h:{s}:b", 12)
-        for lhs, rhs in tensor_level_identity(t1, t2, filt):
+        for lhs, rhs in tensor_level_identity(t1, t2, chain):
             assert lhs == rhs
 
 
@@ -128,13 +129,14 @@ def test_min_sum_bound_preconditions():
 
 def test_symplectic_bound_tight(q8_setup):
     Q, T, chi2, filt = q8_setup
-    lhs, rhs = symplectic_tensor_bound(chi2, chi2, filt)
+    chain = chain_on(Q, [[4]])
+    lhs, rhs = symplectic_tensor_bound(chi2, chi2, chain)
     assert lhs == rhs == 3
     triv = T.irreducibles[T.index_of_trivial()]
     triv2 = triv.scale(2)
-    assert symplectic_tensor_bound(triv2, triv2, filt) == (0, 0)
+    assert symplectic_tensor_bound(triv2, triv2, chain) == (0, 0)
     with pytest.raises(PreconditionError, match="'tau1' must be a symplectic character"):
-        symplectic_tensor_bound(triv, chi2, filt)
+        symplectic_tensor_bound(triv, chi2, chain)
 
 
 def test_pgroup_bound_tight_c3():
@@ -142,35 +144,35 @@ def test_pgroup_bound_tight_c3():
     T = character_table(C3)
     triv = T.index_of_trivial()
     tau = T.assemble([int(i != triv) for i in range(3)])
-    filt = filtration_from_generators(C3, [])
-    lhs, rhs = pgroup_tensor_bound(tau, tau, filt, 3)
+    chain = chain_on(C3, [])
+    lhs, rhs = pgroup_tensor_bound(tau, tau, chain, 3)
     assert lhs == rhs == 2
     assert pgroup_tensor_bound(T.irreducibles[triv],
-                               T.irreducibles[triv], filt, 3) == (0, 0)
+                               T.irreducibles[triv], chain, 3) == (0, 0)
 
 
 def test_pgroup_bound_regular_character():
     H = heisenberg(3)
     T = character_table(H)
     reg = T.assemble(T.degrees)
-    filt = filtration_from_generators(H, [[9]])
-    lhs, rhs = pgroup_tensor_bound(reg, reg, filt, 3)
+    chain = chain_on(H, [[9]])
+    lhs, rhs = pgroup_tensor_bound(reg, reg, chain, 3)
     assert lhs <= rhs
 
 
 def test_pgroup_bound_errors():
     Q = quaternion8()
     T = character_table(Q)
-    filt = filtration_from_generators(Q, [[4]])
+    chain = chain_on(Q, [[4]])
     reg = T.assemble(T.degrees)
     with pytest.raises(PreconditionError, match="is not a 3-group"):
-        pgroup_tensor_bound(reg, reg, filt, 3)
+        pgroup_tensor_bound(reg, reg, chain, 3)
     C3 = cyclic(3)
     T3 = character_table(C3)
     nontriv = T3.irreducibles[(T3.index_of_trivial() + 1) % 3]
-    f3 = filtration_from_generators(C3, [])
+    c3 = chain_on(C3, [])
     with pytest.raises(PreconditionError, match="must have rational characteristic polynomials"):
-        pgroup_tensor_bound(nontriv, nontriv, f3, 3)
+        pgroup_tensor_bound(nontriv, nontriv, c3, 3)
 
 
 def test_conductor_additive(q8_setup):
@@ -237,3 +239,25 @@ def test_conductor_on_repeated_levels_matches_the_per_level_sums():
                     assert report.excess_terms == excess
                     assert report.excess_total == sum((Fraction(t, d) for t, d in
                                                        zip(excess, filt.indices)), Fraction(0))
+
+
+def test_bound_lhs_is_the_oracle_conductor_of_the_class_product_on_every_corpus_chain():
+    """A bound reads a(t1 x t2) off the product's vector (`tensor_mults`)
+    dotted with the chain's `kernel_rows`; `conductor_exponent` averages the
+    class-by-class product t1 * t2 over the levels.  They agree for seeded
+    symplectic pairs on every corpus chain, and rational pairs on the
+    p-group chains, drawn by the suites' samplers."""
+    from tensorcond.corpus import load_corpus
+    from tensorcond.suites import gen_rational_mults, gen_symplectic_mults
+    corpus = load_corpus()
+    primes = {chain.label: p for p, chain in corpus.pgroup_chains()}
+    for chain in corpus.all_chains():
+        T = chain.table
+        cases = [(gen_symplectic_mults, symplectic_tensor_bound, ())]
+        if chain.label in primes:
+            cases.append((gen_rational_mults, pgroup_tensor_bound, (primes[chain.label],)))
+        for gen, bound, p in cases:
+            for s in range(4):
+                t1, t2 = (T.assemble(gen(T, f"lhs:{chain.label}:{s}:{k}", 8)) for k in "ab")
+                lhs, _ = bound(t1, t2, chain, *p)
+                assert lhs == conductor_exponent(t1 * t2, chain.filtration), (chain.label, s)

@@ -10,7 +10,8 @@ function that no command runs fails the test until it is deleted, moved to
 command comes to reach, or whose function is deleted, must leave the list.
 
 The imports are held the same way: no module imports another module's
-private name, and a fresh interpreter that imports one module, or loads
+private name, only a corpus chain and the `table` command build a
+character table, and a fresh interpreter that imports one module, or loads
 the corpus and its tables, compiles only the modules named here.  So are
 the exception types: only `errors` defines one, and it defines five.
 """
@@ -311,6 +312,31 @@ def test_no_module_imports_a_private_name_of_another():
                             f"import {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_only_a_chain_and_the_table_command_call_character_table():
+    """A corpus chain holds its group's table (`CorpusChain.table`), so code
+    that has a chain reads the table from it.  `character_table` is called
+    there and by the `table` command, which has a group and no chain, and
+    nowhere else; `filtration` and `suites` import neither it nor
+    `FiniteGroup`."""
+    callers, imported = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, qualname):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{qualname}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call) and "character_table" in (
+                        getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    callers.add(qualname)
+                elif isinstance(child, ast.ImportFrom):
+                    imported.update((path.stem, alias.name) for alias in child.names)
+                visit(child, qualname)
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {"corpus.CorpusChain.table", "cli._run_table"}
+    assert {(m, n) for m in ("filtration", "suites")
+            for n in ("character_table", "FiniteGroup")} & imported == set()
 
 
 def _resolve(node, namespace):

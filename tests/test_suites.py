@@ -108,7 +108,7 @@ def test_counterexample_replay_roundtrip(corpus):
     T = character_table(G)
     t1 = gen_character(G, "r1", 8)
     t2 = gen_character(G, "r2", 8)
-    lhs, rhs = tensor_level_identity(t1, t2, chain.filtration)[1]
+    lhs, rhs = tensor_level_identity(t1, t2, chain)[1]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 1,

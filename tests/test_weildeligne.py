@@ -12,13 +12,13 @@ from tensorcond.weildeligne import (AbVarDatum, LocalPair, WDRep,
                                     semistable_equality, swan_bound, tame_identity,
                                     tensor, uniform_bound)
 
-from oracles import (add, dual, from_values, gen_abvar, gen_semistable, inertia_model,
+from oracles import (add, chain_on, dual, from_values, gen_abvar, gen_semistable,
                      integer_value, key, scale, swan, trivial, zero)
 
 
 @pytest.fixture(scope="module")
 def q8_model():
-    return inertia_model(quaternion8(), [[4]], 2)
+    return chain_on(quaternion8(), [[4]], 2)
 
 
 @pytest.fixture(scope="module")
@@ -30,16 +30,16 @@ def chi2(q8_model):
 def test_model_validation():
     Q = quaternion8()
     with pytest.raises(ValueError):
-        inertia_model(Q, [[4]], 3)  # G_1 is the center: not a 3-group
+        chain_on(Q, [[4]], 3)  # G_1 is the center: not a 3-group
     with pytest.raises(ValueError):
-        inertia_model(Q, [[4]], 4)  # not prime
+        chain_on(Q, [[4]], 4)  # not prime
 
 
 def test_artin_conductor_blocks(q8_model, chi2):
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     assert WDRep(q8_model, [(triv, 2)]).artin_conductor() == 1
     assert WDRep(q8_model, [(triv, 1)]).artin_conductor() == 0
-    deep = inertia_model(q8_model.filtration.parent, [[1, 2], [4]], 2)
+    deep = chain_on(q8_model.filtration.parent, [[1, 2], [4]], 2)
     assert WDRep(deep, [(chi2, 1)]).artin_conductor() == Fraction(9, 2)
 
 
@@ -106,7 +106,7 @@ def test_tensor_commutative_and_associative(q8_model):
 
 
 def test_model_mismatch(q8_model, chi2):
-    other = inertia_model(q8_model.filtration.parent, [[4]], 2)
+    other = chain_on(q8_model.filtration.parent, [[4]], 2)
     a = WDRep(q8_model, [(chi2, 1)])
     b = WDRep(other, [(chi2, 1)])
     with pytest.raises(PreconditionError, match="needs a common inertia model"):
@@ -128,7 +128,7 @@ def test_equality_does_not_depend_on_how_the_blocks_are_split(q8_model, chi2):
 
 def test_local_pair_refuses_data_over_two_models(q8_model, chi2):
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
-    other = inertia_model(q8_model.filtration.parent, [[4]], 2)
+    other = chain_on(q8_model.filtration.parent, [[4]], 2)
     A = AbVarDatum(q8_model, chi2, triv)
     with pytest.raises(PreconditionError, match="data live over different inertia models"):
         LocalPair(A, AbVarDatum(other, chi2, triv))
@@ -338,14 +338,12 @@ def test_kernel_entry_points_refuse_a_class_function_that_is_no_table_vector(q8_
     identity and the symplectic bound refuse it, even when its values are
     those of a character of the table."""
     from tensorcond.filtration import symplectic_tensor_bound, tensor_level_identity
-    filt = q8_model.filtration
-    Q = filt.parent
-    bare = trivial(Q)
+    bare = trivial(q8_model.filtration.parent)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
         WDRep(q8_model, [(bare, 1)])
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
         AbVarDatum(q8_model, chi2, bare)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
-        tensor_level_identity(bare, chi2, filt)
+        tensor_level_identity(bare, chi2, q8_model)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
-        symplectic_tensor_bound(chi2, scale(bare, 2), filt)
+        symplectic_tensor_bound(chi2, scale(bare, 2), q8_model)
