@@ -54,18 +54,18 @@ table: the irreducibles are the unit vectors, and
 `CharacterTable.assemble` returns any other; the form of either, the
 vector's sum of the eigenvalue forms, is taken when something reads it.  The
 kernels take `Character`s and never decompose (`CharacterTable.own`).  The
-table caches what the integer kernels of `weildeligne` and `filtration`
-need: the fixed dimensions of each irreducible on a subgroup, the structure
-constants of tensor products, the Frobenius-Schur indicators, and the
-symplectic, self-dual and rational criteria, all read off the residues:
-see `residues`.
+table holds what it derives from its residues, each part taken when first
+read and kept as long as the table: for the kernels of `weildeligne` and
+`filtration`, the fixed dimensions on a subgroup, the structure constants,
+the Frobenius-Schur indicators and the symplectic, self-dual and rational
+criteria; for the samplers of `suites`, the minimal characters they sum.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
@@ -247,10 +247,6 @@ class Character(ClassFunction):
 class CharacterTable:
     """The irreducible characters of a group, in a fixed order, from certified forms."""
 
-    __slots__ = ("group", "forms", "irreducibles", "degrees", "modulus", "residues",
-                 "class_orders", "_row_index", "_dual_index", "_fs", "_orbits", "_fixed",
-                 "_products")
-
     def __init__(self, group: FiniteGroup, forms: Sequence[Sequence[Sequence[Tuple[int, int]]]],
                  modulus: int):
         self.group = group
@@ -266,19 +262,17 @@ class CharacterTable:
         self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
         self.class_orders = tuple(group.element_orders[rep] for rep in group.class_reps)
+        self._moves = _galois_moves(group)  # read by check (b) and `galois_orbits`
         # the forms' values in F_q, zeta_e -> w (`_certified_residues`).  Rows
         # of distinct irreducibles are orthogonal in F_q, |G| < q, so they
         # differ: the dual, the Galois conjugates and the trivial character
         # are looked up by their (class-permuted) rows.  Fixed dimensions and
         # structure constants are integers in [0, q), averaged in F_q.
-        self.residues = _certified_residues(group, self.forms, self.degrees, modulus)
+        self.residues = _certified_residues(group, self.forms, self.degrees, modulus, self._moves)
         self._row_index = {row: i for i, row in enumerate(self.residues)}
-        self._dual_index = None
-        self._fs = None
-        self._orbits = None
-        # filled on first use only, so a table build costs nothing more
-        self._fixed = {}        # subgroup elements -> f_i(H) per irreducible
-        self._products = None  # [i][j] -> nonzero (k, N_ij^k), filled pairwise
+        # filled on first use only
+        self._fixed = {}  # subgroup elements -> f_i(H) per irreducible
+        self._products = [[None] * r for _ in range(r)]  # [i][j] -> nonzero (k, N_ij^k)
 
     def __len__(self):
         return len(self.irreducibles)
@@ -332,8 +326,6 @@ class CharacterTable:
         the structure constants N_ij^k (`structure_constants`), each pair's
         taken the first time it is needed."""
         r = len(self.irreducibles)
-        if self._products is None:
-            self._products = [[None] * r for _ in range(r)]
         right = [(j, b) for j, b in enumerate(m2) if b]
         out = [0] * r
         for i, a in enumerate(m1):
@@ -396,50 +388,84 @@ class CharacterTable:
         constant on each Galois orbit of irreducibles."""
         return all(len({mults[i] for i in orbit}) == 1 for orbit in self.galois_orbits)
 
-    @property
+    @cached_property
     def dual_index(self) -> Tuple[int, ...]:
-        if self._dual_index is None:
-            inv = self.group.inverse_class
-            self._dual_index = tuple(self._row_index[tuple(row[c] for c in inv)]
-                                     for row in self.residues)
-        return self._dual_index
+        inv = self.group.inverse_class
+        return tuple(self._row_index[tuple(row[c] for c in inv)] for row in self.residues)
 
-    @property
+    @cached_property
     def fs_indicators(self) -> Tuple[int, ...]:
         """nu_i = |G|^-1 sum_c |c| psi_i(c^2), taken in F_q from the residues:
         the rows were proved irreducible when the table was built, so nu_i is
         -1, 0 or 1, and q > 2 tells them apart (-1 is q - 1)."""
-        if self._fs is None:
-            G = self.group
-            q = self.modulus
-            squares = [G.class_power(c, 2) for c in range(len(G.classes))]
-            inv_order = pow(G.order, -1, q)
-            fs = []
-            for row in self.residues:
-                nu = sum(size * row[c] for size, c in zip(G.class_sizes, squares)) \
-                    * inv_order % q
-                assert nu in (0, 1, q - 1)
-                fs.append(-1 if nu == q - 1 else nu)
-            self._fs = tuple(fs)
-        return self._fs
+        G = self.group
+        q = self.modulus
+        squares = [G.class_power(c, 2) for c in range(len(G.classes))]
+        inv_order = pow(G.order, -1, q)
+        fs = []
+        for row in self.residues:
+            nu = sum(size * row[c] for size, c in zip(G.class_sizes, squares)) * inv_order % q
+            assert nu in (0, 1, q - 1)
+            fs.append(-1 if nu == q - 1 else nu)
+        return tuple(fs)
 
-    @property
+    @cached_property
     def galois_orbits(self) -> Tuple[Tuple[int, ...], ...]:
         """Partition of irreducible indices under value-field conjugation,
         psi(g^k) = sigma_k(psi(g)) for k prime to e: the closures under the
         class permutations of `_galois_moves`."""
-        if self._orbits is None:
-            moves = [[self._row_index[tuple(row[c] for c in perm)] for row in self.residues]
-                     for _, perm in _galois_moves(self.group)]
-            seen = set()
-            orbits = []
-            for i in range(len(self)):
-                if i not in seen:
-                    orbit = closure(i, lambda x: (move[x] for move in moves))
-                    seen |= orbit
-                    orbits.append(tuple(sorted(orbit)))
-            self._orbits = tuple(orbits)
-        return self._orbits
+        moves = [[self._row_index[tuple(row[c] for c in perm)] for row in self.residues]
+                 for _, perm in self._moves]
+        seen = set()
+        orbits = []
+        for i in range(len(self)):
+            if i not in seen:
+                orbit = closure(i, lambda x: (move[x] for move in moves))
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
+        return tuple(orbits)
+
+    # -- the samplers' atoms: minimal characters as (multiplicity vector, dim)
+
+    @cached_property
+    def irreducible_atoms(self) -> tuple:
+        """The irreducibles as (multiplicity vector, dim)."""
+        return tuple((psi.mults, d) for psi, d in zip(self.irreducibles, self.degrees))
+
+    @cached_property
+    def symplectic_atoms(self) -> tuple:
+        """Minimal symplectic building blocks as (multiplicity vector, dim)."""
+        fs = self.fs_indicators
+        dual_ix = self.dual_index
+        r = len(self)
+        atoms = []
+        for i in range(r):
+            vec = [0] * r
+            if fs[i] == -1:
+                vec[i] = 1
+                atoms.append((tuple(vec), self.degrees[i]))
+            elif fs[i] == 1:
+                vec[i] = 2
+                atoms.append((tuple(vec), 2 * self.degrees[i]))
+            elif i <= dual_ix[i]:
+                vec[i] += 1
+                vec[dual_ix[i]] += 1
+                atoms.append((tuple(vec), 2 * self.degrees[i]))
+        return tuple(atoms)
+
+    @cached_property
+    def rational_atoms(self) -> tuple:
+        """Galois-orbit sums: the minimal characters with all-rational values."""
+        r = len(self)
+        return tuple((tuple(int(i in orbit) for i in range(r)), sum(self.degrees[i] for i in orbit))
+                     for orbit in self.galois_orbits)
+
+    @cached_property
+    def symplectic_rational_atoms(self) -> tuple:
+        """Galois-orbit sums, doubled on orthogonal orbits so that they are
+        symplectic as well as rational."""
+        return tuple((tuple(2 * m for m in vec), 2 * d) if self.fs_indicators[vec.index(1)] == 1
+                     else (vec, d) for vec, d in self.rational_atoms)
 
     def index_of_trivial(self) -> int:
         return self._row_index[(1,) * len(self.group.classes)]
@@ -759,9 +785,11 @@ def _lift_table(group: FiniteGroup, vectors, q):
     return [row[2] for row in rows]
 
 
-def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tuple[int, ...], ...]:
+def _certified_residues(group: FiniteGroup, forms, degrees, q: int,
+                        moves) -> Tuple[Tuple[int, ...], ...]:
     """The forms' values mod q, zeta_e -> w, once checks (a) - (d) of the
-    module docstring hold; the first that fails raises TableComputationError."""
+    module docstring hold, (b) for the units of `moves` (`_galois_moves`);
+    the first that fails raises TableComputationError."""
     e, order, r = group.exponent, group.order, len(group.classes)
     if len(forms) != r:  # (a)
         raise TableComputationError(f"found {len(forms)} irreducibles, expected {r}")
@@ -770,7 +798,6 @@ def _certified_residues(group: FiniteGroup, forms, degrees, q: int) -> Tuple[Tup
         raise TableComputationError(f"degree squares sum to {n}, not {order}")
     steps = [e // group.element_orders[rep] for rep in group.class_reps]
     sizes, inv = group.class_sizes, group.inverse_class
-    moves = _galois_moves(group)
     # per class c, the (k, class of g^k) of each unit k of `moves`
     images = [[(k, perm[c]) for k, perm in moves] for c in range(r)]
     q2 = _table_prime(q, e)

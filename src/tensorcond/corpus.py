@@ -92,24 +92,30 @@ class Corpus:
     def __init__(self, entries: List[CorpusEntry], version: int):
         self.entries = entries
         self.version = version
+        # the pools that suite generators pick from, formed once
+        self._chains = tuple(c for e in entries for c in e.chains)
+        self._models = tuple(c for c in self._chains if c.model_p is not None)
+        self._pgroup_entries = tuple((p, e) for e in entries if (p := pgroup_prime(e.group.order)))
+        self._pgroup_chains = tuple((p, c) for p, e in self._pgroup_entries for c in e.chains)
+        self._integral_models = tuple(c for c in self._models if c.is_integral_shape())
         # suite items resolve their chain references here, as replay does
-        self.reader = ChainReader(self.all_chains())
+        self.reader = ChainReader(self._chains)
 
-    def all_chains(self) -> List[CorpusChain]:
-        return [c for e in self.entries for c in e.chains]
+    def all_chains(self) -> Tuple[CorpusChain, ...]:
+        return self._chains
 
-    def model_chains(self) -> List[CorpusChain]:
-        return [c for c in self.all_chains() if c.model_p is not None]
+    def model_chains(self) -> Tuple[CorpusChain, ...]:
+        return self._models
 
-    def pgroup_entries(self) -> List[Tuple[int, CorpusEntry]]:
+    def pgroup_entries(self) -> Tuple[Tuple[int, CorpusEntry], ...]:
         """(p, entry) for every entry whose group is a p-group."""
-        return [(p, e) for e in self.entries if (p := pgroup_prime(e.group.order))]
+        return self._pgroup_entries
 
-    def pgroup_chains(self) -> List[Tuple[int, CorpusChain]]:
-        return [(p, c) for p, e in self.pgroup_entries() for c in e.chains]
+    def pgroup_chains(self) -> Tuple[Tuple[int, CorpusChain], ...]:
+        return self._pgroup_chains
 
-    def integral_model_chains(self) -> List[CorpusChain]:
-        return [c for c in self.model_chains() if c.is_integral_shape()]
+    def integral_model_chains(self) -> Tuple[CorpusChain, ...]:
+        return self._integral_models
 
 
 def _builtin_corpus_bytes() -> bytes:

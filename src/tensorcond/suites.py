@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chars import Character, CharacterTable
@@ -48,7 +47,10 @@ def multiplicity_vector(T: CharacterTable, value, name: str) -> list:
             f"{name}: multiplicity vector must list one nonnegative integer "
             f"per irreducible ({len(T)} for this group, in the order printed "
             f"by the table subcommand)")
-    return [sized(x, f"{name}[{j}]") for j, x in enumerate(value)]
+    for j, x in enumerate(value):
+        if x.bit_length() > MAX_INT_BITS:  # a name is formatted for a refusal only
+            sized(x, f"{name}[{j}]")
+    return value
 
 
 def abvar_datum(model: CorpusChain, mults, name: str) -> AbVarDatum:
@@ -174,56 +176,9 @@ def _char(T: CharacterTable, doc, key: str) -> Character:
 # -- seeded multiplicity vectors ---------------------------------------------------
 #
 # Each sampler sums atoms, (multiplicity vector, dim) pairs of one table,
-# drawn by a Random seeded from its tag and the item's seed.  The atom lists
-# of the last ATOM_TABLES tables drawn from are kept, so that a run draws
-# from the same atoms every item; the bound keeps a process that loads one
-# corpus per run from holding the tables of every earlier run.
-
-ATOM_TABLES = 32
-
-
-@lru_cache(maxsize=ATOM_TABLES)
-def irreducible_atoms(T: CharacterTable) -> tuple:
-    """The irreducibles as (multiplicity vector, dim)."""
-    return tuple((psi.mults, d) for psi, d in zip(T.irreducibles, T.degrees))
-
-
-@lru_cache(maxsize=ATOM_TABLES)
-def symplectic_atoms(T: CharacterTable) -> tuple:
-    """Minimal symplectic building blocks as (multiplicity vector, dim)."""
-    fs = T.fs_indicators
-    dual_ix = T.dual_index
-    r = len(T)
-    atoms = []
-    for i in range(r):
-        vec = [0] * r
-        if fs[i] == -1:
-            vec[i] = 1
-            atoms.append((tuple(vec), T.degrees[i]))
-        elif fs[i] == 1:
-            vec[i] = 2
-            atoms.append((tuple(vec), 2 * T.degrees[i]))
-        elif i <= dual_ix[i]:
-            vec[i] += 1
-            vec[dual_ix[i]] += 1
-            atoms.append((tuple(vec), 2 * T.degrees[i]))
-    return tuple(atoms)
-
-
-@lru_cache(maxsize=ATOM_TABLES)
-def rational_atoms(T: CharacterTable) -> tuple:
-    """Galois-orbit sums: the minimal characters with all-rational values."""
-    r = len(T)
-    return tuple((tuple(int(i in orbit) for i in range(r)), sum(T.degrees[i] for i in orbit))
-                 for orbit in T.galois_orbits)
-
-
-@lru_cache(maxsize=ATOM_TABLES)
-def symplectic_rational_atoms(T: CharacterTable) -> tuple:
-    """Galois-orbit sums, doubled on orthogonal orbits so that they are
-    symplectic as well as rational."""
-    return tuple((tuple(2 * m for m in vec), 2 * d) if T.fs_indicators[vec.index(1)] == 1
-                 else (vec, d) for vec, d in rational_atoms(T))
+# drawn by a Random seeded from its tag and the item's seed.  The table holds
+# its atoms (`CharacterTable.rational_atoms` and the like), so a run draws
+# from the same atoms every item.
 
 
 def _combine_atoms(atoms, rng: random.Random, budget: int, rounds: int,
@@ -248,7 +203,7 @@ def _combine_atoms(atoms, rng: random.Random, budget: int, rounds: int,
 def gen_character_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     """Random nonnegative multiplicity vector over the irreducibles, of
     dimension <= budget."""
-    return _combine_atoms(irreducible_atoms(T), random.Random(f"char:{seed}"),
+    return _combine_atoms(T.irreducible_atoms, random.Random(f"char:{seed}"),
                           budget, budget)
 
 
@@ -257,7 +212,7 @@ def gen_symplectic_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     dimension <= budget."""
     if budget < 2:
         raise ValueError("symplectic characters need budget >= 2")
-    return _combine_atoms(symplectic_atoms(T), random.Random(f"symp:{seed}"),
+    return _combine_atoms(T.symplectic_atoms, random.Random(f"symp:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
 
@@ -266,7 +221,7 @@ def gen_rational_mults(T: CharacterTable, seed, budget: int) -> List[int]:
     characteristic polynomials."""
     if budget < 1:
         raise ValueError("rational characters need budget >= 1")
-    return _combine_atoms(rational_atoms(T), random.Random(f"rat:{seed}"),
+    return _combine_atoms(T.rational_atoms, random.Random(f"rat:{seed}"),
                           budget, budget, ensure_nonzero=True)
 
 
@@ -286,8 +241,8 @@ def gen_abvar_mults(T: CharacterTable, seed, force_ramified: bool = False,
     the conductor exponent at least 2.
     """
     rng = random.Random(f"abvar:{seed}")
-    tau_atoms = symplectic_rational_atoms(T)
-    sig_atoms = rational_atoms(T)
+    tau_atoms = T.symplectic_rational_atoms
+    sig_atoms = T.rational_atoms
     triv = T.index_of_trivial()
 
     if target_dim is None:

@@ -1016,20 +1016,30 @@ def test_irreducibles_are_the_unit_vectors_of_their_table(corpus):
 def test_galois_orbits_permute_classes_by_a_few_unit_generators(monkeypatch):
     """On Aff29 (exponent 812, phi(812) = 336 units) the orbits need the
     class permutations of at most floor(log2 336) + 1 units, r calls of
-    `class_power` each; the orbits themselves are checked against every
-    unit in `test_dual_galois_and_trivial_lookups_match_class_values`."""
+    `class_power` each, made once per table: the certificate's check (b)
+    and the orbits read the same ones.  The orbits themselves are checked
+    against every unit in
+    `test_dual_galois_and_trivial_lookups_match_class_values`."""
+    from tensorcond import chars
     from tensorcond.groups import FiniteGroup
     G = affine(29)
-    T = character_table(G)
-    real = FiniteGroup.class_power
-    calls = []
+    real_moves, real_power = chars._galois_moves, FiniteGroup.class_power
+    made, calls = [], []
+
+    def moves(group):
+        made.append(real_moves(group))
+        return made[-1]
 
     def counted(self, c, k):
         calls.append(k)
-        return real(self, c, k)
+        return real_power(self, c, k)
+    monkeypatch.setattr(chars, "_galois_moves", moves)
+    T = character_table(G)
     monkeypatch.setattr(FiniteGroup, "class_power", counted)
     orbits = T.galois_orbits
     r = len(T)
-    assert len(calls) <= (336).bit_length() * r  # bit_length = floor(log2) + 1
+    assert len(made) == 1 and calls == []
+    assert len(made[0]) <= (336).bit_length()  # bit_length = floor(log2) + 1
+    assert all(len(perm) == r for _, perm in made[0])
     # the linear characters are those of C28, one orbit per divisor of 28
     assert sorted(len(o) for o in orbits) == [1, 1, 1, 2, 6, 6, 12]

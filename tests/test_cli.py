@@ -1422,6 +1422,10 @@ def test_document_integers_beyond_the_size_policy_are_refused(tmp_path, capsys):
     for part in "AB":
         doc[part]["sigma"] = [2 * 10 ** 2200, 0, 0, 0]
     _one_short_line(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)), "A.sigma")
+    # the first oversized entry is named, after entries within the policy
+    doc = _tame_bound_doc(5)
+    doc["A"]["sigma"] = [1, 0, 2 ** MAX_INT_BITS, 0]
+    _one_short_line(*run_cli(capsys, "bound", "--input", _write(tmp_path, doc)), "A.sigma[2]")
     # the largest integer the policy admits is read as any other
     doc = _summary_doc(3)
     doc["primes"][0]["vA"] = doc["primes"][0]["degA"] = 2 ** MAX_INT_BITS - 1

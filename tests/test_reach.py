@@ -367,6 +367,39 @@ def test_only_errors_defines_exception_classes():
         "TableComputationError")}
 
 
+def _cache_decorator(node) -> bool:
+    """Whether a decorator is `lru_cache` or `cache` of `functools`, called
+    or not, imported by name or read off the module."""
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "functools" \
+            and node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def test_module_caches_are_keyed_by_integers_only():
+    """A function cache keeps every argument it was called with alive for
+    the life of the process, so it may decorate only a function of no
+    parameters, or of parameters all annotated `int`: a cache keyed by a
+    table, a group or a corpus would keep it after its owner is dropped
+    (a table holds what it derives from itself instead)."""
+    cached, keyed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(map(_cache_decorator, node.decorator_list)):
+                cached.add(f"{path.stem}.{node.name}")
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                params += [p for p in (a.vararg, a.kwarg) if p]
+                keyed += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                          if not (isinstance(p.annotation, ast.Name) and p.annotation.id == "int")]
+    assert keyed == []
+    # the guard sees each form of decorator the package uses
+    assert {"chars._primitive_root_of_unity", "cyclo.cyclotomic_coeffs", "cyclo.euler_phi",
+            "cyclo._reduction_rows", "cli._parser"} <= cached
+
+
 SET_UP = ("import tensorcond.chars, tensorcond.corpus\n"
           "for e in tensorcond.corpus.load_corpus().entries:\n"
           "    tensorcond.chars.character_table(e.group)\n")

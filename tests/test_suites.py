@@ -1,5 +1,7 @@
+import gc
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -80,6 +82,20 @@ def test_determinism(corpus):
     assert a == b
     c = run_suite_range("conductor-bound", corpus, 0, 10, 8)
     assert a != c
+
+
+def test_a_dropped_corpus_releases_its_tables():
+    """A table holds what its samplers and criteria derive from it, and no
+    module-level cache holds the table: once its corpus is dropped, the
+    tables that the suites read are freed."""
+    corpus = load_corpus()
+    for name in ("step-identity", "symplectic-bound", "pgroup-gap", "semistable", "global"):
+        assert all(item["ok"] for item in run_suite_range(name, corpus, 0, 5)), name
+    tables = [weakref.ref(c.table) for c in corpus.all_chains() if "table" in vars(c)]
+    assert tables
+    del corpus
+    gc.collect()
+    assert [ref().group.name for ref in tables if ref() is not None] == []
 
 
 def test_gen_abvar_target_dim(corpus):

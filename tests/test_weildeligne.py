@@ -271,7 +271,6 @@ def test_vector_predicates_match_class_function_predicates():
     predicates on the assembled class values, on every corpus group, for
     vectors that pass and vectors that fail each of them."""
     import random
-    from tensorcond.suites import rational_atoms
 
     from oracles import is_rational_charpoly, is_symplectic
     corpus = load_corpus()
@@ -279,7 +278,7 @@ def test_vector_predicates_match_class_function_predicates():
     for entry in corpus.entries:
         T = character_table(entry.group)
         rng = random.Random(f"predicates:{entry.name}")
-        atoms = [vec for vec, _ in rational_atoms(T)]
+        atoms = [vec for vec, _ in T.rational_atoms]
         for trial in range(30):
             if trial % 3:
                 vec = [rng.choice((0, 0, 1, 2)) for _ in range(len(T))]
