@@ -52,9 +52,10 @@ oracles' (`tests/oracles.py`).
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
 `CharacterTable.assemble` returns any other; the form of either, the
-vector's sum of the eigenvalue forms, is taken when something reads it.  The
-kernels take `Character`s and never decompose (`CharacterTable.own`).  The
-table holds what it derives from its residues, each part taken when first
+vector's sum of the eigenvalue forms, is taken when first read and kept, as
+a class function's `values` are: both are cached properties.  The kernels
+take `Character`s and never decompose (`CharacterTable.own`).  The table
+holds what it derives from its residues, each part taken when first
 read and kept as long as the table: for the kernels of `weildeligne` and
 `filtration`, the fixed dimensions on a subgroup, the structure constants,
 the Frobenius-Schur indicators and the symplectic, self-dual and rational
@@ -78,23 +79,18 @@ from .groups import FiniteGroup, Subgroup, closure, is_prime
 class ClassFunction:
     """A function on conjugacy classes, held as its exponent form `form` =
     (m, rows) (module docstring): m a multiple of the group exponent, and
-    per class the terms (k, c) of its value over x^m - 1.  `values` are
-    read off `form`."""
-
-    __slots__ = ("group", "form", "values")
+    per class the terms (k, c) of its value over x^m - 1.  `values`, a
+    cached property, is read off `form` when first read and kept."""
 
     def __init__(self, group: FiniteGroup, m: int, rows):
         self.group = group
         self.form = (m, tuple(rows))
 
-    def __getattr__(self, name):
-        # reached only while the `values` slot is unset
-        if name != "values":
-            raise AttributeError(name)
+    @cached_property
+    def values(self):
         m, rows = self.form
-        self.values = tuple(CycloNum(*power_basis(m, self.group.element_orders[rep], terms))
-                            for rep, terms in zip(self.group.class_reps, rows))
-        return self.values
+        return tuple(CycloNum(*power_basis(m, self.group.element_orders[rep], terms))
+                     for rep, terms in zip(self.group.class_reps, rows))
 
     # -- algebra ---------------------------------------------------------------
 
@@ -185,26 +181,21 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
 class Character(ClassFunction):
     """A character held as its multiplicity vector over a character table.
 
-    The exponent form is the vector's sum of the table's eigenvalue forms,
-    taken the first time `form` is read; `dim`, `scale`, `is_zero` and
+    The exponent form `form`, a cached property, is the vector's sum of the
+    table's eigenvalue forms, taken when first read and kept; `values` is
+    read off it as for any class function.  `dim`, `scale`, `is_zero` and
     equality with another character of the table read the vector only.  The
     vector may be virtual (negative entries); `CharacterTable.own` refuses
     such a one.
     """
-
-    __slots__ = ("table", "mults")
 
     def __init__(self, table: "CharacterTable", mults: Sequence[int]):
         self.group = table.group
         self.table = table
         self.mults = tuple(mults)
 
-    def __getattr__(self, name):
-        # reached only while a slot is unset: `form` is summed once, and a
-        # class with more terms than phi(ord(c)) is reduced mod Phi_ord(c);
-        # `values` is read off it as for any class function
-        if name != "form":
-            return ClassFunction.__getattr__(self, name)
+    @cached_property
+    def form(self):
         e, orders = self.group.exponent, self.table.class_orders
         used = [(a, form) for a, form in zip(self.mults, self.table.forms) if a]
         # an irreducible's terms are its eigenvalue form's, already collected
@@ -213,11 +204,10 @@ class Character(ClassFunction):
         rows = []
         for c, n in enumerate(orders):
             terms = own[c] if own else _combine(((0, a, form[c]) for a, form in used), e)
-            if len(terms) > phi[n]:
+            if len(terms) > phi[n]:  # reduced mod Phi_n, n = ord(c)
                 terms = tuple((j * (e // n), x) for j, x in enumerate(power_basis(e, n, terms)[1]) if x)
             rows.append(terms)
-        self.form = (e, tuple(rows))
-        return self.form
+        return (e, tuple(rows))
 
     @property
     def dim(self) -> int:

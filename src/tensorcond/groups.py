@@ -74,8 +74,7 @@ class FiniteGroup:
     __slots__ = (
         "name", "spec", "order", "table", "identity", "inverses",
         "classes", "class_of", "class_reps", "class_sizes",
-        "inverse_class", "element_orders", "exponent",
-        "_power_class", "_char_table",
+        "inverse_class", "element_orders", "exponent", "_char_table",
     )
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G",
@@ -159,7 +158,6 @@ class FiniteGroup:
         self.class_sizes = tuple(len(c) for c in self.classes)
         self.inverse_class = tuple(self.class_of[self.inverses[r]] for r in self.class_reps)
 
-        self._power_class: dict = {}
         self._char_table = None
         return gens
 
@@ -179,12 +177,7 @@ class FiniteGroup:
 
     def class_power(self, ci: int, k: int) -> int:
         """Class index of g^k for g any representative of class ci."""
-        key = (ci, k % self.exponent)
-        hit = self._power_class.get(key)
-        if hit is None:
-            hit = self.class_of[self.power(self.class_reps[ci], key[1])]
-            self._power_class[key] = hit
-        return hit
+        return self.class_of[self.power(self.class_reps[ci], k % self.exponent)]
 
     def _conjugacy_classes(self, gens):
         """Orbits under conjugation by a generating set (a finite group is

@@ -678,11 +678,54 @@ def test_frobenius_schur_indicators_read_no_class_values(monkeypatch):
     def refuse(*args):
         raise AssertionError("Frobenius-Schur indicators read class values")
     monkeypatch.setattr(chars, "_average", refuse)
-    monkeypatch.setattr(chars.Character, "__getattr__", refuse)
+    monkeypatch.setattr(chars.Character, "form", property(refuse))
+    monkeypatch.setattr(chars.ClassFunction, "values", property(refuse))
     for spec, want in zip(specs, wants):
         T = character_table(build_group(spec))
         assert T.fs_indicators == want, T.group.name
     assert sorted(wants[0]) == [-1, 1, 1, 1, 1]
+
+
+def test_forms_and_values_are_computed_once_and_kept(monkeypatch):
+    """`Character.form` and `ClassFunction.values` are taken when first read
+    and kept: a second read calls neither `_combine` nor `power_basis` and
+    returns the same object.  On Aff5 the eigenvalues 1, i, -1, -i at an
+    element of order 4 cancel, both in the 4-dimensional irreducible and in
+    the sum of the four linear characters."""
+    from tensorcond import chars
+    calls = []
+
+    def counting(name):
+        real = getattr(chars, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+    for name in ("_combine", "power_basis"):
+        monkeypatch.setattr(chars, name, counting(name))
+
+    def read_twice(chi, attr):
+        calls.clear()
+        first = getattr(chi, attr)
+        made = list(calls)
+        calls.clear()
+        assert getattr(chi, attr) is first and calls == [], attr
+        return made
+
+    T = character_table(affine(5))
+    r, four = len(T), T.class_orders.index(4)
+    irreducible = T.irreducibles[T.degrees.index(4)]
+    linear_sum = T.assemble([int(d == 1) for d in T.degrees])
+    for chi in (irreducible, linear_sum):
+        assert "form" not in vars(chi)
+        made = read_twice(chi, "form")
+        assert "power_basis" in made and chi.form[1][four] == ()
+        assert ("_combine" in made) == (chi is linear_sum)
+        assert read_twice(chi, "values") == ["power_basis"] * r
+    product = irreducible * linear_sum
+    assert read_twice(product, "form") == []
+    assert read_twice(product, "values") == ["power_basis"] * r
 
 
 def test_irrational_averages_are_not_characters():

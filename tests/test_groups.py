@@ -139,6 +139,22 @@ def test_power_map():
     for G in (C4, Q):
         for k in (-3, 0, 5):
             assert G.power(G.identity, k) == G.identity
+    # on every corpus group, the class of g^k for every member g of a class
+    # and k in [-e, 2e), g^k by repeated multiplication
+    from tensorcond.corpus import load_corpus
+    for entry in load_corpus().entries:
+        G = entry.group
+        e = G.exponent
+        for ci, members in enumerate(G.classes):
+            for g in members:
+                x = G.identity
+                for k in range(2 * e):
+                    assert G.class_power(ci, k) == G.class_of[x], (entry.name, ci, g, k)
+                    x = G.table[x][g]
+                x = G.identity
+                for k in range(-1, -e - 1, -1):
+                    x = G.table[x][G.inverses[g]]
+                    assert G.class_power(ci, k) == G.class_of[x], (entry.name, ci, g, k)
 
 
 def test_filtration_validation():

@@ -68,7 +68,7 @@ ALLOWED = {
     "cyclo.CycloNum.__eq__": "value equality",
     "chars.ClassFunction.__eq__": "value equality",
     "chars.Character.__eq__": "value equality",
-    "chars.ClassFunction.__getattr__": "reads `values`, which __eq__ and __repr__ compare",
+    "chars.ClassFunction.values": "the `CycloNum`s that __eq__ and __repr__ compare",
     "weildeligne.WDRep.__eq__": "value equality",
     "groups.Subgroup.__eq__": "value equality",
     "groups.Subgroup.__hash__": "hash consistent with __eq__",
@@ -398,6 +398,19 @@ def test_module_caches_are_keyed_by_integers_only():
     # the guard sees each form of decorator the package uses
     assert {"chars._primitive_root_of_unity", "cyclo.cyclotomic_coeffs", "cyclo.euler_phi",
             "cyclo._reduction_rows", "cli._parser"} <= cached
+
+
+def test_no_class_derives_attributes_in_a_getattr_hook():
+    """A fact derived when first read and kept is a `functools.cached_property`,
+    never a `__getattr__` that computes what a missing attribute names."""
+    hooks = [f"{path.stem}.{cls.name}.{node.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(cls, ast.ClassDef)
+             for node in cls.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == "__getattr__"]
+    assert hooks == []
 
 
 SET_UP = ("import tensorcond.chars, tensorcond.corpus\n"
