@@ -18,8 +18,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from .chars import CharacterTable, character_table
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, reading, require, shown)
-from .groups import (FiniteGroup, Filtration, build_group, check_model_prime,
-                     filtration_from_generators, pgroup_prime)
+from .groups import (FiniteGroup, Filtration, check_model_prime,
+                     filtration_from_generators, pgroup_prime, read_spec)
 
 CORPUS_VERSION = 1
 
@@ -134,71 +134,66 @@ def _name(doc, where: str, seen: set) -> str:
     return name
 
 
-def read_chain(doc, group: FiniteGroup, entry_name: str, name: str, where: str,
+def read_chain(doc, group: FiniteGroup, entry_name: str, name: str, where: str, chains: dict,
                keys: Tuple[str, str] = ("subgroups", "model_p")) -> CorpusChain:
     """The chain that a corpus chain object, or a document's chain
     reference or model object, gives on the group: its generator lists and
     optional residue characteristic, under `keys` ("chain" and "p" in a
-    model object)."""
+    model object).  It is built unless `chains` holds it under (group,
+    generator tuples, model_p), the values read, and then stored there."""
     gens_key, p_key = keys
     gen_lists = generator_lists(require(doc, gens_key, where), where + gens_key)
     model_p = None if doc.get(p_key) is None else int_field(doc, p_key, where)
-    with reading(where + gens_key):
-        filt = filtration_from_generators(group, gen_lists)
-    with reading(where + p_key):
-        return CorpusChain(entry_name, name, tuple(map(tuple, gen_lists)), filt, model_p)
-
-
-def _canonical(doc) -> str:
-    return json.dumps(doc, sort_keys=True)
+    key = (group, tuple(map(tuple, gen_lists)), model_p)
+    if key not in chains:
+        with reading(where + gens_key):
+            filt = filtration_from_generators(group, gen_lists)
+        with reading(where + p_key):
+            chains[key] = CorpusChain(entry_name, name, key[1], filt, model_p)
+    return chains[key]
 
 
 class ChainReader:
     """Resolves the chain references and model objects of documents: it
-    builds each group once per canonical spec and reads each chain once per
-    canonical reference, so that the chains it returns on one group share
-    that group and its character table, and each model keeps one set of
-    kernel rows.  Seeded with a corpus's chains, it returns those for their
-    own references."""
+    builds each group once per `read_spec` key and reads each chain once per
+    (group, generator tuples, model_p), so that the chains it returns on one
+    group share that group and its character table, and each model keeps
+    one set of kernel rows.  Seeded with a corpus's chains, it returns those
+    for their own references."""
 
     def __init__(self, chains: Iterable[CorpusChain] = ()):
-        self._groups: Dict[str, FiniteGroup] = {}
-        self._chains: Dict[str, CorpusChain] = {}
+        self._groups: Dict[tuple, FiniteGroup] = {}
+        self._chains: Dict[tuple, CorpusChain] = {}
         for c in chains:
-            self._groups.setdefault(_canonical(c.filtration.parent.spec), c.filtration.parent)
-            self._chains.setdefault(_canonical(c.ref()), c)
+            G = c.filtration.parent
+            self._groups.setdefault(read_spec(G.spec)[0], G)
+            self._chains.setdefault((G, c.generator_lists, c.model_p), c)
 
     def group(self, spec, name: str) -> FiniteGroup:
-        """The group that the spec in field `name` describes; a spec that
-        builds a group equal to one already built (keys that the kind does
-        not read differ) returns that group."""
-        key = _canonical(spec)
-        if key not in self._groups:
-            with reading(name):
-                G = build_group(spec)
-            self._groups[key] = self._groups.setdefault(_canonical(G.spec), G)
+        """The group that the spec in field `name` describes, built once per
+        key: specs that differ only in keys their kind does not read, or a
+        one-factor product and its factor, return one group."""
+        with reading(name):
+            key, _, build = read_spec(spec)
+            if key not in self._groups:
+                self._groups[key] = build()
         return self._groups[key]
 
     def __call__(self, ref, name: str) -> CorpusChain:
         """The chain that the reference in field `name` names."""
         if not isinstance(ref, dict):
             raise InputError(f"'{name}' must be a chain reference object")
-        key = _canonical(ref)
-        if key not in self._chains:
-            group = self.group(require(ref, "group", f"{name}."), f"{name}.group")
-            self._chains[key] = read_chain(ref, group, "document", name, f"{name}.")
-        return self._chains[key]
+        group = self.group(require(ref, "group", f"{name}."), f"{name}.group")
+        return read_chain(ref, group, "document", name, f"{name}.", self._chains)
 
     def model(self, doc, where: str) -> CorpusChain:
         """The inertia model of the model object at `where` (such as
-        "model."): the chain it names, read once per reference."""
-        key = _canonical({"group": require(doc, "group", where),
-                          "subgroups": require(doc, "chain", where),
-                          "model_p": int_field(doc, "p", where)})
-        if key not in self._chains:
-            group = self.group(doc["group"], f"{where}group")
-            self._chains[key] = read_chain(doc, group, "document", where, where, ("chain", "p"))
-        return self._chains[key].model()
+        "model."): the chain it names, which a chain reference with that
+        model_p names too."""
+        int_field(doc, "p", where)  # required here, optional in a chain reference
+        group = self.group(require(doc, "group", where), f"{where}group")
+        return read_chain(doc, group, "document", where, where, self._chains,
+                          ("chain", "p")).model()
 
 
 def _entry(doc, where: str, reader: ChainReader, names: set) -> CorpusEntry:
@@ -213,7 +208,7 @@ def _entry(doc, where: str, reader: ChainReader, names: set) -> CorpusEntry:
         seen = set()
         return CorpusEntry(name, group, [
             read_chain(c, group, name, _name(c, f"{where}chains[{k}].", seen),
-                       f"{where}chains[{k}].") for k, c in enumerate(chains)])
+                       f"{where}chains[{k}].", {}) for k, c in enumerate(chains)])
 
 
 def load_corpus(path: Optional[str] = None) -> Corpus:

@@ -497,13 +497,16 @@ def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:
     return value
 
 
-def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[], FiniteGroup]]:
-    """The order of the group a descriptor names, from its parameters alone,
-    and a call that builds the group.
-
-    Checks each parameter's presence, type and range (primality is left to
-    the constructors) and the nesting depth, and refuses an order above
-    DEFAULT_ORDER_CAP; it builds nothing.
+def read_spec(spec, where: str = "",
+              depth: int = 0) -> Tuple[tuple, int, Callable[[], FiniteGroup]]:
+    """The key and the order of the group a descriptor names, from its
+    parameters alone, and a call that builds the group.  The key is the
+    kind and the parameters it reads, such as ("cyclic", 4), so keys that
+    the kind does not read change nothing; a product's holds its factors'
+    keys, and a one-factor product's is its factor's, which `direct_product`
+    returns.  Checks each parameter's presence, type and range (primality is
+    left to the constructors) and the nesting depth, and refuses an order
+    above DEFAULT_ORDER_CAP; it builds nothing.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise PreconditionError(
@@ -512,24 +515,24 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
     kind = spec["kind"]
     if kind == "cyclic":
         n = _int_param(spec, "n", where, 1)
-        order, build = n, lambda: cyclic(n)
+        key, order, build = (kind, n), n, lambda: cyclic(n)
     elif kind == "dihedral":
         n = _int_param(spec, "n", where, 1)
-        order, build = 2 * n, lambda: dihedral(n)
+        key, order, build = (kind, n), 2 * n, lambda: dihedral(n)
     elif kind == "elementary_abelian":
         p = _int_param(spec, "p", where, 2)
         k = _int_param(spec, "k", where, 1)
         if k >= DEFAULT_ORDER_CAP.bit_length():  # then p^k >= 2^k > the cap
             raise PreconditionError(f"order {p}^{k} exceeds cap {DEFAULT_ORDER_CAP}")
-        order, build = p ** k, lambda: elementary_abelian(p, k)
+        key, order, build = (kind, p, k), p ** k, lambda: elementary_abelian(p, k)
     elif kind == "quaternion8":
-        order, build = 8, quaternion8
+        key, order, build = (kind,), 8, quaternion8
     elif kind == "heisenberg":
         p = _int_param(spec, "p", where, 2)
-        order, build = p ** 3, lambda: heisenberg(p)
+        key, order, build = (kind, p), p ** 3, lambda: heisenberg(p)
     elif kind == "affine":
         p = _int_param(spec, "p", where, 2)
-        order, build = p * (p - 1), lambda: affine(p)
+        key, order, build = (kind, p), p * (p - 1), lambda: affine(p)
     elif kind == "direct_product":
         factors = spec.get("factors")
         if not isinstance(factors, list) or not factors:
@@ -538,18 +541,19 @@ def _read_spec(spec, where: str = "", depth: int = 0) -> Tuple[int, Callable[[],
         if depth == MAX_SPEC_DEPTH:
             raise PreconditionError(
                 f"group spec nests direct products more than {MAX_SPEC_DEPTH} deep")
-        order, builds = 1, []
+        order, reads = 1, []
         for j, f in enumerate(factors):
-            builds.append(_read_spec(f, f"{where}factors[{j}].", depth + 1))
-            order *= builds[-1][0]
+            reads.append(read_spec(f, f"{where}factors[{j}].", depth + 1))
+            order *= reads[-1][1]
             if order > DEFAULT_ORDER_CAP:  # refused below, before it grows long
                 break
-        build = lambda: direct_product(*(factor() for _, factor in builds))
+        key = reads[0][0] if len(factors) == 1 else (kind, *(r[0] for r in reads))
+        build = lambda: direct_product(*(factor() for _, _, factor in reads))
     else:
         raise PreconditionError(f"unknown group kind {shown(kind)}")
     if order > DEFAULT_ORDER_CAP:
         raise PreconditionError(f"order {order} exceeds cap {DEFAULT_ORDER_CAP}")
-    return order, build
+    return key, order, build
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -561,4 +565,4 @@ def build_group(spec: dict) -> FiniteGroup:
     to DEFAULT_ORDER_CAP (read at each call), before any multiplication
     table is built.
     """
-    return _read_spec(spec)[1]()
+    return read_spec(spec)[2]()

@@ -12,6 +12,8 @@ than `json` decodes or a group spec may have, and group parameters of
 1000 to 4300 digits.  A last property gives every subcommand a valid input
 with one numeric field or flag replaced by an integer of up to 5000 digits:
 it must exit 0, 1 or 2 with at most one line on stderr and no traceback.
+Documents holding an array just shallower than `json` decodes run in fresh
+interpreters instead, at the default recursion limit, over a fixed range.
 """
 
 import contextlib
@@ -19,10 +21,12 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorcond.cli import main
@@ -30,7 +34,7 @@ from tensorcond.corpus import load_corpus
 from tensorcond.errors import is_int
 from tensorcond.suites import SUITES
 
-from test_cli import BOUND_DOC, make_global_doc
+from test_cli import BOUND_DOC, make_global_doc, subprocess_env
 
 # values no field accepts: not an integer, not a vector, not a chain
 BAD_VALUES = st.one_of(
@@ -245,6 +249,78 @@ def test_malformed_corpus_files_exit_2(path, delete, value):
         assert code == 0, (doc, err.getvalue())
     else:
         _assert_exit_2(code, out.getvalue(), err.getvalue(), doc)
+
+
+# -- arrays nested as deep as `json` decodes, each run in a fresh interpreter ---
+#
+# Hypothesis raises the recursion limit while it runs a test, and a test
+# runner's stack is deeper than a fresh process's, so these run the command
+# in a fresh interpreter at the default limit.  For each case, d_max is the
+# deepest array at which its document still decodes there, found by
+# bisection below the depth that `json.loads` reaches in a bare
+# interpreter; every depth from d_max - 10 to d_max is run.  An unread key
+# holding such an array changes nothing, and a group spec that is such an
+# array is refused.
+
+@pytest.fixture(scope="module")
+def json_depth_limit():
+    """The deepest array `json.loads` accepts in a fresh interpreter."""
+    script = ("import json\nd = 1\nwhile True:\n    try:\n"
+              "        json.loads('[' * d + ']' * d)\n    except RecursionError:\n"
+              "        break\n    d += 1\nprint(d - 1)")
+    return int(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, check=True).stdout)
+
+
+C4 = next(j for j, e in enumerate(CORPUS["entries"]) if e["name"] == "c4")
+# argv up to the input file's path, the document, where the array goes,
+# and whether the document stays valid
+DEEP_CASES = {
+    "replay-note": (["replay", "--input"], BASES["replay"][0], ("chain", "group", "note"), True),
+    "bound-note": (["bound", "--input"], BOUND_DOC, ("model", "group", "note"), True),
+    "corpus-note": (["verify", "--suite", "min-sum", "--seeds", "1", "--corpus"], CORPUS,
+                    ("entries", C4, "group", "note"), True),
+    "replay-group": (["replay", "--input"], BASES["replay"][0], ("chain", "group"), False),
+}
+
+
+def _run_fresh(argv, text: str, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = subprocess.run([sys.executable, "-m", "tensorcond.cli", *argv, str(path),
+                           "--format", "machine"],
+                          capture_output=True, text=True, env=subprocess_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_CASES))
+def test_arrays_nested_as_deep_as_json_decodes(case, json_depth_limit, tmp_path):
+    argv, doc, path, valid = DEEP_CASES[case]
+    runs = {}
+
+    def run(depth):
+        if depth not in runs:
+            text = _with_raw(doc, path, "[" * depth + "]" * depth).decode()
+            runs[depth] = _run_fresh(argv, text, tmp_path)
+        return runs[depth]
+
+    def decodes(depth):
+        return "while decoding" not in run(depth)[2]
+
+    low, high = json_depth_limit - 40, json_depth_limit + 1
+    assert decodes(low), run(low)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if decodes(mid) else (low, mid)
+    plain = _run_fresh(argv, json.dumps(doc), tmp_path)
+    assert plain[0] == 0
+    for depth in range(low - 10, low + 1):
+        code, out, err = run(depth)
+        if valid:
+            assert (code, out, err) == plain, (depth, err[-300:])
+        else:
+            assert code == 2 and out == "", (depth, err[-300:])
+            assert err.startswith("input error: ") and "Traceback" not in err, (depth, err)
 
 
 # -- every subcommand: integers up to 10^5000 in any numeric field or flag --------

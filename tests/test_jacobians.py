@@ -134,19 +134,19 @@ def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
     report's two, and the suite item's five, which reuse those two); and no
     character table: the blocks are read by class averages.  A call without
     a reader, and a suite check given none, build their own group."""
-    from tensorcond import corpus, jacobians, suites
+    from tensorcond import groups, jacobians, suites
     from tensorcond.corpus import ChainReader
     built, alphas = [], []
-    real_build, real_resultant = corpus.build_group, jacobians.sylvester_resultant
+    real_build, real_resultant = groups.affine, jacobians.sylvester_resultant
 
-    def counting_build(spec):
-        built.append(real_build(spec))
+    def counting_build(p):
+        built.append(real_build(p))
         return built[-1]
 
     def counting_resultant(f, g):
         alphas.append(-f[0])  # f = x^p - alpha
         return real_resultant(f, g)
-    monkeypatch.setattr(corpus, "build_group", counting_build)
+    monkeypatch.setattr(groups, "affine", counting_build)
     monkeypatch.setattr(jacobians, "sylvester_resultant", counting_resultant)
     reader = ChainReader()
     for p in (3, 7, 3, 7):

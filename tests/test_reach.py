@@ -339,6 +339,30 @@ def test_only_a_chain_and_the_table_command_call_character_table():
             for n in ("character_table", "FiniteGroup")} & imported == set()
 
 
+def test_only_the_cli_writes_json():
+    """JSON is written only as output: no module but `cli` calls `json.dumps`
+    or `json.dump`, so nothing re-encodes a document it has decoded (which
+    needs more stack than decoding it took) to tell its values apart."""
+    writers = set()
+    for path in sorted(SRC.glob("*.py")):
+        def visit(node, qualname):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, f"{qualname}.{child.name}")
+                    continue
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                        and getattr(child.func.value, "id", None) == "json" \
+                        and child.func.attr in ("dumps", "dump") \
+                        or isinstance(child, ast.ImportFrom) and child.module == "json" \
+                        and any(alias.name in ("dumps", "dump") for alias in child.names):
+                    writers.add(qualname)
+                visit(child, qualname)
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert {w for w in writers if w.split(".")[0] != "cli"} == set()
+    # the guard sees the output the cli writes
+    assert {"cli._run_verify", "cli._run_table"} <= writers
+
+
 def _resolve(node, namespace):
     """The object a class base names (`Name` or dotted `Attribute`), or None."""
     if isinstance(node, ast.Name):

@@ -47,6 +47,28 @@ def test_a_corpus_reads_its_references_as_its_own_chains(corpus):
         assert groups == {fresh.group(e.group.spec, "group")} != {e.group}
 
 
+def test_a_reader_keys_groups_by_the_values_their_kind_reads():
+    """Specs that differ only in keys their kind does not read, and a
+    one-factor product and its factor, name one group; equal orders and
+    isomorphic groups do not, since generator indices refer to each kind's
+    own element numbering.  A chain reference and a model object that name
+    one chain return one chain."""
+    from tensorcond.corpus import ChainReader
+    reader = ChainReader()
+    c4 = {"kind": "cyclic", "n": 4}
+    G = reader.group(c4, "group")
+    assert reader.group({**c4, "note": [[1]]}, "group") is G
+    assert reader.group({"kind": "direct_product", "factors": [c4]}, "group") is G
+    c2 = {"kind": "cyclic", "n": 2}
+    for a, b in ((c2, {"kind": "dihedral", "n": 2}),
+                 ({"kind": "elementary_abelian", "p": 2, "k": 2},
+                  {"kind": "direct_product", "factors": [c2, c2]})):
+        assert reader.group(a, "group") is not reader.group(b, "group")
+    chain = reader({"group": c4, "subgroups": [[2]], "model_p": 2}, "chain")
+    assert reader.model({"group": {**c4, "note": 0}, "chain": [[2]], "p": 2}, "model.") is chain
+    assert chain.filtration.parent is G
+
+
 def test_corpus_pgroup_coverage(corpus):
     primes = {p for p, _ in corpus.pgroup_chains()}
     assert {2, 3, 5} <= primes
