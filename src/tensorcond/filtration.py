@@ -13,8 +13,8 @@ all levels.  Everything is an exact rational; denominators divide |G_0|.
 all levels at once: it is the oracle.  The per-level `nonfixed_dim` and
 `tensor_fixed_excess`, which tests compare it with, live in
 `tests/oracles.py`.  The tensor bounds take a `CorpusChain` and
-`Character`s of its table, and dot their vectors with its `kernel_rows`;
-the per-level identity takes one side from vectors, one from class values.
+`Character`s of its table, and dot their vectors with its `kernel_rows`; the
+per-level identity's `step_kernel_side` reads vectors, `step_class_side` class values.
 """
 
 from __future__ import annotations
@@ -82,28 +82,23 @@ def conductor_exponent(tau: ClassFunction, filt: Filtration) -> Fraction:
     return conductor(tau, filt).total
 
 
-def tensor_level_identity(tau1: Character, tau2: Character,
-                          chain: CorpusChain) -> List[Tuple[int, int]]:
-    """Both sides of the per-level tensor identity, at every level i:
-
-    lhs = |t1| a_i(t2) + |t2| a_i(t1) - a_i(t1 x t2)
-    rhs = a_i(t1) a_i(t2) + excess_i(t1, t2)
-
-    lhs takes the product's vector from the table's structure constants
-    (`CharacterTable.tensor_mults`), rhs the excess from the class-by-class
-    product t1 * t2 (`fixed_dim`), so a wrong structure constant or a wrong
-    class product makes them differ.
-    """
+def step_kernel_side(tau1: Character, tau2: Character, chain: CorpusChain) -> List[int]:
+    """Step-identity's lhs per level i, |t1| a_i(t2) + |t2| a_i(t1) - a_i(t1 x t2)
+    with a_i = dim - dim^{G_i}, the product's vector by `CharacterTable.tensor_mults`."""
     T = chain.table
-    c1, c2 = T.own(tau1), T.own(tau2)
-    c12 = T.assemble(T.tensor_mults(c1.mults, c2.mults))
+    c12 = T.assemble(T.tensor_mults(T.own(tau1).mults, T.own(tau2).mults))
+    return [tau1.dim * (tau2.dim - tau2.fixed(H)) + tau2.dim * (tau1.dim - tau1.fixed(H))
+            - (c12.dim - c12.fixed(H)) for H in chain.filtration.chain]
+
+
+def step_class_side(tau1: Character, tau2: Character, chain: CorpusChain) -> List[int]:
+    """Step-identity's rhs per level i, a_i(t1) a_i(t2) + excess_i(t1, t2),
+    the excess from the class-by-class product t1 * t2 (`fixed_dim`)."""
     product = tau1 * tau2
     sides = []
     for H in chain.filtration.chain:
-        f1, f2 = c1.fixed(H), c2.fixed(H)
-        a1, a2 = c1.dim - f1, c2.dim - f2
-        lhs = c1.dim * a2 + c2.dim * a1 - (c12.dim - c12.fixed(H))
-        sides.append((lhs, a1 * a2 + fixed_dim(product, H) - f1 * f2))
+        f1, f2 = tau1.fixed(H), tau2.fixed(H)
+        sides.append((tau1.dim - f1) * (tau2.dim - f2) + fixed_dim(product, H) - f1 * f2)
     return sides
 
 

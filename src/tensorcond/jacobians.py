@@ -19,7 +19,7 @@ from .corpus import ChainReader, CorpusChain
 from .errors import PreconditionError, shown
 from . import groups
 from .groups import FiniteGroup, is_prime
-from .filtration import conductor, tensor_rhs
+from .filtration import ConductorReport, conductor, tensor_rhs
 from .weildeligne import WDRep, improvement_constant
 
 
@@ -150,21 +150,33 @@ def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
     return ClassFunction(G, G.exponent, rows)
 
 
-def _jacobian_chain(chains: ChainReader, p: int, swan: int) -> CorpusChain:
-    """The model chain of a J_alpha with Sw(J_alpha) = swan, as a reference:
-    Aff(p), then `swan` copies of the translations (x -> x + 1 is 1), then 1."""
-    return chains({"group": {"kind": "affine", "p": p}, "subgroups": [[1]] * swan,
-                   "model_p": p}, f"the Aff({p}) model")
+def jacobian_chain(chains: ChainReader, p: int, alpha: int) -> CorpusChain:
+    """The model chain of J_alpha, read through `chains`: Aff(p), then
+    Sw(J_alpha) = 1 + (p - 1) v_p(alpha) copies of the translations (x -> x + 1
+    is 1), then 1.  That Sw is the discriminant's closed form, not the resultant."""
+    return chains({"group": {"kind": "affine", "p": p}, "model_p": p, "subgroups":
+                   [[1]] * (1 + (p - 1) * p_valuation(p, alpha))}, f"the Aff({p}) model")
 
 
 def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
-    """J_alpha as one block (chi, 1), chi the unique irreducible of degree
-    p-1 of G_0 = Aff(p), over the lower-numbering model: G_0, then
-    Sw(J_alpha) copies of the order-p translation subgroup, then 1."""
-    model = _jacobian_chain(ChainReader(), p, swan_jacobian(p, alpha))
+    """J_alpha, alpha p or a unit that `validate_params` takes, as one block (chi, 1)
+    over `jacobian_chain`, chi the unique irreducible of degree p-1 of Aff(p)."""
+    model = jacobian_chain(ChainReader(), p, alpha if alpha == p else validate_params(p, alpha).a)
     T = model.table
     chi = T.assemble([int(d == p - 1) for d in T.degrees])
     return WDRep(model, [(chi, 1)])
+
+
+def sharpness_disc_side(models) -> List[int]:
+    """Sharpness's discriminant side: Sw by `swan_jacobian` of each (alpha, chain)."""
+    return [swan_jacobian(chain.model_p, alpha) for alpha, chain in models]
+
+
+def sharpness_chain_side(models) -> List[ConductorReport]:
+    """Sharpness's chain side: the block (chi, 1) of each (alpha, chain) by
+    class averages on the chain, so that no character table is built."""
+    return [conductor(_standard_character(c.filtration.parent, c.model_p), c.filtration)
+            for _, c in models]
 
 
 # -- break (Swan slope) route ---------------------------------------------------
@@ -290,29 +302,25 @@ def verify_sharpness(params: FamilyParams,
     tame part, which is the full dimension because neither inertia level
     has fixed vectors.  Both models are chains on one Aff(p), read through
     `chains` (a fresh ChainReader when none is given), so a run builds each
-    Aff(p) and each model once.  Their one block (chi, 1) is read by class
-    averages, so no character table is built; each model's conductor is
-    taken once, and its Swan exponent is that minus the tame term.
+    Aff(p) and each model once.
     """
-    p, a = params.p, params.a
-    dim = p - 1
-
-    sw_a = swan_jacobian(p, a)
-    sw_p = swan_jacobian(p, p)
-
     reader = ChainReader() if chains is None else chains
-    filts = [_jacobian_chain(reader, p, sw).filtration for sw in (sw_a, sw_p)]
-    chi = _standard_character(filts[0].parent, p)
-    reports = [conductor(chi, filt) for filt in filts]
+    models = [(alpha, jacobian_chain(reader, params.p, alpha)) for alpha in (params.a, params.p)]
+    return sharpness_report(*params, sharpness_disc_side(models), sharpness_chain_side(models))
+
+
+def sharpness_report(p: int, a: int, swans, reports: List[ConductorReport]) -> SharpnessReport:
+    """`verify_sharpness` from the two sides on J_a and J_p."""
+    dim = p - 1
+    sw_a, sw_p = swans
     artin_a, artin_p = (r.total for r in reports)
     # level terms are codimensions of fixed spaces: the inertia level's is the
     # tame part of a, and level 1 is the wild group
     sw_a_filt, sw_p_filt = (r.total - r.level_terms[0] for r in reports)
-    chi_dim = chi.dim
-    deg_a, deg_p = (chi_dim - r.level_terms[0] for r in reports)
-    wild_fixed = [chi_dim - r.level_terms[1] for r in reports]
+    deg_a, deg_p = (dim - r.level_terms[0] for r in reports)
+    wild_fixed = [dim - r.level_terms[1] for r in reports]
 
-    rep_a, rep_p = joint_break_model(params)
+    rep_a, rep_p = joint_break_model(FamilyParams(p, a))
     prod = tensor_break_rep(rep_a, rep_p)
     sw_tensor = prod.swan()
     swan_rhs = tensor_rhs(dim, dim, sw_a_filt, sw_p_filt, improvement_constant(p), 0)

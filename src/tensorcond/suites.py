@@ -19,16 +19,17 @@ from .chars import Character, CharacterTable
 from .corpus import ChainReader, Corpus, CorpusChain
 from .errors import (MAX_INT_BITS, CorpusError, InputError, PreconditionError,
                      TensorCondError, int_field, is_int, reading, require, shown, sized)
-from .filtration import (min_sum_bound, pgroup_tensor_bound,
-                         symplectic_tensor_bound, tensor_level_identity)
+from .filtration import (min_sum_bound, pgroup_tensor_bound, step_class_side,
+                         step_kernel_side, symplectic_tensor_bound)
 from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary,
                           exponents_json, rankin_selberg_bound, self_tensor_bound_report)
 from .groups import is_prime, pgroup_prime
-from .jacobians import (disc_valuation, p_valuation, smallest_valid_unit,
-                        validate_params, verify_sharpness)
-from .weildeligne import (AbVarDatum, LocalPair, conductor_bound,
-                          degree_gap, semistable_equality, semistable_form,
-                          swan_bound, tame_identity, uniform_bound)
+from .jacobians import (disc_valuation, jacobian_chain, p_valuation, sharpness_chain_side,
+                        sharpness_disc_side, sharpness_report, smallest_valid_unit,
+                        validate_params)
+from .weildeligne import (AbVarDatum, LocalPair, conductor_bound, degree_gap,
+                          semistable_class_side, semistable_form, semistable_kernel_side,
+                          swan_bound, tame_class_side, tame_kernel_side, uniform_bound)
 
 SHARPNESS_PRIMES = (3, 5, 7, 11, 13)
 
@@ -324,7 +325,9 @@ def _pair(doc, chains):
 def _check_step_identity(doc, chains):
     """Per-level tensor identity: the product from the structure constants
     on one side, from class values on the other."""
-    sides = tensor_level_identity(*_pair(doc, chains))
+    parse, left, right = SIDES["step-identity"]
+    args = parse(doc, chains)
+    sides = list(zip(left(*args), right(*args)))
     return all(l == r for l, r in sides), {"sides": [[l, r] for l, r in sides]}
 
 
@@ -456,27 +459,36 @@ def _data(doc, chains, *keys) -> List[AbVarDatum]:
     return [abvar_datum(model, require(doc, key), key) for key in keys]
 
 
-def _local_pair(doc, chains) -> LocalPair:
-    return LocalPair(*_data(doc, chains, "A", "B"))
+def _local_pair(doc, chains) -> Tuple[LocalPair]:
+    return (LocalPair(*_data(doc, chains, "A", "B")),)
 
 
 def _check_semistable(doc, chains):
-    lhs, rhs = semistable_equality(_local_pair(doc, chains))
+    parse, left, right = SIDES["semistable"]
+    pair, = parse(doc, chains)
+    if not pair.A.is_semistable():
+        raise PreconditionError("the first datum 'A' must be semistable")
+    lhs, rhs = left(pair), right(pair)
     return _sides(lhs == rhs, lhs, rhs)
 
 
 def _check_swan_bound(doc, chains):
-    lhs, rhs = swan_bound(_local_pair(doc, chains))
+    lhs, rhs = swan_bound(*_local_pair(doc, chains))
     return _sides(lhs <= rhs, lhs, rhs)
 
 
 def _check_tame_identity(doc, chains):
-    lhs, rhs = tame_identity(_local_pair(doc, chains))
+    parse, left, right = SIDES["tame-identity"]
+    pair, = parse(doc, chains)
+    for name, X in (("A", pair.A), ("B", pair.B)):
+        if X.artin_conductor() <= 1:
+            raise PreconditionError(f"'{name}' must have conductor exponent above 1")
+    lhs, rhs = left(pair), right(pair)
     return _sides(lhs == rhs, lhs, rhs)
 
 
 def _check_conductor_bound(doc, chains):
-    pair = _local_pair(doc, chains)
+    pair, = _local_pair(doc, chains)
     A, B = pair.A, pair.B
     lhs, rhs, C = conductor_bound(pair)
     ok = lhs <= rhs
@@ -489,7 +501,7 @@ def _check_conductor_bound(doc, chains):
 
 
 def _check_uniform_bound(doc, chains):
-    pair = _local_pair(doc, chains)
+    pair, = _local_pair(doc, chains)
     lhs, rhs, corr = uniform_bound(pair)
     ok = lhs <= rhs
     _, refined_rhs, C = conductor_bound(pair)
@@ -551,22 +563,38 @@ def _gen_sharpness(corpus, base_seed, i):
     return {"p": p, "a": smallest_valid_unit(p)}, {}
 
 
+def _jacobians(doc, chains):
+    p, a = validate_params(int_field(doc, "p"), int_field(doc, "a"))
+    reader = ChainReader() if chains is None else chains
+    return ([(alpha, jacobian_chain(reader, p, alpha)) for alpha in (a, p)],)
+
+
 def _check_sharpness(doc, chains):
     """Sharpness sweep plus the discriminant-valuation closed form."""
+    parse, left, right = SIDES["sharpness"]
+    models, = parse(doc, chains)
     p, a = int_field(doc, "p"), int_field(doc, "a")
-    report = verify_sharpness(validate_params(p, a), chains)
+    report = sharpness_report(p, a, left(models), right(models))
     # the report's Swan exponents are v(disc) - p + 1 for alpha = a and p
     disc = {a: report.sw_a + p - 1, p: report.sw_p + p - 1}
     for alpha in (p * p, a * p, a + p):
         disc[alpha] = disc_valuation(p, alpha)
     closed_form_ok = all(v == p + (p - 1) * p_valuation(p, alpha)
                          for alpha, v in disc.items())
-    detail = report.to_json()
-    detail["disc_closed_form"] = closed_form_ok
-    return report.equal and closed_form_ok, detail
+    return report.equal and closed_form_ok, {**report.to_json(), "disc_closed_form": closed_form_ok}
 
 
-# -- the registry ----------------------------------------------------------------
+# -- the registries --------------------------------------------------------------
+
+
+# Each identity suite's two computations of one quantity, (parse, left, right): parse(doc, chains)
+# reads a document into the sides' arguments; the check applies its preconditions, then both sides.
+SIDES: Dict[str, Tuple[Callable, Callable, Callable]] = {
+    "step-identity": (_pair, step_kernel_side, step_class_side),
+    "semistable": (_local_pair, semistable_class_side, semistable_kernel_side),
+    "tame-identity": (_local_pair, tame_class_side, tame_kernel_side),
+    "sharpness": (_jacobians, sharpness_disc_side, sharpness_chain_side),
+}
 
 
 class Suite(NamedTuple):

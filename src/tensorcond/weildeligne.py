@@ -18,7 +18,7 @@ is a per-irreducible row dotted with the multiplicities, and tensor products
 multiply vectors through the table's structure constants.  The `class_*`
 functions below compute the same quantities from class values instead, by
 `conductor_exponent` and `fixed_dim` on the chain; they are the oracle that
-the semistable and tame-identity checks compare the kernel with.
+the semistable and tame-identity class sides compare the kernel with.
 
 The bounds and identities are statements about a pair of data over one
 model and their tensor product; a `LocalPair` holds the two data and builds
@@ -224,18 +224,14 @@ def semistable_form(A: WDRep, B: WDRep, correction: int) -> Fraction:
     return A.dim * B.artin_conductor() + B.degree() * A.artin_conductor() - correction
 
 
-def semistable_equality(pair: LocalPair) -> Tuple[Fraction, Fraction]:
-    """Exact conductor of the tensor product when A is semistable.
+def semistable_class_side(pair: LocalPair) -> Fraction:
+    """The semistable identity's lhs: a(A x B) from class averages."""
+    return class_artin(pair.model, class_tensor(pair.A, pair.B))
 
-    lhs is the Artin conductor of the expanded tensor product, from class
-    averages; rhs is the closed form `semistable_form`, from the kernel.
-    The two must agree.
-    """
-    A, B = pair.A, pair.B
-    if not A.is_semistable():
-        raise PreconditionError("the first datum 'A' must be semistable")
-    lhs = class_artin(pair.model, class_tensor(A, B))
-    return lhs, semistable_form(A, B, pair.degree_correction)
+
+def semistable_kernel_side(pair: LocalPair) -> Fraction:
+    """The semistable identity's rhs: `semistable_form` from the kernel."""
+    return semistable_form(pair.A, pair.B, pair.degree_correction)
 
 
 def improvement_constant(p: int, *tame_codims: int) -> int:
@@ -251,24 +247,17 @@ def swan_bound(pair: LocalPair) -> Tuple[Fraction, Fraction]:
                            improvement_constant(pair.model.model_p), 0)
 
 
-def tame_identity(pair: LocalPair) -> Tuple[Fraction, Fraction]:
-    """Block-level identity for the tame part when both conductors exceed 1.
+def tame_class_side(pair: LocalPair) -> Fraction:
+    """The tame identity's lhs: dim(AxB) - deg(AxB) from the class-average product."""
+    blocks = class_tensor(pair.A, pair.B)
+    return Fraction(sum(n * s.dim for s, n in blocks) - class_degree(pair.model, blocks))
 
-    lhs = dim(AxB) - deg(AxB), from the class-average tensor product; rhs
-    is the four-term expansion in the per-factor tame parts and the degree
-    correction, from the kernel.
-    """
+
+def tame_kernel_side(pair: LocalPair) -> Fraction:
+    """The tame identity's rhs: the four-term expansion in tame parts dim - deg, from the kernel."""
     A, B = pair.A, pair.B
-    for name, X in (("A", A), ("B", B)):
-        if X.artin_conductor() <= 1:
-            raise PreconditionError(f"'{name}' must have conductor exponent above 1")
-    blocks = class_tensor(A, B)
-    lhs = Fraction(sum(n * s.dim for s, n in blocks) - class_degree(pair.model, blocks))
-    tameA = A.dim - A.degree()
-    tameB = B.dim - B.degree()
-    rhs = Fraction(A.dim * tameB + B.dim * tameA - tameA * tameB
-                   - pair.degree_correction)
-    return lhs, rhs
+    tameA, tameB = A.dim - A.degree(), B.dim - B.degree()
+    return Fraction(A.dim * tameB + B.dim * tameA - tameA * tameB - pair.degree_correction)
 
 
 def conductor_bound(pair: LocalPair) -> Tuple[Fraction, Fraction, int]:

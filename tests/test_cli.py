@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,12 +40,19 @@ def make_global_doc():
     }
 
 
+# one bytecode cache, outside the checkout, for every fresh interpreter of a
+# test session: the first child compiles the package, the others import it
+PYCACHE = tempfile.TemporaryDirectory(prefix="tensorcond-pycache-")
+
+
 def subprocess_env(**extra):
     """The environment for a fresh interpreter that imports this checkout's
-    package, also when the tests put `src` on the path themselves."""
+    package, also when the tests put `src` on the path themselves, and
+    writes and reads its bytecode in the session's `PYCACHE`."""
     src = str(Path(tensorcond.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path, **extra)
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="",
+                PYTHONPYCACHEPREFIX=PYCACHE.name, **extra)
 
 
 def run_cli(capsys, *argv):
@@ -305,7 +313,7 @@ def test_verify_emits_replayable_counterexample_on_failure(tmp_path, capsys,
 def test_replay_subcommand(tmp_path, capsys):
     from tensorcond.chars import character_table
     from tensorcond.corpus import load_corpus
-    from tensorcond.filtration import tensor_level_identity
+    from tensorcond.filtration import step_class_side, step_kernel_side
 
     from oracles import gen_character
     corpus = load_corpus()
@@ -314,7 +322,7 @@ def test_replay_subcommand(tmp_path, capsys):
     T = character_table(G)
     t1 = gen_character(G, "cli:r1", 6)
     t2 = gen_character(G, "cli:r2", 6)
-    lhs, rhs = tensor_level_identity(t1, t2, chain)[0]
+    lhs, rhs = step_kernel_side(t1, t2, chain)[0], step_class_side(t1, t2, chain)[0]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 0,

@@ -260,13 +260,13 @@ def test_standard_character_form_matches_a_build_from_values():
     chains (Sw(J_a) and Sw(J_p) translation levels)."""
     from tensorcond.corpus import ChainReader
     from tensorcond.filtration import conductor
-    from tensorcond.jacobians import _jacobian_chain, _standard_character
+    from tensorcond.jacobians import _standard_character, jacobian_chain
     from tensorcond.suites import SHARPNESS_PRIMES
 
     from oracles import from_values, report_json
     for p in SHARPNESS_PRIMES:
         reader = ChainReader()
-        filts = [_jacobian_chain(reader, p, swan_jacobian(p, alpha)).model().filtration
+        filts = [jacobian_chain(reader, p, alpha).model().filtration
                  for alpha in (smallest_valid_unit(p), p)]
         G = filts[0].parent
         direct = _standard_character(G, p)

@@ -30,7 +30,7 @@ import pytest
 import tensorcond
 from tensorcond.cli import main
 from tensorcond.corpus import load_corpus
-from tensorcond.suites import SUITES
+from tensorcond.suites import SIDES, SUITES
 
 from test_cli import BOUND_DOC, make_global_doc, subprocess_env
 
@@ -189,20 +189,26 @@ def test_every_function_is_reached_or_allowed(tmp_path, capsys, monkeypatch):
 # -- the two sides of each identity suite -----------------------------------------
 #
 # An identity suite compares two computations of one quantity, and a function
-# that both reach could make the identity true by construction.  For items
-# 0-19 each side runs under the profile, with its inputs (the document, the
-# chain, the table and the data) built before, and with both sides run once
-# before, so that table construction and the caches it fills are shared
-# inputs, not shared paths.  A chain's `kernel_rows` and a pair's product
+# that both reach could make the identity true by construction.  The sides
+# are `suites.SIDES`, the registry that each identity's check evaluates, so
+# the profile covers what `verify` and `replay` run.  For items 0-19 each side
+# runs under the profile on the input that the entry's `parse` read, with
+# both sides run once before, so that table construction and the caches it
+# fills are shared inputs, not shared paths.  The per-input caches (a chain's
+# `kernel_rows`, a pair's product and degree correction, the factors' `form`)
 # are dropped before each side, so that the side that reads them reaches
-# them.  Code nested in a function counts as that function.  The
-# step-identity suite's two sides are both inside
-# `filtration.tensor_level_identity`, and are not covered here.
+# them.  Code nested in a function counts as that function.
 
 CLEBSCH_GORDAN = ("the blocks of sp(n) x sp(m), which both tensor products expand: "
                   "a fact of sp, not of either side")
 
 SHARED = {
+    "step-identity": {
+        "chars.Character.fixed": "dim t^{G_i} of each factor, which both arrangements read "
+                                 "as an input: the identity is about the product",
+        "chars.CharacterTable.fixed_dims": "the table's f_i(H) that `Character.fixed` reads",
+        "chars.Character.dim": "|t1| and |t2|, which both arrangements read as an input",
+    },
     "semistable": {"weildeligne.clebsch_gordan": CLEBSCH_GORDAN},
     "tame-identity": {"weildeligne.clebsch_gordan": CLEBSCH_GORDAN},
     "sharpness": {},
@@ -214,67 +220,46 @@ def _side(run) -> set:
     return {f"{m}.{q.split('.<locals>.')[0]}" for m, q in _profiled(run)}
 
 
-def _pair_sides(corpus, name):
-    """Per item: the (class-value, kernel) sides of a semistable or
-    tame-identity pair, each a function of no arguments."""
-    from tensorcond import weildeligne as wd
-    from tensorcond.suites import abvar_datum
-
-    def tame_class(pair):
-        blocks = wd.class_tensor(pair.A, pair.B)
-        return sum(n * s.dim for s, n in blocks) - wd.class_degree(pair.model, blocks)
-
-    def tame_kernel(pair):
-        A, B = pair.A, pair.B
-        tame_a, tame_b = A.dim - A.degree(), B.dim - B.degree()
-        return A.dim * tame_b + B.dim * tame_a - tame_a * tame_b - pair.degree_correction
-    left, right = {
-        "semistable": (lambda pair: wd.class_artin(pair.model, wd.class_tensor(pair.A, pair.B)),
-                       lambda pair: wd.semistable_form(pair.A, pair.B, pair.degree_correction)),
-        "tame-identity": (tame_class, tame_kernel)}[name]
-    for i in range(20):
-        doc, _ = SUITES[name].generate(corpus, 0, i)
-        model = corpus.reader(doc["chain"], "chain").model()
-        pair = wd.LocalPair(*(abvar_datum(model, doc[key], key) for key in ("A", "B")))
-
-        def fresh(side):
-            def run():
-                model.__dict__.pop("kernel_rows", None)
-                pair.__dict__.pop("product", None)
-                pair.__dict__.pop("degree_correction", None)
-                return side(pair)
-            return run
-        yield fresh(left), fresh(right)
-
-
-def _sharpness_sides(corpus):
-    """Per item and per Jacobian J_a, J_p: the Swan exponent by the
-    discriminant against the Swan exponent on the Aff(p) chain."""
-    from tensorcond.corpus import ChainReader
-    from tensorcond.filtration import conductor
-    from tensorcond.jacobians import _jacobian_chain, _standard_character, swan_jacobian
-    for i in range(20):
-        doc, _ = SUITES["sharpness"].generate(corpus, 0, i)
-        p, reader = doc["p"], ChainReader()
-        for alpha in (doc["a"], p):
-            filt = _jacobian_chain(reader, p, swan_jacobian(p, alpha)).filtration
-            chi = _standard_character(filt.parent, p)
-
-            def by_chain(chi=chi, filt=filt):
-                report = conductor(chi, filt)
-                return report.total - report.level_terms[0]
-            yield (lambda p=p, alpha=alpha: swan_jacobian(p, alpha)), by_chain
+def _drop_caches(value):
+    """Drop the per-input caches that `value`, a side's argument, holds."""
+    from tensorcond.chars import Character
+    from tensorcond.corpus import CorpusChain
+    from tensorcond.weildeligne import LocalPair, WDRep
+    if isinstance(value, (list, tuple)):
+        for x in value:
+            _drop_caches(x)
+    elif isinstance(value, LocalPair):
+        value.__dict__.pop("product", None)
+        value.__dict__.pop("degree_correction", None)
+        _drop_caches([value.model, value.A, value.B])
+    elif isinstance(value, WDRep):
+        _drop_caches([sigma for sigma, _ in value.blocks])
+    elif isinstance(value, Character):
+        value.__dict__.pop("form", None)
+    elif isinstance(value, CorpusChain):
+        value.__dict__.pop("kernel_rows", None)
 
 
 def _shared(name) -> set:
-    """The package functions that both sides of some item reach."""
+    """The package functions that both sides of some item 0-19 reach."""
     corpus = load_corpus()
-    sides = _sharpness_sides(corpus) if name == "sharpness" else _pair_sides(corpus, name)
+    parse, left, right = SIDES[name]
     shared = set()
-    for left, right in sides:
-        assert left() == right()
-        shared |= _side(left) & _side(right)
+    for i in range(20):
+        doc, _ = SUITES[name].generate(corpus, 0, i)
+        args = parse(doc, corpus.reader)
+        left(*args), right(*args)
+
+        def fresh(side):
+            _drop_caches(args)
+            return _side(lambda: side(*args))
+        shared |= fresh(left) & fresh(right)
     return shared
+
+
+def test_every_identity_suite_has_its_sides_in_the_registry():
+    assert set(SHARED) == set(SIDES) <= set(SUITES)
+    assert all(reason for reasons in SHARED.values() for reason in reasons.values())
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
@@ -283,21 +268,53 @@ def test_the_sides_of_an_identity_share_only_what_is_allowed(name):
     assert _shared(name) == set(SHARED[name])
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
-def test_a_class_side_routed_through_the_kernel_is_seen(monkeypatch):
-    """`class_artin` computed by `WDRep.artin_conductor` after decomposing
-    each block: the semistable suite still passes, since both sides are then
-    one computation, and only the profile of the sides shows it."""
-    from tensorcond import weildeligne as wd
-    from tensorcond.suites import run_suite_range
+def _through_the_kernel(model, blocks):
+    """The class-average blocks, decomposed and read as a `WDRep`."""
+    from tensorcond.weildeligne import WDRep
+    T = model.table
+    return WDRep(model, [(T.assemble(T.multiplicities(s)), n) for s, n in blocks])
 
-    def through_kernel(model, blocks):
-        T = model.table
-        return wd.WDRep(model, [(T.assemble(T.multiplicities(s)), n)
-                                for s, n in blocks]).artin_conductor()
-    monkeypatch.setattr(wd, "class_artin", through_kernel)
-    assert all(item["ok"] for item in run_suite_range("semistable", load_corpus(), 0, 20))
-    assert "weildeligne.WDRep.artin_conductor" in _shared("semistable") - set(SHARED["semistable"])
+
+def _route(monkeypatch, name):
+    """Route one side of an identity through a function of the other side,
+    with the same values: the suite still passes, since the identity is then
+    one computation, and only the profile of the sides shows it.  Returns
+    the function that both sides then reach."""
+    from tensorcond import suites, weildeligne as wd
+    from tensorcond.chars import Character
+    from tensorcond.corpus import ChainReader
+    from tensorcond.jacobians import swan_jacobian
+    if name == "semistable":
+        monkeypatch.setattr(wd, "class_artin", lambda model, blocks:
+                            _through_the_kernel(model, blocks).artin_conductor())
+        return "weildeligne.WDRep.artin_conductor"
+    if name == "tame-identity":
+        monkeypatch.setattr(wd, "class_degree", lambda model, blocks:
+                            _through_the_kernel(model, blocks).degree())
+        return "weildeligne.WDRep.degree"
+    if name == "step-identity":
+        # the class-by-class product by the structure constants
+        monkeypatch.setattr(Character, "__mul__", lambda self, other: self.table.assemble(
+            self.table.tensor_mults(self.mults, other.mults)), raising=False)
+        return "chars.CharacterTable.tensor_mults"
+    # each chain rebuilt with the resultant's count of translation levels
+    parse, left, right = SIDES["sharpness"]
+
+    def by_resultant(p, alpha):
+        return ChainReader()({"group": {"kind": "affine", "p": p}, "model_p": p,
+                              "subgroups": [[1]] * swan_jacobian(p, alpha)}, "the model")
+    monkeypatch.setitem(suites.SIDES, "sharpness", (parse, left, lambda models: right(
+        [(alpha, by_resultant(chain.model_p, alpha)) for alpha, chain in models])))
+    return "jacobians.swan_jacobian"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="co_qualname is new in Python 3.11")
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_a_side_routed_through_the_other_is_seen(monkeypatch, name):
+    from tensorcond.suites import run_suite_range
+    reached = _route(monkeypatch, name)
+    assert all(item["ok"] for item in run_suite_range(name, load_corpus(), 0, 20))
+    assert reached in _shared(name) - set(SHARED[name])
 
 
 # -- imports -----------------------------------------------------------------------

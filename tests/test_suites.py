@@ -1,12 +1,14 @@
 import gc
 import json
+import operator
 import sys
 import weakref
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from tensorcond.corpus import CORPUS_VERSION, CorpusError, load_corpus
-from tensorcond.suites import SUITES, replay, run_suite_range
+from tensorcond.suites import SIDES, SUITES, replay, run_suite_range
 
 from oracles import gen_abvar, is_normal, trivial
 
@@ -138,7 +140,7 @@ def test_counterexample_replay_roundtrip(corpus):
     # build a synthetic counterexample document from a passing item and
     # check that replay reproduces the recorded sides
     from tensorcond.chars import character_table
-    from tensorcond.filtration import tensor_level_identity
+    from tensorcond.filtration import step_class_side, step_kernel_side
 
     from oracles import gen_character
     chain = corpus.all_chains()[0]
@@ -146,7 +148,7 @@ def test_counterexample_replay_roundtrip(corpus):
     T = character_table(G)
     t1 = gen_character(G, "r1", 8)
     t2 = gen_character(G, "r2", 8)
-    lhs, rhs = tensor_level_identity(t1, t2, chain)[1]
+    lhs, rhs = step_kernel_side(t1, t2, chain)[1], step_class_side(t1, t2, chain)[1]
     doc = {"suite": "step-identity", "chain": chain.ref(),
            "tau1": list(T.multiplicities(t1)),
            "tau2": list(T.multiplicities(t2)), "level": 1,
@@ -385,16 +387,116 @@ def test_the_global_suite_kills_a_uniform_rule_that_keeps_too_much(monkeypatch, 
 
 def test_forced_step_failure_off_the_named_level_replays(corpus, monkeypatch):
     from tensorcond import suites
-    real = suites.tensor_level_identity
+    parse, left, right = suites.SIDES["step-identity"]
 
-    def broken(t1, t2, filt):
-        return [(lhs, rhs + (level == 1))
-                for level, (lhs, rhs) in enumerate(real(t1, t2, filt))]
-    monkeypatch.setattr(suites, "tensor_level_identity", broken)
+    def broken(t1, t2, chain):
+        return [rhs + (level == 1) for level, rhs in enumerate(right(t1, t2, chain))]
+    monkeypatch.setitem(suites.SIDES, "step-identity", (parse, left, broken))
     for item in _forced_failures(corpus, "step-identity"):
         doc = dict(item["counterexample"], level=0)
         verdict = replay(doc)
         assert verdict["ok"] is False and verdict["lhs"] == verdict["rhs"]
+
+
+def _off_by_one(value):
+    return [x + 1 for x in value] if isinstance(value, list) else value + 1
+
+
+@pytest.mark.parametrize("name, side", [(name, side) for name in SIDES for side in (1, 2)])
+def test_a_patched_side_of_the_registry_fails_its_suite_and_replay(corpus, monkeypatch,
+                                                                    name, side):
+    """Each identity's check evaluates its registry entry: one side off by
+    one (each Swan exponent, for sharpness's discriminant side; J_a's and
+    J_p's reports swapped, for its chain side) fails item 0 in a run and in
+    replay."""
+    from tensorcond import suites
+    entry = list(SIDES[name])
+    real = entry[side]
+    if (name, side) == ("sharpness", 2):
+        entry[side] = lambda models: real(models[::-1])
+    else:
+        entry[side] = lambda *args: _off_by_one(real(*args))
+    monkeypatch.setitem(suites.SIDES, name, tuple(entry))
+    item, = run_suite_range(name, corpus, 0, 1)
+    assert item["ok"] is False
+    assert replay(json.loads(json.dumps(item["counterexample"])))["ok"] is False
+
+
+# -- bilinearity of the identity sides --------------------------------------------
+#
+# Each side of step-identity, tame-identity and semistable is bilinear in
+# the two data, so a proof on a basis of each chain would prove the identity
+# there; this property is what such a proof rests on.  A sum of characters
+# adds their vectors, a sum of Weil-Deligne representations concatenates
+# their blocks.
+
+def _wdrep(draw, model):
+    """A `WDRep` of one or two blocks of special sizes 1 to 3."""
+    from tensorcond.weildeligne import WDRep
+    T = model.table
+    blocks = draw(st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=len(T),
+                                              max_size=len(T)), st.integers(1, 3)),
+                           min_size=1, max_size=2))
+    return [(T.assemble(vector), n) for vector, n in blocks]
+
+
+def _vector_sum(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def _assert_additive(name, draw):
+    """Each side of the identity `name` additive in each argument, on random
+    nonnegative data over every chain that the suite draws from."""
+    from tensorcond.weildeligne import LocalPair, WDRep
+    _, left, right = SIDES[name]
+    corpus = load_corpus()
+    for chain in corpus.all_chains() if name == "step-identity" else corpus.model_chains():
+        if name == "step-identity":
+            T = chain.table
+            x, y, z = (draw(st.lists(st.integers(0, 2), min_size=len(T), max_size=len(T)))
+                       for _ in range(3))
+            sides = [lambda u, v, side=side: side(T.assemble(u), T.assemble(v), chain)
+                     for side in (left, right)]
+            add = plus = _vector_sum
+        else:
+            model = chain.model()
+            x, y, z = (_wdrep(draw, model) for _ in range(3))
+            sides = [lambda u, v, side=side: side(LocalPair(WDRep(model, u), WDRep(model, v)))
+                     for side in (left, right)]
+            # blocks concatenate, and each side is a rational
+            add = plus = operator.add
+        for side in sides:
+            assert side(add(x, y), z) == plus(side(x, z), side(y, z)), (chain.label, name)
+            assert side(z, add(x, y)) == plus(side(z, x), side(z, y)), (chain.label, name)
+
+
+BILINEAR = ("step-identity", "tame-identity", "semistable")
+
+
+@pytest.mark.parametrize("name", BILINEAR)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_each_side_of_an_identity_is_additive_in_each_argument(name, data):
+    _assert_additive(name, data.draw)
+
+
+@pytest.mark.parametrize("name", BILINEAR)
+def test_additivity_fails_a_tensor_product_wrong_only_at_multiplicity_two(monkeypatch, name):
+    """`tensor_mults` with one more of every irreducible it finds at least
+    twice: pairs of basis elements, whose products are often multiplicity
+    free, can miss it, but it is not bilinear, and the property sees it."""
+    from tensorcond.chars import CharacterTable
+    real = CharacterTable.tensor_mults
+    monkeypatch.setattr(CharacterTable, "tensor_mults",
+                        lambda self, m1, m2: [m + (m >= 2) for m in real(self, m1, m2)])
+
+    @settings(max_examples=3, deadline=None, database=None, derandomize=True,
+              phases=[Phase.generate], report_multiple_bugs=False)
+    @given(data=st.data())
+    def additive(data):
+        _assert_additive(name, data.draw)
+    with pytest.raises(AssertionError):
+        additive()
 
 
 def test_forced_kernel_degree_failure_fails_tame_identity(corpus, monkeypatch):

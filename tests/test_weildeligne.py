@@ -7,9 +7,11 @@ from tensorcond.corpus import load_corpus
 from tensorcond.errors import PreconditionError
 from tensorcond.filtration import conductor_exponent
 from tensorcond.groups import quaternion8
+from tensorcond.suites import replay
 from tensorcond.weildeligne import (AbVarDatum, LocalPair, WDRep,
                                     clebsch_gordan, conductor_bound, degree_gap,
-                                    semistable_equality, swan_bound, tame_identity,
+                                    semistable_class_side, semistable_kernel_side,
+                                    swan_bound, tame_class_side, tame_kernel_side,
                                     tensor, uniform_bound)
 
 from oracles import (add, chain_on, dual, from_values, gen_abvar, gen_semistable,
@@ -165,29 +167,36 @@ def test_abvar_validation(q8_model, chi2):
         AbVarDatum(q8_model, triv, triv)  # trivial x1 is not symplectic
 
 
+def _pair_doc(suite, model, A, B):
+    """The suite document of the pair (A, B) over the model."""
+    return {"suite": suite, "chain": model.ref(),
+            **{key: {"tau": list(X.tau.mults), "sigma": list(X.sigma.mults)}
+               for key, X in (("A", A), ("B", B))}}
+
+
 def test_semistable_equality_and_errors(q8_model, chi2):
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     A = AbVarDatum(q8_model, triv.scale(2), triv)
     B = AbVarDatum(q8_model, chi2, triv)
-    lhs, rhs = semistable_equality(LocalPair(A, B))
-    assert lhs == rhs
+    assert semistable_class_side(LocalPair(A, B)) == semistable_kernel_side(LocalPair(A, B))
+    assert replay(_pair_doc("semistable", q8_model, A, B))["ok"]
     with pytest.raises(PreconditionError, match="first datum 'A' must be semistable"):
-        semistable_equality(LocalPair(B, A))
+        replay(_pair_doc("semistable", q8_model, B, A))
     # good reduction: a(tensor) = dim(A) a(B)
-    good = AbVarDatum(q8_model, triv.scale(2), triv.scale(0))
-    lhs, rhs = semistable_equality(LocalPair(good, B))
-    assert lhs == rhs == good.dim * B.artin_conductor()
+    good = LocalPair(AbVarDatum(q8_model, triv.scale(2), triv.scale(0)), B)
+    assert semistable_class_side(good) == semistable_kernel_side(good) \
+        == good.A.dim * B.artin_conductor()
 
 
 def test_tame_identity_preconditions(q8_model, chi2):
     triv = q8_model.table.irreducibles[q8_model.table.index_of_trivial()]
     A = AbVarDatum(q8_model, chi2, triv)     # a = 7/2 > 1
     B = AbVarDatum(q8_model, chi2.scale(2), triv.scale(0))
-    lhs, rhs = tame_identity(LocalPair(A, B))
-    assert lhs == rhs
+    assert tame_class_side(LocalPair(A, B)) == tame_kernel_side(LocalPair(A, B))
+    assert replay(_pair_doc("tame-identity", q8_model, A, B))["ok"]
     small = AbVarDatum(q8_model, triv.scale(2), triv.scale(0))
     with pytest.raises(PreconditionError, match="must have conductor exponent above 1"):
-        tame_identity(LocalPair(small, B))
+        replay(_pair_doc("tame-identity", q8_model, small, B))
 
 
 def test_degree_gap_examples(q8_model):
@@ -226,8 +235,7 @@ def test_bounds_over_corpus_models():
         lhs, rhs, _ = uniform_bound(LocalPair(A, B))
         assert lhs <= rhs
         S = gen_semistable(model, f"wd:{idx}:s")
-        lhs, rhs = semistable_equality(LocalPair(S, B))
-        assert lhs == rhs
+        assert semistable_class_side(LocalPair(S, B)) == semistable_kernel_side(LocalPair(S, B))
 
 
 def test_abvar_rho_is_built_once_per_datum(q8_model):
@@ -336,13 +344,13 @@ def test_kernel_entry_points_refuse_a_class_function_that_is_no_table_vector(q8_
     """A bare class function is never decomposed: WDRep, the per-level
     identity and the symplectic bound refuse it, even when its values are
     those of a character of the table."""
-    from tensorcond.filtration import symplectic_tensor_bound, tensor_level_identity
+    from tensorcond.filtration import step_kernel_side, symplectic_tensor_bound
     bare = trivial(q8_model.filtration.parent)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
         WDRep(q8_model, [(bare, 1)])
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
         AbVarDatum(q8_model, chi2, bare)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
-        tensor_level_identity(bare, chi2, q8_model)
+        step_kernel_side(bare, chi2, q8_model)
     with pytest.raises(PreconditionError, match="expected a Character of the table"):
         symplectic_tensor_bound(chi2, scale(bare, 2), q8_model)
