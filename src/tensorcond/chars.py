@@ -54,12 +54,12 @@ table: the irreducibles are the unit vectors, and
 `CharacterTable.assemble` returns any other; the form of either, the
 vector's sum of the eigenvalue forms, is taken when first read and kept, as
 a class function's `values` are: both are cached properties.  The kernels
-take `Character`s and never decompose (`CharacterTable.own`).  The table
-holds what it derives from its residues, each part taken when first
-read and kept as long as the table: for the kernels of `weildeligne` and
-`filtration`, the fixed dimensions on a subgroup, the structure constants,
-the Frobenius-Schur indicators and the symplectic, self-dual and rational
-criteria; for the samplers of `suites`, the minimal characters they sum.
+take `Character`s and never decompose (`CharacterTable.own`).  The table holds
+what it derives from its residues, each part taken when first read and kept as
+long as the table: for the kernels of `weildeligne` and `filtration`, the
+structure constants, the Frobenius-Schur indicators and the symplectic,
+self-dual and rational criteria; for the samplers of `suites`, the minimal
+characters they sum.  Fixed dimensions it answers on request (`fixed_dims`).
 """
 
 from __future__ import annotations
@@ -216,10 +216,6 @@ class Character(ClassFunction):
     def is_zero(self) -> bool:
         return not any(self.mults)
 
-    def fixed(self, subgroup: Subgroup) -> int:
-        """dim chi^H from the vector and the table's `fixed_dims`."""
-        return sum(map(mul, self.mults, self.table.fixed_dims(subgroup)))
-
     def scale(self, n: int) -> "Character":
         return Character(self.table, [n * m for m in self.mults])
 
@@ -260,9 +256,8 @@ class CharacterTable:
         # structure constants are integers in [0, q), averaged in F_q.
         self.residues = _certified_residues(group, self.forms, self.degrees, modulus, self._moves)
         self._row_index = {row: i for i, row in enumerate(self.residues)}
-        # filled on first use only
-        self._fixed = {}  # subgroup elements -> f_i(H) per irreducible
-        self._products = [[None] * r for _ in range(r)]  # [i][j] -> nonzero (k, N_ij^k)
+        # filled on first use only: [i][j] -> nonzero (k, N_ij^k)
+        self._products = [[None] * r for _ in range(r)]
 
     def __len__(self):
         return len(self.irreducibles)
@@ -299,17 +294,13 @@ class CharacterTable:
 
     def fixed_dims(self, subgroup: Subgroup) -> Tuple[int, ...]:
         """f_i(H) = dim psi_i^H <= deg psi_i < q for every irreducible, as
-        an average of residues in F_q, cached per subgroup."""
-        dims = self._fixed.get(subgroup.elements)
-        if dims is None:
-            if subgroup.parent is not self.group:
-                raise ValueError("subgroup of a different group")
-            q = self.modulus
-            inv_size = pow(subgroup.size, -1, q)
-            counts = subgroup.class_counts
-            dims = tuple(sum(map(mul, counts, row)) * inv_size % q for row in self.residues)
-            self._fixed[subgroup.elements] = dims
-        return dims
+        an average of residues in F_q; a chain keeps its levels' (`kernel_rows`)."""
+        if subgroup.parent is not self.group:
+            raise ValueError("subgroup of a different group")
+        q = self.modulus
+        inv_size = pow(subgroup.size, -1, q)
+        counts = subgroup.class_counts
+        return tuple(sum(map(mul, counts, row)) * inv_size % q for row in self.residues)
 
     def tensor_mults(self, m1: Sequence[int], m2: Sequence[int]) -> List[int]:
         """The multiplicity vector of the product of two characters, from

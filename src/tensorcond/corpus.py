@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from importlib import resources
+from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .chars import CharacterTable, character_table
+from .chars import Character, CharacterTable, character_table
 from .errors import (CorpusError, InputError, TensorCondError, generator_lists,
                      int_field, is_int, reading, require, shown)
 from .groups import (FiniteGroup, Filtration, check_model_prime,
@@ -64,16 +65,22 @@ class CorpusChain:
         return character_table(self.filtration.parent)
 
     @cached_property
-    def kernel_rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def kernel_rows(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
         """Per irreducible psi_i: |G_0| a(psi_i), the sum over the levels of
-        (dim psi_i - f_i(G_l)) |G_l|, and f_i(G_0) = dim psi_i^{G_0}.  A
-        character's conductor and inertia-fixed dimension are these rows
-        dotted with its multiplicities."""
-        T = self.table
-        fixed = [T.fixed_dims(H) for H in self.filtration.chain]
-        artin = tuple(sum((d - f[i]) * H.size for f, H in zip(fixed, self.filtration.chain))
+        (dim psi_i - f_i(G_l)) |G_l|, and per level the row of f_i(G_l) = dim
+        psi_i^{G_l}, each distinct level (one per size) read once.  A character's
+        conductor and fixed dimensions are these rows dotted with its multiplicities."""
+        T, chain = self.table, self.filtration.chain
+        dims = {n: T.fixed_dims(H) for n, H in {H.size: H for H in chain}.items()}
+        levels = tuple(dims[H.size] for H in chain)
+        artin = tuple(sum((d - f[i]) * H.size for f, H in zip(levels, chain))
                       for i, d in enumerate(T.degrees))
-        return artin, fixed[0]
+        return artin, levels
+
+    def fixed(self, chi: Character) -> List[int]:
+        """dim chi^{G_l} on every level l, chi a Character of the chain's table."""
+        mults = self.table.own(chi).mults
+        return [sum(map(mul, mults, row)) for row in self.kernel_rows[1]]
 
     def is_integral_shape(self) -> bool:
         """Whether every character gets an integer conductor on this chain

@@ -13,7 +13,8 @@ all levels.  Everything is an exact rational; denominators divide |G_0|.
 all levels at once: it is the oracle.  The per-level `nonfixed_dim` and
 `tensor_fixed_excess`, which tests compare it with, live in
 `tests/oracles.py`.  The tensor bounds take a `CorpusChain` and
-`Character`s of its table, and dot their vectors with its `kernel_rows`; the
+`Character`s of its table, and dot their vectors with its `kernel_rows`,
+the Artin row and each level's fixed dimensions (`CorpusChain.fixed`); the
 per-level identity's `step_kernel_side` reads vectors, `step_class_side` class values.
 """
 
@@ -86,20 +87,18 @@ def step_kernel_side(tau1: Character, tau2: Character, chain: CorpusChain) -> Li
     """Step-identity's lhs per level i, |t1| a_i(t2) + |t2| a_i(t1) - a_i(t1 x t2)
     with a_i = dim - dim^{G_i}, the product's vector by `CharacterTable.tensor_mults`."""
     T = chain.table
-    c12 = T.assemble(T.tensor_mults(T.own(tau1).mults, T.own(tau2).mults))
-    return [tau1.dim * (tau2.dim - tau2.fixed(H)) + tau2.dim * (tau1.dim - tau1.fixed(H))
-            - (c12.dim - c12.fixed(H)) for H in chain.filtration.chain]
+    f1, f2 = chain.fixed(tau1), chain.fixed(tau2)
+    c12 = T.assemble(T.tensor_mults(tau1.mults, tau2.mults))
+    return [tau1.dim * (tau2.dim - g2) + tau2.dim * (tau1.dim - g1) - (c12.dim - g12)
+            for g1, g2, g12 in zip(f1, f2, chain.fixed(c12))]
 
 
 def step_class_side(tau1: Character, tau2: Character, chain: CorpusChain) -> List[int]:
     """Step-identity's rhs per level i, a_i(t1) a_i(t2) + excess_i(t1, t2),
     the excess from the class-by-class product t1 * t2 (`fixed_dim`)."""
     product = tau1 * tau2
-    sides = []
-    for H in chain.filtration.chain:
-        f1, f2 = tau1.fixed(H), tau2.fixed(H)
-        sides.append((tau1.dim - f1) * (tau2.dim - f2) + fixed_dim(product, H) - f1 * f2)
-    return sides
+    return [(tau1.dim - f1) * (tau2.dim - f2) + fixed_dim(product, H) - f1 * f2
+            for H, f1, f2 in zip(chain.filtration.chain, chain.fixed(tau1), chain.fixed(tau2))]
 
 
 def min_sum_bound(M: Fraction, a: Sequence[Fraction], b: Sequence[Fraction],
@@ -172,6 +171,6 @@ def _tensor_bound(tau1: Character, tau2: Character, chain: CorpusChain, coeff: F
     c12 = T.assemble(T.tensor_mults(tau1.mults, tau2.mults))
     artin, order = chain.kernel_rows[0], chain.filtration.parent.order
     a1, a2, a12 = (Fraction(sum(map(mul, artin, c.mults)), order) for c in (tau1, tau2, c12))
-    excess = Fraction(sum((c12.fixed(H) - tau1.fixed(H) * tau2.fixed(H)) * H.size
-                          for H in chain.filtration.chain), order)
+    levels = zip(*map(chain.fixed, (c12, tau1, tau2)), (H.size for H in chain.filtration.chain))
+    excess = Fraction(sum((f12 - f1 * f2) * n for f12, f1, f2, n in levels), order)
     return a12, tensor_rhs(tau1.dim, tau2.dim, a1, a2, coeff, excess)

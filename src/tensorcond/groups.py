@@ -383,22 +383,29 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup._named(_cyclic_rows(n), f"C{n}", {"kind": "cyclic", "n": n})
 
 
+def _product_rows(tables: Sequence[Sequence[Sequence[int]]]) -> list:
+    """Rows of the direct product of `tables`, indexed as `direct_product`
+    says: the row of (a, x) lists over b the row of x shifted by m ab.  A
+    trivial table changes no index and is left out (`itemgetter` of one
+    index returns no tuple)."""
+    *higher, rows = [t for t in tables if len(t) > 1] or [[(0,)]]
+    for g_rows in reversed(higher):
+        m, elems = len(rows), tuple(range(len(rows) * len(g_rows)))
+        shifted = [[itemgetter(*row)(elems[m * s:m * s + m]) for s in range(len(g_rows))]
+                   for row in rows]
+        rows = [tuple(chain.from_iterable(itemgetter(*g_row)(blocks)))
+                for g_row in g_rows for blocks in shifted]
+    return rows
+
+
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     """C_p^k; the digits of x in base p, lowest first, are its coordinates."""
     if not is_prime(p):
         raise PreconditionError(f"p={p} is not prime")
     if k < 1:
         raise PreconditionError("rank must be >= 1")
-    elems = tuple(range(p ** k))
-    table = _cyclic_rows(p)
-    for m in (p ** j for j in range(1, k)):
-        # x = x' + m t adds x' < m in the table of one rank less and t in
-        # C_p: its row is, for u = 0..p-1, the row of x' plus m ((t + u) mod p)
-        shifted = [[itemgetter(*row)(elems[m * s:m * s + m]) for s in range(p)]
-                   for row in table]
-        table = [tuple(chain.from_iterable(blocks[t:] + blocks[:t]))
-                 for t in range(p) for blocks in shifted]
-    return FiniteGroup._named(table, f"E{p}^{k}", {"kind": "elementary_abelian", "p": p, "k": k})
+    return FiniteGroup._named(_product_rows([_cyclic_rows(p)] * k), f"E{p}^{k}",
+                              {"kind": "elementary_abelian", "p": p, "k": k})
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -471,15 +478,9 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
         raise PreconditionError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    rows = factors[-1].table
-    for G in reversed(factors[:-1]):
-        m = len(rows)
-        # (a, i)(b, j) = (ab, ij), listed over b and then j
-        rows = [tuple(x * m + y for x in g_row for y in r_row)
-                for g_row in G.table for r_row in rows]
-    spec = {"kind": "direct_product",
-            "factors": [f.spec for f in factors if f.spec]}
-    return FiniteGroup._named(rows, "x".join(f.name for f in factors), spec)
+    spec = {"kind": "direct_product", "factors": [f.spec for f in factors if f.spec]}
+    return FiniteGroup._named(_product_rows([f.table for f in factors]),
+                              "x".join(f.name for f in factors), spec)
 
 
 def _int_param(spec: dict, key: str, where: str, minimum: int) -> int:

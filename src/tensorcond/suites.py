@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .chars import Character, CharacterTable
@@ -324,10 +325,11 @@ def _pair(doc, chains):
 
 def _check_step_identity(doc, chains):
     """Per-level tensor identity: the product from the structure constants
-    on one side, from class values on the other."""
+    on one side, from class values on the other; a side that is short of
+    levels is padded with None, and fails."""
     parse, left, right = SIDES["step-identity"]
     args = parse(doc, chains)
-    sides = list(zip(left(*args), right(*args)))
+    sides = list(zip_longest(left(*args), right(*args)))
     return all(l == r for l, r in sides), {"sides": [[l, r] for l, r in sides]}
 
 
@@ -421,11 +423,11 @@ def _gaps(doc, chains, p: Optional[int] = None) -> List[int]:
         raise PreconditionError("'tau' must be a symplectic character")
     if p is not None and not T.is_rational_mults(tau.mults):
         raise PreconditionError("'tau' must have rational characteristic polynomials")
-    subgroups = {}
+    fixed = {}  # first occurrence first
     for chain in resolved:
-        for H in chain.filtration.chain:
-            subgroups.setdefault(H.elements, H)
-    return [tau.dim - tau.fixed(H) for H in subgroups.values()]
+        for H, f in zip(chain.filtration.chain, chain.fixed(tau)):
+            fixed.setdefault(H.elements, f)
+    return [tau.dim - f for f in fixed.values()]
 
 
 def _check_symplectic_parity(doc, chains):
@@ -573,7 +575,7 @@ def _check_sharpness(doc, chains):
     """Sharpness sweep plus the discriminant-valuation closed form."""
     parse, left, right = SIDES["sharpness"]
     models, = parse(doc, chains)
-    p, a = int_field(doc, "p"), int_field(doc, "a")
+    (a, _), (p, _) = models
     report = sharpness_report(p, a, left(models), right(models))
     # the report's Swan exponents are v(disc) - p + 1 for alpha = a and p
     disc = {a: report.sw_a + p - 1, p: report.sw_p + p - 1}

@@ -81,7 +81,7 @@ class WDRep:
 
     def artin_conductor(self) -> Fraction:
         """Sum over blocks of n a(sigma) + (n-1) dim sigma^{G_0}."""
-        arow, frow = self.model.kernel_rows
+        arow, (frow, *_) = self.model.kernel_rows
         order = self.model.filtration.parent.order
         return Fraction(sum(n * _dot(s.mults, arow) + (n - 1) * order * _dot(s.mults, frow)
                             for s, n in self.blocks), order)
@@ -93,7 +93,7 @@ class WDRep:
 
     def degree(self) -> int:
         """L-polynomial degree: one inertia-fixed contribution per block."""
-        frow = self.model.kernel_rows[1]
+        frow = self.model.kernel_rows[1][0]
         return sum(_dot(s.mults, frow) for s, _ in self.blocks)
 
     def tensor(self, other: "WDRep") -> "WDRep":
@@ -131,7 +131,6 @@ class AbVarDatum(WDRep):
     def __init__(self, model: CorpusChain, tau: Character, sigma: Character):
         super().__init__(model, [(tau, 1), (sigma, 2)])
         T = model.table
-        tau, sigma = self.tau, self.sigma
         if not T.is_symplectic_mults(tau.mults):
             raise PreconditionError("toric-free part tau must be symplectic")
         if not T.is_self_dual_mults(sigma.mults):
@@ -139,20 +138,6 @@ class AbVarDatum(WDRep):
         if not T.is_rational_mults([t + 2 * s for t, s in zip(tau.mults, sigma.mults)]):
             raise PreconditionError("inertia restriction must have rational characteristic polynomials")
         assert self.dim % 2 == 0
-
-    def _part(self, size: int) -> Character:
-        for s, n in self.blocks:
-            if n == size:
-                return s
-        return self.model.table.assemble([0] * len(self.model.table))
-
-    @property
-    def tau(self) -> Character:
-        return self._part(1)
-
-    @property
-    def sigma(self) -> Character:
-        return self._part(2)
 
     @property
     def rho(self) -> WDRep:

@@ -735,6 +735,13 @@ def gen_abvar(model: CorpusChain, seed, **kwargs) -> AbVarDatum:
     return abvar_datum(model, gen_abvar_mults(model.table, seed, **kwargs), "abvar")
 
 
+def abvar_parts(A: AbVarDatum) -> tuple:
+    """The datum's tau and sigma, its blocks of sizes 1 and 2 (zero if absent)."""
+    T = A.model.table
+    by_size = {n: s for s, n in A.blocks}
+    return tuple(by_size.get(n, T.assemble([0] * len(T))) for n in (1, 2))
+
+
 def gen_semistable(model: CorpusChain, seed) -> AbVarDatum:
     """Random semistable datum: tau = 2m copies of trivial, sigma = n copies."""
     return abvar_datum(model, gen_semistable_mults(model.table, seed), "abvar")

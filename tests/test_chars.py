@@ -1019,6 +1019,32 @@ def test_fixed_dims_match_fixed_dim_on_every_chain_subgroup(corpus):
         assert T.fixed_dims(H) == tuple(fixed_dim(psi, H) for psi in T.irreducibles)
 
 
+def test_kernel_rows_hold_the_fixed_dim_averages_on_every_level(corpus):
+    """A chain's per-level rows are the class-average `fixed_dim` of each
+    irreducible on each level, repeated levels included, and its Artin row
+    sums them weighted by |G_l|."""
+    for chain in corpus.all_chains():
+        T, levels = chain.table, chain.filtration.chain
+        artin, rows = chain.kernel_rows
+        assert rows == tuple(tuple(fixed_dim(psi, H) for psi in T.irreducibles)
+                             for H in levels), chain.label
+        assert artin == tuple(sum((psi.dim - fixed_dim(psi, H)) * H.size for H in levels)
+                              for psi in T.irreducibles), chain.label
+        for psi in T.irreducibles:
+            assert chain.fixed(psi) == [fixed_dim(psi, H) for H in levels], chain.label
+
+
+def test_chain_fixed_refuses_a_character_of_another_table(corpus):
+    from tensorcond.errors import PreconditionError
+    chains = corpus.all_chains()
+    chain = chains[0]
+    other = next(c for c in chains if c.table is not chain.table)
+    with pytest.raises(PreconditionError, match="expected a Character of the table"):
+        chain.fixed(other.table.irreducibles[0])
+    with pytest.raises(PreconditionError, match="negative entry"):
+        chain.fixed(chain.table.assemble([-1] + [0] * (len(chain.table) - 1)))
+
+
 def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
     """`fixed_dims`, the kernel rows and the Weil-Deligne kernel on fresh
     tables, with the class-average `fixed_dim` made to raise everywhere."""
@@ -1033,10 +1059,9 @@ def test_kernel_facts_do_not_call_the_fixed_dim_oracle(monkeypatch):
     for G, gens, p in ((quaternion8(), [[4]], 2), (heisenberg(3), [[1, 9], [9]], 3)):
         model = chain_on(G, gens, p)
         T = model.table
-        dims = [T.fixed_dims(H) for H in model.filtration.chain]
-        assert dims[-1] == T.degrees and dims[0][T.index_of_trivial()] == 1
-        artin, fixed = model.kernel_rows
-        assert fixed == dims[0]
+        artin, levels = model.kernel_rows
+        assert levels == tuple(T.fixed_dims(H) for H in model.filtration.chain)
+        assert levels[-1] == T.degrees and levels[0][T.index_of_trivial()] == 1
         tau = T.assemble(gen_symplectic_mults(T, 0, 6))
         sigma = T.assemble([int(i == T.index_of_trivial()) for i in range(len(T))])
         A = AbVarDatum(model, tau, sigma)

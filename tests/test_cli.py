@@ -335,6 +335,32 @@ def test_replay_subcommand(tmp_path, capsys):
     assert verdict["ok"] and verdict["lhs"] == str(lhs)
 
 
+@pytest.mark.parametrize("short", [0, 1], ids=["kernel-side", "class-side"])
+def test_a_step_identity_side_short_of_levels_fails_and_replays(tmp_path, capsys, monkeypatch,
+                                                                 short):
+    """A side that drops the chain's last two levels is not compared on the
+    shared prefix alone: every item fails, its detail shows both sides
+    padded with null, and its counterexample replays to exit 1."""
+    from tensorcond import suites
+    sides = list(suites.SIDES["step-identity"])
+    side = sides[1 + short]
+    sides[1 + short] = lambda *args: side(*args)[:-2]
+    monkeypatch.setitem(suites.SIDES, "step-identity", tuple(sides))
+    code, out, err = run_cli(capsys, "verify", "--suite", "step-identity", "--seeds", "20",
+                             "--format", "machine")
+    assert code == 1 and "Traceback" not in err
+    items = [json.loads(line) for line in out.splitlines()]
+    summary = items.pop()
+    assert summary["failures"] == summary["items"] == 20
+    for item in items:
+        rows = item["detail"]["sides"]
+        assert item["checks"] == len(rows) >= 2
+        assert [row[short] for row in rows[-2:]] == [None, None]
+    code, out, err = run_cli(capsys, "replay", "--input", _write(tmp_path, items[0]["counterexample"]))
+    assert code == 1 and "Traceback" not in err
+    assert json.loads(out)["ok"] is False
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "tensorcond.cli", "sharpness", "--p", "5"],

@@ -203,8 +203,8 @@ def test_monotone_terms_and_denominators_across_corpus():
 
 
 def test_conductor_level_terms_match_the_kernel_on_every_corpus_chain():
-    """`conductor` averages the assembled class values; Character.fixed
-    dots the vector with the table's fixed dimensions.  They agree for
+    """`conductor` averages the assembled class values; `CorpusChain.fixed`
+    dots the vector with the chain's per-level fixed dimensions.  They agree for
     every irreducible and a random character on every corpus chain."""
     from tensorcond.corpus import load_corpus
     for idx, chain in enumerate(load_corpus().all_chains()):
@@ -213,7 +213,7 @@ def test_conductor_level_terms_match_the_kernel_on_every_corpus_chain():
         chars = [T.assemble([int(j == i) for j in range(len(T))]) for i in range(len(T))]
         chars.append(gen_character(G, f"kernel:{idx}", 10))
         for chi in chars:
-            kernel = tuple(chi.dim - chi.fixed(H) for H in chain.filtration.chain)
+            kernel = tuple(chi.dim - f for f in chain.fixed(chi))
             assert conductor(chi, chain.filtration).level_terms == kernel, chain.label
 
 

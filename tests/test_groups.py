@@ -292,6 +292,15 @@ def test_order_cap_refuses_before_any_construction(monkeypatch):
         build_group({"kind": "quaternion8"})
 
 
+def test_elementary_abelian_is_the_direct_product_of_its_cyclic_factors():
+    """C_p^k's digits, lowest first, and a product's last factor, the lowest
+    digit: both add digit by digit mod p, so the tables are one."""
+    for p, k in ((2, 1), (2, 3), (2, 8), (3, 2), (3, 5), (5, 3), (7, 2)):
+        E = elementary_abelian(p, k)
+        assert E.table == direct_product(*[cyclic(p)] * k).table, (p, k)
+        assert (E.name, E.spec) == (f"E{p}^{k}", {"kind": "elementary_abelian", "p": p, "k": k})
+
+
 def test_a_direct_product_of_many_factors_builds_without_recursion():
     G = build_group({"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 1}] * 2000
                      + [{"kind": "cyclic", "n": 3}]})
@@ -383,7 +392,12 @@ def _spec_id(spec: dict) -> str:
         [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 3}],
         [{"kind": "quaternion8"}, {"kind": "cyclic", "n": 3}],
         [{"kind": "dihedral", "n": 4}, {"kind": "cyclic", "n": 2}],
-        [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}, {"kind": "cyclic", "n": 2}])
+        [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}, {"kind": "cyclic", "n": 2}],
+        # a trivial factor changes no index, first, inside or last
+        [{"kind": "cyclic", "n": 1}, {"kind": "quaternion8"}],
+        [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 1}, {"kind": "dihedral", "n": 4},
+         {"kind": "cyclic", "n": 1}],
+        [{"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": 1}])
 ], ids=_spec_id)
 def test_constructors_match_the_encoding_oracle(spec):
     """Each constructor's table, name and spec against the group built from

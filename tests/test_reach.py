@@ -204,9 +204,13 @@ CLEBSCH_GORDAN = ("the blocks of sp(n) x sp(m), which both tensor products expan
 
 SHARED = {
     "step-identity": {
-        "chars.Character.fixed": "dim t^{G_i} of each factor, which both arrangements read "
-                                 "as an input: the identity is about the product",
-        "chars.CharacterTable.fixed_dims": "the table's f_i(H) that `Character.fixed` reads",
+        "corpus.CorpusChain.fixed": "dim t^{G_i} of each factor, which both arrangements read "
+                                    "as an input: the identity is about the product",
+        "corpus.CorpusChain.kernel_rows": "the chain's per-level f_i(G_l) that "
+                                          "`CorpusChain.fixed` dots each factor with",
+        "chars.CharacterTable.fixed_dims": "the table's f_i(H) that `kernel_rows` reads per level",
+        "chars.CharacterTable.own": "`CorpusChain.fixed`'s check that a factor is a Character "
+                                    "of the chain's table",
         "chars.Character.dim": "|t1| and |t2|, which both arrangements read as an input",
     },
     "semistable": {"weildeligne.clebsch_gordan": CLEBSCH_GORDAN},

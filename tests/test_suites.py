@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from tensorcond.corpus import CORPUS_VERSION, CorpusError, load_corpus
 from tensorcond.suites import SIDES, SUITES, replay, run_suite_range
 
-from oracles import gen_abvar, is_normal, trivial
+from oracles import abvar_parts, gen_abvar, is_normal, trivial
 
 EXPECTED_ENTRIES = {"c4", "c8", "c9", "c5", "c25", "q8", "d4", "heis3",
                     "ea9", "aff5"}
@@ -201,8 +201,7 @@ def test_replay_covers_wd_suites(corpus):
     B = gen_abvar(model, "rp:b")
     lhs, rhs = swan_bound(LocalPair(A, B))
     doc = {"suite": "swan-bound", "chain": chain.ref(),
-           **{key: {"tau": list(T.multiplicities(D.tau)),
-                    "sigma": list(T.multiplicities(D.sigma))}
+           **{key: dict(zip(("tau", "sigma"), (list(T.multiplicities(s)) for s in abvar_parts(D))))
               for key, D in (("A", A), ("B", B))},
            "lhs": str(lhs), "rhs": str(rhs)}
     verdict = replay(json.loads(json.dumps(doc)))

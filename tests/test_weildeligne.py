@@ -14,7 +14,7 @@ from tensorcond.weildeligne import (AbVarDatum, LocalPair, WDRep,
                                     swan_bound, tame_class_side, tame_kernel_side,
                                     tensor, uniform_bound)
 
-from oracles import (add, chain_on, dual, from_values, gen_abvar, gen_semistable,
+from oracles import (abvar_parts, add, chain_on, dual, from_values, gen_abvar, gen_semistable,
                      integer_value, key, scale, swan, trivial, zero)
 
 
@@ -170,7 +170,7 @@ def test_abvar_validation(q8_model, chi2):
 def _pair_doc(suite, model, A, B):
     """The suite document of the pair (A, B) over the model."""
     return {"suite": suite, "chain": model.ref(),
-            **{key: {"tau": list(X.tau.mults), "sigma": list(X.sigma.mults)}
+            **{key: dict(zip(("tau", "sigma"), (list(s.mults) for s in abvar_parts(X))))
                for key, X in (("A", A), ("B", B))}}
 
 
@@ -241,8 +241,9 @@ def test_bounds_over_corpus_models():
 def test_abvar_rho_is_built_once_per_datum(q8_model):
     A = gen_abvar(q8_model, "rho-once")
     assert A.rho is A.rho
-    assert A.rho == WDRep(q8_model, [(A.tau, 1), (A.sigma, 2)])
-    B = AbVarDatum(q8_model, A.tau, A.sigma)
+    tau, sigma = abvar_parts(A)
+    assert A.rho == WDRep(q8_model, [(tau, 1), (sigma, 2)])
+    B = AbVarDatum(q8_model, tau, sigma)
     assert B == A and B.rho is not A.rho and B.rho == A.rho
 
 
@@ -270,8 +271,8 @@ def test_kernel_matches_class_averages_on_every_model_chain():
                     (n * swan(model, c) for c, n in blocks), Fraction(0)), chain.label
                 assert rho.degree() == class_degree(model, blocks), chain.label
                 assert rho.dim == sum(n * c.dim for c, n in blocks), chain.label
-            assert A.dim == integer_value(A.tau.values[0]) \
-                + 2 * integer_value(A.sigma.values[0])
+            tau, sigma = abvar_parts(A)
+            assert A.dim == integer_value(tau.values[0]) + 2 * integer_value(sigma.values[0])
 
 
 def test_vector_predicates_match_class_function_predicates():
