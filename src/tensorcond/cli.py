@@ -25,7 +25,7 @@ from .chars import character_table, power_basis
 from .corpus import ChainReader, load_corpus
 from .cyclo import CycloNum
 from .errors import InputError, TensorCondError, reading, require, shown, sized
-from .globalbound import GlobalDatum, exponents_str, rankin_selberg_bound
+from .globalbound import exponents_str, rankin_selberg_bound
 from .groups import build_group, is_prime
 from .jacobians import (smallest_valid_unit, validate_params, verify_sharpness)
 from .suites import SUITES, abvar_datum, read_global, replay, run_suite_range
@@ -205,9 +205,9 @@ def _run_bound(args, machine: bool) -> int:
 
 
 def _run_global(args, machine: bool) -> int:
-    dim_a, dim_b, records = read_global(_load_document(args.input), ChainReader())
+    datum = read_global(_load_document(args.input), ChainReader())
     with reading("primes"):
-        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, records))
+        report = rankin_selberg_bound(datum)
     ok = report.all_checks_pass()
     out = {**report.to_json(), "per_prime_check": "pass" if ok else "fail"}
     if machine:

@@ -3,7 +3,7 @@
 Global fields are abstracted to a finite set of primes carrying local data,
 either full inertia-model pairs or published summary exponents.  A global
 conductor is a prime -> exponent map with zero exponents dropped, and every
-bound is a local bound evaluated prime by prime, with no number-field arithmetic.
+bound multiplies one local factor per record, with no number-field arithmetic.
 
 A record's `p` labels its prime; in full mode it need not be the residue
 characteristic of the model.  `suites.read_global` checks each field of a
@@ -13,7 +13,7 @@ bounds (a negative degree correction or bound exponent) refuse.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Tuple, Union
+from typing import Dict, NamedTuple, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .weildeligne import AbVarDatum, LocalPair, uniform_rhs
@@ -75,20 +75,6 @@ class GlobalDatum:
                                for rec in primes)
 
 
-def d_term(datum: GlobalDatum) -> Exponents:
-    """Per prime, the degree correction the uniform bound keeps: the d-term's exponents."""
-    out = {}
-    for s in datum.summaries:
-        _, e = uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b, s.v_a, s.v_b,
-                           s.deg_ab - s.deg_a * s.deg_b)
-        if e < 0:
-            raise PreconditionError(
-                f"degree correction {e} < 0 at prime {s.p}: inconsistent input")
-        if e:
-            out[s.p] = e
-    return out
-
-
 class GlobalBoundReport(NamedTuple):
     bound: Exponents
     d: Exponents
@@ -102,18 +88,22 @@ class GlobalBoundReport(NamedTuple):
                 "per_prime": list(self.per_prime)}
 
 
-def _report(datum: GlobalDatum, d: Exponents,
-            exponent: Callable[[PrimeSummary], int]) -> GlobalBoundReport:
-    """The bound with the given exponent at each prime; at full-mode primes
-    also the recomputed tensor exponent and whether it stays within."""
-    bound = {}
-    per_prime = []
-    for rec, s in zip(datum.primes, datum.summaries):
-        e = exponent(s)
+def _report(datum: GlobalDatum, local: Sequence[Tuple[int, int]]) -> GlobalBoundReport:
+    """The bound from each record's own (exponent, kept degree correction),
+    every correction checked first; records that share a label multiply their
+    factors.  At full-mode primes also the recomputed tensor exponent and
+    whether it stays within."""
+    for s, (_, kept) in zip(datum.summaries, local):
+        if kept < 0:
+            raise PreconditionError(
+                f"degree correction {kept} < 0 at prime {s.p}: inconsistent input")
+    bound, d, per_prime = {}, {}, []
+    for rec, s, (e, kept) in zip(datum.primes, datum.summaries, local):
         if e < 0:
             raise PreconditionError("denominator exponents exceed the numerator")
-        if e:
-            bound[s.p] = e
+        for n, x in ((bound, e), (d, kept)):
+            if x:
+                n[s.p] = n.get(s.p, 0) + x
         entry = {"p": s.p, "bound_exp": e}
         if isinstance(rec, PrimeLocalPair):
             a_tensor = rec.product.artin_conductor()
@@ -125,18 +115,20 @@ def _report(datum: GlobalDatum, d: Exponents,
 
 def rankin_selberg_bound(datum: GlobalDatum) -> GlobalBoundReport:
     """The bound N_A^{2 dim B} N_B^{2 dim A} / (d-term * gcd(N_A, N_B)^2),
-    at each prime the uniform local bound with the global dimensions.
+    at each record the uniform local bound with the global dimensions and
+    the degree correction it keeps, the record's factor of the d-term.
 
     With full local pairs the tensor conductor exponent is recomputed at
     each prime and checked against the bound exponent.
     """
-    d = d_term(datum)
-    return _report(datum, d, lambda s: uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b,
-                                                   s.v_a, s.v_b, d.get(s.p, 0))[0])
+    return _report(datum, [uniform_rhs(2 * datum.dim_a, 2 * datum.dim_b, s.v_a, s.v_b,
+                                       s.deg_ab - s.deg_a * s.deg_b)
+                           for s in datum.summaries])
 
 
 def self_tensor_bound_report(datum: GlobalDatum) -> GlobalBoundReport:
     """Self-tensor bound N_A^{4 dim A - 2} / (product of the primes with
     exponent >= 2) for the first object of a GlobalDatum built with A = B,
     with per-prime checks in full mode."""
-    return _report(datum, {}, lambda s: (4 * datum.dim_a - 2) * s.v_a - (s.v_a >= 2))
+    return _report(datum, [((4 * datum.dim_a - 2) * s.v_a - (s.v_a >= 2), 0)
+                           for s in datum.summaries])

@@ -22,7 +22,7 @@ from .errors import (MAX_INT_BITS, CorpusError, InputError, PreconditionError,
                      TensorCondError, int_field, is_int, reading, require, shown, sized)
 from .filtration import (min_sum_bound, pgroup_tensor_bound, step_class_side,
                          step_kernel_side, symplectic_tensor_bound)
-from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeRecord, PrimeSummary,
+from .globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
                           exponents_json, rankin_selberg_bound, self_tensor_bound_report)
 from .groups import is_prime, pgroup_prime
 from .jacobians import (disc_valuation, jacobian_chain, p_valuation, sharpness_chain_side,
@@ -64,7 +64,7 @@ def abvar_datum(model: CorpusChain, mults, name: str) -> AbVarDatum:
         return AbVarDatum(model, T.assemble(tau), T.assemble(sigma))
 
 
-def read_global(doc, chains: ChainReader) -> Tuple[int, int, Tuple[PrimeRecord, ...]]:
+def read_global(doc, chains: ChainReader) -> GlobalDatum:
     """The two dimensions and the prime records of a global document.
 
     'dimA' and 'dimB' must be at least 1, each record's 'p' a prime that no
@@ -110,7 +110,7 @@ def read_global(doc, chains: ChainReader) -> Tuple[int, int, Tuple[PrimeRecord, 
                 raise InputError(f"'{where}{part}' has conductor exponent {a}, "
                                  f"not an integer")
         out.append(PrimeLocalPair(p, *data))
-    return dims["A"], dims["B"], tuple(out)
+    return GlobalDatum(dims["A"], dims["B"], tuple(out))
 
 
 def _summary_field(rec, where: str, key: str, dims: dict) -> int:
@@ -545,14 +545,14 @@ def _gen_global(corpus, base_seed, i):
 def _check_global(doc, chains):
     """Full-mode global data: at each prime the recomputed exponent of A x B
     against the bound, and that of A x A against the self-tensor bound."""
-    dim_a, dim_b, pairs = read_global(doc, chains)
-    summary = next((j for j, rec in enumerate(pairs) if isinstance(rec, PrimeSummary)), None)
+    datum = read_global(doc, chains)
+    summary = next((j for j, rec in enumerate(datum.primes) if isinstance(rec, PrimeSummary)), None)
     if summary is not None:
         raise InputError(f"'primes[{summary}].mode' must be full: the self-tensor check needs A")
     try:
-        report = rankin_selberg_bound(GlobalDatum(dim_a, dim_b, pairs))
-        self_report = self_tensor_bound_report(GlobalDatum(dim_a, dim_a, tuple(
-            PrimeLocalPair(r.p, r.A, r.A) for r in pairs)))
+        report = rankin_selberg_bound(datum)
+        self_report = self_tensor_bound_report(GlobalDatum(datum.dim_a, datum.dim_a, tuple(
+            PrimeLocalPair(r.p, r.A, r.A) for r in datum.primes)))
     except TensorCondError as err:
         return False, {"error": str(err)}
     return (report.all_checks_pass() and self_report.all_checks_pass(),
@@ -567,8 +567,7 @@ def _gen_sharpness(corpus, base_seed, i):
 
 def _jacobians(doc, chains):
     p, a = validate_params(int_field(doc, "p"), int_field(doc, "a"))
-    reader = ChainReader() if chains is None else chains
-    return ([(alpha, jacobian_chain(reader, p, alpha)) for alpha in (a, p)],)
+    return ([(alpha, jacobian_chain(chains, p, alpha)) for alpha in (a, p)],)
 
 
 def _check_sharpness(doc, chains):

@@ -978,6 +978,18 @@ def test_global_refuses_a_repeated_prime(tmp_path, capsys, command):
                     f"'primes[1].p' repeats the prime {doc['primes'][0]['p']}")
 
 
+def test_global_refuses_a_negative_correction_before_a_negative_exponent(tmp_path, capsys):
+    """Record 0's bound exponent is negative, record 1's degree correction:
+    every record's correction is checked before any exponent."""
+    doc = {"dimA": 1, "dimB": 1, "primes": [
+        {"p": 3, "mode": "summary", "vA": 2, "vB": 2, "degA": 0, "degB": 0, "degAB": 5},
+        {"p": 5, "mode": "summary", "vA": 2, "vB": 2, "degA": 2, "degB": 2, "degAB": 0}]}
+    code, out, err = run_cli(capsys, "global", "--input", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["input error: primes: degree correction -4 < 0 at prime 5: "
+                                "inconsistent input"]
+
+
 @_global_and_replay("key, part, dim", [("dimA", "A", 2), ("dimB", "B", 1), ("dimB", "B", 3)])
 def test_global_refuses_a_full_record_of_the_wrong_dimension(tmp_path, capsys, command, key,
                                                              part, dim):

@@ -1,11 +1,12 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensorcond.corpus import load_corpus
 from tensorcond.errors import PreconditionError
 from tensorcond.globalbound import (GlobalDatum, PrimeLocalPair, PrimeSummary,
-                                    d_term, rankin_selberg_bound,
-                                    self_tensor_bound_report)
+                                    rankin_selberg_bound, self_tensor_bound_report)
 
 from oracles import gen_abvar
 
@@ -49,20 +50,54 @@ def test_bound_is_the_integer_quotient(data, dim_a, dim_b):
 
 
 def test_d_term_examples():
+    def d_term(record):
+        return rankin_selberg_bound(GlobalDatum(1, 1, (record,))).d
     # all good reduction: empty product
-    datum = GlobalDatum(1, 1, (PrimeSummary(7, 0, 0, 2, 2, 4),))
-    assert d_term(datum) == {}
+    assert d_term(PrimeSummary(7, 0, 0, 2, 2, 4)) == {}
     # both valuations 2 with degree data (1,1,2): contributes p^1
-    datum = GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 2),))
-    assert d_term(datum) == {5: 1}
+    assert d_term(PrimeSummary(5, 2, 2, 1, 1, 2)) == {5: 1}
     # product of valuations equal to 1: excluded
-    datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 0, 1, 2),))
-    assert d_term(datum) == {}
+    assert d_term(PrimeSummary(5, 1, 1, 0, 1, 2)) == {}
     # ... even when that correction is negative: the sign is not checked
-    datum = GlobalDatum(1, 1, (PrimeSummary(5, 1, 1, 1, 1, 0),))
-    assert d_term(datum) == {}
+    assert d_term(PrimeSummary(5, 1, 1, 1, 1, 0)) == {}
     with pytest.raises(PreconditionError, match=r"degree correction -\d+ < 0 at prime 5"):
-        d_term(GlobalDatum(1, 1, (PrimeSummary(5, 2, 2, 1, 1, 0),)))
+        d_term(PrimeSummary(5, 2, 2, 1, 1, 0))
+
+
+labelled_summaries = st.lists(
+    st.builds(PrimeSummary, st.sampled_from((2, 3, 5)), st.integers(0, 4), st.integers(0, 4),
+              st.integers(0, 2), st.integers(0, 2), st.integers(0, 8)),
+    min_size=1, max_size=5)
+
+
+def _outcome(bound, datum):
+    try:
+        return bound(datum)
+    except PreconditionError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_summaries, st.integers(1, 3), st.integers(1, 3))
+@example([PrimeSummary(5, 2, 2, 0, 0, 0), PrimeSummary(5, 2, 2, 1, 1, 3)], 1, 1)
+def test_each_record_is_bounded_from_its_own_summary(records, dim_a, dim_b):
+    """Labels repeat: each record's bound exponent is its exponent alone,
+    the maps add the one-record maps, and a datum refuses as its first
+    record refusing by a degree correction, else its first refusing."""
+    for bound, dims in ((rankin_selberg_bound, (dim_a, dim_b)),
+                        (self_tensor_bound_report, (dim_a, dim_a))):
+        alone = [_outcome(bound, GlobalDatum(*dims, (s,))) for s in records]
+        refusals = [r for r in alone if isinstance(r, str)]
+        report = _outcome(bound, GlobalDatum(*dims, tuple(records)))
+        if refusals:
+            first = next((r for r in refusals if r.startswith("degree correction")),
+                         refusals[0])
+            assert report == first
+            continue
+        assert [rec["bound_exp"] for rec in report.per_prime] == \
+            [r.per_prime[0]["bound_exp"] for r in alone]
+        for key in ("bound", "d"):
+            assert getattr(report, key) == sum((Counter(getattr(r, key)) for r in alone), Counter())
 
 
 def test_degree_range_validation():

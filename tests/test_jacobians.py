@@ -133,7 +133,7 @@ def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
     and by every later report on that p; one resultant per alpha (the
     report's two, and the suite item's five, which reuse those two); and no
     character table: the blocks are read by class averages.  A call without
-    a reader, and a suite check given none, build their own group."""
+    a reader, and a suite check given a fresh one, build their own group."""
     from tensorcond import groups, jacobians, suites
     from tensorcond.corpus import ChainReader
     built, alphas = [], []
@@ -161,7 +161,7 @@ def test_sharpness_builds_one_group_and_each_resultant_once(monkeypatch):
         built.clear(), alphas.clear()
         assert verify_sharpness(validate_params(p, a)).equal
         assert len(built) == 1 and built[0]._char_table is None
-        for chains, builds in ((None, 1), (reader, 0)):
+        for chains, builds in ((ChainReader(), 1), (reader, 0)):
             built.clear(), alphas.clear()
             ok, detail = suites._check_sharpness({"p": p, "a": a}, chains)
             assert ok and detail["disc_closed_form"]
