@@ -36,18 +36,18 @@ rational integer, and psi(c^-1) is the conjugate of psi(c) (k = -1).
 so (c) gives S_ij = 0 for i != j: the class values are orthonormal, and
 exact, without any exact sum.  The table's residues are the forms mod q.
 
-A class function is held, and built, as its exponent form (m, rows): per
-class, the terms (k, c) of its value sum_k c zeta_m^k in Z[x]/(x^m - 1),
-e | m.  As x -> zeta_m is a ring map from there onto Z[zeta_m], products
-convolve a class's terms mod x^m - 1, a dual permutes the rows, and the
-averages (`dim`, `fixed_dim`, `CharacterTable.multiplicities`) sum terms
-into one integer list, reduced mod Phi_m if a non-constant term is left,
-and divide by the group order in integers.  A value's power-basis
-coefficients are reduced from its terms only when read (`power_basis`):
-`table` reads each distinct (class order, terms) of a table once, and
-`values` (the `CycloNum`s that equality compares) every class.  Sums,
-scalings, duals and class functions built from values are the test
-oracles' (`tests/oracles.py`).
+A class function is held, and built, as its exponent form: per class, the
+terms (k, c) of its value sum_k c zeta_e^k in Z[x]/(x^e - 1), e = exponent(G),
+as every eigenvalue of rho(g) is an e-th root of unity.  As x -> zeta_e is a
+ring map from there onto Z[zeta_e], products convolve a class's terms mod
+x^e - 1, a dual permutes the rows, and the averages (`dim`, `fixed_dim`,
+`CharacterTable.multiplicities`) sum terms into one integer list, reduced
+mod Phi_e if a non-constant term is left, and divide by |G| in integers.
+A value's power-basis coefficients are reduced from its terms only when
+read (`power_basis`): `table` reads each distinct (class order, terms) of a
+table once, and `values` (the `CycloNum`s that equality compares) every
+class.  Sums, scalings, duals and class functions built from values are
+the test oracles' (`tests/oracles.py`).
 
 A `Character` is a class function held as its multiplicity vector over a
 table: the irreducibles are the unit vectors, and
@@ -67,7 +67,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -77,46 +77,37 @@ from .groups import FiniteGroup, Subgroup, closure, is_prime
 
 
 class ClassFunction:
-    """A function on conjugacy classes, held as its exponent form `form` =
-    (m, rows) (module docstring): m a multiple of the group exponent, and
-    per class the terms (k, c) of its value over x^m - 1.  `values`, a
-    cached property, is read off `form` when first read and kept."""
+    """A function on conjugacy classes, held as its exponent form `form`
+    (module docstring): per class, the terms (k, c) of its value over
+    x^e - 1, e the group exponent.  `values`, a cached property, is read
+    off `form` when first read and kept."""
 
-    def __init__(self, group: FiniteGroup, m: int, rows):
+    def __init__(self, group: FiniteGroup, rows):
         self.group = group
-        self.form = (m, tuple(rows))
+        self.form = tuple(rows)
 
     @cached_property
     def values(self):
-        m, rows = self.form
-        return tuple(CycloNum(*power_basis(m, self.group.element_orders[rep], terms))
-                     for rep, terms in zip(self.group.class_reps, rows))
+        G = self.group
+        return tuple(CycloNum(*power_basis(G.exponent, n, terms))
+                     for n, terms in zip(G.class_orders, self.form))
 
     # -- algebra ---------------------------------------------------------------
 
-    def _rows_with(self, other: "ClassFunction"):
-        """The common modulus m and, per class, both term lists over x^m - 1."""
+    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
+        """Class by class: the terms' product convolved mod x^e - 1."""
         if self.group is not other.group:
             raise ValueError("class functions live on different groups")
-        (m1, rows1), (m2, rows2) = self.form, other.form
-        m = lcm(m1, m2)
-
-        def lift(rows, s):
-            return rows if s == 1 else [tuple((k * s, c) for k, c in t) for t in rows]
-        return m, zip(lift(rows1, m // m1), lift(rows2, m // m2))
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        """Class by class: the terms' product convolved mod x^m - 1."""
-        m, pairs = self._rows_with(other)
-        return ClassFunction(self.group, m, (
-            _combine(((k, c, b) for k, c in a), m) for a, b in pairs))
+        e = self.group.exponent
+        return ClassFunction(self.group, (
+            _combine(((k, c, b) for k, c in a), e) for a, b in zip(self.form, other.form)))
 
     @property
     def dim(self) -> int:
         """The value at the identity, as the average over the trivial subgroup."""
-        m, rows = self.form
-        one = self.group.class_of[self.group.identity]
-        return _average(m, [(1, rows[one])], 1, "the value at the identity")
+        G = self.group
+        return _average(G.exponent, [(1, self.form[G.class_of[G.identity]])], 1,
+                        "the value at the identity")
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -174,8 +165,8 @@ def fixed_dim(chi: ClassFunction, subgroup: Subgroup) -> int:
     """Dimension of the subgroup-fixed subspace, <Res chi, 1>."""
     if subgroup.parent is not chi.group:
         raise ValueError("subgroup of a different group")
-    m, rows = chi.form
-    return _average(m, zip(subgroup.class_counts, rows), subgroup.size, "fixed-space average")
+    return _average(chi.group.exponent, zip(subgroup.class_counts, chi.form), subgroup.size,
+                    "fixed-space average")
 
 
 class Character(ClassFunction):
@@ -196,7 +187,7 @@ class Character(ClassFunction):
 
     @cached_property
     def form(self):
-        e, orders = self.group.exponent, self.table.class_orders
+        e, orders = self.group.exponent, self.group.class_orders
         used = [(a, form) for a, form in zip(self.mults, self.table.forms) if a]
         # an irreducible's terms are its eigenvalue form's, already collected
         own = used[0][1] if len(used) == 1 and used[0][0] == 1 else None
@@ -207,7 +198,7 @@ class Character(ClassFunction):
             if len(terms) > phi[n]:  # reduced mod Phi_n, n = ord(c)
                 terms = tuple((j * (e // n), x) for j, x in enumerate(power_basis(e, n, terms)[1]) if x)
             rows.append(terms)
-        return (e, tuple(rows))
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -247,7 +238,6 @@ class CharacterTable:
         one = group.class_of[group.identity]
         self.degrees = tuple(sum(m for _, m in form[one]) for form in self.forms)
         self.modulus = modulus
-        self.class_orders = tuple(group.element_orders[rep] for rep in group.class_reps)
         self._moves = _galois_moves(group)  # read by check (b) and `galois_orbits`
         # the forms' values in F_q, zeta_e -> w (`_certified_residues`).  Rows
         # of distinct irreducibles are orthogonal in F_q, |G| < q, so they
@@ -269,11 +259,10 @@ class CharacterTable:
         if chi.group is not self.group:
             raise ValueError("class functions live on different groups")
         G = self.group
-        inv = G.inverse_class
-        prods = [(chi * ClassFunction(G, m, [rows[c] for c in inv])).form
-                 for m, rows in (psi.form for psi in self.irreducibles)]
-        return tuple(_average(m, zip(G.class_sizes, rows), G.order, f"<chi, psi_{i}>")
-                     for i, (m, rows) in enumerate(prods))
+        prods = [(chi * ClassFunction(G, [psi.form[c] for c in G.inverse_class])).form
+                 for psi in self.irreducibles]
+        return tuple(_average(G.exponent, zip(G.class_sizes, rows), G.order, f"<chi, psi_{i}>")
+                     for i, rows in enumerate(prods))
 
     def assemble(self, mults: Sequence[int]) -> Character:
         """The class function sum_i mults[i] psi_i, kept as its vector."""
@@ -671,7 +660,7 @@ def _joint_eigenvectors(group: FiniteGroup, q: int):
             if group.class_sizes[i] == 1:
                 # z central of order n: M^n = 1, so M's eigenvalues are
                 # n-th roots of unity
-                n = group.element_orders[group.class_reps[i]]
+                n = group.class_orders[i]
                 if n not in unity:
                     unity[n] = [x for x in range(q) if pow(x, n, q) == 1]
                 candidates = unity[n]
@@ -693,7 +682,7 @@ def _dft_plan(group: FiniteGroup, q: int):
     mod q, and the power classes it reaches first, with their k."""
     r, e = len(group.classes), group.exponent
     wpow = _root_powers(e, q)
-    orders = [group.element_orders[rep] for rep in group.class_reps]
+    orders = group.class_orders
     dft_mats = {}
     plan = []
     reached = [False] * r
@@ -777,7 +766,7 @@ def _certified_residues(group: FiniteGroup, forms, degrees, q: int,
     n = sum(d ** 2 for d in degrees)
     if n != order:
         raise TableComputationError(f"degree squares sum to {n}, not {order}")
-    steps = [e // group.element_orders[rep] for rep in group.class_reps]
+    steps = [e // n for n in group.class_orders]
     sizes, inv = group.class_sizes, group.inverse_class
     # per class c, the (k, class of g^k) of each unit k of `moves`
     images = [[(k, perm[c]) for k, perm in moves] for c in range(r)]

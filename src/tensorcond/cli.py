@@ -245,7 +245,7 @@ def _sharpness_family(args) -> list:
                              f"{shown(args.max_p)} sweeps {len(family)}")
         a = sized(args.a, "--a")
         with reading("--a"):
-            family = [validate_params(family[0].p, a)]
+            family = [validate_params(family[0][0], a)]
     return family
 
 
@@ -253,9 +253,8 @@ def _run_sharpness(args, machine: bool) -> int:
     family = _sharpness_family(args)
     reader = ChainReader()
     all_equal = True
-    for params in family:
-        p, a = params.p, params.a
-        report = verify_sharpness(params, reader)
+    for p, a in family:
+        report = verify_sharpness((p, a), reader)
         all_equal = all_equal and report.equal
         if machine:
             print(json.dumps(report.to_json(), sort_keys=True))
@@ -280,15 +279,15 @@ def _run_table(args, machine: bool) -> int:
     # each distinct (class order, terms) of the eigenvalue forms is read once,
     # as its power-basis coefficients over Q(zeta_N)
     text = {}
-    for key in {key for form in T.forms for key in zip(T.class_orders, form)}:
+    for key in {key for form in T.forms for key in zip(G.class_orders, form)}:
         n, coeffs = power_basis(G.exponent, *key)
         text[key] = ({"N": n, "coeffs": [str(c) for c in coeffs]} if machine
                      else str(CycloNum(n, coeffs)))
-    rows = [[text[key] for key in zip(T.class_orders, form)] for form in T.forms]
+    rows = [[text[key] for key in zip(G.class_orders, form)] for form in T.forms]
     if machine:
         doc = {"group": G.spec, "order": G.order, "exponent": G.exponent,
-               "classes": [{"size": s, "rep": r, "rep_order": G.element_orders[r]}
-                           for s, r in zip(G.class_sizes, G.class_reps)],
+               "classes": [{"size": s, "rep": r, "rep_order": n}
+                           for s, r, n in zip(G.class_sizes, G.class_reps, G.class_orders)],
                "irreducibles": [{"degree": d, "values": row}
                                 for d, row in zip(T.degrees, rows)]}
         print(json.dumps(doc, sort_keys=True))

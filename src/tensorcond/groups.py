@@ -73,7 +73,7 @@ class FiniteGroup:
 
     __slots__ = (
         "name", "spec", "order", "table", "identity", "inverses",
-        "classes", "class_of", "class_reps", "class_sizes",
+        "classes", "class_of", "class_reps", "class_sizes", "class_orders",
         "inverse_class", "element_orders", "exponent", "_char_table",
     )
 
@@ -156,6 +156,7 @@ class FiniteGroup:
         self.classes, self.class_of = self._conjugacy_classes(gens)
         self.class_reps = tuple(c[0] for c in self.classes)
         self.class_sizes = tuple(len(c) for c in self.classes)
+        self.class_orders = tuple(orders[r] for r in self.class_reps)
         self.inverse_class = tuple(self.class_of[self.inverses[r]] for r in self.class_reps)
 
         self._char_table = None

@@ -23,14 +23,6 @@ from .filtration import ConductorReport, conductor, tensor_rhs
 from .weildeligne import WDRep, improvement_constant
 
 
-class FamilyParams(NamedTuple):
-    """An odd prime p and a unit representative a with a^(p-1) != 1 mod p^2;
-    `validate_params` also holds Aff(p), of order p(p-1), to the order cap."""
-
-    p: int
-    a: int
-
-
 def _check_prime(p: int) -> None:
     """p is an odd prime whose Aff(p) the order cap holds; p and then the
     order are held to the cap first, so that a huge p costs no primality test."""
@@ -44,13 +36,15 @@ def _check_prime(p: int) -> None:
         raise PreconditionError(f"p={shown(p)} must be an odd prime")
 
 
-def validate_params(p: int, a: int) -> FamilyParams:
+def validate_params(p: int, a: int) -> Tuple[int, int]:
+    """(p, a) for an odd prime p, Aff(p) of order p(p-1) within the order
+    cap, and a unit representative a with a^(p-1) != 1 mod p^2."""
     _check_prime(p)
     if a % p == 0:
         raise PreconditionError(f"a={shown(a)} is not a unit mod {p}")
     if pow(a, p - 1, p * p) == 1:
         raise PreconditionError(f"a={shown(a)} satisfies a^(p-1) = 1 mod {p}^2")
-    return FamilyParams(p, a)
+    return p, a
 
 
 def smallest_valid_unit(p: int) -> int:
@@ -147,7 +141,7 @@ def _standard_character(G: FiniteGroup, p: int) -> ClassFunction:
         fixed_points = p if rep == 0 else (0 if a == 1 else 1)
         v = fixed_points - 1
         rows.append(((0, v),) if v else ())
-    return ClassFunction(G, G.exponent, rows)
+    return ClassFunction(G, rows)
 
 
 def jacobian_chain(chains: ChainReader, p: int, alpha: int) -> CorpusChain:
@@ -161,7 +155,9 @@ def jacobian_chain(chains: ChainReader, p: int, alpha: int) -> CorpusChain:
 def jacobian_inertia_model(p: int, alpha: int) -> WDRep:
     """J_alpha, alpha p or a unit that `validate_params` takes, as one block (chi, 1)
     over `jacobian_chain`, chi the unique irreducible of degree p-1 of Aff(p)."""
-    model = jacobian_chain(ChainReader(), p, alpha if alpha == p else validate_params(p, alpha).a)
+    if alpha != p:
+        validate_params(p, alpha)
+    model = jacobian_chain(ChainReader(), p, alpha)
     T = model.table
     chi = T.assemble([int(d == p - 1) for d in T.degrees])
     return WDRep(model, [(chi, 1)])
@@ -226,14 +222,13 @@ def _numerators(breaks) -> Tuple[int, List[int]]:
     return denominator, [b.numerator * (denominator // b.denominator) for b in breaks]
 
 
-def joint_break_model(params: FamilyParams) -> Tuple[BreakRep, BreakRep]:
+def joint_break_model(p: int) -> Tuple[BreakRep, BreakRep]:
     """Both Jacobian representations on the joint wild group C_p x C_p.
 
     The p-1 characters of each factor share one slope, pinned by the
     requirement that the slope sum reproduce the Swan exponents 1 and p:
     1/(p-1) for the unit branch and p/(p-1) for the p branch.
     """
-    p = params.p
     slope_a = Fraction(1, p - 1)
     slope_p = Fraction(p, p - 1)
     rep_a = BreakRep(p, 2, tuple(((i, 0), slope_a) for i in range(1, p)))
@@ -292,7 +287,7 @@ class SharpnessReport(NamedTuple):
                 for k, v in zip(self._fields, self)}
 
 
-def verify_sharpness(params: FamilyParams,
+def verify_sharpness(params: Tuple[int, int],
                      chains: Optional[ChainReader] = None) -> SharpnessReport:
     """Check that both tensor-conductor bounds are met with equality.
 
@@ -304,9 +299,10 @@ def verify_sharpness(params: FamilyParams,
     `chains` (a fresh ChainReader when none is given), so a run builds each
     Aff(p) and each model once.
     """
+    p, a = params
     reader = ChainReader() if chains is None else chains
-    models = [(alpha, jacobian_chain(reader, params.p, alpha)) for alpha in (params.a, params.p)]
-    return sharpness_report(*params, sharpness_disc_side(models), sharpness_chain_side(models))
+    models = [(alpha, jacobian_chain(reader, p, alpha)) for alpha in (a, p)]
+    return sharpness_report(p, a, sharpness_disc_side(models), sharpness_chain_side(models))
 
 
 def sharpness_report(p: int, a: int, swans, reports: List[ConductorReport]) -> SharpnessReport:
@@ -320,7 +316,7 @@ def sharpness_report(p: int, a: int, swans, reports: List[ConductorReport]) -> S
     deg_a, deg_p = (dim - r.level_terms[0] for r in reports)
     wild_fixed = [dim - r.level_terms[1] for r in reports]
 
-    rep_a, rep_p = joint_break_model(FamilyParams(p, a))
+    rep_a, rep_p = joint_break_model(p)
     prod = tensor_break_rep(rep_a, rep_p)
     sw_tensor = prod.swan()
     swan_rhs = tensor_rhs(dim, dim, sw_a_filt, sw_p_filt, improvement_constant(p), 0)

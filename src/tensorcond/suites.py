@@ -443,11 +443,17 @@ def _check_pgroup_gap(doc, chains):
     return all(g == 0 or g >= p - 1 for g in gaps), {"p": p, "gaps": gaps}
 
 
-def _gen_wd(name: str, **gens):
-    """Generator over the model chains: one datum per keyword, drawn by the
-    given vector generator with the keyword as its seed tag."""
+def _gen_wd(name: str, nontrivial: bool = False, **gens):
+    """Generator over the model chains, with nontrivial over those on a
+    nontrivial group (the trivial group has no ramified atom): one datum
+    per keyword, drawn by the given vector generator with the keyword as
+    its seed tag."""
     def generate(corpus, base_seed, i):
-        chain = _pick(_pool(corpus.model_chains(), "chain with a model_p"), i)
+        pool = _pool(corpus.model_chains(), "chain with a model_p")
+        if nontrivial:
+            pool = _pool([c for c in pool if c.filtration.parent.order > 1],
+                         "chain with a model_p on a nontrivial group")
+        chain = _pick(pool, i)
         T = chain.table
         doc = {"chain": chain.ref()}
         for key, gen in gens.items():
@@ -640,7 +646,7 @@ SUITES: Dict[str, Suite] = {
         _gen_wd("swan-bound", A=gen_abvar_mults, B=gen_abvar_mults),
         _check_swan_bound, 500),
     "tame-identity": Suite(
-        _gen_wd("tame-identity",
+        _gen_wd("tame-identity", nontrivial=True,
                 A=lambda T, seed: gen_abvar_mults(T, seed, force_ramified=True),
                 B=lambda T, seed: gen_abvar_mults(T, seed, force_ramified=True)),
         _check_tame_identity, 500),

@@ -533,31 +533,37 @@ def tensor_break_swan(p: int, rank: int, chars1, chars2) -> Fraction:
 
 def from_values(group: FiniteGroup, values) -> ClassFunction:
     """The class function with one value per class, each a CycloNum or a
-    rational: each sum_j c_j zeta_N^j becomes the terms (j m/N, c_j) of its
-    exponent form, m the lcm of e and every N."""
+    rational: each sum_j c_j zeta_N^j becomes the terms (j e/N, c_j) of its
+    exponent form over x^e - 1, e the group exponent.  ValueError for a
+    value whose conductor N does not divide e."""
     if len(values) != len(group.classes):
         raise ValueError("one value per conjugacy class required")
+    e = group.exponent
     vals = [v if isinstance(v, CycloNum) else CycloNum.from_rational(v) for v in values]
-    m = lcm(group.exponent, *(v.N for v in vals))
-    return ClassFunction(group, m, (tuple((j * (m // v.N), c) for j, c in enumerate(v.coeffs) if c)
-                                    for v in vals))
+    bad = next((v for v in vals if e % v.N), None)
+    if bad is not None:
+        raise ValueError(f"{bad} has conductor {bad.N}, which does not divide "
+                         f"the exponent {e} of {group.name}")
+    return ClassFunction(group, (tuple((j * (e // v.N), c) for j, c in enumerate(v.coeffs) if c)
+                                 for v in vals))
 
 
 def add(chi: ClassFunction, psi: ClassFunction) -> ClassFunction:
-    m, pairs = chi._rows_with(psi)
-    return ClassFunction(chi.group, m, (_combine(((0, 1, a), (0, 1, b)), m) for a, b in pairs))
+    if chi.group is not psi.group:
+        raise ValueError("class functions live on different groups")
+    e = chi.group.exponent
+    return ClassFunction(chi.group, (_combine(((0, 1, a), (0, 1, b)), e)
+                                     for a, b in zip(chi.form, psi.form)))
 
 
 def scale(chi: ClassFunction, n: int) -> ClassFunction:
-    m, rows = chi.form
-    return ClassFunction(chi.group, m, (
-        tuple((k, n * c) for k, c in terms if n) for terms in rows))
+    return ClassFunction(chi.group, (tuple((k, n * c) for k, c in terms if n)
+                                     for terms in chi.form))
 
 
 def dual(chi: ClassFunction) -> ClassFunction:
     """The contragredient: value at g is the value at g^-1."""
-    m, rows = chi.form
-    return ClassFunction(chi.group, m, (rows[c] for c in chi.group.inverse_class))
+    return ClassFunction(chi.group, (chi.form[c] for c in chi.group.inverse_class))
 
 
 def trivial(group: FiniteGroup) -> ClassFunction:
@@ -643,7 +649,7 @@ def is_rational_charpoly(chi: ClassFunction) -> bool:
     tau(g) then has a rational characteristic polynomial."""
     G = chi.group
     for c in range(len(G.classes)):
-        n = G.element_orders[G.class_reps[c]]
+        n = G.class_orders[c]
         base = chi.values[c]
         for k in range(2, n):
             if gcd(k, n) == 1 and chi.values[G.class_power(c, k)] != base:

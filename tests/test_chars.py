@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorcond.chars import character_table, fixed_dim
+from tensorcond.chars import ClassFunction, character_table, fixed_dim
 from tensorcond.errors import PreconditionError
 from tensorcond.groups import (affine, cyclic, dihedral, heisenberg,
                                quaternion8, subgroup_generated,
@@ -89,7 +89,7 @@ def test_tensor_dsum_dual(q8, q8_table):
     assert add(chi2, triv).dim == 3
     # a product with the zero class function has no terms at any class
     for prod in (chi2 * zero(q8), zero(q8) * chi2):
-        assert prod.form[1] == ((),) * len(q8.classes) and prod == zero(q8)
+        assert prod.form == ((),) * len(q8.classes) and prod == zero(q8)
 
 
 def test_restrict(q8, q8_table):
@@ -591,16 +591,16 @@ def _form_groups(corpus):
 
 def _class_functions(G):
     """Seeded characters of G and the dual of its last irreducible; on Q8
-    also its 2-dimensional irreducible and zeta_8 times it, both written
-    with zeta_8, beyond the group exponent 4."""
+    also its 2-dimensional irreducible written as chi_2 + i - i, and i
+    times it, a class function in Q(zeta_4) that is not a character."""
     T = character_table(G)
     out = [gen_character(G, f"form:{seed}", 6) for seed in range(2)]
     out.append(dual(T.irreducibles[-1]))
     if G.spec == {"kind": "quaternion8"}:
         chi2 = two_dim(T)
-        out += [from_values(G, [sub(v + root_of_unity(8, 2), root_of_unity(4))
+        out += [from_values(G, [sub(v + root_of_unity(4), root_of_unity(4))
                                 for v in chi2.values]),
-                from_values(G, [root_of_unity(8) * v for v in chi2.values])]
+                from_values(G, [root_of_unity(4) * v for v in chi2.values])]
     return out
 
 
@@ -714,13 +714,13 @@ def test_forms_and_values_are_computed_once_and_kept(monkeypatch):
         return made
 
     T = character_table(affine(5))
-    r, four = len(T), T.class_orders.index(4)
+    r, four = len(T), T.group.class_orders.index(4)
     irreducible = T.irreducibles[T.degrees.index(4)]
     linear_sum = T.assemble([int(d == 1) for d in T.degrees])
     for chi in (irreducible, linear_sum):
         assert "form" not in vars(chi)
         made = read_twice(chi, "form")
-        assert "power_basis" in made and chi.form[1][four] == ()
+        assert "power_basis" in made and chi.form[four] == ()
         assert ("_combine" in made) == (chi is linear_sum)
         assert read_twice(chi, "values") == ["power_basis"] * r
     product = irreducible * linear_sum
@@ -743,15 +743,22 @@ def test_irrational_averages_are_not_characters():
         frobenius_schur(from_values(G, [root_of_unity(5)] * 5))
 
 
-def test_averages_of_values_beyond_the_group_exponent(q8, q8_table):
-    # i = zeta_4 written as zeta_8^2: conductor 8 on a group of exponent 4
-    i8 = root_of_unity(8, 2)
-    chi2 = two_dim(q8_table)
-    promoted = from_values(q8, [sub(v + i8, root_of_unity(4)) for v in chi2.values])
-    assert promoted == chi2
-    assert q8_table.multiplicities(promoted) == q8_table.multiplicities(chi2)
-    for H in (whole_group(q8), subgroup_generated(q8, [1]), trivial_subgroup(q8)):
-        assert fixed_dim(promoted, H) == fixed_dim(chi2, H)
+def test_averages_of_terms_that_cancel_only_mod_phi_e():
+    # 1 + x^2 over x^4 - 1 at every class of C4 is 1 + zeta_4^2 = 0, but its
+    # terms cancel only once an average is reduced mod Phi_4
+    G = cyclic(4)
+    T = character_table(G)
+    vanishing = ClassFunction(G, [((0, 1), (2, 1))] * len(G.classes))
+    assert vanishing == zero(G) and vanishing.dim == 0
+    assert T.multiplicities(vanishing) == (0,) * len(T)
+    subgroups = (whole_group(G), subgroup_generated(G, [2]), trivial_subgroup(G))
+    assert [fixed_dim(vanishing, H) for H in subgroups] == [0, 0, 0]
+    for psi in T.irreducibles:
+        shifted = add(psi, vanishing)
+        assert shifted.form != psi.form and shifted == psi
+        assert T.multiplicities(shifted) == psi.mults
+        for H in subgroups:
+            assert fixed_dim(shifted, H) == fixed_dim(psi, H)
 
 
 # -- the table build: class matrices on demand, the split, the retry ------------------

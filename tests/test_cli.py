@@ -11,6 +11,7 @@ import pytest
 
 import tensorcond
 from tensorcond.cli import main
+from tensorcond.suites import SUITES
 
 BOUND_DOC = {
     "model": {"group": {"kind": "quaternion8"}, "chain": [[4]], "p": 2},
@@ -794,6 +795,36 @@ def test_verify_names_the_chain_kind_a_corpus_lacks(tmp_path, capsys, suite):
     assert code == 2 and out == ""
     kind = "model_p" if suite == "global" else "chain on a p-group"
     assert f"suite {suite}: the corpus has no" in err and kind in err
+
+
+# one-entry corpora that leave some suites without a pool they can draw from
+SMALL_CORPORA = {
+    "c1-model": {"name": "c1", "group": {"kind": "cyclic", "n": 1},
+                 "chains": [{"name": "t", "subgroups": [], "model_p": 2}]},
+    "c6-no-model": {"name": "c6", "group": {"kind": "cyclic", "n": 6},
+                    "chains": [{"name": "w", "subgroups": [[2]]}]},
+    "c2-tame-at-3": {"name": "c2", "group": {"kind": "cyclic", "n": 2},
+                     "chains": [{"name": "t", "subgroups": [], "model_p": 3}]},
+}
+
+
+@pytest.mark.parametrize("corpus", list(SMALL_CORPORA))
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_every_suite_runs_or_refuses_on_a_small_corpus(tmp_path, capsys, suite, corpus):
+    """Every suite on a corpus of one entry: a model chain on the trivial
+    group, a C6 chain with no model_p, or a tame model on C2 at p = 3.  A
+    suite exits 0, or exits 2 with one stderr line that names it, and no
+    run ends in a traceback: the trivial group has no ramified datum, so
+    tame-identity refuses a corpus whose model chains are all on it."""
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"version": 1, "entries": [SMALL_CORPORA[corpus]]}))
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seeds", "2",
+                             "--corpus", str(path))
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and f"suite {suite}: " in err, err
+    else:
+        assert code == 0 and err == "", err
 
 
 def test_replay_refuses_a_pgroup_gap_prime_that_does_not_match_the_group(tmp_path,

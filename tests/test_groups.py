@@ -401,10 +401,10 @@ def _spec_id(spec: dict) -> str:
 ], ids=_spec_id)
 def test_constructors_match_the_encoding_oracle(spec):
     """Each constructor's table, name and spec against the group built from
-    its element encoding, and the classes, element orders and exponent
-    against conjugation orbits and repeated multiplication.  The named
-    constructors skip the axiom checks, so their table must pass them when
-    handed to FiniteGroup, and every triple is tried up to order 64."""
+    its element encoding, and the classes, element and class orders and
+    exponent against conjugation orbits and repeated multiplication.  The
+    named constructors skip the axiom checks, so their table must pass them
+    when handed to FiniteGroup, and every triple is tried up to order 64."""
     G, R = build_group(spec), encoded_group(spec)
     C = FiniteGroup(G.table, G.name, G.spec)
     assert (C.classes, C.class_of, C.element_orders, C.inverses) == \
@@ -420,4 +420,5 @@ def test_constructors_match_the_encoding_oracle(spec):
     assert [c[0] for c in G.classes[1:]] == sorted(c[0] for c in G.classes[1:])
     orders = orders_by_powers(G)
     assert list(G.element_orders) == orders and G.exponent == lcm(*orders)
+    assert G.class_orders == C.class_orders == tuple(orders[r] for r in G.class_reps)
     assert G.inverses == tuple(G.table[g].index(G.identity) for g in range(G.order))

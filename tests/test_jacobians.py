@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tensorcond.errors import PreconditionError
 from tensorcond.groups import is_prime
-from tensorcond.jacobians import (BreakRep, FamilyParams, disc_valuation,
+from tensorcond.jacobians import (BreakRep, disc_valuation,
                                   jacobian_inertia_model, joint_break_model, p_valuation,
                                   smallest_valid_unit, swan_jacobian, sylvester_resultant,
                                   tensor_break_rep, validate_params,
@@ -19,7 +19,7 @@ PRIMES = (3, 5, 7, 11, 13)
 
 
 def test_validate_params():
-    assert validate_params(3, 2) == FamilyParams(3, 2)
+    assert validate_params(3, 2) == (3, 2)
     with pytest.raises(PreconditionError, match=re.escape("a=7 satisfies a^(p-1) = 1 mod 5^2")):
         validate_params(5, 7)       # 7^4 = 2401 = 1 mod 25
     with pytest.raises(PreconditionError, match="a=3 is not a unit mod 3"):
@@ -31,7 +31,7 @@ def test_validate_params():
     for p in PRIMES:
         a = smallest_valid_unit(p)
         assert a >= 2
-        assert validate_params(p, a).a == a
+        assert validate_params(p, a) == (p, a)
 
 
 def test_sylvester_resultant_basics():
@@ -84,8 +84,7 @@ def test_filtration_model_agrees_with_discriminant_route():
 
 def test_break_model_sums():
     for p in (3, 5, 7):
-        params = validate_params(p, smallest_valid_unit(p))
-        rep_a, rep_p = joint_break_model(params)
+        rep_a, rep_p = joint_break_model(p)
         assert rep_a.swan() == 1
         assert rep_p.swan() == p
         prod = tensor_break_rep(rep_a, rep_p)
@@ -221,7 +220,7 @@ def test_disc_valuation_matches_the_dense_determinant_up_to_the_order_cap():
 
 
 def test_validate_params_refuses_a_group_above_the_order_cap():
-    assert validate_params(43, smallest_valid_unit(43)).p == 43
+    assert validate_params(43, smallest_valid_unit(43))[0] == 43
     with pytest.raises(PreconditionError, match="above the cap"):
         validate_params(47, 2)
 
@@ -275,7 +274,7 @@ def test_standard_character_form_matches_a_build_from_values():
             a, b = rep // p + 1, rep % p
             values.append(sum((a * x + b) % p == x for x in range(p)) - 1)
         built = from_values(G, values)
-        assert direct.form[0] == built.form[0] == G.exponent, p
+        assert direct.form == built.form, p
         assert len(direct.values) == len(G.classes), p
         for c, (u, v) in enumerate(zip(direct.values, built.values)):
             assert u == v, (p, c)
